@@ -19,52 +19,45 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import ModelParams, SolverError, theta
 from .lattice import LatticeConfig, StateVector, monodromy_entry_apply, \
-    monodromy_entry_dense, transfer_apply
+    transfer_apply
 
 CACHE_ENV = "CSOSLAB_CACHE_DIR"
 
 
-def _log_ratio_odd(z, plus, minus, tau_t):
-    """i*log(theta1(plus+z)/theta1(minus-z)) continuous and odd in z (real z).
+def _log_ratio_odd(z, shift, tau_t, order):
+    """i*log(theta1(shift+z)/theta1(shift-z)), or its z-derivative (order 1).
 
-    Principal value on the fundamental interval plus 2 pi per full period.
+    The log is continuous and odd in z (real z): principal value on the
+    fundamental interval plus 2 pi per full period.
     """
+    if order == 1:
+        zp = np.asarray(z) + shift
+        zm = np.asarray(z) - shift
+        return 1j * (theta(1, zp, tau_t, order=1) / theta(1, zp, tau_t)
+                     - theta(1, zm, tau_t, order=1) / theta(1, zm, tau_t))
     z = np.asarray(z, dtype=float)
     wind = np.round(z)
     w = z - wind
-    ratio = theta(1, plus + w, tau_t) / theta(1, minus - w, tau_t)
+    ratio = theta(1, shift + w, tau_t) / theta(1, shift - w, tau_t)
     val = 1j * np.log(ratio)
     return np.real(val) + 2.0 * math.pi * wind
 
 
 def bare_momentum(z, params, order=0):
     """p0(z) (continuous odd branch) or p0'(z)."""
-    et = params.eta_tilde
-    tt = params.tau_tilde
-    if order == 0:
-        return _log_ratio_odd(z, et / 2.0, et / 2.0, tt)
-    num_p = theta(1, np.asarray(z) + et / 2.0, tt, order=1)
-    den_p = theta(1, np.asarray(z) + et / 2.0, tt)
-    num_m = theta(1, np.asarray(z) - et / 2.0, tt, order=1)
-    den_m = theta(1, np.asarray(z) - et / 2.0, tt)
-    return 1j * (num_p / den_p - num_m / den_m)
+    return _log_ratio_odd(z, params.eta_tilde / 2.0, params.tau_tilde, order)
 
 
 def bare_phase(z, params, order=0):
     """theta(z) = i log(theta1(eta~+z)/theta1(eta~-z)), or its derivative."""
-    et = params.eta_tilde
-    tt = params.tau_tilde
-    if order == 0:
-        return _log_ratio_odd(z, et, et, tt)
-    dp = theta(1, np.asarray(z) + et, tt, order=1) / theta(1, np.asarray(z) + et, tt)
-    dm = theta(1, np.asarray(z) - et, tt, order=1) / theta(1, np.asarray(z) - et, tt)
-    return 1j * (dp - dm)
+    return _log_ratio_odd(z, params.eta_tilde, params.tau_tilde, order)
 
 
 def momentum_shifts(config, params):
@@ -193,20 +186,20 @@ def bethe_residual(roots, relative=False):
     return out
 
 
-def _density_fourier_coeff(m, params):
-    return 1.0 / (2.0 * np.cosh(1j * math.pi * m * params.eta_tilde))
+def density_fourier(m, config, params):
+    """Fourier coefficient of rho_tot."""
+    sh = momentum_shifts(config, params)
+    base = 1.0 / (2.0 * np.cosh(1j * math.pi * m * params.eta_tilde))
+    return base * np.mean(np.exp(-2j * math.pi * m * sh))
 
 
 def _cumulative_density(x, config, params, modes=80):
     """N-independent integral of rho_tot from -1/2 to x (x real)."""
-    shifts = momentum_shifts(config, params)
     total = (x + 0.5) / 2.0
     for m in range(1, modes + 1):
-        cm = _density_fourier_coeff(m, params)
-        for c in shifts:
-            term = (np.exp(2j * math.pi * m * (x - c))
-                    - np.exp(2j * math.pi * m * (-0.5 - c)))
-            total += 2.0 * np.real(term * cm / (2j * math.pi * m)) / len(shifts)
+        term = np.exp(2j * math.pi * m * x) - np.exp(-1j * math.pi * m)
+        total += 2.0 * np.real(term * density_fourier(m, config, params)
+                               / (2j * math.pi * m))
     return total
 
 
@@ -342,15 +335,34 @@ def left_contract(roots, state):
     return work.bra_contract_reference()
 
 
+def lambda_pm(eps, zeta, roots):
+    """Lambda_eps(z; {v}, omega): the eigenvalue half built on one sector."""
+    params = roots.params
+    br = params.bracket
+    out = eps * roots.omega ** (eps - 1)
+    for xi in roots.config.xi:
+        out *= br(zeta - xi + (1 + eps) // 2)
+    for vj in roots.v:
+        out *= br(vj - zeta + eps)
+    return out
+
+
+def scaled_eigenvalue(u, roots):
+    """tau(u) prod_k [u - xi_k + 1], the eigenvalue in the scaled gauge;
+    finite at u = xi_k - 1."""
+    sgn = (-1.0) ** (roots.params.r * roots.aleph)
+    out = roots.omega * (lambda_pm(1, u, roots) - sgn * lambda_pm(-1, u, roots))
+    for vj in roots.v:
+        out /= roots.params.bracket(vj - u)
+    return out
+
+
 def eigenvalue_tau(u, roots):
     """Transfer-matrix eigenvalue tau(u; {v}, omega)."""
-    params = roots.params
-    t1 = roots.omega * roots.a_fun(u)
-    t2 = (-1.0) ** (params.r * roots.aleph) / roots.omega * roots.d_fun(u)
-    for vj in roots.v:
-        t1 *= params.bracket(vj - u + 1) / params.bracket(vj - u)
-        t2 *= params.bracket(u - vj + 1) / params.bracket(u - vj)
-    return t1 + t2
+    out = scaled_eigenvalue(u, roots)
+    for xi in roots.config.xi:
+        out /= roots.params.bracket(u - xi + 1)
+    return out
 
 
 def eigenstate_residual(roots, u, side="right"):
@@ -360,10 +372,8 @@ def eigenstate_residual(roots, u, side="right"):
     if side == "right":
         out = transfer_apply(u, vec)
     else:
-        config, params = roots.config, roots.params
-        mat = (monodromy_entry_dense("A", u, config, params).matrix
-               + monodromy_entry_dense("D", u, config, params).matrix)
-        out = StateVector(config, params, vec.amps.reshape(-1) @ mat)
+        out = monodromy_entry_apply("A", u, vec, dual=True)
+        out.amps += monodromy_entry_apply("D", u, vec, dual=True).amps
     gap = out.amps - tau * vec.amps
     return float(np.linalg.norm(gap) / np.linalg.norm(vec.amps))
 
@@ -390,17 +400,31 @@ def _cache_dir(cache_dir):
 
 
 def _cache_load(k, ell, config, params, cache_dir):
+    """Cached roots, or None when absent, unreadable or not a solution.
+
+    The Bethe equations are checked again on load, so a stale or edited
+    file is solved afresh instead of being trusted.
+    """
     root = _cache_dir(cache_dir)
     if not root:
         return None
     path = os.path.join(root, _cache_key(k, ell, config, params) + ".json")
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    roots = BetheRootSet(x=np.array(doc["x"]), k=k, ell=ell, params=params,
-                         config=config, residual=doc["residual"],
-                         newton_iters=doc["newton_iters"])
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        x = np.array(doc["x"], dtype=float)
+        if x.shape != (config.N // 2,):
+            return None
+        roots = BetheRootSet(x=x, k=k, ell=ell, params=params, config=config,
+                             newton_iters=int(doc["newton_iters"]))
+        roots.residual = float(np.max(np.abs(
+            bethe_residual(roots, relative=True))))
+    except (ValueError, KeyError, TypeError):
+        return None
+    if not roots.residual <= 1e-10:
+        return None
     return roots
 
 
@@ -417,5 +441,12 @@ def _cache_store(roots, cache_dir):
         "newton_iters": roots.newton_iters,
         "solver": "damped-newton",
     }
-    with open(os.path.join(root, key + ".json"), "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+    # write-then-rename, so a reader never sees a partly written file
+    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+        os.replace(tmp, os.path.join(root, key + ".json"))
+    except BaseException:
+        os.unlink(tmp)
+        raise

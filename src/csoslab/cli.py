@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bethe, matel, thermo
-from .elliptic import ModelParams, identity_residual, theta
+from .elliptic import AccuracyError, ModelParams, identity_residual, theta
 from .lattice import (LatticeConfig, homogeneous_config, transfer_dense,
                       yang_baxter_residual, zero_weight_indices,
                       inverse_problem_residual)
@@ -69,7 +69,10 @@ def params_hash(cfg):
 
 
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise AccuracyError(f"non-finite value in the report: {exc}") from exc
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -78,6 +81,9 @@ def _emit(doc, out_path):
 
 
 def _emit_csv(rows, header, out_path):
+    if any(isinstance(v, float) and not math.isfinite(v)
+           for row in rows for v in row):
+        raise AccuracyError("non-finite value in the table")
     fh = open(out_path, "w", newline="") if out_path else sys.stdout
     writer = csv.writer(fh)
     writer.writerow(header)
@@ -257,10 +263,6 @@ SUITE_TOL = {
 
 
 def cmd_identities(args):
-    if args.suite not in SUITES:
-        sys.stderr.write(f"unknown suite {args.suite!r}; "
-                         f"choose from {sorted(SUITES)}\n")
-        return EXIT_CONFIG
     rng = np.random.default_rng(args.seed)
     tol = args.tolerance if args.tolerance else SUITE_TOL[args.suite]
     if args.suite == "appendixC":
@@ -330,13 +332,9 @@ def cmd_lhp(args):
         for eps, t in labels:
             for c in range(params.L):
                 sp = _shifted(path, c)
-                if params.L % 2 == 0 and (eps + t - sp.heights[0]) % 2 != 0 \
-                        and sp.m == 0:
-                    val, err = 0.0j, 0.0
-                else:
-                    val, err = thermo.multipoint_lhp(
-                        sp, eps, t, config, params, resolution=resolution,
-                        tolerance=args.tolerance)
+                val, err = thermo.multipoint_lhp(
+                    sp, eps, t, config, params, resolution=resolution,
+                    tolerance=args.tolerance)
                 records.append({"eps": eps, "t": t, "height_shift": c,
                                 "heights": list(sp.heights),
                                 "value_re": float(np.real(val)),

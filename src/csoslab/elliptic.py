@@ -200,17 +200,6 @@ def theta_log(kind, z, tau, small_im=0.05):
 
 
 @dataclass(frozen=True)
-class EllipticModulus:
-    """A point tau in the upper half-plane."""
-
-    tau: complex
-
-    def __post_init__(self):
-        if complex(self.tau).imag <= 0:
-            raise EllipticDomainError(f"Im(tau) must be positive, got {self.tau}")
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Global parameters of the cyclic SOS model.
 
@@ -294,8 +283,7 @@ def _jacobi_residual(kind, z, tau):
     """Imaginary transformation tau -> -1/tau for the four kinds."""
     pref = (-1j * tau) ** (-0.5) * cmath.exp(-1j * math.pi * z * z / tau)
     lhs = theta(kind, z, tau)
-    partner = {1: 1, 2: 4, 3: 3, 4: 2}[kind]
-    rhs = pref * theta(partner, -z / tau, -1.0 / tau)
+    rhs = pref * theta(_JACOBI_PARTNER[kind], -z / tau, -1.0 / tau)
     if kind == 1:
         rhs = -1j * rhs
     return abs(lhs - rhs)

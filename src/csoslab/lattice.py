@@ -30,16 +30,13 @@ import numpy as np
 from .elliptic import (DegenerateConfigError, ModelParams, PoleError,
                        SizeGuardError)
 
-DENSE_MAX_DIM = 200_000
-DENSE_MAX_N = 12
+# Memory budget of one dense assembly (see guard_dense): admits the oracle
+# range N <= 10 at L = 3 and refuses N = 12.
+DENSE_MAX_BYTES = 2 << 30
 
 _ENTRY_AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
-
-# Face-weight orientation of the c-elements and the aux correction of the
-# dynamical prefix; fixed by the RTT relation and the Bethe eigenstate
-# property (see tests), kept as named constants for auditability.
-_SWAP_C = False
-_AUX_SHIFT = False
+# height roll of the hatted entries: A, C read f(s+1), B, D read f(s-1)
+_ENTRY_SHIFT = {"A": -1, "B": 1, "C": -1, "D": 1}
 
 
 @dataclass(frozen=True)
@@ -72,9 +69,6 @@ class LatticeConfig:
                     f"inhomogeneity {x} off the admissible line "
                     f"Im(eta~ xi) = Im(eta~/2)")
 
-    def xi_tilde(self, params):
-        return tuple(params.eta_tilde * x for x in self.xi)
-
     def xibar_tilde(self, params):
         """xi_bar = sum_l (eta~/2 - xi~_l)."""
         et = params.eta_tilde
@@ -87,11 +81,18 @@ def homogeneous_config(N, M=0):
 
 
 def guard_dense(config, params):
+    """Dimension of the full space; refuses sizes over DENSE_MAX_BYTES.
+
+    The estimate is the peak of a dense assembly: the identity basis, its
+    height-rolled copy and the two (2, L, W, dim) sweep arrays, six
+    complex dim x dim arrays in all.
+    """
     dim = params.L * (1 << config.N)
-    if config.N > DENSE_MAX_N or dim > DENSE_MAX_DIM:
+    need = 6 * 16 * dim * dim
+    if need > DENSE_MAX_BYTES:
         raise SizeGuardError(
-            f"dense operation refused: N={config.N}, dim={dim} "
-            f"(limits N<={DENSE_MAX_N}, dim<={DENSE_MAX_DIM})")
+            f"dense operation refused: N={config.N}, dim={dim} needs about "
+            f"{need / 2**30:.1f} GiB (limit {DENSE_MAX_BYTES / 2**30:.1f} GiB)")
     return dim
 
 
@@ -126,9 +127,6 @@ class StateVector:
         """Bilinear pairing sum_{s, word} f g (no conjugation)."""
         return complex(np.sum(self.amps * other.amps))
 
-    def norm2(self):
-        return float(np.sum(np.abs(self.amps) ** 2))
-
     def scale_heights(self, fun):
         """Multiply pointwise by a function of the height value s0 + a."""
         out = self.copy()
@@ -147,12 +145,14 @@ class StateVector:
         return complex(np.sum(self.amps[:, 0]))
 
 
-def _word_bits(N):
+def _prefix_table(i, config):
+    """sum_{j<i} eps_j for every word (sites counted from 1)."""
+    N = config.N
     words = np.arange(1 << N, dtype=np.int64)
-    bits = np.empty((N, 1 << N), dtype=np.int64)
-    for k in range(N):
-        bits[k] = (words >> (N - 1 - k)) & 1
-    return bits
+    pref = np.zeros(1 << N, dtype=np.int64)
+    for k in range(i - 1):
+        pref += 1 - 2 * ((words >> (N - 1 - k)) & 1)
+    return pref
 
 
 def boltzmann_weight(u, s, unprimed, primed, params):
@@ -220,70 +220,72 @@ def yang_baxter_residual(u1, u2, u3, s, params):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _numeric_monodromy_batch(a_out, a_in, u, psi, config, params,
-                             scaled=False):
-    """Apply the numeric monodromy entry T[a_out, a_in](u; s0+h) per height.
+def _site_weights(k, u, config, params, scaled):
+    """Face weights of the k-th R-factor (0-based) on every column cell.
 
-    psi has shape (L, W, B); the height axis supplies the base dynamical
-    parameter of each column.  The k-th factor's dynamical argument adds
-    the spins of sites < k as carried by the current partial word.
+    Returns (corner, b_plus, b_minus, c_plus, c_minus).  The weights depend
+    on the height and on the spins of the sites before k only, so each
+    array has shape (L, 2^k, 2^(N-1-k), 1): height, spins of the sites
+    before k, spins of the sites after k, batch.
 
     With scaled=True every R-factor is multiplied by [u - xi_k + 1], which
     removes the poles of the face weights at u = xi_k - 1 (the monodromy
     then equals T(u) times prod_k [u - xi_k + 1]).
     """
-    L, W, B = psi.shape
-    N = config.N
-    bits = _word_bits(N)
-    phi = np.zeros((2, L, W, B), dtype=complex)
-    phi[a_in] = psi
-    a_sign = (1.0, -1.0)
-    heights = params.s0 + np.arange(L)
+    uk = u - config.xi[k]
+    bu = params.bracket(uk)
+    bu1 = params.bracket(uk + 1)
+    if not scaled and abs(bu1) < 1e-13:
+        raise PoleError(f"[u - xi_{k + 1} + 1] vanishes at u={u}; "
+                        "use the scaled gauge")
+    b1 = params.bracket(1)
+    corner = bu1 if scaled else 1.0
+    denom_u = 1.0 if scaled else bu1
+    # dynamical argument for every (height, word) cell
+    s_dyn = ((params.s0 + np.arange(params.L))[:, None]
+             + _prefix_table(k + 1, config)[None, :])
+    bs = params.bracket(s_dyn)
+    if np.min(np.abs(bs)) < 1e-13:
+        raise PoleError("dynamical bracket [s] vanishes inside column")
+    bms = params.bracket(-s_dyn)
+    weights = (params.bracket(s_dyn + 1) * bu / (bs * denom_u),
+               params.bracket(-s_dyn + 1) * bu / (bms * denom_u),
+               params.bracket(s_dyn + uk) * b1 / (bs * denom_u),
+               params.bracket(-s_dyn + uk) * b1 / (bms * denom_u))
+    shape = (params.L, 1 << k, 2, -1)
+    return (corner,) + tuple(w.reshape(shape)[:, :, 0, :, None]
+                             for w in weights)
 
-    prefix = np.zeros(W, dtype=np.int64)
-    for k in range(N):
-        bit = bits[k]
-        uk = u - config.xi[k]
-        bu = params.bracket(uk)
-        bu1 = params.bracket(uk + 1)
-        if not scaled and abs(bu1) < 1e-13:
-            raise PoleError(f"[u - xi_{k + 1} + 1] vanishes at u={u}; "
-                            "use the scaled gauge")
-        b1 = params.bracket(1)
-        corner = bu1 if scaled else 1.0
-        denom_u = 1.0 if scaled else bu1
-        new = np.zeros_like(phi)
-        for a_cur in range(2):
-            # dynamical argument for every (height, word) cell
-            s_dyn = heights[:, None] + prefix[None, :]
-            if _AUX_SHIFT:
-                s_dyn = s_dyn + (a_sign[a_cur] - a_sign[a_in])
-            bs = params.bracket(s_dyn)
-            if np.min(np.abs(bs)) < 1e-13:
-                raise PoleError("dynamical bracket [s] vanishes inside column")
-            w_b_plus = params.bracket(s_dyn + 1) * bu / (bs * denom_u)
-            w_b_minus = params.bracket(-s_dyn + 1) * bu / (params.bracket(-s_dyn) * denom_u)
-            w_c_plus = params.bracket(s_dyn + uk) * b1 / (bs * denom_u)
-            w_c_minus = params.bracket(-s_dyn + uk) * b1 / (params.bracket(-s_dyn) * denom_u)
-            if _SWAP_C:
-                w_c_plus, w_c_minus = w_c_minus, w_c_plus
-            cur = phi[a_cur]
-            plus_mask = bit == 0
-            minus_mask = ~plus_mask
-            if a_cur == 0:
-                # aux +: site + passes with weight 1; site - may stay (b) or
-                # flip the aux down while raising the site (c-type)
-                new[0][:, plus_mask] += corner * cur[:, plus_mask]
-                new[0][:, minus_mask] += w_b_plus[:, minus_mask, None] * cur[:, minus_mask]
-                flipped = np.where(minus_mask)[0] ^ (1 << (N - 1 - k))
-                new[1][:, flipped] += w_c_minus[:, minus_mask, None] * cur[:, minus_mask]
-            else:
-                new[1][:, minus_mask] += corner * cur[:, minus_mask]
-                new[1][:, plus_mask] += w_b_minus[:, plus_mask, None] * cur[:, plus_mask]
-                flipped = np.where(plus_mask)[0] ^ (1 << (N - 1 - k))
-                new[0][:, flipped] += w_c_plus[:, plus_mask, None] * cur[:, plus_mask]
-        phi = new
-        prefix = prefix + 1 - 2 * bits[k]
+
+def _site_step(phi, k, corner, b_plus, b_minus, c_plus, c_minus):
+    """One R-factor on phi of shape (2, L, W, B): aux, height, word, batch.
+
+    Aux + passes a site + with the corner weight; on a site - it stays
+    (b_plus) or flips down while raising the site (c_minus).  Aux - mirrors
+    this with b_minus and c_plus.  Swapping c_plus and c_minus gives the
+    transposed step.
+    """
+    cur = phi.reshape(2, phi.shape[1], 1 << k, 2, -1, phi.shape[3])
+    new = np.empty_like(cur)
+    new[0, :, :, 0] = corner * cur[0, :, :, 0]
+    new[0, :, :, 1] = b_plus * cur[0, :, :, 1] + c_plus * cur[1, :, :, 0]
+    new[1, :, :, 0] = c_minus * cur[0, :, :, 1] + b_minus * cur[1, :, :, 0]
+    new[1, :, :, 1] = corner * cur[1, :, :, 1]
+    return new.reshape(phi.shape)
+
+
+def _numeric_monodromy_batch(entry, u, psi, config, params, scaled=False):
+    """Apply the hatted monodromy entry to each column of psi (L, W, B).
+
+    The height axis supplies the base dynamical parameter of each column
+    after the height roll; the k-th factor's dynamical argument adds the
+    spins of sites < k as carried by the current partial word.
+    """
+    a_out, a_in = _ENTRY_AUX[entry]
+    phi = np.zeros((2,) + psi.shape, dtype=complex)
+    phi[a_in] = np.roll(psi, _ENTRY_SHIFT[entry], axis=0)
+    for k in range(config.N):
+        phi = _site_step(phi, k, *_site_weights(k, u, config, params, scaled))
     return phi[a_out]
 
 
@@ -295,21 +297,21 @@ def monodromy_entry_apply(entry, u, state, dual=False, scaled=False):
     r satisfies r . psi = state . (entry_hat psi) for every psi.
     """
     config, params = state.config, state.params
-    a_out, a_in = _ENTRY_AUX[entry]
-    shift = -1 if entry in ("A", "C") else 1
     psi = state.amps[:, :, None]
     if not dual:
-        rolled = np.roll(psi, shift, axis=0)
-        out = _numeric_monodromy_batch(a_out, a_in, u, rolled, config, params,
-                                       scaled=scaled)
+        out = _numeric_monodromy_batch(entry, u, psi, config, params, scaled)
         return StateVector(config, params, out[:, :, 0])
-    # transpose: (M R f) with R the height roll; M^T via dense assembly is
-    # avoided by applying the numeric entry with swapped aux indices on the
-    # transposed face weights; cheapest correct route at desk scale is the
-    # dense transpose, assembled lazily below.
-    mat = monodromy_entry_dense(entry, u, config, params).matrix
-    vec = state.amps.reshape(-1) @ mat
-    return StateVector(config, params, vec)
+    # (M R)^T = R^T M^T: the sites run in reverse with the aux indices and
+    # the c weights swapped, then the height roll is undone
+    a_out, a_in = _ENTRY_AUX[entry]
+    phi = np.zeros((2,) + psi.shape, dtype=complex)
+    phi[a_out] = psi
+    for k in reversed(range(config.N)):
+        corner, b_plus, b_minus, c_plus, c_minus = _site_weights(
+            k, u, config, params, scaled)
+        phi = _site_step(phi, k, corner, b_plus, b_minus, c_minus, c_plus)
+    out = np.roll(phi[a_in], -_ENTRY_SHIFT[entry], axis=0)
+    return StateVector(config, params, out[:, :, 0])
 
 
 @dataclass
@@ -321,9 +323,6 @@ class OperatorRep:
     config: LatticeConfig = field(repr=False, default=None)
     params: ModelParams = field(repr=False, default=None)
 
-    def restrict(self, indices):
-        return self.matrix[np.ix_(indices, indices)]
-
 
 def _dense_from_apply(apply_fun, config, params, label):
     dim = guard_dense(config, params)
@@ -334,15 +333,10 @@ def _dense_from_apply(apply_fun, config, params, label):
 
 
 def monodromy_entry_dense(entry, u, config, params, scaled=False):
-    a_out, a_in = _ENTRY_AUX[entry]
-    shift = -1 if entry in ("A", "C") else 1
-
-    def apply_fun(batch):
-        rolled = np.roll(batch, shift, axis=0)
-        return _numeric_monodromy_batch(a_out, a_in, u, rolled, config, params,
-                                        scaled=scaled)
-
-    return _dense_from_apply(apply_fun, config, params, entry)
+    return _dense_from_apply(
+        lambda batch: _numeric_monodromy_batch(entry, u, batch, config,
+                                               params, scaled),
+        config, params, entry)
 
 
 def transfer_apply(u, state, scaled=False):
@@ -363,15 +357,8 @@ def transfer_dense(u, config, params, scaled=False):
 
 def height_shift_dense(power, config, params):
     """tau_s^power as a dense matrix: (tau_s f)(s) = f(s+1)."""
-    dim = guard_dense(config, params)
-    W = 1 << config.N
-    mat = np.zeros((dim, dim), dtype=complex)
-    L = params.L
-    for a in range(L):
-        src = ((a + power) % L) * W
-        dst = a * W
-        mat[dst:dst + W, src:src + W] = np.eye(W)
-    return OperatorRep(mat, f"tau_s^{power}", config, params)
+    return _dense_from_apply(lambda batch: np.roll(batch, -power, axis=0),
+                             config, params, f"tau_s^{power}")
 
 
 def zero_weight_indices(config, params):
@@ -387,67 +374,42 @@ def zero_weight_indices(config, params):
     return np.array(idx, dtype=int)
 
 
-def _prefix_table(i, config):
-    """sum_{j<i} eps_j for every word (sites counted from 1)."""
+def _local_batch(which, psi, config, params, kw):
+    """Local operator on every column of psi (L, W, B)."""
     N = config.N
-    bits = _word_bits(N)
-    pref = np.zeros(1 << N, dtype=np.int64)
-    for k in range(i - 1):
-        pref += 1 - 2 * bits[k]
-    return pref
+    out = np.zeros_like(psi)
+    if which == "E":
+        i, alpha, beta = kw["i"], kw["alpha"], kw["beta"]
+        bitmask = 1 << (N - i)
+        words = np.arange(1 << N)
+        sel = words[1 - 2 * ((words & bitmask) > 0) == beta]
+        out[:, sel if alpha == beta else sel ^ bitmask] = psi[:, sel]
+        return out
+    if which == "delta":
+        i, a = kw["i"], kw["a"]
+        pref = _prefix_table(i, config)
+        for h in range(params.L):
+            mask = (h + pref) % params.L == a % params.L
+            out[h, mask] = psi[h, mask]
+        return out
+    raise ValueError(f"unknown local operator {which!r}")
 
 
 def local_operator_apply(which, state, **kw):
     """Apply a local operator: which = 'E' (site i, spins alpha,beta) or
     'delta' (site i, height class a: fixes the height at site i to s0+a)."""
-    config, params = state.config, state.params
-    N = config.N
-    out = StateVector(config, params)
-    if which == "E":
-        i, alpha, beta = kw["i"], kw["alpha"], kw["beta"]
-        bitmask = 1 << (N - i)
-        words = np.arange(1 << N)
-        spin = 1 - 2 * ((words & bitmask) > 0)
-        sel = spin == beta
-        target = np.where(alpha == beta, words[sel],
-                          words[sel] ^ bitmask)
-        out.amps[:, target] = state.amps[:, sel]
-        return out
-    if which == "delta":
-        i, a = kw["i"], kw["a"]
-        pref = _prefix_table(i, config)
-        L = params.L
-        for h in range(L):
-            mask = (h + pref) % L == a % L
-            out.amps[h, mask] = state.amps[h, mask]
-        return out
-    raise ValueError(f"unknown local operator {which!r}")
+    out = _local_batch(which, state.amps[:, :, None], state.config,
+                       state.params, kw)
+    return StateVector(state.config, state.params, out[:, :, 0])
 
 
 def local_operator_dense(which, config, params, **kw):
-    # delta and E are sparse enough to assemble directly
-    dim = guard_dense(config, params)
-    W = 1 << config.N
-    N = config.N
-    mat = np.zeros((dim, dim), dtype=complex)
-    if which == "delta":
-        i, a = kw["i"], kw["a"]
-        pref = _prefix_table(i, config)
-        for h in range(params.L):
-            sel = np.nonzero((h + pref) % params.L == a % params.L)[0]
-            mat[h * W + sel, h * W + sel] = 1.0
-        return OperatorRep(mat, f"delta_{a}^{i}", config, params)
-    if which == "E":
-        i, alpha, beta = kw["i"], kw["alpha"], kw["beta"]
-        bitmask = 1 << (N - i)
-        words = np.arange(W)
-        spin = 1 - 2 * ((words & bitmask) > 0)
-        sel = np.nonzero(spin == beta)[0]
-        target = sel if alpha == beta else sel ^ bitmask
-        for h in range(params.L):
-            mat[h * W + target, h * W + sel] = 1.0
-        return OperatorRep(mat, f"E_{i}^{alpha}{beta}", config, params)
-    raise ValueError(f"unknown local operator {which!r}")
+    rep = _dense_from_apply(
+        lambda batch: _local_batch(which, batch, config, params, kw),
+        config, params, which)
+    rep.label += (f"_{kw['a']}^{kw['i']}" if which == "delta"
+                  else f"_{kw['i']}^{kw['alpha']}{kw['beta']}")
+    return rep
 
 
 def inverse_problem_residual(which, i, config, params, **kw):

@@ -30,11 +30,12 @@ import numpy as np
 
 from .elliptic import DegenerateConfigError, PoleError
 from .lattice import monodromy_entry_apply
-from .bethe import bethe_vector, left_contract, eigenvalue_tau
+from .bethe import (bethe_vector, left_contract, eigenvalue_tau, lambda_pm,
+                    scaled_eigenvalue)
 from .scalar import (a_nu_factor, default_gamma, gamma_retry,
                      gaudin_matrix, norm_det,
                      partial_scalar_bruteforce, partial_scalar_det,
-                     project_height, _check_kappa)
+                     project_height, _check_kappa, _gaudin_kernel)
 
 
 @dataclass(frozen=True)
@@ -301,38 +302,11 @@ def mpme_bruteforce(u_set, v_set, path, a1):
     for k in range(path.m - 1, -1, -1):
         entry = "A" if alphas[k] == 1 else "D"
         state = monodromy_entry_apply(entry, zetas[k], state, scaled=True)
-        denom *= _tau_scaled(zetas[k], v_set)
+        denom *= scaled_eigenvalue(zetas[k], v_set)
     state = project_height(state, a1)
     val = left_contract(u_set, state)
     nu, nv = coherent_norms(u_set, v_set)
     return val / denom / (nu * nv)
-
-
-def _tau_scaled(u, roots):
-    """tau(u) times prod_j [u - xi_j + 1]; finite at u = xi_i - 1."""
-    params = roots.params
-    br = params.bracket
-    t1 = roots.omega
-    t2 = (-1.0) ** (params.r * roots.aleph) / roots.omega
-    for xi in roots.config.xi:
-        t1 *= br(u - xi + 1)
-        t2 *= br(u - xi)
-    for vj in roots.v:
-        t1 *= br(vj - u + 1) / br(vj - u)
-        t2 *= br(u - vj + 1) / br(u - vj)
-    return t1 + t2
-
-
-def lambda_pm(eps, zeta, v_set):
-    """Lambda_eps(z; {v}, omega_v): the eigenvalue half built on one sector."""
-    params = v_set.params
-    br = params.bracket
-    out = eps * v_set.omega ** (eps - 1)
-    for xi in v_set.config.xi:
-        out *= br(zeta - xi + (1 + eps) // 2)
-    for vj in v_set.v:
-        out *= br(vj - zeta + eps)
-    return out
 
 
 def root_collision(u_set, v_set):
@@ -408,20 +382,11 @@ def calH0_matrix(nu, gamma, u_set, v_set):
 
 def phi_twisted_matrix(nu, gamma, v_set):
     """Mean-value ({u} = {v}) replacement for the transformed kernel."""
-    params, config = v_set.params, v_set.config
-    br = params.bracket
-    q = params.q
+    br = v_set.params.bracket
+    q = v_set.params.q
     v = np.asarray(v_set.v)
-    n = len(v)
-
-    def dlog(x):
-        return br(x, order=1) / br(x)
-
-    logprime_ad = np.zeros(n, dtype=complex)
-    for xi in config.xi:
-        logprime_ad -= dlog(v - xi) - dlog(v - xi + 1)
     dv = v[:, None] - v[None, :]
-    diag = logprime_ad + np.sum(dlog(dv - 1) - dlog(dv + 1), axis=1)
+    diag, _ = _gaudin_kernel(v_set)
     b0p = br(0.0, order=1)
     bg = br(gamma)
     if abs(bg) < 1e-13:
@@ -605,23 +570,9 @@ def marginal_check(u_set, v_set, path, a1, route="det"):
 # Appendix-level determinant identity with free coefficient vectors
 # ---------------------------------------------------------------------------
 
-def _h_alpha(gamma, u, v, alup, params):
-    br = params.bracket
-    n = len(u)
-    a1, a2, a3, a4 = alup
-    bg = br(gamma)
-    uv = u[:, None] - v[None, :]
-    dv = v[:, None] - v[None, :]
-    pp = np.prod(br(uv + 1), axis=0) / np.prod(br(dv + 1), axis=0)
-    pm = np.prod(br(uv - 1), axis=0) / np.prod(br(dv - 1), axis=0)
-    mat = ((a1[None, :] * br(uv + gamma) / br(uv)
-            - a2[None, :] * br(uv + gamma + 1) / br(uv + 1)) * pp[None, :]
-           - (a3[None, :] * br(uv + gamma) / br(uv)
-              - a4[None, :] * br(uv + gamma - 1) / br(uv - 1)) * pm[None, :])
-    return mat / bg
-
-
 def _q_beta(gamma, u, v, zetas, bet, params):
+    """Kernel columns at the arguments zetas; at zetas = v with the alpha
+    coefficients it is the H_alpha block of the identity."""
     br = params.bracket
     b1, b2, b3, b4 = bet
     uz = u[:, None] - zetas[None, :]
@@ -718,7 +669,7 @@ def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):
     zetas = np.asarray(zetas, dtype=complex)
     n = len(u)
     br = params.bracket
-    h = _h_alpha(gamma, u, v, alup, params)
+    h = _q_beta(gamma, u, v, v, alup, params)
     qq = _q_beta(gamma, u, v, zetas, bet, params)
     mixed = np.column_stack([h[:, :n - mcols], qq[:, :mcols]])
     ch = _h_transformed(gamma, u, v, alup, params)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .elliptic import PoleError, theta
 from .lattice import StateVector, monodromy_entry_apply
+from .bethe import _phi_weight
 
 COND_WARN = 1e12
 
@@ -142,8 +143,13 @@ def partial_scalar_det(u_set, v_list, a, gamma=None):
     return pref * tot
 
 
-def gaudin_matrix(u_set):
-    """Jacobian-style matrix whose determinant gives the squared norm."""
+def _gaudin_kernel(u_set):
+    """Diagonal vector and off-diagonal kernel of the Gaudin matrix.
+
+    off[j, l] = dlog[u_j - u_l - 1] - dlog[u_j - u_l + 1] and diag[j] =
+    -dlog(a/d)(u_j) + sum_l off[j, l], with dlog[x] = [x]'/[x].  The
+    mean-value kernel of the matrix elements shares the diagonal vector.
+    """
     params, config = u_set.params, u_set.config
     u = np.asarray(u_set.v, dtype=complex)
     n = len(u)
@@ -157,7 +163,12 @@ def gaudin_matrix(u_set):
         logprime_ad -= dlog(u - xi) - dlog(u - xi + 1)
     du = u[:, None] - u[None, :]
     off = dlog(du - 1) - dlog(du + 1)
-    diag = logprime_ad + np.sum(off, axis=1)
+    return logprime_ad + np.sum(off, axis=1), off
+
+
+def gaudin_matrix(u_set):
+    """Jacobian-style matrix whose determinant gives the squared norm."""
+    diag, off = _gaudin_kernel(u_set)
     return np.diag(diag) - off
 
 
@@ -182,37 +193,11 @@ def scalar_product_bruteforce(u_set, v_set):
     """<{u}, omega_u | {v}, omega_v> summed over the height circle."""
     params, config = u_set.params, u_set.config
     tot = 0.0j
-    phi_u = _dual_weight_fun(u_set)
-    phi_v = _state_weight_fun(v_set)
     for a in range(params.L):
         s = params.height(a)
         sn = partial_scalar_bruteforce(u_set, v_set.v, a, config, params)
-        tot += phi_u(s) * phi_v(s) * sn
+        tot += _phi_weight(u_set, s, dual=True) * _phi_weight(v_set, s) * sn
     return tot
-
-
-def _state_weight_fun(roots):
-    params = roots.params
-
-    def phi(s):
-        out = roots.omega_pow(s) / np.sqrt(params.L)
-        for j in range(1, roots.n + 1):
-            out *= params.bracket(1) / params.bracket(s - j)
-        return out
-
-    return phi
-
-
-def _dual_weight_fun(roots):
-    params = roots.params
-
-    def phit(s):
-        out = roots.omega_pow(-s) / np.sqrt(params.L)
-        for j in range(0, roots.n):
-            out *= params.bracket(s + j) / params.bracket(1)
-        return out
-
-    return phit
 
 
 def delta_form_factor(u_set, v_set, a, gamma=None, route="det"):
@@ -223,4 +208,4 @@ def delta_form_factor(u_set, v_set, a, gamma=None, route="det"):
         sn = partial_scalar_det(u_set, v_set.v, a, gamma=gamma)
     else:
         sn = partial_scalar_bruteforce(u_set, v_set.v, a, u_set.config, params)
-    return _dual_weight_fun(u_set)(s) * _state_weight_fun(v_set)(s) * sn
+    return _phi_weight(u_set, s, dual=True) * _phi_weight(v_set, s) * sn

@@ -22,6 +22,8 @@ import numpy as np
 
 from .elliptic import (AccuracyError, EllipticDomainError, PoleError, theta,
                        theta_log)
+from .bethe import (bare_momentum, bare_phase, density_fourier,
+                    momentum_shifts, p0_tot)
 from .scalar import a_nu_factor, default_gamma, gamma_retry
 from .matel import slot_positions
 
@@ -40,42 +42,11 @@ def rho_homogeneous(z, params):
     return num / den / (2.0 * math.pi)
 
 
-def _shifts(config, params):
-    et = params.eta_tilde
-    return np.array([(et * x - et / 2.0).real for x in config.xi])
-
-
 def density(z, config, params):
     """rho_tot(z): inhomogeneity-averaged root density."""
-    sh = _shifts(config, params)
+    sh = momentum_shifts(config, params)
     vals = rho_homogeneous(np.asarray(z)[..., None] - sh, params)
     return vals.mean(axis=-1)
-
-
-def density_fourier(m, config, params):
-    """Fourier coefficient of rho_tot."""
-    sh = _shifts(config, params)
-    base = 1.0 / (2.0 * np.cosh(1j * math.pi * m * params.eta_tilde))
-    return base * np.mean(np.exp(-2j * math.pi * m * sh))
-
-
-def kernel_K(z, params):
-    """Lieb kernel K(z) = theta'(z)/(2 pi)."""
-    et, tt = params.eta_tilde, params.tau_tilde
-    zp = np.asarray(z) + et
-    zm = np.asarray(z) - et
-    val = (theta(1, zp, tt, order=1) / theta(1, zp, tt)
-           - theta(1, zm, tt, order=1) / theta(1, zm, tt))
-    return 1j * val / (2.0 * math.pi)
-
-
-def bare_momentum_deriv_tot(z, config, params):
-    et, tt = params.eta_tilde, params.tau_tilde
-    sh = _shifts(config, params)
-    zz = np.asarray(z)[..., None] - sh
-    val = (theta(1, zz + et / 2, tt, order=1) / theta(1, zz + et / 2, tt)
-           - theta(1, zz - et / 2, tt, order=1) / theta(1, zz - et / 2, tt))
-    return (1j * val).mean(axis=-1)
 
 
 def lieb_residual(z, config, params, modes=FOURIER_MODES):
@@ -87,7 +58,7 @@ def lieb_residual(z, config, params, modes=FOURIER_MODES):
                  * density_fourier(m, config, params)
                  * np.exp(2j * math.pi * m * z))
     lhs = density(z, config, params) + conv
-    rhs = bare_momentum_deriv_tot(z, config, params) / (2.0 * math.pi)
+    rhs = p0_tot(z, config, params, order=1) / (2.0 * math.pi)
     return np.abs(lhs - rhs)
 
 
@@ -165,11 +136,9 @@ def kernel_direct(kernel_id, z, params, **kw):
     et = params.eta_tilde
     z = np.asarray(z, dtype=complex)
     if kernel_id == "K":
-        return kernel_K(z, params)
+        return bare_phase(z, params, order=1) / (2.0 * math.pi)
     if kernel_id == "p0prime":
-        val = (theta(1, z + et / 2, tt, order=1) / theta(1, z + et / 2, tt)
-               - theta(1, z - et / 2, tt, order=1) / theta(1, z - et / 2, tt))
-        return 1j * val
+        return bare_momentum(z, params, order=1)
     if kernel_id == "theta0":
         t = kw["t"]
         tau = kw.get("tau", tt)
@@ -508,9 +477,13 @@ def cauchy_factor_S(lams, mus, params, frozen):
 
 def _classify_zetas(path, config, params):
     """Split the path arguments into the unshifted/shifted inhomogeneity
-    families (in the tilde variables)."""
+    families (in the tilde variables).
+
+    Coinciding arguments, where the integrand is singular, raise
+    DegenerateConfigError.
+    """
     et = params.eta_tilde
-    zt = [et * z for z in path.zetas(config)]
+    zt = [et * z for z in path.check_zetas(config, params)]
     xt = [et * x for x in config.xi]
     fam = []
     for z in zt:
@@ -526,7 +499,7 @@ def _classify_zetas(path, config, params):
 
 
 def multipoint_lhp(path, eps, t_label, config, params, resolution=512,
-                   gamma=None, perturb_degenerate=False, tolerance=None):
+                   perturb_degenerate=False, tolerance=None):
     """Multi-point LHP at adjacent sites in the flat ground-state basis.
 
     Returns (value, error_estimate); the estimate compares the quadrature
@@ -551,20 +524,20 @@ def multipoint_lhp(path, eps, t_label, config, params, resolution=512,
                         "degenerate argument pair {xi~, xi~ - eta~}; enable "
                         "perturb_degenerate to extrapolate")
                 return _lhp_perturbed(path, eps, t_label, config, params,
-                                      resolution, gamma)
+                                      resolution)
     val_full = _lhp_contour_sum(path, eps, t_label, zt, fam, params,
-                                resolution, gamma)
+                                resolution)
     val_half = _lhp_contour_sum(path, eps, t_label, zt, fam, params,
-                                resolution // 2, gamma)
+                                resolution // 2)
     estimate = abs(val_full - val_half)
-    if tolerance is not None and estimate > tolerance:
+    if tolerance is not None and not estimate <= tolerance:
         raise AccuracyError(
             f"quadrature estimate {estimate:.2e} above tolerance "
             f"{tolerance:.2e} at resolution {resolution}")
     return val_full, estimate
 
 
-def _lhp_perturbed(path, eps, t_label, config, params, resolution, gamma):
+def _lhp_perturbed(path, eps, t_label, config, params, resolution):
     """Richardson extrapolation over a perturbed degenerate argument pair.
 
     The member of each offending pair {xi~, xi~ - eta~} sitting in the
@@ -583,13 +556,13 @@ def _lhp_perturbed(path, eps, t_label, config, params, resolution, gamma):
                     # zt[i] = zt[j] - eta~: shift the shifted-family member
                     zt[i] = zt[i] + d
         vals.append(_lhp_contour_sum(path, eps, t_label, zt, fam, params,
-                                     resolution, gamma))
+                                     resolution))
     v1, v2 = vals
     extrap = v2 + (v2 - v1) * deltas[1] / (deltas[0] - deltas[1])
     return extrap, abs(v2 - v1)
 
 
-def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution, gamma):
+def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution):
     m = path.m
     alphas = path.alphas
     s1o = path.heights[0]
@@ -634,7 +607,7 @@ def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution, gamma):
                                          mus, params)
             sc = cauchy_factor_S(lams, mus, params, frozen)
             Z = lams.sum(axis=0) - mus.sum()
-            pb = _pbar_vectorized(s1o, Z, eps, t_label, params, gamma)
+            pb = one_point_barP(s1o, Z, eps, t_label, params, mode="closed")
             return np.sum(gt * sc * pb)
 
         if len(free) <= 2:
@@ -648,13 +621,6 @@ def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution, gamma):
                                     + [nodes] * (len(free) - 1))
         total += weight * block / (resolution ** len(free))
     return total
-
-
-def _pbar_vectorized(a, Zarr, eps, t_label, params, gamma):
-    Zarr = np.asarray(Zarr)
-    if params.L % 2 == 0 and (eps + t_label - a) % 2 != 0:
-        return np.zeros(Zarr.shape, dtype=complex)
-    return one_point_barP(a, Zarr, eps, t_label, params, mode="closed")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Ground-state solver, Bethe vectors, and eigenvalue checks."""
 
+import json
 import math
 
 import numpy as np
@@ -213,3 +214,31 @@ class TestCache:
                                       cache_dir=str(tmp_path))
         assert np.array_equal(first.x, second.x)
         assert second.residual == first.residual
+
+    def _cached_file(self, params, tmp_path):
+        config = homogeneous_config(4)
+        first = B.solve_ground_state(0, 0, config, params,
+                                     cache_dir=str(tmp_path))
+        (path,) = tmp_path.glob("*.json")
+        return config, first, path
+
+    def test_stale_roots_are_resolved(self, params, tmp_path):
+        config, first, path = self._cached_file(params, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["x"] = [x + 1e-3 for x in doc["x"]]
+        path.write_text(json.dumps(doc))
+        again = B.solve_ground_state(0, 0, config, params,
+                                     cache_dir=str(tmp_path))
+        assert np.max(np.abs(again.x - first.x)) < 1e-12
+        assert again.residual <= 1e-10
+        # the re-solved roots replace the stale file
+        assert np.allclose(json.loads(path.read_text())["x"], first.x,
+                           rtol=0, atol=1e-12)
+
+    def test_truncated_file_is_resolved(self, params, tmp_path):
+        config, first, path = self._cached_file(params, tmp_path)
+        path.write_text(path.read_text()[:20])
+        again = B.solve_ground_state(0, 0, config, params,
+                                     cache_dir=str(tmp_path))
+        assert np.max(np.abs(again.x - first.x)) < 1e-12
+        assert list(tmp_path.glob("*.tmp")) == []

@@ -121,6 +121,29 @@ class TestLhpTables:
                    for r in doc["records"])
         assert max(r["deviation_from_thermo"] for r in doc["records"]) < 1e-2
 
+    def test_coinciding_path_arguments_refused(self, thermo_config,
+                                               tmp_path):
+        # an m = 2 path on a homogeneous column has z_1 = z_2: the integrand
+        # is singular there, so the table must fail instead of holding NaN
+        doc = {"vertices": [[1, 1], [2, 1], [3, 1]], "heights": [0, 1, 2]}
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "table.json"
+        code = cli.main(["lhp", "--mode", "thermo", "--config", thermo_config,
+                         "--path", str(path), "--tolerance", "1e-8",
+                         "--out", str(out)])
+        assert code != cli.EXIT_OK
+        assert not out.exists() or "NaN" not in out.read_text()
+
+    def test_non_finite_values_not_emitted(self, tmp_path):
+        from csoslab.elliptic import AccuracyError
+        out = tmp_path / "r.json"
+        with pytest.raises(AccuracyError):
+            cli._emit({"value": float("nan")}, str(out))
+        with pytest.raises(AccuracyError):
+            cli._emit_csv([[0, float("inf")]], ["a", "b"], str(out))
+        assert not out.exists()
+
     def test_malformed_config_exit_2(self, tmp_path, point_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("this is not a config\n")

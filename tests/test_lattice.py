@@ -5,7 +5,7 @@ import pytest
 
 from csoslab.elliptic import ModelParams, SizeGuardError
 from csoslab.lattice import (LatticeConfig, StateVector, boltzmann_weight,
-                             dump_operator, homogeneous_config,
+                             dump_operator, guard_dense, homogeneous_config,
                              inverse_problem_residual, load_operator,
                              local_operator_apply, local_operator_dense,
                              monodromy_entry_apply, monodromy_entry_dense,
@@ -84,6 +84,25 @@ class TestMonodromy:
             src = state.spin_weights()
             assert all(w in {v + shift for v in src.values()}
                        for w in ws.values())
+
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("entry", "ABCD")
+    def test_dual_matches_dense_transpose(self, params, rng, N, scaled,
+                                          entry):
+        # the matrix-free transpose against the dense entry as oracle; N = 4
+        # homogeneous, N = 6 inhomogeneous
+        ys = (0.04, -0.03, 0.02, -0.05, 0.035, -0.02)
+        config = homogeneous_config(4) if N == 4 else LatticeConfig(
+            N=N, xi=tuple(0.5 + 1j * y for y in ys))
+        amps = (rng.standard_normal((params.L, 1 << N))
+                + 1j * rng.standard_normal((params.L, 1 << N)))
+        u = 0.29 + 0.18j
+        got = monodromy_entry_apply(entry, u, StateVector(config, params, amps),
+                                    dual=True, scaled=scaled).amps.ravel()
+        ref = amps.ravel() @ monodromy_entry_dense(entry, u, config, params,
+                                                   scaled=scaled).matrix
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_B_strings_commute(self, params, config4):
         ref = StateVector.reference(config4, params)
@@ -231,6 +250,15 @@ class TestInfrastructure:
         big = homogeneous_config(14)
         with pytest.raises(SizeGuardError):
             transfer_dense(0.3, big, params)
+
+    def test_size_guard_counts_bytes(self, params):
+        # only the estimate is checked; nothing of these sizes is allocated
+        assert guard_dense(homogeneous_config(10), params) == 3 * 2 ** 10
+        with pytest.raises(SizeGuardError):
+            guard_dense(homogeneous_config(12), params)
+        wide = ModelParams(tau=0.8j, r=1, L=48, s0=0.41 + 0.13j)
+        with pytest.raises(SizeGuardError):
+            guard_dense(homogeneous_config(12), wide)
 
     def test_dump_load_roundtrip(self, params, config4, tmp_path):
         rep = transfer_dense(0.31 + 0.17j, config4, params)

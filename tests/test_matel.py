@@ -220,6 +220,30 @@ class TestTwistPartners:
         assert np.isfinite(val)
 
 
+class TestOracleBoundary:
+    def test_production_routes_build_no_dense_operator(self, ground4,
+                                                       monkeypatch):
+        # every dense builder calls guard_dense; with it raising, the
+        # left vector, the left eigenstate check, the norm and the flat-basis
+        # element at odd L must still run
+        from csoslab import lattice
+        from csoslab.elliptic import SizeGuardError
+
+        def refuse(config, params):
+            raise SizeGuardError("dense operator built")
+
+        monkeypatch.setattr(lattice, "guard_dense", refuse)
+        with pytest.raises(SizeGuardError):
+            lattice.transfer_dense(0.3, ground4[(0, 0)].config,
+                                   ground4[(0, 0)].params)
+        roots = ground4[(1, 0)]
+        B.bethe_vector(roots, side="left")
+        assert B.eigenstate_residual(roots, 0.23 + 0.11j, side="left") < 1e-8
+        S.norm_det(roots)
+        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), ground4)
+        assert np.isfinite(val)
+
+
 class TestFlatBasis:
     def test_rows_sum_to_one(self, ground4):
         params = ground4[(0, 0)].params

@@ -289,6 +289,15 @@ class TestMultiPoint:
             T.multipoint_lhp(path, 0, 0, config, params, resolution=8,
                              tolerance=1e-30)
 
+    def test_nan_estimate_fails_tolerance(self, setup, monkeypatch):
+        from csoslab.elliptic import AccuracyError
+        params, config = setup
+        monkeypatch.setattr(T, "_lhp_contour_sum",
+                            lambda *args: complex("nan"))
+        with pytest.raises(AccuracyError):
+            T.multipoint_lhp(M.vertical_path((0, 1)), 0, 0, config, params,
+                             resolution=8, tolerance=1e-8)
+
     def test_degenerate_pair_refused_and_perturbed(self, setup):
         params, config = setup
         # down then up through the same bond gives {xi~, xi~ - eta~}
