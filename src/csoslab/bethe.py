@@ -20,7 +20,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +89,10 @@ class BetheRootSet:
     config: LatticeConfig
     residual: float = 0.0
     newton_iters: int = 0
+    # results that depend on the roots only (the state norm), filled lazily
+    # and shared by copies carrying the same roots
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def n(self):
@@ -187,39 +191,42 @@ def bethe_residual(roots, relative=False):
 
 
 def density_fourier(m, config, params):
-    """Fourier coefficient of rho_tot."""
+    """Fourier coefficient(s) of rho_tot at the integer mode(s) m."""
     sh = momentum_shifts(config, params)
+    m = np.asarray(m)
     base = 1.0 / (2.0 * np.cosh(1j * math.pi * m * params.eta_tilde))
-    return base * np.mean(np.exp(-2j * math.pi * m * sh))
+    return base * np.mean(np.exp(-2j * math.pi * m[..., None] * sh), axis=-1)
 
 
-def _cumulative_density(x, config, params, modes=80):
-    """N-independent integral of rho_tot from -1/2 to x (x real)."""
-    total = (x + 0.5) / 2.0
-    for m in range(1, modes + 1):
-        term = np.exp(2j * math.pi * m * x) - np.exp(-1j * math.pi * m)
-        total += 2.0 * np.real(term * density_fourier(m, config, params)
-                               / (2j * math.pi * m))
-    return total
+def _cumulative_density(x, coeffs):
+    """N-independent integral of rho_tot from -1/2 to x (x real).
+
+    coeffs holds density_fourier at the modes 1, 2, ..., len(coeffs).
+    """
+    x = np.asarray(x, dtype=float)
+    m = np.arange(1, len(coeffs) + 1)
+    term = np.exp(2j * math.pi * m * x[..., None]) - np.exp(-1j * math.pi * m)
+    return (x + 0.5) / 2.0 + np.sum(
+        2.0 * np.real(term * coeffs / (2j * math.pi * m)), axis=-1)
 
 
-def _initial_guess(n, k, ell, config, params):
-    """Quantiles of the root density seed the Newton iteration."""
+def _initial_guess(n, k, ell, config, params, modes=80):
+    """Quantiles of the root density seed the Newton iteration.
+
+    All n targets are bisected together, 60 halvings of [-1/2, 1/2].
+    """
     N = config.N
     targets = (np.arange(1, n + 1) + k - (n + 1) / 2.0
                + (params.r * n + 2.0 * ell) / params.L) / N + 0.25
-    xs = np.empty(n)
-    for j, t in enumerate(targets):
-        tt = min(max(t, 0.02), 0.48)
-        lo, hi = -0.5, 0.5
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _cumulative_density(mid, config, params) < tt:
-                lo = mid
-            else:
-                hi = mid
-        xs[j] = 0.5 * (lo + hi)
-    return np.sort(xs)
+    targets = np.clip(targets, 0.02, 0.48)
+    coeffs = density_fourier(np.arange(1, modes + 1), config, params)
+    lo, hi = np.full(n, -0.5), np.full(n, 0.5)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = _cumulative_density(mid, coeffs) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.sort(0.5 * (lo + hi))
 
 
 def solve_ground_state(k, ell, config, params, tol=1e-13, max_iters=200,
@@ -366,7 +373,13 @@ def eigenvalue_tau(u, roots):
 
 
 def eigenstate_residual(roots, u, side="right"):
-    """|| t_hat(u) |v> - tau(u) |v> || / || |v> || (or the left analogue)."""
+    """|| t_hat(u) |v> - tau(u) |v> || / || |v> || (or the left analogue).
+
+    The gap is divided by ||v|| only, not by |tau(u)|.  Its rounding error
+    grows with |tau(u)|, which reaches about 2e6 near the face-weight pole
+    u = xi - 1 at N = 8; compare against a tolerance scaled by
+    max(1, |tau(u)|) there.
+    """
     vec = bethe_vector(roots, side=side)
     tau = eigenvalue_tau(u, roots)
     if side == "right":

@@ -16,13 +16,16 @@ L-periodic in s ([s+L] = (-1)^r [s]) but every face weight built from it is.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-SERIES_RTOL = 1e-18     # next-term cutoff relative to running max term
-SERIES_MAX_TERMS = 10_000
+SERIES_RTOL = 1e-18     # omitted terms lie below this times the largest term
+SERIES_MAX_TERMS = 10_000   # more index pairs than this: Im(tau) too small
+SERIES_BLOCK = 1 << 16  # terms x points evaluated per broadcast block
 
 
 class EllipticDomainError(ValueError):
@@ -54,51 +57,133 @@ class AccuracyError(RuntimeError):
     """Quadrature/truncation did not reach the requested accuracy."""
 
 
+class _Terms(NamedTuple):
+    """Truncated theta series for one (kind, tau), terms in summation order.
+
+    `expo` is i pi tau a^2 and `fac` stacks w^0, w^1, w^2 with w = 2 pi i a,
+    the factor of one z-derivative; `scalar` holds (expo, w, w^2, sign) as
+    Python numbers for the pure-cmath path.
+    """
+
+    sign: np.ndarray
+    expo: np.ndarray
+    fac: np.ndarray
+    scalar: tuple
+
+
+@functools.lru_cache(maxsize=256)
+def _term_table(kind, tau):
+    """Series terms whose size may exceed SERIES_RTOL x the largest term.
+
+    After argument reduction |Im z| <= Im(tau)/2, so the term of index a is
+    at most exp(-pi Im(tau) ((|a| - 1/2)^2 - 1/4)) times the largest term;
+    indices with (|a| - 1/2)^2 >= 1/4 + ln(1/SERIES_RTOL)/(pi Im tau) are
+    dropped (cf. Deconinck et al., Math. Comp. 73 (2004)).  Kinds 1 and 2
+    sum a in Z + 1/2, kinds 3 and 4 sum a in Z; the pairs +-a are
+    interleaved by increasing |a|.
+    """
+    bound = 0.5 + math.sqrt(
+        0.25 + math.log(1.0 / SERIES_RTOL) / (math.pi * tau.imag))
+    half = kind in (1, 2)
+    count = math.ceil(bound - 0.5) if half else math.ceil(bound) - 1
+    if count > SERIES_MAX_TERMS:
+        raise EllipticDomainError(
+            f"theta series needs {count} index pairs at Im(tau) = "
+            f"{tau.imag:.3g}, more than {SERIES_MAX_TERMS}; use theta_log")
+    terms = []
+    if half:
+        for j in range(count):
+            a = j + 0.5
+            if kind == 1:
+                # k = -j-1 term: (-1)^{-j-1} = -(-1)^j
+                terms += [(a, -1j * (-1) ** j), (-a, 1j * (-1) ** j)]
+            else:
+                terms += [(a, 1.0), (-a, 1.0)]
+    else:
+        sgn = -1 if kind == 4 else 1
+        terms.append((0.0, 1.0))
+        for j in range(1, count + 1):
+            terms += [(float(j), sgn ** j), (-float(j), sgn ** j)]
+    ipt = 1j * math.pi * tau
+    scalar = []
+    for a, sign in terms:
+        w = 2j * math.pi * a
+        scalar.append((ipt * a * a, w, w * w, complex(sign)))
+    expo, w, w2, sign = (np.array(col) for col in zip(*scalar))
+    out = _Terms(sign, expo, np.stack([np.ones_like(w), w, w2]),
+                 tuple(scalar))
+    for arr in out[:3]:
+        arr.flags.writeable = False     # shared by every cached caller
+    return out
+
+
+def _series_scalar(kind, z, tau, order):
+    """[g, g', g''] of the reduced series at one complex z, in pure cmath."""
+    g0 = g1 = g2 = 0j
+    exp = cmath.exp
+    if order == 0:  # the common case, a sixth faster without the factors
+        for expo, w, _, sign in _term_table(kind, tau).scalar:
+            g0 += sign * exp(expo + w * z)
+        return g0, g1, g2
+    for expo, w, w2, sign in _term_table(kind, tau).scalar:
+        ph = sign * exp(expo + w * z)
+        g0 += ph
+        g1 += ph * w
+        g2 += ph * w2
+    return g0, g1, g2
+
+
 def _series_sum(kind, z, tau, order, scale=0.0):
     """Two-sided theta series at reduced argument; z is an ndarray.
 
     Each term's exponent i pi tau a^2 + 2 pi i a z is assembled before
     exponentiating (minus `scale`, an elementwise real offset), so huge
-    coefficient/phase pairs with a moderate product stay in range.
+    coefficient/phase pairs with a moderate product stay in range.  Points
+    go through in blocks of at most SERIES_BLOCK terms x points, each one
+    broadcast; the sum over terms runs elementwise in term order (no BLAS).
     """
-    z = np.asarray(z, dtype=complex)
-    out = [np.zeros_like(z) for _ in range(order + 1)]
-    max_term = np.zeros(z.shape, dtype=float)
-    ipt = 1j * math.pi * tau
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    scale = np.broadcast_to(scale, shape).ravel()
+    t = _term_table(kind, tau)
+    out = np.empty((order + 1, z.size), dtype=complex)
+    w = t.fac[1][:, None]
+    step = max(1, SERIES_BLOCK // len(w))
+    for lo in range(0, z.size, step):
+        blk = slice(lo, lo + step)
+        ph = t.sign[:, None] * np.exp(t.expo[:, None] + w * z[blk]
+                                      - scale[blk])
+        # running sums, in term order for any number of points (sum(axis=0)
+        # goes pairwise on a one-point block); ph itself is summed last
+        for d in range(order, -1, -1):
+            terms = t.fac[d][:, None] * ph if d else ph
+            out[d, blk] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return out.reshape((order + 1,) + shape)
 
-    def add(a, sign):
-        nonlocal max_term
-        phase = sign * np.exp(ipt * a * a + 2j * math.pi * a * z - scale)
-        mag = np.abs(phase)
-        max_term = np.maximum(max_term, mag)
-        fac = 1.0
-        for d in range(order + 1):
-            out[d] += phase * fac
-            fac *= 2j * math.pi * a
-        return mag
 
-    if kind in (1, 2):
-        for j in range(SERIES_MAX_TERMS):
-            a = j + 0.5
-            if kind == 1:
-                s1 = -1j * (-1) ** j
-                s2 = 1j * (-1) ** j       # k = -j-1 term: (-1)^{-j-1} = -(-1)^j
-            else:
-                s1 = s2 = 1.0
-            m1 = add(a, s1)
-            m2 = add(-a, s2)
-            if j >= 2 and np.all(np.maximum(m1, m2) <= SERIES_RTOL * max_term):
-                break
-    else:
-        sgn = -1 if kind == 4 else 1
-        add(0.0, 1.0)
-        for j in range(1, SERIES_MAX_TERMS):
-            s = sgn ** j
-            m1 = add(float(j), s)
-            m2 = add(-float(j), s)
-            if j >= 2 and np.all(np.maximum(m1, m2) <= SERIES_RTOL * max_term):
-                break
+def _cmul(a, b):
+    """a * b spelled out in real arithmetic, so that numpy arrays and Python
+    complex numbers round alike (numpy's complex multiply may fuse)."""
+    if isinstance(a, complex):
+        return complex(a.real * b.real - a.imag * b.imag,
+                       a.real * b.imag + a.imag * b.real)
+    out = np.empty(np.shape(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def _reduce(z, tau):
+    """z = z_red + k + m tau with |Re z_red| <= 1/2, |Im z_red| <= Im(tau)/2."""
+    if isinstance(z, complex):
+        m = float(round(z.imag / tau.imag))
+        zr = z - m * tau
+        k = float(round(zr.real))
+        return zr - k, k, m
+    m = np.round(z.imag / tau.imag)
+    zr = z - m * tau
+    k = np.round(zr.real)
+    return zr - k, k, m
 
 
 def theta(kind, z, tau, order=0):
@@ -112,7 +197,9 @@ def theta(kind, z, tau, order=0):
     order : int in {0, 1, 2}, derivative order
 
     Real and imaginary parts of z are reduced modulo the quasi-periods
-    before summation, so large arguments stay accurate.
+    before summation, so large arguments stay accurate.  A scalar z is
+    evaluated in pure cmath, an array in broadcast blocks; both round
+    alike, so theta(kind, zs)[i] == theta(kind, zs[i]).
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"theta kind must be 1..4, got {kind}")
@@ -121,35 +208,30 @@ def theta(kind, z, tau, order=0):
     tau = complex(tau)
     if tau.imag <= 0:
         raise EllipticDomainError(f"Im(tau) must be positive, got tau={tau}")
-    zarr = np.asarray(z, dtype=complex)
-    scalar = zarr.ndim == 0
-    zarr = np.atleast_1d(zarr)
-
-    m = np.round(zarr.imag / tau.imag)
-    zr = zarr - m * tau
-    k = np.round(zr.real)
-    zr = zr - k
-
-    g = _series_sum(kind, zr, tau, order)
+    scalar = np.ndim(z) == 0
+    if scalar and cmath.isfinite(complex(z)):
+        zr, k, m = _reduce(complex(z), tau)
+        g = _series_scalar(kind, zr, tau, order)
+        exp = cmath.exp
+    else:
+        zr, k, m = _reduce(np.atleast_1d(np.asarray(z, dtype=complex)), tau)
+        g = _series_sum(kind, zr, tau, order)
+        exp = np.exp
 
     # theta(z) = sign * e^{-i pi tau m^2} e^{-2 i pi m z_red} * theta(z_red)
-    if kind == 1:
-        sign = (-1.0) ** (k + m)
-    elif kind == 2:
-        sign = (-1.0) ** k
-    elif kind == 3:
-        sign = np.ones_like(k)
-    else:
-        sign = (-1.0) ** m
-    phi = sign * np.exp(-1j * math.pi * tau * m * m - 2j * math.pi * m * zr)
+    sign = (-1.0) ** (k + m if kind == 1 else k if kind == 2
+                      else m if kind == 4 else 0.0 * k)
+    phi = sign * exp(-1j * math.pi * tau * m * m - 2j * math.pi * m * zr)
     c1 = -2j * math.pi * m
     if order == 0:
-        res = phi * g[0]
+        res = _cmul(phi, g[0])
     elif order == 1:
-        res = phi * (c1 * g[0] + g[1])
+        res = _cmul(phi, c1 * g[0] + g[1])
     else:
-        res = phi * (c1 * c1 * g[0] + 2.0 * c1 * g[1] + g[2])
-    return complex(res[0]) if scalar else res
+        res = _cmul(phi, c1 * c1 * g[0] + 2.0 * c1 * g[1] + g[2])
+    if scalar and isinstance(res, np.ndarray):  # a non-finite scalar z
+        return complex(res[0])
+    return res
 
 
 _JACOBI_PARTNER = {1: 1, 2: 4, 3: 3, 4: 2}
@@ -178,10 +260,7 @@ def theta_log(kind, z, tau, small_im=0.05):
         out = base + pref
         return complex(out[0]) if scalar else out
 
-    m = np.round(zarr.imag / tau.imag)
-    zr = zarr - m * tau
-    k = np.round(zr.real)
-    zr = zr - k
+    zr, k, m = _reduce(zarr, tau)
     # subtract the continuum peak of the term magnitudes so the reduced
     # series stays in range for large dual moduli
     scale = np.maximum(math.pi * zr.imag ** 2 / tau.imag, 0.0)

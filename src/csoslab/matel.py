@@ -227,7 +227,11 @@ def commutation_action_coefficient(b, s, v_roots, zetas, alphas, v_state,
 
 
 def _norm_sqrt(root_set):
-    return complex(np.sqrt(norm_det(root_set)))
+    """Square root of the state norm; norm_det runs once per root set."""
+    memo = root_set.memo
+    if "norm" not in memo:
+        memo["norm"] = norm_det(root_set)
+    return complex(np.sqrt(memo["norm"]))
 
 
 def coherent_norms(u_set, v_set):
@@ -325,9 +329,11 @@ def root_collision(u_set, v_set):
 def _rebase_onto(u_set, v_set):
     """Copy of {u}'s label data carrying {v}'s root representatives."""
     from .bethe import BetheRootSet
-    return BetheRootSet(x=np.array(v_set.x), k=u_set.k, ell=u_set.ell,
-                        params=u_set.params, config=u_set.config,
-                        residual=u_set.residual)
+    out = BetheRootSet(x=np.array(v_set.x), k=u_set.k, ell=u_set.ell,
+                       params=u_set.params, config=u_set.config,
+                       residual=u_set.residual)
+    out.memo = v_set.memo   # the norm does not depend on the twist label
+    return out
 
 
 def _mean_value_pair(u_set, v_set):

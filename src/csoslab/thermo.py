@@ -52,10 +52,11 @@ def density(z, config, params):
 def lieb_residual(z, config, params, modes=FOURIER_MODES):
     """Defect of the integral equation rho + K*rho = p0'/(2 pi) at z."""
     z = np.asarray(z, dtype=float)
+    ms = np.arange(-modes, modes + 1)
+    rho = density_fourier(ms, config, params)
     conv = np.zeros(z.shape, dtype=complex)
-    for m in range(-modes, modes + 1):
-        conv += (kernel_fourier("K", m, params)
-                 * density_fourier(m, config, params)
+    for m, rho_m in zip(ms, rho):
+        conv += (kernel_fourier("K", m, params) * rho_m
                  * np.exp(2j * math.pi * m * z))
     lhs = density(z, config, params) + conv
     rhs = p0_tot(z, config, params, order=1) / (2.0 * math.pi)

@@ -1,5 +1,6 @@
 """Ground-state solver, Bethe vectors, and eigenvalue checks."""
 
+import cmath
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from csoslab.elliptic import ModelParams
-from csoslab.lattice import (StateVector, homogeneous_config,
+from csoslab.lattice import (LatticeConfig, StateVector, homogeneous_config,
                              monodromy_entry_apply, transfer_apply)
 from csoslab import bethe as B
 
@@ -99,6 +100,56 @@ class TestGroundStates:
             B.solve_ground_state(2, 0, config4_homog, params)
         with pytest.raises(ValueError):
             B.solve_ground_state(0, 5, config4_homog, params)
+
+
+class TestSeed:
+    @staticmethod
+    def scalar_seed(n, k, ell, config, params, modes=80):
+        """One 60-step bisection per root, modes summed one at a time."""
+        coeffs = [complex(B.density_fourier(m, config, params))
+                  for m in range(1, modes + 1)]
+
+        def cumulative(x):
+            total = (x + 0.5) / 2.0
+            for m, c in enumerate(coeffs, start=1):
+                term = cmath.exp(2j * math.pi * m * x) - cmath.exp(
+                    -1j * math.pi * m)
+                total += 2.0 * (term * c / (2j * math.pi * m)).real
+            return total
+
+        xs = []
+        for j in range(1, n + 1):
+            t = (j + k - (n + 1) / 2.0
+                 + (params.r * n + 2.0 * ell) / params.L) / config.N + 0.25
+            t = min(max(t, 0.02), 0.48)
+            lo, hi = -0.5, 0.5
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if cumulative(mid) < t:
+                    lo = mid
+                else:
+                    hi = mid
+            xs.append(0.5 * (lo + hi))
+        return np.sort(xs)
+
+    @pytest.mark.parametrize("N", [8, 16, 24])
+    def test_vectorised_seed_matches_scalar_bisection(self, params, N):
+        ys = np.linspace(-0.05, 0.05, N)
+        configs = (homogeneous_config(N),
+                   LatticeConfig(N=N, xi=tuple(0.5 + 1j * y for y in ys)))
+        for config in configs:
+            for k in (0, 1):
+                for ell in range(params.L - params.r):
+                    seed = B._initial_guess(N // 2, k, ell, config, params)
+                    ref = self.scalar_seed(N // 2, k, ell, config, params)
+                    assert np.max(np.abs(seed - ref)) <= 1e-15
+
+    def test_density_fourier_array_matches_scalar(self, params, config4):
+        ms = np.arange(-5, 6)
+        arr = B.density_fourier(ms, config4, params)
+        assert arr.shape == ms.shape
+        for m, val in zip(ms, arr):
+            assert val == B.density_fourier(int(m), config4, params)
 
 
 class TestEigenstates:

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from csoslab.elliptic import (EllipticDomainError, ModelParams, PoleError,
-                              bracket, identity_residual, theta, theta_log)
+from csoslab.elliptic import (SERIES_BLOCK, SERIES_RTOL, EllipticDomainError,
+                              ModelParams, PoleError, _term_table, bracket,
+                              identity_residual, theta, theta_log)
 
 
 def direct_theta3(z, tau, terms=50):
@@ -86,6 +87,81 @@ class TestThetaSeries:
                          - 2j * math.pi * m * z0)
                * direct_theta3(z0, tau, terms=60))
         assert abs(theta(3, z, tau) - ref) / abs(ref) < 1e-11
+
+
+class TestSeriesTruncation:
+    """The precomputed term table, against mpmath and its own bound."""
+
+    @pytest.mark.parametrize("tau", [0.45j, 0.8j, 0.1 + 0.3j, 2j])
+    def test_against_mpmath(self, tau):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        mpmath.mp.dps = 30
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        zs = (rng.uniform(-1.5, 1.5, 6)
+              + 1j * tau.imag * rng.uniform(-1.5, 1.5, 6))
+        for kind in (1, 2, 3, 4):
+            for order in (0, 1, 2):
+                for z in zs:
+                    # mpmath's theta_n(x, q) takes x = pi z
+                    ref = complex(mpmath.pi ** order * mpmath.jtheta(
+                        kind, mpmath.pi * mpmath.mpc(z), q, order))
+                    val = theta(kind, complex(z), tau, order=order)
+                    assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4])
+    def test_first_omitted_term_below_cutoff(self, kind):
+        # term of index a at Im z = c Im(tau): exp(-pi Im(tau) (a^2 + 2 a c));
+        # after reduction |c| <= 1/2, so that is the range to cover
+        cs = np.linspace(-0.5, 0.5, 101)[:, None]
+        for im in np.geomspace(0.05, 5.0, 40):
+            for re in (0.0, 0.3):
+                terms = _term_table(kind, complex(re, im))
+                a = terms.fac[1].imag / (2 * math.pi)
+                top = np.max(np.abs(a))
+                assert np.allclose(np.sort(a), np.sort(-a))
+
+                def size(idx):
+                    return np.exp(-math.pi * im * (idx * idx + 2 * idx * cs))
+
+                largest = np.max(size(a[None, :]), axis=1)
+                omitted = np.maximum(size(top + 1), size(-top - 1))[:, 0]
+                assert np.all(omitted <= SERIES_RTOL * largest)
+                # and at most one pair more than the worst case needs
+                if len(a) > 2:
+                    inner = np.maximum(size(top - 1), size(1 - top))[:, 0]
+                    assert np.max(inner / largest) > SERIES_RTOL
+
+    def test_scalar_path_equals_array_path(self):
+        rng = np.random.default_rng(32)
+        for tau in (0.45j, 0.8j, 0.1 + 0.3j, 2j, 2.2 + 0.03j):
+            # more points than one broadcast block holds, large arguments
+            # included so the argument reduction is exercised too
+            n = SERIES_BLOCK // len(_term_table(1, complex(tau)).sign) + 300
+            zs = rng.uniform(-3, 3, n) + 1j * rng.uniform(-2, 2, n)
+            pick = rng.choice(n, 40, replace=False)
+            for kind in (1, 2, 3, 4):
+                for order in (0, 1, 2):
+                    batch = theta(kind, zs, tau, order=order)
+                    single = [theta(kind, complex(zs[i]), tau, order=order)
+                              for i in pick]
+                    assert np.array_equal(batch[pick], np.array(single))
+                    # a one-point array sums in the same order
+                    one = theta(kind, zs[pick[:1]], tau, order=order)
+                    assert one[0] == single[0]
+
+    def test_shape_preserved(self):
+        z = np.array([[0.1, 0.2 + 0.1j, -0.3], [1.7, 0.0, 0.4j]])
+        out = theta(3, z, 0.6j, order=1)
+        assert out.shape == z.shape
+        assert out[1, 2] == theta(3, 0.4j, 0.6j, order=1)
+
+    def test_too_small_modulus_raises(self):
+        # the series would need more than SERIES_MAX_TERMS index pairs
+        with pytest.raises(EllipticDomainError):
+            theta(1, 0.1, 1e-8j)
+        with pytest.raises(EllipticDomainError):
+            theta(3, np.array([0.1, 0.2]), 1e-8j)
 
 
 class TestThetaLog:

@@ -244,6 +244,27 @@ class TestOracleBoundary:
         assert np.isfinite(val)
 
 
+class TestNormMemo:
+    def test_each_norm_computed_once(self, params, config4, monkeypatch):
+        # fresh root sets: the session fixtures may already hold their norms
+        gs = B.all_ground_states(config4, params)
+        calls = []
+        norm_det = M.norm_det
+
+        def counted(root_set):
+            calls.append(root_set.k * 10 + root_set.ell)
+            return norm_det(root_set)
+
+        monkeypatch.setattr(M, "norm_det", counted)
+        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), gs)
+        assert sorted(calls) == [0, 1, 10, 11]
+        # the same value, to the bit, as a norm computed on every use
+        monkeypatch.setattr(M, "_norm_sqrt",
+                            lambda rs: complex(np.sqrt(norm_det(rs))))
+        fresh = B.all_ground_states(config4, params)
+        assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
+
+
 class TestFlatBasis:
     def test_rows_sum_to_one(self, ground4):
         params = ground4[(0, 0)].params
