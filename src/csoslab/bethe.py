@@ -173,7 +173,7 @@ def bethe_residual(roots, relative=False):
     if n > 1:
         xd = roots.x[:, None] - roots.x[None, :] + 0.37 * np.eye(n)
         if np.min(np.abs(xd - np.round(xd))) < 1e-10:
-            raise ValueError("coinciding Bethe roots")
+            raise SolverError("coinciding Bethe roots")
     out = np.zeros(n, dtype=complex)
     sgn = (-1.0) ** (params.r * roots.aleph)
     for j in range(n):
@@ -434,7 +434,7 @@ def _cache_load(k, ell, config, params, cache_dir):
                              newton_iters=int(doc["newton_iters"]))
         roots.residual = float(np.max(np.abs(
             bethe_residual(roots, relative=True))))
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, SolverError):
         return None
     if not roots.residual <= 1e-10:
         return None

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import bethe, matel, thermo
-from .elliptic import AccuracyError, ModelParams, identity_residual, theta
+from .elliptic import (AccuracyError, ModelParams, PoleError,
+                       identity_residual, theta)
 from .lattice import (LatticeConfig, homogeneous_config, transfer_dense,
                       yang_baxter_residual, zero_weight_indices,
                       inverse_problem_residual)
@@ -315,18 +316,20 @@ def cmd_lhp(args):
             for c in range(params.L):
                 sp = _shifted(path, c)
                 val = matel.finite_lhp(sp, ("flat", eps, t), gs)
+                deviation = skip_reason = None
                 try:
                     ref, _ = thermo.multipoint_lhp(sp, eps, t, config, params,
                                                    resolution=resolution)
                     deviation = float(abs(val - ref))
-                except Exception:
-                    deviation = None
+                except (ValueError, PoleError) as exc:
+                    skip_reason = str(exc)
                 records.append({"eps": eps, "t": t, "height_shift": c,
                                 "heights": list(sp.heights),
                                 "value_re": float(val.real),
                                 "value_im": float(val.imag),
                                 "error_estimate": None,
-                                "deviation_from_thermo": deviation})
+                                "deviation_from_thermo": deviation,
+                                "thermo_skipped": skip_reason})
     else:
         config = build_lattice(cfg, params)
         for eps, t in labels:
@@ -373,7 +376,7 @@ def cmd_converge(args):
         cfg_ref = build_lattice(cfg, params, n_override=max(n_list))
         thermo_val, err = thermo.multipoint_lhp(path, eps, t, cfg_ref, params,
                                                 resolution=resolution)
-    except Exception as exc:  # degenerate paths are skipped, not fatal
+    except (ValueError, PoleError) as exc:  # degenerate paths are skipped
         skip_reason = str(exc)
     for N in n_list:
         config = build_lattice(cfg, params, n_override=N)

@@ -261,9 +261,11 @@ def theta_log(kind, z, tau, small_im=0.05):
         return complex(out[0]) if scalar else out
 
     zr, k, m = _reduce(zarr, tau)
-    # subtract the continuum peak of the term magnitudes so the reduced
-    # series stays in range for large dual moduli
-    scale = np.maximum(math.pi * zr.imag ** 2 / tau.imag, 0.0)
+    # subtract the real exponent of the largest lattice term, so that this
+    # term is 1 and the reduced series stays in range for large dual moduli:
+    # index 0 for kinds 3 and 4, the +-1/2 nearer -Im z/Im tau for 1 and 2
+    a = 0.0 if kind in (3, 4) else np.where(zr.imag > 0, -0.5, 0.5)
+    scale = -math.pi * a * (a * tau.imag + 2.0 * zr.imag)
     g = _series_sum(kind, zr, tau, 0, scale=scale)[0]
     if kind == 1:
         sign_log = 1j * math.pi * (k + m)

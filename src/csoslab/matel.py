@@ -168,6 +168,11 @@ def enumerate_tuples(n, m, ipos):
     return out
 
 
+def _extended_params(v_roots, zetas):
+    """v_1..v_n followed by v_{n+j} = z_{m+1-j}, j = 1..m."""
+    return list(v_roots) + list(zetas)[::-1]
+
+
 def _f_alpha(s, alphas, n, params):
     """prod_j [s + a_{1..m} - j]/[s - j] (telescoped height factor)."""
     tot = sum(alphas)
@@ -196,7 +201,7 @@ def commutation_action_coefficient(b, s, v_roots, zetas, alphas, v_state,
     n = len(v_roots)
     m = len(zetas)
     ipos, n_minus = slot_positions(alphas)
-    v_ext = list(v_roots) + [zetas[m - 1 - j] for j in range(m)]
+    v_ext = _extended_params(v_roots, zetas)
     br = params.bracket
     out = _f_alpha(s, alphas, n, params)
     for p in range(m):
@@ -267,7 +272,7 @@ def mpme_sum_partial(u_set, v_set, path, a1, gamma=None, route="brute"):
     n, m = u_set.n, path.m
     s = params.height(a1)
     ipos, _ = slot_positions(alphas)
-    v_ext = list(v_set.v) + [zetas[m - 1 - j] for j in range(m)]
+    v_ext = _extended_params(v_set.v, zetas)
     tot = 0.0j
     for b, _inv, rest in enumerate_tuples(n, m, ipos):
         fb = commutation_action_coefficient(b, s, v_set.v, zetas, alphas,
@@ -357,96 +362,14 @@ def _mean_value_pair(u_set, v_set):
     return _rebase_onto(u_set, v_set), True
 
 
-def calH0_matrix(nu, gamma, u_set, v_set):
-    """Transformed kernel matrix for distinct root sets {u} != {v}."""
-    params = u_set.params
-    br = params.bracket
-    q = params.q
-    u = np.asarray(u_set.v)
-    v = np.asarray(v_set.v)
-    n = len(u)
-    t = np.sum(u) - np.sum(v) + gamma
-    b0p = br(0.0, order=1)
-    w2 = _omega_ratio_pow(u_set, v_set, 2.0)
-    dv = v[:, None] - v[None, :]
-    uv = u[:, None] - v[None, :]
-    prod_p = np.prod(br(uv + 1), axis=0) / np.prod(br(dv + 1), axis=0)
-    prod_m = np.prod(br(uv - 1), axis=0) / np.prod(br(dv - 1), axis=0)
-    diag = np.zeros(n, dtype=complex)
-    for j in range(n):
-        num = np.prod(br(v[j] - np.delete(v, j)))
-        den = np.prod(br(v[j] - u))
-        diag[j] = b0p * num / den * (prod_p[j] - w2 * prod_m[j])
-    bt = br(t)
-    if abs(bt) < 1e-13:
-        raise PoleError("[|u|-|v|+gamma] vanishes; redraw gamma")
-    mat = np.diag(diag) + (b0p / bt) * (
-        q ** (-nu) * br(dv + t + 1) / br(dv + 1)
-        - q ** nu * w2 * br(dv + t - 1) / br(dv - 1))
-    return mat
-
-
 def phi_twisted_matrix(nu, gamma, v_set):
-    """Mean-value ({u} = {v}) replacement for the transformed kernel."""
-    br = v_set.params.bracket
+    """Mean-value ({u} = {v}) replacement for the transformed kernel: the
+    Gaudin diagonal plus the kernel of _h_transformed at t = gamma, w = 1."""
     q = v_set.params.q
     v = np.asarray(v_set.v)
-    dv = v[:, None] - v[None, :]
     diag, _ = _gaudin_kernel(v_set)
-    b0p = br(0.0, order=1)
-    bg = br(gamma)
-    if abs(bg) < 1e-13:
-        raise PoleError("[gamma] vanishes; redraw gamma")
-    mat = np.diag(diag) + (b0p / bg) * (
-        q ** (-nu) * br(dv + gamma + 1) / br(dv + 1)
-        - q ** nu * br(dv + gamma - 1) / br(dv - 1))
-    return mat
-
-
-def calQ_matrix(nu, gamma, u_set, v_set, zetas):
-    """n x m column block carrying the path arguments."""
-    params = u_set.params
-    br = params.bracket
-    q = params.q
-    u = np.asarray(u_set.v)
-    v = np.asarray(v_set.v)
-    n = len(u)
-    m = len(zetas)
-    t = np.sum(u) - np.sum(v) + gamma
-    b0p = br(0.0, order=1)
-    bt = br(t)
-    mat = np.zeros((n, m), dtype=complex)
-    for kk, z in enumerate(zetas):
-        prod_ratio = {}
-        for eps in (1, -1):
-            prod_ratio[eps] = np.prod(br(v - z) * br(u - z + eps)
-                                      / (br(u - z) * br(v - z + eps)))
-        for eps in (1, -1):
-            lam = lambda_pm(eps, z, v_set)
-            if lam == 0.0:
-                continue
-            wfac = _omega_ratio_pow(u_set, v_set, 1 - eps)
-            col = (q ** (-eps * nu) * br(v - z + t + eps) / br(v - z + eps)
-                   - br(v - z + t) / br(v - z) * prod_ratio[eps])
-            mat[:, kk] += eps * lam * b0p / bt * wfac * col
-    return mat
-
-
-def calHb_matrix(nu, gamma, u_set, v_set, zetas, b, rest):
-    """Column-mixed n x n matrix det'd in the multi-point sum."""
-    u_set, same = _mean_value_pair(u_set, v_set)
-    base = (phi_twisted_matrix(nu, gamma, v_set) if same
-            else calH0_matrix(nu, gamma, u_set, v_set))
-    qmat = calQ_matrix(nu, gamma, u_set, v_set, zetas)
-    n = len(rest)
-    m = len(zetas)
-    cols = []
-    for idx in rest:
-        if idx <= n:
-            cols.append(base[:, idx - 1])
-        else:
-            cols.append(qmat[:, n + m + 1 - idx - 1])
-    return np.column_stack(cols), base, qmat
+    return np.diag(diag) + _h_kernel(gamma, v, q ** (-nu), q ** nu,
+                                     v_set.params)
 
 
 def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas):
@@ -457,7 +380,7 @@ def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas):
     m = len(zetas)
     s = params.height(a1)
     ipos, n_minus = slot_positions(alphas)
-    v_ext = list(v_set.v) + [zetas[m - 1 - j] for j in range(m)]
+    v_ext = _extended_params(v_set.v, zetas)
     out = (-1.0) ** (m * n + inv + n_minus)
     out *= _omega_ratio_pow(u_set, v_set, s)
     out *= np.prod(u_set.d_fun(np.asarray(u_set.v))
@@ -506,20 +429,35 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     L = params.L
     br = params.bracket
     u_set, same = _mean_value_pair(u_set, v_set)
-    t0 = np.sum(u_set.v) - np.sum(v_set.v) + gamma
+    u, v = u_set.v, v_set.v
+    t0 = np.sum(u) - np.sum(v) + gamma
+    if abs(br(t0)) < 1e-13:
+        raise PoleError("[|u|-|v|+gamma] vanishes; redraw gamma")
     b0p = br(0.0, order=1)
     phi_v = gaudin_matrix(v_set)
     det_phi = np.linalg.det(phi_v)
     _check_kappa(phi_v, "Gaudin matrix")
-    ipos, n_minus = slot_positions(alphas)
-    v_ext = list(v_set.v) + [zetas[m - 1 - j] for j in range(m)]
+    ipos, _ = slot_positions(alphas)
+    v_ext = _extended_params(v_set.v, zetas)
     tuples = enumerate_tuples(n, m, ipos)
 
+    # appendix-B coefficients: (1, q^-nu, w^2, q^nu w^2) for H, and
+    # (lam+, lam+ q^-nu, lam- w^2, lam- w^2 q^nu) for Q, w = omega_v/omega_u;
+    # a lambda that vanishes (lam+ on an upward step) zeroes its two terms
+    w2 = _omega_ratio_pow(u_set, v_set, 2.0)
+    z = np.asarray(zetas, dtype=complex)
+    lam_p = np.array([lambda_pm(1, zk, v_set) for zk in zetas], dtype=complex)
+    lam_m = np.array([lambda_pm(-1, zk, v_set) for zk in zetas],
+                     dtype=complex) * w2
     base_mats, q_mats, base_dets, s_mats = {}, {}, {}, {}
     for nu in range(L):
-        base = (phi_twisted_matrix(nu, gamma, v_set) if same
-                else calH0_matrix(nu, gamma, u_set, v_set))
-        qm = calQ_matrix(nu, gamma, u_set, v_set, zetas) if m else None
+        qm_nu, qp_nu = params.q ** (-nu), params.q ** nu
+        base = (phi_twisted_matrix(nu, gamma, v_set) if same else
+                _h_transformed(gamma, u, v, (1.0, qm_nu, w2, qp_nu * w2),
+                               params))
+        qm = (_q_transformed(gamma, u, v, z, (lam_p, lam_p * qm_nu, lam_m,
+                                              lam_m * qp_nu), params)
+              if m else None)
         base_mats[nu], q_mats[nu] = base, qm
         base_dets[nu] = np.linalg.det(base)
         if reduction == "m" and m:
@@ -548,9 +486,9 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
                 sign = (-1.0) ** (m * (n + 1) + m * (m - 1) // 2 + inv)
                 det_h = sign * base_dets[nu] * np.linalg.det(smat)
             elif m:
-                mixed, _, _ = calHb_matrix(nu, gamma, u_set, v_set, zetas,
-                                           b, rest)
-                det_h = np.linalg.det(mixed)
+                det_h = np.linalg.det(np.column_stack(
+                    [base_mats[nu][:, idx - 1] if idx <= n
+                     else q_mats[nu][:, n + m - idx] for idx in rest]))
             else:
                 det_h = base_dets[nu]
             nu_sum += (params.qpow(nu * s) * a_nu_factor(nu, gamma, params)
@@ -573,7 +511,8 @@ def marginal_check(u_set, v_set, path, a1, route="det"):
 
 
 # ---------------------------------------------------------------------------
-# Appendix-level determinant identity with free coefficient vectors
+# Appendix-B transformation: the H and Q builders of mpme_det, and the
+# determinant identity they satisfy for free coefficient vectors
 # ---------------------------------------------------------------------------
 
 def _q_beta(gamma, u, v, zetas, bet, params):
@@ -620,47 +559,46 @@ def x_determinant_residual(gamma, u, v, params):
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _h_transformed(gamma, u, v, alup, params):
+def _h_kernel(t, v, a2, a4, params):
+    """[0]'/[t] (a2_k [v_j - v_k + t + 1]/[v_j - v_k + 1]
+    - a4_k [v_j - v_k + t - 1]/[v_j - v_k - 1]), the part of the transformed
+    kernel that its mean-value form shares."""
     br = params.bracket
-    n = len(u)
+    dv = v[:, None] - v[None, :]
+    return (br(0.0, order=1) / br(t)) * (
+        a2 * br(dv + t + 1) / br(dv + 1) - a4 * br(dv + t - 1) / br(dv - 1))
+
+
+def _h_transformed(gamma, u, v, alup, params):
+    """Transformed kernel H; each coefficient in alup = (a1, a2, a3, a4) is
+    a scalar or one value per column."""
+    br = params.bracket
     a1, a2, a3, a4 = alup
     t = np.sum(u - v) + gamma
     uv = u[:, None] - v[None, :]
     dv = v[:, None] - v[None, :]
     pp = np.prod(br(uv + 1), axis=0) / np.prod(br(dv + 1), axis=0)
     pm = np.prod(br(uv - 1), axis=0) / np.prod(br(dv - 1), axis=0)
-    b0p = br(0.0, order=1)
-    diag = np.zeros(n, dtype=complex)
-    for j in range(n):
-        num = np.prod(br(v[j] - np.delete(v, j)))
-        den = np.prod(br(v[j] - u))
-        diag[j] = b0p * num / den * (a1[j] * pp[j] - a3[j] * pm[j])
-    mat = np.diag(diag) + (b0p / br(t)) * (
-        a2[None, :] * br(dv + t + 1) / br(dv + 1)
-        - a4[None, :] * br(dv + t - 1) / br(dv - 1))
-    return mat
+    num = np.array([np.prod(br(v[j] - np.delete(v, j)))
+                    for j in range(len(v))])
+    den = np.prod(br(v[:, None] - u[None, :]), axis=1)
+    diag = br(0.0, order=1) * num / den * (a1 * pp - a3 * pm)
+    return np.diag(diag) + _h_kernel(t, v, a2, a4, params)
 
 
 def _q_transformed(gamma, u, v, zetas, bet, params):
+    """Path block Q, one column per argument in zetas; each coefficient in
+    bet = (b1, b2, b3, b4) is a scalar or one value per column."""
     br = params.bracket
     b1, b2, b3, b4 = bet
     t = np.sum(u - v) + gamma
-    b0p = br(0.0, order=1)
     vz = v[:, None] - zetas[None, :]
-    prod_p = np.prod(br(v[:, None] - zetas[None, :])
-                     / br(u[:, None] - zetas[None, :])
-                     * br(u[:, None] - zetas[None, :] + 1)
-                     / br(v[:, None] - zetas[None, :] + 1), axis=0)
-    prod_m = np.prod(br(v[:, None] - zetas[None, :])
-                     / br(u[:, None] - zetas[None, :])
-                     * br(u[:, None] - zetas[None, :] - 1)
-                     / br(v[:, None] - zetas[None, :] - 1), axis=0)
-    mat = (b0p / br(t)) * (
-        b2[None, :] * br(vz + t + 1) / br(vz + 1)
-        - b1[None, :] * br(vz + t) / br(vz) * prod_p[None, :]
-        - b4[None, :] * br(vz + t - 1) / br(vz - 1)
-        + b3[None, :] * br(vz + t) / br(vz) * prod_m[None, :])
-    return mat
+    uz = u[:, None] - zetas[None, :]
+    prod_p = np.prod(br(vz) / br(uz) * br(uz + 1) / br(vz + 1), axis=0)
+    prod_m = np.prod(br(vz) / br(uz) * br(uz - 1) / br(vz - 1), axis=0)
+    return (br(0.0, order=1) / br(t)) * (
+        b2 * br(vz + t + 1) / br(vz + 1) - b1 * br(vz + t) / br(vz) * prod_p
+        - b4 * br(vz + t - 1) / br(vz - 1) + b3 * br(vz + t) / br(vz) * prod_m)
 
 
 def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):
@@ -695,6 +633,15 @@ def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):
 # finite-size local height probabilities
 # ---------------------------------------------------------------------------
 
+def _det_or_dense(u_set, v_set, path, a1, gamma):
+    """mpme_det, or the dense route where the determinant representation
+    does not apply (lattice-coincident twist partners at even L)."""
+    try:
+        return mpme_det(u_set, v_set, path, a1, gamma=gamma)
+    except DegenerateConfigError:
+        return mpme_bruteforce(u_set, v_set, path, a1)
+
+
 def calibrate_norm_signs(ground_states, gamma=None):
     """Per-state normalization signs matching the thermodynamic branch.
 
@@ -724,12 +671,8 @@ def calibrate_norm_signs(ground_states, gamma=None):
             if abs(pbs[a]) > best_mag:
                 best_a, best_mag = a, abs(pbs[a])
         path0 = AdjacentPath(vertices=((1, 1),), heights=(best_a,))
-        try:
-            val = mpme_det(ground_states[anchor], ground_states[key], path0,
-                           best_a, gamma=gamma)
-        except DegenerateConfigError:
-            val = mpme_bruteforce(ground_states[anchor], ground_states[key],
-                                  path0, best_a)
+        val = _det_or_dense(ground_states[anchor], ground_states[key], path0,
+                            best_a, gamma)
         signs[key] = 1.0 if abs(val - pbs[best_a]) <= abs(val + pbs[best_a]) \
             else -1.0
     return signs
@@ -774,12 +717,7 @@ def flat_matrix_element(path, left_label, right_label, ground_states,
         for vk in ph_r:
             u_set, v_set = ground_states[uk], ground_states[vk]
             if method == "det":
-                # lattice-coincident twist partners (L even) fall outside
-                # the determinant representation; use the dense route there
-                try:
-                    val = mpme_det(u_set, v_set, path, a1, gamma=gamma)
-                except DegenerateConfigError:
-                    val = mpme_bruteforce(u_set, v_set, path, a1)
+                val = _det_or_dense(u_set, v_set, path, a1, gamma)
             else:
                 val = mpme_bruteforce(u_set, v_set, path, a1)
             val *= _anchor_factor(path, u_set, v_set)

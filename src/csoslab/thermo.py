@@ -25,7 +25,7 @@ from .elliptic import (AccuracyError, EllipticDomainError, PoleError, theta,
 from .bethe import (bare_momentum, bare_phase, density_fourier,
                     momentum_shifts, p0_tot)
 from .scalar import a_nu_factor, default_gamma, gamma_retry
-from .matel import slot_positions
+from .matel import flat_basis_phases, slot_positions
 
 FOURIER_MODES = 400
 
@@ -350,15 +350,12 @@ def one_point_barP(a, Z, eps, t_label, params, mode="closed", gamma=None):
         fun = {"nu_sum": _pbar_bethe_pair,
                "nu_sum_fred": _pbar_bethe_pair_fred,
                "alt": _pbar_bethe_pair_alt}[mode]
+        phases = flat_basis_phases(eps, t_label, params)
 
         def run(g):
             tot = 0.0j
-            for kk in (0, 1):
-                for ll in range(Lr):
-                    phase = ((-1.0) ** (kk * eps)
-                             * np.exp(-1j * math.pi * (r * kk + 2.0 * ll)
-                                      * (t_label + params.s0) / Lr))
-                    tot += phase * fun(s, Z, kk, ll, params, g)
+            for (kk, ll), phase in phases.items():
+                tot += phase * fun(s, Z, kk, ll, params, g)
             return tot
 
         return gamma_retry(run, params, gamma)

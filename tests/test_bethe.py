@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from csoslab.elliptic import ModelParams
+from csoslab.elliptic import ModelParams, SolverError
 from csoslab.lattice import (LatticeConfig, StateVector, homogeneous_config,
                              monodromy_entry_apply, transfer_apply)
 from csoslab import bethe as B
@@ -94,6 +94,16 @@ class TestGroundStates:
                                 params=roots.params, config=roots.config)
         res = np.max(np.abs(B.bethe_residual(bumped)))
         assert 1e-5 < res < 1.0
+
+    def test_coinciding_roots_are_a_numerical_failure(self, ground4_homog):
+        # SolverError is a numerical failure (CLI exit 1), not a
+        # configuration error
+        roots = ground4_homog[(0, 1)]
+        twin = B.BetheRootSet(x=np.full_like(roots.x, roots.x[0]),
+                              k=roots.k, ell=roots.ell, params=roots.params,
+                              config=roots.config)
+        with pytest.raises(SolverError, match="coinciding"):
+            B.bethe_residual(twin)
 
     def test_invalid_labels(self, params, config4_homog):
         with pytest.raises(ValueError):
@@ -285,6 +295,16 @@ class TestCache:
         # the re-solved roots replace the stale file
         assert np.allclose(json.loads(path.read_text())["x"], first.x,
                            rtol=0, atol=1e-12)
+
+    def test_coinciding_roots_are_resolved(self, params, tmp_path):
+        config, first, path = self._cached_file(params, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["x"] = [doc["x"][0]] * len(doc["x"])
+        path.write_text(json.dumps(doc))
+        again = B.solve_ground_state(0, 0, config, params,
+                                     cache_dir=str(tmp_path))
+        assert np.max(np.abs(again.x - first.x)) < 1e-12
+        assert again.residual <= 1e-10
 
     def test_truncated_file_is_resolved(self, params, tmp_path):
         config, first, path = self._cached_file(params, tmp_path)

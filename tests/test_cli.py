@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from csoslab import cli
+from csoslab.elliptic import AccuracyError, PoleError
 
 
 @pytest.fixture()
@@ -120,6 +121,38 @@ class TestLhpTables:
         assert all(r["deviation_from_thermo"] is not None
                    for r in doc["records"])
         assert max(r["deviation_from_thermo"] for r in doc["records"]) < 1e-2
+
+    def test_finite_mode_reports_skipped_thermo(self, thermo_config,
+                                                point_path, tmp_path,
+                                                monkeypatch):
+        def pole(*args, **kwargs):
+            raise PoleError("contour pole")
+
+        monkeypatch.setattr(cli.thermo, "multipoint_lhp", pole)
+        out = tmp_path / "table.json"
+        code = cli.main(["lhp", "--mode", "finite", "--config", thermo_config,
+                         "--path", point_path, "--out", str(out)])
+        assert code == cli.EXIT_OK
+        records = json.loads(out.read_text())["records"]
+        assert all(r["deviation_from_thermo"] is None
+                   and r["thermo_skipped"] == "contour pole" for r in records)
+
+    @pytest.mark.parametrize("mode", ["lhp", "converge"])
+    def test_thermo_failure_not_swallowed(self, thermo_config, point_path,
+                                          tmp_path, monkeypatch, mode):
+        # only degenerate configurations skip the thermodynamic value; a
+        # numerical failure ends the run with exit 1 and writes nothing
+        def fail(*args, **kwargs):
+            raise AccuracyError("quadrature did not converge")
+
+        monkeypatch.setattr(cli.thermo, "multipoint_lhp", fail)
+        out = tmp_path / "report.json"
+        argv = (["lhp", "--mode", "finite"] if mode == "lhp"
+                else ["converge", "--n-list", "4"])
+        code = cli.main(argv + ["--config", thermo_config, "--path",
+                                point_path, "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        assert not out.exists()
 
     def test_coinciding_path_arguments_refused(self, thermo_config,
                                                tmp_path):

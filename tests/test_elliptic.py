@@ -184,6 +184,15 @@ class TestThetaLog:
                - 1j * math.pi * z * z / tau
                + cmath.log(theta(3, -z / tau, -1.0 / tau)))
         assert abs(cmath.exp(lg - ref) - 1.0) < 1e-10
+        # deep in the ordered regime one lattice term dominates:
+        # Re log theta3(z; i eps) = -ln(eps)/2 - pi z^2/eps and
+        # Re log theta1(z; i eps) = -ln(eps)/2 - pi (z - 1/2)^2/eps
+        for z in (0.1, 0.3):
+            for eps in (1e-3, 1e-4, 1e-5, 1e-6):
+                for kind, shift in ((3, 0.0), (1, 0.5)):
+                    ref = -0.5 * math.log(eps) - math.pi * (z - shift) ** 2 / eps
+                    lg = theta_log(kind, z, 1j * eps)
+                    assert abs(lg.real - ref) <= 1e-12 * abs(ref)
 
 
 class TestBracket:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csoslab.elliptic import DegenerateConfigError, ModelParams
+from csoslab.elliptic import DegenerateConfigError, ModelParams, PoleError
 from csoslab.lattice import LatticeConfig
 from csoslab import bethe as B
 from csoslab import matel as M
@@ -121,11 +121,21 @@ class TestDeterminantRepresentation:
             det = M.mpme_det(us, vs, path, 0)
             assert abs(det - bf) / abs(bf) < 1e-7
 
-    def test_reduction_routes_agree(self, ground4):
-        us, vs = ground4[(0, 0)], ground4[(1, 1)]
+    # the mean-value pair takes its kernel from phi_twisted_matrix
+    @pytest.mark.parametrize("pair", [((0, 0), (1, 1)), ((0, 0), (0, 0))],
+                             ids=["distinct", "mean_value"])
+    def test_reduction_routes_agree(self, ground4, pair):
+        us, vs = ground4[pair[0]], ground4[pair[1]]
         dm = M.mpme_det(us, vs, PATH2, 0, reduction="m")
         dn = M.mpme_det(us, vs, PATH2, 0, reduction="n")
         assert abs(dm - dn) / abs(dm) < 1e-9
+
+    def test_vanishing_t_is_a_pole(self, ground4):
+        # gamma_retry redraws gamma on a PoleError
+        us, vs = ground4[(0, 0)], ground4[(1, 1)]
+        gamma = complex(np.sum(vs.v) - np.sum(us.v))
+        with pytest.raises(PoleError):
+            M.mpme_det(us, vs, PATH1, 1, gamma=gamma)
 
     def test_gamma_independence(self, ground4):
         us, vs = ground4[(0, 1)], ground4[(1, 0)]
