@@ -312,10 +312,12 @@ def cmd_lhp(args):
     if args.mode == "finite":
         config = build_lattice(cfg, params)
         gs = bethe.all_ground_states(config, params)
+        signs = matel.calibrate_norm_signs(gs)
         for eps, t in labels:
             for c in range(params.L):
                 sp = _shifted(path, c)
-                val = matel.finite_lhp(sp, ("flat", eps, t), gs)
+                val = matel.flat_matrix_element(sp, (eps, t), (eps, t), gs,
+                                                signs=signs)
                 deviation = skip_reason = None
                 try:
                     ref, _ = thermo.multipoint_lhp(sp, eps, t, config, params,

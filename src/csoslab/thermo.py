@@ -29,6 +29,10 @@ from .matel import flat_basis_phases, slot_positions
 
 FOURIER_MODES = 400
 
+# an m = 3 quadrature grid is summed in slabs of the leading axis holding
+# at most this many points
+SLAB_POINTS = 1 << 21
+
 
 # ---------------------------------------------------------------------------
 # density and Lieb equation
@@ -426,51 +430,81 @@ def _exp_clamped(logval):
 def algebraic_factor_Gtilde(lams, s1, alphas, mus, params):
     """G~(s_1; {lambda}, {mu}) of the thermodynamic representation.
 
-    lams has shape (m, K); returns shape (K,).
+    lams holds one value or node array per slot, the arrays broadcasting
+    against each other; returns their broadcast shape.
     """
     tt, et = params.tau_tilde, params.eta_tilde
     m = len(alphas)
     ipos, n_minus = slot_positions(alphas)
-    out = np.full(lams.shape[1], (-1.0) ** (m - n_minus), dtype=complex)
+    out = complex((-1.0) ** (m - n_minus))
     for p in range(m):
         ip = ipos[p]
         part = sum(alphas[:ip - 1])
-        out *= (theta(1, et * (s1 + part) + lams[p] - mus[ip - 1], tt)
-                / theta(1, et * (s1 + part), tt))
+        out = out * (theta(1, et * (s1 + part) + lams[p] - mus[ip - 1], tt)
+                     / theta(1, et * (s1 + part), tt))
     for j in range(m):
         for k in range(j + 1, m):
-            out /= theta(1, mus[k] - mus[j], tt)
-            out /= theta(1, lams[j] - lams[k] + et, tt)
+            out = out / theta(1, mus[k] - mus[j], tt)
+            out = out / _on_distinct(lambda d: theta(1, d + et, tt),
+                                     lams[j], -lams[k])
     for p in range(m):
         ip = ipos[p]
         for k in range(1, ip):
-            out *= theta(1, mus[k - 1] - lams[p], tt)
+            out = out * theta(1, mus[k - 1] - lams[p], tt)
         for k in range(ip + 1, m + 1):
-            out *= theta(1, mus[k - 1] - lams[p] + et * alphas[ip - 1], tt)
+            out = out * theta(1, mus[k - 1] - lams[p] + et * alphas[ip - 1],
+                              tt)
     return out
 
 
 def cauchy_factor_S(lams, mus, params, frozen):
     """S-bar: the Cauchy-type determinant core at modulus eta_tilde.
 
-    Each frozen lambda drops its own singular factor and one power of
-    theta1'(0)/(2 pi i) (its residue has already been extracted).
+    lams as for `algebraic_factor_Gtilde`, a frozen slot holding its
+    value.  Each frozen lambda drops its own singular factor and one power
+    of theta1'(0)/(2 pi i) (its residue has already been extracted).
     """
     et = params.eta_tilde
     m = len(mus)
     t1p = theta(1, 0, et, order=1)
     nfree = m - sum(frozen)
-    out = np.full(lams.shape[1], (t1p / (2j * math.pi)) ** nfree, dtype=complex)
+    out = complex((t1p / (2j * math.pi)) ** nfree)
     for i in range(m):
         for j in range(i + 1, m):
-            out *= theta(1, lams[i] - lams[j], et)
-            out *= theta(1, mus[j] - mus[i], et)
+            out = out * _on_distinct(lambda d: theta(1, d, et),
+                                     lams[i], -lams[j])
+            out = out * theta(1, mus[j] - mus[i], et)
     for i in range(m):
         for j in range(m):
-            if frozen[i] and abs(complex(lams[i, 0]) - complex(mus[j])) < 1e-14:
+            if frozen[i] and abs(complex(lams[i]) - complex(mus[j])) < 1e-14:
                 continue
-            out /= theta(1, lams[i] - mus[j], et)
+            out = out / theta(1, lams[i] - mus[j], et)
     return out
+
+
+def _on_distinct(fun, *terms):
+    """fun(sum of terms), with fun evaluated once per distinct sum.
+
+    A term is a value or an array holding a contiguous run of the
+    quadrature nodes -1/2 + k/R, possibly negated; the arrays broadcast
+    against each other.  With the nodes evenly spaced, a sum is fixed by
+    its total integer node offset: fun sees each offset once, at most
+    (number of arrays) x (R - 1) + 1 points, and its values are gathered
+    back to the broadcast shape by that offset.  For R a power of two the
+    node sums are exact, so every point gets the bits of a pointwise sum.
+    """
+    runs = [t for t in terms if np.size(t) > 1]
+    rest = [np.ravel(t)[0] for t in terms if np.size(t) == 1]
+    if not runs:
+        return fun(sum(rest))
+    start, offset, count = 0.0, 0, 1
+    for t in runs:
+        vals, idx = np.unique(t, return_inverse=True)
+        start += vals[0]
+        offset = offset + idx.reshape(np.shape(t))
+        count += len(vals) - 1
+        step = vals[1] - vals[0]
+    return fun(sum(rest, start + step * np.arange(count)))[offset]
 
 
 def _classify_zetas(path, config, params):
@@ -593,26 +627,26 @@ def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution):
             continue
 
         def eval_block(node_blocks):
-            grids = np.meshgrid(*node_blocks, indexing="ij")
-            K = grids[0].size if grids else 1
-            lams = np.empty((m, max(K, 1)), dtype=complex)
-            for idx, p in enumerate(free):
-                lams[p] = grids[idx].reshape(-1)
-            for p in range(m):
-                if frozen[p]:
-                    lams[p] = combo[p][1]
+            # each free lambda on its own grid axis, a frozen one a value
+            lams = [c[1] for c in combo]
+            for axis, p in enumerate(free):
+                shape = [1] * len(free)
+                shape[axis] = -1
+                lams[p] = node_blocks[axis].reshape(shape)
             gt = algebraic_factor_Gtilde(lams, params.height(s1o), alphas,
                                          mus, params)
             sc = cauchy_factor_S(lams, mus, params, frozen)
-            Z = lams.sum(axis=0) - mus.sum()
-            pb = one_point_barP(s1o, Z, eps, t_label, params, mode="closed")
+            pb = _on_distinct(
+                lambda Z: one_point_barP(s1o, Z, eps, t_label, params,
+                                         mode="closed"),
+                *lams, -mus.sum())
             return np.sum(gt * sc * pb)
 
         if len(free) <= 2:
             block = eval_block([nodes] * len(free))
         else:
             # slab the leading axis so the dense grid stays in memory
-            slab = max(1, (1 << 21) // resolution ** (len(free) - 1))
+            slab = max(1, SLAB_POINTS // resolution ** (len(free) - 1))
             block = 0.0j
             for start in range(0, resolution, slab):
                 block += eval_block([nodes[start:start + slab]]

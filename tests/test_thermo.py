@@ -1,6 +1,7 @@
 """Thermodynamic limit: densities, Fredholm toolkit, and multiple integrals."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -271,6 +272,92 @@ class TestMultiPoint:
             tot += v
             est += e
         assert abs(tot - v1) <= max(est + e1, 1e-10)
+
+    def test_marginalization_m3(self, setup):
+        params, config = setup
+        v2, e2 = T.multipoint_lhp(M.vertical_path((0, 1, 2)), 0, 0, config,
+                                  params, resolution=64)
+        tot = 0.0j
+        est = 0.0
+        for a4 in (3, 1):
+            v, e = T.multipoint_lhp(M.vertical_path((0, 1, 2, a4)), 0, 0,
+                                    config, params, resolution=64)
+            tot += v
+            est += e
+        assert abs(tot - v2) <= max(est + e2, 1e-10)
+
+    def test_slabs_match_one_slab(self, setup, monkeypatch):
+        params, config = setup
+        path = M.vertical_path((0, 1, 2, 3))
+        zt, fam = T._classify_zetas(path, config, params)
+        one = T._lhp_contour_sum(path, 0, 0, zt, fam, params, 64)
+        # slabs of 5 rows, the last one short
+        monkeypatch.setattr(T, "SLAB_POINTS", 5 * 64 * 64)
+        split = T._lhp_contour_sum(path, 0, 0, zt, fam, params, 64)
+        assert abs(split - one) <= 1e-15
+
+    @pytest.mark.parametrize("heights", [(0, 1, 2), (0, 1, 0), (0, 1, 2, 3)])
+    def test_contour_sum_vs_pointwise(self, setup, monkeypatch, heights):
+        # the same factor functions on the full meshgrid, each factor
+        # evaluated at every point; combinations whose frozen lambdas
+        # coincide are kept, the Cauchy core's theta1(0) zeroes them
+        params, config = setup
+        path = M.vertical_path(heights)
+        zt, fam = T._classify_zetas(path, config, params)
+        R = 16
+        ref = T._lhp_contour_sum(path, 0, 0, zt, fam, params, R)
+        monkeypatch.setattr(T, "_on_distinct",
+                            lambda fun, *terms: fun(sum(terms)))
+        m, s1o = path.m, path.heights[0]
+        _, n_minus = M.slot_positions(path.alphas)
+        mus = np.asarray(zt)
+        nodes = -0.5 + np.arange(R) / R
+        options = []
+        for p in range(m):
+            want, weight = (("shifted", 1.0) if p < n_minus
+                            else ("plain", -1.0))
+            options.append([None] + [(weight, z) for z, f in zip(zt, fam)
+                                     if f == want])
+        total = 0.0j
+        for combo in itertools.product(*options):
+            frozen = [c is not None for c in combo]
+            free = [p for p in range(m) if not frozen[p]]
+            lams = [c[1] if c else None for c in combo]
+            grids = np.meshgrid(*[nodes] * len(free), indexing="ij")
+            for p, grid in zip(free, grids):
+                lams[p] = grid.ravel()
+            vals = (T.algebraic_factor_Gtilde(lams, params.height(s1o),
+                                              path.alphas, mus, params)
+                    * T.cauchy_factor_S(lams, mus, params, frozen)
+                    * T.one_point_barP(s1o, sum(lams) - mus.sum(), 0, 0,
+                                       params, mode="closed"))
+            weight = math.prod(c[0] for c in combo if c is not None)
+            total += weight * np.sum(vals) / R ** len(free)
+        assert abs(total - ref) <= 1e-14
+
+    def test_points_grow_linearly(self, setup, monkeypatch):
+        # every factor depends on one lambda, a difference or the sum, so
+        # the evaluated points grow like the resolution, not its square
+        params, config = setup
+        points = [0]
+
+        def counted(fun):
+            def wrapper(kind, z, *args, **kwargs):
+                points[0] += np.size(z)
+                return fun(kind, z, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(T, "theta", counted(T.theta))
+        monkeypatch.setattr(T, "theta_log", counted(T.theta_log))
+        counts = {}
+        for R in (64, 128):
+            points[0] = 0
+            T.multipoint_lhp(M.vertical_path((0, 1, 2)), 0, 0, config,
+                             params, resolution=R)
+            counts[R] = points[0]
+        # 8,230 points at R = 128 (4,198 at R = 64)
+        assert counts[128] <= 100 * 128
+        assert counts[128] <= 2.5 * counts[64]
 
     def test_quadrature_doubling(self, setup):
         params, config = setup
