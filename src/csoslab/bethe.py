@@ -124,11 +124,11 @@ class BetheRootSet:
         return np.ones_like(np.asarray(u, dtype=complex)) if np.ndim(u) else 1.0
 
     def d_fun(self, u):
-        out = np.ones_like(np.asarray(u, dtype=complex)) if np.ndim(u) else 1.0
-        for xi in self.config.xi:
-            out = out * (self.params.bracket(np.asarray(u) - xi)
-                         / self.params.bracket(np.asarray(u) - xi + 1))
-        return out
+        """prod_k [u - xi_k]/[u - xi_k + 1], one bracket array per factor."""
+        uk = np.asarray(u)[..., None] - np.array(self.config.xi)
+        br = self.params.bracket
+        out = np.prod(br(uk) / br(uk + 1), axis=-1)
+        return out if np.ndim(u) else complex(out)
 
     def sum_x(self):
         return float(np.sum(self.x))
@@ -344,14 +344,12 @@ def left_contract(roots, state):
 
 def lambda_pm(eps, zeta, roots):
     """Lambda_eps(z; {v}, omega): the eigenvalue half built on one sector."""
-    params = roots.params
-    br = params.bracket
-    out = eps * roots.omega ** (eps - 1)
-    for xi in roots.config.xi:
-        out *= br(zeta - xi + (1 + eps) // 2)
-    for vj in roots.v:
-        out *= br(vj - zeta + eps)
-    return out
+    z = np.asarray(zeta)[..., None]
+    args = np.concatenate([z - np.array(roots.config.xi) + (1 + eps) // 2,
+                           roots.v - z + eps], axis=-1)
+    out = eps * roots.omega ** (eps - 1) * np.prod(roots.params.bracket(args),
+                                                  axis=-1)
+    return out if np.ndim(zeta) else complex(out)
 
 
 def scaled_eigenvalue(u, roots):

@@ -220,41 +220,52 @@ def yang_baxter_residual(u1, u2, u3, s, params):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _site_weights(k, u, config, params, scaled):
-    """Face weights of the k-th R-factor (0-based) on every column cell.
+def _column_weights(u, config, params, scaled):
+    """Face weights of all R-factors (k = 0..N-1), once per application.
 
-    Returns (corner, b_plus, b_minus, c_plus, c_minus).  The weights depend
-    on the height and on the spins of the sites before k only, so each
-    array has shape (L, 2^k, 2^(N-1-k), 1): height, spins of the sites
-    before k, spins of the sites after k, batch.
+    The weights of the k-th factor depend on the height and on the spin sum
+    p of the sites before k only, so the brackets are evaluated on the
+    (k, height, p) grid, p = -(N-1) ... N-1, and each site gathers its
+    cells by the column p + N - 1 of its word prefixes.  Returns corner[k]
+    and weights[k] = (b_plus, b_minus, c_plus, c_minus), each of shape
+    (L, 2^k, 1, 1): height, spins of the sites before k, broadcast over
+    the sites after k and the batch.
 
     With scaled=True every R-factor is multiplied by [u - xi_k + 1], which
     removes the poles of the face weights at u = xi_k - 1 (the monodromy
     then equals T(u) times prod_k [u - xi_k + 1]).
     """
-    uk = u - config.xi[k]
+    N = config.N
+    uk = u - np.array(config.xi)
     bu = params.bracket(uk)
     bu1 = params.bracket(uk + 1)
-    if not scaled and abs(bu1) < 1e-13:
-        raise PoleError(f"[u - xi_{k + 1} + 1] vanishes at u={u}; "
+    poles = np.nonzero(np.abs(bu1) < 1e-13)[0]
+    if not scaled and poles.size:
+        raise PoleError(f"[u - xi_{poles[0] + 1} + 1] vanishes at u={u}; "
                         "use the scaled gauge")
     b1 = params.bracket(1)
-    corner = bu1 if scaled else 1.0
-    denom_u = 1.0 if scaled else bu1
-    # dynamical argument for every (height, word) cell
+    ones = np.ones_like(bu1)
+    corner, denom_u = (bu1, ones) if scaled else (ones, bu1)
+    # dynamical argument (s0 + a) + p for every (height, prefix sum) pair
     s_dyn = ((params.s0 + np.arange(params.L))[:, None]
-             + _prefix_table(k + 1, config)[None, :])
+             + np.arange(1 - N, N)[None, :])
     bs = params.bracket(s_dyn)
     if np.min(np.abs(bs)) < 1e-13:
         raise PoleError("dynamical bracket [s] vanishes inside column")
     bms = params.bracket(-s_dyn)
-    weights = (params.bracket(s_dyn + 1) * bu / (bs * denom_u),
-               params.bracket(-s_dyn + 1) * bu / (bms * denom_u),
-               params.bracket(s_dyn + uk) * b1 / (bs * denom_u),
-               params.bracket(-s_dyn + uk) * b1 / (bms * denom_u))
-    shape = (params.L, 1 << k, 2, -1)
-    return (corner,) + tuple(w.reshape(shape)[:, :, 0, :, None]
-                             for w in weights)
+    bu, denom_u = bu[:, None, None], denom_u[:, None, None]
+    grids = (params.bracket(s_dyn + 1) * bu / (bs * denom_u),
+             params.bracket(-s_dyn + 1) * bu / (bms * denom_u),
+             params.bracket(s_dyn + uk[:, None, None]) * b1 / (bs * denom_u),
+             params.bracket(-s_dyn + uk[:, None, None]) * b1
+             / (bms * denom_u))
+    weights = []
+    pref = np.zeros(1, dtype=np.int64)   # prefix spin sums of the sites < k
+    for k in range(N):
+        weights.append(tuple(g[k][:, pref + N - 1, None, None]
+                             for g in grids))
+        pref = (pref[:, None] + np.array([1, -1])).ravel()
+    return corner, weights
 
 
 def _site_step(phi, k, corner, b_plus, b_minus, c_plus, c_minus):
@@ -284,8 +295,9 @@ def _numeric_monodromy_batch(entry, u, psi, config, params, scaled=False):
     a_out, a_in = _ENTRY_AUX[entry]
     phi = np.zeros((2,) + psi.shape, dtype=complex)
     phi[a_in] = np.roll(psi, _ENTRY_SHIFT[entry], axis=0)
+    corner, weights = _column_weights(u, config, params, scaled)
     for k in range(config.N):
-        phi = _site_step(phi, k, *_site_weights(k, u, config, params, scaled))
+        phi = _site_step(phi, k, corner[k], *weights[k])
     return phi[a_out]
 
 
@@ -306,10 +318,10 @@ def monodromy_entry_apply(entry, u, state, dual=False, scaled=False):
     a_out, a_in = _ENTRY_AUX[entry]
     phi = np.zeros((2,) + psi.shape, dtype=complex)
     phi[a_out] = psi
+    corner, weights = _column_weights(u, config, params, scaled)
     for k in reversed(range(config.N)):
-        corner, b_plus, b_minus, c_plus, c_minus = _site_weights(
-            k, u, config, params, scaled)
-        phi = _site_step(phi, k, corner, b_plus, b_minus, c_minus, c_plus)
+        b_plus, b_minus, c_plus, c_minus = weights[k]
+        phi = _site_step(phi, k, corner[k], b_plus, b_minus, c_minus, c_plus)
     out = np.roll(phi[a_in], -_ENTRY_SHIFT[entry], axis=0)
     return StateVector(config, params, out[:, :, 0])
 

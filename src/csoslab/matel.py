@@ -372,8 +372,9 @@ def phi_twisted_matrix(nu, gamma, v_set):
                                      v_set.params)
 
 
-def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas):
-    """Prefactor G_b of the determinant representation."""
+def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams):
+    """Prefactor G_b of the determinant representation; lams = (lam+, lam-)
+    holds lambda_pm(+-1, zeta_j, v_set) for each zeta."""
     params = u_set.params
     br = params.bracket
     n = u_set.n
@@ -388,10 +389,10 @@ def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas):
     for p in range(m):
         if b[p] <= n:
             continue
-        eps = -1 if p < n_minus else 1
-        out *= lambda_pm(eps, v_ext[b[p] - 1], v_set)
-    for z in zetas:
-        out /= lambda_pm(1, z, v_set) - lambda_pm(-1, z, v_set)
+        # v_ext[b_p - 1] = zeta_{n+m+1-b_p}
+        out *= lams[1 if p < n_minus else 0][n + m - b[p]]
+    for lam_p, lam_m in zip(*lams):
+        out /= lam_p - lam_m
     for i in range(m):
         for j in range(i + 1, m):
             out /= br(zetas[i] - zetas[j])
@@ -446,9 +447,8 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     # a lambda that vanishes (lam+ on an upward step) zeroes its two terms
     w2 = _omega_ratio_pow(u_set, v_set, 2.0)
     z = np.asarray(zetas, dtype=complex)
-    lam_p = np.array([lambda_pm(1, zk, v_set) for zk in zetas], dtype=complex)
-    lam_m = np.array([lambda_pm(-1, zk, v_set) for zk in zetas],
-                     dtype=complex) * w2
+    lams = (lambda_pm(1, z, v_set), lambda_pm(-1, z, v_set))
+    lam_p, lam_m = lams[0], lams[1] * w2
     base_mats, q_mats, base_dets, s_mats = {}, {}, {}, {}
     for nu in range(L):
         qm_nu, qp_nu = params.q ** (-nu), params.q ** nu
@@ -465,7 +465,7 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
 
     total = 0.0j
     for b, inv, rest in tuples:
-        gb = algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas)
+        gb = algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams)
         if gb == 0.0:
             continue
         vb_sum = sum(v_ext[idx - 1] for idx in b)

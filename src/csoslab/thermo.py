@@ -563,9 +563,11 @@ def multipoint_lhp(path, eps, t_label, config, params, resolution=512,
                                 resolution // 2)
     estimate = abs(val_full - val_half)
     if tolerance is not None and not estimate <= tolerance:
+        floor = ("; m = 3 estimates bottom out near 5e-14, where the "
+                 "residue-combination sums cancel" if m == 3 else "")
         raise AccuracyError(
             f"quadrature estimate {estimate:.2e} above tolerance "
-            f"{tolerance:.2e} at resolution {resolution}")
+            f"{tolerance:.2e} at resolution {resolution}{floor}")
     return val_full, estimate
 
 

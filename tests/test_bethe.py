@@ -211,6 +211,41 @@ class TestEigenstates:
         assert abs(lv.dot(right) - B.left_contract(left, right)) < 1e-10
 
 
+class TestSiteProducts:
+    ZS = (0.29 + 0.18j, -0.361 - 0.035j, 0.1 - 0.2j)
+
+    def test_d_fun_matches_site_loop(self, params, ground4):
+        roots = ground4[(1, 0)]
+        br = params.bracket
+        for z in self.ZS:
+            ref = 1.0
+            for xi in roots.config.xi:
+                ref *= br(z - xi) / br(z - xi + 1)
+            got = roots.d_fun(z)
+            assert type(got) is complex
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+        arr = roots.d_fun(np.array(self.ZS))
+        assert arr.shape == (3,)
+        assert all(a == roots.d_fun(z) for a, z in zip(arr, self.ZS))
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_lambda_pm_matches_site_loop(self, params, ground4, eps):
+        roots = ground4[(0, 1)]
+        br = params.bracket
+        for z in self.ZS:
+            ref = eps * roots.omega ** (eps - 1)
+            for xi in roots.config.xi:
+                ref *= br(z - xi + (1 + eps) // 2)
+            for vj in roots.v:
+                ref *= br(vj - z + eps)
+            got = B.lambda_pm(eps, z, roots)
+            assert type(got) is complex
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+        arr = B.lambda_pm(eps, np.array(self.ZS), roots)
+        assert all(a == B.lambda_pm(eps, z, roots)
+                   for a, z in zip(arr, self.ZS))
+
+
 class TestHeightProjection:
     def test_projection_is_twist_combination(self, params, ground4_homog):
         # fixing the height at site 1 turns a Bethe state into the discrete

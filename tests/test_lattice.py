@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csoslab.elliptic import ModelParams, SizeGuardError
+from csoslab.elliptic import ModelParams, PoleError, SizeGuardError
 from csoslab.lattice import (LatticeConfig, StateVector, boltzmann_weight,
                              dump_operator, guard_dense, homogeneous_config,
                              inverse_problem_residual, load_operator,
@@ -197,6 +197,92 @@ class TestScaledGauge:
             scaled = monodromy_entry_dense(entry, u, config4, params,
                                            scaled=True).matrix
             assert np.max(np.abs(scaled - fac * plain)) < 1e-10 * abs(fac)
+
+
+class TestColumnWeights:
+    """The application gathers its face weights from a (height, prefix sum)
+    grid; the reference evaluates them on every (height, word) cell and
+    runs each site as explicit word pairs."""
+
+    _AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
+    _SHIFT = {"A": -1, "B": 1, "C": -1, "D": 1}
+
+    @staticmethod
+    def _cell_weights(u, k, config, params, scaled):
+        N, br = config.N, params.bracket
+        words = np.arange(1 << N)
+        pref = sum((1 - 2 * ((words >> (N - 1 - j)) & 1) for j in range(k)),
+                   np.zeros_like(words))
+        s = (params.s0 + np.arange(params.L))[:, None] + pref[None, :]
+        uk = u - config.xi[k]
+        bu, bu1 = br(uk), br(uk + 1)
+        den = 1.0 if scaled else bu1
+        return ((bu1 if scaled else 1.0),
+                br(s + 1) * bu / (br(s) * den),
+                br(-s + 1) * bu / (br(-s) * den),
+                br(s + uk) * br(1) / (br(s) * den),
+                br(-s + uk) * br(1) / (br(-s) * den))
+
+    def _reference(self, entry, u, amps, config, params, dual, scaled):
+        N = config.N
+        a_out, a_in = self._AUX[entry]
+        phi = np.zeros((2,) + amps.shape, dtype=complex)
+        if dual:
+            phi[a_out] = amps
+        else:
+            phi[a_in] = np.roll(amps, self._SHIFT[entry], axis=0)
+        words = np.arange(1 << N)
+        for k in (reversed(range(N)) if dual else range(N)):
+            corner, bp, bm, cp, cm = self._cell_weights(u, k, config,
+                                                        params, scaled)
+            if dual:  # the transposed step swaps the c weights
+                cp, cm = cm, cp
+            bit = 1 << (N - 1 - k)
+            up, dn = words[words & bit == 0], words[words & bit != 0]
+            new = np.empty_like(phi)
+            new[0][:, up] = corner * phi[0][:, up]
+            new[1][:, dn] = corner * phi[1][:, dn]
+            new[0][:, dn] = (bp[:, dn] * phi[0][:, dn]
+                             + cp[:, dn] * phi[1][:, up])
+            new[1][:, up] = (cm[:, up] * phi[0][:, dn]
+                             + bm[:, up] * phi[1][:, up])
+            phi = new
+        if dual:
+            return np.roll(phi[a_in], -self._SHIFT[entry], axis=0)
+        return phi[a_out]
+
+    @pytest.mark.parametrize("N", [4, 6])
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_apply_equals_per_cell_reference(self, params, rng, N, dual,
+                                             scaled):
+        # bit for bit: the grid holds the cells' own arguments (s0 + a) + p
+        ys = (0.04, -0.03, 0.02, -0.05, 0.035, -0.02)
+        config = homogeneous_config(4) if N == 4 else LatticeConfig(
+            N=N, xi=tuple(0.5 + 1j * y for y in ys))
+        amps = (rng.standard_normal((params.L, 1 << N))
+                + 1j * rng.standard_normal((params.L, 1 << N)))
+        u = 0.29 + 0.18j
+        for entry in "ABCD":
+            got = monodromy_entry_apply(entry, u,
+                                        StateVector(config, params, amps),
+                                        dual=dual, scaled=scaled).amps
+            ref = self._reference(entry, u, amps, config, params, dual,
+                                  scaled)
+            assert np.array_equal(got, ref), entry
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_face_weight_pole(self, params, config4, rng, dual):
+        # u = xi_2 - 1 is a pole of the plain weights, not of the scaled ones
+        amps = (rng.standard_normal((params.L, 16))
+                + 1j * rng.standard_normal((params.L, 16)))
+        state = StateVector(config4, params, amps)
+        u = config4.xi[1] - 1.0
+        with pytest.raises(PoleError, match=r"\[u - xi_2 \+ 1\] vanishes"):
+            monodromy_entry_apply("B", u, state, dual=dual)
+        out = monodromy_entry_apply("B", u, state, dual=dual, scaled=True)
+        assert np.all(np.isfinite(out.amps))
+        assert np.max(np.abs(out.amps)) > 0.0
 
 
 class TestLocalOperators:

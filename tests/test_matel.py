@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csoslab.elliptic import DegenerateConfigError, ModelParams, PoleError
-from csoslab.lattice import LatticeConfig
+from csoslab.lattice import LatticeConfig, homogeneous_config
 from csoslab import bethe as B
 from csoslab import matel as M
 from csoslab import scalar as S
@@ -252,6 +252,18 @@ class TestOracleBoundary:
         S.norm_det(roots)
         val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), ground4)
         assert np.isfinite(val)
+
+
+class TestLargeColumn:
+    def test_det_vs_brute_n12(self, params_phys):
+        # the brute-force oracle at N = 12 (L 2^N = 12,288 cells per
+        # application), at the acceptance tolerance of criterion 6
+        config = homogeneous_config(12)
+        us = B.solve_ground_state(0, 0, config, params_phys)
+        vs = B.solve_ground_state(1, 1, config, params_phys)
+        bf = M.mpme_bruteforce(us, vs, PATH1, 1)
+        det = M.mpme_det(us, vs, PATH1, 1)
+        assert abs(det - bf) / abs(bf) < 1e-7
 
 
 class TestNormMemo:

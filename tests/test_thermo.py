@@ -372,9 +372,19 @@ class TestMultiPoint:
         from csoslab.elliptic import AccuracyError
         params, config = setup
         path = M.vertical_path((0, 1))
-        with pytest.raises(AccuracyError):
+        with pytest.raises(AccuracyError) as info:
             T.multipoint_lhp(path, 0, 0, config, params, resolution=8,
                              tolerance=1e-30)
+        assert "bottom out" not in str(info.value)
+
+    def test_m3_tolerance_error_names_the_floor(self, setup):
+        # cancelling residue-combination sums give m = 3 estimates an
+        # absolute rounding floor, which the error names
+        from csoslab.elliptic import AccuracyError
+        params, config = setup
+        with pytest.raises(AccuracyError, match="bottom out near 5e-14"):
+            T.multipoint_lhp(M.vertical_path((0, 1, 2, 3)), 0, 0, config,
+                             params, resolution=16, tolerance=1e-14)
 
     def test_nan_estimate_fails_tolerance(self, setup, monkeypatch):
         from csoslab.elliptic import AccuracyError
