@@ -89,8 +89,8 @@ class BetheRootSet:
     config: LatticeConfig
     residual: float = 0.0
     newton_iters: int = 0
-    # results that depend on the roots only (the state norm), filled lazily
-    # and shared by copies carrying the same roots
+    # results that depend on the roots only (norm, Gaudin kernel), filled
+    # lazily and shared by copies carrying the same roots
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 
@@ -151,7 +151,6 @@ def log_bethe_residual(x, k, ell, config, params):
 
 def _log_bethe_jacobian(x, config, params):
     x = np.asarray(x, dtype=float)
-    n = len(x)
     N = config.N
     diag = N * np.real(p0_tot(x, config, params, order=1))
     kern = np.real(bare_phase(x[:, None] - x[None, :], params, order=1))
@@ -174,19 +173,16 @@ def bethe_residual(roots, relative=False):
         xd = roots.x[:, None] - roots.x[None, :] + 0.37 * np.eye(n)
         if np.min(np.abs(xd - np.round(xd))) < 1e-10:
             raise SolverError("coinciding Bethe roots")
-    out = np.zeros(n, dtype=complex)
+    dv = (v[:, None] - v[None, :])[~np.eye(n, dtype=bool)].reshape(
+        n, max(n - 1, 0))
+    br = params.bracket(np.stack([-dv + 1, -dv, dv + 1, dv]))
     sgn = (-1.0) ** (params.r * roots.aleph)
-    for j in range(n):
-        lhs = roots.a_fun(v[j])
-        rhs = sgn * roots.omega ** (-2) * roots.d_fun(v[j])
-        for l in range(n):
-            if l == j:
-                continue
-            lhs *= params.bracket(v[l] - v[j] + 1) / params.bracket(v[l] - v[j])
-            rhs *= params.bracket(v[j] - v[l] + 1) / params.bracket(v[j] - v[l])
-        out[j] = lhs - rhs
-        if relative:
-            out[j] /= max(1.0, abs(lhs), abs(rhs))
+    lhs = roots.a_fun(v) * np.prod(br[0] / br[1], axis=1)
+    rhs = (sgn * roots.omega ** (-2) * roots.d_fun(v)
+           * np.prod(br[2] / br[3], axis=1))
+    out = lhs - rhs
+    if relative:
+        out /= np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return out
 
 
@@ -357,16 +353,17 @@ def scaled_eigenvalue(u, roots):
     finite at u = xi_k - 1."""
     sgn = (-1.0) ** (roots.params.r * roots.aleph)
     out = roots.omega * (lambda_pm(1, u, roots) - sgn * lambda_pm(-1, u, roots))
-    for vj in roots.v:
-        out /= roots.params.bracket(vj - u)
+    for den in roots.params.bracket(roots.v - u).tolist():   # root by root
+        out /= den
     return out
 
 
 def eigenvalue_tau(u, roots):
     """Transfer-matrix eigenvalue tau(u; {v}, omega)."""
     out = scaled_eigenvalue(u, roots)
-    for xi in roots.config.xi:
-        out /= roots.params.bracket(u - xi + 1)
+    uk = u - np.array(roots.config.xi) + 1
+    for den in roots.params.bracket(uk).tolist():   # site by site
+        out /= den
     return out
 
 

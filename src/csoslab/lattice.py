@@ -22,6 +22,7 @@ The dynamical argument of the k-th factor counts the spins of sites < k
 on the incoming configuration (the column of heights the faces lean on).
 """
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -220,6 +221,22 @@ def yang_baxter_residual(u1, u2, u3, s, params):
     return float(np.max(np.abs(lhs - rhs)))
 
 
+@functools.lru_cache(maxsize=64)
+def _height_grids(params, N):
+    """The u-independent brackets of _column_weights, once per (params, N):
+    s = (s0 + a) + p on the (height a, prefix sum p) grid, [s], [-s],
+    [s + 1], [-s + 1] (read-only: callers share them) and the scalar [1]."""
+    s_dyn = ((params.s0 + np.arange(params.L))[:, None]
+             + np.arange(1 - N, N)[None, :])
+    out = (s_dyn,) + tuple(params.bracket(x) for x in
+                           (s_dyn, -s_dyn, s_dyn + 1, -s_dyn + 1))
+    if np.min(np.abs(out[1])) < 1e-13:
+        raise PoleError("dynamical bracket [s] vanishes inside column")
+    for arr in out:
+        arr.flags.writeable = False
+    return out + (params.bracket(1),)
+
+
 def _column_weights(u, config, params, scaled):
     """Face weights of all R-factors (k = 0..N-1), once per application.
 
@@ -243,19 +260,12 @@ def _column_weights(u, config, params, scaled):
     if not scaled and poles.size:
         raise PoleError(f"[u - xi_{poles[0] + 1} + 1] vanishes at u={u}; "
                         "use the scaled gauge")
-    b1 = params.bracket(1)
     ones = np.ones_like(bu1)
     corner, denom_u = (bu1, ones) if scaled else (ones, bu1)
-    # dynamical argument (s0 + a) + p for every (height, prefix sum) pair
-    s_dyn = ((params.s0 + np.arange(params.L))[:, None]
-             + np.arange(1 - N, N)[None, :])
-    bs = params.bracket(s_dyn)
-    if np.min(np.abs(bs)) < 1e-13:
-        raise PoleError("dynamical bracket [s] vanishes inside column")
-    bms = params.bracket(-s_dyn)
+    s_dyn, bs, bms, bs1, bms1, b1 = _height_grids(params, N)
     bu, denom_u = bu[:, None, None], denom_u[:, None, None]
-    grids = (params.bracket(s_dyn + 1) * bu / (bs * denom_u),
-             params.bracket(-s_dyn + 1) * bu / (bms * denom_u),
+    grids = (bs1 * bu / (bs * denom_u),
+             bms1 * bu / (bms * denom_u),
              params.bracket(s_dyn + uk[:, None, None]) * b1 / (bs * denom_u),
              params.bracket(-s_dyn + uk[:, None, None]) * b1
              / (bms * denom_u))

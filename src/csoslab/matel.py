@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import DegenerateConfigError, PoleError
+from .elliptic import DegenerateConfigError, PoleError, _cmul
 from .lattice import monodromy_entry_apply
 from .bethe import (bethe_vector, left_contract, eigenvalue_tau, lambda_pm,
                     scaled_eigenvalue)
@@ -337,7 +337,7 @@ def _rebase_onto(u_set, v_set):
     out = BetheRootSet(x=np.array(v_set.x), k=u_set.k, ell=u_set.ell,
                        params=u_set.params, config=u_set.config,
                        residual=u_set.residual)
-    out.memo = v_set.memo   # the norm does not depend on the twist label
+    out.memo = v_set.memo   # no memo entry depends on the twist label
     return out
 
 
@@ -362,19 +362,20 @@ def _mean_value_pair(u_set, v_set):
     return _rebase_onto(u_set, v_set), True
 
 
-def phi_twisted_matrix(nu, gamma, v_set):
+def _mean_value_kernel(gamma, v_set, a2, a4):
     """Mean-value ({u} = {v}) replacement for the transformed kernel: the
-    Gaudin diagonal plus the kernel of _h_transformed at t = gamma, w = 1."""
-    q = v_set.params.q
+    Gaudin diagonal plus the kernel of _h_transformed at t = gamma, w = 1,
+    one matrix per row of the coefficients."""
     v = np.asarray(v_set.v)
-    diag, _ = _gaudin_kernel(v_set)
-    return np.diag(diag) + _h_kernel(gamma, v, q ** (-nu), q ** nu,
-                                     v_set.params)
+    return (np.eye(len(v)) * _gaudin_kernel(v_set)[0][:, None]
+            + _h_kernel(gamma, v, a2, a4, v_set.params))
 
 
-def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams):
+def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
+                       d_ratio):
     """Prefactor G_b of the determinant representation; lams = (lam+, lam-)
-    holds lambda_pm(+-1, zeta_j, v_set) for each zeta."""
+    holds lambda_pm(+-1, zeta_j, v_set) for each zeta, and d_ratio is
+    prod_j d(u_j)/d(v_j)."""
     params = u_set.params
     br = params.bracket
     n = u_set.n
@@ -384,8 +385,7 @@ def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams):
     v_ext = _extended_params(v_set.v, zetas)
     out = (-1.0) ** (m * n + inv + n_minus)
     out *= _omega_ratio_pow(u_set, v_set, s)
-    out *= np.prod(u_set.d_fun(np.asarray(u_set.v))
-                   / v_set.d_fun(np.asarray(v_set.v)))
+    out *= d_ratio
     for p in range(m):
         if b[p] <= n:
             continue
@@ -412,9 +412,9 @@ def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams):
 def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     """Determinant representation of the normalized matrix element.
 
-    reduction='m' computes det(H) once per twist sector and reduces each
-    tuple to an m x m determinant through linear solves; reduction='n'
-    evaluates the mixed n x n determinant per tuple directly.
+    The kernels of all L twist sectors are built once per call, as (L, n, n)
+    stacks; reduction='m' reduces each tuple to m x m determinants through
+    one stacked solve, reduction='n' takes the mixed n x n determinants.
     """
     params, config = u_set.params, u_set.config
     if gamma is None:
@@ -435,37 +435,40 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     if abs(br(t0)) < 1e-13:
         raise PoleError("[|u|-|v|+gamma] vanishes; redraw gamma")
     b0p = br(0.0, order=1)
+    bst = br(s) * br(t0)
     phi_v = gaudin_matrix(v_set)
     det_phi = np.linalg.det(phi_v)
     _check_kappa(phi_v, "Gaudin matrix")
-    ipos, _ = slot_positions(alphas)
     v_ext = _extended_params(v_set.v, zetas)
-    tuples = enumerate_tuples(n, m, ipos)
 
-    # appendix-B coefficients: (1, q^-nu, w^2, q^nu w^2) for H, and
-    # (lam+, lam+ q^-nu, lam- w^2, lam- w^2 q^nu) for Q, w = omega_v/omega_u;
-    # a lambda that vanishes (lam+ on an upward step) zeroes its two terms
+    # appendix-B coefficients, a row per sector nu: (1, q^-nu, w^2, q^nu w^2)
+    # for H, (lam+, lam+ q^-nu, lam- w^2, lam- w^2 q^nu) for Q, w = omega_v/
+    # omega_u; a vanishing lambda (lam+ on an upward step) zeroes two terms.
+    # _cmul rounds an array product as the scalar product of one sector.
     w2 = _omega_ratio_pow(u_set, v_set, 2.0)
+    one = np.ones((L, 1))
+    qm, qp = (np.array([[params.q ** (sg * nu)] for nu in range(L)])
+              for sg in (-1, 1))
     z = np.asarray(zetas, dtype=complex)
     lams = (lambda_pm(1, z, v_set), lambda_pm(-1, z, v_set))
     lam_p, lam_m = lams[0], lams[1] * w2
-    base_mats, q_mats, base_dets, s_mats = {}, {}, {}, {}
-    for nu in range(L):
-        qm_nu, qp_nu = params.q ** (-nu), params.q ** nu
-        base = (phi_twisted_matrix(nu, gamma, v_set) if same else
-                _h_transformed(gamma, u, v, (1.0, qm_nu, w2, qp_nu * w2),
-                               params))
-        qm = (_q_transformed(gamma, u, v, z, (lam_p, lam_p * qm_nu, lam_m,
-                                              lam_m * qp_nu), params)
+    d_ratio = np.prod(u_set.d_fun(u) / v_set.d_fun(v))
+    twist = np.array([params.qpow(nu * s) * a_nu_factor(nu, gamma, params)
+                      for nu in range(L)])
+    alup = (one, qm, one * w2, _cmul(qp, w2))
+    base = (_mean_value_kernel(gamma, v_set, qm, qp) if same else
+            _h_transformed(gamma, u, v, alup, params))
+    q_mats = (_q_transformed(gamma, u, v, z,
+                             (lam_p, lam_p * qm, lam_m, lam_m * qp), params)
               if m else None)
-        base_mats[nu], q_mats[nu] = base, qm
-        base_dets[nu] = np.linalg.det(base)
-        if reduction == "m" and m:
-            s_mats[nu] = np.linalg.solve(base, qm)
+    base_dets = np.linalg.det(base)
+    if reduction == "m" and m:
+        s_mats = np.linalg.solve(base, q_mats)
 
     total = 0.0j
-    for b, inv, rest in tuples:
-        gb = algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams)
+    for b, inv, rest in enumerate_tuples(n, m, slot_positions(alphas)[0]):
+        gb = algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
+                                d_ratio)
         if gb == 0.0:
             continue
         vb_sum = sum(v_ext[idx - 1] for idx in b)
@@ -473,27 +476,23 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
         den = br(np.sum(u_set.v) - keep_sum + gamma + s)
         if abs(den) < 1e-13:
             raise PoleError("b-dependent prefactor pole; redraw gamma")
-        pre = br(s) * br(t0) / (b0p * den)
-        nu_sum = 0.0j
-        for nu in range(L):
-            if reduction == "m" and m:
-                smat = np.zeros((m, m), dtype=complex)
-                for j in range(m):
-                    if b[j] <= n:
-                        smat[j, :] = s_mats[nu][b[j] - 1, :]
-                    else:
-                        smat[j, n + m + 1 - b[j] - 1] = -1.0
-                sign = (-1.0) ** (m * (n + 1) + m * (m - 1) // 2 + inv)
-                det_h = sign * base_dets[nu] * np.linalg.det(smat)
-            elif m:
-                det_h = np.linalg.det(np.column_stack(
-                    [base_mats[nu][:, idx - 1] if idx <= n
-                     else q_mats[nu][:, n + m - idx] for idx in rest]))
-            else:
-                det_h = base_dets[nu]
-            nu_sum += (params.qpow(nu * s) * a_nu_factor(nu, gamma, params)
-                       * det_h)
-        total += gb * pre * nu_sum / (L * det_phi)
+        pre = bst / (b0p * den)
+        if reduction == "m" and m:
+            smat = np.zeros((L, m, m), dtype=complex)
+            for j in range(m):
+                if b[j] <= n:
+                    smat[:, j, :] = s_mats[:, b[j] - 1, :]
+                else:
+                    smat[:, j, n + m + 1 - b[j] - 1] = -1.0
+            sign = (-1.0) ** (m * (n + 1) + m * (m - 1) // 2 + inv)
+            det_h = _cmul(sign * base_dets, np.linalg.det(smat))
+        elif m:
+            det_h = np.linalg.det(np.stack(
+                [base[..., idx - 1] if idx <= n else q_mats[..., n + m - idx]
+                 for idx in rest], axis=-1))
+        else:
+            det_h = base_dets
+        total += gb * pre * sum(_cmul(twist, det_h)) / (L * det_phi)
     nrm_u, nrm_v = coherent_norms(u_set, v_set)
     return total * nrm_v / nrm_u
 
@@ -562,43 +561,47 @@ def x_determinant_residual(gamma, u, v, params):
 def _h_kernel(t, v, a2, a4, params):
     """[0]'/[t] (a2_k [v_j - v_k + t + 1]/[v_j - v_k + 1]
     - a4_k [v_j - v_k + t - 1]/[v_j - v_k - 1]), the part of the transformed
-    kernel that its mean-value form shares."""
+    kernel its mean-value form shares (coefficients as in _h_transformed)."""
     br = params.bracket
     dv = v[:, None] - v[None, :]
+    a2, a4 = np.expand_dims(a2, -2), np.expand_dims(a4, -2)
     return (br(0.0, order=1) / br(t)) * (
         a2 * br(dv + t + 1) / br(dv + 1) - a4 * br(dv + t - 1) / br(dv - 1))
 
 
 def _h_transformed(gamma, u, v, alup, params):
-    """Transformed kernel H; each coefficient in alup = (a1, a2, a3, a4) is
-    a scalar or one value per column."""
+    """Transformed kernel H.  Each coefficient in alup = (a1, a2, a3, a4)
+    holds one value per column on its last axis (length 1 or n); a leading
+    axis stacks the twist sectors, one n x n matrix each."""
     br = params.bracket
     a1, a2, a3, a4 = alup
+    n = len(v)
     t = np.sum(u - v) + gamma
     uv = u[:, None] - v[None, :]
     dv = v[:, None] - v[None, :]
     pp = np.prod(br(uv + 1), axis=0) / np.prod(br(dv + 1), axis=0)
     pm = np.prod(br(uv - 1), axis=0) / np.prod(br(dv - 1), axis=0)
-    num = np.array([np.prod(br(v[j] - np.delete(v, j)))
-                    for j in range(len(v))])
+    # prod_{k != j} [v_j - v_k], one row per j
+    num = np.prod(br(dv[~np.eye(n, dtype=bool)].reshape(n, n - 1)), axis=1)
     den = np.prod(br(v[:, None] - u[None, :]), axis=1)
     diag = br(0.0, order=1) * num / den * (a1 * pp - a3 * pm)
-    return np.diag(diag) + _h_kernel(t, v, a2, a4, params)
+    return np.eye(n) * diag[..., None] + _h_kernel(t, v, a2, a4, params)
 
 
 def _q_transformed(gamma, u, v, zetas, bet, params):
-    """Path block Q, one column per argument in zetas; each coefficient in
-    bet = (b1, b2, b3, b4) is a scalar or one value per column."""
+    """Path block Q, one column per argument in zetas; the coefficients
+    bet = (b1, b2, b3, b4) are laid out as in _h_transformed."""
     br = params.bracket
-    b1, b2, b3, b4 = bet
+    b1, b2, b3, b4 = (np.expand_dims(b, -2) for b in bet)
     t = np.sum(u - v) + gamma
     vz = v[:, None] - zetas[None, :]
     uz = u[:, None] - zetas[None, :]
-    prod_p = np.prod(br(vz) / br(uz) * br(uz + 1) / br(vz + 1), axis=0)
-    prod_m = np.prod(br(vz) / br(uz) * br(uz - 1) / br(vz - 1), axis=0)
+    bvz, buz, bvzt = br(vz), br(uz), br(vz + t)
+    prod_p = np.prod(bvz / buz * br(uz + 1) / br(vz + 1), axis=0)
+    prod_m = np.prod(bvz / buz * br(uz - 1) / br(vz - 1), axis=0)
     return (br(0.0, order=1) / br(t)) * (
-        b2 * br(vz + t + 1) / br(vz + 1) - b1 * br(vz + t) / br(vz) * prod_p
-        - b4 * br(vz + t - 1) / br(vz - 1) + b3 * br(vz + t) / br(vz) * prod_m)
+        b2 * br(vz + t + 1) / br(vz + 1) - b1 * bvzt / bvz * prod_p
+        - b4 * br(vz + t - 1) / br(vz - 1) + b3 * bvzt / bvz * prod_m)
 
 
 def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):

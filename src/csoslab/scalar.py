@@ -84,7 +84,6 @@ def omega_matrix(nu, gamma, u_set, v_list, params):
     """The n x n twisted kernel matrix of the L-term determinant sum."""
     u = np.asarray(u_set.v, dtype=complex)
     v = np.asarray(v_list, dtype=complex)
-    n = len(u)
     q = params.q
     br = params.bracket
     bg = br(gamma)
@@ -149,21 +148,27 @@ def _gaudin_kernel(u_set):
     off[j, l] = dlog[u_j - u_l - 1] - dlog[u_j - u_l + 1] and diag[j] =
     -dlog(a/d)(u_j) + sum_l off[j, l], with dlog[x] = [x]'/[x].  The
     mean-value kernel of the matrix elements shares the diagonal vector.
+    Both depend on the roots only: kept in the memo, returned read-only.
     """
-    params, config = u_set.params, u_set.config
+    if "gaudin" in u_set.memo:
+        return u_set.memo["gaudin"]
+    br = u_set.params.bracket
     u = np.asarray(u_set.v, dtype=complex)
-    n = len(u)
-    br = params.bracket
 
     def dlog(x):
         return br(x, order=1) / br(x)
 
-    logprime_ad = np.zeros(n, dtype=complex)
-    for xi in config.xi:
-        logprime_ad -= dlog(u - xi) - dlog(u - xi + 1)
+    uxi = u[:, None] - np.array(u_set.config.xi)
+    logprime_ad = np.zeros(len(u), dtype=complex)
+    for col in (dlog(uxi) - dlog(uxi + 1)).T:   # site by site, as summed
+        logprime_ad -= col
     du = u[:, None] - u[None, :]
     off = dlog(du - 1) - dlog(du + 1)
-    return logprime_ad + np.sum(off, axis=1), off
+    out = (logprime_ad + np.sum(off, axis=1), off)
+    for arr in out:
+        arr.flags.writeable = False
+    u_set.memo["gaudin"] = out
+    return out
 
 
 def gaudin_matrix(u_set):

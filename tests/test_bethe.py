@@ -245,6 +245,38 @@ class TestSiteProducts:
         assert all(a == B.lambda_pm(eps, z, roots)
                    for a, z in zip(arr, self.ZS))
 
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_bethe_residual_matches_pair_loop(self, params, ground4,
+                                              relative):
+        # roots moved off the solution, so the defect is not rounding
+        solved = ground4[(1, 1)]
+        roots = B.BetheRootSet(x=solved.x + [0.01, -0.02], k=1, ell=1,
+                               params=params, config=solved.config)
+        br, v = params.bracket, roots.v
+        sgn = (-1.0) ** (params.r * roots.aleph)
+        got = B.bethe_residual(roots, relative=relative)
+        for j in range(roots.n):
+            lhs = 1.0
+            rhs = sgn * roots.omega ** (-2) * roots.d_fun(v[j])
+            for l in range(roots.n):
+                if l != j:
+                    lhs *= br(v[l] - v[j] + 1) / br(v[l] - v[j])
+                    rhs *= br(v[j] - v[l] + 1) / br(v[j] - v[l])
+            ref = lhs - rhs
+            if relative:
+                ref /= max(1.0, abs(lhs), abs(rhs))
+            assert abs(ref) > 1e-3
+            assert abs(got[j] - ref) <= 1e-14 * max(1.0, abs(lhs), abs(rhs))
+
+    def test_eigenvalue_matches_site_loop(self, params, ground4):
+        roots = ground4[(0, 1)]
+        br = params.bracket
+        for z in self.ZS:
+            ref = B.scaled_eigenvalue(z, roots)
+            for xi in roots.config.xi:
+                ref /= br(z - xi + 1)
+            assert B.eigenvalue_tau(z, roots) == ref
+
 
 class TestHeightProjection:
     def test_projection_is_twist_combination(self, params, ground4_homog):

@@ -271,6 +271,28 @@ class TestColumnWeights:
                                   scaled)
             assert np.array_equal(got, ref), entry
 
+    def test_height_grids_once_per_model(self, params, config4, rng,
+                                         monkeypatch):
+        # [+-s], [+-s + 1] and [1] do not depend on u: a second
+        # application evaluates only [u - xi], [u - xi + 1], [+-s + u - xi]
+        from csoslab.elliptic import ModelParams
+        model = ModelParams(tau=params.tau, r=params.r, L=params.L,
+                            s0=params.s0 + 0.01)
+        state = StateVector(config4, model, rng.standard_normal((3, 16)))
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
+        monkeypatch.setattr(ModelParams, "bracket", counted)
+        monodromy_entry_apply("B", 0.29 + 0.18j, state)
+        first = len(calls)
+        calls.clear()
+        monodromy_entry_apply("C", -0.13 + 0.05j, state)
+        assert (first, len(calls)) == (9, 4)
+
     @pytest.mark.parametrize("dual", [False, True])
     def test_face_weight_pole(self, params, config4, rng, dual):
         # u = xi_2 - 1 is a pole of the plain weights, not of the scaled ones

@@ -287,6 +287,108 @@ class TestNormMemo:
         assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
 
 
+class _GaudinStores(dict):
+    """A root-set memo that counts the Gaudin kernels stored in it; with
+    keep=False it drops them, so the kernel is computed on every use."""
+
+    def __init__(self, keep=True):
+        super().__init__()
+        self.keep, self.stores = keep, 0
+
+    def __setitem__(self, key, value):
+        if key == "gaudin":
+            self.stores += 1
+            if not self.keep:
+                return
+        super().__setitem__(key, value)
+
+
+class TestGaudinMemo:
+    def test_each_kernel_computed_once(self, params, config4):
+        gs = B.all_ground_states(config4, params)
+        for rs in gs.values():
+            rs.memo = _GaudinStores()
+        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), gs)
+        assert [rs.memo.stores for rs in gs.values()] == [1] * len(gs)
+        diag, off = S._gaudin_kernel(gs[(0, 0)])
+        assert not diag.flags.writeable and not off.flags.writeable
+        # the same value, to the bit, as a kernel computed on every use
+        fresh = B.all_ground_states(config4, params)
+        for rs in fresh.values():
+            rs.memo = _GaudinStores(keep=False)
+        assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
+        assert all(rs.memo.stores > 1 for rs in fresh.values())
+
+
+class TestSectorStacks:
+    """The appendix-B builders with one coefficient row per twist sector
+    equal the single-sector calls, sector by sector, to the bit."""
+
+    @staticmethod
+    def _coefficients(rng, sectors, cols):
+        return tuple(rng.standard_normal((sectors, cols))
+                     + 1j * rng.standard_normal((sectors, cols))
+                     for _ in range(4))
+
+    @pytest.mark.parametrize("per_column", [False, True])
+    def test_builders(self, params, rng, per_column):
+        n, m, L = 3, 2, 4
+        u = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
+        v = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
+        z = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.2, 0.2, m)
+        gamma = 0.27 + 0.19j
+        alup = self._coefficients(rng, L, n if per_column else 1)
+        bet = self._coefficients(rng, L, m if per_column else 1)
+        h = M._h_transformed(gamma, u, v, alup, params)
+        q = M._q_transformed(gamma, u, v, z, bet, params)
+        assert h.shape == (L, n, n) and q.shape == (L, n, m)
+        for nu in range(L):
+            row = tuple(a[nu] for a in alup)
+            assert np.array_equal(h[nu], M._h_transformed(gamma, u, v, row,
+                                                          params))
+            row = tuple(b[nu] for b in bet)
+            assert np.array_equal(q[nu], M._q_transformed(gamma, u, v, z,
+                                                          row, params))
+
+    def test_mean_value_kernel(self, ground4):
+        vs = ground4[(1, 1)]
+        L = vs.params.L
+        q = vs.params.q
+        qm = np.array([[q ** (-nu)] for nu in range(L)])
+        qp = np.array([[q ** nu] for nu in range(L)])
+        stack = M._mean_value_kernel(0.27 + 0.19j, vs, qm, qp)
+        assert stack.shape == (L, vs.n, vs.n)
+        for nu in range(L):
+            one = M._mean_value_kernel(0.27 + 0.19j, vs, qm[nu], qp[nu])
+            assert np.array_equal(stack[nu], one)
+
+
+class TestSectorIndependence:
+    def test_bracket_calls_do_not_grow_with_L(self, monkeypatch):
+        # one m = 1 mpme_det at N = 8 evaluates its brackets once per call,
+        # not once per twist sector: L = 3 and L = 5 make as many calls
+        config = LatticeConfig(N=8, xi=tuple(0.5 + 1j * y for y in (
+            0.04, -0.03, 0.02, -0.05, 0.035, -0.02, 0.05, -0.04)))
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
+        counts = {}
+        for L in (3, 5):
+            params = ModelParams(tau=0.8j, r=1, L=L, s0=0.41 + 0.13j)
+            us = B.solve_ground_state(0, 0, config, params)
+            vs = B.solve_ground_state(1, 1, config, params)
+            monkeypatch.setattr(ModelParams, "bracket", counted)
+            calls.clear()
+            M.mpme_det(us, vs, PATH1, 1)
+            counts[L] = len(calls)
+            monkeypatch.setattr(ModelParams, "bracket", bracket)
+        assert counts[3] == counts[5], counts
+
+
 class TestFlatBasis:
     def test_rows_sum_to_one(self, ground4):
         params = ground4[(0, 0)].params
