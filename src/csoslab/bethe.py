@@ -89,7 +89,7 @@ class BetheRootSet:
     config: LatticeConfig
     residual: float = 0.0
     newton_iters: int = 0
-    # results that depend on the roots only (norm, Gaudin kernel), filled
+    # results that depend on the roots only (norm, Gaudin kernel, d), filled
     # lazily and shared by copies carrying the same roots
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)

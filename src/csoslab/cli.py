@@ -306,7 +306,8 @@ def cmd_lhp(args):
     cfg = parse_config(args.config)
     params = build_params(cfg)
     path = load_path(args.path)
-    resolution = args.resolution or int(cfg.get("resolution", "512"))
+    resolution = thermo.check_resolution(
+        args.resolution or int(cfg.get("resolution", "512")))
     labels = [(eps, t) for eps in (0, 1) for t in range(params.L - params.r)]
     records = []
     if args.mode == "finite":
@@ -370,7 +371,8 @@ def cmd_converge(args):
     n_list = [int(tok) for tok in args.n_list.split(",")]
     eps = int(cfg.get("eps", "0"))
     t = int(cfg.get("t", "0"))
-    resolution = args.resolution or int(cfg.get("resolution", "256"))
+    resolution = thermo.check_resolution(
+        args.resolution or int(cfg.get("resolution", "256")))
     rows = []
     thermo_val = None
     skip_reason = None

@@ -173,6 +173,21 @@ def _cmul(a, b):
     return out
 
 
+def _cdiv(a, b):
+    """a / b spelled out in real arithmetic as CPython divides (Smith's
+    method), so that numpy arrays and Python complex numbers round alike."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    flip = np.abs(b.imag) > np.abs(b.real)   # divide through by b.imag
+    ar, ai = np.where(flip, a.imag, a.real), np.where(flip, a.real, a.imag)
+    br, bi = np.where(flip, b.imag, b.real), np.where(flip, b.real, b.imag)
+    ratio = bi / br
+    den = br + bi * ratio
+    out = np.empty(np.shape(den), dtype=complex)
+    out.real = (ar + ai * ratio) / den
+    out.imag = np.where(flip, -1.0, 1.0) * (ai - ar * ratio) / den
+    return out
+
+
 def _reduce(z, tau):
     """z = z_red + k + m tau with |Re z_red| <= 1/2, |Im z_red| <= Im(tau)/2."""
     if isinstance(z, complex):

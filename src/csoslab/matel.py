@@ -32,10 +32,10 @@ from .elliptic import DegenerateConfigError, PoleError, _cmul
 from .lattice import monodromy_entry_apply
 from .bethe import (bethe_vector, left_contract, eigenvalue_tau, lambda_pm,
                     scaled_eigenvalue)
-from .scalar import (a_nu_factor, default_gamma, gamma_retry,
-                     gaudin_matrix, norm_det,
+from .scalar import (default_gamma, gamma_retry, gaudin_matrix, norm_det,
                      partial_scalar_bruteforce, partial_scalar_det,
-                     project_height, _check_kappa, _gaudin_kernel)
+                     project_height, twist_weights, _check_kappa,
+                     _gaudin_kernel, _own_d, _q_beta, _sector_q_powers)
 
 
 @dataclass(frozen=True)
@@ -447,14 +447,12 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     # _cmul rounds an array product as the scalar product of one sector.
     w2 = _omega_ratio_pow(u_set, v_set, 2.0)
     one = np.ones((L, 1))
-    qm, qp = (np.array([[params.q ** (sg * nu)] for nu in range(L)])
-              for sg in (-1, 1))
+    qm, qp = _sector_q_powers(params)
     z = np.asarray(zetas, dtype=complex)
     lams = (lambda_pm(1, z, v_set), lambda_pm(-1, z, v_set))
     lam_p, lam_m = lams[0], lams[1] * w2
-    d_ratio = np.prod(u_set.d_fun(u) / v_set.d_fun(v))
-    twist = np.array([params.qpow(nu * s) * a_nu_factor(nu, gamma, params)
-                      for nu in range(L)])
+    d_ratio = np.prod(_own_d(u_set) / _own_d(v_set))
+    twist = twist_weights(s, gamma, params)
     alup = (one, qm, one * w2, _cmul(qp, w2))
     base = (_mean_value_kernel(gamma, v_set, qm, qp) if same else
             _h_transformed(gamma, u, v, alup, params))
@@ -514,33 +512,14 @@ def marginal_check(u_set, v_set, path, a1, route="det"):
 # determinant identity they satisfy for free coefficient vectors
 # ---------------------------------------------------------------------------
 
-def _q_beta(gamma, u, v, zetas, bet, params):
-    """Kernel columns at the arguments zetas; at zetas = v with the alpha
-    coefficients it is the H_alpha block of the identity."""
-    br = params.bracket
-    b1, b2, b3, b4 = bet
-    uz = u[:, None] - zetas[None, :]
-    pp = (np.prod(br(u[:, None] - zetas[None, :] + 1), axis=0)
-          / np.prod(br(v[:, None] - zetas[None, :] + 1), axis=0))
-    pm = (np.prod(br(u[:, None] - zetas[None, :] - 1), axis=0)
-          / np.prod(br(v[:, None] - zetas[None, :] - 1), axis=0))
-    mat = ((b1[None, :] * br(uz + gamma) / br(uz)
-            - b2[None, :] * br(uz + gamma + 1) / br(uz + 1)) * pp[None, :]
-           - (b3[None, :] * br(uz + gamma) / br(uz)
-              - b4[None, :] * br(uz + gamma - 1) / br(uz - 1)) * pm[None, :])
-    return mat / br(gamma)
-
-
 def _x_matrix(t, u, v, params):
     br = params.bracket
     n = len(u)
-    mat = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        pref = br(0.0, order=1) / br(t)
-        pref *= np.prod(br(u[k] - v))
-        pref /= np.prod(br(u[k] - np.delete(u, k)))
-        mat[:, k] = pref * br(v - u[k] + t) / br(v - u[k])
-    return mat
+    uu = (u[:, None] - u[None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    pref = (br(0.0, order=1) / br(t) * np.prod(br(u[:, None] - v), axis=1)
+            / np.prod(br(uu), axis=1))   # one value per column k
+    vu = v[:, None] - u[None, :]
+    return pref * br(vu + t) / br(vu)
 
 
 def x_determinant_residual(gamma, u, v, params):
@@ -552,9 +531,8 @@ def x_determinant_residual(gamma, u, v, params):
     br = params.bracket
     lhs = np.linalg.det(_x_matrix(t, u, v, params))
     rhs = (-br(0.0, order=1)) ** n * br(gamma) / br(t)
-    for j in range(n):
-        for k in range(j + 1, n):
-            rhs *= br(v[j] - v[k]) / br(u[j] - u[k])
+    j, k = np.triu_indices(n, 1)
+    rhs *= np.prod(br(v[j] - v[k]) / br(u[j] - u[k]))
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
@@ -624,9 +602,8 @@ def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):
     cmixed = np.column_stack([ch[:, :n - mcols], cq[:, :mcols]])
     t = np.sum(u - v) + gamma
     pref = br(t) / ((-br(0.0, order=1)) ** n * br(gamma))
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref *= br(u[j] - u[k]) / br(v[j] - v[k])
+    j, k = np.triu_indices(n, 1)
+    pref *= np.prod(br(u[j] - u[k]) / br(v[j] - v[k]))
     lhs = np.linalg.det(mixed)
     rhs = pref * np.linalg.det(cmixed)
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -666,13 +643,9 @@ def calibrate_norm_signs(ground_states, gamma=None):
     for key in keys[1:]:
         dk = key[0] - anchor[0]
         dl = key[1] - anchor[1]
-        best_a, best_mag = 0, -1.0
-        pbs = {}
-        for a in range(params.L):
-            pbs[a] = _pbar_bethe_pair(params.height(a), 0.0, dk, dl,
-                                      params, gamma)
-            if abs(pbs[a]) > best_mag:
-                best_a, best_mag = a, abs(pbs[a])
+        pbs = [_pbar_bethe_pair(params.height(a), 0.0, dk, dl, params, gamma)
+               for a in range(params.L)]
+        best_a = int(np.argmax(np.abs(pbs)))   # the first of equal ones
         path0 = AdjacentPath(vertices=((1, 1),), heights=(best_a,))
         val = _det_or_dense(ground_states[anchor], ground_states[key], path0,
                             best_a, gamma)
@@ -684,14 +657,10 @@ def calibrate_norm_signs(ground_states, gamma=None):
 def flat_basis_phases(eps, t_label, params):
     """Coefficients of the discrete Fourier change to the flat-state basis."""
     Lr = params.L - params.r
-    out = {}
-    for k in (0, 1):
-        for ell in range(Lr):
-            phase = ((-1.0) ** (k * eps)
-                     * np.exp(-1j * math.pi * (params.r * k + 2 * ell)
-                              * (t_label + params.s0) / Lr))
-            out[(k, ell)] = phase
-    return out
+    return {(k, ell): ((-1.0) ** (k * eps)
+                       * np.exp(-1j * math.pi * (params.r * k + 2 * ell)
+                                * (t_label + params.s0) / Lr))
+            for k in (0, 1) for ell in range(Lr)}
 
 
 def flat_matrix_element(path, left_label, right_label, ground_states,

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .elliptic import PoleError, theta
+from .elliptic import PoleError, _cdiv, _cmul, theta
 from .lattice import StateVector, monodromy_entry_apply
 from .bethe import _phi_weight
 
@@ -46,7 +46,7 @@ def gamma_retry(fun, params, gamma, attempts=4):
 
 
 def _check_kappa(mat, label):
-    kappa = np.linalg.cond(mat)
+    kappa = np.max(np.linalg.cond(mat))
     if kappa > COND_WARN:
         warnings.warn(f"{label} condition number {kappa:.2e}", RuntimeWarning)
     return kappa
@@ -70,44 +70,46 @@ def partial_scalar_bruteforce(u_set, v_list, a, config, params):
     return st.bra_contract_reference()
 
 
-def a_nu_factor(nu, gamma, params):
-    """Twist-sector weight built from theta functions at modulus L*tau."""
+def twist_weights(s, gamma, params):
+    """The L twist-sector weights q^{nu s} a_nu(gamma), a_nu built from
+    theta functions at modulus L*tau; each rounds as one sector's scalars."""
     tau, L, r, eta = params.tau, params.L, params.r, params.eta
-    den = theta(1, r * params.s0, L * tau) * theta(1, eta * gamma + nu * tau, L * tau)
-    if abs(den) < 1e-13:
+    nu = np.arange(L)
+    den = _cmul(theta(1, eta * gamma + nu * tau, L * tau),
+                theta(1, r * params.s0, L * tau))
+    if np.min(np.abs(den)) < 1e-13:
         raise PoleError("a_nu factor hits a pole; redraw gamma")
-    return (eta * theta(1, r * params.s0 + eta * gamma + nu * tau, L * tau)
-            * theta(1, 0, L * tau, order=1) / den)
+    num = _cmul(eta * theta(1, r * params.s0 + eta * gamma + nu * tau,
+                            L * tau), theta(1, 0, L * tau, order=1))
+    return _cmul(params.qpow(nu * s), _cdiv(num, den))
 
 
-def omega_matrix(nu, gamma, u_set, v_list, params):
-    """The n x n twisted kernel matrix of the L-term determinant sum."""
-    u = np.asarray(u_set.v, dtype=complex)
-    v = np.asarray(v_list, dtype=complex)
-    q = params.q
+def _sector_q_powers(params):
+    """q^{-nu} and q^{nu}, nu = 0..L-1, as (L, 1) columns."""
+    qp = params.q ** np.arange(params.L)[:, None]
+    return _cdiv(1.0, qp), qp
+
+
+def _q_beta(gamma, u, v, zetas, bet, params):
+    """Untransformed appendix-B kernel, a column per argument in zetas.  Each
+    coefficient in bet holds one value per column on its last axis; a leading
+    axis stacks the twist sectors.  At zetas = v it is the H_alpha block."""
     br = params.bracket
-    bg = br(gamma)
-    if abs(bg) < 1e-13:
-        raise PoleError("[gamma] vanishes; redraw gamma")
-    du = u[:, None] - v[None, :]
-    if np.min(np.abs(br(du))) < 1e-12:
-        raise PoleError("u and v parameters collide")
-    prod_p = np.prod(br(u[:, None] - v[None, :] + 1), axis=0)   # prod_t [u_t - v_j + 1]
-    prod_m = np.prod(br(u[:, None] - v[None, :] - 1), axis=0)
-    dv = u_set.d_fun(v)
-    sgn = (-1.0) ** (params.r * u_set.aleph)
-    term_a = (br(du + gamma) / br(du)
-              - q ** (-nu) * br(du + gamma + 1) / br(du + 1))
-    term_d = (br(du + gamma) / br(du)
-              - q ** nu * br(du + gamma - 1) / br(du - 1))
-    mat = (sgn / bg * term_a * prod_p[None, :]
-           + 1.0 / bg * term_d * u_set.omega ** (-2) * dv[None, :] * prod_m[None, :])
-    return mat
+    b1, b2, b3, b4 = (np.expand_dims(b, -2) for b in bet)
+    uz = u[:, None] - zetas[None, :]
+    vz = v[:, None] - zetas[None, :]
+    buzp, buzm = br(uz + 1), br(uz - 1)
+    pp = np.prod(buzp, axis=0) / np.prod(br(vz + 1), axis=0)
+    pm = np.prod(buzm, axis=0) / np.prod(br(vz - 1), axis=0)
+    ratio = br(uz + gamma) / br(uz)
+    return ((b1 * ratio - b2 * br(uz + gamma + 1) / buzp) * pp
+            - (b3 * ratio - b4 * br(uz + gamma - 1) / buzm) * pm) / br(gamma)
 
 
 def partial_scalar_det(u_set, v_list, a, gamma=None):
     """S_n({u}; {v}; s0+a) as the L-term sum of determinants.
 
+    The L sector kernels are one (L, n, n) stack of _q_beta at zetas = v.
     With gamma unset, the reproducible default is redrawn automatically if
     it happens to sit on a pole of the prefactors.
     """
@@ -124,22 +126,36 @@ def partial_scalar_det(u_set, v_list, a, gamma=None):
     s = params.height(a)
     br = params.bracket
     b0p = br(0.0, order=1)
+    bg = br(gamma)
     den = br(np.sum(u) - np.sum(v) + gamma + s)
-    if min(abs(br(gamma)), abs(den)) < 1e-13:
+    if min(abs(bg), abs(den)) < 1e-13:
         raise PoleError("prefactor pole; redraw gamma")
-    pref = br(gamma) * br(s) / (b0p * den)
-    for j in range(1, n + 1):
-        pref *= br(s - j) / br(s + j - 1)
-    pref *= np.prod(u_set.d_fun(u))
-    for j in range(n):
-        for k in range(j + 1, n):
-            pref /= br(u[j] - u[k]) * br(v[k] - v[j])
-    tot = 0.0j
-    for nu in range(params.L):
-        mat = omega_matrix(nu, gamma, u_set, v, params)
-        _check_kappa(mat, "partial-scalar kernel")
-        tot += params.qpow(nu * s) * a_nu_factor(nu, gamma, params) * np.linalg.det(mat)
-    return pref * tot
+    if np.min(np.abs(br(u[:, None] - v[None, :]))) < 1e-12:
+        raise PoleError("u and v parameters collide")
+    pref = bg * br(s) / (b0p * den)
+    j = np.arange(1, n + 1)
+    pref *= np.prod(br(s - j) / br(s + j - 1)) * np.prod(_own_d(u_set))
+    j, k = np.triu_indices(n, 1)
+    pref /= np.prod(br(u[j] - u[k]) * br(v[k] - v[j]))
+    # kernel coefficients (sgn Dp, sgn q^-nu Dp, -w^-2 d(v) Dm,
+    # -w^-2 d(v) q^nu Dm), Dp_j = prod_t [v_t - v_j + 1], Dm likewise with -1
+    vv = v[:, None] - v[None, :]
+    dp = (-1.0) ** (params.r * u_set.aleph) * np.prod(br(vv + 1), axis=0)
+    dm = -u_set.omega ** (-2) * u_set.d_fun(v) * np.prod(br(vv - 1), axis=0)
+    qm, qp = _sector_q_powers(params)
+    mats = _q_beta(gamma, u, v, v, (dp, qm * dp, dm, qp * dm), params)
+    _check_kappa(mats, "partial-scalar kernel")
+    return pref * np.sum(twist_weights(s, gamma, params) * np.linalg.det(mats))
+
+
+def _own_d(u_set):
+    """d at the set's own roots, kept in the memo and returned read-only."""
+    out = u_set.memo.get("d")
+    if out is None:
+        out = u_set.d_fun(u_set.v)
+        out.flags.writeable = False
+        u_set.memo["d"] = out
+    return out
 
 
 def _gaudin_kernel(u_set):
@@ -184,7 +200,7 @@ def norm_det(u_set):
     n = len(u)
     br = params.bracket
     pref = (-1.0) ** (n * params.r * u_set.aleph) / (-br(0.0, order=1)) ** n
-    pref *= np.prod(u_set.a_fun(u) * u_set.d_fun(u))
+    pref *= np.prod(u_set.a_fun(u) * _own_d(u_set))
     du = u[:, None] - u[None, :]
     pref *= np.prod(br(du + 1))
     offdiag = br(du)[~np.eye(n, dtype=bool)]

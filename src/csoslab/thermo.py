@@ -24,7 +24,7 @@ from .elliptic import (AccuracyError, EllipticDomainError, PoleError, theta,
                        theta_log)
 from .bethe import (bare_momentum, bare_phase, density_fourier,
                     momentum_shifts, p0_tot)
-from .scalar import a_nu_factor, default_gamma, gamma_retry
+from .scalar import gamma_retry, twist_weights
 from .matel import flat_basis_phases, slot_positions
 
 FOURIER_MODES = 400
@@ -280,22 +280,21 @@ def _pbar_bethe_pair(s, Z, kk, ll, params, gamma):
     gt = et * gamma
     D = (L * kk + 2.0 * ll) / (2.0 * Lr)
     den = theta(1, Z - D + gt + et * s, tt)
-    if abs(den) < 1e-13:
+    if np.min(np.abs(den)) < 1e-13:
         raise PoleError("one-point prefactor pole; redraw gamma")
     pref = (np.exp(-1j * math.pi * s * (-(r * kk + 2.0 * ll) / Lr
                                         + 2.0 * eta * gt))
             * theta(1, et * s, tt) / (et * den))
-    tot = 0.0j
-    for nu in range(L):
-        tot += (params.qpow(nu * s) * a_nu_factor(nu, gamma, params)
-                * theta(1, (1 - eta) * gt + eta * nu, tt - et)
-                / theta(1, 0, tt - et, order=1)
-                * theta(2, Z - D + eta * (gt - nu), et)
-                / theta(2, 0, et))
+    nu = np.arange(L).reshape((L,) + (1,) * np.ndim(Z))
+    tot = np.sum(twist_weights(s, gamma, params).reshape(nu.shape)
+                 * theta(1, (1 - eta) * gt + eta * nu, tt - et)
+                 / theta(1, 0, tt - et, order=1)
+                 * theta(2, Z - D + eta * (gt - nu), et)
+                 / theta(2, 0, et), axis=0)
     return pref * tot / Lr
 
 
-def _pbar_bethe_pair_fred(s, Z, kk, ll, params, gamma, modes=200):
+def _pbar_bethe_pair_fred(s, Z, kk, ll, params, gamma):
     """Same quantity with the explicit Fredholm-determinant ratio."""
     L, r, eta = params.L, params.r, params.eta
     Lr = L - r
@@ -307,13 +306,12 @@ def _pbar_bethe_pair_fred(s, Z, kk, ll, params, gamma, modes=200):
             * theta(1, et * s, tt) * theta(1, -D + gt, tt)
             / (et * theta(1, 0, tt, order=1)
                * theta(1, Z - D + gt + et * s, tt)))
-    tot = 0.0j
-    for nu in range(L):
-        ratio = fredholm_det("ratio", "closed", params,
-                             X=gt - D, Y=eta * (gt - nu) - D, modes=modes)
-        tot += (params.qpow(nu * s) * a_nu_factor(nu, gamma, params) * ratio
-                * theta(2, Z - D + eta * (gt - nu), et)
-                / theta(2, -D + eta * (gt - nu), et))
+    nu = np.arange(L).reshape((L,) + (1,) * np.ndim(Z))
+    ratio = fredholm_det("ratio", "closed", params,
+                         X=gt - D, Y=eta * (gt - nu) - D)
+    tot = np.sum(twist_weights(s, gamma, params).reshape(nu.shape) * ratio
+                 * theta(2, Z - D + eta * (gt - nu), et)
+                 / theta(2, -D + eta * (gt - nu), et), axis=0)
     return pref * tot / L
 
 
@@ -354,15 +352,10 @@ def one_point_barP(a, Z, eps, t_label, params, mode="closed", gamma=None):
         fun = {"nu_sum": _pbar_bethe_pair,
                "nu_sum_fred": _pbar_bethe_pair_fred,
                "alt": _pbar_bethe_pair_alt}[mode]
-        phases = flat_basis_phases(eps, t_label, params)
-
-        def run(g):
-            tot = 0.0j
-            for (kk, ll), phase in phases.items():
-                tot += phase * fun(s, Z, kk, ll, params, g)
-            return tot
-
-        return gamma_retry(run, params, gamma)
+        phases = flat_basis_phases(eps, t_label, params).items()
+        return gamma_retry(lambda g: sum(
+            phase * fun(s, Z, kk, ll, params, g)
+            for (kk, ll), phase in phases), params, gamma)
 
     tau = complex(params.tau)
     tt, et = params.tau_tilde, params.eta_tilde
@@ -530,37 +523,40 @@ def _classify_zetas(path, config, params):
     return zt, fam
 
 
+def check_resolution(resolution):
+    """The estimate reads the half grid off the even-indexed nodes."""
+    if resolution < 2 or resolution % 2:
+        raise ValueError(f"resolution must be even and positive, got "
+                         f"{resolution}")
+    return resolution
+
+
 def multipoint_lhp(path, eps, t_label, config, params, resolution=512,
                    perturb_degenerate=False, tolerance=None):
     """Multi-point LHP at adjacent sites in the flat ground-state basis.
 
     Returns (value, error_estimate); the estimate compares the quadrature
-    with its half-resolution subgrid, and with `tolerance` set an estimate
-    above it raises AccuracyError carrying the achieved value.  Degenerate
-    argument pairs {xi~, xi~ - eta~} are refused unless perturb_degenerate
-    is set, in which case a Richardson extrapolation over two small
-    offsets is used.
+    with its half-resolution subgrid (an even `resolution` has one), and
+    with `tolerance` set an estimate above it raises AccuracyError carrying
+    the achieved value.  Degenerate argument pairs {xi~, xi~ - eta~} are
+    refused unless perturb_degenerate is set, in which case a Richardson
+    extrapolation over two small offsets is used.
     """
     m = path.m
     if m > 3:
         raise ValueError("multiple integrals supported for m <= 3 only")
+    check_resolution(resolution)
     et = params.eta_tilde
     if m == 0:
         return one_point_barP(path.heights[0], 0.0, eps, t_label, params), 0.0
     zt, fam = _classify_zetas(path, config, params)
-    for i in range(m):
-        for j in range(m):
-            if abs(zt[i] - zt[j] - et) < 1e-9:
-                if not perturb_degenerate:
-                    raise PoleError(
-                        "degenerate argument pair {xi~, xi~ - eta~}; enable "
-                        "perturb_degenerate to extrapolate")
-                return _lhp_perturbed(path, eps, t_label, config, params,
-                                      resolution)
-    val_full = _lhp_contour_sum(path, eps, t_label, zt, fam, params,
-                                resolution)
-    val_half = _lhp_contour_sum(path, eps, t_label, zt, fam, params,
-                                resolution // 2)
+    if any(abs(zi - zj - et) < 1e-9 for zi in zt for zj in zt):
+        if not perturb_degenerate:
+            raise PoleError("degenerate argument pair {xi~, xi~ - eta~}; "
+                            "enable perturb_degenerate to extrapolate")
+        return _lhp_perturbed(path, eps, t_label, config, params, resolution)
+    val_full, val_half = _lhp_contour_sum(path, eps, t_label, zt, fam,
+                                          params, resolution)
     estimate = abs(val_full - val_half)
     if tolerance is not None and not estimate <= tolerance:
         floor = ("; m = 3 estimates bottom out near 5e-14, where the "
@@ -590,13 +586,15 @@ def _lhp_perturbed(path, eps, t_label, config, params, resolution):
                     # zt[i] = zt[j] - eta~: shift the shifted-family member
                     zt[i] = zt[i] + d
         vals.append(_lhp_contour_sum(path, eps, t_label, zt, fam, params,
-                                     resolution))
+                                     resolution)[0])
     v1, v2 = vals
     extrap = v2 + (v2 - v1) * deltas[1] / (deltas[0] - deltas[1])
     return extrap, abs(v2 - v1)
 
 
 def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution):
+    """The quadrature at `resolution` and on its even-indexed subgrid, the
+    nodes of resolution // 2, from one evaluation of each block."""
     m = path.m
     alphas = path.alphas
     s1o = path.heights[0]
@@ -606,35 +604,28 @@ def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution):
     # admissible residue targets per integration slot
     choices = []
     for p in range(m):
-        opts = [("seg", None)]
-        want = "shifted" if p < n_minus else "plain"
-        weight = 1.0 if p < n_minus else -1.0
-        for kk in range(m):
-            if fam[kk] == want:
-                opts.append((weight, zt[kk]))
-        choices.append(opts)
+        want, weight = ("shifted", 1.0) if p < n_minus else ("plain", -1.0)
+        choices.append([("seg", None)] + [(weight, z) for z, f in zip(zt, fam)
+                                          if f == want])
 
     nodes = -0.5 + np.arange(resolution) / resolution
-    total = 0.0j
+    total = half = 0.0j
     for combo in itertools.product(*choices):
         frozen = [c[0] != "seg" for c in combo]
-        weight = 1.0
-        for c in combo:
-            if c[0] != "seg":
-                weight *= c[0]
+        weight = math.prod(c[0] for c in combo if c[0] != "seg")
         free = [p for p in range(m) if not frozen[p]]
         # frozen lambdas landing on the same point vanish via the Cauchy core
         pts = [c[1] for c in combo if c[0] != "seg"]
         if len(pts) != len(set(pts)):
             continue
 
-        def eval_block(node_blocks):
-            # each free lambda on its own grid axis, a frozen one a value
+        def eval_block(node_blocks, first=0):
+            # each free lambda on its own grid axis, a frozen one a value;
+            # the leading axis starts at node `first`
             lams = [c[1] for c in combo]
             for axis, p in enumerate(free):
-                shape = [1] * len(free)
-                shape[axis] = -1
-                lams[p] = node_blocks[axis].reshape(shape)
+                lams[p] = node_blocks[axis].reshape(
+                    (1,) * axis + (-1,) + (1,) * (len(free) - axis - 1))
             gt = algebraic_factor_Gtilde(lams, params.height(s1o), alphas,
                                          mus, params)
             sc = cauchy_factor_S(lams, mus, params, frozen)
@@ -642,19 +633,21 @@ def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution):
                 lambda Z: one_point_barP(s1o, Z, eps, t_label, params,
                                          mode="closed"),
                 *lams, -mus.sum())
-            return np.sum(gt * sc * pb)
+            vals = np.asarray(gt * sc * pb)
+            even = vals[tuple(slice(first % 2 if axis == 0 else 0, None, 2)
+                              for axis in range(np.ndim(vals)))]
+            return np.array([np.sum(vals), np.sum(np.ascontiguousarray(even))])
 
-        if len(free) <= 2:
-            block = eval_block([nodes] * len(free))
-        else:
-            # slab the leading axis so the dense grid stays in memory
-            slab = max(1, SLAB_POINTS // resolution ** (len(free) - 1))
-            block = 0.0j
-            for start in range(0, resolution, slab):
-                block += eval_block([nodes[start:start + slab]]
-                                    + [nodes] * (len(free) - 1))
-        total += weight * block / (resolution ** len(free))
-    return total
+        # slab the leading axis of a 3-d grid so it stays in memory
+        slab = (resolution if len(free) <= 2 else
+                max(1, SLAB_POINTS // resolution ** (len(free) - 1)))
+        block = 0.0j
+        for start in range(0, resolution, slab):
+            block = block + eval_block([nodes[start:start + slab]]
+                                       + [nodes] * (len(free) - 1), start)
+        total += weight * block[0] / (resolution ** len(free))
+        half += weight * block[1] / ((resolution // 2) ** len(free))
+    return total, half
 
 
 # ---------------------------------------------------------------------------

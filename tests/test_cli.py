@@ -196,6 +196,18 @@ class TestLhpTables:
             cli._emit_csv([[0, float("inf")]], ["a", "b"], str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["lhp"], ["lhp", "--mode", "finite"],
+                                      ["converge", "--n-list", "4"]])
+    def test_odd_resolution_exit_2(self, thermo_config, bond_path, tmp_path,
+                                   argv):
+        # the quadrature estimate needs the even-indexed half grid
+        out = tmp_path / "report.json"
+        code = cli.main(argv + ["--config", thermo_config, "--path",
+                                bond_path, "--resolution", "127",
+                                "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_malformed_config_exit_2(self, tmp_path, point_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("this is not a config\n")

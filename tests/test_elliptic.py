@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from csoslab.elliptic import (SERIES_BLOCK, SERIES_RTOL, EllipticDomainError,
-                              ModelParams, PoleError, _term_table, bracket,
+                              ModelParams, PoleError, _cdiv, _term_table,
+                              bracket,
                               identity_residual, theta, theta_log)
 
 
@@ -214,6 +215,18 @@ class TestBracket:
         u = 0.27 + 0.12j
         fd = (bracket(u + h, params) - bracket(u - h, params)) / (2 * h)
         assert abs(bracket(u, params, order=1) - fd) < 1e-8
+
+
+class TestComplexDivision:
+    def test_cdiv_rounds_as_python(self):
+        # both branches of Smith's method: |Re b| >= |Im b| and below
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+        b = rng.standard_normal(400) * np.exp(1j * rng.uniform(0, 7, 400))
+        got = _cdiv(a, b)
+        assert got.shape == (400,)
+        assert all(g == complex(x) / complex(y) for g, x, y in zip(got, a, b))
+        assert _cdiv(1.0, b[:3]).tolist() == [1.0 / complex(y) for y in b[:3]]
 
 
 class TestModelParams:

@@ -288,15 +288,16 @@ class TestNormMemo:
 
 
 class _GaudinStores(dict):
-    """A root-set memo that counts the Gaudin kernels stored in it; with
-    keep=False it drops them, so the kernel is computed on every use."""
+    """A root-set memo that counts the entries stored under `key` (the
+    Gaudin kernel by default); with keep=False it drops them, so the entry
+    is computed on every use."""
 
-    def __init__(self, keep=True):
+    def __init__(self, keep=True, key="gaudin"):
         super().__init__()
-        self.keep, self.stores = keep, 0
+        self.keep, self.key, self.stores = keep, key, 0
 
     def __setitem__(self, key, value):
-        if key == "gaudin":
+        if key == self.key:
             self.stores += 1
             if not self.keep:
                 return
@@ -316,6 +317,24 @@ class TestGaudinMemo:
         fresh = B.all_ground_states(config4, params)
         for rs in fresh.values():
             rs.memo = _GaudinStores(keep=False)
+        assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
+        assert all(rs.memo.stores > 1 for rs in fresh.values())
+
+
+    def test_own_d_computed_once(self, params, config4):
+        # d at a set's own roots, read by mpme_det, norm_det and the
+        # partial scalar product
+        gs = B.all_ground_states(config4, params)
+        for rs in gs.values():
+            rs.memo = _GaudinStores(key="d")
+        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), gs)
+        assert [rs.memo.stores for rs in gs.values()] == [1] * len(gs)
+        us = gs[(0, 0)]
+        d = S._own_d(us)
+        assert not d.flags.writeable and np.array_equal(d, us.d_fun(us.v))
+        fresh = B.all_ground_states(config4, params)
+        for rs in fresh.values():
+            rs.memo = _GaudinStores(keep=False, key="d")
         assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
         assert all(rs.memo.stores > 1 for rs in fresh.values())
 
@@ -349,6 +368,21 @@ class TestSectorStacks:
             row = tuple(b[nu] for b in bet)
             assert np.array_equal(q[nu], M._q_transformed(gamma, u, v, z,
                                                           row, params))
+
+    @pytest.mark.parametrize("per_column", [False, True])
+    def test_untransformed_kernel(self, params, per_column):
+        rng = np.random.default_rng(12)
+        n, m, L = 3, 2, 4
+        u = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
+        v = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
+        z = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.2, 0.2, m)
+        bet = self._coefficients(rng, L, m if per_column else 1)
+        stack = S._q_beta(0.27 + 0.19j, u, v, z, bet, params)
+        assert stack.shape == (L, n, m)
+        for nu in range(L):
+            row = tuple(b[nu] for b in bet)
+            assert np.array_equal(stack[nu], S._q_beta(0.27 + 0.19j, u, v, z,
+                                                       row, params))
 
     def test_mean_value_kernel(self, ground4):
         vs = ground4[(1, 1)]
@@ -384,6 +418,30 @@ class TestSectorIndependence:
             monkeypatch.setattr(ModelParams, "bracket", counted)
             calls.clear()
             M.mpme_det(us, vs, PATH1, 1)
+            counts[L] = len(calls)
+            monkeypatch.setattr(ModelParams, "bracket", bracket)
+        assert counts[3] == counts[5], counts
+
+    def test_partial_scalar_bracket_calls_do_not_grow_with_L(self,
+                                                             monkeypatch):
+        # one partial_scalar_det builds its L sector kernels as one stack
+        config = LatticeConfig(N=8, xi=tuple(0.5 + 1j * y for y in (
+            0.04, -0.03, 0.02, -0.05, 0.035, -0.02, 0.05, -0.04)))
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
+        counts = {}
+        for L in (3, 5):
+            params = ModelParams(tau=0.8j, r=1, L=L, s0=0.41 + 0.13j)
+            us = B.solve_ground_state(0, 0, config, params)
+            vs = B.solve_ground_state(1, 1, config, params)
+            monkeypatch.setattr(ModelParams, "bracket", counted)
+            calls.clear()
+            S.partial_scalar_det(us, vs.v, 1)
             counts[L] = len(calls)
             monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert counts[3] == counts[5], counts

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csoslab.elliptic import ModelParams, PoleError
+from csoslab.elliptic import ModelParams, PoleError, theta
 from csoslab.lattice import homogeneous_config
 from csoslab import bethe as B
 from csoslab import scalar as S
@@ -53,15 +53,25 @@ class TestNorms:
             assert val.real > 0
 
 
+@pytest.fixture(scope="module")
+def ground_l5(config4):
+    """(0, 0) ground state of a second model, L = 5 and r = 2."""
+    params = ModelParams(tau=0.8j, r=2, L=5, s0=0.41 + 0.13j)
+    return B.solve_ground_state(0, 0, config4, params)
+
+
 class TestPartialScalar:
-    def test_det_vs_bruteforce_all_heights(self, params, config4, ground4,
+    def test_det_vs_bruteforce_all_heights(self, ground4, ground_l5, config4,
                                            vsets):
-        u00 = ground4[(0, 0)]
-        for v in vsets:
-            for a in range(params.L):
-                pb = S.partial_scalar_bruteforce(u00, v, a, config4, params)
-                pd = S.partial_scalar_det(u00, v, a)
-                assert abs(pb - pd) / max(1e-30, abs(pb)) < 1e-8
+        # the L-sector stack at L = 3 and at L = 5
+        for u00 in (ground4[(0, 0)], ground_l5):
+            params = u00.params
+            for v in vsets:
+                for a in range(params.L):
+                    pb = S.partial_scalar_bruteforce(u00, v, a, config4,
+                                                     params)
+                    pd = S.partial_scalar_det(u00, v, a)
+                    assert abs(pb - pd) / max(1e-30, abs(pb)) < 1e-8
 
     def test_gamma_independence(self, ground4, vsets):
         u00 = ground4[(0, 0)]
@@ -96,6 +106,41 @@ class TestPartialScalar:
         u00 = ground4[(0, 0)]
         with pytest.raises(PoleError):
             S.partial_scalar_det(u00, u00.v, 0)  # colliding parameter sets
+
+
+class TestTwistWeights:
+    @pytest.mark.parametrize("tau, r, L", [(0.8j, 1, 3), (0.8j, 2, 5),
+                                           (0.6j, 1, 4)])
+    def test_equals_scalar_sector_products(self, tau, r, L):
+        # q^{nu s} a_nu(gamma), one sector at a time in Python complex
+        # arithmetic; the array rounds alike
+        params = ModelParams(tau=tau, r=r, L=L, s0=0.41 + 0.13j)
+        eta, s0 = params.eta, params.s0
+        for gamma in (S.default_gamma(params), 0.3123 + 0.19j):
+            for a in range(L):
+                s = params.height(a)
+                got = S.twist_weights(s, gamma, params)
+                assert got.shape == (L,)
+                for nu in range(L):
+                    a_nu = (eta * theta(1, r * s0 + eta * gamma + nu * tau,
+                                        L * tau)
+                            * theta(1, 0, L * tau, order=1)
+                            / (theta(1, r * s0, L * tau)
+                               * theta(1, eta * gamma + nu * tau, L * tau)))
+                    assert got[nu] == params.qpow(nu * s) * a_nu
+
+    def test_pole(self, params):
+        # gamma = 0 puts sector nu = 0 on the zero of theta1
+        with pytest.raises(PoleError, match="a_nu factor"):
+            S.twist_weights(params.s0, 0.0, params)
+
+
+class TestConditionCheck:
+    def test_stack_warns_on_worst_sector(self):
+        stack = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-14]]])
+        with pytest.warns(RuntimeWarning, match="kernel condition"):
+            kappa = S._check_kappa(stack, "test kernel")
+        assert kappa == np.max(np.linalg.cond(stack)) > S.COND_WARN
 
 
 class TestGammaRetry:

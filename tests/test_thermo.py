@@ -147,16 +147,14 @@ class TestOnePoint:
         L, r = Lr
         params = ModelParams(tau=2.5j * r / L, r=r, L=L, s0=0.37 + 0.21j)
         Z = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1))
-        for eps in (0, 1):
-            for t in range(L - r):
-                for a in range(L):
-                    ref = T.one_point_barP(a, Z, eps, t, params,
-                                           mode="nu_sum")
-                    for mode in ("nu_sum_fred", "alt", "closed",
-                                 "closed_tilde"):
-                        val = T.one_point_barP(a, Z, eps, t, params,
-                                               mode=mode)
-                        assert abs(val - ref) < 1e-9 * max(1.0, abs(ref))
+        for z in (Z, np.array([Z, -Z])):   # one point, and an array
+            for eps, t, a in itertools.product((0, 1), range(L - r),
+                                               range(L)):
+                ref = T.one_point_barP(a, z, eps, t, params, mode="nu_sum")
+                for mode in ("nu_sum_fred", "alt", "closed", "closed_tilde"):
+                    val = T.one_point_barP(a, z, eps, t, params, mode=mode)
+                    assert np.all(np.abs(val - ref)
+                                  < 1e-9 * np.maximum(1.0, np.abs(ref)))
 
     def test_parity_forbidden_exact_zero(self):
         params = ModelParams(tau=2.5j / 4, r=1, L=4, s0=0.37 + 0.21j)
@@ -294,7 +292,8 @@ class TestMultiPoint:
         # slabs of 5 rows, the last one short
         monkeypatch.setattr(T, "SLAB_POINTS", 5 * 64 * 64)
         split = T._lhp_contour_sum(path, 0, 0, zt, fam, params, 64)
-        assert abs(split - one) <= 1e-15
+        for got, want in zip(split, one):   # full grid, even subgrid
+            assert abs(got - want) <= 1e-15
 
     @pytest.mark.parametrize("heights", [(0, 1, 2), (0, 1, 0), (0, 1, 2, 3)])
     def test_contour_sum_vs_pointwise(self, setup, monkeypatch, heights):
@@ -305,7 +304,7 @@ class TestMultiPoint:
         path = M.vertical_path(heights)
         zt, fam = T._classify_zetas(path, config, params)
         R = 16
-        ref = T._lhp_contour_sum(path, 0, 0, zt, fam, params, R)
+        ref = T._lhp_contour_sum(path, 0, 0, zt, fam, params, R)[0]
         monkeypatch.setattr(T, "_on_distinct",
                             lambda fun, *terms: fun(sum(terms)))
         m, s1o = path.m, path.heights[0]
@@ -359,6 +358,26 @@ class TestMultiPoint:
         assert counts[128] <= 100 * 128
         assert counts[128] <= 2.5 * counts[64]
 
+    @pytest.mark.parametrize("heights", [(0, 1), (0, 1, 2), (0, 1, 2, 3)])
+    def test_estimate_is_the_half_resolution_gap(self, setup, heights):
+        # one pass reads the R/2 sum off the even-indexed nodes; it equals
+        # the sum of a separate call at R/2
+        params, config = setup
+        path = M.vertical_path(heights)
+        zt, fam = T._classify_zetas(path, config, params)
+        R = 32
+        _, est = T.multipoint_lhp(path, 0, 0, config, params, resolution=R)
+        full = T._lhp_contour_sum(path, 0, 0, zt, fam, params, R)[0]
+        half = T._lhp_contour_sum(path, 0, 0, zt, fam, params, R // 2)[0]
+        assert abs(est - abs(full - half)) <= 1e-15
+
+    @pytest.mark.parametrize("resolution", [7, 1, 0, -4])
+    def test_resolution_must_be_even(self, setup, resolution):
+        params, config = setup
+        with pytest.raises(ValueError, match="even"):
+            T.multipoint_lhp(M.vertical_path((0, 1)), 0, 0, config, params,
+                             resolution=resolution)
+
     def test_quadrature_doubling(self, setup):
         params, config = setup
         path = M.vertical_path((0, 1))
@@ -390,7 +409,7 @@ class TestMultiPoint:
         from csoslab.elliptic import AccuracyError
         params, config = setup
         monkeypatch.setattr(T, "_lhp_contour_sum",
-                            lambda *args: complex("nan"))
+                            lambda *args: (complex("nan"), complex("nan")))
         with pytest.raises(AccuracyError):
             T.multipoint_lhp(M.vertical_path((0, 1)), 0, 0, config, params,
                              resolution=8, tolerance=1e-8)
