@@ -20,6 +20,7 @@ from .scalar import (gaudin_matrix, norm_det, partial_scalar_bruteforce,
 from .matel import (AdjacentPath, finite_lhp, mpme_bruteforce, mpme_det,
                     vertical_path)
 from .thermo import (density, fredholm_det, kernel_fourier, lieb_residual,
-                     multipoint_lhp, one_point_barP, resolvent_S)
+                     lhp_table, multipoint_lhp, one_point_barP,
+                     resolvent_S)
 
 __version__ = "0.1.0"

@@ -309,44 +309,45 @@ def cmd_lhp(args):
     resolution = thermo.check_resolution(
         args.resolution or int(cfg.get("resolution", "512")))
     labels = [(eps, t) for eps in (0, 1) for t in range(params.L - params.r)]
+    shifts = range(params.L)
+    config = build_lattice(cfg, params)
     records = []
     if args.mode == "finite":
-        config = build_lattice(cfg, params)
         gs = bethe.all_ground_states(config, params)
         signs = matel.calibrate_norm_signs(gs)
+        # a skip reason depends on the path arguments only, so it holds for
+        # every record of the table
+        refs, skip_reason = {}, None
+        try:
+            refs = thermo.lhp_table(path, labels, shifts, config, params,
+                                    resolution)
+        except (ValueError, PoleError) as exc:
+            skip_reason = str(exc)
         for eps, t in labels:
-            for c in range(params.L):
+            for c in shifts:
                 sp = _shifted(path, c)
                 val = matel.flat_matrix_element(sp, (eps, t), (eps, t), gs,
                                                 signs=signs)
-                deviation = skip_reason = None
-                try:
-                    ref, _ = thermo.multipoint_lhp(sp, eps, t, config, params,
-                                                   resolution=resolution)
-                    deviation = float(abs(val - ref))
-                except (ValueError, PoleError) as exc:
-                    skip_reason = str(exc)
+                ref = refs.get((eps, t, c))
                 records.append({"eps": eps, "t": t, "height_shift": c,
                                 "heights": list(sp.heights),
                                 "value_re": float(val.real),
                                 "value_im": float(val.imag),
                                 "error_estimate": None,
-                                "deviation_from_thermo": deviation,
+                                "deviation_from_thermo":
+                                None if ref is None else
+                                float(abs(val - ref[0])),
                                 "thermo_skipped": skip_reason})
     else:
-        config = build_lattice(cfg, params)
-        for eps, t in labels:
-            for c in range(params.L):
-                sp = _shifted(path, c)
-                val, err = thermo.multipoint_lhp(
-                    sp, eps, t, config, params, resolution=resolution,
-                    tolerance=args.tolerance)
-                records.append({"eps": eps, "t": t, "height_shift": c,
-                                "heights": list(sp.heights),
-                                "value_re": float(np.real(val)),
-                                "value_im": float(np.imag(val)),
-                                "error_estimate": float(err),
-                                "deviation_from_thermo": None})
+        table = thermo.lhp_table(path, labels, shifts, config, params,
+                                 resolution, tolerance=args.tolerance)
+        for (eps, t, c), (val, err) in table.items():
+            records.append({"eps": eps, "t": t, "height_shift": c,
+                            "heights": list(_shifted(path, c).heights),
+                            "value_re": float(np.real(val)),
+                            "value_im": float(np.imag(val)),
+                            "error_estimate": float(err),
+                            "deviation_from_thermo": None})
     doc = {
         "mode": args.mode,
         "path": path.to_json_dict(),

@@ -13,6 +13,7 @@ The squared norm of a Bethe eigenstate has the single-determinant (Gaudin)
 form with the usual diagonal log-derivative of a/d.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -70,9 +71,12 @@ def partial_scalar_bruteforce(u_set, v_list, a, config, params):
     return st.bra_contract_reference()
 
 
+@functools.lru_cache(maxsize=256)
 def twist_weights(s, gamma, params):
     """The L twist-sector weights q^{nu s} a_nu(gamma), a_nu built from
-    theta functions at modulus L*tau; each rounds as one sector's scalars."""
+    theta functions at modulus L*tau; each rounds as one sector's scalars.
+
+    Computed once per (s, gamma, params); the array is read-only."""
     tau, L, r, eta = params.tau, params.L, params.r, params.eta
     nu = np.arange(L)
     den = _cmul(theta(1, eta * gamma + nu * tau, L * tau),
@@ -81,7 +85,9 @@ def twist_weights(s, gamma, params):
         raise PoleError("a_nu factor hits a pole; redraw gamma")
     num = _cmul(eta * theta(1, r * params.s0 + eta * gamma + nu * tau,
                             L * tau), theta(1, 0, L * tau, order=1))
-    return _cmul(params.qpow(nu * s), _cdiv(num, den))
+    out = _cmul(params.qpow(nu * s), _cdiv(num, den))
+    out.flags.writeable = False
+    return out
 
 
 def _sector_q_powers(params):

@@ -476,28 +476,39 @@ def cauchy_factor_S(lams, mus, params, frozen):
 
 
 def _on_distinct(fun, *terms):
-    """fun(sum of terms), with fun evaluated once per distinct sum.
+    """fun(sum of terms), with fun evaluated once per distinct sum (see
+    `_distinct_sums`)."""
+    points, index = _distinct_sums(*terms)
+    vals = fun(points)
+    return vals if index is None else vals[sum(index)]
+
+
+def _distinct_sums(*terms):
+    """The distinct values of a sum of terms, and the index that gathers
+    them back to the broadcast shape of the terms.
 
     A term is a value or an array holding a contiguous run of the
     quadrature nodes -1/2 + k/R, possibly negated; the arrays broadcast
     against each other.  With the nodes evenly spaced, a sum is fixed by
-    its total integer node offset: fun sees each offset once, at most
-    (number of arrays) x (R - 1) + 1 points, and its values are gathered
-    back to the broadcast shape by that offset.  For R a power of two the
-    node sums are exact, so every point gets the bits of a pointwise sum.
+    its total integer node offset: there are at most (number of arrays) x
+    (R - 1) + 1 distinct sums, and the index is that offset.  It comes as
+    one broadcastable part per array, summed where a gather needs it, so
+    no index of the full grid outlives its gather.  For R a power of two
+    the node sums are exact, so every point gets the bits of a pointwise
+    sum.  Without an array term the index is None.
     """
     runs = [t for t in terms if np.size(t) > 1]
     rest = [np.ravel(t)[0] for t in terms if np.size(t) == 1]
     if not runs:
-        return fun(sum(rest))
-    start, offset, count = 0.0, 0, 1
+        return sum(rest), None
+    start, index, count = 0.0, [], 1
     for t in runs:
         vals, idx = np.unique(t, return_inverse=True)
         start += vals[0]
-        offset = offset + idx.reshape(np.shape(t))
+        index.append(idx.reshape(np.shape(t)))
         count += len(vals) - 1
         step = vals[1] - vals[0]
-    return fun(sum(rest, start + step * np.arange(count)))[offset]
+    return sum(rest, start + step * np.arange(count)), index
 
 
 def _classify_zetas(path, config, params):
@@ -531,53 +542,70 @@ def check_resolution(resolution):
     return resolution
 
 
-def multipoint_lhp(path, eps, t_label, config, params, resolution=512,
-                   perturb_degenerate=False, tolerance=None):
-    """Multi-point LHP at adjacent sites in the flat ground-state basis.
+def lhp_table(path, labels, shifts, config, params, resolution,
+              tolerance=None, perturb_degenerate=False):
+    """Multi-point LHPs at adjacent sites for a table of records: each flat
+    ground-state label (eps, t) in `labels` with each height shift c in
+    `shifts`, which raises every height of the path by c.
 
-    Returns (value, error_estimate); the estimate compares the quadrature
-    with its half-resolution subgrid (an even `resolution` has one), and
-    with `tolerance` set an estimate above it raises AccuracyError carrying
-    the achieved value.  Degenerate argument pairs {xi~, xi~ - eta~} are
-    refused unless perturb_degenerate is set, in which case a Richardson
-    extrapolation over two small offsets is used.
+    Returns {(eps, t, c): (value, error_estimate)} in report order, labels
+    outer.  All records share one quadrature grid.  The estimate compares
+    the quadrature with its half-resolution subgrid (an even `resolution`
+    has one); with `tolerance` set, the first record in report order whose
+    estimate is above it raises AccuracyError.  Degenerate argument pairs
+    {xi~, xi~ - eta~} are refused unless perturb_degenerate is set, in
+    which case a Richardson extrapolation over two small offsets is used.
     """
     m = path.m
     if m > 3:
         raise ValueError("multiple integrals supported for m <= 3 only")
     check_resolution(resolution)
-    et = params.eta_tilde
+    records = [(eps, t, c) for eps, t in labels for c in shifts]
     if m == 0:
-        return one_point_barP(path.heights[0], 0.0, eps, t_label, params), 0.0
+        return {(eps, t, c): (one_point_barP(path.heights[0] + c, 0.0, eps, t,
+                                             params), 0.0)
+                for eps, t, c in records}
     zt, fam = _classify_zetas(path, config, params)
+    et = params.eta_tilde
     if any(abs(zi - zj - et) < 1e-9 for zi in zt for zj in zt):
         if not perturb_degenerate:
             raise PoleError("degenerate argument pair {xi~, xi~ - eta~}; "
                             "enable perturb_degenerate to extrapolate")
-        return _lhp_perturbed(path, eps, t_label, config, params, resolution)
-    val_full, val_half = _lhp_contour_sum(path, eps, t_label, zt, fam,
-                                          params, resolution)
-    estimate = abs(val_full - val_half)
-    if tolerance is not None and not estimate <= tolerance:
-        floor = ("; m = 3 estimates bottom out near 5e-14, where the "
-                 "residue-combination sums cancel" if m == 3 else "")
-        raise AccuracyError(
-            f"quadrature estimate {estimate:.2e} above tolerance "
-            f"{tolerance:.2e} at resolution {resolution}{floor}")
-    return val_full, estimate
+        return dict(zip(records, _lhp_perturbed(path, records, zt, fam,
+                                                params, resolution)))
+    table = {}
+    for rec, (full, half) in zip(records, _lhp_contour_sum(
+            path, records, zt, fam, params, resolution)):
+        estimate = abs(full - half)
+        if tolerance is not None and not estimate <= tolerance:
+            floor = ("; m = 3 estimates bottom out near 5e-14, where the "
+                     "residue-combination sums cancel" if m == 3 else "")
+            raise AccuracyError(
+                f"quadrature estimate {estimate:.2e} above tolerance "
+                f"{tolerance:.2e} at resolution {resolution}{floor}")
+        table[rec] = (full, estimate)
+    return table
 
 
-def _lhp_perturbed(path, eps, t_label, config, params, resolution):
-    """Richardson extrapolation over a perturbed degenerate argument pair.
+def multipoint_lhp(path, eps, t_label, config, params, resolution=512,
+                   perturb_degenerate=False, tolerance=None):
+    """Multi-point LHP of one flat label at the path's own heights: the
+    single record (eps, t_label, 0) of `lhp_table`, as (value, estimate)."""
+    return lhp_table(path, [(eps, t_label)], [0], config, params, resolution,
+                     tolerance, perturb_degenerate)[eps, t_label, 0]
+
+
+def _lhp_perturbed(path, records, zt0, fam, params, resolution):
+    """Richardson extrapolation over a perturbed degenerate argument pair,
+    one (value, estimate) per record.
 
     The member of each offending pair {xi~, xi~ - eta~} sitting in the
     shifted family is moved by a small real delta; the limit delta -> 0 is
     then taken linearly from two offsets.
     """
-    zt0, fam = _classify_zetas(path, config, params)
     et = params.eta_tilde
     deltas = (1e-4, 5e-5)
-    vals = []
+    sums = []
     for d in deltas:
         zt = list(zt0)
         for i in range(len(zt)):
@@ -585,23 +613,33 @@ def _lhp_perturbed(path, eps, t_label, config, params, resolution):
                 if i != j and abs(zt[i] - zt[j] + et) < 1e-9:
                     # zt[i] = zt[j] - eta~: shift the shifted-family member
                     zt[i] = zt[i] + d
-        vals.append(_lhp_contour_sum(path, eps, t_label, zt, fam, params,
-                                     resolution)[0])
-    v1, v2 = vals
-    extrap = v2 + (v2 - v1) * deltas[1] / (deltas[0] - deltas[1])
-    return extrap, abs(v2 - v1)
+        sums.append(_lhp_contour_sum(path, records, zt, fam, params,
+                                     resolution))
+    out = []
+    for (v1, _), (v2, _) in zip(*sums):
+        extrap = v2 + (v2 - v1) * deltas[1] / (deltas[0] - deltas[1])
+        out.append((extrap, abs(v2 - v1)))
+    return out
 
 
-def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution):
-    """The quadrature at `resolution` and on its even-indexed subgrid, the
-    nodes of resolution // 2, from one evaluation of each block."""
+def _lhp_contour_sum(path, records, zt, fam, params, resolution):
+    """The quadrature of each (eps, t, c) record at `resolution` and on its
+    even-indexed subgrid, the nodes of resolution // 2: one (full, half)
+    pair per record.
+
+    Per residue combination and slab the Cauchy core S and the node-sum
+    gather are evaluated once, G~ once per height shift c; a record adds
+    its one-point factor on the distinct node sums.
+    """
     m = path.m
     alphas = path.alphas
-    s1o = path.heights[0]
-    ipos, n_minus = slot_positions(alphas)
+    by_shift = {}
+    for i, (eps, t_label, c) in enumerate(records):
+        by_shift.setdefault(c, []).append((i, eps, t_label))
     mus = np.asarray(zt, dtype=complex)
 
     # admissible residue targets per integration slot
+    _, n_minus = slot_positions(alphas)
     choices = []
     for p in range(m):
         want, weight = ("shifted", 1.0) if p < n_minus else ("plain", -1.0)
@@ -609,7 +647,8 @@ def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution):
                                           if f == want])
 
     nodes = -0.5 + np.arange(resolution) / resolution
-    total = half = 0.0j
+    total = [0.0j] * len(records)
+    half = [0.0j] * len(records)
     for combo in itertools.product(*choices):
         frozen = [c[0] != "seg" for c in combo]
         weight = math.prod(c[0] for c in combo if c[0] != "seg")
@@ -619,35 +658,49 @@ def _lhp_contour_sum(path, eps, t_label, zt, fam, params, resolution):
         if len(pts) != len(set(pts)):
             continue
 
-        def eval_block(node_blocks, first=0):
+        # slab the leading axis of a 3-d grid so it stays in memory
+        slab = (resolution if len(free) <= 2 else
+                max(1, SLAB_POINTS // resolution ** (len(free) - 1)))
+        blocks = [0.0j] * len(records)
+        for first in range(0, resolution, slab):
             # each free lambda on its own grid axis, a frozen one a value;
             # the leading axis starts at node `first`
             lams = [c[1] for c in combo]
             for axis, p in enumerate(free):
-                lams[p] = node_blocks[axis].reshape(
+                run = nodes[first:first + slab] if axis == 0 else nodes
+                lams[p] = run.reshape(
                     (1,) * axis + (-1,) + (1,) * (len(free) - axis - 1))
-            gt = algebraic_factor_Gtilde(lams, params.height(s1o), alphas,
-                                         mus, params)
             sc = cauchy_factor_S(lams, mus, params, frozen)
-            pb = _on_distinct(
-                lambda Z: one_point_barP(s1o, Z, eps, t_label, params,
-                                         mode="closed"),
-                *lams, -mus.sum())
-            vals = np.asarray(gt * sc * pb)
-            even = vals[tuple(slice(first % 2 if axis == 0 else 0, None, 2)
-                              for axis in range(np.ndim(vals)))]
-            return np.array([np.sum(vals), np.sum(np.ascontiguousarray(even))])
+            zs, index = _distinct_sums(*lams, -mus.sum())
+            for c, group in by_shift.items():
+                s1o = path.heights[0] + c
+                gs = algebraic_factor_Gtilde(lams, params.height(s1o),
+                                             alphas, mus, params) * sc
+                for i, eps, t_label in group:
+                    pb = one_point_barP(s1o, zs, eps, t_label, params,
+                                        mode="closed")
+                    blocks[i] = blocks[i] + _block_sums(
+                        gs, pb if index is None else pb[sum(index)], first)
+                del gs   # one (G~ S) block alive at a time
+        for i, block in enumerate(blocks):
+            total[i] += weight * block[0] / (resolution ** len(free))
+            half[i] += weight * block[1] / ((resolution // 2) ** len(free))
+    return list(zip(total, half))
 
-        # slab the leading axis of a 3-d grid so it stays in memory
-        slab = (resolution if len(free) <= 2 else
-                max(1, SLAB_POINTS // resolution ** (len(free) - 1)))
-        block = 0.0j
-        for start in range(0, resolution, slab):
-            block = block + eval_block([nodes[start:start + slab]]
-                                       + [nodes] * (len(free) - 1), start)
-        total += weight * block[0] / (resolution ** len(free))
-        half += weight * block[1] / ((resolution // 2) ** len(free))
-    return total, half
+
+def _block_sums(gs, pb, first):
+    """The sums of gs * pb over a block of the grid and over its
+    even-indexed nodes, the leading axis starting at node `first`.
+
+    An array pb is overwritten with the product.  The operands keep their
+    order, (G~ S) P: with fused multiply-adds a complex product rounds
+    apart from its swap.
+    """
+    vals = (np.multiply(gs, pb, out=pb) if np.ndim(pb)
+            else np.asarray(gs * pb))
+    even = vals[tuple(slice(first % 2 if axis == 0 else 0, None, 2)
+                      for axis in range(np.ndim(vals)))]
+    return np.array([np.sum(vals), np.sum(np.ascontiguousarray(even))])
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ class TestLhpTables:
         def pole(*args, **kwargs):
             raise PoleError("contour pole")
 
-        monkeypatch.setattr(cli.thermo, "multipoint_lhp", pole)
+        monkeypatch.setattr(cli.thermo, "lhp_table", pole)
         out = tmp_path / "table.json"
         code = cli.main(["lhp", "--mode", "finite", "--config", thermo_config,
                          "--path", point_path, "--out", str(out)])
@@ -164,7 +164,8 @@ class TestLhpTables:
         def fail(*args, **kwargs):
             raise AccuracyError("quadrature did not converge")
 
-        monkeypatch.setattr(cli.thermo, "multipoint_lhp", fail)
+        monkeypatch.setattr(cli.thermo, ("lhp_table" if mode == "lhp"
+                                         else "multipoint_lhp"), fail)
         out = tmp_path / "report.json"
         argv = (["lhp", "--mode", "finite"] if mode == "lhp"
                 else ["converge", "--n-list", "4"])
@@ -172,6 +173,25 @@ class TestLhpTables:
                                 point_path, "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
         assert not out.exists()
+
+    def test_table_tolerance_failure(self, thermo_config, bond_path,
+                                     tmp_path, capsys):
+        # the first record above the tolerance ends the run with exit 1 and
+        # its one-record message; nothing is written
+        cfg = cli.parse_config(thermo_config)
+        params = cli.build_params(cfg)
+        config = cli.build_lattice(cfg, params)
+        path = cli.load_path(bond_path)
+        with pytest.raises(AccuracyError) as one:
+            cli.thermo.multipoint_lhp(path, 0, 0, config, params,
+                                      resolution=8, tolerance=1e-5)
+        out = tmp_path / "table.json"
+        code = cli.main(["lhp", "--mode", "thermo", "--config", thermo_config,
+                         "--path", bond_path, "--resolution", "8",
+                         "--tolerance", "1e-5", "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        assert not out.exists()
+        assert capsys.readouterr().err == f"numerical failure: {one.value}\n"
 
     def test_coinciding_path_arguments_refused(self, thermo_config,
                                                tmp_path):

@@ -8,6 +8,7 @@ from csoslab.lattice import LatticeConfig, homogeneous_config
 from csoslab import bethe as B
 from csoslab import matel as M
 from csoslab import scalar as S
+from csoslab import thermo as T
 
 
 def path_down(heights, start=(1, 1)):
@@ -285,6 +286,29 @@ class TestNormMemo:
                             lambda rs: complex(np.sqrt(norm_det(rs))))
         fresh = B.all_ground_states(config4, params)
         assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
+
+
+class TestTwistWeightMemo:
+    def test_weights_computed_once_per_height(self, params, ground4,
+                                              monkeypatch):
+        # every mpme_det of the element and every sign calibration asks for
+        # the weights; they are evaluated once per (height, gamma) pair
+        S.twist_weights.cache_clear()
+        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), ground4)
+        info = S.twist_weights.cache_info()
+        assert info.misses == params.L       # the heights s0 + a, one gamma
+        assert info.hits + info.misses >= len(ground4) ** 2
+        # the same value, to the bit, as weights computed on every use
+        fresh = S.twist_weights.__wrapped__
+        monkeypatch.setattr(M, "twist_weights", fresh)
+        monkeypatch.setattr(T, "twist_weights", fresh)
+        assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), ground4) == val
+
+    def test_cached_weights_are_read_only(self, params):
+        w = S.twist_weights(params.height(1), 0.2 + 0.1j, params)
+        assert w is S.twist_weights(params.height(1), 0.2 + 0.1j, params)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 class _GaudinStores(dict):

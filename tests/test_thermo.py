@@ -288,26 +288,29 @@ class TestMultiPoint:
         params, config = setup
         path = M.vertical_path((0, 1, 2, 3))
         zt, fam = T._classify_zetas(path, config, params)
-        one = T._lhp_contour_sum(path, 0, 0, zt, fam, params, 64)
+        [one] = T._lhp_contour_sum(path, [(0, 0, 0)], zt, fam, params, 64)
         # slabs of 5 rows, the last one short
         monkeypatch.setattr(T, "SLAB_POINTS", 5 * 64 * 64)
-        split = T._lhp_contour_sum(path, 0, 0, zt, fam, params, 64)
+        [split] = T._lhp_contour_sum(path, [(0, 0, 0)], zt, fam, params, 64)
         for got, want in zip(split, one):   # full grid, even subgrid
             assert abs(got - want) <= 1e-15
 
     @pytest.mark.parametrize("heights", [(0, 1, 2), (0, 1, 0), (0, 1, 2, 3)])
     def test_contour_sum_vs_pointwise(self, setup, monkeypatch, heights):
         # the same factor functions on the full meshgrid, each factor
-        # evaluated at every point; combinations whose frozen lambdas
-        # coincide are kept, the Cauchy core's theta1(0) zeroes them
+        # evaluated at every point, for table records with nonzero labels
+        # and height shifts, each against its own grid; combinations whose
+        # frozen lambdas coincide are kept, the Cauchy core's theta1(0)
+        # zeroes them
         params, config = setup
         path = M.vertical_path(heights)
         zt, fam = T._classify_zetas(path, config, params)
         R = 16
-        ref = T._lhp_contour_sum(path, 0, 0, zt, fam, params, R)[0]
+        records = [(0, 0, 0), (1, 0, 1), (0, 1, 2), (1, 1, 1)]
+        sums = T._lhp_contour_sum(path, records, zt, fam, params, R)
         monkeypatch.setattr(T, "_on_distinct",
                             lambda fun, *terms: fun(sum(terms)))
-        m, s1o = path.m, path.heights[0]
+        m = path.m
         _, n_minus = M.slot_positions(path.alphas)
         mus = np.asarray(zt)
         nodes = -0.5 + np.arange(R) / R
@@ -317,22 +320,24 @@ class TestMultiPoint:
                             else ("plain", -1.0))
             options.append([None] + [(weight, z) for z, f in zip(zt, fam)
                                      if f == want])
-        total = 0.0j
-        for combo in itertools.product(*options):
-            frozen = [c is not None for c in combo]
-            free = [p for p in range(m) if not frozen[p]]
-            lams = [c[1] if c else None for c in combo]
-            grids = np.meshgrid(*[nodes] * len(free), indexing="ij")
-            for p, grid in zip(free, grids):
-                lams[p] = grid.ravel()
-            vals = (T.algebraic_factor_Gtilde(lams, params.height(s1o),
-                                              path.alphas, mus, params)
-                    * T.cauchy_factor_S(lams, mus, params, frozen)
-                    * T.one_point_barP(s1o, sum(lams) - mus.sum(), 0, 0,
-                                       params, mode="closed"))
-            weight = math.prod(c[0] for c in combo if c is not None)
-            total += weight * np.sum(vals) / R ** len(free)
-        assert abs(total - ref) <= 1e-14
+        for (eps, t, shift), (got, _) in zip(records, sums):
+            s1o = path.heights[0] + shift
+            total = 0.0j
+            for combo in itertools.product(*options):
+                frozen = [c is not None for c in combo]
+                free = [p for p in range(m) if not frozen[p]]
+                lams = [c[1] if c else None for c in combo]
+                grids = np.meshgrid(*[nodes] * len(free), indexing="ij")
+                for p, grid in zip(free, grids):
+                    lams[p] = grid.ravel()
+                vals = (T.algebraic_factor_Gtilde(lams, params.height(s1o),
+                                                  path.alphas, mus, params)
+                        * T.cauchy_factor_S(lams, mus, params, frozen)
+                        * T.one_point_barP(s1o, sum(lams) - mus.sum(), eps,
+                                           t, params, mode="closed"))
+                weight = math.prod(c[0] for c in combo if c is not None)
+                total += weight * np.sum(vals) / R ** len(free)
+            assert abs(total - got) <= 1e-14, (eps, t, shift)
 
     def test_points_grow_linearly(self, setup, monkeypatch):
         # every factor depends on one lambda, a difference or the sum, so
@@ -367,8 +372,10 @@ class TestMultiPoint:
         zt, fam = T._classify_zetas(path, config, params)
         R = 32
         _, est = T.multipoint_lhp(path, 0, 0, config, params, resolution=R)
-        full = T._lhp_contour_sum(path, 0, 0, zt, fam, params, R)[0]
-        half = T._lhp_contour_sum(path, 0, 0, zt, fam, params, R // 2)[0]
+        [(full, _)] = T._lhp_contour_sum(path, [(0, 0, 0)], zt, fam, params,
+                                         R)
+        [(half, _)] = T._lhp_contour_sum(path, [(0, 0, 0)], zt, fam, params,
+                                         R // 2)
         assert abs(est - abs(full - half)) <= 1e-15
 
     @pytest.mark.parametrize("resolution", [7, 1, 0, -4])
@@ -408,11 +415,71 @@ class TestMultiPoint:
     def test_nan_estimate_fails_tolerance(self, setup, monkeypatch):
         from csoslab.elliptic import AccuracyError
         params, config = setup
-        monkeypatch.setattr(T, "_lhp_contour_sum",
-                            lambda *args: (complex("nan"), complex("nan")))
+        monkeypatch.setattr(
+            T, "_lhp_contour_sum", lambda path, records, *args:
+            [(complex("nan"), complex("nan"))] * len(records))
         with pytest.raises(AccuracyError):
             T.multipoint_lhp(M.vertical_path((0, 1)), 0, 0, config, params,
                              resolution=8, tolerance=1e-8)
+
+    @staticmethod
+    def _table_vs_single_calls(path, config, params, resolution, **kw):
+        # every record of a table, value and estimate, to the bit, against
+        # the one-record call on the shifted path
+        labels = [(eps, t) for eps in (0, 1)
+                  for t in range(params.L - params.r)]
+        table = T.lhp_table(path, labels, range(params.L), config, params,
+                            resolution, **kw)
+        assert list(table) == [(eps, t, c) for eps, t in labels
+                               for c in range(params.L)]
+        for (eps, t, c), got in table.items():
+            shifted = M.AdjacentPath(path.vertices,
+                                     tuple(h + c for h in path.heights))
+            assert got == T.multipoint_lhp(shifted, eps, t, config, params,
+                                           resolution=resolution, **kw)
+
+    @pytest.mark.parametrize("heights", [(0, 1), (0, -1), (0, 1, 2),
+                                         (0, 1, 0), (0, 1, 2, 3)])
+    def test_table_matches_single_calls(self, setup, heights):
+        params, config = setup
+        self._table_vs_single_calls(M.vertical_path(heights), config, params,
+                                    16 if len(heights) == 4 else 64)
+
+    def test_perturbed_table_matches_single_calls(self, setup):
+        params, config = setup
+        path = M.AdjacentPath(vertices=((1, 1), (2, 1), (1, 1)),
+                              heights=(0, 1, 0))
+        self._table_vs_single_calls(path, config, params, 32,
+                                    perturb_degenerate=True)
+
+    def test_slabbed_table_matches_single_calls(self, setup, monkeypatch):
+        params, config = setup
+        # slabs of 5 rows, the last one short
+        monkeypatch.setattr(T, "SLAB_POINTS", 5 * 16 * 16)
+        self._table_vs_single_calls(M.vertical_path((0, 1, 2, 3)), config,
+                                    params, 16)
+
+    def test_table_tolerance_error_is_the_first_records(self, setup):
+        # the first record in report order above the tolerance raises, with
+        # the text of its one-record call
+        from csoslab.elliptic import AccuracyError
+        params, config = setup
+        path = M.vertical_path((0, 1))
+        labels = [(eps, t) for eps in (0, 1)
+                  for t in range(params.L - params.r)]
+        tol, R = 1e-5, 8
+        table = T.lhp_table(path, labels, range(params.L), config, params, R)
+        over = [rec for rec, (_, est) in table.items() if est > tol]
+        worst = max(table, key=lambda rec: table[rec][1])
+        assert over and over[0] != worst
+        eps, t, c = over[0]
+        with pytest.raises(AccuracyError) as one:
+            T.multipoint_lhp(M.vertical_path((c, 1 + c)), eps, t, config,
+                             params, resolution=R, tolerance=tol)
+        with pytest.raises(AccuracyError) as info:
+            T.lhp_table(path, labels, range(params.L), config, params, R,
+                        tolerance=tol)
+        assert str(info.value) == str(one.value)
 
     def test_degenerate_pair_refused_and_perturbed(self, setup):
         params, config = setup
