@@ -206,16 +206,17 @@ def _cumulative_density(x, coeffs):
         2.0 * np.real(term * coeffs / (2j * math.pi * m)), axis=-1)
 
 
-def _initial_guess(n, k, ell, config, params, modes=80):
+def _initial_guess(n, k, ell, config, params):
     """Quantiles of the root density seed the Newton iteration.
 
-    All n targets are bisected together, 60 halvings of [-1/2, 1/2].
+    The density is summed over its first 80 Fourier modes; all n targets
+    are bisected together, 60 halvings of [-1/2, 1/2].
     """
     N = config.N
     targets = (np.arange(1, n + 1) + k - (n + 1) / 2.0
                + (params.r * n + 2.0 * ell) / params.L) / N + 0.25
     targets = np.clip(targets, 0.02, 0.48)
-    coeffs = density_fourier(np.arange(1, modes + 1), config, params)
+    coeffs = density_fourier(np.arange(1, 81), config, params)
     lo, hi = np.full(n, -0.5), np.full(n, 0.5)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -225,12 +226,12 @@ def _initial_guess(n, k, ell, config, params, modes=80):
     return np.sort(0.5 * (lo + hi))
 
 
-def solve_ground_state(k, ell, config, params, tol=1e-13, max_iters=200,
-                       cache_dir=None):
+def solve_ground_state(k, ell, config, params, cache_dir=None):
     """Damped-Newton solution of the logarithmic Bethe equations.
 
-    Returns a BetheRootSet with multiplicative residual below 1e-10; raises
-    SolverError (carrying the best iterate) on failure.
+    Iterates until the log residual is at most 1e-13, for at most 200
+    steps.  Returns a BetheRootSet with multiplicative residual below 1e-10;
+    raises SolverError (carrying the best iterate) on failure.
     """
     config.validate(params)
     if k not in (0, 1):
@@ -247,7 +248,7 @@ def solve_ground_state(k, ell, config, params, tol=1e-13, max_iters=200,
     res = log_bethe_residual(x, k, ell, config, params)
     rnorm = float(np.max(np.abs(res)))
     iters = 0
-    while rnorm > tol and iters < max_iters:
+    while rnorm > 1e-13 and iters < 200:
         jac = _log_bethe_jacobian(x, config, params)
         try:
             step = np.linalg.solve(jac, res)

@@ -48,9 +48,7 @@ def build_params(cfg):
     if cfg.get("s0", "") == "physical":
         s0 = tau / (2.0 * int(cfg["r"]) / int(cfg["L"]))
         s0 += float(cfg.get("s0_shift", "0"))
-    validate = cfg.get("validate", "1") != "0"
-    return ModelParams(tau=tau, r=int(cfg["r"]), L=int(cfg["L"]), s0=s0,
-                       validate=validate)
+    return ModelParams(tau=tau, r=int(cfg["r"]), L=int(cfg["L"]), s0=s0)
 
 
 def build_lattice(cfg, params, n_override=None):
@@ -186,18 +184,17 @@ def _suite_appendixB(rng, draws):
     return out
 
 
-def _suite_appendixC(rng, draws, modes=200):
+def _suite_appendixC(rng, draws):
     L, r = 3, 1
     params = ModelParams(tau=2.5j * r / L, r=r, L=L, s0=0.37 + 0.21j)
     X = complex(rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.2))
     Y = complex(rng.uniform(0.2, 0.5), rng.uniform(-0.3, -0.1))
     out = {}
-    base_t = thermo.fredholm_det("base", "truncated", params, modes=modes)
-    base_c = thermo.fredholm_det("base", "closed", params, modes=modes)
+    base_t = thermo.fredholm_det("base", "truncated", params)
+    base_c = thermo.fredholm_det("base", "closed", params)
     out["fredholm_base"] = abs(base_t - base_c) / abs(base_c)
-    xy_t = thermo.fredholm_det("XY", "truncated", params, X=X, Y=Y,
-                               modes=modes)
-    xy_c = thermo.fredholm_det("XY", "closed", params, X=X, Y=Y, modes=modes)
+    xy_t = thermo.fredholm_det("XY", "truncated", params, X=X, Y=Y)
+    xy_c = thermo.fredholm_det("XY", "closed", params, X=X, Y=Y)
     out["fredholm_XY"] = abs(xy_t - xy_c) / abs(xy_c)
     ratio = thermo.fredholm_det("ratio", "closed", params, X=X, Y=Y)
     out["fredholm_ratio"] = abs(ratio - xy_c / base_c) / abs(ratio)
@@ -205,7 +202,7 @@ def _suite_appendixC(rng, draws, modes=200):
     res = 2j * math.pi * np.mean(thermo.resolvent_S(Y, circle, params) * circle)
     out["resolvent_residue"] = abs(res - 1.0)
     out["resolvent_equation"] = thermo.resolvent_equation_residual(
-        Y, X, 0.03 + 0.2j, params, modes=max(modes, 300))
+        Y, X, 0.03 + 0.2j, params)
     kq = 0.0
     nodes = -0.5 + np.arange(1024) / 1024
     for mm in (0, 3, -2):
@@ -266,10 +263,7 @@ SUITE_TOL = {
 def cmd_identities(args):
     rng = np.random.default_rng(args.seed)
     tol = args.tolerance if args.tolerance else SUITE_TOL[args.suite]
-    if args.suite == "appendixC":
-        residuals = SUITES[args.suite](rng, args.draws, modes=args.modes)
-    else:
-        residuals = SUITES[args.suite](rng, args.draws)
+    residuals = SUITES[args.suite](rng, args.draws)
     worst_name = max(residuals, key=lambda k: residuals[k])
     ok = residuals[worst_name] < tol
     doc = {
@@ -418,8 +412,6 @@ def main(argv=None):
     p_id.add_argument("--seed", type=int, default=7)
     p_id.add_argument("--draws", type=int, default=100)
     p_id.add_argument("--tolerance", type=float, default=None)
-    p_id.add_argument("--modes", type=int, default=200,
-                      help="Fourier mode cap for the Fredholm products")
     p_id.add_argument("--out", default=None)
     p_id.set_defaults(func=cmd_identities)
 

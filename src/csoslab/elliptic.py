@@ -26,6 +26,7 @@ import numpy as np
 SERIES_RTOL = 1e-18     # omitted terms lie below this times the largest term
 SERIES_MAX_TERMS = 10_000   # more index pairs than this: Im(tau) too small
 SERIES_BLOCK = 1 << 16  # terms x points evaluated per broadcast block
+DUAL_MODULUS_IM = 0.05  # theta_log moves to -1/tau below this Im(tau)
 
 
 class EllipticDomainError(ValueError):
@@ -252,12 +253,12 @@ def theta(kind, z, tau, order=0):
 _JACOBI_PARTNER = {1: 1, 2: 4, 3: 3, 4: 2}
 
 
-def theta_log(kind, z, tau, small_im=0.05):
+def theta_log(kind, z, tau):
     """log(theta_kind(z; tau)), stable over the full double range.
 
-    For Im(tau) below `small_im` the imaginary Jacobi transformation moves
-    the evaluation to the dual modulus -1/tau, with the (potentially huge)
-    Gaussian prefactor kept in the exponent.  Individual logs carry an
+    For Im(tau) below DUAL_MODULUS_IM the imaginary Jacobi transformation
+    moves the evaluation to the dual modulus -1/tau, with the (potentially
+    huge) Gaussian prefactor kept in the exponent.  Individual logs carry an
     arbitrary 2 pi i branch; only exponentiated sums are meaningful.
     """
     tau = complex(tau)
@@ -266,9 +267,9 @@ def theta_log(kind, z, tau, small_im=0.05):
     zarr = np.asarray(z, dtype=complex)
     scalar = zarr.ndim == 0
     zarr = np.atleast_1d(zarr)
-    if tau.imag < small_im:
+    if tau.imag < DUAL_MODULUS_IM:
         part = _JACOBI_PARTNER[kind]
-        base = theta_log(part, -zarr / tau, -1.0 / tau, small_im=small_im)
+        base = theta_log(part, -zarr / tau, -1.0 / tau)
         pref = -0.5 * np.log(-1j * tau) - 1j * math.pi * zarr * zarr / tau
         if kind == 1:
             pref = pref + cmath.log(-1j)

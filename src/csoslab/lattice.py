@@ -60,12 +60,12 @@ class LatticeConfig:
     def M(self):
         return len(self.w)
 
-    def validate(self, params, tol=1e-9):
-        """Check the inhomogeneity line condition Im(eta~ xi_l) = Im(eta~/2)."""
+    def validate(self, params):
+        """Check the line condition Im(eta~ xi_l) = Im(eta~/2) to 1e-9."""
         et = params.eta_tilde
         ref = (et / 2.0).imag
         for x in self.xi:
-            if abs((et * x).imag - ref) > tol * max(1.0, abs(ref)):
+            if abs((et * x).imag - ref) > 1e-9 * max(1.0, abs(ref)):
                 raise ValueError(
                     f"inhomogeneity {x} off the admissible line "
                     f"Im(eta~ xi) = Im(eta~/2)")
@@ -76,9 +76,9 @@ class LatticeConfig:
         return sum(et / 2.0 - et * x for x in self.xi)
 
 
-def homogeneous_config(N, M=0):
+def homogeneous_config(N):
     """All inhomogeneities at the symmetric point xi_l = 1/2."""
-    return LatticeConfig(N=N, xi=(0.5,) * N, w=(0.5,) * M if M else ())
+    return LatticeConfig(N=N, xi=(0.5,) * N)
 
 
 def guard_dense(config, params):
@@ -361,10 +361,10 @@ def monodromy_entry_dense(entry, u, config, params, scaled=False):
         config, params, entry)
 
 
-def transfer_apply(u, state, scaled=False):
+def transfer_apply(u, state):
     """t_hat(u) = A_hat(u) + D_hat(u)."""
-    out = monodromy_entry_apply("A", u, state, scaled=scaled)
-    out.amps += monodromy_entry_apply("D", u, state, scaled=scaled).amps
+    out = monodromy_entry_apply("A", u, state)
+    out.amps += monodromy_entry_apply("D", u, state).amps
     return out
 
 
@@ -375,12 +375,6 @@ def transfer_dense(u, config, params, scaled=False):
                                                     scaled=scaled).matrix
     rep.label = "t"
     return rep
-
-
-def height_shift_dense(power, config, params):
-    """tau_s^power as a dense matrix: (tau_s f)(s) = f(s+1)."""
-    return _dense_from_apply(lambda batch: np.roll(batch, -power, axis=0),
-                             config, params, f"tau_s^{power}")
 
 
 def zero_weight_indices(config, params):
@@ -436,44 +430,39 @@ def local_operator_dense(which, config, params, **kw):
 
 def inverse_problem_residual(which, i, config, params, **kw):
     """Max-norm gap, on the zero-weight block, between a local operator and
-    its reconstruction through transfer matrices at the inhomogeneities."""
+    its reconstruction through transfer matrices at the inhomogeneities.
+
+    which = 'delta' (keyword a) or 'E' with alpha = beta.  An off-diagonal
+    E moves the spin weight by +-2, so both sides vanish on the zero-weight
+    block at every L != 2 and the gap would check nothing: it is refused.
+    """
     config.validate(params)
     dim = guard_dense(config, params)
-    ts = [transfer_dense(xi, config, params).matrix for xi in config.xi[:i]]
+    if which == "delta":
+        mid = local_operator_dense("delta", config, params, i=1, a=kw["a"])
+        solves = i - 1
+    elif which == "E":
+        if kw["alpha"] != kw["beta"]:
+            raise ValueError("the inverse problem is checked for diagonal "
+                             "E^{alpha alpha} only")
+        lbl = {1: "A", -1: "D"}[kw["alpha"]]
+        mid = monodromy_entry_dense(lbl, config.xi[i - 1], config, params)
+        solves = i
+    else:
+        raise ValueError(f"unknown reconstruction target {which!r}")
+    ts = [transfer_dense(xi, config, params).matrix
+          for xi in config.xi[:solves]]
     left = np.eye(dim, dtype=complex)
     for k in range(i - 1):
         left = left @ ts[k]
-
-    if which == "delta":
-        a = kw["a"]
-        mid = local_operator_dense("delta", config, params, i=1, a=a).matrix
-        recon = left @ mid
-        try:
-            for k in range(i - 1):
-                recon = np.linalg.solve(ts[k].T, recon.T).T
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateConfigError(
-                "transfer matrix singular at an inhomogeneity") from exc
-        direct = local_operator_dense("delta", config, params, i=i, a=a).matrix
-    elif which == "E":
-        alpha, beta = kw["alpha"], kw["beta"]
-        lbl = {(1, 1): "A", (1, -1): "C", (-1, 1): "B", (-1, -1): "D"}[(beta, alpha)]
-        mid = monodromy_entry_dense(lbl, config.xi[i - 1], config, params).matrix
-        recon = left @ mid
-        try:
-            for k in range(i):
-                recon = np.linalg.solve(ts[k].T, recon.T).T
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateConfigError(
-                "transfer matrix singular at an inhomogeneity") from exc
-        steps = (beta - alpha) // 2
-        if steps:
-            recon = recon @ height_shift_dense(beta - alpha, config, params).matrix
-        direct = local_operator_dense("E", config, params, i=i,
-                                      alpha=alpha, beta=beta).matrix
-    else:
-        raise ValueError(f"unknown reconstruction target {which!r}")
-
+    recon = left @ mid.matrix
+    try:
+        for t in ts:
+            recon = np.linalg.solve(t.T, recon.T).T
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateConfigError(
+            "transfer matrix singular at an inhomogeneity") from exc
+    direct = local_operator_dense(which, config, params, i=i, **kw).matrix
     idx = zero_weight_indices(config, params)
     gap = recon[np.ix_(idx, idx)] - direct[np.ix_(idx, idx)]
     return float(np.max(np.abs(gap)))

@@ -33,9 +33,9 @@ from .lattice import monodromy_entry_apply
 from .bethe import (bethe_vector, left_contract, eigenvalue_tau, lambda_pm,
                     scaled_eigenvalue)
 from .scalar import (default_gamma, gamma_retry, gaudin_matrix, norm_det,
-                     partial_scalar_bruteforce, partial_scalar_det,
-                     project_height, twist_weights, _check_kappa,
-                     _gaudin_kernel, _own_d, _q_beta, _sector_q_powers)
+                     partial_scalar_bruteforce, project_height, twist_weights,
+                     _check_kappa, _gaudin_kernel, _own_d, _q_beta,
+                     _sector_q_powers)
 
 
 @dataclass(frozen=True)
@@ -262,9 +262,9 @@ def _omega_ratio_pow(u_set, v_set, z):
     return np.exp(np.asarray(z) * (v_set.log_omega - u_set.log_omega))
 
 
-def mpme_sum_partial(u_set, v_set, path, a1, gamma=None, route="brute"):
+def mpme_sum_partial(u_set, v_set, path, a1):
     """Multi-point matrix element via the commutation sum over partial
-    scalar products (intermediate representation; serves as an oracle)."""
+    scalar products, each taken by operator contraction (an oracle)."""
     params, config = u_set.params, u_set.config
     zetas = path.check_zetas(config, params)
     check_pair_separation(zetas, params)
@@ -280,11 +280,7 @@ def mpme_sum_partial(u_set, v_set, path, a1, gamma=None, route="brute"):
         if abs(fb) == 0.0:
             continue
         keep = [v_ext[idx - 1] for idx in rest]
-        if route == "det":
-            sn = partial_scalar_det(u_set, keep, a1, gamma=gamma)
-        else:
-            sn = partial_scalar_bruteforce(u_set, keep, a1, config, params)
-        tot += fb * sn
+        tot += fb * partial_scalar_bruteforce(u_set, keep, a1, config, params)
     pref = np.exp((s + sum(alphas)) * v_set.log_omega - s * u_set.log_omega) / params.L
     for j in range(1, n + 1):
         pref *= params.bracket(s + j - 1) / params.bracket(s + sum(alphas) - j)
@@ -495,15 +491,16 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     return total * nrm_v / nrm_u
 
 
-def marginal_check(u_set, v_set, path, a1, route="det"):
-    """Sum of the (m+1)-point element over the last height vs the m-point."""
-    fun = mpme_det if route == "det" else mpme_bruteforce
+def marginal_check(u_set, v_set, path, a1):
+    """Sum of the (m+1)-point element over the last height vs the m-point,
+    both by mpme_det."""
     short = AdjacentPath(path.vertices[:-1], path.heights[:-1])
     lhs = 0.0j
     for astep in (1, -1):
         heights = path.heights[:-1] + (path.heights[-2] + astep,)
-        lhs += fun(u_set, v_set, AdjacentPath(path.vertices, heights), a1)
-    rhs = fun(u_set, v_set, short, a1)
+        lhs += mpme_det(u_set, v_set, AdjacentPath(path.vertices, heights),
+                        a1)
+    rhs = mpme_det(u_set, v_set, short, a1)
     return lhs, rhs
 
 

@@ -33,12 +33,13 @@ def default_gamma(params, redraw=0):
     return g
 
 
-def gamma_retry(fun, params, gamma, attempts=4):
-    """Run fun(gamma); on a pole with the defaulted gamma, redraw and retry."""
+def gamma_retry(fun, params, gamma):
+    """Run fun(gamma); on a pole with the defaulted gamma, redraw and retry,
+    four draws in all."""
     if gamma is not None:
         return fun(gamma)
     last = None
-    for redraw in range(attempts):
+    for redraw in range(4):
         try:
             return fun(default_gamma(params, redraw=redraw))
         except PoleError as exc:

@@ -100,16 +100,14 @@ def kernel_fourier(kernel_id, m, params, **kw):
     et = params.eta_tilde
     if kernel_id == "theta0":
         t = kw["t"]
-        tau = kw.get("tau", tt)
-        _strip_check(t, tau)
+        _strip_check(t, tt)
         if m == 0:
             return 0.5
-        return _exp_ratio(m * t, m * tau)
+        return _exp_ratio(m * t, m * tt)
     if kernel_id == "theta_Xt":
         t, X = kw["t"], kw["X"]
-        tau = kw.get("tau", tt)
-        _strip_check(t, tau)
-        return _exp_ratio(m * t, X + m * tau)
+        _strip_check(t, tt)
+        return _exp_ratio(m * t, X + m * tt)
     if kernel_id == "p0prime":
         if m == 0:
             return 2.0 * math.pi
@@ -146,14 +144,13 @@ def kernel_direct(kernel_id, z, params, **kw):
         return bare_momentum(z, params, order=1)
     if kernel_id == "theta0":
         t = kw["t"]
-        tau = kw.get("tau", tt)
-        return (1j / (2 * math.pi)) * theta(1, z + t, tau, order=1) / theta(1, z + t, tau)
+        return ((1j / (2 * math.pi)) * theta(1, z + t, tt, order=1)
+                / theta(1, z + t, tt))
     if kernel_id == "theta_Xt":
         t, X = kw["t"], kw["X"]
-        tau = kw.get("tau", tt)
-        return ((1j / (2 * math.pi)) * theta(1, 0, tau, order=1)
-                * theta(1, z + X + t, tau)
-                / (theta(1, X, tau) * theta(1, z + t, tau)))
+        return ((1j / (2 * math.pi)) * theta(1, 0, tt, order=1)
+                * theta(1, z + X + t, tt)
+                / (theta(1, X, tt) * theta(1, z + t, tt)))
     if kernel_id == "K_XY":
         X, Y = kw["X"], kw["Y"]
         pref = (1j / (2 * math.pi)) * theta(1, 0, tt, order=1) / theta(1, X, tt)
@@ -247,9 +244,9 @@ def resolvent_S(Y, z, params):
             / (2j * math.pi * den))
 
 
-def resolvent_equation_residual(Y, X, zeta, params, modes=300, points=7):
-    """Defect of S + K_XY * S = t_XY at a few sample points (Fourier synth)."""
-    ys = np.linspace(-0.45, 0.45, points)
+def resolvent_equation_residual(Y, X, zeta, params, modes=300):
+    """Defect of S + K_XY * S = t_XY at 7 sample points (Fourier synth)."""
+    ys = np.linspace(-0.45, 0.45, 7)
     worst = 0.0
     for y in ys:
         conv = 0.0j
@@ -315,15 +312,14 @@ def _pbar_bethe_pair_fred(s, Z, kk, ll, params, gamma):
     return pref * tot / L
 
 
-def _pbar_bethe_pair_alt(s, Z, kk, ll, params, gamma, jmax=None):
+def _pbar_bethe_pair_alt(s, Z, kk, ll, params, gamma):
     """Summation-swapped representation (series over the dual index j)."""
     L, r, eta = params.L, params.r, params.eta
     Lr = L - r
     tt, et = params.tau_tilde, params.eta_tilde
     gt = et * gamma
     D = (L * kk + 2.0 * ll) / (2.0 * Lr)
-    if jmax is None:
-        jmax = max(12, int(7.0 / math.sqrt(complex(et).imag)))
+    jmax = max(12, int(7.0 / math.sqrt(complex(et).imag)))
     pref = np.exp(1j * math.pi * s * (r * kk + 2.0 * ll) / Lr) / Lr
     tot = 0.0j
     for j in range(-jmax, jmax + 1):

@@ -34,13 +34,14 @@ def bond_path(tmp_path):
 
 
 class TestIdentities:
-    def test_elliptic_suite_passes(self, tmp_path):
+    @pytest.mark.parametrize("suite", sorted(cli.SUITES))
+    def test_suite_passes(self, suite, tmp_path):
         out = tmp_path / "report.json"
-        code = cli.main(["identities", "elliptic", "--draws", "25",
+        code = cli.main(["identities", suite, "--draws", "25",
                          "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["pass"] and doc["max_residual"] < 1e-10
+        assert doc["pass"] and doc["max_residual"] < cli.SUITE_TOL[suite]
 
     def test_appendixD_suite(self, tmp_path):
         out = tmp_path / "report.json"
@@ -254,3 +255,23 @@ class TestConverge:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["monotone"] is None
+
+    def test_degenerate_pair_skips_thermo(self, thermo_config, tmp_path):
+        # down and back up one row: the path arguments xi_1 and xi_1 - 1 are
+        # a {xi~, xi~ - eta~} pair the multiple integral refuses, while the
+        # finite side falls back to the dense route
+        doc = {"vertices": [[1, 1], [2, 1], [1, 1]], "heights": [0, 1, 0]}
+        path = tmp_path / "back.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "conv.json"
+        code = cli.main(["converge", "--config", thermo_config,
+                         "--path", str(path), "--n-list", "4,6",
+                         "--resolution", "128", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert "{xi~, xi~ - eta~}" in doc["thermo_skipped"]
+        assert doc["thermo_value"] is None and doc["monotone"] is None
+        assert [r["N"] for r in doc["rows"]] == [4, 6]
+        for row in doc["rows"]:
+            assert row["deviation"] is None
+            assert np.isfinite(complex(row["value_re"], row["value_im"]))

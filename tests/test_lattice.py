@@ -352,6 +352,41 @@ class TestInverseProblem:
         assert inverse_problem_residual("delta", 3, config4, params, a=1) \
             < 1e-9
 
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_off_diagonal_E_refused(self, config4, L):
+        # E^{+-} and E^{-+} move the spin weight by 2: on the zero-weight
+        # block both sides vanish at L = 3, and at L = 2 the gap is 1.0
+        params = ModelParams(tau=0.8j, r=1, L=L, s0=0.41 + 0.13j)
+        for alpha, beta in ((1, -1), (-1, 1)):
+            with pytest.raises(ValueError):
+                inverse_problem_residual("E", 2, config4, params,
+                                         alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    @pytest.mark.parametrize("alpha", [1, -1])
+    def test_diagonal_E_matches_stepwise_reconstruction(self, params,
+                                                        config4, i, alpha):
+        # the reconstruction t(xi_1)..t(xi_{i-1}) A|D(xi_i) t(xi_1..i)^-1,
+        # product and solves in the order written out here, to the bit
+        dim = params.L * 2 ** config4.N
+        ts = [transfer_dense(x, config4, params).matrix
+              for x in config4.xi[:i]]
+        left = np.eye(dim, dtype=complex)
+        for t in ts[:i - 1]:
+            left = left @ t
+        recon = left @ monodromy_entry_dense("A" if alpha == 1 else "D",
+                                             config4.xi[i - 1], config4,
+                                             params).matrix
+        for t in ts:
+            recon = np.linalg.solve(t.T, recon.T).T
+        direct = local_operator_dense("E", config4, params, i=i,
+                                      alpha=alpha, beta=alpha).matrix
+        idx = zero_weight_indices(config4, params)
+        ref = float(np.max(np.abs(recon[np.ix_(idx, idx)]
+                                  - direct[np.ix_(idx, idx)])))
+        assert inverse_problem_residual("E", i, config4, params,
+                                        alpha=alpha, beta=alpha) == ref
+
 
 class TestInfrastructure:
     def test_size_guard(self, params):

@@ -94,13 +94,15 @@ class TestHeightFactor:
 class TestCommutationAction:
     def test_single_A_insertion_vs_operator(self, params, config4, ground4,
                                             rng):
-        # m=1 coefficients reproduce the brute-force action of the full
-        # element through the partial-scalar sum
+        # m=1 and m=2 coefficients reproduce the brute-force action of the
+        # full element through the partial-scalar sum; the m=2 paths run the
+        # slot-pair products and the k > i_p factors of every slot order
         for (uu, vv) in (((0, 0), (0, 0)), ((0, 0), (1, 1))):
             us, vs = ground4[uu], ground4[vv]
-            for path in (PATH1, path_down((1, 0))):
-                bf = M.mpme_bruteforce(us, vs, path, 1)
-                s4 = M.mpme_sum_partial(us, vs, path, 1)
+            for heights in ((1, 2), (1, 0), (0, 1, 2), (0, 1, 0), (2, 1, 0)):
+                path = path_down(heights)
+                bf = M.mpme_bruteforce(us, vs, path, heights[0])
+                s4 = M.mpme_sum_partial(us, vs, path, heights[0])
                 assert abs(s4 - bf) / abs(bf) < 1e-10
 
 
