@@ -8,7 +8,7 @@ height probabilities, with every formula backed by a brute-force oracle.
 
 from .elliptic import (ModelParams, bracket, identity_residual, theta,
                        theta_log)
-from .lattice import (LatticeConfig, OperatorRep, StateVector,
+from .lattice import (LatticeConfig, StateVector,
                       boltzmann_weight, homogeneous_config,
                       monodromy_entry_apply, r_matrix, transfer_apply,
                       transfer_dense, yang_baxter_residual)

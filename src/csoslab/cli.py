@@ -144,8 +144,8 @@ def _suite_lattice(rng, draws):
     config = homogeneous_config(4)
     idx = zero_weight_indices(config, p3)
     u, v = 0.31 + 0.17j, -0.22 + 0.4j
-    tu = transfer_dense(u, config, p3).matrix[np.ix_(idx, idx)]
-    tv = transfer_dense(v, config, p3).matrix[np.ix_(idx, idx)]
+    tu = transfer_dense(u, config, p3)[np.ix_(idx, idx)]
+    tv = transfer_dense(v, config, p3)[np.ix_(idx, idx)]
     out["transfer_commutator"] = float(np.max(np.abs(tu @ tv - tv @ tu)))
     ys = [0.04, -0.03, 0.02, -0.05]
     cfg_inh = LatticeConfig(N=4, xi=tuple(0.5 + 1j * y for y in ys))
@@ -314,7 +314,7 @@ def cmd_lhp(args):
         refs, skip_reason = {}, None
         try:
             refs = thermo.lhp_table(path, labels, shifts, config, params,
-                                    resolution)
+                                    resolution, tolerance=args.tolerance)
         except (ValueError, PoleError) as exc:
             skip_reason = str(exc)
         for eps, t in labels:

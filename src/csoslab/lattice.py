@@ -23,13 +23,11 @@ on the incoming configuration (the column of heights the faces lean on).
 """
 
 import functools
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (DegenerateConfigError, ModelParams, PoleError,
-                       SizeGuardError)
+from .elliptic import DegenerateConfigError, PoleError, SizeGuardError
 
 # Memory budget of one dense assembly (see guard_dense): admits the oracle
 # range N <= 10 at L = 3 and refuses N = 12.
@@ -336,29 +334,19 @@ def monodromy_entry_apply(entry, u, state, dual=False, scaled=False):
     return StateVector(config, params, out[:, :, 0])
 
 
-@dataclass
-class OperatorRep:
-    """Dense operator on the full space with a short label."""
-
-    matrix: np.ndarray
-    label: str
-    config: LatticeConfig = field(repr=False, default=None)
-    params: ModelParams = field(repr=False, default=None)
-
-
-def _dense_from_apply(apply_fun, config, params, label):
+def _dense_from_apply(apply_fun, config, params):
+    """Dense matrix of a batch-applied operator on the full space."""
     dim = guard_dense(config, params)
     W = 1 << config.N
     basis = np.eye(dim, dtype=complex).reshape(params.L, W, dim)
-    out = apply_fun(basis)
-    return OperatorRep(out.reshape(dim, dim), label, config, params)
+    return apply_fun(basis).reshape(dim, dim)
 
 
 def monodromy_entry_dense(entry, u, config, params, scaled=False):
     return _dense_from_apply(
         lambda batch: _numeric_monodromy_batch(entry, u, batch, config,
                                                params, scaled),
-        config, params, entry)
+        config, params)
 
 
 def transfer_apply(u, state):
@@ -370,11 +358,8 @@ def transfer_apply(u, state):
 
 def transfer_dense(u, config, params, scaled=False):
     config.validate(params)
-    rep = monodromy_entry_dense("A", u, config, params, scaled=scaled)
-    rep.matrix = rep.matrix + monodromy_entry_dense("D", u, config, params,
-                                                    scaled=scaled).matrix
-    rep.label = "t"
-    return rep
+    return (monodromy_entry_dense("A", u, config, params, scaled=scaled)
+            + monodromy_entry_dense("D", u, config, params, scaled=scaled))
 
 
 def zero_weight_indices(config, params):
@@ -420,12 +405,9 @@ def local_operator_apply(which, state, **kw):
 
 
 def local_operator_dense(which, config, params, **kw):
-    rep = _dense_from_apply(
+    return _dense_from_apply(
         lambda batch: _local_batch(which, batch, config, params, kw),
-        config, params, which)
-    rep.label += (f"_{kw['a']}^{kw['i']}" if which == "delta"
-                  else f"_{kw['i']}^{kw['alpha']}{kw['beta']}")
-    return rep
+        config, params)
 
 
 def inverse_problem_residual(which, i, config, params, **kw):
@@ -450,51 +432,19 @@ def inverse_problem_residual(which, i, config, params, **kw):
         solves = i
     else:
         raise ValueError(f"unknown reconstruction target {which!r}")
-    ts = [transfer_dense(xi, config, params).matrix
-          for xi in config.xi[:solves]]
+    ts = [transfer_dense(xi, config, params) for xi in config.xi[:solves]]
     left = np.eye(dim, dtype=complex)
     for k in range(i - 1):
         left = left @ ts[k]
-    recon = left @ mid.matrix
+    recon = left @ mid
     try:
         for t in ts:
             recon = np.linalg.solve(t.T, recon.T).T
     except np.linalg.LinAlgError as exc:
         raise DegenerateConfigError(
             "transfer matrix singular at an inhomogeneity") from exc
-    direct = local_operator_dense(which, config, params, i=i, **kw).matrix
+    direct = local_operator_dense(which, config, params, i=i, **kw)
     idx = zero_weight_indices(config, params)
     gap = recon[np.ix_(idx, idx)] - direct[np.ix_(idx, idx)]
     return float(np.max(np.abs(gap)))
 
-
-# ---------------------------------------------------------------------------
-# binary interchange format for dense operators
-# ---------------------------------------------------------------------------
-
-def dump_operator(rep, path):
-    """Write magic 'CSOS', version byte, L, N, label, row-major complex128."""
-    mat = np.ascontiguousarray(rep.matrix, dtype=np.complex128)
-    label = rep.label.encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(b"CSOS")
-        fh.write(struct.pack("<B", 1))
-        fh.write(struct.pack("<II", rep.params.L, rep.config.N))
-        fh.write(struct.pack("<B", len(label)))
-        fh.write(label)
-        fh.write(mat.astype("<c16").tobytes())
-
-
-def load_operator(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"CSOS":
-            raise ValueError("bad magic")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != 1:
-            raise ValueError(f"unsupported version {version}")
-        L, N = struct.unpack("<II", fh.read(8))
-        (nlab,) = struct.unpack("<B", fh.read(1))
-        label = fh.read(nlab).decode("ascii")
-        dim = L * (1 << N)
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(dim, dim)
-    return OperatorRep(np.array(data), label)

@@ -18,11 +18,11 @@ step directions.  Three routes are implemented and cross-checked:
 The sums over tuples b = (b_1..b_m) run over b_p in {1..n+m+1-i_p},
 pairwise distinct, where the slot ordering lists the a=-1 positions
 ascending followed by the a=+1 positions descending, and the extended
-parameter list is v_{n+j} = z_{m+1-j}.
+parameter list is v_{n+j} = z_{m+1-j}.  The oracle walks the tuples one
+by one; the determinant form takes them as one (T, m) array.
 """
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +36,9 @@ from .scalar import (default_gamma, gamma_retry, gaudin_matrix, norm_det,
                      partial_scalar_bruteforce, project_height, twist_weights,
                      _check_kappa, _gaudin_kernel, _own_d, _q_beta,
                      _sector_q_powers)
+
+# tuples per determinant stack in mpme_det (bounds memory, not the value)
+TUPLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -52,13 +55,10 @@ class AdjacentPath:
     heights: tuple
 
     def __post_init__(self):
-        m = len(self.vertices) - 1
-        if len(self.heights) != m + 1:
+        if len(self.heights) != len(self.vertices):
             raise ValueError("need one height per vertex")
-        for k in range(m):
-            di = self.vertices[k + 1][0] - self.vertices[k][0]
-            dj = self.vertices[k + 1][1] - self.vertices[k][1]
-            if (di, dj) not in ((1, 0), (-1, 0), (0, 1)):
+        for k, step in enumerate(self.moves()):
+            if step not in ((1, 0), (-1, 0), (0, 1)):
                 raise ValueError(
                     f"vertices {k} -> {k + 1} are not admissible neighbors")
             if abs(self.heights[k + 1] - self.heights[k]) != 1:
@@ -83,19 +83,16 @@ class AdjacentPath:
                      for k in range(self.m))
 
     def zetas(self, config):
-        """Spectral arguments z_k: w_{j_k}, xi_{i_k} or xi_{i_k - 1} - 1."""
-        out = []
-        for k, (di, dj) in enumerate(self.moves()):
-            i, j = self.vertices[k]
-            if (di, dj) == (0, 1):
-                if j - 1 >= len(config.w):
-                    raise ValueError(f"path needs column inhomogeneity w_{j}")
-                out.append(config.w[j - 1])
-            elif (di, dj) == (1, 0):
-                out.append(config.xi[i - 1])
-            else:
-                out.append(config.xi[i - 2] - 1.0)
-        return tuple(out)
+        """Spectral arguments z_k: w_{j_k}, xi_{i_k} or xi_{i_k - 1} - 1;
+        vertices off the lattice (rows 1..N+1, columns 1..M+1) are refused."""
+        for i, j in self.vertices:
+            if not (1 <= i <= config.N + 1 and 1 <= j <= config.M + 1):
+                raise ValueError(
+                    f"path vertex ({i}, {j}) lies outside the lattice: rows "
+                    f"1..{config.N + 1}, columns 1..{config.M + 1}")
+        return tuple(config.w[j - 1] if dj else config.xi[i - 1] if di == 1
+                     else config.xi[i - 2] - 1.0
+                     for (i, j), (di, dj) in zip(self.vertices, self.moves()))
 
     def check_zetas(self, config, params):
         """Pairwise distinctness of the z_k modulo the bracket lattice."""
@@ -150,22 +147,26 @@ def slot_positions(alphas):
 
 
 def enumerate_tuples(n, m, ipos):
-    """All admissible index tuples b with their inversion signs.
-
-    b_p ranges over {1..n+m+1-i_p}, entries pairwise distinct; the sign is
-    the parity of the inversion count of (b_1..b_m, complement ascending).
+    """All admissible index tuples b, as the rows of a (T, m) array in
+    lexicographic order: b_p in {1..n+m+1-i_p}, entries pairwise distinct.
     """
-    out = []
-    ranges = [range(1, n + m + 1 - ip + 1) for ip in ipos]
-    for b in itertools.product(*ranges):
-        if len(set(b)) != m:
-            continue
-        rest = sorted(set(range(1, n + m + 1)) - set(b))
-        seq = list(b) + rest
-        inv = sum(1 for x in range(n + m) for y in range(x + 1, n + m)
-                  if seq[x] > seq[y])
-        out.append((b, inv, tuple(rest)))
-    return out
+    b = np.zeros((1, 0), dtype=int)
+    for ip in ipos:
+        col = np.arange(1, n + m + 2 - ip)
+        b = np.column_stack([np.repeat(b, len(col), axis=0),
+                             np.tile(col, len(b))])
+        b = b[np.all(b[:, :-1] != b[:, -1:], axis=1)]
+    return b
+
+
+def inversion_counts(b):
+    """Inversions of (b_1..b_m, complement ascending), one per row of b:
+    those within b, plus the b_p - 1 - #{q : b_q < b_p} complement entries
+    below each b_p, which sum to sum_p (b_p - 1) - m(m-1)/2."""
+    m = b.shape[1]
+    p, q = np.triu_indices(m, 1)
+    return (np.sum(b[:, p] > b[:, q], axis=1) + np.sum(b - 1, axis=1)
+            - m * (m - 1) // 2)
 
 
 def _extended_params(v_roots, zetas):
@@ -274,12 +275,13 @@ def mpme_sum_partial(u_set, v_set, path, a1):
     ipos, _ = slot_positions(alphas)
     v_ext = _extended_params(v_set.v, zetas)
     tot = 0.0j
-    for b, _inv, rest in enumerate_tuples(n, m, ipos):
+    for b in enumerate_tuples(n, m, ipos).tolist():
         fb = commutation_action_coefficient(b, s, v_set.v, zetas, alphas,
                                             v_set, params)
         if abs(fb) == 0.0:
             continue
-        keep = [v_ext[idx - 1] for idx in rest]
+        keep = [v_ext[idx - 1] for idx in range(1, n + m + 1)
+                if idx not in b]
         tot += fb * partial_scalar_bruteforce(u_set, keep, a1, config, params)
     pref = np.exp((s + sum(alphas)) * v_set.log_omega - s * u_set.log_omega) / params.L
     for j in range(1, n + 1):
@@ -369,40 +371,38 @@ def _mean_value_kernel(gamma, v_set, a2, a4):
 
 def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
                        d_ratio):
-    """Prefactor G_b of the determinant representation; lams = (lam+, lam-)
-    holds lambda_pm(+-1, zeta_j, v_set) for each zeta, and d_ratio is
-    prod_j d(u_j)/d(v_j)."""
-    params = u_set.params
-    br = params.bracket
-    n = u_set.n
-    m = len(zetas)
-    s = params.height(a1)
+    """Prefactors G_b for the tuple rows of b with inversion counts inv,
+    gathered from an (m, n+m) table of single-slot factors (the lambda factor
+    of a path-argument index in its last m columns) and an (n+m, n+m) table
+    of pair brackets [v_i - v_j + 1].  lams = (lam+, lam-) holds
+    lambda_pm(+-1, zeta_j, v_set); d_ratio is prod_j d(u_j)/d(v_j)."""
+    br = u_set.params.bracket
+    n, m = u_set.n, len(zetas)
+    s = u_set.params.height(a1)
     ipos, n_minus = slot_positions(alphas)
-    v_ext = _extended_params(v_set.v, zetas)
-    out = (-1.0) ** (m * n + inv + n_minus)
-    out *= _omega_ratio_pow(u_set, v_set, s)
-    out *= d_ratio
-    for p in range(m):
-        if b[p] <= n:
-            continue
-        # v_ext[b_p - 1] = zeta_{n+m+1-b_p}
-        out *= lams[1 if p < n_minus else 0][n + m - b[p]]
-    for lam_p, lam_m in zip(*lams):
-        out /= lam_p - lam_m
-    for i in range(m):
-        for j in range(i + 1, m):
-            out /= br(zetas[i] - zetas[j])
-            out /= br(v_ext[b[i] - 1] - v_ext[b[j] - 1] + 1)
-    for p in range(m):
-        ip = ipos[p]
-        vb = v_ext[b[p] - 1]
-        part = sum(alphas[:ip - 1])
-        out *= br(s + part + vb - zetas[ip - 1]) / br(s + part)
-        for l in range(1, ip):
-            out *= br(zetas[l - 1] - vb)
-        for l in range(ip + 1, m + 1):
-            out *= br(zetas[l - 1] - vb + alphas[ip - 1])
-    return out
+    ip = np.asarray(ipos, dtype=int) - 1          # path position of a slot
+    z = np.asarray(zetas, dtype=complex)
+    v_ext = np.asarray(_extended_params(v_set.v, zetas), dtype=complex)
+    part = np.cumsum((0,) + tuple(alphas))[ip]    # a_1 + ... + a_{i_p - 1}
+    zv = z[:, None] - v_ext[None, :]
+    bzv = br(zv)                                  # [z_l - v_k]
+    rel = np.arange(m)[None, :, None] - ip[:, None, None]   # l - i_p
+    a_ip = np.asarray(alphas, dtype=float)[ip][:, None, None]
+    single = (br(s + part[:, None] + v_ext[None, :] - z[ip][:, None])
+              / br(s + part)[:, None]
+              * np.prod(np.where(rel < 0, bzv, 1.0), axis=1)
+              * np.prod(np.where(rel > 0, br(zv + a_ip), 1.0), axis=1))
+    # v_{n+j} = zeta_{m+1-j}: lam- on a minus slot, lam+ on a plus slot
+    single[:, n:] *= np.where(np.arange(m)[:, None] < n_minus,
+                              lams[1], lams[0])[:, ::-1]
+    pair = br(v_ext[:, None] - v_ext[None, :] + 1)
+    p, q = np.triu_indices(m, 1)
+    const = ((-1.0) ** (m * n + n_minus) * _omega_ratio_pow(u_set, v_set, s)
+             * d_ratio / np.prod(lams[0] - lams[1])
+             / np.prod(bzv[p, n + m - 1 - q]))        # [z_p - z_q]
+    return (const * (-1.0) ** inv
+            * np.prod(single[np.arange(m), b - 1], axis=1)
+            / np.prod(pair[b[:, p] - 1, b[:, q] - 1], axis=1))
 
 
 def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
@@ -435,7 +435,7 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     phi_v = gaudin_matrix(v_set)
     det_phi = np.linalg.det(phi_v)
     _check_kappa(phi_v, "Gaudin matrix")
-    v_ext = _extended_params(v_set.v, zetas)
+    v_ext = np.asarray(_extended_params(v_set.v, zetas), dtype=complex)
 
     # appendix-B coefficients, a row per sector nu: (1, q^-nu, w^2, q^nu w^2)
     # for H, (lam+, lam+ q^-nu, lam- w^2, lam- w^2 q^nu) for Q, w = omega_v/
@@ -452,41 +452,40 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     alup = (one, qm, one * w2, _cmul(qp, w2))
     base = (_mean_value_kernel(gamma, v_set, qm, qp) if same else
             _h_transformed(gamma, u, v, alup, params))
-    q_mats = (_q_transformed(gamma, u, v, z,
-                             (lam_p, lam_p * qm, lam_m, lam_m * qp), params)
-              if m else None)
+    q_mats = _q_transformed(gamma, u, v, z,
+                            (lam_p, lam_p * qm, lam_m, lam_m * qp), params)
     base_dets = np.linalg.det(base)
-    if reduction == "m" and m:
-        s_mats = np.linalg.solve(base, q_mats)
 
-    total = 0.0j
-    for b, inv, rest in enumerate_tuples(n, m, slot_positions(alphas)[0]):
-        gb = algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
-                                d_ratio)
-        if gb == 0.0:
-            continue
-        vb_sum = sum(v_ext[idx - 1] for idx in b)
-        keep_sum = np.sum(v_set.v) + sum(zetas) - vb_sum
-        den = br(np.sum(u_set.v) - keep_sum + gamma + s)
-        if abs(den) < 1e-13:
-            raise PoleError("b-dependent prefactor pole; redraw gamma")
-        pre = bst / (b0p * den)
-        if reduction == "m" and m:
-            smat = np.zeros((L, m, m), dtype=complex)
-            for j in range(m):
-                if b[j] <= n:
-                    smat[:, j, :] = s_mats[:, b[j] - 1, :]
-                else:
-                    smat[:, j, n + m + 1 - b[j] - 1] = -1.0
-            sign = (-1.0) ** (m * (n + 1) + m * (m - 1) // 2 + inv)
-            det_h = _cmul(sign * base_dets, np.linalg.det(smat))
-        elif m:
-            det_h = np.linalg.det(np.stack(
-                [base[..., idx - 1] if idx <= n else q_mats[..., n + m - idx]
-                 for idx in rest], axis=-1))
-        else:
-            det_h = base_dets
-        total += gb * pre * sum(_cmul(twist, det_h)) / (L * det_phi)
+    b = enumerate_tuples(n, m, slot_positions(alphas)[0])
+    inv = inversion_counts(b)
+    gb = algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
+                            d_ratio)
+    b, inv, gb = b[gb != 0.0], inv[gb != 0.0], gb[gb != 0.0]
+    keep_sum = np.sum(v_set.v) + sum(zetas) - np.sum(v_ext[b - 1], axis=1)
+    den = br(np.sum(u_set.v) - keep_sum + gamma + s)
+    if np.any(np.abs(den) < 1e-13):
+        raise PoleError("b-dependent prefactor pole; redraw gamma")
+    pre = bst / (b0p * den)
+    # index b <= n picks a root row of S (column of H), b > n the path
+    # argument zeta_{n+m+1-b}: a reversed identity row (reversed Q column)
+    if reduction == "m":
+        ext = np.concatenate([np.linalg.solve(base, q_mats), np.broadcast_to(
+            -np.eye(m)[::-1], (L, m, m))], axis=1)
+        sign = (-1.0) ** (m * (n + 1) + m * (m - 1) // 2 + inv)
+        ax, idx, fac = 1, b - 1, sign[:, None] * base_dets
+    else:
+        ext = np.concatenate([base, q_mats[..., ::-1]], axis=-1)
+        free = ~np.any(b[:, :, None] - 1 == np.arange(n + m), axis=1)
+        ax, idx = 2, np.nonzero(free)[1].reshape(len(b), n)
+        fac = np.ones((len(b), L))
+    terms = np.empty(len(b), dtype=complex)
+    for lo in range(0, len(b), TUPLE_BLOCK):
+        blk = slice(lo, lo + TUPLE_BLOCK)
+        dets = np.linalg.det(np.moveaxis(np.take(ext, idx[blk], ax), ax, 0))
+        det_h = _cmul(fac[blk], dets)
+        terms[blk] = (gb[blk] * pre[blk] * np.sum(_cmul(det_h, twist), axis=1)
+                      / (L * det_phi))
+    total = np.sum(terms)
     nrm_u, nrm_v = coherent_norms(u_set, v_set)
     return total * nrm_v / nrm_u
 

@@ -83,8 +83,8 @@ def test_criterion_02_yang_baxter_and_commuting_transfer():
     p3 = ModelParams(tau=0.8j, r=1, L=3, s0=0.41 + 0.13j)
     config = homogeneous_config(4)
     idx = zero_weight_indices(config, p3)
-    tu = transfer_dense(0.31 + 0.17j, config, p3).matrix[np.ix_(idx, idx)]
-    tv = transfer_dense(-0.22 + 0.4j, config, p3).matrix[np.ix_(idx, idx)]
+    tu = transfer_dense(0.31 + 0.17j, config, p3)[np.ix_(idx, idx)]
+    tv = transfer_dense(-0.22 + 0.4j, config, p3)[np.ix_(idx, idx)]
     comm = float(np.max(np.abs(tu @ tv - tv @ tu)))
     assert comm < 1e-10
     print(f"ACCEPTANCE 2: PASS (YB {worst:.2e}, commutator {comm:.2e})")

@@ -194,6 +194,34 @@ class TestLhpTables:
         assert not out.exists()
         assert capsys.readouterr().err == f"numerical failure: {one.value}\n"
 
+    def test_finite_mode_honours_tolerance(self, thermo_config, bond_path,
+                                           tmp_path):
+        # the thermodynamic reference of a finite table is held to the same
+        # tolerance as a thermo table: exit 1 and nothing written
+        for mode in ("thermo", "finite"):
+            out = tmp_path / f"{mode}.json"
+            code = cli.main(["lhp", "--mode", mode, "--config", thermo_config,
+                             "--path", bond_path, "--resolution", "8",
+                             "--tolerance", "1e-30", "--out", str(out)])
+            assert code == cli.EXIT_NUMERICAL, mode
+            assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["finite", "thermo"])
+    @pytest.mark.parametrize("vertices", [
+        [[1, 1], [0, 1]],      # up from row 1: would read xi_0
+        [[5, 1], [6, 1]],      # down from row N + 1: would read xi_{N+1}
+        [[1, 0], [1, 1]],      # from column 0: would read w_0
+        [[1, 1], [1, 2]]])     # no column inhomogeneity w_1 on this lattice
+    def test_path_off_the_lattice_exit_2(self, thermo_config, tmp_path, mode,
+                                         vertices):
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps({"vertices": vertices, "heights": [1, 2]}))
+        out = tmp_path / "table.json"
+        code = cli.main(["lhp", "--mode", mode, "--config", thermo_config,
+                         "--path", str(path), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_coinciding_path_arguments_refused(self, thermo_config,
                                                tmp_path):
         # an m = 2 path on a homogeneous column has z_1 = z_2: the integrand

@@ -1,5 +1,7 @@
 """Multi-point matrix elements: oracle chain and determinant machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,19 @@ class TestPathGeometry:
             M.AdjacentPath(vertices=((1, 1), (3, 1)), heights=(0, 1))
         with pytest.raises(ValueError):
             M.AdjacentPath(vertices=((1, 1), (2, 1)), heights=(0, 2))
+
+    def test_vertices_off_the_lattice_refused(self):
+        # rows 1..N+1 and columns 1..M+1: no index wraps around to xi_N or w_M
+        config = LatticeConfig(N=4, xi=(0.5,) * 4, w=(0.5 + 0.01j,))
+        for verts in (((1, 1), (0, 1)), ((5, 1), (6, 1)), ((1, 0), (1, 1)),
+                      ((1, 2), (1, 3)), ((6, 1),)):
+            path = M.AdjacentPath(vertices=verts,
+                                  heights=(1, 2)[:len(verts)])
+            with pytest.raises(ValueError, match="outside the lattice"):
+                path.zetas(config)
+        path = M.AdjacentPath(vertices=((5, 1), (5, 2), (4, 2)),
+                              heights=(0, 1, 2))
+        assert path.zetas(config) == (config.w[0], config.xi[2] - 1.0)
 
     def test_zeta_collision_refused(self, params):
         config = LatticeConfig(N=4, xi=(0.5, 0.5, 0.5, 0.5))
@@ -77,9 +92,32 @@ class TestTupleSum:
             assert len(tuples) == count_recursive(n, m, list(ipos))
 
     def test_inversion_sign_consistency(self):
-        tuples = M.enumerate_tuples(2, 1, (1,))
-        got = {b[0]: inv for b, inv, _ in tuples}
+        b = M.enumerate_tuples(2, 1, (1,))
+        got = dict(zip(b[:, 0].tolist(), M.inversion_counts(b).tolist()))
         assert got == {1: 0, 2: 1, 3: 2}
+
+    def test_tuples_and_inversions_match_definition(self):
+        # every slot order up to (n, m) = (4, 4): the tuple array and its
+        # closed-form inversion counts against the product, the
+        # distinctness filter and the pairwise count over (b, complement)
+        for n in range(5):
+            for m in range(5):
+                for ipos in itertools.permutations(range(1, m + 1)):
+                    want_b, want_inv = [], []
+                    for b in itertools.product(
+                            *(range(1, n + m + 2 - ip) for ip in ipos)):
+                        if len(set(b)) != m:
+                            continue
+                        seq = b + tuple(sorted(
+                            set(range(1, n + m + 1)) - set(b)))
+                        want_b.append(list(b))
+                        want_inv.append(sum(
+                            seq[x] > seq[y] for x in range(n + m)
+                            for y in range(x + 1, n + m)))
+                    got = M.enumerate_tuples(n, m, ipos)
+                    assert got.shape == (len(want_b), m)
+                    assert got.tolist() == want_b
+                    assert M.inversion_counts(got).tolist() == want_inv
 
 
 class TestHeightFactor:
@@ -269,6 +307,46 @@ class TestLargeColumn:
         assert abs(det - bf) / abs(bf) < 1e-7
 
 
+# column and model of the m = 3-4 checks: tau = 0.8i, r = 1, L = 3
+COLUMN8 = LatticeConfig(N=8, xi=tuple(0.5 + 1j * y for y in (
+    0.04, -0.03, 0.02, -0.05, 0.035, -0.02, 0.05, -0.04)))
+
+
+@pytest.fixture(scope="module")
+def ground8(params):
+    return {key: B.solve_ground_state(*key, COLUMN8, params)
+            for key in ((0, 0), (1, 1), (0, 1), (1, 0))}
+
+
+class TestLongPaths:
+    # absolute det-vs-brute gap: ten times the worst of the three pairs
+    # before the tuple sum became one array pass, and at least 1e-14; the
+    # upward steps lose digits to the cancellation of the tuple sum
+    @pytest.mark.parametrize("heights, bound", [
+        ((0, 1, 2, 3), 1.7e-12), ((0, 1, 2, 3, 4), 1.3e-9),
+        ((3, 2, 1, 0), 2.2e-15), ((2, 1, 0, -1, -2), 2.4e-15),
+        ((0, 1, 0, 1), 5.0e-13), ((0, 1, 2, 1, 0), 1.1e-10),
+        ((1, 0, 1, 0, 1), 5.2e-12)])
+    def test_det_vs_brute_m3_m4(self, ground8, heights, bound):
+        path = M.vertical_path(heights)
+        for uu, vv in (((0, 0), (0, 0)), ((0, 0), (1, 1)),
+                       ((0, 1), (1, 0))):
+            us, vs = ground8[uu], ground8[vv]
+            bf = M.mpme_bruteforce(us, vs, path, heights[0])
+            det = M.mpme_det(us, vs, path, heights[0])
+            assert abs(det - bf) < bound, (uu, vv, abs(det - bf))
+
+    @pytest.mark.parametrize("reduction", ["m", "n"])
+    def test_value_independent_of_block_size(self, ground8, monkeypatch,
+                                             reduction):
+        # 125 tuples in one block, then in blocks of 3 tuples
+        us, vs = ground8[(0, 0)], ground8[(1, 1)]
+        path = M.vertical_path((0, 1, 2, 3))
+        whole = M.mpme_det(us, vs, path, 0, reduction=reduction)
+        monkeypatch.setattr(M, "TUPLE_BLOCK", 3)
+        assert M.mpme_det(us, vs, path, 0, reduction=reduction) == whole
+
+
 class TestNormMemo:
     def test_each_norm_computed_once(self, params, config4, monkeypatch):
         # fresh root sets: the session fixtures may already hold their norms
@@ -448,6 +526,34 @@ class TestSectorIndependence:
             monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert counts[3] == counts[5], counts
 
+    def test_bracket_calls_do_not_grow_with_tuples(self, monkeypatch):
+        # one m = 3 mpme_det evaluates its brackets as tables, not once per
+        # tuple: N = 4 (27 tuples) and N = 8 (125 tuples) make as many calls
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
+        params = ModelParams(tau=0.8j, r=1, L=3, s0=0.41 + 0.13j)
+        path = M.vertical_path((0, 1, 2, 3))
+        counts = {}
+        for N in (4, 8):
+            config = LatticeConfig(N=N, xi=tuple(0.5 + 1j * y for y in (
+                0.04, -0.03, 0.02, -0.05, 0.035, -0.02, 0.05, -0.04)[:N]))
+            us = B.solve_ground_state(0, 0, config, params)
+            vs = B.solve_ground_state(1, 1, config, params)
+            ipos, _ = M.slot_positions(path.alphas)
+            assert len(M.enumerate_tuples(us.n, path.m, ipos)) == {
+                4: 27, 8: 125}[N]
+            monkeypatch.setattr(ModelParams, "bracket", counted)
+            calls.clear()
+            M.mpme_det(us, vs, path, 0)
+            counts[N] = len(calls)
+            monkeypatch.setattr(ModelParams, "bracket", bracket)
+        assert counts[4] == counts[8], counts
+
     def test_partial_scalar_bracket_calls_do_not_grow_with_L(self,
                                                              monkeypatch):
         # one partial_scalar_det builds its L sector kernels as one stack
@@ -502,7 +608,7 @@ class TestFlatBasis:
             det = M.mpme_det(us, vs, path, 1)
             # dense route: delta_{s1} E_1^{alpha alpha} between the vectors
             emat = local_operator_dense("E", config4, params,
-                                        i=1, alpha=alpha, beta=alpha).matrix
+                                        i=1, alpha=alpha, beta=alpha)
             rv = BB.bethe_vector(vs, side="right")
             from csoslab.lattice import StateVector
             acted = StateVector(config4, params,
