@@ -24,40 +24,48 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import ModelParams, SolverError, theta
+from .elliptic import ModelParams, SolverError, stacked, theta
 from .lattice import LatticeConfig, StateVector, monodromy_entry_apply, \
     transfer_apply
 
 CACHE_ENV = "CSOSLAB_CACHE_DIR"
 
 
-def _log_ratio_odd(z, shift, tau_t, order):
-    """i*log(theta1(shift+z)/theta1(shift-z)), or its z-derivative (order 1).
+def _log_ratio_odd(terms, tau_t, order):
+    """i*log(theta1(shift+z)/theta1(shift-z)), or its z-derivative (order
+    1), for each (z, shift) in terms; one theta call holds every term's
+    values (two for order 1: theta1' and theta1).
 
     The log is continuous and odd in z (real z): principal value on the
     fundamental interval plus 2 pi per full period.
     """
     if order == 1:
-        zp = np.asarray(z) + shift
-        zm = np.asarray(z) - shift
-        return 1j * (theta(1, zp, tau_t, order=1) / theta(1, zp, tau_t)
-                     - theta(1, zm, tau_t, order=1) / theta(1, zm, tau_t))
-    z = np.asarray(z, dtype=float)
-    wind = np.round(z)
-    w = z - wind
-    ratio = theta(1, shift + w, tau_t) / theta(1, shift - w, tau_t)
-    val = 1j * np.log(ratio)
-    return np.real(val) + 2.0 * math.pi * wind
+        args = [a for z, shift in terms
+                for a in (np.asarray(z) + shift, np.asarray(z) - shift)]
+        dlog = [d / f for d, f in zip(
+            stacked(lambda a: theta(1, a, tau_t, order=1), *args),
+            stacked(lambda a: theta(1, a, tau_t), *args))]
+        return [1j * (plus - minus)
+                for plus, minus in zip(dlog[::2], dlog[1::2])]
+    zs = [np.asarray(z, dtype=float) for z, _ in terms]
+    winds = [np.round(z) for z in zs]
+    args = [a for z, wind, (_, shift) in zip(zs, winds, terms)
+            for a in (shift + (z - wind), shift - (z - wind))]
+    f = stacked(lambda a: theta(1, a, tau_t), *args)
+    return [np.real(1j * np.log(plus / minus)) + 2.0 * math.pi * wind
+            for plus, minus, wind in zip(f[::2], f[1::2], winds)]
 
 
 def bare_momentum(z, params, order=0):
     """p0(z) (continuous odd branch) or p0'(z)."""
-    return _log_ratio_odd(z, params.eta_tilde / 2.0, params.tau_tilde, order)
+    return _log_ratio_odd([(z, params.eta_tilde / 2.0)], params.tau_tilde,
+                          order)[0]
 
 
 def bare_phase(z, params, order=0):
     """theta(z) = i log(theta1(eta~+z)/theta1(eta~-z)), or its derivative."""
-    return _log_ratio_odd(z, params.eta_tilde, params.tau_tilde, order)
+    return _log_ratio_odd([(z, params.eta_tilde)], params.tau_tilde,
+                          order)[0]
 
 
 def momentum_shifts(config, params):
@@ -66,11 +74,30 @@ def momentum_shifts(config, params):
     return np.array([(et * x - et / 2.0).real for x in config.xi])
 
 
-def p0_tot(z, config, params, order=0):
-    shifts = momentum_shifts(config, params)
+def _p0_term(z, config, params):
+    """The (z, shift) term of p0_tot for _log_ratio_odd, a column per site."""
     z = np.asarray(z, dtype=float)
-    vals = bare_momentum(z[..., None] - shifts, params, order=order)
+    return (z[..., None] - momentum_shifts(config, params),
+            params.eta_tilde / 2.0)
+
+
+def _site_mean(vals, order):
     return np.real(vals).mean(axis=-1) if order == 0 else vals.mean(axis=-1)
+
+
+def p0_tot(z, config, params, order=0):
+    vals, = _log_ratio_odd([_p0_term(z, config, params)], params.tau_tilde,
+                           order)
+    return _site_mean(vals, order)
+
+
+def _bethe_terms(x, config, params, order):
+    """p0_tot(x) and the phase matrix theta(x_j - x_l), or their
+    derivatives (order 1), from one _log_ratio_odd evaluation."""
+    mom, phase = _log_ratio_odd(
+        [_p0_term(x, config, params),
+         (x[:, None] - x[None, :], params.eta_tilde)], params.tau_tilde, order)
+    return _site_mean(mom, order), phase
 
 
 def xibar(config, params):
@@ -126,8 +153,8 @@ class BetheRootSet:
     def d_fun(self, u):
         """prod_k [u - xi_k]/[u - xi_k + 1], one bracket array per factor."""
         uk = np.asarray(u)[..., None] - np.array(self.config.xi)
-        br = self.params.bracket
-        out = np.prod(br(uk) / br(uk + 1), axis=-1)
+        num, den = self.params.brackets(uk, uk + 1)
+        out = np.prod(num / den, axis=-1)
         return out if np.ndim(u) else complex(out)
 
     def sum_x(self):
@@ -140,8 +167,9 @@ def log_bethe_residual(x, k, ell, config, params):
     n = len(x)
     N = config.N
     nj = np.arange(1, n + 1) + k
-    lhs = N * p0_tot(x, config, params)
-    lhs = lhs - np.sum(bare_phase(x[:, None] - x[None, :], params), axis=1)
+    p0, phase = _bethe_terms(x, config, params, 0)
+    lhs = N * p0
+    lhs = lhs - np.sum(phase, axis=1)
     rhs = 2.0 * math.pi * (nj - (n + 1) / 2.0
                            + (params.r * n + 2.0 * ell) / params.L
                            + 2.0 * params.eta * np.sum(x)
@@ -152,8 +180,9 @@ def log_bethe_residual(x, k, ell, config, params):
 def _log_bethe_jacobian(x, config, params):
     x = np.asarray(x, dtype=float)
     N = config.N
-    diag = N * np.real(p0_tot(x, config, params, order=1))
-    kern = np.real(bare_phase(x[:, None] - x[None, :], params, order=1))
+    p0, phase = _bethe_terms(x, config, params, 1)
+    diag = N * np.real(p0)
+    kern = np.real(phase)
     jac = np.diag(diag - np.sum(kern, axis=1)) + kern
     jac = jac - 4.0 * math.pi * params.eta
     return jac
@@ -206,32 +235,37 @@ def _cumulative_density(x, coeffs):
         2.0 * np.real(term * coeffs / (2j * math.pi * m)), axis=-1)
 
 
-def _initial_guess(n, k, ell, config, params):
-    """Quantiles of the root density seed the Newton iteration.
+def _initial_guess(n, labels, config, params):
+    """Quantiles of the root density seed the Newton iteration, one row of
+    n roots per label (k, ell).
 
-    The density is summed over its first 80 Fourier modes; all n targets
-    are bisected together, 60 halvings of [-1/2, 1/2].
+    The density is summed over its first 80 Fourier modes; the targets of
+    all labels are bisected together, 60 halvings of [-1/2, 1/2].  Each
+    row is computed as it would be alone.
     """
     N = config.N
-    targets = (np.arange(1, n + 1) + k - (n + 1) / 2.0
-               + (params.r * n + 2.0 * ell) / params.L) / N + 0.25
+    targets = np.array([(np.arange(1, n + 1) + k - (n + 1) / 2.0
+                         + (params.r * n + 2.0 * ell) / params.L) / N + 0.25
+                        for k, ell in labels])
     targets = np.clip(targets, 0.02, 0.48)
     coeffs = density_fourier(np.arange(1, 81), config, params)
-    lo, hi = np.full(n, -0.5), np.full(n, 0.5)
+    lo, hi = np.full(targets.shape, -0.5), np.full(targets.shape, 0.5)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         below = _cumulative_density(mid, coeffs) < targets
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return np.sort(0.5 * (lo + hi))
+    return np.sort(0.5 * (lo + hi), axis=-1)
 
 
-def solve_ground_state(k, ell, config, params, cache_dir=None):
+def solve_ground_state(k, ell, config, params, cache_dir=None, seed=None):
     """Damped-Newton solution of the logarithmic Bethe equations.
 
     Iterates until the log residual is at most 1e-13, for at most 200
     steps.  Returns a BetheRootSet with multiplicative residual below 1e-10;
-    raises SolverError (carrying the best iterate) on failure.
+    raises SolverError (carrying the best iterate) on failure.  When the
+    root cache does not serve the state, seed(k, ell) gives the start
+    (default: the state's own _initial_guess).
     """
     config.validate(params)
     if k not in (0, 1):
@@ -244,7 +278,8 @@ def solve_ground_state(k, ell, config, params, cache_dir=None):
     if cached is not None:
         return cached
 
-    x = _initial_guess(n, k, ell, config, params)
+    x = (seed(k, ell) if seed is not None
+         else _initial_guess(n, [(k, ell)], config, params)[0])
     res = log_bethe_residual(x, k, ell, config, params)
     rnorm = float(np.max(np.abs(res)))
     iters = 0
@@ -284,13 +319,25 @@ def solve_ground_state(k, ell, config, params, cache_dir=None):
 
 
 def all_ground_states(config, params, cache_dir=None):
-    """The 2(L-r) ground-state root sets, keyed by (k, ell)."""
-    out = {}
-    for k in (0, 1):
-        for ell in range(params.L - params.r):
-            out[(k, ell)] = solve_ground_state(k, ell, config, params,
-                                               cache_dir=cache_dir)
-    return out
+    """The 2(L-r) ground-state root sets, keyed by (k, ell).
+
+    The first state the root cache does not serve is seeded together with
+    every label after it, in one bisection; a fully cached column runs
+    none.
+    """
+    labels = [(k, ell) for k in (0, 1) for ell in range(params.L - params.r)]
+    seeds = {}
+
+    def seed(k, ell):
+        if (k, ell) not in seeds:
+            rest = labels[labels.index((k, ell)):]
+            seeds.update(zip(rest, _initial_guess(config.N // 2, rest,
+                                                  config, params)))
+        return seeds[(k, ell)]
+
+    return {label: solve_ground_state(*label, config, params,
+                                      cache_dir=cache_dir, seed=seed)
+            for label in labels}
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +386,25 @@ def left_contract(roots, state):
     return work.bra_contract_reference()
 
 
-def lambda_pm(eps, zeta, roots):
-    """Lambda_eps(z; {v}, omega): the eigenvalue half built on one sector."""
+def lambda_pm(zeta, roots):
+    """(Lambda_+, Lambda_-)(z; {v}, omega), the eigenvalue halves built on
+    one sector each, from one bracket call."""
     z = np.asarray(zeta)[..., None]
-    args = np.concatenate([z - np.array(roots.config.xi) + (1 + eps) // 2,
-                           roots.v - z + eps], axis=-1)
-    out = eps * roots.omega ** (eps - 1) * np.prod(roots.params.bracket(args),
-                                                  axis=-1)
-    return out if np.ndim(zeta) else complex(out)
+    xi = np.array(roots.config.xi)
+    brs = roots.params.brackets(*(
+        np.concatenate([z - xi + (1 + eps) // 2, roots.v - z + eps], axis=-1)
+        for eps in (1, -1)))
+    out = tuple(eps * roots.omega ** (eps - 1) * np.prod(br, axis=-1)
+                for eps, br in zip((1, -1), brs))
+    return out if np.ndim(zeta) else tuple(complex(val) for val in out)
 
 
 def scaled_eigenvalue(u, roots):
     """tau(u) prod_k [u - xi_k + 1], the eigenvalue in the scaled gauge;
     finite at u = xi_k - 1."""
     sgn = (-1.0) ** (roots.params.r * roots.aleph)
-    out = roots.omega * (lambda_pm(1, u, roots) - sgn * lambda_pm(-1, u, roots))
+    lam_p, lam_m = lambda_pm(u, roots)
+    out = roots.omega * (lam_p - sgn * lam_m)
     for den in roots.params.bracket(roots.v - u).tolist():   # root by root
         out /= den
     return out

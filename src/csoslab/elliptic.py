@@ -224,6 +224,8 @@ def theta(kind, z, tau, order=0):
     tau = complex(tau)
     if tau.imag <= 0:
         raise EllipticDomainError(f"Im(tau) must be positive, got tau={tau}")
+    if np.size(z) == 0:     # nothing to reduce or sum
+        return np.empty(np.shape(z), dtype=complex)
     scalar = np.ndim(z) == 0
     if scalar and cmath.isfinite(complex(z)):
         zr, k, m = _reduce(complex(z), tau)
@@ -248,6 +250,26 @@ def theta(kind, z, tau, order=0):
     if scalar and isinstance(res, np.ndarray):  # a non-finite scalar z
         return complex(res[0])
     return res
+
+
+def stacked(fun, *args):
+    """fun on all arguments at once, one value per argument.
+
+    The arguments are raveled and concatenated, fun runs once on the whole
+    array, and each value comes back in its argument's shape; a 0-d
+    argument comes back as a Python complex, as theta returns it for a
+    scalar.  fun must act elementwise, as theta and the bracket do: their
+    scalar and array paths round alike, so the values are those of one
+    call per argument, bit for bit.
+    """
+    arrs = [np.asarray(a) for a in args]
+    vals = fun(np.concatenate([a.ravel() for a in arrs]))
+    out, lo = [], 0
+    for a in arrs:
+        piece = vals[lo:lo + a.size].reshape(a.shape)
+        out.append(complex(piece) if a.ndim == 0 else piece)
+        lo += a.size
+    return out
 
 
 _JACOBI_PARTNER = {1: 1, 2: 4, 3: 3, 4: 2}
@@ -305,7 +327,8 @@ class ModelParams:
     s0 : global shift of the dynamical parameter (heights live on s0 + Z/LZ)
 
     Derived quantities: q = e^{2 pi i eta}, eta_tilde = -eta/tau,
-    tau_tilde = -1/tau, s0_tilde = s0 + 1/(2 eta_tilde) = s0 - tau/(2 eta).
+    tau_tilde = -1/tau, s0_tilde = s0 + 1/(2 eta_tilde) = s0 - tau/(2 eta);
+    bracket_prime0 = [0]' is evaluated once, when the model is made.
     """
 
     tau: complex
@@ -313,6 +336,7 @@ class ModelParams:
     L: int
     s0: complex
     validate: bool = field(default=True, repr=False)
+    bracket_prime0: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -322,10 +346,12 @@ class ModelParams:
             raise ValueError(f"need 0 < r < L, got r={self.r}, L={self.L}")
         if math.gcd(self.r, self.L) != 1:
             raise ValueError(f"r={self.r} and L={self.L} must be coprime")
+        object.__setattr__(self, "bracket_prime0", self.bracket(0.0, order=1))
         if self.validate:
             scale = abs(theta(1, 0.3 + 0.1j, tau))
-            for j in range(self.L):
-                if abs(self.bracket(self.s0 + j)) < 1e-12 * max(scale, 1.0):
+            vals = self.brackets(*(self.s0 + j for j in range(self.L)))
+            for j, val in enumerate(vals):
+                if abs(val) < 1e-12 * max(scale, 1.0):
                     raise EllipticDomainError(
                         f"bracket vanishes at height s0+{j}; shift s0")
 
@@ -359,6 +385,11 @@ class ModelParams:
         val = theta(1, self.eta * np.asarray(u) if np.ndim(u) else self.eta * u,
                     self.tau, order=order)
         return val * self.eta ** order
+
+    def brackets(self, *args, order=0):
+        """[a], [b], ... (or their u-derivatives) from one bracket call on
+        the stacked arguments; see `stacked`."""
+        return stacked(lambda u: self.bracket(u, order=order), *args)
 
     def height(self, a):
         """Height value s0 + a for an integer class label a."""

@@ -365,8 +365,10 @@ def _mean_value_kernel(gamma, v_set, a2, a4):
     Gaudin diagonal plus the kernel of _h_transformed at t = gamma, w = 1,
     one matrix per row of the coefficients."""
     v = np.asarray(v_set.v)
+    brs = v_set.params.brackets(*_h_kernel_args(gamma,
+                                                v[:, None] - v[None, :]))
     return (np.eye(len(v)) * _gaudin_kernel(v_set)[0][:, None]
-            + _h_kernel(gamma, v, a2, a4, v_set.params))
+            + _h_kernel(brs, a2, a4, v_set.params))
 
 
 def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
@@ -375,8 +377,7 @@ def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
     gathered from an (m, n+m) table of single-slot factors (the lambda factor
     of a path-argument index in its last m columns) and an (n+m, n+m) table
     of pair brackets [v_i - v_j + 1].  lams = (lam+, lam-) holds
-    lambda_pm(+-1, zeta_j, v_set); d_ratio is prod_j d(u_j)/d(v_j)."""
-    br = u_set.params.bracket
+    lambda_pm(zeta_j, v_set); d_ratio is prod_j d(u_j)/d(v_j)."""
     n, m = u_set.n, len(zetas)
     s = u_set.params.height(a1)
     ipos, n_minus = slot_positions(alphas)
@@ -385,17 +386,18 @@ def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
     v_ext = np.asarray(_extended_params(v_set.v, zetas), dtype=complex)
     part = np.cumsum((0,) + tuple(alphas))[ip]    # a_1 + ... + a_{i_p - 1}
     zv = z[:, None] - v_ext[None, :]
-    bzv = br(zv)                                  # [z_l - v_k]
     rel = np.arange(m)[None, :, None] - ip[:, None, None]   # l - i_p
     a_ip = np.asarray(alphas, dtype=float)[ip][:, None, None]
-    single = (br(s + part[:, None] + v_ext[None, :] - z[ip][:, None])
-              / br(s + part)[:, None]
+    # [z_l - v_k], the slot factors, the pair table [v_i - v_j + 1]
+    bzv, bnum, bden, bzva, pair = u_set.params.brackets(
+        zv, s + part[:, None] + v_ext[None, :] - z[ip][:, None], s + part,
+        zv + a_ip, v_ext[:, None] - v_ext[None, :] + 1)
+    single = (bnum / bden[:, None]
               * np.prod(np.where(rel < 0, bzv, 1.0), axis=1)
-              * np.prod(np.where(rel > 0, br(zv + a_ip), 1.0), axis=1))
+              * np.prod(np.where(rel > 0, bzva, 1.0), axis=1))
     # v_{n+j} = zeta_{m+1-j}: lam- on a minus slot, lam+ on a plus slot
     single[:, n:] *= np.where(np.arange(m)[:, None] < n_minus,
                               lams[1], lams[0])[:, ::-1]
-    pair = br(v_ext[:, None] - v_ext[None, :] + 1)
     p, q = np.triu_indices(m, 1)
     const = ((-1.0) ** (m * n + n_minus) * _omega_ratio_pow(u_set, v_set, s)
              * d_ratio / np.prod(lams[0] - lams[1])
@@ -424,18 +426,20 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     n, m = u_set.n, path.m
     s = params.height(a1)
     L = params.L
-    br = params.bracket
     u_set, same = _mean_value_pair(u_set, v_set)
     u, v = u_set.v, v_set.v
     t0 = np.sum(u) - np.sum(v) + gamma
-    if abs(br(t0)) < 1e-13:
+    v_ext = np.asarray(_extended_params(v_set.v, zetas), dtype=complex)
+    b = enumerate_tuples(n, m, slot_positions(alphas)[0])
+    keep_sum = np.sum(v_set.v) + sum(zetas) - np.sum(v_ext[b - 1], axis=1)
+    bt0, bs, den = params.brackets(t0, s,
+                                   np.sum(u_set.v) - keep_sum + gamma + s)
+    if abs(bt0) < 1e-13:
         raise PoleError("[|u|-|v|+gamma] vanishes; redraw gamma")
-    b0p = br(0.0, order=1)
-    bst = br(s) * br(t0)
+    bst = bs * bt0
     phi_v = gaudin_matrix(v_set)
     det_phi = np.linalg.det(phi_v)
     _check_kappa(phi_v, "Gaudin matrix")
-    v_ext = np.asarray(_extended_params(v_set.v, zetas), dtype=complex)
 
     # appendix-B coefficients, a row per sector nu: (1, q^-nu, w^2, q^nu w^2)
     # for H, (lam+, lam+ q^-nu, lam- w^2, lam- w^2 q^nu) for Q, w = omega_v/
@@ -445,7 +449,7 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     one = np.ones((L, 1))
     qm, qp = _sector_q_powers(params)
     z = np.asarray(zetas, dtype=complex)
-    lams = (lambda_pm(1, z, v_set), lambda_pm(-1, z, v_set))
+    lams = lambda_pm(z, v_set)
     lam_p, lam_m = lams[0], lams[1] * w2
     d_ratio = np.prod(_own_d(u_set) / _own_d(v_set))
     twist = twist_weights(s, gamma, params)
@@ -456,16 +460,14 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
                             (lam_p, lam_p * qm, lam_m, lam_m * qp), params)
     base_dets = np.linalg.det(base)
 
-    b = enumerate_tuples(n, m, slot_positions(alphas)[0])
     inv = inversion_counts(b)
     gb = algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
                             d_ratio)
-    b, inv, gb = b[gb != 0.0], inv[gb != 0.0], gb[gb != 0.0]
-    keep_sum = np.sum(v_set.v) + sum(zetas) - np.sum(v_ext[b - 1], axis=1)
-    den = br(np.sum(u_set.v) - keep_sum + gamma + s)
+    nz = gb != 0.0
+    b, inv, gb, den = b[nz], inv[nz], gb[nz], den[nz]
     if np.any(np.abs(den) < 1e-13):
         raise PoleError("b-dependent prefactor pole; redraw gamma")
-    pre = bst / (b0p * den)
+    pre = bst / (params.bracket_prime0 * den)
     # index b <= n picks a root row of S (column of H), b > n the path
     # argument zeta_{n+m+1-b}: a reversed identity row (reversed Q column)
     if reduction == "m":
@@ -512,7 +514,7 @@ def _x_matrix(t, u, v, params):
     br = params.bracket
     n = len(u)
     uu = (u[:, None] - u[None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    pref = (br(0.0, order=1) / br(t) * np.prod(br(u[:, None] - v), axis=1)
+    pref = (params.bracket_prime0 / br(t) * np.prod(br(u[:, None] - v), axis=1)
             / np.prod(br(uu), axis=1))   # one value per column k
     vu = v[:, None] - u[None, :]
     return pref * br(vu + t) / br(vu)
@@ -526,56 +528,65 @@ def x_determinant_residual(gamma, u, v, params):
     t = np.sum(u - v) + gamma
     br = params.bracket
     lhs = np.linalg.det(_x_matrix(t, u, v, params))
-    rhs = (-br(0.0, order=1)) ** n * br(gamma) / br(t)
+    rhs = (-params.bracket_prime0) ** n * br(gamma) / br(t)
     j, k = np.triu_indices(n, 1)
     rhs *= np.prod(br(v[j] - v[k]) / br(u[j] - u[k]))
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _h_kernel(t, v, a2, a4, params):
+def _h_kernel_args(t, dv):
+    """Bracket arguments of _h_kernel, dv = v_j - v_k: t, dv + t + 1, dv + 1,
+    dv + t - 1 and dv - 1."""
+    return t, dv + t + 1, dv + 1, dv + t - 1, dv - 1
+
+
+def _h_kernel(brs, a2, a4, params):
     """[0]'/[t] (a2_k [v_j - v_k + t + 1]/[v_j - v_k + 1]
     - a4_k [v_j - v_k + t - 1]/[v_j - v_k - 1]), the part of the transformed
-    kernel its mean-value form shares (coefficients as in _h_transformed)."""
-    br = params.bracket
-    dv = v[:, None] - v[None, :]
+    kernel its mean-value form shares, from the brackets brs of
+    _h_kernel_args (coefficients as in _h_transformed)."""
+    bt, bpt, bp, bmt, bm = brs
     a2, a4 = np.expand_dims(a2, -2), np.expand_dims(a4, -2)
-    return (br(0.0, order=1) / br(t)) * (
-        a2 * br(dv + t + 1) / br(dv + 1) - a4 * br(dv + t - 1) / br(dv - 1))
+    return (params.bracket_prime0 / bt) * (a2 * bpt / bp - a4 * bmt / bm)
 
 
 def _h_transformed(gamma, u, v, alup, params):
     """Transformed kernel H.  Each coefficient in alup = (a1, a2, a3, a4)
     holds one value per column on its last axis (length 1 or n); a leading
     axis stacks the twist sectors, one n x n matrix each."""
-    br = params.bracket
     a1, a2, a3, a4 = alup
     n = len(v)
     t = np.sum(u - v) + gamma
     uv = u[:, None] - v[None, :]
     dv = v[:, None] - v[None, :]
-    pp = np.prod(br(uv + 1), axis=0) / np.prod(br(dv + 1), axis=0)
-    pm = np.prod(br(uv - 1), axis=0) / np.prod(br(dv - 1), axis=0)
-    # prod_{k != j} [v_j - v_k], one row per j
-    num = np.prod(br(dv[~np.eye(n, dtype=bool)].reshape(n, n - 1)), axis=1)
-    den = np.prod(br(v[:, None] - u[None, :]), axis=1)
-    diag = br(0.0, order=1) * num / den * (a1 * pp - a3 * pm)
-    return np.eye(n) * diag[..., None] + _h_kernel(t, v, a2, a4, params)
+    # kern holds the brackets of _h_kernel, [dv + 1] and [dv - 1] among
+    # them; prod_{k != j} [v_j - v_k] takes the off-diagonal dv, row by row
+    *kern, buvp, buvm, boff, bvu = params.brackets(
+        *_h_kernel_args(t, dv), uv + 1, uv - 1,
+        dv[~np.eye(n, dtype=bool)].reshape(n, n - 1), v[:, None] - u[None, :])
+    pp = np.prod(buvp, axis=0) / np.prod(kern[2], axis=0)
+    pm = np.prod(buvm, axis=0) / np.prod(kern[4], axis=0)
+    num = np.prod(boff, axis=1)
+    den = np.prod(bvu, axis=1)
+    diag = params.bracket_prime0 * num / den * (a1 * pp - a3 * pm)
+    return np.eye(n) * diag[..., None] + _h_kernel(kern, a2, a4, params)
 
 
 def _q_transformed(gamma, u, v, zetas, bet, params):
     """Path block Q, one column per argument in zetas; the coefficients
     bet = (b1, b2, b3, b4) are laid out as in _h_transformed."""
-    br = params.bracket
     b1, b2, b3, b4 = (np.expand_dims(b, -2) for b in bet)
     t = np.sum(u - v) + gamma
     vz = v[:, None] - zetas[None, :]
     uz = u[:, None] - zetas[None, :]
-    bvz, buz, bvzt = br(vz), br(uz), br(vz + t)
-    prod_p = np.prod(bvz / buz * br(uz + 1) / br(vz + 1), axis=0)
-    prod_m = np.prod(bvz / buz * br(uz - 1) / br(vz - 1), axis=0)
-    return (br(0.0, order=1) / br(t)) * (
-        b2 * br(vz + t + 1) / br(vz + 1) - b1 * bvzt / bvz * prod_p
-        - b4 * br(vz + t - 1) / br(vz - 1) + b3 * bvzt / bvz * prod_m)
+    bt, bvz, buz, bvzt, buzp, bvzp, buzm, bvzm, bvztp, bvztm = \
+        params.brackets(t, vz, uz, vz + t, uz + 1, vz + 1, uz - 1, vz - 1,
+                        vz + t + 1, vz + t - 1)
+    prod_p = np.prod(bvz / buz * buzp / bvzp, axis=0)
+    prod_m = np.prod(bvz / buz * buzm / bvzm, axis=0)
+    return (params.bracket_prime0 / bt) * (
+        b2 * bvztp / bvzp - b1 * bvzt / bvz * prod_p
+        - b4 * bvztm / bvzm + b3 * bvzt / bvz * prod_m)
 
 
 def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):
@@ -597,7 +608,7 @@ def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):
     cq = _q_transformed(gamma, u, v, zetas, bet, params)
     cmixed = np.column_stack([ch[:, :n - mcols], cq[:, :mcols]])
     t = np.sum(u - v) + gamma
-    pref = br(t) / ((-br(0.0, order=1)) ** n * br(gamma))
+    pref = br(t) / ((-params.bracket_prime0) ** n * br(gamma))
     j, k = np.triu_indices(n, 1)
     pref *= np.prod(br(u[j] - u[k]) / br(v[j] - v[k]))
     lhs = np.linalg.det(mixed)

@@ -132,7 +132,7 @@ def partial_scalar_det(u_set, v_list, a, gamma=None):
         raise ValueError("u and v sets must have equal length")
     s = params.height(a)
     br = params.bracket
-    b0p = br(0.0, order=1)
+    b0p = params.bracket_prime0
     bg = br(gamma)
     den = br(np.sum(u) - np.sum(v) + gamma + s)
     if min(abs(bg), abs(den)) < 1e-13:
@@ -175,18 +175,17 @@ def _gaudin_kernel(u_set):
     """
     if "gaudin" in u_set.memo:
         return u_set.memo["gaudin"]
-    br = u_set.params.bracket
     u = np.asarray(u_set.v, dtype=complex)
-
-    def dlog(x):
-        return br(x, order=1) / br(x)
-
     uxi = u[:, None] - np.array(u_set.config.xi)
-    logprime_ad = np.zeros(len(u), dtype=complex)
-    for col in (dlog(uxi) - dlog(uxi + 1)).T:   # site by site, as summed
-        logprime_ad -= col
     du = u[:, None] - u[None, :]
-    off = dlog(du - 1) - dlog(du + 1)
+    args = (uxi, uxi + 1, du - 1, du + 1)
+    # dlog[x] = [x]'/[x]: one bracket call per order for all four tables
+    dlog = [d / f for d, f in zip(u_set.params.brackets(*args, order=1),
+                                  u_set.params.brackets(*args))]
+    logprime_ad = np.zeros(len(u), dtype=complex)
+    for col in (dlog[0] - dlog[1]).T:   # site by site, as summed
+        logprime_ad -= col
+    off = dlog[2] - dlog[3]
     out = (logprime_ad + np.sum(off, axis=1), off)
     for arr in out:
         arr.flags.writeable = False
@@ -205,12 +204,13 @@ def norm_det(u_set):
     params = u_set.params
     u = np.asarray(u_set.v, dtype=complex)
     n = len(u)
-    br = params.bracket
-    pref = (-1.0) ** (n * params.r * u_set.aleph) / (-br(0.0, order=1)) ** n
+    pref = ((-1.0) ** (n * params.r * u_set.aleph)
+            / (-params.bracket_prime0) ** n)
     pref *= np.prod(u_set.a_fun(u) * _own_d(u_set))
     du = u[:, None] - u[None, :]
-    pref *= np.prod(br(du + 1))
-    offdiag = br(du)[~np.eye(n, dtype=bool)]
+    bdup, bdu = params.brackets(du + 1, du)
+    pref *= np.prod(bdup)
+    offdiag = bdu[~np.eye(n, dtype=bool)]
     pref /= np.prod(offdiag)
     mat = gaudin_matrix(u_set)
     _check_kappa(mat, "Gaudin matrix")

@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .elliptic import (AccuracyError, EllipticDomainError, PoleError, theta,
-                       theta_log)
+from .elliptic import (AccuracyError, EllipticDomainError, PoleError,
+                       stacked, theta, theta_log)
 from .bethe import (bare_momentum, bare_phase, density_fourier,
                     momentum_shifts, p0_tot)
 from .scalar import gamma_retry, twist_weights
@@ -276,18 +276,20 @@ def _pbar_bethe_pair(s, Z, kk, ll, params, gamma):
     tt, et = params.tau_tilde, params.eta_tilde
     gt = et * gamma
     D = (L * kk + 2.0 * ll) / (2.0 * Lr)
-    den = theta(1, Z - D + gt + et * s, tt)
+    # one theta call per (kind, modulus, order)
+    den, num = stacked(lambda z: theta(1, z, tt), Z - D + gt + et * s, et * s)
     if np.min(np.abs(den)) < 1e-13:
         raise PoleError("one-point prefactor pole; redraw gamma")
     pref = (np.exp(-1j * math.pi * s * (-(r * kk + 2.0 * ll) / Lr
                                         + 2.0 * eta * gt))
-            * theta(1, et * s, tt) / (et * den))
+            * num / (et * den))
     nu = np.arange(L).reshape((L,) + (1,) * np.ndim(Z))
+    th2, th2_0 = stacked(lambda z: theta(2, z, et),
+                         Z - D + eta * (gt - nu), 0)
     tot = np.sum(twist_weights(s, gamma, params).reshape(nu.shape)
                  * theta(1, (1 - eta) * gt + eta * nu, tt - et)
                  / theta(1, 0, tt - et, order=1)
-                 * theta(2, Z - D + eta * (gt - nu), et)
-                 / theta(2, 0, et), axis=0)
+                 * th2 / th2_0, axis=0)
     return pref * tot / Lr
 
 

@@ -150,9 +150,49 @@ class TestSeed:
         for config in configs:
             for k in (0, 1):
                 for ell in range(params.L - params.r):
-                    seed = B._initial_guess(N // 2, k, ell, config, params)
+                    seed = B._initial_guess(N // 2, [(k, ell)], config,
+                                            params)[0]
                     ref = self.scalar_seed(N // 2, k, ell, config, params)
                     assert np.max(np.abs(seed - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_column_seeds_equal_per_state_seeds(self, params, N,
+                                                monkeypatch):
+        # all_ground_states seeds its column in one bisection; every row
+        # equals the state's own seed bit for bit
+        config = LatticeConfig(N=N, xi=tuple(
+            0.5 + 1j * y for y in np.linspace(-0.05, 0.05, N)))
+        batches = []
+
+        def recorded(n, labels, cfg, prm):
+            out = guess(n, labels, cfg, prm)
+            batches.append((list(labels), out))
+            return out
+
+        guess = B._initial_guess
+        monkeypatch.setattr(B, "_initial_guess", recorded)
+        gs = B.all_ground_states(config, params)
+        monkeypatch.setattr(B, "_initial_guess", guess)
+        ((labels, seeds),) = batches
+        assert labels == sorted(gs)
+        for label, row in zip(labels, seeds):
+            own = guess(N // 2, [label], config, params)[0]
+            assert np.array_equal(row, own)
+            assert np.array_equal(np.signbit(row), np.signbit(own))
+
+    def test_cached_column_runs_no_bisection(self, params, tmp_path,
+                                             monkeypatch):
+        config = homogeneous_config(6)
+        first = B.all_ground_states(config, params, cache_dir=str(tmp_path))
+
+        def refuse(*args):
+            raise AssertionError("bisection run for a cached state")
+
+        monkeypatch.setattr(B, "_initial_guess", refuse)
+        again = B.all_ground_states(config, params, cache_dir=str(tmp_path))
+        assert sorted(again) == sorted(first)
+        for key, roots in again.items():
+            assert np.array_equal(roots.x, first[key].x)
 
     def test_density_fourier_array_matches_scalar(self, params, config4):
         ms = np.arange(-5, 6)
@@ -160,6 +200,43 @@ class TestSeed:
         assert arr.shape == ms.shape
         for m, val in zip(ms, arr):
             assert val == B.density_fourier(int(m), config4, params)
+
+
+class TestNewtonStep:
+    def test_theta_calls_do_not_grow_with_N(self, params, monkeypatch):
+        # the log residual evaluates all its theta values in one call and
+        # the Jacobian in two (theta1' and theta1), at any N
+        theta = B.theta
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return theta(*args, **kwargs)
+
+        counts = {}
+        for N in (8, 16):
+            config = homogeneous_config(N)
+            x = B._initial_guess(N // 2, [(0, 0)], config, params)[0]
+            monkeypatch.setattr(B, "theta", counted)
+            calls.clear()
+            B.log_bethe_residual(x, 0, 0, config, params)
+            res = len(calls)
+            calls.clear()
+            B._log_bethe_jacobian(x, config, params)
+            counts[N] = (res, len(calls))
+            monkeypatch.setattr(B, "theta", theta)
+        assert counts[8] == counts[16] == (1, 2), counts
+
+    def test_stacked_terms_equal_single_terms(self, params, config4):
+        # the residual's momentum and phase terms share one theta call;
+        # each equals its own bare_momentum / bare_phase evaluation
+        x = B._initial_guess(2, [(1, 0)], config4, params)[0]
+        for order in (0, 1):
+            p0, phase = B._bethe_terms(x, config4, params, order)
+            assert np.array_equal(p0, B.p0_tot(x, config4, params, order))
+            assert np.array_equal(
+                phase, B.bare_phase(x[:, None] - x[None, :], params,
+                                    order=order))
 
 
 class TestEigenstates:
@@ -232,17 +309,18 @@ class TestSiteProducts:
     def test_lambda_pm_matches_site_loop(self, params, ground4, eps):
         roots = ground4[(0, 1)]
         br = params.bracket
+        half = (1 - eps) // 2     # lambda_pm returns (Lambda_+, Lambda_-)
         for z in self.ZS:
             ref = eps * roots.omega ** (eps - 1)
             for xi in roots.config.xi:
                 ref *= br(z - xi + (1 + eps) // 2)
             for vj in roots.v:
                 ref *= br(vj - z + eps)
-            got = B.lambda_pm(eps, z, roots)
+            got = B.lambda_pm(z, roots)[half]
             assert type(got) is complex
             assert abs(got - ref) <= 1e-15 * abs(ref)
-        arr = B.lambda_pm(eps, np.array(self.ZS), roots)
-        assert all(a == B.lambda_pm(eps, z, roots)
+        arr = B.lambda_pm(np.array(self.ZS), roots)[half]
+        assert all(a == B.lambda_pm(z, roots)[half]
                    for a, z in zip(arr, self.ZS))
 
     @pytest.mark.parametrize("relative", [False, True])

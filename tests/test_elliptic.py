@@ -164,6 +164,35 @@ class TestSeriesTruncation:
         with pytest.raises(EllipticDomainError):
             theta(3, np.array([0.1, 0.2]), 1e-8j)
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2, 4)])
+    def test_empty_input(self, shape, monkeypatch, params):
+        # an empty z returns an empty complex array of its shape without
+        # reducing or summing anything
+        import csoslab.elliptic as E
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("series or reduction ran on empty input")
+
+        monkeypatch.setattr(E, "_series_sum", refuse)
+        monkeypatch.setattr(E, "_reduce", refuse)
+        z = np.empty(shape)
+        for kind in (1, 2, 3, 4):
+            for order in (0, 1, 2):
+                out = theta(kind, z, 0.45j, order=order)
+                assert out.shape == shape and out.dtype == complex
+        for order in (0, 1):
+            out = bracket(z, params, order=order)
+            assert out.shape == shape and out.dtype == complex
+
+    def test_empty_input_still_checked(self):
+        z = np.empty(0)
+        with pytest.raises(ValueError):
+            theta(5, z, 0.45j)
+        with pytest.raises(ValueError):
+            theta(1, z, 0.45j, order=3)
+        with pytest.raises(EllipticDomainError):
+            theta(1, z, -0.45j)
+
 
 class TestThetaLog:
     def test_matches_plain_theta(self, rng):
@@ -215,6 +244,30 @@ class TestBracket:
         u = 0.27 + 0.12j
         fd = (bracket(u + h, params) - bracket(u - h, params)) / (2 * h)
         assert abs(bracket(u, params, order=1) - fd) < 1e-8
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_stacked_brackets_equal_single_calls(self, params, order):
+        # one call on stacked arguments gives each argument's own call, bit
+        # for bit (signs of zeros included) and of the same type and shape
+        rng = np.random.default_rng(5)
+        args = [0.0, -0.0, 2, 0.37 - 0.2j, np.complex128(0.1 + 0.4j),
+                np.array(0.2 - 0.3j), np.empty((0, 3)),
+                rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)),
+                rng.uniform(-3, 3, (2, 5)), np.array([[-0.0, 0.0, 3.0]]),
+                np.array([1.5, -2.5])]
+        got = params.brackets(*args, order=order)
+        assert len(got) == len(args)
+        for arg, val in zip(args, got):
+            ref = params.bracket(arg, order=order)
+            assert type(val) is type(ref)
+            assert np.shape(val) == np.shape(ref)
+            a = np.atleast_1d(np.asarray(val)).view(float)
+            b = np.atleast_1d(np.asarray(ref)).view(float)
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_bracket_prime0_is_the_derivative_at_zero(self, params):
+        assert params.bracket_prime0 == params.bracket(0.0, order=1)
 
 
 class TestComplexDivision:

@@ -553,6 +553,10 @@ class TestSectorIndependence:
             counts[N] = len(calls)
             monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert counts[4] == counts[8], counts
+        # each builder stacks its brackets into one call; 9 of the 22 are
+        # the scalar pair checks of check_zetas and check_pair_separation
+        # (one call per factor made 73)
+        assert counts[4] == 22, counts
 
     def test_partial_scalar_bracket_calls_do_not_grow_with_L(self,
                                                              monkeypatch):
