@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import ModelParams, SolverError, stacked, theta
+from .elliptic import ModelParams, SolverError, _theta_rows, stacked, theta
 from .lattice import LatticeConfig, StateVector, monodromy_entry_apply, \
     transfer_apply
 
@@ -33,8 +33,8 @@ CACHE_ENV = "CSOSLAB_CACHE_DIR"
 
 def _log_ratio_odd(terms, tau_t, order):
     """i*log(theta1(shift+z)/theta1(shift-z)), or its z-derivative (order
-    1), for each (z, shift) in terms; one theta call holds every term's
-    values (two for order 1: theta1' and theta1).
+    1), for each (z, shift) in terms; one series sum holds every term's
+    values (theta1 and theta1' for order 1).
 
     The log is continuous and odd in z (real z): principal value on the
     fundamental interval plus 2 pi per full period.
@@ -42,9 +42,8 @@ def _log_ratio_odd(terms, tau_t, order):
     if order == 1:
         args = [a for z, shift in terms
                 for a in (np.asarray(z) + shift, np.asarray(z) - shift)]
-        dlog = [d / f for d, f in zip(
-            stacked(lambda a: theta(1, a, tau_t, order=1), *args),
-            stacked(lambda a: theta(1, a, tau_t), *args))]
+        vals, primes = stacked(lambda a: _theta_rows(1, a, tau_t, 1), *args)
+        dlog = [d / f for d, f in zip(primes, vals)]
         return [1j * (plus - minus)
                 for plus, minus in zip(dlog[::2], dlog[1::2])]
     zs = [np.asarray(z, dtype=float) for z, _ in terms]
@@ -344,17 +343,21 @@ def all_ground_states(config, params, cache_dir=None):
 # Bethe vectors and eigenvalues
 # ---------------------------------------------------------------------------
 
-def _phi_weight(roots, s, dual=False):
+def _phi_weights(roots, dual=False):
+    """phi_omega(s) = omega^s/sqrt(L) prod_{j=1..n} [1]/[s - j] (dual:
+    omega^-s/sqrt(L) prod_{j=0..n-1} [s + j]/[1]) at the L heights
+    s = s0 + a, a list over a, from one bracket call."""
     params = roots.params
-    n = roots.n
-    if not dual:
-        out = roots.omega_pow(s) / math.sqrt(params.L)
-        for j in range(1, n + 1):
-            out *= params.bracket(1) / params.bracket(s - j)
-        return out
-    out = roots.omega_pow(-s) / math.sqrt(params.L)
-    for j in range(0, n):
-        out *= params.bracket(s + j) / params.bracket(1)
+    heights = [params.height(a) for a in range(params.L)]
+    col = np.array(heights)[:, None]
+    b1, table = params.brackets(1, col + np.arange(roots.n) if dual
+                                else col - np.arange(1, roots.n + 1))
+    out = []
+    for s, row in zip(heights, table.tolist()):   # factor by factor
+        val = roots.omega_pow(-s if dual else s) / math.sqrt(params.L)
+        for br in row:
+            val *= br / b1 if dual else b1 / br
+        out.append(val)
     return out
 
 
@@ -369,18 +372,18 @@ def bethe_vector(roots, side="right"):
         st = StateVector.reference(config, params)
         for vj in roots.v:
             st = monodromy_entry_apply("B", vj, st)
-        return st.scale_heights(lambda s: _phi_weight(roots, s))
+        return st.scale_heights(_phi_weights(roots))
     if side != "left":
         raise ValueError("side must be 'right' or 'left'")
     row = StateVector.reference(config, params)
     for vj in roots.v[::-1]:
         row = monodromy_entry_apply("C", vj, row, dual=True)
-    return row.scale_heights(lambda s: _phi_weight(roots, s, dual=True))
+    return row.scale_heights(_phi_weights(roots, dual=True))
 
 
 def left_contract(roots, state):
     """<{u}, omega_u | state> without materializing the covector."""
-    work = state.scale_heights(lambda s: _phi_weight(roots, s, dual=True))
+    work = state.scale_heights(_phi_weights(roots, dual=True))
     for vj in roots.v:
         work = monodromy_entry_apply("C", vj, work)
     return work.bra_contract_reference()

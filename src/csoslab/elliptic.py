@@ -62,14 +62,12 @@ class _Terms(NamedTuple):
     """Truncated theta series for one (kind, tau), terms in summation order.
 
     `expo` is i pi tau a^2 and `fac` stacks w^0, w^1, w^2 with w = 2 pi i a,
-    the factor of one z-derivative; `scalar` holds (expo, w, w^2, sign) as
-    Python numbers for the pure-cmath path.
+    the factor of one z-derivative.
     """
 
     sign: np.ndarray
     expo: np.ndarray
     fac: np.ndarray
-    scalar: tuple
 
 
 @functools.lru_cache(maxsize=256)
@@ -106,32 +104,15 @@ def _term_table(kind, tau):
         for j in range(1, count + 1):
             terms += [(float(j), sgn ** j), (-float(j), sgn ** j)]
     ipt = 1j * math.pi * tau
-    scalar = []
+    rows = []
     for a, sign in terms:
         w = 2j * math.pi * a
-        scalar.append((ipt * a * a, w, w * w, complex(sign)))
-    expo, w, w2, sign = (np.array(col) for col in zip(*scalar))
-    out = _Terms(sign, expo, np.stack([np.ones_like(w), w, w2]),
-                 tuple(scalar))
-    for arr in out[:3]:
+        rows.append((ipt * a * a, w, w * w, complex(sign)))
+    expo, w, w2, sign = (np.array(col) for col in zip(*rows))
+    out = _Terms(sign, expo, np.stack([np.ones_like(w), w, w2]))
+    for arr in out:
         arr.flags.writeable = False     # shared by every cached caller
     return out
-
-
-def _series_scalar(kind, z, tau, order):
-    """[g, g', g''] of the reduced series at one complex z, in pure cmath."""
-    g0 = g1 = g2 = 0j
-    exp = cmath.exp
-    if order == 0:  # the common case, a sixth faster without the factors
-        for expo, w, _, sign in _term_table(kind, tau).scalar:
-            g0 += sign * exp(expo + w * z)
-        return g0, g1, g2
-    for expo, w, w2, sign in _term_table(kind, tau).scalar:
-        ph = sign * exp(expo + w * z)
-        g0 += ph
-        g1 += ph * w
-        g2 += ph * w2
-    return g0, g1, g2
 
 
 def _series_sum(kind, z, tau, order, scale=0.0):
@@ -163,11 +144,8 @@ def _series_sum(kind, z, tau, order, scale=0.0):
 
 
 def _cmul(a, b):
-    """a * b spelled out in real arithmetic, so that numpy arrays and Python
-    complex numbers round alike (numpy's complex multiply may fuse)."""
-    if isinstance(a, complex):
-        return complex(a.real * b.real - a.imag * b.imag,
-                       a.real * b.imag + a.imag * b.real)
+    """a * b of complex arrays spelled out in real arithmetic, so that it
+    rounds as CPython multiplies (numpy's complex multiply may fuse)."""
     out = np.empty(np.shape(a), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
@@ -190,16 +168,31 @@ def _cdiv(a, b):
 
 
 def _reduce(z, tau):
-    """z = z_red + k + m tau with |Re z_red| <= 1/2, |Im z_red| <= Im(tau)/2."""
-    if isinstance(z, complex):
-        m = float(round(z.imag / tau.imag))
-        zr = z - m * tau
-        k = float(round(zr.real))
-        return zr - k, k, m
+    """z = z_red + k + m tau with |Re z_red| <= 1/2, |Im z_red| <= Im(tau)/2;
+    z is an ndarray."""
     m = np.round(z.imag / tau.imag)
     zr = z - m * tau
     k = np.round(zr.real)
     return zr - k, k, m
+
+
+def _theta_rows(kind, z, tau, order):
+    """theta_kind and its z-derivatives up to `order` at the array z, from
+    one series sum: the rows [theta, theta', ...], each as theta gives it.
+    kind, order and tau (a complex) are taken as checked by theta."""
+    zr, k, m = _reduce(z, tau)
+    g = _series_sum(kind, zr, tau, order)
+    # theta(z) = sign * e^{-i pi tau m^2} e^{-2 i pi m z_red} * theta(z_red)
+    sign = (-1.0) ** (k + m if kind == 1 else k if kind == 2
+                      else m if kind == 4 else 0.0 * k)
+    phi = sign * np.exp(-1j * math.pi * tau * m * m - 2j * math.pi * m * zr)
+    c1 = -2j * math.pi * m
+    rows = [g[0]]
+    if order >= 1:
+        rows.append(c1 * g[0] + g[1])
+    if order == 2:
+        rows.append(c1 * c1 * g[0] + 2.0 * c1 * g[1] + g[2])
+    return [_cmul(phi, row) for row in rows]
 
 
 def theta(kind, z, tau, order=0):
@@ -214,8 +207,8 @@ def theta(kind, z, tau, order=0):
 
     Real and imaginary parts of z are reduced modulo the quasi-periods
     before summation, so large arguments stay accurate.  A scalar z is
-    evaluated in pure cmath, an array in broadcast blocks; both round
-    alike, so theta(kind, zs)[i] == theta(kind, zs[i]).
+    summed as a one-point array and comes back as a Python complex; each
+    point sums on its own, so theta(kind, zs)[i] == theta(kind, zs[i]).
     """
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"theta kind must be 1..4, got {kind}")
@@ -226,30 +219,9 @@ def theta(kind, z, tau, order=0):
         raise EllipticDomainError(f"Im(tau) must be positive, got tau={tau}")
     if np.size(z) == 0:     # nothing to reduce or sum
         return np.empty(np.shape(z), dtype=complex)
-    scalar = np.ndim(z) == 0
-    if scalar and cmath.isfinite(complex(z)):
-        zr, k, m = _reduce(complex(z), tau)
-        g = _series_scalar(kind, zr, tau, order)
-        exp = cmath.exp
-    else:
-        zr, k, m = _reduce(np.atleast_1d(np.asarray(z, dtype=complex)), tau)
-        g = _series_sum(kind, zr, tau, order)
-        exp = np.exp
-
-    # theta(z) = sign * e^{-i pi tau m^2} e^{-2 i pi m z_red} * theta(z_red)
-    sign = (-1.0) ** (k + m if kind == 1 else k if kind == 2
-                      else m if kind == 4 else 0.0 * k)
-    phi = sign * exp(-1j * math.pi * tau * m * m - 2j * math.pi * m * zr)
-    c1 = -2j * math.pi * m
-    if order == 0:
-        res = _cmul(phi, g[0])
-    elif order == 1:
-        res = _cmul(phi, c1 * g[0] + g[1])
-    else:
-        res = _cmul(phi, c1 * c1 * g[0] + 2.0 * c1 * g[1] + g[2])
-    if scalar and isinstance(res, np.ndarray):  # a non-finite scalar z
-        return complex(res[0])
-    return res
+    res = _theta_rows(kind, np.atleast_1d(np.asarray(z, dtype=complex)), tau,
+                      order)[order]
+    return complex(res[0]) if np.ndim(z) == 0 else res
 
 
 def stacked(fun, *args):
@@ -258,18 +230,22 @@ def stacked(fun, *args):
     The arguments are raveled and concatenated, fun runs once on the whole
     array, and each value comes back in its argument's shape; a 0-d
     argument comes back as a Python complex, as theta returns it for a
-    scalar.  fun must act elementwise, as theta and the bracket do: their
-    scalar and array paths round alike, so the values are those of one
-    call per argument, bit for bit.
+    scalar.  fun must act elementwise, as theta and the bracket do, so the
+    values are those of one call per argument, bit for bit.  When fun
+    returns a list of such arrays (the rows of `_theta_rows`), one list of
+    values comes back per row.
     """
     arrs = [np.asarray(a) for a in args]
     vals = fun(np.concatenate([a.ravel() for a in arrs]))
-    out, lo = [], 0
-    for a in arrs:
-        piece = vals[lo:lo + a.size].reshape(a.shape)
-        out.append(complex(piece) if a.ndim == 0 else piece)
-        lo += a.size
-    return out
+    ends = np.cumsum([a.size for a in arrs]).tolist()
+
+    def split(row):
+        pieces = (row[end - a.size:end].reshape(a.shape)
+                  for a, end in zip(arrs, ends))
+        return [complex(p) if p.ndim == 0 else p for p in pieces]
+
+    return ([split(row) for row in vals] if isinstance(vals, list)
+            else split(vals))
 
 
 _JACOBI_PARTNER = {1: 1, 2: 4, 3: 3, 4: 2}
@@ -385,6 +361,11 @@ class ModelParams:
         val = theta(1, self.eta * np.asarray(u) if np.ndim(u) else self.eta * u,
                     self.tau, order=order)
         return val * self.eta ** order
+
+    def _bracket_rows(self, u):
+        """[u] and [u]' at the array u from one series sum."""
+        val, prime = _theta_rows(1, self.eta * u, complex(self.tau), 1)
+        return [val, prime * self.eta]
 
     def brackets(self, *args, order=0):
         """[a], [b], ... (or their u-derivatives) from one bracket call on

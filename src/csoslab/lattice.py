@@ -126,11 +126,11 @@ class StateVector:
         """Bilinear pairing sum_{s, word} f g (no conjugation)."""
         return complex(np.sum(self.amps * other.amps))
 
-    def scale_heights(self, fun):
-        """Multiply pointwise by a function of the height value s0 + a."""
+    def scale_heights(self, weights):
+        """Multiply the height class a by weights[a], a = 0..L-1."""
         out = self.copy()
-        for a in range(self.params.L):
-            out.amps[a] *= fun(self.params.height(a))
+        for a, weight in enumerate(weights):
+            out.amps[a] *= weight
         return out
 
     def spin_weights(self):
@@ -154,43 +154,37 @@ def _prefix_table(i, config):
     return pref
 
 
+_SPINS = ((1, 1), (1, -1), (-1, 1), (-1, -1))   # r_matrix basis order
+
+
 def boltzmann_weight(u, s, unprimed, primed, params):
-    """Face weight R(u; s)^{(a_i, a_j)}_{(a'_i, a'_j)}; 0 unless ice rule holds."""
-    ai, aj = unprimed
-    bi, bj = primed
-    if ai + aj != bi + bj:
-        return 0.0 + 0.0j
-    bs = params.bracket(s)
-    bu1 = params.bracket(u + 1)
-    if min(abs(bs), abs(bu1)) < 1e-13:
-        raise PoleError(f"face weight pole at u={u}, s={s}")
-    if ai == bi:  # diagonal in the horizontal pair
-        if ai == aj:
-            return 1.0 + 0.0j
-        sgn = 1.0 if (ai, aj) == (1, -1) else -1.0
-        return (params.bracket(sgn * s + 1) * params.bracket(u)
-                / (params.bracket(sgn * s) * bu1))
-    sgn = 1.0 if (ai, aj) == (1, -1) else -1.0
-    return (params.bracket(sgn * s + u) * params.bracket(1)
-            / (params.bracket(sgn * s) * bu1))
+    """Face weight R(u; s)^{(a_i, a_j)}_{(a'_i, a'_j)}, the r_matrix entry;
+    0 unless ice rule holds."""
+    return complex(r_matrix(u, s, params)[_SPINS.index(tuple(unprimed)),
+                                          _SPINS.index(tuple(primed))])
 
 
 def r_matrix(u, s, params):
-    """4x4 matrix of face weights, basis (++, +-, -+, --), rows unprimed."""
-    mat = np.zeros((4, 4), dtype=complex)
-    spins = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    for i, up in enumerate(spins):
-        for j, pr in enumerate(spins):
-            if up[0] + up[1] == pr[0] + pr[1]:
-                mat[i, j] = boltzmann_weight(u, s, up, pr, params)
-    return mat
+    """4x4 matrix of face weights, basis (++, +-, -+, --), rows unprimed,
+    from one bracket call: b, c(u; s) on the row +-, b, c(u; -s) on -+."""
+    bs, bu, bu1, b1, bp1, bp, bpu, bm1, bm, bmu = params.brackets(
+        s, u, u + 1, 1, 1.0 * s + 1, 1.0 * s, 1.0 * s + u,
+        -1.0 * s + 1, -1.0 * s, -1.0 * s + u)
+    if min(abs(bs), abs(bu1)) < 1e-13:
+        raise PoleError(f"face weight pole at u={u}, s={s}")
+    return np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, bp1 * bu / (bp * bu1), bpu * b1 / (bp * bu1), 0.0],
+                     [0.0, bmu * b1 / (bm * bu1), bm1 * bu / (bm * bu1), 0.0],
+                     [0.0, 0.0, 0.0, 1.0]], dtype=complex)
 
 
 def yang_baxter_residual(u1, u2, u3, s, params):
     """Max-norm defect of the dynamical Yang-Baxter equation on (C^2)^3."""
-    def embed(mat4, pos, args):
-        # pos in {(0,1),(0,2),(1,2)}: factors carrying the R-matrix;
-        # args[e] is the 4x4 matrix when the spectator spin is e (0:+,1:-).
+    def embed(pos, u, shifted):
+        # R on the factors pos in {(0,1),(0,2),(1,2)}: R(u; s), or with
+        # shifted R(u; s + 1) and R(u; s - 1) for spectator spin + and -
+        mats = ([r_matrix(u, s + e, params) for e in (1.0, -1.0)] if shifted
+                else [r_matrix(u, s, params)] * 2)
         out = np.zeros((8, 8), dtype=complex)
         spect = ({0, 1, 2} - set(pos)).pop()
         for row in range(8):
@@ -199,23 +193,15 @@ def yang_baxter_residual(u1, u2, u3, s, params):
                 cb = [(col >> (2 - t)) & 1 for t in range(3)]
                 if rb[spect] != cb[spect]:
                     continue
-                m = args[rb[spect]]
+                m = mats[rb[spect]]
                 out[row, col] = m[2 * rb[pos[0]] + rb[pos[1]],
                                   2 * cb[pos[0]] + cb[pos[1]]]
         return out
 
-    def rfun(u, sarg):
-        return r_matrix(u, sarg, params)
-
-    eps = (1.0, -1.0)
-    r12_h3 = embed(None, (0, 1), [rfun(u1 - u2, s + eps[e]) for e in range(2)])
-    r13_s = embed(None, (0, 2), [rfun(u1 - u3, s) for _ in range(2)])
-    r23_h1 = embed(None, (1, 2), [rfun(u2 - u3, s + eps[e]) for e in range(2)])
-    r23_s = embed(None, (1, 2), [rfun(u2 - u3, s) for _ in range(2)])
-    r13_h2 = embed(None, (0, 2), [rfun(u1 - u3, s + eps[e]) for e in range(2)])
-    r12_s = embed(None, (0, 1), [rfun(u1 - u2, s) for _ in range(2)])
-    lhs = r12_h3 @ r13_s @ r23_h1
-    rhs = r23_s @ r13_h2 @ r12_s
+    lhs = (embed((0, 1), u1 - u2, True) @ embed((0, 2), u1 - u3, False)
+           @ embed((1, 2), u2 - u3, True))
+    rhs = (embed((1, 2), u2 - u3, False) @ embed((0, 2), u1 - u3, True)
+           @ embed((0, 1), u1 - u2, False))
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -97,12 +97,13 @@ class AdjacentPath:
     def check_zetas(self, config, params):
         """Pairwise distinctness of the z_k modulo the bracket lattice."""
         zs = self.zetas(config)
-        for a in range(len(zs)):
-            for b in range(a + 1, len(zs)):
-                if abs(params.bracket(zs[a] - zs[b])) < 1e-10:
-                    raise DegenerateConfigError(
-                        f"path arguments z_{a + 1} and z_{b + 1} collide; "
-                        "perturb the inhomogeneities")
+        z = np.asarray(zs, dtype=complex)
+        a, b = np.triu_indices(len(zs), 1)
+        hits = _vanishing(z[a] - z[b], params)
+        if len(hits):
+            raise DegenerateConfigError(
+                f"path arguments z_{a[hits[0]] + 1} and z_{b[hits[0]] + 1} "
+                "collide; perturb the inhomogeneities")
         return zs
 
     def to_json_dict(self, config=None):
@@ -131,12 +132,20 @@ def check_pair_separation(zetas, params):
     algebraic factors carry [z_j - z_k + 1] denominators, so these pairs
     need the homogeneous-limit treatment the determinant route does not
     implement (the dense route handles them)."""
-    for a in range(len(zetas)):
-        for b in range(len(zetas)):
-            if a != b and abs(params.bracket(zetas[a] - zetas[b] + 1.0)) < 1e-10:
-                raise DegenerateConfigError(
-                    "path arguments separated by one lattice unit "
-                    "({xi, xi-1} pair); use the dense route or perturb")
+    z = np.asarray(zetas, dtype=complex)
+    a, b = np.nonzero(~np.eye(len(z), dtype=bool))
+    if len(_vanishing(z[a] - z[b] + 1.0, params)):
+        raise DegenerateConfigError(
+            "path arguments separated by one lattice unit "
+            "({xi, xi-1} pair); use the dense route or perturb")
+
+
+def _vanishing(args, params):
+    """Indices of the 1-d args with |[arg]| < 1e-10, ascending: one bracket
+    call, none when there is no argument."""
+    if not args.size:
+        return []
+    return np.nonzero(np.abs(params.bracket(args)) < 1e-10)[0]
 
 
 def slot_positions(alphas):

@@ -18,9 +18,9 @@ import warnings
 
 import numpy as np
 
-from .elliptic import PoleError, _cdiv, _cmul, theta
+from .elliptic import PoleError, _cdiv, _cmul, stacked, theta
 from .lattice import StateVector, monodromy_entry_apply
-from .bethe import _phi_weight
+from .bethe import _phi_weights
 
 COND_WARN = 1e12
 
@@ -178,10 +178,10 @@ def _gaudin_kernel(u_set):
     u = np.asarray(u_set.v, dtype=complex)
     uxi = u[:, None] - np.array(u_set.config.xi)
     du = u[:, None] - u[None, :]
-    args = (uxi, uxi + 1, du - 1, du + 1)
-    # dlog[x] = [x]'/[x]: one bracket call per order for all four tables
-    dlog = [d / f for d, f in zip(u_set.params.brackets(*args, order=1),
-                                  u_set.params.brackets(*args))]
+    # dlog[x] = [x]'/[x]: [x] and [x]' of all four tables from one series sum
+    vals, primes = stacked(u_set.params._bracket_rows,
+                           uxi, uxi + 1, du - 1, du + 1)
+    dlog = [d / f for d, f in zip(primes, vals)]
     logprime_ad = np.zeros(len(u), dtype=complex)
     for col in (dlog[0] - dlog[1]).T:   # site by site, as summed
         logprime_ad -= col
@@ -221,19 +221,19 @@ def scalar_product_bruteforce(u_set, v_set):
     """<{u}, omega_u | {v}, omega_v> summed over the height circle."""
     params, config = u_set.params, u_set.config
     tot = 0.0j
-    for a in range(params.L):
-        s = params.height(a)
+    for a, (wu, wv) in enumerate(zip(_phi_weights(u_set, dual=True),
+                                     _phi_weights(v_set))):
         sn = partial_scalar_bruteforce(u_set, v_set.v, a, config, params)
-        tot += _phi_weight(u_set, s, dual=True) * _phi_weight(v_set, s) * sn
+        tot += wu * wv * sn
     return tot
 
 
 def delta_form_factor(u_set, v_set, a, gamma=None, route="det"):
     """<{u}| delta_{s0+a}(s_hat) |{v}> = phi~_u(s) phi_v(s) S_n({u};{v};s)."""
     params = u_set.params
-    s = params.height(a)
     if route == "det":
         sn = partial_scalar_det(u_set, v_set.v, a, gamma=gamma)
     else:
         sn = partial_scalar_bruteforce(u_set, v_set.v, a, u_set.config, params)
-    return _phi_weight(u_set, s, dual=True) * _phi_weight(v_set, s) * sn
+    a %= params.L     # phi and its dual are L-periodic in s
+    return _phi_weights(u_set, dual=True)[a] * _phi_weights(v_set)[a] * sn

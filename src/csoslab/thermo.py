@@ -15,6 +15,7 @@ evaluated exactly; the segment part is a periodic trapezoid sum.
 """
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -265,6 +266,12 @@ def resolvent_equation_residual(Y, X, zeta, params, modes=300):
 # (modified) one-point local height probability
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _theta1_prime0(tau):
+    """theta1'(0; tau), a constant of the model, evaluated once per modulus."""
+    return theta(1, 0, tau, order=1)
+
+
 def _pbar_bethe_pair(s, Z, kk, ll, params, gamma):
     """Dressing factor P(s, Z; k, l) between two ground-state labels.
 
@@ -288,7 +295,7 @@ def _pbar_bethe_pair(s, Z, kk, ll, params, gamma):
                          Z - D + eta * (gt - nu), 0)
     tot = np.sum(twist_weights(s, gamma, params).reshape(nu.shape)
                  * theta(1, (1 - eta) * gt + eta * nu, tt - et)
-                 / theta(1, 0, tt - et, order=1)
+                 / _theta1_prime0(tt - et)
                  * th2 / th2_0, axis=0)
     return pref * tot / Lr
 
@@ -323,15 +330,19 @@ def _pbar_bethe_pair_alt(s, Z, kk, ll, params, gamma):
     D = (L * kk + 2.0 * ll) / (2.0 * Lr)
     jmax = max(12, int(7.0 / math.sqrt(complex(et).imag)))
     pref = np.exp(1j * math.pi * s * (r * kk + 2.0 * ll) / Lr) / Lr
+    js = range(-jmax, jmax + 1)
+    ths, thz, thg, *thj = stacked(      # three factors per j
+        lambda z: theta(1, z, tt), et * s, Z - D + gt + et * s, gt,
+        *(x for j in js
+          for x in (gt - D + Z + et * j, gt + et * (s - j), et * (s - j))))
+    tp_dual, th2_0 = theta(1, 0, tt - et, order=1), theta(2, 0, et)
+    tp = theta(1, 0, tt, order=1)
     tot = 0.0j
-    for j in range(-jmax, jmax + 1):
+    for j, num_j, num_sj, den_sj in zip(js, thj[::3], thj[1::3], thj[2::3]):
         tot += (np.exp(1j * math.pi * et * j * j)
                 * np.exp(2j * math.pi * j * (Z - D))
-                * theta(1, et * s, tt) * theta(1, gt - D + Z + et * j, tt)
-                / (theta(1, Z - D + gt + et * s, tt)
-                   * theta(1, 0, tt - et, order=1) * theta(2, 0, et))
-                * theta(1, gt + et * (s - j), tt) * theta(1, 0, tt, order=1)
-                / (theta(1, et * (s - j), tt) * theta(1, gt, tt)))
+                * ths * num_j / (thz * tp_dual * th2_0)
+                * num_sj * tp / (den_sj * thg))
     return pref * tot
 
 
@@ -422,29 +433,33 @@ def algebraic_factor_Gtilde(lams, s1, alphas, mus, params):
     """G~(s_1; {lambda}, {mu}) of the thermodynamic representation.
 
     lams holds one value or node array per slot, the arrays broadcasting
-    against each other; returns their broadcast shape.
+    against each other; returns their broadcast shape.  The factors of one
+    slot value or node run, with the [mu_k - mu_j], share one theta call.
     """
     tt, et = params.tau_tilde, params.eta_tilde
     m = len(alphas)
     ipos, n_minus = slot_positions(alphas)
+    shift = [et * (s1 + sum(alphas[:ip - 1])) for ip in ipos]
+    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+    # in product order: theta1(shift + lambda_p - mu_{i_p}) and theta1(shift)
+    # per slot, the theta1(mu_k - mu_j), then per slot theta1(mu_k -
+    # lambda_p), plus eta~ alpha_{i_p} past the slot's path position
+    vals = stacked(
+        lambda z: theta(1, z, tt),
+        *(sh + lam - mus[ip - 1] for sh, lam, ip in zip(shift, lams, ipos)),
+        *shift, *(mus[k] - mus[j] for j, k in pairs),
+        *(mus[k - 1] - lam + et * alphas[ip - 1] if k > ip
+          else mus[k - 1] - lam
+          for lam, ip in zip(lams, ipos) for k in range(1, m + 1) if k != ip))
     out = complex((-1.0) ** (m - n_minus))
-    for p in range(m):
-        ip = ipos[p]
-        part = sum(alphas[:ip - 1])
-        out = out * (theta(1, et * (s1 + part) + lams[p] - mus[ip - 1], tt)
-                     / theta(1, et * (s1 + part), tt))
-    for j in range(m):
-        for k in range(j + 1, m):
-            out = out / theta(1, mus[k] - mus[j], tt)
-            out = out / _on_distinct(lambda d: theta(1, d + et, tt),
-                                     lams[j], -lams[k])
-    for p in range(m):
-        ip = ipos[p]
-        for k in range(1, ip):
-            out = out * theta(1, mus[k - 1] - lams[p], tt)
-        for k in range(ip + 1, m + 1):
-            out = out * theta(1, mus[k - 1] - lams[p] + et * alphas[ip - 1],
-                              tt)
+    for num, den in zip(vals[:m], vals[m:2 * m]):
+        out = out * (num / den)
+    for (j, k), th_mu in zip(pairs, vals[2 * m:]):
+        out = out / th_mu
+        out = out / _on_distinct(lambda d: theta(1, d + et, tt),
+                                 lams[j], -lams[k])
+    for th in vals[2 * m + len(pairs):]:
+        out = out * th
     return out
 
 
@@ -453,23 +468,24 @@ def cauchy_factor_S(lams, mus, params, frozen):
 
     lams as for `algebraic_factor_Gtilde`, a frozen slot holding its
     value.  Each frozen lambda drops its own singular factor and one power
-    of theta1'(0)/(2 pi i) (its residue has already been extracted).
+    of theta1'(0)/(2 pi i) (its residue has already been extracted).  The
+    [mu_j - mu_i] and lambda-mu factors share one theta call.
     """
     et = params.eta_tilde
     m = len(mus)
-    t1p = theta(1, 0, et, order=1)
     nfree = m - sum(frozen)
-    out = complex((t1p / (2j * math.pi)) ** nfree)
-    for i in range(m):
-        for j in range(i + 1, m):
-            out = out * _on_distinct(lambda d: theta(1, d, et),
-                                     lams[i], -lams[j])
-            out = out * theta(1, mus[j] - mus[i], et)
-    for i in range(m):
-        for j in range(m):
-            if frozen[i] and abs(complex(lams[i]) - complex(mus[j])) < 1e-14:
-                continue
-            out = out / theta(1, lams[i] - mus[j], et)
+    out = complex((_theta1_prime0(et) / (2j * math.pi)) ** nfree)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    args = [mus[j] - mus[i] for i, j in pairs] + [
+        lams[i] - mus[j] for i in range(m) for j in range(m)
+        if not (frozen[i] and abs(complex(lams[i]) - complex(mus[j])) < 1e-14)]
+    vals = stacked(lambda z: theta(1, z, et), *args) if args else []
+    for (i, j), th_mu in zip(pairs, vals):
+        out = out * _on_distinct(lambda d: theta(1, d, et),
+                                 lams[i], -lams[j])
+        out = out * th_mu
+    for th in vals[len(pairs):]:
+        out = out / th
     return out
 
 

@@ -205,19 +205,22 @@ class TestSeed:
 class TestNewtonStep:
     def test_theta_calls_do_not_grow_with_N(self, params, monkeypatch):
         # the log residual evaluates all its theta values in one call and
-        # the Jacobian in two (theta1' and theta1), at any N
-        theta = B.theta
+        # the Jacobian theta1 and theta1' in one series sum, at any N
+        theta, rows = B.theta, B._theta_rows
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return theta(*args, **kwargs)
+        def counted(fun):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fun(*args, **kwargs)
+            return wrapper
 
         counts = {}
         for N in (8, 16):
             config = homogeneous_config(N)
             x = B._initial_guess(N // 2, [(0, 0)], config, params)[0]
-            monkeypatch.setattr(B, "theta", counted)
+            monkeypatch.setattr(B, "theta", counted(theta))
+            monkeypatch.setattr(B, "_theta_rows", counted(rows))
             calls.clear()
             B.log_bethe_residual(x, 0, 0, config, params)
             res = len(calls)
@@ -225,7 +228,8 @@ class TestNewtonStep:
             B._log_bethe_jacobian(x, config, params)
             counts[N] = (res, len(calls))
             monkeypatch.setattr(B, "theta", theta)
-        assert counts[8] == counts[16] == (1, 2), counts
+            monkeypatch.setattr(B, "_theta_rows", rows)
+        assert counts[8] == counts[16] == (1, 1), counts
 
     def test_stacked_terms_equal_single_terms(self, params, config4):
         # the residual's momentum and phase terms share one theta call;
@@ -274,7 +278,7 @@ class TestEigenstates:
         assert roots.aleph == 2
         omega = 1.0  # omega^L = (-1)^{r n} = 1, take the trivial twist
         state = StateVector.reference(config, params).scale_heights(
-            lambda s: omega ** 1)
+            [omega ** 1] * params.L)
         u = 0.27 + 0.1j
         out = transfer_apply(u, state)
         tau_val = (omega * roots.a_fun(u)
@@ -286,6 +290,43 @@ class TestEigenstates:
         right = B.bethe_vector(ground4_homog[(1, 1)], side="right")
         lv = B.bethe_vector(left, side="left")
         assert abs(lv.dot(right) - B.left_contract(left, right)) < 1e-10
+
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_phi_weights_one_bracket_call_per_vector(self, params, N,
+                                                     monkeypatch):
+        # the L height weights of a vector come from one bracket call at
+        # n = 2 and n = 4, each equal to its scalar product, bit for bit
+        config = homogeneous_config(N)
+        x = B._initial_guess(N // 2, [(0, 1)], config, params)[0]
+        roots = B.BetheRootSet(x=x, k=0, ell=1, params=params, config=config)
+        br = params.bracket
+        for dual in (False, True):
+            got = B._phi_weights(roots, dual=dual)
+            for a, val in enumerate(got):
+                s = params.height(a)
+                ref = roots.omega_pow(-s if dual else s) / math.sqrt(params.L)
+                for j in range(roots.n):
+                    ref *= (br(s + j) / br(1) if dual
+                            else br(1) / br(s - (j + 1)))
+                assert type(val) is complex and val == ref
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
+        # the monodromy entries make their own calls: leave them out
+        monkeypatch.setattr(B, "monodromy_entry_apply",
+                            lambda entry, u, state, dual=False: state)
+        monkeypatch.setattr(ModelParams, "bracket", counted)
+        state = StateVector.reference(config, params)
+        for run in (lambda: B.bethe_vector(roots, side="right"),
+                    lambda: B.bethe_vector(roots, side="left"),
+                    lambda: B.left_contract(roots, state)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
 
 class TestSiteProducts:
@@ -382,7 +423,8 @@ class TestHeightProjection:
                         out *= params.bracket(1) / params.bracket(sv - jj)
                     return out
 
-                rot = base.scale_heights(phi)
+                rot = base.scale_heights(
+                    [phi(params.height(b)) for b in range(L)])
                 rhs.amps += cmath.exp(-2j * math.pi * j * s / L) / L * rot.amps
             assert np.max(np.abs(lhs.amps - rhs.amps)) < 1e-12
 

@@ -151,6 +151,40 @@ class TestSeriesTruncation:
                     one = theta(kind, zs[pick[:1]], tau, order=order)
                     assert one[0] == single[0]
 
+    def test_scalar_goes_through_the_series_sum(self, monkeypatch):
+        # one series body: a 0-d z is summed as a one-point array and comes
+        # back as a Python complex
+        import csoslab.elliptic as E
+        series = E._series_sum
+        sizes = []
+
+        def counted(kind, z, tau, order, scale=0.0):
+            sizes.append(np.size(z))
+            return series(kind, z, tau, order, scale)
+
+        monkeypatch.setattr(E, "_series_sum", counted)
+        for z in (0.3 + 0.1j, 0.25, np.complex128(-1.7 + 0.4j),
+                  np.array(0.1j), float("nan")):
+            for order in (0, 1, 2):
+                assert type(theta(1, z, 0.45j, order=order)) is complex
+        assert sizes == [1] * 15
+
+    def test_rows_from_one_sum_equal_theta(self):
+        # theta and its derivatives from one series sum, bit for bit as
+        # theta gives each order
+        import csoslab.elliptic as E
+        rng = np.random.default_rng(33)
+        zs = rng.uniform(-3, 3, 50) + 1j * rng.uniform(-2, 2, 50)
+        for tau in (0.45j, 0.1 + 0.3j):
+            for kind in (1, 2, 3, 4):
+                for order in (0, 1, 2):
+                    rows = E._theta_rows(kind, zs, tau, order)
+                    assert len(rows) == order + 1
+                    for d, row in enumerate(rows):
+                        ref = theta(kind, zs, tau, order=d)
+                        assert np.array_equal(row.view(float),
+                                              ref.view(float))
+
     def test_shape_preserved(self):
         z = np.array([[0.1, 0.2 + 0.1j, -0.3], [1.7, 0.0, 0.4j]])
         out = theta(3, z, 0.6j, order=1)

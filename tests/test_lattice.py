@@ -32,6 +32,33 @@ class TestFaceWeights:
                          [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
         assert np.max(np.abs(mat - perm)) < 1e-13
 
+    def test_r_matrix_one_bracket_call(self, params, monkeypatch):
+        # the face weights come from one bracket call; boltzmann_weight reads
+        # the matrix entry, and b, c are the scalar bracket ratios, bit for bit
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
+        u, s = 0.27 + 0.05j, 0.37 + 0.21j
+        monkeypatch.setattr(ModelParams, "bracket", counted)
+        mat = r_matrix(u, s, params)
+        assert len(calls) == 1
+        monkeypatch.setattr(ModelParams, "bracket", bracket)
+        spins = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        for i, up in enumerate(spins):
+            for j, pr in enumerate(spins):
+                val = boltzmann_weight(u, s, up, pr, params)
+                assert type(val) is complex and val == mat[i, j]
+        br = params.bracket
+        for sg, i in ((1.0, 1), (-1.0, 2)):
+            assert mat[i, i] == (br(sg * s + 1) * br(u)
+                                 / (br(sg * s) * br(u + 1)))
+            assert mat[i, 3 - i] == (br(sg * s + u) * br(1)
+                                     / (br(sg * s) * br(u + 1)))
+
 
 class TestYangBaxter:
     def test_random_draws(self, rng):

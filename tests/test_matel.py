@@ -56,6 +56,31 @@ class TestPathGeometry:
         with pytest.raises(DegenerateConfigError):
             PATH2.check_zetas(config, params)
 
+    def test_pair_checks_one_bracket_call(self, params, monkeypatch):
+        # each pair check is one bracket call over its pairs, none without a
+        # pair; the collision message still names the pair
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
+        monkeypatch.setattr(ModelParams, "bracket", counted)
+        config = LatticeConfig(N=4, xi=(0.5 + 0.01j, 0.5 - 0.02j,
+                                        0.5 + 0.01j, 0.5 + 0.03j))
+        with pytest.raises(DegenerateConfigError, match="z_1 and z_3 collide"):
+            M.vertical_path((0, 1, 2, 3)).check_zetas(config, params)
+        assert len(calls) == 1
+        calls.clear()
+        zs = M.vertical_path((0, 1, 2)).check_zetas(config, params)
+        M.check_pair_separation(zs, params)
+        assert len(calls) == 2
+        calls.clear()
+        for path in (PATH0, PATH1):
+            M.check_pair_separation(path.check_zetas(config, params), params)
+        assert calls == []
+
     def test_unit_separated_pair_refused_by_det_route(self, ground4):
         # {xi, xi-1} pairs break the [z_j - z_k + 1] denominators of the
         # tuple-sum coefficients; only the dense route handles them
@@ -553,10 +578,11 @@ class TestSectorIndependence:
             counts[N] = len(calls)
             monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert counts[4] == counts[8], counts
-        # each builder stacks its brackets into one call; 9 of the 22 are
-        # the scalar pair checks of check_zetas and check_pair_separation
-        # (one call per factor made 73)
-        assert counts[4] == 22, counts
+        # each builder stacks its brackets into one call, and so do the
+        # pair checks of check_zetas and check_pair_separation; the Gaudin
+        # kernels sum [x] and [x]' outside the bracket (one call per factor
+        # made 73)
+        assert counts[4] == 11, counts
 
     def test_partial_scalar_bracket_calls_do_not_grow_with_L(self,
                                                              monkeypatch):

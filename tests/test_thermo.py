@@ -156,6 +156,29 @@ class TestOnePoint:
                     assert np.all(np.abs(val - ref)
                                   < 1e-9 * np.maximum(1.0, np.abs(ref)))
 
+    def test_alt_theta_calls_do_not_grow_with_jmax(self, monkeypatch):
+        # the dual series evaluates its j-dependent factors in one call:
+        # Im(tau) = 0.8 (jmax = 12) and 2 (jmax = 17) make as many calls
+        theta_fun = T.theta
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return theta_fun(*args, **kwargs)
+
+        counts = {}
+        for tau in (0.8j, 2j):
+            params = ModelParams(tau=tau, r=1, L=3, s0=0.37 + 0.21j)
+            jmax = max(12, int(7.0 / math.sqrt(params.eta_tilde.imag)))
+            monkeypatch.setattr(T, "theta", counted)
+            for z in (0.1 - 0.05j, np.array([0.1 - 0.05j, 0.2j])):
+                calls.clear()
+                T._pbar_bethe_pair_alt(params.height(1), z, 1, 0, params,
+                                       0.21 + 0.4j)
+                counts[jmax, np.ndim(z)] = len(calls)
+            monkeypatch.setattr(T, "theta", theta_fun)
+        assert counts == {(12, 0): 4, (12, 1): 4, (17, 0): 4, (17, 1): 4}
+
     def test_parity_forbidden_exact_zero(self):
         params = ModelParams(tau=2.5j / 4, r=1, L=4, s0=0.37 + 0.21j)
         val = T.one_point_barP(1, 0.17 - 0.08j, 0, 0, params, mode="closed")
