@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import ModelParams, SolverError, _theta_rows, stacked, theta
-from .lattice import LatticeConfig, StateVector, monodromy_entry_apply, \
-    transfer_apply
+from .lattice import LatticeConfig, StateVector, _entries_apply, \
+    monodromy_entry_apply, transfer_apply
 
 CACHE_ENV = "CSOSLAB_CACHE_DIR"
 
@@ -435,8 +435,7 @@ def eigenstate_residual(roots, u, side="right"):
     if side == "right":
         out = transfer_apply(u, vec)
     else:
-        out = monodromy_entry_apply("A", u, vec, dual=True)
-        out.amps += monodromy_entry_apply("D", u, vec, dual=True).amps
+        out = _entries_apply(("A", "D"), u, vec, dual=True)
     gap = out.amps - tau * vec.amps
     return float(np.linalg.norm(gap) / np.linalg.norm(vec.amps))
 

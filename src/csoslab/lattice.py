@@ -20,9 +20,12 @@ The nonzero face weights are 1, b(u; +-s), c(u; +-s) with
 b(u;s) = [s+1][u]/([s][u+1]), c(u;s) = [s+u][1]/([s][u+1]).
 The dynamical argument of the k-th factor counts the spins of sites < k
 on the incoming configuration (the column of heights the faces lean on).
+Since [x + L] = (-1)^r [x] cancels in each ratio, the weights are
+L-periodic in s: at s = s0 + a + p they depend on the class (a + p) mod L
+only, and an application evaluates them on the (site, class) grid at
+s = s0 + c, c = 0..L-1, in one bracket call.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,60 +208,50 @@ def yang_baxter_residual(u1, u2, u3, s, params):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-@functools.lru_cache(maxsize=64)
-def _height_grids(params, N):
-    """The u-independent brackets of _column_weights, once per (params, N):
-    s = (s0 + a) + p on the (height a, prefix sum p) grid, [s], [-s],
-    [s + 1], [-s + 1] (read-only: callers share them) and the scalar [1]."""
-    s_dyn = ((params.s0 + np.arange(params.L))[:, None]
-             + np.arange(1 - N, N)[None, :])
-    out = (s_dyn,) + tuple(params.bracket(x) for x in
-                           (s_dyn, -s_dyn, s_dyn + 1, -s_dyn + 1))
-    if np.min(np.abs(out[1])) < 1e-13:
-        raise PoleError("dynamical bracket [s] vanishes inside column")
-    for arr in out:
-        arr.flags.writeable = False
-    return out + (params.bracket(1),)
-
-
 def _column_weights(u, config, params, scaled):
     """Face weights of all R-factors (k = 0..N-1), once per application.
 
-    The weights of the k-th factor depend on the height and on the spin sum
-    p of the sites before k only, so the brackets are evaluated on the
-    (k, height, p) grid, p = -(N-1) ... N-1, and each site gathers its
-    cells by the column p + N - 1 of its word prefixes.  Returns corner[k]
-    and weights[k] = (b_plus, b_minus, c_plus, c_minus), each of shape
-    (L, 2^k, 1, 1): height, spins of the sites before k, broadcast over
-    the sites after k and the batch.
+    The k-th factor's argument s = (s0 + a) + p (height class a, spin sum
+    p of the sites before k) enters the L-periodic weights only through
+    the class c = (a + p) mod L, so the brackets are evaluated on the
+    (k, c) grid at s = s0 + c, N L cells per sign, in one bracket call,
+    and one gather by (a + p) mod L fills every site's cells.  Returns
+    corner[k] and weights[k] = (b_plus, b_minus, c_plus, c_minus), each
+    of shape (L, 2^k, 1, 1): height, spins of the sites before k,
+    broadcast over the sites after k and the batch.
 
     With scaled=True every R-factor is multiplied by [u - xi_k + 1], which
     removes the poles of the face weights at u = xi_k - 1 (the monodromy
     then equals T(u) times prod_k [u - xi_k + 1]).
     """
-    N = config.N
+    N, L = config.N, params.L
     uk = u - np.array(config.xi)
-    bu = params.bracket(uk)
-    bu1 = params.bracket(uk + 1)
+    s = params.s0 + np.arange(L)
+    bu, bu1, bsu, bmsu, bs, bms, bs1, bms1, b1 = params.brackets(
+        uk, uk + 1, s + uk[:, None], -s + uk[:, None], s, -s, s + 1, -s + 1,
+        1)
     poles = np.nonzero(np.abs(bu1) < 1e-13)[0]
     if not scaled and poles.size:
         raise PoleError(f"[u - xi_{poles[0] + 1} + 1] vanishes at u={u}; "
                         "use the scaled gauge")
+    if np.min(np.abs(bs)) < 1e-13:
+        raise PoleError("dynamical bracket [s] vanishes inside column")
     ones = np.ones_like(bu1)
     corner, denom_u = (bu1, ones) if scaled else (ones, bu1)
-    s_dyn, bs, bms, bs1, bms1, b1 = _height_grids(params, N)
-    bu, denom_u = bu[:, None, None], denom_u[:, None, None]
-    grids = (bs1 * bu / (bs * denom_u),
-             bms1 * bu / (bms * denom_u),
-             params.bracket(s_dyn + uk[:, None, None]) * b1 / (bs * denom_u),
-             params.bracket(-s_dyn + uk[:, None, None]) * b1
-             / (bms * denom_u))
-    weights = []
-    pref = np.zeros(1, dtype=np.int64)   # prefix spin sums of the sites < k
-    for k in range(N):
-        weights.append(tuple(g[k][:, pref + N - 1, None, None]
-                             for g in grids))
-        pref = (pref[:, None] + np.array([1, -1])).ravel()
+    bu, denom_u = bu[:, None], denom_u[:, None]
+    grids = np.stack((bs1 * bu / (bs * denom_u),
+                      bms1 * bu / (bms * denom_u),
+                      bsu * b1 / (bs * denom_u),
+                      bmsu * b1 / (bms * denom_u)))
+    # prefix spin sums of the sites < k, site after site: 2^k words each
+    prefs = [np.zeros(1, dtype=np.int64)]
+    for _ in range(N - 1):
+        prefs.append((prefs[-1][:, None] + np.array([1, -1])).ravel())
+    site = np.repeat(np.arange(N), [p.size for p in prefs])
+    classes = (np.arange(L)[:, None] + np.concatenate(prefs)) % L
+    cells = grids[:, site, classes]
+    weights = [tuple(cells[:, :, (1 << k) - 1:(2 << k) - 1, None, None])
+               for k in range(N)]
     return corner, weights
 
 
@@ -279,20 +272,42 @@ def _site_step(phi, k, corner, b_plus, b_minus, c_plus, c_minus):
     return new.reshape(phi.shape)
 
 
-def _numeric_monodromy_batch(entry, u, psi, config, params, scaled=False):
-    """Apply the hatted monodromy entry to each column of psi (L, W, B).
+def _sweep(entry, psi, corner, weights, dual=False):
+    """The hatted monodromy entry on each column of psi (L, W, B), from the
+    column weights of one application; with dual=True its transpose.
 
     The height axis supplies the base dynamical parameter of each column
     after the height roll; the k-th factor's dynamical argument adds the
-    spins of sites < k as carried by the current partial word.
+    spins of sites < k as carried by the current partial word.  The
+    transpose, (M R)^T = R^T M^T, runs the sites in reverse with the aux
+    indices and the c weights swapped, then undoes the height roll.
     """
     a_out, a_in = _ENTRY_AUX[entry]
+    shift = _ENTRY_SHIFT[entry]
+    sites = range(len(corner))
+    if dual:
+        a_out, a_in, sites = a_in, a_out, reversed(sites)
     phi = np.zeros((2,) + psi.shape, dtype=complex)
-    phi[a_in] = np.roll(psi, _ENTRY_SHIFT[entry], axis=0)
+    phi[a_in] = psi if dual else np.roll(psi, shift, axis=0)
+    for k in sites:
+        b_plus, b_minus, c_plus, c_minus = weights[k]
+        if dual:
+            c_plus, c_minus = c_minus, c_plus
+        phi = _site_step(phi, k, corner[k], b_plus, b_minus, c_plus, c_minus)
+    return np.roll(phi[a_out], -shift, axis=0) if dual else phi[a_out]
+
+
+def _entries_apply(entries, u, state, dual=False, scaled=False):
+    """Sum of the hatted monodromy entries (summed in the order given) on a
+    state, or of their transposes on a covector, from one evaluation of
+    the column weights."""
+    config, params = state.config, state.params
     corner, weights = _column_weights(u, config, params, scaled)
-    for k in range(config.N):
-        phi = _site_step(phi, k, corner[k], *weights[k])
-    return phi[a_out]
+    psi = state.amps[:, :, None]
+    out = _sweep(entries[0], psi, corner, weights, dual)
+    for entry in entries[1:]:
+        out += _sweep(entry, psi, corner, weights, dual)
+    return StateVector(config, params, out[:, :, 0])
 
 
 def monodromy_entry_apply(entry, u, state, dual=False, scaled=False):
@@ -302,22 +317,7 @@ def monodromy_entry_apply(entry, u, state, dual=False, scaled=False):
     f(s+1).  With dual=True the transpose acts, so the returned covector
     r satisfies r . psi = state . (entry_hat psi) for every psi.
     """
-    config, params = state.config, state.params
-    psi = state.amps[:, :, None]
-    if not dual:
-        out = _numeric_monodromy_batch(entry, u, psi, config, params, scaled)
-        return StateVector(config, params, out[:, :, 0])
-    # (M R)^T = R^T M^T: the sites run in reverse with the aux indices and
-    # the c weights swapped, then the height roll is undone
-    a_out, a_in = _ENTRY_AUX[entry]
-    phi = np.zeros((2,) + psi.shape, dtype=complex)
-    phi[a_out] = psi
-    corner, weights = _column_weights(u, config, params, scaled)
-    for k in reversed(range(config.N)):
-        b_plus, b_minus, c_plus, c_minus = weights[k]
-        phi = _site_step(phi, k, corner[k], b_plus, b_minus, c_minus, c_plus)
-    out = np.roll(phi[a_in], -_ENTRY_SHIFT[entry], axis=0)
-    return StateVector(config, params, out[:, :, 0])
+    return _entries_apply((entry,), u, state, dual=dual, scaled=scaled)
 
 
 def _dense_from_apply(apply_fun, config, params):
@@ -330,16 +330,14 @@ def _dense_from_apply(apply_fun, config, params):
 
 def monodromy_entry_dense(entry, u, config, params, scaled=False):
     return _dense_from_apply(
-        lambda batch: _numeric_monodromy_batch(entry, u, batch, config,
-                                               params, scaled),
+        lambda batch: _sweep(entry, batch,
+                             *_column_weights(u, config, params, scaled)),
         config, params)
 
 
 def transfer_apply(u, state):
-    """t_hat(u) = A_hat(u) + D_hat(u)."""
-    out = monodromy_entry_apply("A", u, state)
-    out.amps += monodromy_entry_apply("D", u, state).amps
-    return out
+    """t_hat(u) = A_hat(u) + D_hat(u) from one set of column weights."""
+    return _entries_apply(("A", "D"), u, state)
 
 
 def transfer_dense(u, config, params, scaled=False):

@@ -1,16 +1,19 @@
 """Face weights, Yang-Baxter, monodromy algebra, and local operators."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from csoslab.elliptic import ModelParams, PoleError, SizeGuardError
-from csoslab.lattice import (LatticeConfig, StateVector, boltzmann_weight,
+from csoslab.lattice import (LatticeConfig, StateVector, _column_weights,
+                             _entries_apply, boltzmann_weight,
                              guard_dense, homogeneous_config,
                              inverse_problem_residual, local_operator_apply,
                              local_operator_dense,
                              monodromy_entry_apply, monodromy_entry_dense,
-                             r_matrix, transfer_dense, yang_baxter_residual,
-                             zero_weight_indices)
+                             r_matrix, transfer_apply, transfer_dense,
+                             yang_baxter_residual, zero_weight_indices)
 
 
 class TestFaceWeights:
@@ -227,20 +230,26 @@ class TestScaledGauge:
 
 
 class TestColumnWeights:
-    """The application gathers its face weights from a (height, prefix sum)
+    """The application gathers its face weights from a (site, height class)
     grid; the reference evaluates them on every (height, word) cell and
     runs each site as explicit word pairs."""
 
     _AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
     _SHIFT = {"A": -1, "B": 1, "C": -1, "D": 1}
+    YS = (0.04, -0.03, 0.02, -0.05, 0.035, -0.02, 0.05, -0.04)
 
     @staticmethod
-    def _cell_weights(u, k, config, params, scaled):
+    def _cell_weights(u, k, config, params, scaled, reduced=True):
+        # the weights are L-periodic in s: a cell (height a, prefix sum p)
+        # is evaluated at the representative s0 + ((a + p) mod L) of its
+        # class, or with reduced=False at its own argument (s0 + a) + p
         N, br = config.N, params.bracket
         words = np.arange(1 << N)
         pref = sum((1 - 2 * ((words >> (N - 1 - j)) & 1) for j in range(k)),
                    np.zeros_like(words))
-        s = (params.s0 + np.arange(params.L))[:, None] + pref[None, :]
+        a = np.arange(params.L)[:, None]
+        s = (params.s0 + (a + pref[None, :]) % params.L if reduced
+             else (params.s0 + a) + pref[None, :])
         uk = u - config.xi[k]
         bu, bu1 = br(uk), br(uk + 1)
         den = 1.0 if scaled else bu1
@@ -283,10 +292,9 @@ class TestColumnWeights:
     @pytest.mark.parametrize("scaled", [False, True])
     def test_apply_equals_per_cell_reference(self, params, rng, N, dual,
                                              scaled):
-        # bit for bit: the grid holds the cells' own arguments (s0 + a) + p
-        ys = (0.04, -0.03, 0.02, -0.05, 0.035, -0.02)
+        # bit for bit: the grid holds the cells' class representatives
         config = homogeneous_config(4) if N == 4 else LatticeConfig(
-            N=N, xi=tuple(0.5 + 1j * y for y in ys))
+            N=N, xi=tuple(0.5 + 1j * y for y in self.YS[:N]))
         amps = (rng.standard_normal((params.L, 1 << N))
                 + 1j * rng.standard_normal((params.L, 1 << N)))
         u = 0.29 + 0.18j
@@ -298,11 +306,63 @@ class TestColumnWeights:
                                   scaled)
             assert np.array_equal(got, ref), entry
 
-    def test_height_grids_once_per_model(self, params, config4, rng,
-                                         monkeypatch):
-        # [+-s], [+-s + 1] and [1] do not depend on u: a second
-        # application evaluates only [u - xi], [u - xi + 1], [+-s + u - xi]
-        from csoslab.elliptic import ModelParams
+    @pytest.mark.parametrize("r, L", [(1, 3), (2, 5)])
+    def test_weights_periodic_in_height(self, params, r, L):
+        # [x + L] = (-1)^r [x] cancels in every weight: at N = 8 the prefix
+        # sum p wraps the class more than once, and the weights at the
+        # cell's own argument (s0 + a) + p agree with those at s0 + c
+        model = ModelParams(tau=params.tau, r=r, L=L, s0=params.s0)
+        config = LatticeConfig(N=8, xi=tuple(0.5 + 1j * y for y in self.YS))
+        for scaled in (False, True):
+            for k in range(config.N):
+                own = self._cell_weights(0.29 + 0.18j, k, config, model,
+                                         scaled, reduced=False)
+                rep = self._cell_weights(0.29 + 0.18j, k, config, model,
+                                         scaled)
+                for got, ref in zip(own[1:], rep[1:]):
+                    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+    @pytest.mark.parametrize("model", ["oracle", "default"])
+    def test_weights_against_mpmath(self, params, params_phys, model):
+        # every gathered weight against b(u; +-s), c(u; +-s) at the cell's
+        # unreduced argument s = (s0 + a) + p, to 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        model, config = ((params, LatticeConfig(
+            N=6, xi=tuple(0.5 + 1j * y for y in self.YS[:6])))
+            if model == "oracle" else (params_phys, homogeneous_config(6)))
+        N, L, u = config.N, model.L, 0.29 + 0.18j
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(model.tau))
+        eta = mpmath.mpf(model.r) / L
+
+        @functools.lru_cache(maxsize=None)
+        def br(x):
+            return mpmath.jtheta(1, mpmath.pi * eta * x, q)
+
+        corner, weights = _column_weights(u, config, model, False)
+        worst = 0.0
+        for k in range(N):
+            uk = mpmath.mpc(u) - mpmath.mpc(config.xi[k])
+            for a in range(L):
+                for w in range(1 << k):
+                    p = k - 2 * bin(w).count("1")
+                    s = mpmath.mpc(model.s0) + a + p
+                    den = br(s) * br(uk + 1)
+                    mden = br(-s) * br(uk + 1)
+                    refs = (br(s + 1) * br(uk) / den,
+                            br(-s + 1) * br(uk) / mden,
+                            br(s + uk) * br(1) / den,
+                            br(-s + uk) * br(1) / mden)
+                    for got, ref in zip(weights[k], refs):
+                        ref = complex(ref)
+                        err = abs(got[a, w, 0, 0] - ref) / abs(ref)
+                        worst = max(worst, err)
+        assert worst <= 3e-15
+
+    def test_one_bracket_call_per_application(self, params, config4, rng,
+                                              monkeypatch):
+        # every application on a fresh model, the first and each later one,
+        # plain, dual or scaled, and t = A + D, makes one bracket call
         model = ModelParams(tau=params.tau, r=params.r, L=params.L,
                             s0=params.s0 + 0.01)
         state = StateVector(config4, model, rng.standard_normal((3, 16)))
@@ -314,11 +374,42 @@ class TestColumnWeights:
             return bracket(self, u, order=order)
 
         monkeypatch.setattr(ModelParams, "bracket", counted)
-        monodromy_entry_apply("B", 0.29 + 0.18j, state)
-        first = len(calls)
-        calls.clear()
-        monodromy_entry_apply("C", -0.13 + 0.05j, state)
-        assert (first, len(calls)) == (9, 4)
+        runs = (lambda: monodromy_entry_apply("B", 0.29 + 0.18j, state),
+                lambda: monodromy_entry_apply("C", -0.13 + 0.05j, state,
+                                              dual=True),
+                lambda: monodromy_entry_apply("A", 0.21 + 0.15j, state,
+                                              scaled=True),
+                lambda: transfer_apply(0.27 + 0.1j, state))
+        counts = []
+        for run in runs:
+            calls.clear()
+            run()
+            counts.append(len(calls))
+        assert counts == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_transfer_shares_weights_bit_for_bit(self, params, config4, rng,
+                                                 dual):
+        # A + D from one set of weights, summed in that order, equals the
+        # sum of the two separate applications bit for bit
+        amps = (rng.standard_normal((params.L, 16))
+                + 1j * rng.standard_normal((params.L, 16)))
+        state = StateVector(config4, params, amps)
+        u = 0.27 + 0.1j
+        ref = (monodromy_entry_apply("A", u, state, dual=dual).amps
+               + monodromy_entry_apply("D", u, state, dual=dual).amps)
+        got = _entries_apply(("A", "D"), u, state, dual=dual).amps
+        assert np.array_equal(got, ref)
+        if not dual:
+            assert np.array_equal(transfer_apply(u, state).amps, ref)
+
+    def test_height_pole(self, params, config4):
+        # [s0 + 2] = theta1(1) = 0: the check on the L classes refuses it
+        model = ModelParams(tau=params.tau, r=1, L=3, s0=1.0, validate=False)
+        state = StateVector.reference(config4, model)
+        with pytest.raises(PoleError, match=r"dynamical bracket \[s\] "
+                           "vanishes inside column"):
+            monodromy_entry_apply("B", 0.29 + 0.18j, state)
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_face_weight_pole(self, params, config4, rng, dual):
