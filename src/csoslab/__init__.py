@@ -6,8 +6,7 @@ products and multi-point matrix elements, and thermodynamic-limit local
 height probabilities, with every formula backed by a brute-force oracle.
 """
 
-from .elliptic import (ModelParams, bracket, identity_residual, theta,
-                       theta_log)
+from .elliptic import ModelParams, theta, theta_log
 from .lattice import (LatticeConfig, StateVector,
                       boltzmann_weight, homogeneous_config,
                       monodromy_entry_apply, r_matrix, transfer_apply,

@@ -101,7 +101,8 @@ def _bethe_terms(x, config, params, order):
 
 def xibar(config, params):
     """sum_l (eta~/2 - xi~_l); real on the admissible inhomogeneity line."""
-    return complex(config.xibar_tilde(params)).real
+    et = params.eta_tilde
+    return complex(sum(et / 2.0 - et * x for x in config.xi)).real
 
 
 @dataclass
@@ -145,9 +146,6 @@ class BetheRootSet:
         """omega^z on the fixed branch log(omega) = i pi (r n + 2 ell)/L."""
         return np.exp(np.asarray(z) * self.log_omega) if np.ndim(z) \
             else cmath.exp(z * self.log_omega)
-
-    def a_fun(self, u):
-        return np.ones_like(np.asarray(u, dtype=complex)) if np.ndim(u) else 1.0
 
     def d_fun(self, u):
         """prod_k [u - xi_k]/[u - xi_k + 1], one bracket array per factor."""
@@ -205,7 +203,7 @@ def bethe_residual(roots, relative=False):
         n, max(n - 1, 0))
     br = params.bracket(np.stack([-dv + 1, -dv, dv + 1, dv]))
     sgn = (-1.0) ** (params.r * roots.aleph)
-    lhs = roots.a_fun(v) * np.prod(br[0] / br[1], axis=1)
+    lhs = np.prod(br[0] / br[1], axis=1)   # a(v_j) = 1
     rhs = (sgn * roots.omega ** (-2) * roots.d_fun(v)
            * np.prod(br[2] / br[3], axis=1))
     out = lhs - rhs

@@ -17,7 +17,9 @@ import numpy as np
 
 from . import bethe, matel, thermo
 from .elliptic import (AccuracyError, ModelParams, PoleError,
-                       identity_residual, theta)
+                       frobenius_residual, id_sum1_residual, id_sum2_residual,
+                       jacobi_residual, periods_residual, schroter_residual,
+                       theta)
 from .lattice import (LatticeConfig, homogeneous_config, transfer_dense,
                       yang_baxter_residual, zero_weight_indices,
                       inverse_problem_residual)
@@ -102,32 +104,28 @@ def _suite_elliptic(rng, draws):
         z = complex(rng.uniform(-1, 1), rng.uniform(-0.8, 0.8))
         tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.3))
         for kind in (1, 2, 3, 4):
-            worst["jacobi"] = max(worst["jacobi"], identity_residual(
-                "jacobi", dict(kind=kind, z=z, tau=tau)))
+            worst["jacobi"] = max(worst["jacobi"],
+                                  jacobi_residual(kind, z, tau))
         scale = max(1.0, abs(theta(1, z, tau)), abs(theta(1, z + tau, tau)))
-        worst["periods"] = max(worst["periods"], identity_residual(
-            "periods", dict(z=z, tau=tau)) / scale)
+        worst["periods"] = max(worst["periods"],
+                               periods_residual(z, tau) / scale)
     out.update(worst)
     for (L, r) in ((3, 1), (5, 2)):
         res = 0.0
         for _ in range(draws // 10 + 1):
             x = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
             y = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
-            res = max(res, identity_residual(
-                "schroter", dict(x=x, y=y, tau=0.7j, r=r, L=L)))
+            res = max(res, schroter_residual(x, y, 0.7j, r, L))
         out[f"schroter_L{L}_r{r}"] = res
     for n in range(2, 7):
         x = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
         y = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
-        out[f"id_sum1_n{n}"] = identity_residual(
-            "id_sum1", dict(n=n, k=1, x=x, y=y, tau=0.6 + 0.5j))
-        out[f"id_sum2_n{n}"] = identity_residual(
-            "id_sum2", dict(n=n, x=x, y=y, tau=0.6 + 0.5j))
+        out[f"id_sum1_n{n}"] = id_sum1_residual(n, 1, x, y, 0.6 + 0.5j)
+        out[f"id_sum2_n{n}"] = id_sum2_residual(n, x, y, 0.6 + 0.5j)
     for n in (2, 3):
         xs = rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.2, 0.2, n)
         ys = rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.2, 0.2, n)
-        out[f"frobenius_n{n}"] = identity_residual(
-            "frobenius", dict(xs=xs, ys=ys, t=0.3 + 0.2j, tau=0.8j))
+        out[f"frobenius_n{n}"] = frobenius_residual(xs, ys, 0.3 + 0.2j, 0.8j)
     return out
 
 

@@ -377,18 +377,11 @@ class ModelParams:
         return self.s0 + a
 
 
-def bracket(u, params, order=0):
-    """Model bracket [u] (order 0) or its u-derivative [u]' (order 1)."""
-    if not 0 <= order <= 1:
-        raise ValueError("bracket supports order 0 or 1")
-    return params.bracket(u, order=order)
-
-
 # ---------------------------------------------------------------------------
-# identity catalogue
+# identity catalogue: each function returns |LHS - RHS| of one theta identity
 # ---------------------------------------------------------------------------
 
-def _jacobi_residual(kind, z, tau):
+def jacobi_residual(kind, z, tau):
     """Imaginary transformation tau -> -1/tau for the four kinds."""
     pref = (-1j * tau) ** (-0.5) * cmath.exp(-1j * math.pi * z * z / tau)
     lhs = theta(kind, z, tau)
@@ -398,14 +391,17 @@ def _jacobi_residual(kind, z, tau):
     return abs(lhs - rhs)
 
 
-def _periods_residual(z, tau):
+def periods_residual(z, tau):
+    """Quasi-periodicity of theta1 under z -> z + 1 and z -> z + tau."""
     r1 = abs(theta(1, z + 1.0, tau) + theta(1, z, tau))
     f = -cmath.exp(-1j * math.pi * tau) * cmath.exp(-2j * math.pi * z)
     r2 = abs(theta(1, z + tau, tau) - f * theta(1, z, tau))
     return max(r1, r2)
 
 
-def _schroter_residual(x, y, tau, r, L):
+def schroter_residual(x, y, tau, r, L):
+    """Schroter's product formula for theta3 at moduli r tau/L and
+    (L - r) tau/L."""
     lhs = theta(3, x, r * tau / L) * theta(3, y, (L - r) * tau / L)
     rhs = 0.0
     for k in range(L):
@@ -417,7 +413,9 @@ def _schroter_residual(x, y, tau, r, L):
     return abs(lhs - rhs)
 
 
-def _id_sum1_residual(n, k, x, y, tau):
+def id_sum1_residual(n, k, x, y, tau):
+    """Sum over the shifts y + nu/n weighted by e^{-2 pi i k nu/n}, against
+    its closed form at modulus n tau."""
     tot = 0.0
     for nu in range(n):
         den = theta(1, x, tau) * theta(1, y + nu / n, tau)
@@ -435,7 +433,9 @@ def _id_sum1_residual(n, k, x, y, tau):
     return abs(lhs - rhs)
 
 
-def _id_sum2_residual(n, x, y, tau):
+def id_sum2_residual(n, x, y, tau):
+    """Sum over the shifts y + nu tau/n, against its closed form at
+    modulus tau/n."""
     tot = 0.0
     for nu in range(n):
         den = theta(1, x, tau) * theta(1, y + nu * tau / n, tau)
@@ -451,7 +451,8 @@ def _id_sum2_residual(n, x, y, tau):
     return abs(tot - rhs)
 
 
-def _frobenius_residual(xs, ys, t, tau):
+def frobenius_residual(xs, ys, t, tau):
+    """Frobenius' elliptic Cauchy determinant."""
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
     n = len(xs)
@@ -468,36 +469,3 @@ def _frobenius_residual(xs, ys, t, tau):
             num *= theta(1, xs[i] - xs[j], tau) * theta(1, ys[j] - ys[i], tau)
     rhs = num / np.prod(th_diff)
     return abs(lhs - rhs)
-
-
-IDENTITY_IDS = ("jacobi", "periods", "schroter", "id_sum1", "id_sum2", "frobenius")
-
-
-def identity_residual(identity_id, inputs):
-    """|LHS - RHS| of one catalogued theta identity.
-
-    `inputs` is a dict supplying the identity's free variables:
-      jacobi    : kind, z, tau
-      periods   : z, tau
-      schroter  : x, y, tau, r, L
-      id_sum1   : n, k, x, y, tau
-      id_sum2   : n, x, y, tau
-      frobenius : xs, ys, t, tau
-    """
-    if identity_id == "jacobi":
-        return _jacobi_residual(inputs["kind"], inputs["z"], inputs["tau"])
-    if identity_id == "periods":
-        return _periods_residual(inputs["z"], inputs["tau"])
-    if identity_id == "schroter":
-        return _schroter_residual(inputs["x"], inputs["y"], inputs["tau"],
-                                  inputs["r"], inputs["L"])
-    if identity_id == "id_sum1":
-        return _id_sum1_residual(inputs["n"], inputs["k"], inputs["x"],
-                                 inputs["y"], inputs["tau"])
-    if identity_id == "id_sum2":
-        return _id_sum2_residual(inputs["n"], inputs["x"], inputs["y"],
-                                 inputs["tau"])
-    if identity_id == "frobenius":
-        return _frobenius_residual(inputs["xs"], inputs["ys"], inputs["t"],
-                                   inputs["tau"])
-    raise ValueError(f"unknown identity {identity_id!r}; known: {IDENTITY_IDS}")

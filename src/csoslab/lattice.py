@@ -71,11 +71,6 @@ class LatticeConfig:
                     f"inhomogeneity {x} off the admissible line "
                     f"Im(eta~ xi) = Im(eta~/2)")
 
-    def xibar_tilde(self, params):
-        """xi_bar = sum_l (eta~/2 - xi~_l)."""
-        et = params.eta_tilde
-        return sum(et / 2.0 - et * x for x in self.xi)
-
 
 def homogeneous_config(N):
     """All inhomogeneities at the symmetric point xi_l = 1/2."""
@@ -297,17 +292,22 @@ def _sweep(entry, psi, corner, weights, dual=False):
     return np.roll(phi[a_out], -shift, axis=0) if dual else phi[a_out]
 
 
-def _entries_apply(entries, u, state, dual=False, scaled=False):
-    """Sum of the hatted monodromy entries (summed in the order given) on a
-    state, or of their transposes on a covector, from one evaluation of
-    the column weights."""
-    config, params = state.config, state.params
+def _entries_batch(entries, u, psi, config, params, dual, scaled):
+    """Sum of the hatted monodromy entries (summed in the order given) on
+    each column of psi (L, W, B), or of their transposes, from one
+    evaluation of the column weights."""
     corner, weights = _column_weights(u, config, params, scaled)
-    psi = state.amps[:, :, None]
     out = _sweep(entries[0], psi, corner, weights, dual)
     for entry in entries[1:]:
         out += _sweep(entry, psi, corner, weights, dual)
-    return StateVector(config, params, out[:, :, 0])
+    return out
+
+
+def _entries_apply(entries, u, state, dual=False, scaled=False):
+    """_entries_batch on a state, or on a covector with dual=True."""
+    out = _entries_batch(entries, u, state.amps[:, :, None], state.config,
+                         state.params, dual, scaled)
+    return StateVector(state.config, state.params, out[:, :, 0])
 
 
 def monodromy_entry_apply(entry, u, state, dual=False, scaled=False):
@@ -330,8 +330,8 @@ def _dense_from_apply(apply_fun, config, params):
 
 def monodromy_entry_dense(entry, u, config, params, scaled=False):
     return _dense_from_apply(
-        lambda batch: _sweep(entry, batch,
-                             *_column_weights(u, config, params, scaled)),
+        lambda batch: _entries_batch((entry,), u, batch, config, params,
+                                     False, scaled),
         config, params)
 
 
@@ -341,9 +341,12 @@ def transfer_apply(u, state):
 
 
 def transfer_dense(u, config, params, scaled=False):
+    """Dense A_hat(u) + D_hat(u) from one set of column weights."""
     config.validate(params)
-    return (monodromy_entry_dense("A", u, config, params, scaled=scaled)
-            + monodromy_entry_dense("D", u, config, params, scaled=scaled))
+    return _dense_from_apply(
+        lambda batch: _entries_batch(("A", "D"), u, batch, config, params,
+                                     False, scaled),
+        config, params)
 
 
 def zero_weight_indices(config, params):

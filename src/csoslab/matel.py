@@ -11,7 +11,8 @@ step directions.  Three routes are implemented and cross-checked:
 
   * dense operator application (oracle),
   * the commutation-relation sum over m-tuples (coefficients F_b) against
-    partial scalar products,
+    partial scalar products, with the Bethe-vector weights phi~_u, phi_v
+    taken from `bethe._phi_weights`,
   * the determinant form: algebraic factors G_b times a twist sum of
     ratios det(H) / det(Phi), with an optional m x m reduction.
 
@@ -24,18 +25,18 @@ by one; the determinant form takes them as one (T, m) array.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import DegenerateConfigError, PoleError, _cmul
-from .lattice import monodromy_entry_apply
+from .lattice import local_operator_apply, monodromy_entry_apply
 from .bethe import (bethe_vector, left_contract, eigenvalue_tau, lambda_pm,
-                    scaled_eigenvalue)
+                    scaled_eigenvalue, _phi_weights)
 from .scalar import (default_gamma, gamma_retry, gaudin_matrix, norm_det,
-                     partial_scalar_bruteforce, project_height, twist_weights,
-                     _check_kappa, _gaudin_kernel, _own_d, _q_beta,
-                     _sector_q_powers)
+                     partial_scalar_bruteforce, twist_weights, _check_kappa,
+                     _gaudin_kernel, _own_d, _q_beta, _sector_q_powers)
 
 # tuples per determinant stack in mpme_det (bounds memory, not the value)
 TUPLE_BLOCK = 1024
@@ -57,6 +58,13 @@ class AdjacentPath:
     def __post_init__(self):
         if len(self.heights) != len(self.vertices):
             raise ValueError("need one height per vertex")
+        for vertex in self.vertices:
+            if len(vertex) != 2 or not all(map(_is_int, vertex)):
+                raise ValueError(
+                    f"vertex {vertex!r} is not a pair of integers")
+        for h in self.heights:
+            if not _is_int(h):
+                raise ValueError(f"height offset {h!r} is not an integer")
         for k, step in enumerate(self.moves()):
             if step not in ((1, 0), (-1, 0), (0, 1)):
                 raise ValueError(
@@ -116,8 +124,16 @@ class AdjacentPath:
 
     @classmethod
     def from_json_dict(cls, doc):
-        return cls(vertices=tuple(tuple(v) for v in doc["vertices"]),
-                   heights=tuple(doc["heights"]))
+        try:
+            return cls(vertices=tuple(tuple(v) for v in doc["vertices"]),
+                       heights=tuple(doc["heights"]))
+        except TypeError as exc:    # a scalar where a list belongs
+            raise ValueError(f"malformed path document: {exc}") from exc
+
+
+def _is_int(value):
+    """An integer of Python or numpy; bool is refused."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def vertical_path(heights, start=(1, 1)):
@@ -291,10 +307,10 @@ def mpme_sum_partial(u_set, v_set, path, a1):
             continue
         keep = [v_ext[idx - 1] for idx in range(1, n + m + 1)
                 if idx not in b]
-        tot += fb * partial_scalar_bruteforce(u_set, keep, a1, config, params)
-    pref = np.exp((s + sum(alphas)) * v_set.log_omega - s * u_set.log_omega) / params.L
-    for j in range(1, n + 1):
-        pref *= params.bracket(s + j - 1) / params.bracket(s + sum(alphas) - j)
+        tot += fb * partial_scalar_bruteforce(u_set, keep, a1)
+    # phi~_u(s) phi_v(s + a_1 + ... + a_m); phi is L-periodic in s
+    pref = (_phi_weights(u_set, dual=True)[a1 % params.L]
+            * _phi_weights(v_set)[(a1 + sum(alphas)) % params.L])
     for z in zetas:
         pref /= eigenvalue_tau(z, v_set)
     nu, nv = coherent_norms(u_set, v_set)
@@ -319,7 +335,7 @@ def mpme_bruteforce(u_set, v_set, path, a1):
         entry = "A" if alphas[k] == 1 else "D"
         state = monodromy_entry_apply(entry, zetas[k], state, scaled=True)
         denom *= scaled_eigenvalue(zetas[k], v_set)
-    state = project_height(state, a1)
+    state = local_operator_apply("delta", state, i=1, a=a1)
     val = left_contract(u_set, state)
     nu, nv = coherent_norms(u_set, v_set)
     return val / denom / (nu * nv)
@@ -629,16 +645,16 @@ def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):
 # finite-size local height probabilities
 # ---------------------------------------------------------------------------
 
-def _det_or_dense(u_set, v_set, path, a1, gamma):
+def _det_or_dense(u_set, v_set, path, a1):
     """mpme_det, or the dense route where the determinant representation
     does not apply (lattice-coincident twist partners at even L)."""
     try:
-        return mpme_det(u_set, v_set, path, a1, gamma=gamma)
+        return mpme_det(u_set, v_set, path, a1)
     except DegenerateConfigError:
         return mpme_bruteforce(u_set, v_set, path, a1)
 
 
-def calibrate_norm_signs(ground_states, gamma=None):
+def calibrate_norm_signs(ground_states):
     """Per-state normalization signs matching the thermodynamic branch.
 
     The square roots of the (complex) state norms carry a sign freedom
@@ -653,8 +669,7 @@ def calibrate_norm_signs(ground_states, gamma=None):
     keys = sorted(ground_states)
     anchor = keys[0]
     params = ground_states[anchor].params
-    if gamma is None:
-        gamma = default_gamma(params)
+    gamma = default_gamma(params)
     signs = {anchor: 1.0}
     for key in keys[1:]:
         dk = key[0] - anchor[0]
@@ -664,7 +679,7 @@ def calibrate_norm_signs(ground_states, gamma=None):
         best_a = int(np.argmax(np.abs(pbs)))   # the first of equal ones
         path0 = AdjacentPath(vertices=((1, 1),), heights=(best_a,))
         val = _det_or_dense(ground_states[anchor], ground_states[key], path0,
-                            best_a, gamma)
+                            best_a)
         signs[key] = 1.0 if abs(val - pbs[best_a]) <= abs(val + pbs[best_a]) \
             else -1.0
     return signs
@@ -680,7 +695,7 @@ def flat_basis_phases(eps, t_label, params):
 
 
 def flat_matrix_element(path, left_label, right_label, ground_states,
-                        method="det", gamma=None, signs=None):
+                        method="det", signs=None):
     """Matrix element of the path operator between two flat-basis states.
 
     For even L the ground-state family contains twist-partner pairs whose
@@ -697,7 +712,7 @@ def flat_matrix_element(path, left_label, right_label, ground_states,
     a1 = path.heights[0]
     Lr = params.L - params.r
     if signs is None:
-        signs = calibrate_norm_signs(ground_states, gamma=gamma)
+        signs = calibrate_norm_signs(ground_states)
     ph_l = flat_basis_phases(*left_label, params)
     ph_r = flat_basis_phases(*right_label, params)
     tot = 0.0j
@@ -705,7 +720,7 @@ def flat_matrix_element(path, left_label, right_label, ground_states,
         for vk in ph_r:
             u_set, v_set = ground_states[uk], ground_states[vk]
             if method == "det":
-                val = _det_or_dense(u_set, v_set, path, a1, gamma)
+                val = _det_or_dense(u_set, v_set, path, a1)
             else:
                 val = mpme_bruteforce(u_set, v_set, path, a1)
             val *= _anchor_factor(path, u_set, v_set)
@@ -713,7 +728,7 @@ def flat_matrix_element(path, left_label, right_label, ground_states,
     return tot / (2 * Lr)
 
 
-def finite_lhp(path, basis, ground_states, method="det", gamma=None):
+def finite_lhp(path, basis, ground_states, method="det"):
     """Finite-size LHP for a path, in the Bethe or the flat-state basis.
 
     basis = ("bethe", k1, l1, k2, l2) or ("flat", eps, t).
@@ -725,7 +740,7 @@ def finite_lhp(path, basis, ground_states, method="det", gamma=None):
         v_set = ground_states[(k2, l2)]
         a1 = path.heights[0]
         if method == "det":
-            val = mpme_det(u_set, v_set, path, a1, gamma=gamma)
+            val = mpme_det(u_set, v_set, path, a1)
         else:
             val = mpme_bruteforce(u_set, v_set, path, a1)
         return val * _anchor_factor(path, u_set, v_set)
@@ -733,7 +748,7 @@ def finite_lhp(path, basis, ground_states, method="det", gamma=None):
         raise ValueError("basis must be 'bethe' or 'flat'")
     _, eps, t_label = basis
     return flat_matrix_element(path, (eps, t_label), (eps, t_label),
-                               ground_states, method=method, gamma=gamma)
+                               ground_states, method=method)
 
 
 def _anchor_factor(path, u_set, v_set):

@@ -5,9 +5,11 @@ The partial scalar product
     S_n({u}; {v}; s) = <<0| prod_j C_hat(u_j) delta_s prod_j B_hat(v_j) |0>>
 
 is evaluated two independent ways: by explicit operator application on the
-finite space (the oracle), and by the cyclic-model determinant formula, a
-sum of L determinants with twist factors q^{nu s}.  The set {u} must solve
-the Bethe equations with twist omega_u; {v} is arbitrary.
+finite space (the oracle; delta_s is the site-1 height projection
+`local_operator_apply("delta", ..., i=1)`), and by the cyclic-model
+determinant formula, a sum of L determinants with twist factors q^{nu s}.
+The set {u} must solve the Bethe equations with twist omega_u; {v} is
+arbitrary.
 
 The squared norm of a Bethe eigenstate has the single-determinant (Gaudin)
 form with the usual diagonal log-derivative of a/d.
@@ -19,7 +21,7 @@ import warnings
 import numpy as np
 
 from .elliptic import PoleError, _cdiv, _cmul, stacked, theta
-from .lattice import StateVector, monodromy_entry_apply
+from .lattice import StateVector, local_operator_apply, monodromy_entry_apply
 from .bethe import _phi_weights
 
 COND_WARN = 1e12
@@ -54,20 +56,13 @@ def _check_kappa(mat, label):
     return kappa
 
 
-def project_height(state, a):
-    """delta_s(s_hat) with s = s0 + a: keep only the height class a."""
-    out = StateVector(state.config, state.params)
-    out.amps[a % state.params.L] = state.amps[a % state.params.L]
-    return out
-
-
-def partial_scalar_bruteforce(u_set, v_list, a, config, params):
+def partial_scalar_bruteforce(u_set, v_list, a):
     """S_n({u}; {v}; s0+a) by explicit operator application."""
-    st = StateVector.reference(config, params)
+    st = StateVector.reference(u_set.config, u_set.params)
     for vj in v_list:
         st = monodromy_entry_apply("B", vj, st)
-    st = project_height(st, a)
-    for uj in np.atleast_1d(u_set.v if hasattr(u_set, "v") else u_set):
+    st = local_operator_apply("delta", st, i=1, a=a)
+    for uj in u_set.v:
         st = monodromy_entry_apply("C", uj, st)
     return st.bra_contract_reference()
 
@@ -206,7 +201,7 @@ def norm_det(u_set):
     n = len(u)
     pref = ((-1.0) ** (n * params.r * u_set.aleph)
             / (-params.bracket_prime0) ** n)
-    pref *= np.prod(u_set.a_fun(u) * _own_d(u_set))
+    pref *= np.prod(_own_d(u_set))   # a(u_j) = 1
     du = u[:, None] - u[None, :]
     bdup, bdu = params.brackets(du + 1, du)
     pref *= np.prod(bdup)
@@ -219,21 +214,19 @@ def norm_det(u_set):
 
 def scalar_product_bruteforce(u_set, v_set):
     """<{u}, omega_u | {v}, omega_v> summed over the height circle."""
-    params, config = u_set.params, u_set.config
     tot = 0.0j
     for a, (wu, wv) in enumerate(zip(_phi_weights(u_set, dual=True),
                                      _phi_weights(v_set))):
-        sn = partial_scalar_bruteforce(u_set, v_set.v, a, config, params)
+        sn = partial_scalar_bruteforce(u_set, v_set.v, a)
         tot += wu * wv * sn
     return tot
 
 
-def delta_form_factor(u_set, v_set, a, gamma=None, route="det"):
+def delta_form_factor(u_set, v_set, a, route="det"):
     """<{u}| delta_{s0+a}(s_hat) |{v}> = phi~_u(s) phi_v(s) S_n({u};{v};s)."""
-    params = u_set.params
     if route == "det":
-        sn = partial_scalar_det(u_set, v_set.v, a, gamma=gamma)
+        sn = partial_scalar_det(u_set, v_set.v, a)
     else:
-        sn = partial_scalar_bruteforce(u_set, v_set.v, a, u_set.config, params)
-    a %= params.L     # phi and its dual are L-periodic in s
+        sn = partial_scalar_bruteforce(u_set, v_set.v, a)
+    a %= u_set.params.L     # phi and its dual are L-periodic in s
     return _phi_weights(u_set, dual=True)[a] * _phi_weights(v_set)[a] * sn

@@ -54,10 +54,11 @@ def density(z, config, params):
     return vals.mean(axis=-1)
 
 
-def lieb_residual(z, config, params, modes=FOURIER_MODES):
-    """Defect of the integral equation rho + K*rho = p0'/(2 pi) at z."""
+def lieb_residual(z, config, params):
+    """Defect of the integral equation rho + K*rho = p0'/(2 pi) at z, the
+    convolution summed over the modes |m| <= FOURIER_MODES."""
     z = np.asarray(z, dtype=float)
-    ms = np.arange(-modes, modes + 1)
+    ms = np.arange(-FOURIER_MODES, FOURIER_MODES + 1)
     rho = density_fourier(ms, config, params)
     conv = np.zeros(z.shape, dtype=complex)
     for m, rho_m in zip(ms, rho):
@@ -245,13 +246,14 @@ def resolvent_S(Y, z, params):
             / (2j * math.pi * den))
 
 
-def resolvent_equation_residual(Y, X, zeta, params, modes=300):
-    """Defect of S + K_XY * S = t_XY at 7 sample points (Fourier synth)."""
+def resolvent_equation_residual(Y, X, zeta, params):
+    """Defect of S + K_XY * S = t_XY at 7 sample points (Fourier synthesis
+    over the modes |m| <= 300)."""
     ys = np.linspace(-0.45, 0.45, 7)
     worst = 0.0
     for y in ys:
         conv = 0.0j
-        for m in range(-modes, modes + 1):
+        for m in range(-300, 301):
             sm = (kernel_fourier("t_XY", m, params, X=X, Y=Y, zeta=zeta)
                   / (1.0 + kernel_fourier("K_XY", m, params, X=X, Y=Y)))
             conv += (kernel_fourier("K_XY", m, params, X=X, Y=Y) * sm

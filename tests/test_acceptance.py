@@ -10,7 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from csoslab.elliptic import ModelParams, identity_residual
+from csoslab.elliptic import (ModelParams, frobenius_residual,
+                              id_sum1_residual, id_sum2_residual,
+                              jacobi_residual, periods_residual,
+                              schroter_residual)
 from csoslab.lattice import (LatticeConfig, homogeneous_config,
                              transfer_dense, yang_baxter_residual,
                              zero_weight_indices)
@@ -43,27 +46,22 @@ def test_criterion_01_elliptic_identities():
         z = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
         tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.4, 1.2))
         for kind in (1, 2, 3, 4):
-            worst = max(worst, identity_residual(
-                "jacobi", dict(kind=kind, z=z, tau=tau)))
-        worst = max(worst, identity_residual("periods", dict(z=z, tau=tau)))
+            worst = max(worst, jacobi_residual(kind, z, tau))
+        worst = max(worst, periods_residual(z, tau))
     for (L, r) in ((3, 1), (5, 2)):
         for _ in range(10):
             x = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
             y = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
-            worst = max(worst, identity_residual(
-                "schroter", dict(x=x, y=y, tau=0.7j, r=r, L=L)))
+            worst = max(worst, schroter_residual(x, y, 0.7j, r, L))
     for n in range(2, 7):
         x = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
         y = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
-        worst = max(worst, identity_residual(
-            "id_sum1", dict(n=n, k=1, x=x, y=y, tau=0.6 + 0.5j)))
-        worst = max(worst, identity_residual(
-            "id_sum2", dict(n=n, x=x, y=y, tau=0.6 + 0.5j)))
+        worst = max(worst, id_sum1_residual(n, 1, x, y, 0.6 + 0.5j))
+        worst = max(worst, id_sum2_residual(n, x, y, 0.6 + 0.5j))
     for n in (2, 3):
         xs = rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.2, 0.2, n)
         ys = rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.2, 0.2, n)
-        worst = max(worst, identity_residual(
-            "frobenius", dict(xs=xs, ys=ys, t=0.3 + 0.2j, tau=0.8j)))
+        worst = max(worst, frobenius_residual(xs, ys, 0.3 + 0.2j, 0.8j))
     elapsed = time.monotonic() - start
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -130,7 +128,7 @@ def test_criterion_04_determinant_oracles(model4):
     for _ in range(2):
         v = rng.uniform(-0.3, 0.3, 2) + 1j * rng.uniform(-0.15, 0.15, 2)
         for a in range(params.L):
-            pb = S.partial_scalar_bruteforce(u00, v, a, config, params)
+            pb = S.partial_scalar_bruteforce(u00, v, a)
             pd = S.partial_scalar_det(u00, v, a)
             worst_sp = max(worst_sp, abs(pb - pd) / abs(pb))
     assert worst_sp < 1e-8
@@ -219,8 +217,7 @@ def test_criterion_07_fredholm_toolkit():
     circle = 0.013 * np.exp(2j * math.pi * np.arange(64) / 64)
     res = 2j * math.pi * np.mean(T.resolvent_S(Y, circle, params) * circle)
     assert abs(res - 1.0) < 1e-10
-    inteq = T.resolvent_equation_residual(Y, X, 0.03 + 0.2j, params,
-                                          modes=300)
+    inteq = T.resolvent_equation_residual(Y, X, 0.03 + 0.2j, params)
     assert inteq < 1e-9
     print(f"ACCEPTANCE 7: PASS (products {max(d1, d2):.2e}, ratio {d3:.2e}, "
           f"residue {abs(res - 1):.2e}, equation {inteq:.2e})")

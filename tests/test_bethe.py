@@ -281,7 +281,7 @@ class TestEigenstates:
             [omega ** 1] * params.L)
         u = 0.27 + 0.1j
         out = transfer_apply(u, state)
-        tau_val = (omega * roots.a_fun(u)
+        tau_val = (omega   # a(u) = 1
                    + (-1) ** (params.r * roots.aleph) / omega * roots.d_fun(u))
         assert np.max(np.abs(out.amps - tau_val * state.amps)) < 1e-10
 
@@ -402,14 +402,14 @@ class TestHeightProjection:
         # fixing the height at site 1 turns a Bethe state into the discrete
         # Fourier combination of the L twist-rotated Bethe-type states
         import cmath
-        from csoslab.scalar import project_height
+        from csoslab.lattice import local_operator_apply
         roots = ground4_homog[(0, 1)]
         config = roots.config
         L = params.L
         rv = B.bethe_vector(roots, side="right")
         for a in (0, 2):
             s = params.height(a)
-            lhs = project_height(rv, a)
+            lhs = local_operator_apply("delta", rv, i=1, a=a)
             rhs = StateVector(config, params)
             base = StateVector.reference(config, params)
             for vj in roots.v:

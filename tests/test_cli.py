@@ -222,6 +222,27 @@ class TestLhpTables:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["finite", "thermo"])
+    @pytest.mark.parametrize("doc", [
+        # s0 + 0.5 is not a height: the table would hold values off the circle;
+        # the other documents are refused as configuration errors, not as
+        # numerical failures
+        {"vertices": [[1, 1], [2, 1]], "heights": [0.5, 1.5]},
+        {"vertices": [[1, 1], [2, 1]], "heights": ["0", "1"]},
+        {"vertices": [["2", 1], [3, 1]], "heights": [0, 1]},
+        {"vertices": [[1, 1], [2, 1]], "heights": [True, False]},
+        {"vertices": [1, 2], "heights": [0, 1]},
+        {"vertices": [[1, 1]], "heights": 0},
+        [[1, 1], [2, 1]]])
+    def test_malformed_path_exit_2(self, thermo_config, tmp_path, mode, doc):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "table.json"
+        code = cli.main(["lhp", "--mode", mode, "--config", thermo_config,
+                         "--path", str(path), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_coinciding_path_arguments_refused(self, thermo_config,
                                                tmp_path):
         # an m = 2 path on a homogeneous column has z_1 = z_2: the integrand

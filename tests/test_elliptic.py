@@ -8,8 +8,9 @@ import pytest
 
 from csoslab.elliptic import (SERIES_BLOCK, SERIES_RTOL, EllipticDomainError,
                               ModelParams, PoleError, _cdiv, _term_table,
-                              bracket,
-                              identity_residual, theta, theta_log)
+                              frobenius_residual, id_sum1_residual,
+                              id_sum2_residual, jacobi_residual,
+                              schroter_residual, theta, theta_log)
 
 
 def direct_theta3(z, tau, terms=50):
@@ -215,7 +216,7 @@ class TestSeriesTruncation:
                 out = theta(kind, z, 0.45j, order=order)
                 assert out.shape == shape and out.dtype == complex
         for order in (0, 1):
-            out = bracket(z, params, order=order)
+            out = params.bracket(z, order=order)
             assert out.shape == shape and out.dtype == complex
 
     def test_empty_input_still_checked(self):
@@ -261,23 +262,23 @@ class TestThetaLog:
 
 class TestBracket:
     def test_zero(self, params):
-        assert abs(bracket(0.0, params)) < 1e-15
+        assert abs(params.bracket(0.0)) < 1e-15
 
     def test_periodicity_L_over_r(self):
         params = ModelParams(tau=0.8j, r=2, L=5, s0=0.37 + 0.11j)
         u = 0.31 + 0.09j
-        lhs = bracket(u + params.L / params.r, params)
-        assert abs(lhs - (-1) ** params.L * bracket(u, params)) < 1e-10
+        lhs = params.bracket(u + params.L / params.r)
+        assert abs(lhs - (-1) ** params.L * params.bracket(u)) < 1e-10
 
     def test_composition(self):
         params = ModelParams(tau=0.8j, r=2, L=5, s0=0.37 + 0.11j)
-        assert abs(bracket(1.0, params) - theta(1, 0.4, 0.8j)) < 1e-14
+        assert abs(params.bracket(1.0) - theta(1, 0.4, 0.8j)) < 1e-14
 
     def test_derivative(self, params):
         h = 1e-6
         u = 0.27 + 0.12j
-        fd = (bracket(u + h, params) - bracket(u - h, params)) / (2 * h)
-        assert abs(bracket(u, params, order=1) - fd) < 1e-8
+        fd = (params.bracket(u + h) - params.bracket(u - h)) / (2 * h)
+        assert abs(params.bracket(u, order=1) - fd) < 1e-8
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_stacked_brackets_equal_single_calls(self, params, order):
@@ -348,43 +349,33 @@ class TestIdentities:
             z = complex(rng.uniform(-1, 1), rng.uniform(-0.6, 0.6))
             tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.4, 1.2))
             for kind in (1, 2, 3, 4):
-                worst = max(worst, identity_residual(
-                    "jacobi", dict(kind=kind, z=z, tau=tau)))
+                worst = max(worst, jacobi_residual(kind, z, tau))
         assert worst < 1e-11
 
     def test_schroter(self, rng):
         for (L, r) in ((3, 1), (5, 2)):
             x = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
             y = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
-            res = identity_residual("schroter",
-                                    dict(x=x, y=y, tau=0.7j, r=r, L=L))
+            res = schroter_residual(x, y, 0.7j, r, L)
             assert res < 1e-12
 
     def test_summation_identities(self, rng):
         x = 0.31 + 0.2j
         y = 0.17 - 0.1j
-        assert identity_residual(
-            "id_sum1", dict(n=4, k=1, x=x, y=y, tau=0.6 + 0.5j)) < 1e-12
-        assert identity_residual(
-            "id_sum2", dict(n=4, x=x, y=y, tau=0.6 + 0.5j)) < 1e-12
+        assert id_sum1_residual(4, 1, x, y, 0.6 + 0.5j) < 1e-12
+        assert id_sum2_residual(4, x, y, 0.6 + 0.5j) < 1e-12
 
     def test_frobenius_n1_degenerate(self):
-        res = identity_residual("frobenius", dict(
-            xs=[0.21 + 0.05j], ys=[-0.13 + 0.02j], t=0.3 + 0.2j, tau=0.8j))
+        res = frobenius_residual([0.21 + 0.05j], [-0.13 + 0.02j], 0.3 + 0.2j,
+                                 0.8j)
         assert res < 1e-13
 
     def test_frobenius_n3(self, rng):
         xs = rng.uniform(-0.4, 0.4, 3) + 1j * rng.uniform(-0.2, 0.2, 3)
         ys = rng.uniform(-0.4, 0.4, 3) + 1j * rng.uniform(-0.2, 0.2, 3)
-        res = identity_residual("frobenius",
-                                dict(xs=xs, ys=ys, t=0.3 + 0.21j, tau=0.8j))
+        res = frobenius_residual(xs, ys, 0.3 + 0.21j, 0.8j)
         assert res < 1e-12
 
     def test_pole_error(self):
         with pytest.raises(PoleError):
-            identity_residual("frobenius", dict(
-                xs=[0.2], ys=[0.2], t=0.3, tau=0.8j))
-
-    def test_unknown_identity(self):
-        with pytest.raises(ValueError):
-            identity_residual("not-an-identity", {})
+            frobenius_residual([0.2], [0.2], 0.3, 0.8j)

@@ -403,6 +403,27 @@ class TestColumnWeights:
         if not dual:
             assert np.array_equal(transfer_apply(u, state).amps, ref)
 
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_transfer_dense_shares_weights(self, params, config4, monkeypatch,
+                                           scaled):
+        # the dense A + D evaluates the column weights once, as the applied
+        # one does, and equals the sum of the two dense entries bit for bit
+        u = 0.27 + 0.1j
+        ref = (monodromy_entry_dense("A", u, config4, params, scaled=scaled)
+               + monodromy_entry_dense("D", u, config4, params,
+                                       scaled=scaled))
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
+        monkeypatch.setattr(ModelParams, "bracket", counted)
+        got = transfer_dense(u, config4, params, scaled=scaled)
+        assert len(calls) == 1
+        assert np.array_equal(got, ref)
+
     def test_height_pole(self, params, config4):
         # [s0 + 2] = theta1(1) = 0: the check on the L classes refuses it
         model = ModelParams(tau=params.tau, r=1, L=3, s0=1.0, validate=False)

@@ -38,6 +38,22 @@ class TestPathGeometry:
         with pytest.raises(ValueError):
             M.AdjacentPath(vertices=((1, 1), (2, 1)), heights=(0, 2))
 
+    def test_integer_coordinates_required(self):
+        # heights and vertex coordinates are integers of Python or numpy;
+        # bool, float and str are refused
+        for verts, heights in ((((1, 1), (2, 1)), (0.5, 1.5)),
+                               (((1, 1), (2, 1)), (1.0, 2.0)),
+                               (((1, 1), (2, 1)), ("0", "1")),
+                               (((1, 1), (2, 1)), (True, False)),
+                               ((("2", 1), (3, 1)), (0, 1)),
+                               (((1, 1.0), (2, 1)), (0, 1)),
+                               (((1, 1, 1), (2, 1)), (0, 1))):
+            with pytest.raises(ValueError, match="integer"):
+                M.AdjacentPath(vertices=verts, heights=heights)
+        path = M.AdjacentPath(vertices=((np.int64(1), 1), (2, np.int32(1))),
+                              heights=(np.int64(1), np.int8(2)))
+        assert path.alphas == (1,)
+
     def test_vertices_off_the_lattice_refused(self):
         # rows 1..N+1 and columns 1..M+1: no index wraps around to xi_N or w_M
         config = LatticeConfig(N=4, xi=(0.5,) * 4, w=(0.5 + 0.01j,))
@@ -159,10 +175,12 @@ class TestCommutationAction:
                                             rng):
         # m=1 and m=2 coefficients reproduce the brute-force action of the
         # full element through the partial-scalar sum; the m=2 paths run the
-        # slot-pair products and the k > i_p factors of every slot order
+        # slot-pair products and the k > i_p factors of every slot order;
+        # (3, 2) and (-1, 0, 1) read the phi weights at heights mod L
         for (uu, vv) in (((0, 0), (0, 0)), ((0, 0), (1, 1))):
             us, vs = ground4[uu], ground4[vv]
-            for heights in ((1, 2), (1, 0), (0, 1, 2), (0, 1, 0), (2, 1, 0)):
+            for heights in ((1, 2), (1, 0), (0, 1, 2), (0, 1, 0), (2, 1, 0),
+                            (3, 2), (-1, 0, 1)):
                 path = path_down(heights)
                 bf = M.mpme_bruteforce(us, vs, path, heights[0])
                 s4 = M.mpme_sum_partial(us, vs, path, heights[0])
@@ -627,8 +645,8 @@ class TestFlatBasis:
     def test_m1_bond_path_vs_inverse_problem(self, ground4, config4):
         # the single-step element equals the reconstructed bond operator
         # E_1^{aa} sandwiched with the height projector
-        from csoslab.lattice import local_operator_dense, transfer_dense
-        from csoslab.scalar import project_height
+        from csoslab.lattice import (local_operator_apply,
+                                     local_operator_dense, transfer_dense)
         import csoslab.bethe as BB
         params = ground4[(0, 0)].params
         us, vs = ground4[(0, 0)], ground4[(1, 1)]
@@ -643,7 +661,7 @@ class TestFlatBasis:
             from csoslab.lattice import StateVector
             acted = StateVector(config4, params,
                                 emat @ rv.amps.reshape(-1))
-            acted = project_height(acted, 1)
+            acted = local_operator_apply("delta", acted, i=1, a=1)
             val = BB.left_contract(us, acted) / (nu * nv)
             assert abs(det - val) / abs(val) < 1e-8
 

@@ -68,8 +68,7 @@ class TestPartialScalar:
             params = u00.params
             for v in vsets:
                 for a in range(params.L):
-                    pb = S.partial_scalar_bruteforce(u00, v, a, config4,
-                                                     params)
+                    pb = S.partial_scalar_bruteforce(u00, v, a)
                     pd = S.partial_scalar_det(u00, v, a)
                     assert abs(pb - pd) / max(1e-30, abs(pb)) < 1e-8
 
@@ -81,11 +80,11 @@ class TestPartialScalar:
         assert abs(p1 - p2) / abs(p1) < 1e-9
 
     def test_zero_root_contraction(self, params, config4):
-        from csoslab.lattice import StateVector
-        from csoslab.scalar import project_height
+        from csoslab.lattice import StateVector, local_operator_apply
         ref = StateVector.reference(config4, params)
         for a in range(params.L):
-            val = project_height(ref, a).bra_contract_reference()
+            val = local_operator_apply("delta", ref, i=1,
+                                       a=a).bra_contract_reference()
             assert val == 1.0  # one height class survives per projection
 
     def test_scalarproduct_height_sum(self, ground4):

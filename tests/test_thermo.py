@@ -40,7 +40,7 @@ class TestDensity:
 
     def test_lieb_residual(self, params_c, config8):
         z = np.linspace(-0.5, 0.5, 50)
-        assert np.max(T.lieb_residual(z, config8, params_c, modes=400)) < 1e-10
+        assert np.max(T.lieb_residual(z, config8, params_c)) < 1e-10
 
     def test_closed_form_vs_series(self, params_c):
         z = np.linspace(-0.45, 0.45, 7)
@@ -123,7 +123,7 @@ class TestResolvent:
 
     def test_integral_equation(self, params_c):
         res = T.resolvent_equation_residual(0.4 - 0.27j, 0.21 + 0.13j,
-                                            0.03 + 0.2j, params_c, modes=300)
+                                            0.03 + 0.2j, params_c)
         assert res < 1e-9
 
     def test_quasi_periodicity(self, params_c):
@@ -545,3 +545,32 @@ class TestMultiPoint:
             fin = M.finite_lhp(path, ("flat", 0, 0), gs)
             devs.append(abs(fin - ref))
         assert devs[0] > devs[1] > devs[2]
+
+
+class TestArgumentFamilies:
+    """A path argument joins the plain or the shifted family by its value,
+    whatever the step that carries it."""
+
+    XI = tuple(0.5 + 1j * y for y in (0.04, -0.03, 0.02, -0.05))
+    ROW_STEP = ((1, 1), (1, 2))
+
+    def _table(self, vertices, w, params):
+        config = LatticeConfig(N=4, xi=self.XI, w=w)
+        path = M.AdjacentPath(vertices=vertices, heights=(1, 2))
+        labels = [(eps, t) for eps in (0, 1)
+                  for t in range(params.L - params.r)]
+        return T.lhp_table(path, labels, range(params.L), config, params, 32)
+
+    def test_row_step_on_xi_is_plain(self, params):
+        # w_1 = xi_1: the row step's argument is the down step's
+        assert (self._table(self.ROW_STEP, (self.XI[0],), params)
+                == self._table(((1, 1), (2, 1)), (), params))
+
+    def test_row_step_on_shifted_xi_is_shifted(self, params):
+        # w_1 = xi_1 - 1: the row step's argument is the up step's
+        assert (self._table(self.ROW_STEP, (self.XI[0] - 1,), params)
+                == self._table(((2, 1), (1, 1)), (), params))
+
+    def test_row_step_off_both_families_refused(self, params):
+        with pytest.raises(ValueError, match="inhomogeneity family"):
+            self._table(self.ROW_STEP, (0.3 + 0.1j,), params)
