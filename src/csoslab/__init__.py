@@ -7,19 +7,15 @@ height probabilities, with every formula backed by a brute-force oracle.
 """
 
 from .elliptic import ModelParams, theta, theta_log
-from .lattice import (LatticeConfig, StateVector,
-                      boltzmann_weight, homogeneous_config,
-                      monodromy_entry_apply, r_matrix, transfer_apply,
-                      transfer_dense, yang_baxter_residual)
+from .lattice import (LatticeConfig, StateVector, homogeneous_config,
+                      monodromy_entry_apply, transfer_apply)
 from .bethe import (BetheRootSet, all_ground_states, bethe_residual,
                     bethe_vector, eigenstate_residual, eigenvalue_tau,
                     log_bethe_residual, solve_ground_state)
-from .scalar import (gaudin_matrix, norm_det, partial_scalar_bruteforce,
-                     partial_scalar_det)
+from .scalar import gaudin_matrix, norm_det
 from .matel import (AdjacentPath, finite_lhp, mpme_bruteforce, mpme_det,
                     vertical_path)
-from .thermo import (density, fredholm_det, kernel_fourier, lieb_residual,
-                     lhp_table, multipoint_lhp, one_point_barP,
-                     resolvent_S)
+from .thermo import (density, fredholm_det, kernel_fourier, lhp_table,
+                     multipoint_lhp, one_point_barP)
 
 __version__ = "0.1.0"

@@ -55,18 +55,6 @@ def _log_ratio_odd(terms, tau_t, order):
             for plus, minus, wind in zip(f[::2], f[1::2], winds)]
 
 
-def bare_momentum(z, params, order=0):
-    """p0(z) (continuous odd branch) or p0'(z)."""
-    return _log_ratio_odd([(z, params.eta_tilde / 2.0)], params.tau_tilde,
-                          order)[0]
-
-
-def bare_phase(z, params, order=0):
-    """theta(z) = i log(theta1(eta~+z)/theta1(eta~-z)), or its derivative."""
-    return _log_ratio_odd([(z, params.eta_tilde)], params.tau_tilde,
-                          order)[0]
-
-
 def momentum_shifts(config, params):
     """Real shifts c_k with p0_tot(z) = (1/N) sum p0(z - c_k)."""
     et = params.eta_tilde

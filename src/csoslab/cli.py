@@ -15,22 +15,22 @@ import sys
 
 import numpy as np
 
-from . import bethe, matel, thermo
-from .elliptic import (AccuracyError, ModelParams, PoleError,
-                       frobenius_residual, id_sum1_residual, id_sum2_residual,
-                       jacobi_residual, periods_residual, schroter_residual,
-                       theta)
-from .lattice import (LatticeConfig, homogeneous_config, transfer_dense,
-                      yang_baxter_residual, zero_weight_indices,
-                      inverse_problem_residual)
+from . import bethe, contract, matel, thermo
+from .elliptic import AccuracyError, ModelParams, PoleError
+from .lattice import LatticeConfig, homogeneous_config
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 
+CONFIG_KEYS = frozenset(("tau_re", "tau_im", "r", "L", "s0", "s0_re", "s0_im",
+                         "N", "xi", "resolution", "eps", "t"))
+
+
 def parse_config(path):
-    """Flat key = value file; '#' starts a comment."""
+    """Flat key = value file; '#' starts a comment.  An unknown key is a
+    configuration error."""
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -40,7 +40,10 @@ def parse_config(path):
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
             key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            out[key] = val.strip()
     return out
 
 
@@ -49,7 +52,6 @@ def build_params(cfg):
     s0 = complex(float(cfg.get("s0_re", "0")), float(cfg.get("s0_im", "0")))
     if cfg.get("s0", "") == "physical":
         s0 = tau / (2.0 * int(cfg["r"]) / int(cfg["L"]))
-        s0 += float(cfg.get("s0_shift", "0"))
     return ModelParams(tau=tau, r=int(cfg["r"]), L=int(cfg["L"]), s0=s0)
 
 
@@ -97,173 +99,13 @@ def _emit_csv(rows, header, out_path):
 # identity suites
 # ---------------------------------------------------------------------------
 
-def _suite_elliptic(rng, draws):
-    out = {}
-    worst = {"jacobi": 0.0, "periods": 0.0}
-    for _ in range(draws):
-        z = complex(rng.uniform(-1, 1), rng.uniform(-0.8, 0.8))
-        tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.3))
-        for kind in (1, 2, 3, 4):
-            worst["jacobi"] = max(worst["jacobi"],
-                                  jacobi_residual(kind, z, tau))
-        scale = max(1.0, abs(theta(1, z, tau)), abs(theta(1, z + tau, tau)))
-        worst["periods"] = max(worst["periods"],
-                               periods_residual(z, tau) / scale)
-    out.update(worst)
-    for (L, r) in ((3, 1), (5, 2)):
-        res = 0.0
-        for _ in range(draws // 10 + 1):
-            x = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
-            y = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
-            res = max(res, schroter_residual(x, y, 0.7j, r, L))
-        out[f"schroter_L{L}_r{r}"] = res
-    for n in range(2, 7):
-        x = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
-        y = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
-        out[f"id_sum1_n{n}"] = id_sum1_residual(n, 1, x, y, 0.6 + 0.5j)
-        out[f"id_sum2_n{n}"] = id_sum2_residual(n, x, y, 0.6 + 0.5j)
-    for n in (2, 3):
-        xs = rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.2, 0.2, n)
-        ys = rng.uniform(-0.4, 0.4, n) + 1j * rng.uniform(-0.2, 0.2, n)
-        out[f"frobenius_n{n}"] = frobenius_residual(xs, ys, 0.3 + 0.2j, 0.8j)
-    return out
-
-
-def _suite_lattice(rng, draws):
-    params = ModelParams(tau=0.9j, r=2, L=5, s0=0.41 + 0.13j)
-    out = {"yang_baxter": 0.0}
-    for _ in range(draws):
-        u1, u2, u3 = (complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
-                      for _ in range(3))
-        s = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
-        out["yang_baxter"] = max(out["yang_baxter"], yang_baxter_residual(
-            u1, u2, u3, s, params))
-    p3 = ModelParams(tau=0.8j, r=1, L=3, s0=0.41 + 0.13j)
-    config = homogeneous_config(4)
-    idx = zero_weight_indices(config, p3)
-    u, v = 0.31 + 0.17j, -0.22 + 0.4j
-    tu = transfer_dense(u, config, p3)[np.ix_(idx, idx)]
-    tv = transfer_dense(v, config, p3)[np.ix_(idx, idx)]
-    out["transfer_commutator"] = float(np.max(np.abs(tu @ tv - tv @ tu)))
-    ys = [0.04, -0.03, 0.02, -0.05]
-    cfg_inh = LatticeConfig(N=4, xi=tuple(0.5 + 1j * y for y in ys))
-    out["inverse_problem_E"] = inverse_problem_residual(
-        "E", 2, cfg_inh, p3, alpha=1, beta=1)
-    out["inverse_problem_delta"] = inverse_problem_residual(
-        "delta", 3, cfg_inh, p3, a=1)
-    return out
-
-
-def _suite_appendixB(rng, draws):
-    params = ModelParams(tau=0.8j, r=1, L=3, s0=0.41 + 0.13j)
-    out = {}
-    for (n, m) in ((2, 1), (3, 2)):
-        res = 0.0
-        for _ in range(max(3, draws // 30)):
-            u = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
-            v = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
-            z = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.2, 0.2, m)
-            gamma = complex(rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.3))
-            alup = tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                         for _ in range(4))
-            bet = tuple(rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                        for _ in range(4))
-            res = max(res, matel.appendixB_identity_residual(
-                u, v, z, gamma, alup, bet, m, params))
-        out[f"transform_n{n}_m{m}"] = res
-    res = 0.0
-    for _ in range(max(3, draws // 30)):
-        n = 3
-        u = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
-        v = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
-        gamma = complex(rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.3))
-        res = max(res, matel.x_determinant_residual(gamma, u, v, params))
-    out["det_X"] = res
-    return out
-
-
-def _suite_appendixC(rng, draws):
-    L, r = 3, 1
-    params = ModelParams(tau=2.5j * r / L, r=r, L=L, s0=0.37 + 0.21j)
-    X = complex(rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.2))
-    Y = complex(rng.uniform(0.2, 0.5), rng.uniform(-0.3, -0.1))
-    out = {}
-    base_t = thermo.fredholm_det("base", "truncated", params)
-    base_c = thermo.fredholm_det("base", "closed", params)
-    out["fredholm_base"] = abs(base_t - base_c) / abs(base_c)
-    xy_t = thermo.fredholm_det("XY", "truncated", params, X=X, Y=Y)
-    xy_c = thermo.fredholm_det("XY", "closed", params, X=X, Y=Y)
-    out["fredholm_XY"] = abs(xy_t - xy_c) / abs(xy_c)
-    ratio = thermo.fredholm_det("ratio", "closed", params, X=X, Y=Y)
-    out["fredholm_ratio"] = abs(ratio - xy_c / base_c) / abs(ratio)
-    circle = 0.013 * np.exp(2j * math.pi * np.arange(64) / 64)
-    res = 2j * math.pi * np.mean(thermo.resolvent_S(Y, circle, params) * circle)
-    out["resolvent_residue"] = abs(res - 1.0)
-    out["resolvent_equation"] = thermo.resolvent_equation_residual(
-        Y, X, 0.03 + 0.2j, params)
-    kq = 0.0
-    nodes = -0.5 + np.arange(1024) / 1024
-    for mm in (0, 3, -2):
-        quad = np.mean(thermo.kernel_direct("K_XY", nodes, params, X=X, Y=Y)
-                       * np.exp(-2j * math.pi * mm * nodes))
-        kq = max(kq, abs(quad - thermo.kernel_fourier("K_XY", mm, params,
-                                                      X=X, Y=Y)))
-    out["kernel_fourier"] = kq
-    return out
-
-
-def _suite_appendixD(rng, draws):
-    out = {}
-    for (L, r) in ((3, 1), (4, 1)):
-        params = ModelParams(tau=2.5j * r / L, r=r, L=L, s0=0.37 + 0.21j)
-        Z = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1))
-        worst = 0.0
-        norm = 0.0
-        parity = 0.0
-        for eps in (0, 1):
-            for t in range(L - r):
-                tot = 0.0j
-                for a in range(L):
-                    v1 = thermo.one_point_barP(a, Z, eps, t, params,
-                                               mode="nu_sum")
-                    v2 = thermo.one_point_barP(a, Z, eps, t, params,
-                                               mode="closed")
-                    if L % 2 == 0 and (eps + t - a) % 2 != 0:
-                        parity = max(parity, abs(v2))
-                    worst = max(worst, abs(v1 - v2) / max(1.0, abs(v1)))
-                    tot += thermo.one_point_barP(a, 0.0, eps, t, params,
-                                                 mode="nu_sum")
-                norm = max(norm, abs(tot - 1.0))
-        out[f"nu_vs_closed_L{L}"] = worst
-        out[f"normalization_L{L}"] = norm
-        if L % 2 == 0:
-            out[f"parity_zero_L{L}"] = parity
-    return out
-
-
-SUITES = {
-    "elliptic": _suite_elliptic,
-    "lattice": _suite_lattice,
-    "appendixB": _suite_appendixB,
-    "appendixC": _suite_appendixC,
-    "appendixD": _suite_appendixD,
-}
-
-SUITE_TOL = {
-    "elliptic": 1e-10,
-    "lattice": 1e-9,
-    "appendixB": 1e-9,
-    "appendixC": 1e-9,
-    "appendixD": 1e-9,
-}
-
-
 def cmd_identities(args):
     rng = np.random.default_rng(args.seed)
-    tol = args.tolerance if args.tolerance else SUITE_TOL[args.suite]
-    residuals = SUITES[args.suite](rng, args.draws)
+    tol = contract.rows(args.suite, args.tolerance or None)
+    residuals = contract.SUITES[args.suite](rng, args.draws)
     worst_name = max(residuals, key=lambda k: residuals[k])
-    ok = residuals[worst_name] < tol
+    failed = sorted(k for k, v in residuals.items()
+                    if not contract.within(v, tol[k]))
     doc = {
         "suite": args.suite,
         "seed": args.seed,
@@ -271,12 +113,13 @@ def cmd_identities(args):
         "residuals": {k: float(v) for k, v in sorted(residuals.items())},
         "max_residual": float(residuals[worst_name]),
         "worst": worst_name,
-        "pass": bool(ok),
+        "pass": not failed,
     }
     _emit(doc, args.out)
-    if not ok:
-        sys.stderr.write(f"FAIL: {worst_name} = {residuals[worst_name]:.3e}\n")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    for name in failed:
+        sys.stderr.write(f"FAIL: {name} = {residuals[name]:.3e} "
+                         f"(row {tol[name]:.0e})\n")
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +249,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_id = sub.add_parser("identities", help="run a named identity suite")
-    p_id.add_argument("suite", choices=sorted(SUITES))
+    p_id.add_argument("suite", choices=sorted(contract.SUITES))
     p_id.add_argument("--seed", type=int, default=7)
     p_id.add_argument("--draws", type=int, default=100)
     p_id.add_argument("--tolerance", type=float, default=None)

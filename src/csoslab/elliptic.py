@@ -375,97 +375,3 @@ class ModelParams:
     def height(self, a):
         """Height value s0 + a for an integer class label a."""
         return self.s0 + a
-
-
-# ---------------------------------------------------------------------------
-# identity catalogue: each function returns |LHS - RHS| of one theta identity
-# ---------------------------------------------------------------------------
-
-def jacobi_residual(kind, z, tau):
-    """Imaginary transformation tau -> -1/tau for the four kinds."""
-    pref = (-1j * tau) ** (-0.5) * cmath.exp(-1j * math.pi * z * z / tau)
-    lhs = theta(kind, z, tau)
-    rhs = pref * theta(_JACOBI_PARTNER[kind], -z / tau, -1.0 / tau)
-    if kind == 1:
-        rhs = -1j * rhs
-    return abs(lhs - rhs)
-
-
-def periods_residual(z, tau):
-    """Quasi-periodicity of theta1 under z -> z + 1 and z -> z + tau."""
-    r1 = abs(theta(1, z + 1.0, tau) + theta(1, z, tau))
-    f = -cmath.exp(-1j * math.pi * tau) * cmath.exp(-2j * math.pi * z)
-    r2 = abs(theta(1, z + tau, tau) - f * theta(1, z, tau))
-    return max(r1, r2)
-
-
-def schroter_residual(x, y, tau, r, L):
-    """Schroter's product formula for theta3 at moduli r tau/L and
-    (L - r) tau/L."""
-    lhs = theta(3, x, r * tau / L) * theta(3, y, (L - r) * tau / L)
-    rhs = 0.0
-    for k in range(L):
-        rhs += (cmath.exp(1j * math.pi * r * tau / L * k * k)
-                * cmath.exp(2j * math.pi * k * x)
-                * theta(3, x - y + r * k * tau / L, tau)
-                * theta(3, (L - r) * x + r * y + r * (L - r) * k * tau / L,
-                        r * (L - r) * tau))
-    return abs(lhs - rhs)
-
-
-def id_sum1_residual(n, k, x, y, tau):
-    """Sum over the shifts y + nu/n weighted by e^{-2 pi i k nu/n}, against
-    its closed form at modulus n tau."""
-    tot = 0.0
-    for nu in range(n):
-        den = theta(1, x, tau) * theta(1, y + nu / n, tau)
-        if abs(den) < 1e-13:
-            raise PoleError("id-sum1 summand hits a pole")
-        tot += (cmath.exp(-2j * math.pi * k * nu / n)
-                * theta(1, x + y + nu / n, tau) * theta(1, 0, tau, order=1) / den)
-    lhs = tot / n
-    den = theta(1, x + k * tau, n * tau) * theta(1, n * y, n * tau)
-    if abs(den) < 1e-13:
-        raise PoleError("id-sum1 closed form hits a pole")
-    rhs = (cmath.exp(2j * math.pi * k * y)
-           * theta(1, x + n * y + k * tau, n * tau)
-           * theta(1, 0, n * tau, order=1) / den)
-    return abs(lhs - rhs)
-
-
-def id_sum2_residual(n, x, y, tau):
-    """Sum over the shifts y + nu tau/n, against its closed form at
-    modulus tau/n."""
-    tot = 0.0
-    for nu in range(n):
-        den = theta(1, x, tau) * theta(1, y + nu * tau / n, tau)
-        if abs(den) < 1e-13:
-            raise PoleError("id-sum2 summand hits a pole")
-        tot += (cmath.exp(2j * math.pi * nu * x / n)
-                * theta(1, x + y + nu * tau / n, tau)
-                * theta(1, 0, tau, order=1) / den)
-    den = theta(1, x / n, tau / n) * theta(1, y, tau / n)
-    if abs(den) < 1e-13:
-        raise PoleError("id-sum2 closed form hits a pole")
-    rhs = theta(1, x / n + y, tau / n) * theta(1, 0, tau / n, order=1) / den
-    return abs(tot - rhs)
-
-
-def frobenius_residual(xs, ys, t, tau):
-    """Frobenius' elliptic Cauchy determinant."""
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    n = len(xs)
-    th_t = theta(1, t, tau)
-    diff = xs[:, None] - ys[None, :]
-    th_diff = theta(1, diff, tau)
-    if abs(th_t) < 1e-13 or np.min(np.abs(th_diff)) < 1e-13:
-        raise PoleError("Frobenius matrix hits a pole")
-    mat = theta(1, diff + t, tau) / (th_diff * th_t)
-    lhs = np.linalg.det(mat)
-    num = theta(1, np.sum(xs - ys) + t, tau) / th_t
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= theta(1, xs[i] - xs[j], tau) * theta(1, ys[j] - ys[i], tau)
-    rhs = num / np.prod(th_diff)
-    return abs(lhs - rhs)

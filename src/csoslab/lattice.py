@@ -30,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import DegenerateConfigError, PoleError, SizeGuardError
+from .elliptic import PoleError, SizeGuardError
 
-# Memory budget of one dense assembly (see guard_dense): admits the oracle
-# range N <= 10 at L = 3 and refuses N = 12.
+# Memory budget of one dense assembly (see guard_dense) or one sweep of
+# state vectors (see _entries_batch): admits dense oracles for N <= 10 and
+# single-vector sweeps for N <= 22 at L = 3.
 DENSE_MAX_BYTES = 2 << 30
 
 _ENTRY_AUX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
@@ -85,12 +86,16 @@ def guard_dense(config, params):
     complex dim x dim arrays in all.
     """
     dim = params.L * (1 << config.N)
-    need = 6 * 16 * dim * dim
+    _guard_bytes(6 * 16 * dim * dim,
+                 f"dense operation refused: N={config.N}, dim={dim}")
+    return dim
+
+
+def _guard_bytes(need, what):
     if need > DENSE_MAX_BYTES:
         raise SizeGuardError(
-            f"dense operation refused: N={config.N}, dim={dim} needs about "
-            f"{need / 2**30:.1f} GiB (limit {DENSE_MAX_BYTES / 2**30:.1f} GiB)")
-    return dim
+            f"{what} needs about {need / 2**30:.1f} GiB "
+            f"(limit {DENSE_MAX_BYTES / 2**30:.1f} GiB)")
 
 
 class StateVector:
@@ -150,57 +155,6 @@ def _prefix_table(i, config):
     for k in range(i - 1):
         pref += 1 - 2 * ((words >> (N - 1 - k)) & 1)
     return pref
-
-
-_SPINS = ((1, 1), (1, -1), (-1, 1), (-1, -1))   # r_matrix basis order
-
-
-def boltzmann_weight(u, s, unprimed, primed, params):
-    """Face weight R(u; s)^{(a_i, a_j)}_{(a'_i, a'_j)}, the r_matrix entry;
-    0 unless ice rule holds."""
-    return complex(r_matrix(u, s, params)[_SPINS.index(tuple(unprimed)),
-                                          _SPINS.index(tuple(primed))])
-
-
-def r_matrix(u, s, params):
-    """4x4 matrix of face weights, basis (++, +-, -+, --), rows unprimed,
-    from one bracket call: b, c(u; s) on the row +-, b, c(u; -s) on -+."""
-    bs, bu, bu1, b1, bp1, bp, bpu, bm1, bm, bmu = params.brackets(
-        s, u, u + 1, 1, 1.0 * s + 1, 1.0 * s, 1.0 * s + u,
-        -1.0 * s + 1, -1.0 * s, -1.0 * s + u)
-    if min(abs(bs), abs(bu1)) < 1e-13:
-        raise PoleError(f"face weight pole at u={u}, s={s}")
-    return np.array([[1.0, 0.0, 0.0, 0.0],
-                     [0.0, bp1 * bu / (bp * bu1), bpu * b1 / (bp * bu1), 0.0],
-                     [0.0, bmu * b1 / (bm * bu1), bm1 * bu / (bm * bu1), 0.0],
-                     [0.0, 0.0, 0.0, 1.0]], dtype=complex)
-
-
-def yang_baxter_residual(u1, u2, u3, s, params):
-    """Max-norm defect of the dynamical Yang-Baxter equation on (C^2)^3."""
-    def embed(pos, u, shifted):
-        # R on the factors pos in {(0,1),(0,2),(1,2)}: R(u; s), or with
-        # shifted R(u; s + 1) and R(u; s - 1) for spectator spin + and -
-        mats = ([r_matrix(u, s + e, params) for e in (1.0, -1.0)] if shifted
-                else [r_matrix(u, s, params)] * 2)
-        out = np.zeros((8, 8), dtype=complex)
-        spect = ({0, 1, 2} - set(pos)).pop()
-        for row in range(8):
-            rb = [(row >> (2 - t)) & 1 for t in range(3)]
-            for col in range(8):
-                cb = [(col >> (2 - t)) & 1 for t in range(3)]
-                if rb[spect] != cb[spect]:
-                    continue
-                m = mats[rb[spect]]
-                out[row, col] = m[2 * rb[pos[0]] + rb[pos[1]],
-                                  2 * cb[pos[0]] + cb[pos[1]]]
-        return out
-
-    lhs = (embed((0, 1), u1 - u2, True) @ embed((0, 2), u1 - u3, False)
-           @ embed((1, 2), u2 - u3, True))
-    rhs = (embed((1, 2), u2 - u3, False) @ embed((0, 2), u1 - u3, True)
-           @ embed((0, 1), u1 - u2, False))
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _column_weights(u, config, params, scaled):
@@ -295,7 +249,14 @@ def _sweep(entry, psi, corner, weights, dual=False):
 def _entries_batch(entries, u, psi, config, params, dual, scaled):
     """Sum of the hatted monodromy entries (summed in the order given) on
     each column of psi (L, W, B), or of their transposes, from one
-    evaluation of the column weights."""
+    evaluation of the column weights.
+
+    The live arrays are psi, the running sum, and the two-aux sweep array
+    with its successor: six arrays of psi's size, counted before any is
+    allocated.
+    """
+    _guard_bytes(6 * 16 * psi.size,
+                 f"sweep refused: N={config.N}, {psi.shape[2]} vector(s)")
     corner, weights = _column_weights(u, config, params, scaled)
     out = _sweep(entries[0], psi, corner, weights, dual)
     for entry in entries[1:]:
@@ -340,28 +301,6 @@ def transfer_apply(u, state):
     return _entries_apply(("A", "D"), u, state)
 
 
-def transfer_dense(u, config, params, scaled=False):
-    """Dense A_hat(u) + D_hat(u) from one set of column weights."""
-    config.validate(params)
-    return _dense_from_apply(
-        lambda batch: _entries_batch(("A", "D"), u, batch, config, params,
-                                     False, scaled),
-        config, params)
-
-
-def zero_weight_indices(config, params):
-    """Basis indices whose spin word satisfies sum eps = 0 (mod L)."""
-    N = config.N
-    W = 1 << N
-    words = np.arange(W)
-    weights = N - 2 * np.array([bin(w).count("1") for w in words])
-    mask = (weights % params.L) == 0
-    idx = []
-    for a in range(params.L):
-        idx.extend((a * W + np.nonzero(mask)[0]).tolist())
-    return np.array(idx, dtype=int)
-
-
 def _local_batch(which, psi, config, params, kw):
     """Local operator on every column of psi (L, W, B)."""
     N = config.N
@@ -389,49 +328,3 @@ def local_operator_apply(which, state, **kw):
     out = _local_batch(which, state.amps[:, :, None], state.config,
                        state.params, kw)
     return StateVector(state.config, state.params, out[:, :, 0])
-
-
-def local_operator_dense(which, config, params, **kw):
-    return _dense_from_apply(
-        lambda batch: _local_batch(which, batch, config, params, kw),
-        config, params)
-
-
-def inverse_problem_residual(which, i, config, params, **kw):
-    """Max-norm gap, on the zero-weight block, between a local operator and
-    its reconstruction through transfer matrices at the inhomogeneities.
-
-    which = 'delta' (keyword a) or 'E' with alpha = beta.  An off-diagonal
-    E moves the spin weight by +-2, so both sides vanish on the zero-weight
-    block at every L != 2 and the gap would check nothing: it is refused.
-    """
-    config.validate(params)
-    dim = guard_dense(config, params)
-    if which == "delta":
-        mid = local_operator_dense("delta", config, params, i=1, a=kw["a"])
-        solves = i - 1
-    elif which == "E":
-        if kw["alpha"] != kw["beta"]:
-            raise ValueError("the inverse problem is checked for diagonal "
-                             "E^{alpha alpha} only")
-        lbl = {1: "A", -1: "D"}[kw["alpha"]]
-        mid = monodromy_entry_dense(lbl, config.xi[i - 1], config, params)
-        solves = i
-    else:
-        raise ValueError(f"unknown reconstruction target {which!r}")
-    ts = [transfer_dense(xi, config, params) for xi in config.xi[:solves]]
-    left = np.eye(dim, dtype=complex)
-    for k in range(i - 1):
-        left = left @ ts[k]
-    recon = left @ mid
-    try:
-        for t in ts:
-            recon = np.linalg.solve(t.T, recon.T).T
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateConfigError(
-            "transfer matrix singular at an inhomogeneity") from exc
-    direct = local_operator_dense(which, config, params, i=i, **kw)
-    idx = zero_weight_indices(config, params)
-    gap = recon[np.ix_(idx, idx)] - direct[np.ix_(idx, idx)]
-    return float(np.max(np.abs(gap)))
-

@@ -33,13 +33,19 @@ import numpy as np
 from .elliptic import DegenerateConfigError, PoleError, _cmul
 from .lattice import local_operator_apply, monodromy_entry_apply
 from .bethe import (bethe_vector, left_contract, eigenvalue_tau, lambda_pm,
-                    scaled_eigenvalue, _phi_weights)
-from .scalar import (default_gamma, gamma_retry, gaudin_matrix, norm_det,
-                     partial_scalar_bruteforce, twist_weights, _check_kappa,
-                     _gaudin_kernel, _own_d, _q_beta, _sector_q_powers)
+                    scaled_eigenvalue)
+from .scalar import (gamma_retry, gaudin_matrix, norm_det, twist_weights,
+                     _check_kappa, _gaudin_kernel, _own_d, _sector_q_powers)
 
 # tuples per determinant stack in mpme_det (bounds memory, not the value)
 TUPLE_BLOCK = 1024
+
+# smallest |[z_j - z_k]| of two path arguments the determinant route takes.
+# On m = 2 paths at N = 4, 8, 12, 16 (tau = 0.45i physical and 0.8i generic
+# s0) the element drifts by up to 6e-8 relative over a circle of gammas at
+# |[z_j - z_k]| = 1.2e-5 and by 3e-7 at 1.2e-6: from here down a gamma can
+# put it beyond the 1e-7 agreement with the dense route.
+PAIR_GAP_MIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -144,16 +150,29 @@ def vertical_path(heights, start=(1, 1)):
 
 
 def check_pair_separation(zetas, params):
-    """Reject argument pairs {z, z - 1}: the tuple-sum coefficients and the
-    algebraic factors carry [z_j - z_k + 1] denominators, so these pairs
-    need the homogeneous-limit treatment the determinant route does not
-    implement (the dense route handles them)."""
+    """Reject the argument pairs the determinant route cannot take (the
+    dense route handles them), from one bracket call.
+
+    Pairs {z, z - 1}: the tuple-sum coefficients and the algebraic factors
+    carry [z_j - z_k + 1] denominators, so these pairs need the
+    homogeneous-limit treatment the route does not implement.  Pairs with
+    |[z_j - z_k]| < PAIR_GAP_MIN: the tuple sum cancels terms of order
+    1/[z_j - z_k] and loses digits like 4e-14/|[z_j - z_k]|.
+    """
     z = np.asarray(zetas, dtype=complex)
+    if len(z) < 2:
+        return
     a, b = np.nonzero(~np.eye(len(z), dtype=bool))
-    if len(_vanishing(z[a] - z[b] + 1.0, params)):
+    p, q = np.triu_indices(len(z), 1)
+    brs = np.abs(params.bracket(np.concatenate((z[a] - z[b] + 1.0,
+                                                z[p] - z[q]))))
+    if np.any(brs[:len(a)] < 1e-10):
         raise DegenerateConfigError(
             "path arguments separated by one lattice unit "
             "({xi, xi-1} pair); use the dense route or perturb")
+    if np.any(brs[len(a):] < PAIR_GAP_MIN):
+        raise DegenerateConfigError(
+            "path arguments too close for the determinant route")
 
 
 def _vanishing(args, params):
@@ -199,64 +218,6 @@ def _extended_params(v_roots, zetas):
     return list(v_roots) + list(zetas)[::-1]
 
 
-def _f_alpha(s, alphas, n, params):
-    """prod_j [s + a_{1..m} - j]/[s - j] (telescoped height factor)."""
-    tot = sum(alphas)
-    out = 1.0 + 0.0j
-    for j in range(1, n + 1):
-        out *= params.bracket(s + tot - j) / params.bracket(s - j)
-    return out
-
-
-def _f_alpha_product_form(s, alphas, params, n):
-    """Same factor from the per-step products (used as a self-check)."""
-    out = 1.0 + 0.0j
-    for j, a in enumerate(alphas, start=1):
-        part = sum(alphas[:j - 1])
-        if a == -1:
-            out *= (params.bracket(s + part - n - 1)
-                    / params.bracket(s + part - 1))
-        else:
-            out *= params.bracket(s + part) / params.bracket(s + part - n)
-    return out
-
-
-def commutation_action_coefficient(b, s, v_roots, zetas, alphas, v_state,
-                                   params):
-    """Coefficient F_b(s) of the multiple T_{aa} action on a B-string."""
-    n = len(v_roots)
-    m = len(zetas)
-    ipos, n_minus = slot_positions(alphas)
-    v_ext = _extended_params(v_roots, zetas)
-    br = params.bracket
-    out = _f_alpha(s, alphas, n, params)
-    for p in range(m):
-        if p < n_minus:
-            out *= v_state.d_fun(v_ext[b[p] - 1])
-        # a(v) = 1 for the plus block
-    for i in range(m):
-        for j in range(i + 1, m):
-            out *= (br(v_ext[b[i] - 1] - v_ext[b[j] - 1])
-                    / br(v_ext[b[i] - 1] - v_ext[b[j] - 1] + 1))
-    for p in range(m):
-        ip = ipos[p]
-        vb = v_ext[b[p] - 1]
-        a_ip = alphas[ip - 1]
-        part = sum(alphas[:ip - 1])
-        out *= br(s + part + vb - zetas[ip - 1]) / br(s + part)
-        for k in range(n):
-            out *= br(v_roots[k] - vb + a_ip)
-        for k in range(n):
-            if k != b[p] - 1:
-                out /= br(v_roots[k] - vb)
-        for k in range(ip + 1, m + 1):
-            out *= br(zetas[k - 1] - vb + a_ip)
-        for k in range(ip, m + 1):
-            if k != n + m + 1 - b[p]:
-                out /= br(zetas[k - 1] - vb)
-    return out
-
-
 def _norm_sqrt(root_set):
     """Square root of the state norm; norm_det runs once per root set."""
     memo = root_set.memo
@@ -286,35 +247,6 @@ def coherent_norms(u_set, v_set):
 def _omega_ratio_pow(u_set, v_set, z):
     """(omega_v / omega_u)^z on the fixed branches."""
     return np.exp(np.asarray(z) * (v_set.log_omega - u_set.log_omega))
-
-
-def mpme_sum_partial(u_set, v_set, path, a1):
-    """Multi-point matrix element via the commutation sum over partial
-    scalar products, each taken by operator contraction (an oracle)."""
-    params, config = u_set.params, u_set.config
-    zetas = path.check_zetas(config, params)
-    check_pair_separation(zetas, params)
-    alphas = path.alphas
-    n, m = u_set.n, path.m
-    s = params.height(a1)
-    ipos, _ = slot_positions(alphas)
-    v_ext = _extended_params(v_set.v, zetas)
-    tot = 0.0j
-    for b in enumerate_tuples(n, m, ipos).tolist():
-        fb = commutation_action_coefficient(b, s, v_set.v, zetas, alphas,
-                                            v_set, params)
-        if abs(fb) == 0.0:
-            continue
-        keep = [v_ext[idx - 1] for idx in range(1, n + m + 1)
-                if idx not in b]
-        tot += fb * partial_scalar_bruteforce(u_set, keep, a1)
-    # phi~_u(s) phi_v(s + a_1 + ... + a_m); phi is L-periodic in s
-    pref = (_phi_weights(u_set, dual=True)[a1 % params.L]
-            * _phi_weights(v_set)[(a1 + sum(alphas)) % params.L])
-    for z in zetas:
-        pref /= eigenvalue_tau(z, v_set)
-    nu, nv = coherent_norms(u_set, v_set)
-    return pref * tot / (nu * nv)
 
 
 def mpme_bruteforce(u_set, v_set, path, a1):
@@ -517,46 +449,9 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     return total * nrm_v / nrm_u
 
 
-def marginal_check(u_set, v_set, path, a1):
-    """Sum of the (m+1)-point element over the last height vs the m-point,
-    both by mpme_det."""
-    short = AdjacentPath(path.vertices[:-1], path.heights[:-1])
-    lhs = 0.0j
-    for astep in (1, -1):
-        heights = path.heights[:-1] + (path.heights[-2] + astep,)
-        lhs += mpme_det(u_set, v_set, AdjacentPath(path.vertices, heights),
-                        a1)
-    rhs = mpme_det(u_set, v_set, short, a1)
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
-# Appendix-B transformation: the H and Q builders of mpme_det, and the
-# determinant identity they satisfy for free coefficient vectors
+# Appendix-B transformation: the H and Q builders of mpme_det
 # ---------------------------------------------------------------------------
-
-def _x_matrix(t, u, v, params):
-    br = params.bracket
-    n = len(u)
-    uu = (u[:, None] - u[None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    pref = (params.bracket_prime0 / br(t) * np.prod(br(u[:, None] - v), axis=1)
-            / np.prod(br(uu), axis=1))   # one value per column k
-    vu = v[:, None] - u[None, :]
-    return pref * br(vu + t) / br(vu)
-
-
-def x_determinant_residual(gamma, u, v, params):
-    """det X_t against its closed product form."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    n = len(u)
-    t = np.sum(u - v) + gamma
-    br = params.bracket
-    lhs = np.linalg.det(_x_matrix(t, u, v, params))
-    rhs = (-params.bracket_prime0) ** n * br(gamma) / br(t)
-    j, k = np.triu_indices(n, 1)
-    rhs *= np.prod(br(v[j] - v[k]) / br(u[j] - u[k]))
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
 def _h_kernel_args(t, dv):
@@ -614,40 +509,14 @@ def _q_transformed(gamma, u, v, zetas, bet, params):
         - b4 * bvztm / bvzm + b3 * bvzt / bvz * prod_m)
 
 
-def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):
-    """Residual of the determinant transformation with free 4-tuples.
-
-    Compares det of the column-mixed [H_alpha | Q_beta] matrix against the
-    prefactor times det of the transformed mixed matrix, where the last
-    `mcols` columns are replaced by Q-columns.
-    """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    zetas = np.asarray(zetas, dtype=complex)
-    n = len(u)
-    br = params.bracket
-    h = _q_beta(gamma, u, v, v, alup, params)
-    qq = _q_beta(gamma, u, v, zetas, bet, params)
-    mixed = np.column_stack([h[:, :n - mcols], qq[:, :mcols]])
-    ch = _h_transformed(gamma, u, v, alup, params)
-    cq = _q_transformed(gamma, u, v, zetas, bet, params)
-    cmixed = np.column_stack([ch[:, :n - mcols], cq[:, :mcols]])
-    t = np.sum(u - v) + gamma
-    pref = br(t) / ((-params.bracket_prime0) ** n * br(gamma))
-    j, k = np.triu_indices(n, 1)
-    pref *= np.prod(br(u[j] - u[k]) / br(v[j] - v[k]))
-    lhs = np.linalg.det(mixed)
-    rhs = pref * np.linalg.det(cmixed)
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
 # ---------------------------------------------------------------------------
 # finite-size local height probabilities
 # ---------------------------------------------------------------------------
 
 def _det_or_dense(u_set, v_set, path, a1):
     """mpme_det, or the dense route where the determinant representation
-    does not apply (lattice-coincident twist partners at even L)."""
+    does not apply (lattice-coincident twist partners at even L, path
+    arguments closer than PAIR_GAP_MIN)."""
     try:
         return mpme_det(u_set, v_set, path, a1)
     except DegenerateConfigError:
@@ -669,13 +538,14 @@ def calibrate_norm_signs(ground_states):
     keys = sorted(ground_states)
     anchor = keys[0]
     params = ground_states[anchor].params
-    gamma = default_gamma(params)
     signs = {anchor: 1.0}
     for key in keys[1:]:
         dk = key[0] - anchor[0]
         dl = key[1] - anchor[1]
-        pbs = [_pbar_bethe_pair(params.height(a), 0.0, dk, dl, params, gamma)
-               for a in range(params.L)]
+        pbs = gamma_retry(
+            lambda g: [_pbar_bethe_pair(params.height(a), 0.0, dk, dl,
+                                        params, g) for a in range(params.L)],
+            params, None)
         best_a = int(np.argmax(np.abs(pbs)))   # the first of equal ones
         path0 = AdjacentPath(vertices=((1, 1),), heights=(best_a,))
         val = _det_or_dense(ground_states[anchor], ground_states[key], path0,

@@ -1,18 +1,11 @@
-"""Partial scalar products and Bethe-state norms.
-
-The partial scalar product
-
-    S_n({u}; {v}; s) = <<0| prod_j C_hat(u_j) delta_s prod_j B_hat(v_j) |0>>
-
-is evaluated two independent ways: by explicit operator application on the
-finite space (the oracle; delta_s is the site-1 height projection
-`local_operator_apply("delta", ..., i=1)`), and by the cyclic-model
-determinant formula, a sum of L determinants with twist factors q^{nu s}.
-The set {u} must solve the Bethe equations with twist omega_u; {v} is
-arbitrary.
+"""Bethe-state norms, and the twist weights and gamma draws that the
+determinant formulas share.
 
 The squared norm of a Bethe eigenstate has the single-determinant (Gaudin)
-form with the usual diagonal log-derivative of a/d.
+form with the usual diagonal log-derivative of a/d.  The partial scalar
+product S_n({u}; {v}; s) = <<0| prod_j C_hat(u_j) delta_s prod_j B_hat(v_j)
+|0>> is a sum of L determinants with twist factors q^{nu s}; no production
+route takes it, so it lives in `csoslab.contract` with its oracle.
 """
 
 import functools
@@ -20,9 +13,7 @@ import warnings
 
 import numpy as np
 
-from .elliptic import PoleError, _cdiv, _cmul, stacked, theta
-from .lattice import StateVector, local_operator_apply, monodromy_entry_apply
-from .bethe import _phi_weights
+from .elliptic import AccuracyError, PoleError, _cdiv, _cmul, stacked, theta
 
 COND_WARN = 1e12
 
@@ -56,17 +47,6 @@ def _check_kappa(mat, label):
     return kappa
 
 
-def partial_scalar_bruteforce(u_set, v_list, a):
-    """S_n({u}; {v}; s0+a) by explicit operator application."""
-    st = StateVector.reference(u_set.config, u_set.params)
-    for vj in v_list:
-        st = monodromy_entry_apply("B", vj, st)
-    st = local_operator_apply("delta", st, i=1, a=a)
-    for uj in u_set.v:
-        st = monodromy_entry_apply("C", uj, st)
-    return st.bra_contract_reference()
-
-
 @functools.lru_cache(maxsize=256)
 def twist_weights(s, gamma, params):
     """The L twist-sector weights q^{nu s} a_nu(gamma), a_nu built from
@@ -90,64 +70,6 @@ def _sector_q_powers(params):
     """q^{-nu} and q^{nu}, nu = 0..L-1, as (L, 1) columns."""
     qp = params.q ** np.arange(params.L)[:, None]
     return _cdiv(1.0, qp), qp
-
-
-def _q_beta(gamma, u, v, zetas, bet, params):
-    """Untransformed appendix-B kernel, a column per argument in zetas.  Each
-    coefficient in bet holds one value per column on its last axis; a leading
-    axis stacks the twist sectors.  At zetas = v it is the H_alpha block."""
-    br = params.bracket
-    b1, b2, b3, b4 = (np.expand_dims(b, -2) for b in bet)
-    uz = u[:, None] - zetas[None, :]
-    vz = v[:, None] - zetas[None, :]
-    buzp, buzm = br(uz + 1), br(uz - 1)
-    pp = np.prod(buzp, axis=0) / np.prod(br(vz + 1), axis=0)
-    pm = np.prod(buzm, axis=0) / np.prod(br(vz - 1), axis=0)
-    ratio = br(uz + gamma) / br(uz)
-    return ((b1 * ratio - b2 * br(uz + gamma + 1) / buzp) * pp
-            - (b3 * ratio - b4 * br(uz + gamma - 1) / buzm) * pm) / br(gamma)
-
-
-def partial_scalar_det(u_set, v_list, a, gamma=None):
-    """S_n({u}; {v}; s0+a) as the L-term sum of determinants.
-
-    The L sector kernels are one (L, n, n) stack of _q_beta at zetas = v.
-    With gamma unset, the reproducible default is redrawn automatically if
-    it happens to sit on a pole of the prefactors.
-    """
-    params = u_set.params
-    if gamma is None:
-        return gamma_retry(
-            lambda g: partial_scalar_det(u_set, v_list, a, gamma=g),
-            params, None)
-    u = np.asarray(u_set.v, dtype=complex)
-    v = np.asarray(v_list, dtype=complex)
-    n = len(u)
-    if len(v) != n:
-        raise ValueError("u and v sets must have equal length")
-    s = params.height(a)
-    br = params.bracket
-    b0p = params.bracket_prime0
-    bg = br(gamma)
-    den = br(np.sum(u) - np.sum(v) + gamma + s)
-    if min(abs(bg), abs(den)) < 1e-13:
-        raise PoleError("prefactor pole; redraw gamma")
-    if np.min(np.abs(br(u[:, None] - v[None, :]))) < 1e-12:
-        raise PoleError("u and v parameters collide")
-    pref = bg * br(s) / (b0p * den)
-    j = np.arange(1, n + 1)
-    pref *= np.prod(br(s - j) / br(s + j - 1)) * np.prod(_own_d(u_set))
-    j, k = np.triu_indices(n, 1)
-    pref /= np.prod(br(u[j] - u[k]) * br(v[k] - v[j]))
-    # kernel coefficients (sgn Dp, sgn q^-nu Dp, -w^-2 d(v) Dm,
-    # -w^-2 d(v) q^nu Dm), Dp_j = prod_t [v_t - v_j + 1], Dm likewise with -1
-    vv = v[:, None] - v[None, :]
-    dp = (-1.0) ** (params.r * u_set.aleph) * np.prod(br(vv + 1), axis=0)
-    dm = -u_set.omega ** (-2) * u_set.d_fun(v) * np.prod(br(vv - 1), axis=0)
-    qm, qp = _sector_q_powers(params)
-    mats = _q_beta(gamma, u, v, v, (dp, qm * dp, dm, qp * dm), params)
-    _check_kappa(mats, "partial-scalar kernel")
-    return pref * np.sum(twist_weights(s, gamma, params) * np.linalg.det(mats))
 
 
 def _own_d(u_set):
@@ -204,29 +126,13 @@ def norm_det(u_set):
     pref *= np.prod(_own_d(u_set))   # a(u_j) = 1
     du = u[:, None] - u[None, :]
     bdup, bdu = params.brackets(du + 1, du)
-    pref *= np.prod(bdup)
     offdiag = bdu[~np.eye(n, dtype=bool)]
-    pref /= np.prod(offdiag)
     mat = gaudin_matrix(u_set)
     _check_kappa(mat, "Gaudin matrix")
-    return pref * np.linalg.det(mat)
-
-
-def scalar_product_bruteforce(u_set, v_set):
-    """<{u}, omega_u | {v}, omega_v> summed over the height circle."""
-    tot = 0.0j
-    for a, (wu, wv) in enumerate(zip(_phi_weights(u_set, dual=True),
-                                     _phi_weights(v_set))):
-        sn = partial_scalar_bruteforce(u_set, v_set.v, a)
-        tot += wu * wv * sn
-    return tot
-
-
-def delta_form_factor(u_set, v_set, a, route="det"):
-    """<{u}| delta_{s0+a}(s_hat) |{v}> = phi~_u(s) phi_v(s) S_n({u};{v};s)."""
-    if route == "det":
-        sn = partial_scalar_det(u_set, v_set.v, a)
-    else:
-        sn = partial_scalar_bruteforce(u_set, v_set.v, a)
-    a %= u_set.params.L     # phi and its dual are L-periodic in s
-    return _phi_weights(u_set, dual=True)[a] * _phi_weights(v_set)[a] * sn
+    # the bracket products leave the double range near n = 22 at
+    # tau = 0.45i; a value that does is refused, not returned
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = pref * np.prod(bdup) / np.prod(offdiag) * np.linalg.det(mat)
+    if not np.isfinite(out):
+        raise AccuracyError(f"the norm of {n} roots leaves the double range")
+    return out

@@ -23,12 +23,9 @@ import numpy as np
 
 from .elliptic import (AccuracyError, EllipticDomainError, PoleError,
                        stacked, theta, theta_log)
-from .bethe import (bare_momentum, bare_phase, density_fourier,
-                    momentum_shifts, p0_tot)
+from .bethe import momentum_shifts
 from .scalar import gamma_retry, twist_weights
 from .matel import flat_basis_phases, slot_positions
-
-FOURIER_MODES = 400
 
 # an m = 3 quadrature grid is summed in slabs of the leading axis holding
 # at most this many points
@@ -36,7 +33,7 @@ SLAB_POINTS = 1 << 21
 
 
 # ---------------------------------------------------------------------------
-# density and Lieb equation
+# density
 # ---------------------------------------------------------------------------
 
 def rho_homogeneous(z, params):
@@ -52,21 +49,6 @@ def density(z, config, params):
     sh = momentum_shifts(config, params)
     vals = rho_homogeneous(np.asarray(z)[..., None] - sh, params)
     return vals.mean(axis=-1)
-
-
-def lieb_residual(z, config, params):
-    """Defect of the integral equation rho + K*rho = p0'/(2 pi) at z, the
-    convolution summed over the modes |m| <= FOURIER_MODES."""
-    z = np.asarray(z, dtype=float)
-    ms = np.arange(-FOURIER_MODES, FOURIER_MODES + 1)
-    rho = density_fourier(ms, config, params)
-    conv = np.zeros(z.shape, dtype=complex)
-    for m, rho_m in zip(ms, rho):
-        conv += (kernel_fourier("K", m, params) * rho_m
-                 * np.exp(2j * math.pi * m * z))
-    lhs = density(z, config, params) + conv
-    rhs = p0_tot(z, config, params, order=1) / (2.0 * math.pi)
-    return np.abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -135,41 +117,6 @@ def kernel_fourier(kernel_id, m, params, **kw):
     raise ValueError(f"unknown kernel id {kernel_id!r}")
 
 
-def kernel_direct(kernel_id, z, params, **kw):
-    """Direct theta-function evaluation of the same kernels (oracle side)."""
-    tt = params.tau_tilde
-    et = params.eta_tilde
-    z = np.asarray(z, dtype=complex)
-    if kernel_id == "K":
-        return bare_phase(z, params, order=1) / (2.0 * math.pi)
-    if kernel_id == "p0prime":
-        return bare_momentum(z, params, order=1)
-    if kernel_id == "theta0":
-        t = kw["t"]
-        return ((1j / (2 * math.pi)) * theta(1, z + t, tt, order=1)
-                / theta(1, z + t, tt))
-    if kernel_id == "theta_Xt":
-        t, X = kw["t"], kw["X"]
-        return ((1j / (2 * math.pi)) * theta(1, 0, tt, order=1)
-                * theta(1, z + X + t, tt)
-                / (theta(1, X, tt) * theta(1, z + t, tt)))
-    if kernel_id == "K_XY":
-        X, Y = kw["X"], kw["Y"]
-        pref = (1j / (2 * math.pi)) * theta(1, 0, tt, order=1) / theta(1, X, tt)
-        return pref * (np.exp(2j * math.pi * Y) * theta(1, z + X + et, tt)
-                       / theta(1, z + et, tt)
-                       - np.exp(-2j * math.pi * Y) * theta(1, z + X - et, tt)
-                       / theta(1, z - et, tt))
-    if kernel_id == "t_XY":
-        X, Y, zeta = kw["X"], kw["Y"], kw["zeta"]
-        pref = (1j / (2 * math.pi)) * theta(1, 0, tt, order=1) / theta(1, X, tt)
-        return pref * (np.exp(2j * math.pi * Y)
-                       * theta(1, z - zeta + X + et, tt)
-                       / theta(1, z - zeta + et, tt)
-                       - theta(1, z - zeta + X, tt) / theta(1, z - zeta, tt))
-    raise ValueError(f"unknown kernel id {kernel_id!r}")
-
-
 # ---------------------------------------------------------------------------
 # Fredholm determinants
 # ---------------------------------------------------------------------------
@@ -223,45 +170,6 @@ def fredholm_det(which, mode="closed", params=None, X=None, Y=None, modes=200):
                 * theta(1, 0, tt, order=1) / theta(1, X, tt)
                 * theta(2, Y, et) / theta(2, 0, et) / (1.0 - eta))
     raise ValueError(f"unknown determinant {which!r}")
-
-
-def fredholm_tail_bound(which, params, modes=200):
-    """Geometric bound on the neglected log-tail of the product forms."""
-    tt, et = params.tau_tilde, params.eta_tilde
-    terms = []
-    for q in (np.exp(2j * math.pi * tt), np.exp(2j * math.pi * et),
-              np.exp(2j * math.pi * (tt - et))):
-        a = abs(q) ** (modes + 1)
-        terms.append(2 * a / (1 - abs(q)))
-    return 2.0 * sum(terms)
-
-
-def resolvent_S(Y, z, params):
-    """Resolvent kernel S^(Y)(z) at modulus eta_tilde."""
-    et = params.eta_tilde
-    den = theta(2, Y, et) * theta(1, np.asarray(z), et)
-    if np.min(np.abs(den)) < 1e-14:
-        raise PoleError(f"resolvent pole at z={z}")
-    return (theta(1, 0, et, order=1) * theta(2, np.asarray(z) + Y, et)
-            / (2j * math.pi * den))
-
-
-def resolvent_equation_residual(Y, X, zeta, params):
-    """Defect of S + K_XY * S = t_XY at 7 sample points (Fourier synthesis
-    over the modes |m| <= 300)."""
-    ys = np.linspace(-0.45, 0.45, 7)
-    worst = 0.0
-    for y in ys:
-        conv = 0.0j
-        for m in range(-300, 301):
-            sm = (kernel_fourier("t_XY", m, params, X=X, Y=Y, zeta=zeta)
-                  / (1.0 + kernel_fourier("K_XY", m, params, X=X, Y=Y)))
-            conv += (kernel_fourier("K_XY", m, params, X=X, Y=Y) * sm
-                     * np.exp(2j * math.pi * m * y))
-        lhs = resolvent_S(Y, y - zeta, params) + conv
-        rhs = kernel_direct("t_XY", y, params, X=X, Y=Y, zeta=zeta)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -717,42 +625,3 @@ def _block_sums(gs, pb, first):
     even = vals[tuple(slice(first % 2 if axis == 0 else 0, None, 2)
                       for axis in range(np.ndim(vals)))]
     return np.array([np.sum(vals), np.sum(np.ascontiguousarray(even))])
-
-
-# ---------------------------------------------------------------------------
-# finite-size products against their thermodynamic values
-# ---------------------------------------------------------------------------
-
-def ground_products(which, x_set, y_set, t=None):
-    """Finite-N product and its thermodynamic value, as a pair.
-
-    which: 'phi_t' (needs t), 'phi_zero' (returns arrays over j), 'id_om'.
-    """
-    params, config = x_set.params, x_set.config
-    tt = params.tau_tilde
-    x = np.asarray(x_set.x, dtype=float)
-    y = np.asarray(y_set.x, dtype=float)
-    dx = float(np.sum(x) - np.sum(y))
-    if which == "phi_t":
-        kt = 0
-        while not 0 < complex(t + kt * tt).imag < complex(tt).imag:
-            kt += 1 if complex(t + kt * tt).imag <= 0 else -1
-        fin = np.prod(theta(1, x + t, tt) / theta(1, y + t, tt))
-        thermo = cmath.exp(1j * math.pi * (2 * kt - 1) * dx)
-        return fin, thermo
-    if which == "phi_zero":
-        N = config.N
-        fin = np.empty(len(y), dtype=complex)
-        for j in range(len(y)):
-            fin[j] = (np.prod(theta(1, y[j] - x, tt))
-                      / np.prod(theta(1, y[j] - np.delete(y, j), tt)))
-        dens = density(y, config, params).real
-        thermo = (-theta(1, 0, tt, order=1) * math.sin(math.pi * dx)
-                  / (N * math.pi * dens))
-        return fin, thermo
-    if which == "id_om":
-        fin = cmath.exp(2j * math.pi * (1 - params.eta) * dx)
-        thermo = (cmath.exp(1j * math.pi * (x_set.k - y_set.k))
-                  * x_set.omega / y_set.omega)
-        return fin, thermo
-    raise ValueError(f"unknown product id {which!r}")

@@ -11,24 +11,25 @@ from csoslab.elliptic import ModelParams, SolverError
 from csoslab.lattice import (LatticeConfig, StateVector, homogeneous_config,
                              monodromy_entry_apply, transfer_apply)
 from csoslab import bethe as B
+from csoslab import contract as C
 
 
 class TestBareFunctions:
     def test_momentum_odd_and_zero(self, params):
-        assert abs(B.bare_momentum(0.0, params)) < 1e-14
+        assert abs(C.bare_momentum(0.0, params)) < 1e-14
         z = 0.27
-        assert abs(B.bare_momentum(z, params)
-                   + B.bare_momentum(-z, params)) < 1e-13
+        assert abs(C.bare_momentum(z, params)
+                   + C.bare_momentum(-z, params)) < 1e-13
 
     def test_momentum_winding(self, params):
         # continuous branch gains 2 pi per unit shift
-        lhs = B.bare_momentum(0.31 + 1.0, params)
-        assert abs(lhs - B.bare_momentum(0.31, params) - 2 * math.pi) < 1e-12
+        lhs = C.bare_momentum(0.31 + 1.0, params)
+        assert abs(lhs - C.bare_momentum(0.31, params) - 2 * math.pi) < 1e-12
 
     def test_phase_derivative_matches_fd(self, params):
         z, h = 0.21, 1e-6
-        fd = (B.bare_phase(z + h, params) - B.bare_phase(z - h, params)) / (2 * h)
-        assert abs(B.bare_phase(z, params, order=1) - fd) < 1e-7
+        fd = (C.bare_phase(z + h, params) - C.bare_phase(z - h, params)) / (2 * h)
+        assert abs(C.bare_phase(z, params, order=1) - fd) < 1e-7
 
 
 class TestGroundStates:
@@ -239,7 +240,7 @@ class TestNewtonStep:
             p0, phase = B._bethe_terms(x, config4, params, order)
             assert np.array_equal(p0, B.p0_tot(x, config4, params, order))
             assert np.array_equal(
-                phase, B.bare_phase(x[:, None] - x[None, :], params,
+                phase, C.bare_phase(x[:, None] - x[None, :], params,
                                     order=order))
 
 

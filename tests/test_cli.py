@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from csoslab import cli
+from csoslab import cli, contract
 from csoslab.elliptic import AccuracyError, PoleError
 
 
@@ -34,14 +34,38 @@ def bond_path(tmp_path):
 
 
 class TestIdentities:
-    @pytest.mark.parametrize("suite", sorted(cli.SUITES))
+    @pytest.mark.parametrize("suite", sorted(contract.SUITES))
     def test_suite_passes(self, suite, tmp_path):
         out = tmp_path / "report.json"
         code = cli.main(["identities", suite, "--draws", "25",
                          "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["pass"] and doc["max_residual"] < cli.SUITE_TOL[suite]
+        assert doc["pass"] and doc["tolerance"] == contract.TOL[suite]
+        # one row per residual name, and no row without a residual
+        assert sorted(doc["residuals"]) == sorted(contract.TOL[suite])
+        assert set(contract.TOL) == set(contract.SUITES) | {"acceptance"}
+        assert all(contract.within(v, doc["tolerance"][k])
+                   for k, v in doc["residuals"].items())
+
+    def test_residual_above_its_row_fails(self, tmp_path, monkeypatch,
+                                          capsys):
+        # above the jacobi row, below the 1e-10 that once bounded the suite
+        monkeypatch.setattr(contract, "jacobi_residual",
+                            lambda *args: 5e-11)
+        out = tmp_path / "report.json"
+        argv = ["identities", "elliptic", "--draws", "5", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "FAIL: jacobi" in capsys.readouterr().err
+        assert not json.loads(out.read_text())["pass"]
+        # --tolerance overrides every row
+        assert cli.main(argv + ["--tolerance", "1e-10"]) == 0
+
+    def test_exact_row_survives_the_override(self):
+        rows = contract.rows("appendixD", 1.0)
+        assert rows["parity_zero_L4"] == 0.0
+        assert rows["nu_vs_closed_L3"] == 1.0
+        assert not contract.within(1e-300, rows["parity_zero_L4"])
 
     def test_appendixD_suite(self, tmp_path):
         out = tmp_path / "report.json"
@@ -283,6 +307,19 @@ class TestLhpTables:
         bad.write_text("this is not a config\n")
         assert cli.main(["lhp", "--config", str(bad),
                          "--path", point_path]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("key", ["xii", "s0_shift"])
+    def test_unknown_config_key_exit_2(self, tmp_path, point_path, capsys,
+                                       key):
+        # a typo must not fall back silently to a default
+        bad = tmp_path / "typo.cfg"
+        bad.write_text(f"tau_im = 0.45\nr = 1\nL = 3\ns0 = physical\n"
+                       f"N = 4\n{key} = 0.5+0.01j,0.5,0.5,0.5\n")
+        out = tmp_path / "report.json"
+        assert cli.main(["lhp", "--config", str(bad), "--path", point_path,
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConverge:

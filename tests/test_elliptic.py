@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from csoslab.contract import (frobenius_residual, id_sum1_residual,
+                              id_sum2_residual, jacobi_residual,
+                              schroter_residual)
 from csoslab.elliptic import (SERIES_BLOCK, SERIES_RTOL, EllipticDomainError,
                               ModelParams, PoleError, _cdiv, _term_table,
-                              frobenius_residual, id_sum1_residual,
-                              id_sum2_residual, jacobi_residual,
-                              schroter_residual, theta, theta_log)
+                              theta, theta_log)
 
 
 def direct_theta3(z, tau, terms=50):

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from csoslab.elliptic import ModelParams, PoleError, SizeGuardError
+from csoslab.contract import (boltzmann_weight, inverse_problem_residual,
+                              local_operator_dense, r_matrix, transfer_dense,
+                              yang_baxter_residual, zero_weight_indices)
 from csoslab.lattice import (LatticeConfig, StateVector, _column_weights,
-                             _entries_apply, boltzmann_weight,
-                             guard_dense, homogeneous_config,
-                             inverse_problem_residual, local_operator_apply,
-                             local_operator_dense,
-                             monodromy_entry_apply, monodromy_entry_dense,
-                             r_matrix, transfer_apply, transfer_dense,
-                             yang_baxter_residual, zero_weight_indices)
+                             _entries_apply, guard_dense, homogeneous_config,
+                             local_operator_apply, monodromy_entry_apply,
+                             monodromy_entry_dense, transfer_apply)
 
 
 class TestFaceWeights:
@@ -541,6 +540,19 @@ class TestInfrastructure:
         wide = ModelParams(tau=0.8j, r=1, L=48, s0=0.41 + 0.13j)
         with pytest.raises(SizeGuardError):
             guard_dense(homogeneous_config(12), wide)
+
+    def test_sweep_guard_counts_bytes(self, params, monkeypatch):
+        # a sweep holds six (L, W) complex arrays per vector: 4608 bytes at
+        # N = 4, L = 3; the budget is patched, nothing large is allocated
+        import csoslab.lattice as lattice
+        state = StateVector.reference(homogeneous_config(4), params)
+        monkeypatch.setattr(lattice, "DENSE_MAX_BYTES", 4608)
+        monodromy_entry_apply("B", 0.3, state)
+        monkeypatch.setattr(lattice, "DENSE_MAX_BYTES", 4607)
+        with pytest.raises(SizeGuardError, match="sweep refused: N=4"):
+            monodromy_entry_apply("B", 0.3, state)
+        with pytest.raises(SizeGuardError):
+            transfer_apply(0.3, state)
 
     def test_inhomogeneity_line_validation(self, params):
         bad = LatticeConfig(N=2, xi=(0.5, 0.6))

@@ -8,6 +8,7 @@ import pytest
 from csoslab.elliptic import DegenerateConfigError, ModelParams, PoleError
 from csoslab.lattice import LatticeConfig, homogeneous_config
 from csoslab import bethe as B
+from csoslab import contract as C
 from csoslab import matel as M
 from csoslab import scalar as S
 from csoslab import thermo as T
@@ -108,6 +109,23 @@ class TestPathGeometry:
         val = M.mpme_bruteforce(us, vs, path, 0)
         assert np.isfinite(val)
 
+    def test_near_pair_refused_before_kernels(self, params, monkeypatch):
+        # |[z_1 - z_2]| = 1.1e-6 < PAIR_GAP_MIN: refused before a kernel is
+        # built; the flat-basis element takes the dense route
+        config = LatticeConfig(N=4, xi=(0.5, 0.5 + 1e-6j, 0.5 + 0.03j,
+                                        0.5 - 0.02j))
+        gs = B.all_ground_states(config, params)
+        path = M.vertical_path((0, 1, 2))
+
+        def built(*args):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(M, "_h_transformed", built)
+        with pytest.raises(DegenerateConfigError, match="too close"):
+            M.mpme_det(gs[(0, 0)], gs[(1, 1)], path, 0)
+        monkeypatch.undo()
+        assert np.isfinite(M.flat_matrix_element(path, (0, 0), (0, 0), gs))
+
     def test_json_roundtrip(self, config4):
         doc = PATH2.to_json_dict(config4)
         back = M.AdjacentPath.from_json_dict(doc)
@@ -165,8 +183,8 @@ class TestHeightFactor:
     def test_telescoping_identity(self, params, rng):
         s = params.height(1)
         for alphas in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
-            a = M._f_alpha(s, alphas, 2, params)
-            b = M._f_alpha_product_form(s, alphas, params, 2)
+            a = C._f_alpha(s, alphas, 2, params)
+            b = C._f_alpha_product_form(s, alphas, params, 2)
             assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 
@@ -183,7 +201,7 @@ class TestCommutationAction:
                             (3, 2), (-1, 0, 1)):
                 path = path_down(heights)
                 bf = M.mpme_bruteforce(us, vs, path, heights[0])
-                s4 = M.mpme_sum_partial(us, vs, path, heights[0])
+                s4 = C.mpme_sum_partial(us, vs, path, heights[0])
                 assert abs(s4 - bf) / abs(bf) < 1e-10
 
 
@@ -230,7 +248,7 @@ class TestDeterminantRepresentation:
     def test_m0_reduces_to_form_factor(self, ground4):
         us, vs = ground4[(0, 0)], ground4[(1, 1)]
         nu, nv = M.coherent_norms(us, vs)
-        ff = S.delta_form_factor(us, vs, 1, route="brute") / (nu * nv)
+        ff = C.delta_form_factor(us, vs, 1, route="brute") / (nu * nv)
         det = M.mpme_det(us, vs, PATH0, 1)
         assert abs(det - ff) / abs(ff) < 1e-10
 
@@ -245,9 +263,9 @@ class TestDeterminantRepresentation:
 class TestMarginalization:
     def test_m1_and_m2(self, ground4):
         us, vs = ground4[(0, 1)], ground4[(1, 0)]
-        lhs, rhs = M.marginal_check(us, vs, PATH1, 1)
+        lhs, rhs = C.marginal_check(us, vs, PATH1, 1)
         assert abs(lhs - rhs) / abs(rhs) < 1e-7
-        lhs, rhs = M.marginal_check(us, vs, PATH2, 0)
+        lhs, rhs = C.marginal_check(us, vs, PATH2, 0)
         assert abs(lhs - rhs) / abs(rhs) < 1e-7
 
     def test_partition_of_unity(self, ground4):
@@ -269,7 +287,7 @@ class TestAppendixIdentity:
                          for _ in range(4))
             bet = tuple(rng.standard_normal(m) + 1j * rng.standard_normal(m)
                         for _ in range(4))
-            res = M.appendixB_identity_residual(u, v, z, gamma, alup, bet, m,
+            res = C.appendixB_identity_residual(u, v, z, gamma, alup, bet, m,
                                                 params)
             assert res < 1e-10
 
@@ -278,7 +296,7 @@ class TestAppendixIdentity:
             u = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
             v = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
             gamma = complex(rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.3))
-            assert M.x_determinant_residual(gamma, u, v, params) < 1e-11
+            assert C.x_determinant_residual(gamma, u, v, params) < 1e-11
 
 
 class TestTwistPartners:
@@ -328,7 +346,7 @@ class TestOracleBoundary:
 
         monkeypatch.setattr(lattice, "guard_dense", refuse)
         with pytest.raises(SizeGuardError):
-            lattice.transfer_dense(0.3, ground4[(0, 0)].config,
+            C.transfer_dense(0.3, ground4[(0, 0)].config,
                                    ground4[(0, 0)].params)
         roots = ground4[(1, 0)]
         B.bethe_vector(roots, side="left")
@@ -524,11 +542,11 @@ class TestSectorStacks:
         v = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.2, 0.2, n)
         z = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.2, 0.2, m)
         bet = self._coefficients(rng, L, m if per_column else 1)
-        stack = S._q_beta(0.27 + 0.19j, u, v, z, bet, params)
+        stack = C._q_beta(0.27 + 0.19j, u, v, z, bet, params)
         assert stack.shape == (L, n, m)
         for nu in range(L):
             row = tuple(b[nu] for b in bet)
-            assert np.array_equal(stack[nu], S._q_beta(0.27 + 0.19j, u, v, z,
+            assert np.array_equal(stack[nu], C._q_beta(0.27 + 0.19j, u, v, z,
                                                        row, params))
 
     def test_mean_value_kernel(self, ground4):
@@ -621,7 +639,7 @@ class TestSectorIndependence:
             vs = B.solve_ground_state(1, 1, config, params)
             monkeypatch.setattr(ModelParams, "bracket", counted)
             calls.clear()
-            S.partial_scalar_det(us, vs.v, 1)
+            C.partial_scalar_det(us, vs.v, 1)
             counts[L] = len(calls)
             monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert counts[3] == counts[5], counts
@@ -645,8 +663,7 @@ class TestFlatBasis:
     def test_m1_bond_path_vs_inverse_problem(self, ground4, config4):
         # the single-step element equals the reconstructed bond operator
         # E_1^{aa} sandwiched with the height projector
-        from csoslab.lattice import (local_operator_apply,
-                                     local_operator_dense, transfer_dense)
+        from csoslab.lattice import local_operator_apply
         import csoslab.bethe as BB
         params = ground4[(0, 0)].params
         us, vs = ground4[(0, 0)], ground4[(1, 1)]
@@ -655,8 +672,8 @@ class TestFlatBasis:
             path = M.vertical_path(heights)
             det = M.mpme_det(us, vs, path, 1)
             # dense route: delta_{s1} E_1^{alpha alpha} between the vectors
-            emat = local_operator_dense("E", config4, params,
-                                        i=1, alpha=alpha, beta=alpha)
+            emat = C.local_operator_dense("E", config4, params,
+                                          i=1, alpha=alpha, beta=alpha)
             rv = BB.bethe_vector(vs, side="right")
             from csoslab.lattice import StateVector
             acted = StateVector(config4, params,
@@ -682,6 +699,15 @@ class TestFlatBasis:
                 val = M.flat_matrix_element(PATH0, l1, l2, gs, signs=signs)
                 worst = max(worst, abs(val))
         assert worst < 1e-4
+
+    def test_sign_calibration_redraws_gamma(self):
+        # this s0 puts the default gamma on a pole of the one-point
+        # prefactor; the calibration redraws it, as every gamma consumer does
+        params = ModelParams(tau=0.45j, r=1, L=3, s0=-0.2131 - 0.905985j)
+        gs = B.all_ground_states(homogeneous_config(6), params)
+        assert set(M.calibrate_norm_signs(gs).values()) <= {1.0, -1.0}
+        val = M.finite_lhp(M.vertical_path((1, 2)), ("flat", 0, 0), gs)
+        assert np.isfinite(val)
 
     def test_horizontal_step(self, params, ground4):
         # a horizontal step draws its argument from the column list, which

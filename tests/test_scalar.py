@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from csoslab.elliptic import ModelParams, PoleError, theta
+from csoslab.elliptic import AccuracyError, ModelParams, PoleError, theta
 from csoslab.lattice import homogeneous_config
 from csoslab import bethe as B
+from csoslab import contract as C
 from csoslab import scalar as S
 
 
@@ -52,6 +53,14 @@ class TestNorms:
             assert abs(val.imag) < 1e-8 * abs(val)
             assert val.real > 0
 
+    def test_norm_out_of_range_refused(self, params_phys):
+        # the bracket products of 24 roots leave the double range; the norm
+        # is refused instead of returned as NaN, with no floating-point fault
+        roots = B.solve_ground_state(0, 0, homogeneous_config(48),
+                                     params_phys)
+        with pytest.raises(AccuracyError, match="24 roots"):
+            S.norm_det(roots)
+
 
 @pytest.fixture(scope="module")
 def ground_l5(config4):
@@ -68,15 +77,15 @@ class TestPartialScalar:
             params = u00.params
             for v in vsets:
                 for a in range(params.L):
-                    pb = S.partial_scalar_bruteforce(u00, v, a)
-                    pd = S.partial_scalar_det(u00, v, a)
+                    pb = C.partial_scalar_bruteforce(u00, v, a)
+                    pd = C.partial_scalar_det(u00, v, a)
                     assert abs(pb - pd) / max(1e-30, abs(pb)) < 1e-8
 
     def test_gamma_independence(self, ground4, vsets):
         u00 = ground4[(0, 0)]
-        p1 = S.partial_scalar_det(u00, vsets[0], 1,
+        p1 = C.partial_scalar_det(u00, vsets[0], 1,
                                   gamma=S.default_gamma(u00.params))
-        p2 = S.partial_scalar_det(u00, vsets[0], 1, gamma=0.3123 + 0.19j)
+        p2 = C.partial_scalar_det(u00, vsets[0], 1, gamma=0.3123 + 0.19j)
         assert abs(p1 - p2) / abs(p1) < 1e-9
 
     def test_zero_root_contraction(self, params, config4):
@@ -90,21 +99,21 @@ class TestPartialScalar:
     def test_scalarproduct_height_sum(self, ground4):
         # sum over heights of weighted partial scalars = full pairing
         u00, v11 = ground4[(0, 0)], ground4[(1, 1)]
-        lhs = S.scalar_product_bruteforce(u00, v11)
+        lhs = C.scalar_product_bruteforce(u00, v11)
         lv = B.bethe_vector(u00, side="left")
         rv = B.bethe_vector(v11, side="right")
         assert abs(lhs - lv.dot(rv)) < 1e-9
 
     def test_orthogonality(self, ground4):
         u00, v11 = ground4[(0, 0)], ground4[(1, 1)]
-        sp = S.scalar_product_bruteforce(u00, v11)
+        sp = C.scalar_product_bruteforce(u00, v11)
         scale = np.sqrt(abs(S.norm_det(u00)) * abs(S.norm_det(v11)))
         assert abs(sp) < 1e-9 * scale
 
     def test_pole_redraw_advice(self, ground4):
         u00 = ground4[(0, 0)]
         with pytest.raises(PoleError):
-            S.partial_scalar_det(u00, u00.v, 0)  # colliding parameter sets
+            C.partial_scalar_det(u00, u00.v, 0)  # colliding parameter sets
 
 
 class TestTwistWeights:
@@ -172,6 +181,6 @@ class TestGammaRetry:
 class TestFormFactor:
     def test_delta_form_factor_routes(self, ground4):
         u00, v11 = ground4[(0, 0)], ground4[(1, 1)]
-        ff_det = S.delta_form_factor(u00, v11, 2, route="det")
-        ff_brt = S.delta_form_factor(u00, v11, 2, route="brute")
+        ff_det = C.delta_form_factor(u00, v11, 2, route="det")
+        ff_brt = C.delta_form_factor(u00, v11, 2, route="brute")
         assert abs(ff_det - ff_brt) / abs(ff_brt) < 1e-10

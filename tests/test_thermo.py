@@ -10,6 +10,7 @@ import pytest
 from csoslab.elliptic import ModelParams, PoleError, theta
 from csoslab.lattice import LatticeConfig, homogeneous_config
 from csoslab import bethe as B
+from csoslab import contract as C
 from csoslab import matel as M
 from csoslab import thermo as T
 
@@ -31,7 +32,7 @@ class TestDensity:
         for m in (0, 1, 3):
             pred = 1.0 / (2.0 * np.cosh(1j * math.pi * m
                                         * params_c.eta_tilde))
-            assert abs(T.density_fourier(m, config8, params_c) - pred) < 1e-14
+            assert abs(B.density_fourier(m, config8, params_c) - pred) < 1e-14
 
     def test_normalization_by_trapezoid(self, params_c, config8):
         z = -0.5 + np.arange(4096) / 4096
@@ -40,7 +41,7 @@ class TestDensity:
 
     def test_lieb_residual(self, params_c, config8):
         z = np.linspace(-0.5, 0.5, 50)
-        assert np.max(T.lieb_residual(z, config8, params_c)) < 1e-10
+        assert np.max(C.lieb_residual(z, config8, params_c)) < 1e-10
 
     def test_closed_form_vs_series(self, params_c):
         z = np.linspace(-0.45, 0.45, 7)
@@ -66,7 +67,7 @@ class TestKernelFourier:
                                zeta=0.03 + 0.2j))]
         for kid, kw in cases:
             for m in (0, 3, -2):
-                quad = np.mean(T.kernel_direct(kid, nodes, params_c, **kw)
+                quad = np.mean(C.kernel_direct(kid, nodes, params_c, **kw)
                                * np.exp(-2j * math.pi * m * nodes))
                 closed = T.kernel_fourier(kid, m, params_c, **kw)
                 assert abs(quad - closed) < 1e-12
@@ -107,7 +108,7 @@ class TestFredholm:
         assert abs(val - 2 * (1 - params_c.eta)) < 1e-14
 
     def test_tail_bound(self, params_c):
-        b200 = T.fredholm_tail_bound("base", params_c, modes=200)
+        b200 = C.fredholm_tail_bound("base", params_c, modes=200)
         t = T.fredholm_det("base", "truncated", params_c, modes=200)
         t2 = T.fredholm_det("base", "truncated", params_c, modes=400)
         assert abs(t - t2) <= b200 * abs(t2)
@@ -117,12 +118,12 @@ class TestResolvent:
     def test_residue(self, params_c):
         Y = 0.4 - 0.27j
         circle = 0.013 * np.exp(2j * math.pi * np.arange(64) / 64)
-        res = 2j * math.pi * np.mean(T.resolvent_S(Y, circle, params_c)
+        res = 2j * math.pi * np.mean(C.resolvent_S(Y, circle, params_c)
                                      * circle)
         assert abs(res - 1.0) < 1e-10
 
     def test_integral_equation(self, params_c):
-        res = T.resolvent_equation_residual(0.4 - 0.27j, 0.21 + 0.13j,
+        res = C.resolvent_equation_residual(0.4 - 0.27j, 0.21 + 0.13j,
                                             0.03 + 0.2j, params_c)
         assert res < 1e-9
 
@@ -131,14 +132,14 @@ class TestResolvent:
         et = params_c.eta_tilde
         Y = 0.4 - 0.27j
         z = 0.23 + 0.11j
-        lhs = T.resolvent_S(Y, z - et, params_c)
+        lhs = C.resolvent_S(Y, z - et, params_c)
         fac2 = theta(2, z + Y - et, et) / theta(2, z + Y, et)
         fac1 = theta(1, z - et, et) / theta(1, z, et)
-        assert abs(lhs - T.resolvent_S(Y, z, params_c) * fac2 / fac1) < 1e-12
+        assert abs(lhs - C.resolvent_S(Y, z, params_c) * fac2 / fac1) < 1e-12
 
     def test_pole_error(self, params_c):
         with pytest.raises(PoleError):
-            T.resolvent_S(0.4 - 0.27j, 0.0, params_c)
+            C.resolvent_S(0.4 - 0.27j, 0.0, params_c)
 
 
 class TestOnePoint:
@@ -232,22 +233,22 @@ class TestGroundProducts:
 
     def test_phi_t_identical_sets(self, two_states):
         x, _ = two_states
-        fin, _ = T.ground_products("phi_t", x, x, t=0.21 + 0.35j)
+        fin, _ = C.ground_products("phi_t", x, x, t=0.21 + 0.35j)
         assert abs(fin - 1.0) < 1e-12
 
     def test_phi_t_convergence(self, two_states):
         x, y = two_states
-        fin, thermo = T.ground_products("phi_t", x, y, t=0.21 + 0.35j)
+        fin, thermo = C.ground_products("phi_t", x, y, t=0.21 + 0.35j)
         assert abs(fin - thermo) < 1e-3
 
     def test_id_om(self, two_states):
         x, y = two_states
-        fin, thermo = T.ground_products("id_om", x, y)
+        fin, thermo = C.ground_products("id_om", x, y)
         assert abs(fin - thermo) < 1e-4
 
     def test_phi_zero(self, two_states):
         x, y = two_states
-        fin, thermo = T.ground_products("phi_zero", x, y)
+        fin, thermo = C.ground_products("phi_zero", x, y)
         rel = np.abs(fin - thermo) / np.abs(thermo)
         assert np.max(rel) < 1e-2
 
