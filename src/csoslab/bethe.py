@@ -173,12 +173,10 @@ def _log_bethe_jacobian(x, config, params):
     return jac
 
 
-def bethe_residual(roots, relative=False):
-    """Multiplicative Bethe-equation defect, one complex number per root.
-
-    With relative=True each defect is divided by max(1, |LHS|, |RHS|),
-    which keeps the solver acceptance meaningful at larger N where the
-    bracket products grow exponentially.
+def bethe_residual(roots):
+    """Multiplicative Bethe-equation defect, one complex number per root,
+    divided by max(1, |LHS|, |RHS|), which keeps the solver acceptance
+    meaningful at larger N where the bracket products grow exponentially.
     """
     v = roots.v
     n = roots.n
@@ -194,10 +192,7 @@ def bethe_residual(roots, relative=False):
     lhs = np.prod(br[0] / br[1], axis=1)   # a(v_j) = 1
     rhs = (sgn * roots.omega ** (-2) * roots.d_fun(v)
            * np.prod(br[2] / br[3], axis=1))
-    out = lhs - rhs
-    if relative:
-        out /= np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return out
+    return (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 def density_fourier(m, config, params):
@@ -294,7 +289,7 @@ def solve_ground_state(k, ell, config, params, cache_dir=None, seed=None):
                           best=x, residual=rnorm)
     roots = BetheRootSet(x=np.sort(x), k=k, ell=ell, params=params,
                          config=config, newton_iters=iters)
-    roots.residual = float(np.max(np.abs(bethe_residual(roots, relative=True))))
+    roots.residual = float(np.max(np.abs(bethe_residual(roots))))
     if roots.residual > 1e-10:
         raise SolverError(
             f"multiplicative residual {roots.residual:.2e} above 1e-10",
@@ -467,8 +462,7 @@ def _cache_load(k, ell, config, params, cache_dir):
             return None
         roots = BetheRootSet(x=x, k=k, ell=ell, params=params, config=config,
                              newton_iters=int(doc["newton_iters"]))
-        roots.residual = float(np.max(np.abs(
-            bethe_residual(roots, relative=True))))
+        roots.residual = float(np.max(np.abs(bethe_residual(roots))))
     except (ValueError, KeyError, TypeError, SolverError):
         return None
     if not roots.residual <= 1e-10:

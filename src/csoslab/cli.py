@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bethe, contract, matel, thermo
-from .elliptic import AccuracyError, ModelParams, PoleError
+from .elliptic import AccuracyError, ModelParams
 from .lattice import LatticeConfig, homogeneous_config
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def cmd_lhp(args):
         try:
             refs = thermo.lhp_table(path, labels, shifts, config, params,
                                     resolution, tolerance=args.tolerance)
-        except (ValueError, PoleError) as exc:
+        except ValueError as exc:
             skip_reason = str(exc)
         for eps, t in labels:
             for c in shifts:
@@ -216,7 +216,7 @@ def cmd_converge(args):
         cfg_ref = build_lattice(cfg, params, n_override=max(n_list))
         thermo_val, err = thermo.multipoint_lhp(path, eps, t, cfg_ref, params,
                                                 resolution=resolution)
-    except (ValueError, PoleError) as exc:  # degenerate paths are skipped
+    except ValueError as exc:   # degenerate paths are skipped
         skip_reason = str(exc)
     for N in n_list:
         config = build_lattice(cfg, params, n_override=N)

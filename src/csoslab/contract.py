@@ -27,7 +27,7 @@ from .bethe import (_log_ratio_odd, _phi_weights, density_fourier,
 from .scalar import (_check_kappa, _own_d, _sector_q_powers, gamma_retry,
                      twist_weights)
 from .matel import (AdjacentPath, _extended_params, _h_transformed,
-                    _q_transformed, check_pair_separation, coherent_norms,
+                    _q_transformed, coherent_norms, det_route_zetas,
                     enumerate_tuples, mpme_det, slot_positions)
 from .thermo import density, kernel_fourier
 
@@ -794,8 +794,7 @@ def mpme_sum_partial(u_set, v_set, path, a1):
     """Multi-point matrix element via the commutation sum over partial
     scalar products, each taken by operator contraction (an oracle)."""
     params, config = u_set.params, u_set.config
-    zetas = path.check_zetas(config, params)
-    check_pair_separation(zetas, params)
+    zetas = det_route_zetas(path, config, params)
     alphas = path.alphas
     n, m = u_set.n, path.m
     s = params.height(a1)

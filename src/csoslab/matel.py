@@ -109,24 +109,35 @@ class AdjacentPath:
                      for (i, j), (di, dj) in zip(self.vertices, self.moves()))
 
     def check_zetas(self, config, params):
-        """Pairwise distinctness of the z_k modulo the bracket lattice."""
-        zs = self.zetas(config)
-        z = np.asarray(zs, dtype=complex)
-        a, b = np.triu_indices(len(zs), 1)
-        hits = _vanishing(z[a] - z[b], params)
-        if len(hits):
-            raise DegenerateConfigError(
-                f"path arguments z_{a[hits[0]] + 1} and z_{b[hits[0]] + 1} "
-                "collide; perturb the inhomogeneities")
-        return zs
+        """The path arguments z_k and their pair relations modulo the
+        bracket lattice, from one bracket call (none when m <= 1).
 
-    def to_json_dict(self, config=None):
-        doc = {"vertices": [list(v) for v in self.vertices],
-               "heights": list(self.heights),
-               "alphas": list(self.alphas)}
-        if config is not None:
-            doc["zetas"] = [[z.real, z.imag] for z in self.zetas(config)]
-        return doc
+        Returns (zetas, gap, units): gap is the smallest |[z_p - z_q]|,
+        units the ordered pairs (p, q) with z_p = z_q - 1, the {xi - 1, xi}
+        pairs.  A coinciding pair, |[z_p - z_q]| < 1e-10, is refused.
+        """
+        zs = self.zetas(config)
+        if len(zs) < 2:
+            return zs, math.inf, ()
+        z = np.asarray(zs, dtype=complex)
+        a, b = np.nonzero(~np.eye(len(zs), dtype=bool))
+        p, q = a[a < b], b[a < b]
+        brs = np.abs(params.bracket(np.concatenate((z[a] - z[b] + 1.0,
+                                                    z[p] - z[q]))))
+        gaps = brs[len(a):]
+        if gaps.min() < 1e-10:
+            k = np.argmax(gaps < 1e-10)
+            raise DegenerateConfigError(
+                f"path arguments z_{p[k] + 1} and z_{q[k] + 1} collide; "
+                "perturb the inhomogeneities")
+        unit = brs[:len(a)] < 1e-10
+        return zs, float(gaps.min()), tuple(zip(a[unit].tolist(),
+                                                b[unit].tolist()))
+
+    def to_json_dict(self):
+        return {"vertices": [list(v) for v in self.vertices],
+                "heights": list(self.heights),
+                "alphas": list(self.alphas)}
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -149,38 +160,25 @@ def vertical_path(heights, start=(1, 1)):
     return AdjacentPath(vertices=verts, heights=tuple(heights))
 
 
-def check_pair_separation(zetas, params):
-    """Reject the argument pairs the determinant route cannot take (the
-    dense route handles them), from one bracket call.
+def det_route_zetas(path, config, params):
+    """The path arguments, with the pairs the determinant route cannot take
+    refused (the dense route takes them).
 
-    Pairs {z, z - 1}: the tuple-sum coefficients and the algebraic factors
-    carry [z_j - z_k + 1] denominators, so these pairs need the
+    Unit pairs {xi - 1, xi}: the tuple-sum coefficients and the algebraic
+    factors carry [z_j - z_k + 1] denominators, so these pairs need the
     homogeneous-limit treatment the route does not implement.  Pairs with
     |[z_j - z_k]| < PAIR_GAP_MIN: the tuple sum cancels terms of order
     1/[z_j - z_k] and loses digits like 4e-14/|[z_j - z_k]|.
     """
-    z = np.asarray(zetas, dtype=complex)
-    if len(z) < 2:
-        return
-    a, b = np.nonzero(~np.eye(len(z), dtype=bool))
-    p, q = np.triu_indices(len(z), 1)
-    brs = np.abs(params.bracket(np.concatenate((z[a] - z[b] + 1.0,
-                                                z[p] - z[q]))))
-    if np.any(brs[:len(a)] < 1e-10):
+    zetas, gap, units = path.check_zetas(config, params)
+    if units:
         raise DegenerateConfigError(
             "path arguments separated by one lattice unit "
             "({xi, xi-1} pair); use the dense route or perturb")
-    if np.any(brs[len(a):] < PAIR_GAP_MIN):
+    if gap < PAIR_GAP_MIN:
         raise DegenerateConfigError(
             "path arguments too close for the determinant route")
-
-
-def _vanishing(args, params):
-    """Indices of the 1-d args with |[arg]| < 1e-10, ascending: one bracket
-    call, none when there is no argument."""
-    if not args.size:
-        return []
-    return np.nonzero(np.abs(params.bracket(args)) < 1e-10)[0]
+    return zetas
 
 
 def slot_positions(alphas):
@@ -259,7 +257,7 @@ def mpme_bruteforce(u_set, v_set, path, a1):
     params, config = u_set.params, u_set.config
     if root_collision(u_set, v_set) == "equal":
         u_set = _rebase_onto(u_set, v_set)
-    zetas = path.check_zetas(config, params)
+    zetas = path.check_zetas(config, params)[0]
     alphas = path.alphas
     state = bethe_vector(v_set, side="right")
     denom = 1.0 + 0.0j
@@ -377,8 +375,7 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
             lambda g: mpme_det(u_set, v_set, path, a1, gamma=g,
                                reduction=reduction),
             params, None)
-    zetas = path.check_zetas(config, params)
-    check_pair_separation(zetas, params)
+    zetas = det_route_zetas(path, config, params)
     alphas = path.alphas
     n, m = u_set.n, path.m
     s = params.height(a1)
@@ -513,16 +510,6 @@ def _q_transformed(gamma, u, v, zetas, bet, params):
 # finite-size local height probabilities
 # ---------------------------------------------------------------------------
 
-def _det_or_dense(u_set, v_set, path, a1):
-    """mpme_det, or the dense route where the determinant representation
-    does not apply (lattice-coincident twist partners at even L, path
-    arguments closer than PAIR_GAP_MIN)."""
-    try:
-        return mpme_det(u_set, v_set, path, a1)
-    except DegenerateConfigError:
-        return mpme_bruteforce(u_set, v_set, path, a1)
-
-
 def calibrate_norm_signs(ground_states):
     """Per-state normalization signs matching the thermodynamic branch.
 
@@ -548,8 +535,8 @@ def calibrate_norm_signs(ground_states):
             params, None)
         best_a = int(np.argmax(np.abs(pbs)))   # the first of equal ones
         path0 = AdjacentPath(vertices=((1, 1),), heights=(best_a,))
-        val = _det_or_dense(ground_states[anchor], ground_states[key], path0,
-                            best_a)
+        val = path_element(ground_states[anchor], ground_states[key], path0,
+                           "det")
         signs[key] = 1.0 if abs(val - pbs[best_a]) <= abs(val + pbs[best_a]) \
             else -1.0
     return signs
@@ -577,9 +564,7 @@ def flat_matrix_element(path, left_label, right_label, ground_states,
     rotated values converge slowly, so thermodynamic comparisons are well
     conditioned at odd L (the acceptance setting).
     """
-    some = next(iter(ground_states.values()))
-    params = some.params
-    a1 = path.heights[0]
+    params = next(iter(ground_states.values())).params
     Lr = params.L - params.r
     if signs is None:
         signs = calibrate_norm_signs(ground_states)
@@ -588,12 +573,8 @@ def flat_matrix_element(path, left_label, right_label, ground_states,
     tot = 0.0j
     for uk in ph_l:
         for vk in ph_r:
-            u_set, v_set = ground_states[uk], ground_states[vk]
-            if method == "det":
-                val = _det_or_dense(u_set, v_set, path, a1)
-            else:
-                val = mpme_bruteforce(u_set, v_set, path, a1)
-            val *= _anchor_factor(path, u_set, v_set)
+            val = path_element(ground_states[uk], ground_states[vk], path,
+                               method)
             tot += signs[uk] * signs[vk] * val * ph_r[vk] / ph_l[uk]
     return tot / (2 * Lr)
 
@@ -606,19 +587,32 @@ def finite_lhp(path, basis, ground_states, method="det"):
     """
     if basis[0] == "bethe":
         _, k1, l1, k2, l2 = basis
-        u_set = ground_states[(k1, l1)]
-        v_set = ground_states[(k2, l2)]
-        a1 = path.heights[0]
-        if method == "det":
-            val = mpme_det(u_set, v_set, path, a1)
-        else:
-            val = mpme_bruteforce(u_set, v_set, path, a1)
-        return val * _anchor_factor(path, u_set, v_set)
+        return path_element(ground_states[(k1, l1)], ground_states[(k2, l2)],
+                            path, method)
     if basis[0] != "flat":
         raise ValueError("basis must be 'bethe' or 'flat'")
     _, eps, t_label = basis
     return flat_matrix_element(path, (eps, t_label), (eps, t_label),
                                ground_states, method=method)
+
+
+def path_element(u_set, v_set, path, method):
+    """<u| path |v> times the anchor factor of the path.
+
+    method='det' takes mpme_det, and the dense route where the determinant
+    representation does not apply (lattice-coincident twist partners at
+    even L, the pairs det_route_zetas refuses); method='brute' takes the
+    dense route.
+    """
+    a1 = path.heights[0]
+    if method == "det":
+        try:
+            val = mpme_det(u_set, v_set, path, a1)
+        except DegenerateConfigError:
+            val = mpme_bruteforce(u_set, v_set, path, a1)
+    else:
+        val = mpme_bruteforce(u_set, v_set, path, a1)
+    return val * _anchor_factor(path, u_set, v_set)
 
 
 def _anchor_factor(path, u_set, v_set):

@@ -21,8 +21,9 @@ import math
 
 import numpy as np
 
-from .elliptic import (AccuracyError, EllipticDomainError, PoleError,
-                       stacked, theta, theta_log)
+from .elliptic import (AccuracyError, DegenerateConfigError,
+                       EllipticDomainError, PoleError, stacked, theta,
+                       theta_log)
 from .bethe import momentum_shifts
 from .scalar import gamma_retry, twist_weights
 from .matel import flat_basis_phases, slot_positions
@@ -437,13 +438,12 @@ def _distinct_sums(*terms):
 
 def _classify_zetas(path, config, params):
     """Split the path arguments into the unshifted/shifted inhomogeneity
-    families (in the tilde variables).
-
-    Coinciding arguments, where the integrand is singular, raise
-    DegenerateConfigError.
-    """
+    families (in the tilde variables), with their unit pairs (see
+    `AdjacentPath.check_zetas`); coinciding arguments, where the integrand
+    is singular, raise DegenerateConfigError."""
     et = params.eta_tilde
-    zt = [et * z for z in path.check_zetas(config, params)]
+    zetas, _, units = path.check_zetas(config, params)
+    zt = [et * z for z in zetas]
     xt = [et * x for x in config.xi]
     fam = []
     for z in zt:
@@ -455,7 +455,7 @@ def _classify_zetas(path, config, params):
             raise ValueError(
                 "path argument outside the (possibly shifted) inhomogeneity "
                 "family required by the thermodynamic representation")
-    return zt, fam
+    return zt, fam, units
 
 
 def check_resolution(resolution):
@@ -477,8 +477,9 @@ def lhp_table(path, labels, shifts, config, params, resolution,
     the quadrature with its half-resolution subgrid (an even `resolution`
     has one); with `tolerance` set, the first record in report order whose
     estimate is above it raises AccuracyError.  Degenerate argument pairs
-    {xi~, xi~ - eta~} are refused unless perturb_degenerate is set, in
-    which case a Richardson extrapolation over two small offsets is used.
+    {xi~, xi~ - eta~} raise DegenerateConfigError unless perturb_degenerate
+    is set, in which case a Richardson extrapolation over two small offsets
+    is used.
     """
     m = path.m
     if m > 3:
@@ -489,13 +490,14 @@ def lhp_table(path, labels, shifts, config, params, resolution,
         return {(eps, t, c): (one_point_barP(path.heights[0] + c, 0.0, eps, t,
                                              params), 0.0)
                 for eps, t, c in records}
-    zt, fam = _classify_zetas(path, config, params)
-    et = params.eta_tilde
-    if any(abs(zi - zj - et) < 1e-9 for zi in zt for zj in zt):
+    zt, fam, units = _classify_zetas(path, config, params)
+    if units:
         if not perturb_degenerate:
-            raise PoleError("degenerate argument pair {xi~, xi~ - eta~}; "
-                            "enable perturb_degenerate to extrapolate")
-        return dict(zip(records, _lhp_perturbed(path, records, zt, fam,
+            p, q = units[0]
+            raise DegenerateConfigError(
+                f"path arguments z_{q + 1} and z_{p + 1} = z_{q + 1} - 1 form "
+                "a degenerate pair {xi~, xi~ - eta~} of the multiple integral")
+        return dict(zip(records, _lhp_perturbed(path, records, zt, fam, units,
                                                 params, resolution)))
     table = {}
     for rec, (full, half) in zip(records, _lhp_contour_sum(
@@ -519,24 +521,19 @@ def multipoint_lhp(path, eps, t_label, config, params, resolution=512,
                      tolerance, perturb_degenerate)[eps, t_label, 0]
 
 
-def _lhp_perturbed(path, records, zt0, fam, params, resolution):
-    """Richardson extrapolation over a perturbed degenerate argument pair,
+def _lhp_perturbed(path, records, zt0, fam, units, params, resolution):
+    """Richardson extrapolation over perturbed degenerate argument pairs,
     one (value, estimate) per record.
 
-    The member of each offending pair {xi~, xi~ - eta~} sitting in the
-    shifted family is moved by a small real delta; the limit delta -> 0 is
-    then taken linearly from two offsets.
+    The member of each unit pair (p, q) sitting in the shifted family,
+    z~_p = z~_q - eta~, is moved by a small real delta; the limit
+    delta -> 0 is then taken linearly from two offsets.
     """
-    et = params.eta_tilde
     deltas = (1e-4, 5e-5)
+    moved = {p for p, _ in units}
     sums = []
     for d in deltas:
-        zt = list(zt0)
-        for i in range(len(zt)):
-            for j in range(len(zt)):
-                if i != j and abs(zt[i] - zt[j] + et) < 1e-9:
-                    # zt[i] = zt[j] - eta~: shift the shifted-family member
-                    zt[i] = zt[i] + d
+        zt = [z + d if p in moved else z for p, z in enumerate(zt0)]
         sums.append(_lhp_contour_sum(path, records, zt, fam, params,
                                      resolution))
     out = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from csoslab import cli, contract
-from csoslab.elliptic import AccuracyError, PoleError
+from csoslab.elliptic import AccuracyError, DegenerateConfigError, PoleError
 
 
 @pytest.fixture()
@@ -150,17 +150,18 @@ class TestLhpTables:
     def test_finite_mode_reports_skipped_thermo(self, thermo_config,
                                                 point_path, tmp_path,
                                                 monkeypatch):
-        def pole(*args, **kwargs):
-            raise PoleError("contour pole")
+        def degenerate(*args, **kwargs):
+            raise DegenerateConfigError("degenerate pair")
 
-        monkeypatch.setattr(cli.thermo, "lhp_table", pole)
+        monkeypatch.setattr(cli.thermo, "lhp_table", degenerate)
         out = tmp_path / "table.json"
         code = cli.main(["lhp", "--mode", "finite", "--config", thermo_config,
                          "--path", point_path, "--out", str(out)])
         assert code == cli.EXIT_OK
         records = json.loads(out.read_text())["records"]
         assert all(r["deviation_from_thermo"] is None
-                   and r["thermo_skipped"] == "contour pole" for r in records)
+                   and r["thermo_skipped"] == "degenerate pair"
+                   for r in records)
 
     def test_finite_table_calibrates_once(self, thermo_config, point_path,
                                           tmp_path, monkeypatch):
@@ -185,19 +186,22 @@ class TestLhpTables:
     def test_thermo_failure_not_swallowed(self, thermo_config, point_path,
                                           tmp_path, monkeypatch, mode):
         # only degenerate configurations skip the thermodynamic value; a
-        # numerical failure ends the run with exit 1 and writes nothing
-        def fail(*args, **kwargs):
-            raise AccuracyError("quadrature did not converge")
+        # numerical failure, a pole of the integrand among them, ends the
+        # run with exit 1 and writes nothing
+        for error in (AccuracyError("quadrature did not converge"),
+                      PoleError("contour pole")):
+            def fail(*args, **kwargs):
+                raise error
 
-        monkeypatch.setattr(cli.thermo, ("lhp_table" if mode == "lhp"
-                                         else "multipoint_lhp"), fail)
-        out = tmp_path / "report.json"
-        argv = (["lhp", "--mode", "finite"] if mode == "lhp"
-                else ["converge", "--n-list", "4"])
-        code = cli.main(argv + ["--config", thermo_config, "--path",
-                                point_path, "--out", str(out)])
-        assert code == cli.EXIT_NUMERICAL
-        assert not out.exists()
+            monkeypatch.setattr(cli.thermo, ("lhp_table" if mode == "lhp"
+                                             else "multipoint_lhp"), fail)
+            out = tmp_path / "report.json"
+            argv = (["lhp", "--mode", "finite"] if mode == "lhp"
+                    else ["converge", "--n-list", "4"])
+            code = cli.main(argv + ["--config", thermo_config, "--path",
+                                    point_path, "--out", str(out)])
+            assert code == cli.EXIT_NUMERICAL
+            assert not out.exists()
 
     def test_table_tolerance_failure(self, thermo_config, bond_path,
                                      tmp_path, capsys):
@@ -268,18 +272,24 @@ class TestLhpTables:
         assert not out.exists()
 
     def test_coinciding_path_arguments_refused(self, thermo_config,
-                                               tmp_path):
-        # an m = 2 path on a homogeneous column has z_1 = z_2: the integrand
-        # is singular there, so the table must fail instead of holding NaN
-        doc = {"vertices": [[1, 1], [2, 1], [3, 1]], "heights": [0, 1, 2]}
-        path = tmp_path / "two.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "table.json"
-        code = cli.main(["lhp", "--mode", "thermo", "--config", thermo_config,
-                         "--path", str(path), "--tolerance", "1e-8",
-                         "--out", str(out)])
-        assert code != cli.EXIT_OK
-        assert not out.exists() or "NaN" not in out.read_text()
+                                               tmp_path, capsys):
+        # an m = 2 path on a homogeneous column has z_1 = z_2, and a path
+        # down one row and back up the unit pair {xi, xi - 1}: the integrand
+        # is singular at both, so each is a configuration error that names
+        # the pair, and nothing is written
+        for verts, heights, reason in (
+                ([[1, 1], [2, 1], [3, 1]], [0, 1, 2], "z_1 and z_2 collide"),
+                ([[1, 1], [2, 1], [1, 1]], [0, 1, 0], "degenerate pair")):
+            path = tmp_path / "two.json"
+            path.write_text(json.dumps({"vertices": verts,
+                                        "heights": heights}))
+            out = tmp_path / "table.json"
+            code = cli.main(["lhp", "--mode", "thermo", "--config",
+                             thermo_config, "--path", str(path),
+                             "--tolerance", "1e-8", "--out", str(out)])
+            assert code == cli.EXIT_CONFIG
+            assert reason in capsys.readouterr().err
+            assert not out.exists()
 
     def test_non_finite_values_not_emitted(self, tmp_path):
         from csoslab.elliptic import AccuracyError

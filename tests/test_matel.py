@@ -1,5 +1,6 @@
 """Multi-point matrix elements: oracle chain and determinant machinery."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -74,8 +75,8 @@ class TestPathGeometry:
             PATH2.check_zetas(config, params)
 
     def test_pair_checks_one_bracket_call(self, params, monkeypatch):
-        # each pair check is one bracket call over its pairs, none without a
-        # pair; the collision message still names the pair
+        # the pair relations are one bracket call over the pairs, none
+        # without a pair; the collision message still names the pair
         bracket = ModelParams.bracket
         calls = []
 
@@ -90,12 +91,13 @@ class TestPathGeometry:
             M.vertical_path((0, 1, 2, 3)).check_zetas(config, params)
         assert len(calls) == 1
         calls.clear()
-        zs = M.vertical_path((0, 1, 2)).check_zetas(config, params)
-        M.check_pair_separation(zs, params)
-        assert len(calls) == 2
+        path = M.vertical_path((0, 1, 2))
+        assert M.det_route_zetas(path, config, params) == path.zetas(config)
+        assert len(calls) == 1
         calls.clear()
         for path in (PATH0, PATH1):
-            M.check_pair_separation(path.check_zetas(config, params), params)
+            assert M.det_route_zetas(path, config, params) == \
+                path.zetas(config)
         assert calls == []
 
     def test_unit_separated_pair_refused_by_det_route(self, ground4):
@@ -127,7 +129,7 @@ class TestPathGeometry:
         assert np.isfinite(M.flat_matrix_element(path, (0, 0), (0, 0), gs))
 
     def test_json_roundtrip(self, config4):
-        doc = PATH2.to_json_dict(config4)
+        doc = PATH2.to_json_dict()
         back = M.AdjacentPath.from_json_dict(doc)
         assert back == PATH2
         assert doc["alphas"] == [1, 1]
@@ -615,10 +617,9 @@ class TestSectorIndependence:
             monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert counts[4] == counts[8], counts
         # each builder stacks its brackets into one call, and so do the
-        # pair checks of check_zetas and check_pair_separation; the Gaudin
-        # kernels sum [x] and [x]' outside the bracket (one call per factor
-        # made 73)
-        assert counts[4] == 11, counts
+        # pair relations of check_zetas; the Gaudin kernels sum [x] and [x]'
+        # outside the bracket (one call per factor made 73)
+        assert counts[4] == 10, counts
 
     def test_partial_scalar_bracket_calls_do_not_grow_with_L(self,
                                                              monkeypatch):
@@ -659,6 +660,18 @@ class TestFlatBasis:
         val = M.finite_lhp(PATH1, ("bethe", 0, 0, 1, 1), ground4)
         direct = M.mpme_det(ground4[(0, 0)], ground4[(1, 1)], PATH1, 1)
         assert abs(val - direct) < 1e-12
+
+    def test_bethe_basis_falls_back_as_the_flat_one(self, params):
+        # |[z_1 - z_2]| = 1.1e-6 < PAIR_GAP_MIN: both bases take the dense
+        # route through the one pair evaluator
+        config = LatticeConfig(N=4, xi=(0.5, 0.5 + 1e-6j, 0.5 + 0.03j,
+                                        0.5 - 0.02j))
+        gs = B.all_ground_states(config, params)
+        path = M.vertical_path((0, 1, 2))
+        val = M.finite_lhp(path, ("bethe", 0, 0, 1, 1), gs)
+        assert val == M.mpme_bruteforce(gs[(0, 0)], gs[(1, 1)], path, 0)
+        assert abs(val - (0.0032302262498513476
+                          + 0.0006011837310080592j)) < 1e-12
 
     def test_m1_bond_path_vs_inverse_problem(self, ground4, config4):
         # the single-step element equals the reconstructed bond operator
@@ -732,3 +745,57 @@ class TestFlatBasis:
         ratio = (B.eigenvalue_tau(config4.xi[0], us)
                  / B.eigenvalue_tau(config4.xi[0], vs))
         assert abs(base - plain * ratio) < 1e-12
+
+
+
+# path -> outcome on the homogeneous and on the inhomogeneous N = 4 column:
+# a coinciding pair, a unit pair {xi, xi - 1}, or neither
+ONE_RULE_PATHS = {
+    "down": (M.vertical_path((0, 1)), "plain", "plain"),
+    "up": (M.AdjacentPath(vertices=((2, 1), (1, 1)), heights=(1, 0)),
+           "plain", "plain"),
+    "down_and_back": (M.AdjacentPath(vertices=((1, 1), (2, 1), (1, 1)),
+                                     heights=(0, 1, 0)), "unit", "unit"),
+    "m2": (M.vertical_path((0, 1, 2)), "collide", "plain"),
+    "m3": (M.vertical_path((0, 1, 2, 1)), "collide", "plain"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _one_rule_model(L, r, homogeneous):
+    params = ModelParams(tau=0.8j, r=r, L=L, s0=0.41 + 0.13j)
+    config = (homogeneous_config(4) if homogeneous else LatticeConfig(
+        N=4, xi=tuple(0.5 + 1j * y for y in (0.04, -0.03, 0.02, -0.05))))
+    return params, config, B.all_ground_states(config, params)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_RULE_PATHS))
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("L, r", [(3, 1), (5, 2)])
+def test_one_degeneracy_rule_across_routes(L, r, homogeneous, name):
+    # the determinant route, the dense route and the multiple integral
+    # read one pair classification: a coinciding pair is refused by all
+    # three, a unit pair by the determinant route and the integral (which
+    # extrapolates it on request), and every other path has a value on all
+    path, *kinds = ONE_RULE_PATHS[name]
+    kind = kinds[not homogeneous]
+    params, config, gs = _one_rule_model(L, r, homogeneous)
+    us, vs, a1 = gs[(0, 0)], gs[(1, 1)], path.heights[0]
+
+    def integral(**kw):
+        return T.lhp_table(path, [(0, 0)], [0], config, params, 16,
+                           **kw)[0, 0, 0][0]
+
+    routes = {"det": lambda: M.mpme_det(us, vs, path, a1),
+              "dense": lambda: M.mpme_bruteforce(us, vs, path, a1),
+              "integral": integral}
+    refused = {"collide": routes, "unit": ("det", "integral"),
+               "plain": ()}[kind]
+    for route, evaluate in routes.items():
+        if route in refused:
+            with pytest.raises(DegenerateConfigError):
+                evaluate()
+        else:
+            assert np.isfinite(evaluate())
+    if kind == "unit":
+        assert np.isfinite(integral(perturb_degenerate=True))

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from csoslab.elliptic import ModelParams, PoleError, theta
+from csoslab.elliptic import (DegenerateConfigError, ModelParams, PoleError,
+                              theta)
 from csoslab.lattice import LatticeConfig, homogeneous_config
 from csoslab import bethe as B
 from csoslab import contract as C
@@ -311,7 +312,7 @@ class TestMultiPoint:
     def test_slabs_match_one_slab(self, setup, monkeypatch):
         params, config = setup
         path = M.vertical_path((0, 1, 2, 3))
-        zt, fam = T._classify_zetas(path, config, params)
+        zt, fam, _ = T._classify_zetas(path, config, params)
         [one] = T._lhp_contour_sum(path, [(0, 0, 0)], zt, fam, params, 64)
         # slabs of 5 rows, the last one short
         monkeypatch.setattr(T, "SLAB_POINTS", 5 * 64 * 64)
@@ -328,7 +329,7 @@ class TestMultiPoint:
         # zeroes them
         params, config = setup
         path = M.vertical_path(heights)
-        zt, fam = T._classify_zetas(path, config, params)
+        zt, fam, _ = T._classify_zetas(path, config, params)
         R = 16
         records = [(0, 0, 0), (1, 0, 1), (0, 1, 2), (1, 1, 1)]
         sums = T._lhp_contour_sum(path, records, zt, fam, params, R)
@@ -393,7 +394,7 @@ class TestMultiPoint:
         # the sum of a separate call at R/2
         params, config = setup
         path = M.vertical_path(heights)
-        zt, fam = T._classify_zetas(path, config, params)
+        zt, fam, _ = T._classify_zetas(path, config, params)
         R = 32
         _, est = T.multipoint_lhp(path, 0, 0, config, params, resolution=R)
         [(full, _)] = T._lhp_contour_sum(path, [(0, 0, 0)], zt, fam, params,
@@ -510,7 +511,7 @@ class TestMultiPoint:
         # down then up through the same bond gives {xi~, xi~ - eta~}
         path = M.AdjacentPath(vertices=((1, 1), (2, 1), (1, 1)),
                               heights=(0, 1, 0))
-        with pytest.raises(PoleError):
+        with pytest.raises(DegenerateConfigError, match="z_1 and z_2"):
             T.multipoint_lhp(path, 0, 0, config, params, resolution=64)
         val, est = T.multipoint_lhp(path, 0, 0, config, params,
                                     resolution=64, perturb_degenerate=True)
