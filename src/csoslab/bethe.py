@@ -104,7 +104,7 @@ class BetheRootSet:
     config: LatticeConfig
     residual: float = 0.0
     newton_iters: int = 0
-    # results that depend on the roots only (norm, Gaudin kernel, d), filled
+    # results that depend on the roots only (norm, Gaudin matrix, d), filled
     # lazily and shared by copies carrying the same roots
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
@@ -163,14 +163,17 @@ def log_bethe_residual(x, k, ell, config, params):
 
 
 def _log_bethe_jacobian(x, config, params):
+    """Complex Jacobian of the logarithmic Bethe equations at real roots x;
+    Newton takes its real part, and (eta~/i) times it is the Gaudin matrix.
+
+    The real and imaginary parts of the phase rows are summed apart, so the
+    real part has the bits of a sum over the real entries.
+    """
     x = np.asarray(x, dtype=float)
-    N = config.N
     p0, phase = _bethe_terms(x, config, params, 1)
-    diag = N * np.real(p0)
-    kern = np.real(phase)
-    jac = np.diag(diag - np.sum(kern, axis=1)) + kern
-    jac = jac - 4.0 * math.pi * params.eta
-    return jac
+    rows = np.sum(phase.real, axis=1) + 1j * np.sum(phase.imag, axis=1)
+    return (np.diag(config.N * p0 - rows) + phase
+            - 4.0 * math.pi * params.eta)
 
 
 def bethe_residual(roots):
@@ -264,7 +267,7 @@ def solve_ground_state(k, ell, config, params, cache_dir=None, seed=None):
     rnorm = float(np.max(np.abs(res)))
     iters = 0
     while rnorm > 1e-13 and iters < 200:
-        jac = _log_bethe_jacobian(x, config, params)
+        jac = _log_bethe_jacobian(x, config, params).real
         try:
             step = np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:

@@ -149,7 +149,6 @@ def cmd_lhp(args):
     records = []
     if args.mode == "finite":
         gs = bethe.all_ground_states(config, params)
-        signs = matel.calibrate_norm_signs(gs)
         # a skip reason depends on the path arguments only, so it holds for
         # every record of the table
         refs, skip_reason = {}, None
@@ -161,8 +160,7 @@ def cmd_lhp(args):
         for eps, t in labels:
             for c in shifts:
                 sp = _shifted(path, c)
-                val = matel.flat_matrix_element(sp, (eps, t), (eps, t), gs,
-                                                signs=signs)
+                val = matel.flat_matrix_element(sp, (eps, t), (eps, t), gs)
                 ref = refs.get((eps, t, c))
                 records.append({"eps": eps, "t": t, "height_shift": c,
                                 "heights": list(sp.heights),

@@ -311,7 +311,6 @@ class ModelParams:
     r: int
     L: int
     s0: complex
-    validate: bool = field(default=True, repr=False)
     bracket_prime0: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -323,13 +322,13 @@ class ModelParams:
         if math.gcd(self.r, self.L) != 1:
             raise ValueError(f"r={self.r} and L={self.L} must be coprime")
         object.__setattr__(self, "bracket_prime0", self.bracket(0.0, order=1))
-        if self.validate:
-            scale = abs(theta(1, 0.3 + 0.1j, tau))
-            vals = self.brackets(*(self.s0 + j for j in range(self.L)))
-            for j, val in enumerate(vals):
-                if abs(val) < 1e-12 * max(scale, 1.0):
-                    raise EllipticDomainError(
-                        f"bracket vanishes at height s0+{j}; shift s0")
+        # [s] vanishes where eta s is a lattice point m + n tau: the reduced
+        # argument of each height lies within 1e-12 of 0
+        zr = _reduce(self.eta * (self.s0 + np.arange(self.L)), tau)[0]
+        hits = np.nonzero(np.abs(zr) < 1e-12)[0]
+        if hits.size:
+            raise EllipticDomainError(
+                f"bracket vanishes at height s0+{hits[0]}; shift s0")
 
     @property
     def eta(self):
@@ -361,11 +360,6 @@ class ModelParams:
         val = theta(1, self.eta * np.asarray(u) if np.ndim(u) else self.eta * u,
                     self.tau, order=order)
         return val * self.eta ** order
-
-    def _bracket_rows(self, u):
-        """[u] and [u]' at the array u from one series sum."""
-        val, prime = _theta_rows(1, self.eta * u, complex(self.tau), 1)
-        return [val, prime * self.eta]
 
     def brackets(self, *args, order=0):
         """[a], [b], ... (or their u-derivatives) from one bracket call on

@@ -183,8 +183,6 @@ def _column_weights(u, config, params, scaled):
     if not scaled and poles.size:
         raise PoleError(f"[u - xi_{poles[0] + 1} + 1] vanishes at u={u}; "
                         "use the scaled gauge")
-    if np.min(np.abs(bs)) < 1e-13:
-        raise PoleError("dynamical bracket [s] vanishes inside column")
     ones = np.ones_like(bu1)
     corner, denom_u = (bu1, ones) if scaled else (ones, bu1)
     bu, denom_u = bu[:, None], denom_u[:, None]

@@ -2,10 +2,11 @@
 determinant formulas share.
 
 The squared norm of a Bethe eigenstate has the single-determinant (Gaudin)
-form with the usual diagonal log-derivative of a/d.  The partial scalar
-product S_n({u}; {v}; s) = <<0| prod_j C_hat(u_j) delta_s prod_j B_hat(v_j)
-|0>> is a sum of L determinants with twist factors q^{nu s}; no production
-route takes it, so it lives in `csoslab.contract` with its oracle.
+form, whose matrix is the Jacobian of the logarithmic Bethe equations.  The
+partial scalar product S_n({u}; {v}; s) = <<0| prod_j C_hat(u_j) delta_s
+prod_j B_hat(v_j) |0>> is a sum of L determinants with twist factors
+q^{nu s}; no production route takes it, so it lives in `csoslab.contract`
+with its oracle.
 """
 
 import functools
@@ -13,7 +14,8 @@ import warnings
 
 import numpy as np
 
-from .elliptic import AccuracyError, PoleError, _cdiv, _cmul, stacked, theta
+from .elliptic import AccuracyError, PoleError, _cdiv, _cmul, theta
+from .bethe import _log_bethe_jacobian
 
 COND_WARN = 1e12
 
@@ -82,38 +84,20 @@ def _own_d(u_set):
     return out
 
 
-def _gaudin_kernel(u_set):
-    """Diagonal vector and off-diagonal kernel of the Gaudin matrix.
-
-    off[j, l] = dlog[u_j - u_l - 1] - dlog[u_j - u_l + 1] and diag[j] =
-    -dlog(a/d)(u_j) + sum_l off[j, l], with dlog[x] = [x]'/[x].  The
-    mean-value kernel of the matrix elements shares the diagonal vector.
-    Both depend on the roots only: kept in the memo, returned read-only.
-    """
-    if "gaudin" in u_set.memo:
-        return u_set.memo["gaudin"]
-    u = np.asarray(u_set.v, dtype=complex)
-    uxi = u[:, None] - np.array(u_set.config.xi)
-    du = u[:, None] - u[None, :]
-    # dlog[x] = [x]'/[x]: [x] and [x]' of all four tables from one series sum
-    vals, primes = stacked(u_set.params._bracket_rows,
-                           uxi, uxi + 1, du - 1, du + 1)
-    dlog = [d / f for d, f in zip(primes, vals)]
-    logprime_ad = np.zeros(len(u), dtype=complex)
-    for col in (dlog[0] - dlog[1]).T:   # site by site, as summed
-        logprime_ad -= col
-    off = dlog[2] - dlog[3]
-    out = (logprime_ad + np.sum(off, axis=1), off)
-    for arr in out:
-        arr.flags.writeable = False
-    u_set.memo["gaudin"] = out
-    return out
-
-
 def gaudin_matrix(u_set):
-    """Jacobian-style matrix whose determinant gives the squared norm."""
-    diag, off = _gaudin_kernel(u_set)
-    return np.diag(diag) - off
+    """The Gaudin matrix, whose determinant gives the squared norm: (eta~/i)
+    times the complex Jacobian of the logarithmic Bethe equations at the
+    set's roots (the Gaudin-Korepin theorem; Korepin, Commun. Math. Phys.
+    86 (1982) 391).  It depends on the roots only: kept in the memo,
+    returned read-only.
+    """
+    out = u_set.memo.get("gaudin")
+    if out is None:
+        out = (u_set.params.eta_tilde / 1j) * _log_bethe_jacobian(
+            u_set.x, u_set.config, u_set.params)
+        out.flags.writeable = False
+        u_set.memo["gaudin"] = out
+    return out
 
 
 def norm_det(u_set):

@@ -163,25 +163,6 @@ class TestLhpTables:
                    and r["thermo_skipped"] == "degenerate pair"
                    for r in records)
 
-    def test_finite_table_calibrates_once(self, thermo_config, point_path,
-                                          tmp_path, monkeypatch):
-        argv = ["lhp", "--mode", "finite", "--config", thermo_config,
-                "--path", point_path]
-        plain = tmp_path / "plain.json"
-        assert cli.main(argv + ["--out", str(plain)]) == cli.EXIT_OK
-        calls = []
-        calibrate = cli.matel.calibrate_norm_signs
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return calibrate(*args, **kwargs)
-
-        monkeypatch.setattr(cli.matel, "calibrate_norm_signs", counted)
-        out = tmp_path / "counted.json"
-        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
-        assert len(calls) == 1
-        assert out.read_bytes() == plain.read_bytes()
-
     @pytest.mark.parametrize("mode", ["lhp", "converge"])
     def test_thermo_failure_not_swallowed(self, thermo_config, point_path,
                                           tmp_path, monkeypatch, mode):

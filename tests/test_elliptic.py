@@ -332,6 +332,20 @@ class TestModelParams:
         with pytest.raises(EllipticDomainError):
             ModelParams(tau=0.8j, r=1, L=3, s0=0.0)
 
+    @pytest.mark.parametrize("tau, s0, height", [
+        (0.8j, 2.4j, 0),                # eta s0 = tau
+        (0.3 + 0.6j, 1.9 + 1.8j, 2)])   # eta (s0 + 2) = 1 + tau, tilted
+    def test_rejects_lattice_points(self, tau, s0, height):
+        with pytest.raises(EllipticDomainError,
+                           match=rf"height s0\+{height};"):
+            ModelParams(tau=tau, r=1, L=3, s0=s0)
+
+    def test_accepts_small_modulus_off_the_lattice(self):
+        # eta s0 = 0.1 + 0.005i lies about 0.1 from every lattice point,
+        # though |[s0]| is 5e-16 at this tau
+        params = ModelParams(tau=0.01j, r=1, L=3, s0=0.3 + 1.5 * 0.01j)
+        assert params.height(2) == 2.3 + 0.015j
+
     def test_derived_quantities(self, params):
         assert abs(params.eta - 1.0 / 3.0) < 1e-15
         assert abs(params.tau_tilde - (-1.0 / TAU_VAL)) < 1e-15

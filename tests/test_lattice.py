@@ -5,7 +5,8 @@ import functools
 import numpy as np
 import pytest
 
-from csoslab.elliptic import ModelParams, PoleError, SizeGuardError
+from csoslab.elliptic import (EllipticDomainError, ModelParams, PoleError,
+                              SizeGuardError)
 from csoslab.contract import (boltzmann_weight, inverse_problem_residual,
                               local_operator_dense, r_matrix, transfer_dense,
                               yang_baxter_residual, zero_weight_indices)
@@ -423,13 +424,12 @@ class TestColumnWeights:
         assert len(calls) == 1
         assert np.array_equal(got, ref)
 
-    def test_height_pole(self, params, config4):
-        # [s0 + 2] = theta1(1) = 0: the check on the L classes refuses it
-        model = ModelParams(tau=params.tau, r=1, L=3, s0=1.0, validate=False)
-        state = StateVector.reference(config4, model)
-        with pytest.raises(PoleError, match=r"dynamical bracket \[s\] "
-                           "vanishes inside column"):
-            monodromy_entry_apply("B", 0.29 + 0.18j, state)
+    def test_height_pole(self, params):
+        # [s0 + 2] = theta1(1) = 0: the model refuses it, so no column
+        # meets a vanishing [s]
+        with pytest.raises(EllipticDomainError,
+                           match=r"bracket vanishes at height s0\+2"):
+            ModelParams(tau=params.tau, r=1, L=3, s0=1.0)
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_face_weight_pole(self, params, config4, rng, dual):

@@ -1,0 +1,57 @@
+"""Module layering of the package: imports inside csoslab point down one
+order, and every intra-package import sits at the top of its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import csoslab
+
+# lowest first; a module may import only the modules before it
+ORDER = ("elliptic", "lattice", "bethe", "scalar", "matel", "thermo",
+         "contract", "cli")
+SRC = Path(csoslab.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def _package_imports(tree):
+    """(node, imported module) for every import of a csoslab module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module != "csoslab" \
+                    and not (node.module or "").startswith("csoslab."):
+                continue
+            base = (node.module or "").removeprefix("csoslab").lstrip(".")
+            if base:
+                yield node, base.split(".")[0]
+            else:   # from . import a, b
+                for alias in node.names:
+                    yield node, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("csoslab."):
+                    yield node, alias.name.split(".")[1]
+
+
+def _tree(name):
+    return ast.parse((SRC / f"{name}.py").read_text(), filename=name)
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) - {"__init__"} == set(ORDER)
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_imports_point_down(name):
+    up = sorted({target for _, target in _package_imports(_tree(name))
+                 if ORDER.index(target) >= ORDER.index(name)})
+    assert not up, f"{name} imports {up}, which are not below it"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_package_imports_at_module_top(name):
+    tree = _tree(name)
+    nested = sorted({node.lineno for node, _ in _package_imports(tree)
+                     if node not in tree.body})
+    assert not nested, f"{name}.py imports csoslab modules at lines {nested}"

@@ -432,19 +432,16 @@ class TestNormMemo:
 
 
 class TestTwistWeightMemo:
-    def test_weights_computed_once_per_height(self, params, ground4,
-                                              monkeypatch):
-        # every mpme_det of the element and every sign calibration asks for
-        # the weights; they are evaluated once per (height, gamma) pair
+    def test_weights_computed_once_per_height(self, ground4, monkeypatch):
+        # every mpme_det of the element asks for the weights; they are
+        # evaluated once per (height, gamma) pair
         S.twist_weights.cache_clear()
         val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), ground4)
         info = S.twist_weights.cache_info()
-        assert info.misses == params.L       # the heights s0 + a, one gamma
+        assert info.misses == 1       # the path's height s0 + 1, one gamma
         assert info.hits + info.misses >= len(ground4) ** 2
         # the same value, to the bit, as weights computed on every use
-        fresh = S.twist_weights.__wrapped__
-        monkeypatch.setattr(M, "twist_weights", fresh)
-        monkeypatch.setattr(T, "twist_weights", fresh)
+        monkeypatch.setattr(M, "twist_weights", S.twist_weights.__wrapped__)
         assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), ground4) == val
 
     def test_cached_weights_are_read_only(self, params):
@@ -456,7 +453,7 @@ class TestTwistWeightMemo:
 
 class _GaudinStores(dict):
     """A root-set memo that counts the entries stored under `key` (the
-    Gaudin kernel by default); with keep=False it drops them, so the entry
+    Gaudin matrix by default); with keep=False it drops them, so the entry
     is computed on every use."""
 
     def __init__(self, keep=True, key="gaudin"):
@@ -478,9 +475,10 @@ class TestGaudinMemo:
             rs.memo = _GaudinStores()
         val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), gs)
         assert [rs.memo.stores for rs in gs.values()] == [1] * len(gs)
-        diag, off = S._gaudin_kernel(gs[(0, 0)])
-        assert not diag.flags.writeable and not off.flags.writeable
-        # the same value, to the bit, as a kernel computed on every use
+        mat = S.gaudin_matrix(gs[(0, 0)])
+        assert not mat.flags.writeable
+        assert S.gaudin_matrix(gs[(0, 0)]) is mat
+        # the same value, to the bit, as a matrix computed on every use
         fresh = B.all_ground_states(config4, params)
         for rs in fresh.values():
             rs.memo = _GaudinStores(keep=False)
@@ -617,8 +615,8 @@ class TestSectorIndependence:
             monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert counts[4] == counts[8], counts
         # each builder stacks its brackets into one call, and so do the
-        # pair relations of check_zetas; the Gaudin kernels sum [x] and [x]'
-        # outside the bracket (one call per factor made 73)
+        # pair relations of check_zetas; the Gaudin matrices come from the
+        # Bethe Jacobian, outside the bracket (one call per factor made 73)
         assert counts[4] == 10, counts
 
     def test_partial_scalar_bracket_calls_do_not_grow_with_L(self,
@@ -703,24 +701,47 @@ class TestFlatBasis:
         config = LatticeConfig(N=8, xi=tuple(0.5 + 1j * y for y in ys))
         gs = B.all_ground_states(config, params)
         labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        signs = M.calibrate_norm_signs(gs)
         worst = 0.0
         for l1 in labels:
             for l2 in labels:
                 if l1 == l2:
                     continue
-                val = M.flat_matrix_element(PATH0, l1, l2, gs, signs=signs)
+                val = M.flat_matrix_element(PATH0, l1, l2, gs)
                 worst = max(worst, abs(val))
         assert worst < 1e-4
 
-    def test_sign_calibration_redraws_gamma(self):
-        # this s0 puts the default gamma on a pole of the one-point
-        # prefactor; the calibration redraws it, as every gamma consumer does
+    def test_flat_value_at_a_thermo_gamma_pole(self):
+        # at this s0 the default gamma sits on a pole of the thermodynamic
+        # one-point prefactor (pair (0,0)-(0,1), height s0); the finite
+        # route reads no thermodynamic value
         params = ModelParams(tau=0.45j, r=1, L=3, s0=-0.2131 - 0.905985j)
         gs = B.all_ground_states(homogeneous_config(6), params)
-        assert set(M.calibrate_norm_signs(gs).values()) <= {1.0, -1.0}
         val = M.finite_lhp(M.vertical_path((1, 2)), ("flat", 0, 0), gs)
         assert np.isfinite(val)
+
+    @pytest.mark.parametrize("L, r", [(3, 1), (3, 2), (5, 2), (7, 3)])
+    @pytest.mark.parametrize("tau", [0.45j, 0.8j])
+    def test_sign_rule_matches_thermo_branch(self, L, r, tau):
+        # oracle: the thermodynamic one-point value of the pair (0,0)-key at
+        # its largest height picks the nearer of +-1 for the finite element;
+        # the rule (-1)^{k n} must be that sign, by a clear margin
+        params = ModelParams(tau=tau, r=r, L=L, s0=tau * L / (2 * r))
+        worst = 0.0
+        for N in (4, 6, 8, 10):
+            gs = B.all_ground_states(homogeneous_config(N), params)
+            signs = M.calibrate_norm_signs(gs)
+            for key in sorted(gs)[1:]:
+                pbs = S.gamma_retry(
+                    lambda g: [T._pbar_bethe_pair(params.height(a), 0.0,
+                                                  key[0], key[1], params, g)
+                               for a in range(L)], params, None)
+                a_max = int(np.argmax(np.abs(pbs)))
+                pb = pbs[a_max]
+                path = M.AdjacentPath(vertices=((1, 1),), heights=(a_max,))
+                val = signs[key] * M.path_element(gs[(0, 0)], gs[key], path,
+                                                  "det")
+                worst = max(worst, abs(val - pb) / abs(val + pb))
+        assert worst < 0.5, worst
 
     def test_horizontal_step(self, params, ground4):
         # a horizontal step draws its argument from the column list, which

@@ -39,6 +39,36 @@ class TestNorms:
         pref = roots.d_fun(u) * br(1.0) / (-br(0.0, order=1))
         assert abs(S.norm_det(roots) - pref * phi) < 1e-10 * abs(pref * phi)
 
+    @pytest.mark.parametrize("tau, r, L, N, solve", [
+        (0.8j, 1, 3, 4, True), (0.45j, 2, 5, 8, True),
+        (0.15 + 0.6j, 1, 3, 6, False), (-0.3 + 0.9j, 2, 5, 8, False)])
+    def test_gaudin_matrix_is_the_bethe_jacobian(self, tau, r, L, N, solve):
+        # independent route: central differences in v of the log ratio of
+        # the two sides of the multiplicative Bethe equations (those of
+        # bethe_residual, brackets at modulus tau); at complex tau on
+        # roots built by hand, where the Jacobian entries are complex
+        params = ModelParams(tau=tau, r=r, L=L, s0=0.41 + 0.13j)
+        config = homogeneous_config(N)
+        roots = (B.solve_ground_state(1, 0, config, params) if solve else
+                 B.BetheRootSet(x=np.linspace(-0.3, 0.25, N // 2), k=1,
+                                ell=0, params=params, config=config))
+        br, n = params.bracket, roots.n
+        off = ~np.eye(n, dtype=bool)
+
+        def sides(v):
+            dv = (v[:, None] - v[None, :])[off].reshape(n, n - 1)
+            lhs = np.prod(br(-dv + 1) / br(-dv), axis=1)
+            rhs = ((-1.0) ** (r * roots.aleph) * roots.omega ** -2
+                   * roots.d_fun(v) * np.prod(br(dv + 1) / br(dv), axis=1))
+            return lhs / rhs
+
+        h = 1e-5
+        jac = np.column_stack([
+            np.log(sides(roots.v + h * e) / sides(roots.v - h * e)) / (2 * h)
+            for e in np.eye(n)])
+        phi = S.gaudin_matrix(roots)
+        assert np.max(np.abs(phi - jac)) < 1e-6 * np.max(np.abs(phi))
+
     def test_gaudin_offdiagonal_even(self, ground4):
         mat = S.gaudin_matrix(ground4[(0, 1)])
         assert abs(mat[0, 1] - mat[1, 0]) < 1e-12

@@ -209,7 +209,7 @@ class TestOnePoint:
         for tau_im in (0.05, 0.02, 0.01):
             tau = 1j * tau_im
             params = ModelParams(tau=tau, r=r, L=L,
-                                 s0=0.3 + tau / (2 * r / L), validate=False)
+                                 s0=0.3 + tau / (2 * r / L))
             for (eps, t), a_star in target.items():
                 vals = np.array([T.one_point_barP(a, 0.0, eps, t, params,
                                                   mode="closed")
