@@ -27,8 +27,8 @@ from .bethe import (_log_ratio_odd, _phi_weights, density_fourier,
 from .scalar import (_check_kappa, _own_d, _sector_q_powers, gamma_retry,
                      twist_weights)
 from .matel import (AdjacentPath, _extended_params, _h_transformed,
-                    _q_transformed, coherent_norms, det_route_zetas,
-                    enumerate_tuples, mpme_det, slot_positions)
+                    _q_transformed, det_route_zetas, enumerate_tuples,
+                    mpme_det, norm_root, slot_positions)
 from .thermo import density, kernel_fourier
 
 FOURIER_MODES = 400
@@ -814,8 +814,7 @@ def mpme_sum_partial(u_set, v_set, path, a1):
             * _phi_weights(v_set)[(a1 + sum(alphas)) % params.L])
     for z in zetas:
         pref /= eigenvalue_tau(z, v_set)
-    nu, nv = coherent_norms(u_set, v_set)
-    return pref * tot / (nu * nv)
+    return pref * tot / (norm_root(u_set) * norm_root(v_set))
 
 
 def marginal_check(u_set, v_set, path, a1):

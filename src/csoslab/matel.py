@@ -216,30 +216,42 @@ def _extended_params(v_roots, zetas):
     return list(v_roots) + list(zetas)[::-1]
 
 
-def _norm_sqrt(root_set):
-    """Square root of the state norm; norm_det runs once per root set."""
-    memo = root_set.memo
-    if "norm" not in memo:
-        memo["norm"] = norm_det(root_set)
-    return complex(np.sqrt(memo["norm"]))
+def norm_root(u_set):
+    """||u||, the square root of the state's own norm N = norm_det(u_set):
+    (-1)^{k n} (i omega)^n sqrt((-1)^n N / omega^{2n}), principal root.
 
-
-def coherent_norms(u_set, v_set):
-    """Square roots of the two state norms on a common branch.
-
-    The squared norms of all ground states divided by omega^{2n} (fixed
-    branch) agree up to exponentially small corrections, so the square
-    roots can be aligned pairwise; this keeps matrix elements between
-    different ground states on the normalization branch the thermodynamic
-    formulas assume, independent of N.
+    (-1)^n N / omega^{2n} is a positive real on every state measured, so
+    the root needs no partner state.  The sign (-1)^{k n} is
+    calibrate_norm_signs(u_set), so a Bethe-basis element carries it for
+    each of its two states.  N depends on the roots only and is memoized;
+    the root reads the twist label and is not (a rebased copy shares its
+    partner's memo).
     """
-    nu = _norm_sqrt(u_set)
-    nv = _norm_sqrt(v_set)
-    rho_u = nu / cmath.exp(u_set.n * u_set.log_omega)
-    rho_v = nv / cmath.exp(v_set.n * v_set.log_omega)
-    if abs(rho_v - rho_u) > abs(rho_v + rho_u):
-        nv = -nv
-    return nu, nv
+    nrm = u_set.memo.get("norm")
+    if nrm is None:
+        nrm = norm_det(u_set)
+        u_set.memo["norm"] = nrm
+    n = u_set.n
+    w_n = u_set.omega_pow(n)
+    return (calibrate_norm_signs(u_set) * 1j ** n * w_n
+            * cmath.sqrt((-1.0) ** n * nrm / w_n ** 2))
+
+
+def calibrate_norm_signs(u_set):
+    """Sign of the norm root of one state: the finite rule (-1)^{k n},
+    n = N/2.
+
+    The square root of a (complex) state norm carries a sign freedom that
+    cancels in every diagonal quantity but enters elements between
+    different ground states.  norm_root fixes the branch within a state;
+    this rule fixes the sign between the k sectors, so every Bethe-basis
+    element carries (-1)^{k n} per state.  At odd L it picks the sign
+    nearer the thermodynamic one-point value of the pair on every case
+    measured ((L, r) = (3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (7, 2),
+    (7, 3) at N = 4-16, (3, 1) up to N = 48); tests/test_matel.py keeps
+    that comparison as an oracle.
+    """
+    return (-1.0) ** (u_set.k * u_set.n)
 
 
 def _omega_ratio_pow(u_set, v_set, z):
@@ -252,11 +264,10 @@ def mpme_bruteforce(u_set, v_set, path, a1):
 
     Works in the gauge where every R-factor is scaled by [u - xi_k + 1], so
     upward steps (arguments xi_i - 1) stay finite; the matching scaled
-    eigenvalue divides the result.
+    eigenvalue divides the result.  Each state enters with its own Bethe
+    vector and its own norm_root.
     """
     params, config = u_set.params, u_set.config
-    if root_collision(u_set, v_set) == "equal":
-        u_set = _rebase_onto(u_set, v_set)
     zetas = path.check_zetas(config, params)[0]
     alphas = path.alphas
     state = bethe_vector(v_set, side="right")
@@ -267,8 +278,7 @@ def mpme_bruteforce(u_set, v_set, path, a1):
         denom *= scaled_eigenvalue(zetas[k], v_set)
     state = local_operator_apply("delta", state, i=1, a=a1)
     val = left_contract(u_set, state)
-    nu, nv = coherent_norms(u_set, v_set)
-    return val / denom / (nu * nv)
+    return val / denom / (norm_root(u_set) * norm_root(v_set))
 
 
 def root_collision(u_set, v_set):
@@ -299,7 +309,10 @@ def _mean_value_pair(u_set, v_set):
     Twist partners omega_u = -omega_v share their root set (the Bethe
     equations see only omega^2); the mean-value kernel applies because the
     twist ratio enters it squared.  A partial overlap has no determinant
-    representation here and is refused.
+    representation here and is refused.  The rebased copy is a kernel
+    device only: mpme_det divides by the norm roots of the caller's own
+    states, taken before the rebase, so its elements carry (-1)^{k n} per
+    state as every Bethe-basis element does.
     """
     kind = root_collision(u_set, v_set)
     if kind == "partial":
@@ -381,6 +394,7 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     n, m = u_set.n, path.m
     s = params.height(a1)
     L = params.L
+    scale = norm_root(v_set) / norm_root(u_set)
     u_set, same = _mean_value_pair(u_set, v_set)
     u, v = u_set.v, v_set.v
     t0 = np.sum(u) - np.sum(v) + gamma
@@ -442,9 +456,7 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
         det_h = _cmul(fac[blk], dets)
         terms[blk] = (gb[blk] * pre[blk] * np.sum(_cmul(det_h, twist), axis=1)
                       / (L * det_phi))
-    total = np.sum(terms)
-    nrm_u, nrm_v = coherent_norms(u_set, v_set)
-    return total * nrm_v / nrm_u
+    return np.sum(terms) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -511,23 +523,6 @@ def _q_transformed(gamma, u, v, zetas, bet, params):
 # finite-size local height probabilities
 # ---------------------------------------------------------------------------
 
-def calibrate_norm_signs(ground_states):
-    """Per-state signs of the norm square roots: the finite rule (-1)^{k n},
-    n = N/2, one sign per key (k, ell).
-
-    The square roots of the (complex) state norms carry a sign freedom
-    that cancels in every diagonal quantity but enters matrix elements
-    between different ground states; coherent_norms puts them on one
-    branch, and this rule fixes the sign left over between the k sectors.
-    At odd L it picks the sign nearer the thermodynamic one-point value of
-    the pair on every case measured ((L, r) = (3, 1), (3, 2), (5, 1),
-    (5, 2), (5, 3), (7, 2), (7, 3) at N = 4-16, (3, 1) up to N = 48);
-    tests/test_matel.py keeps that comparison as an oracle.
-    """
-    return {key: (-1.0) ** (key[0] * rs.n)
-            for key, rs in ground_states.items()}
-
-
 def flat_basis_phases(eps, t_label, params):
     """Coefficients of the discrete Fourier change to the flat-state basis."""
     Lr = params.L - params.r
@@ -539,22 +534,16 @@ def flat_basis_phases(eps, t_label, params):
 
 def flat_matrix_element(path, left_label, right_label, ground_states,
                         method="det"):
-    """Matrix element of the path operator between two flat-basis states,
-    with the norm signs of calibrate_norm_signs.
+    """Matrix element of the path operator between two flat-basis states.
 
     For even L the ground-state family contains twist-partner pairs whose
     root sets coincide modulo the bracket lattice (integer root-sum
     difference); the determinant representation does not cover that case
     and those pair elements fall back to the dense route.  The rotation to
-    the flat basis is an asymptotic (large-N) construction.  At even L the
-    partner pairs stay exactly degenerate at finite N, and the rotated
-    values are not probabilities there: at L = 4 they leave [0, 1] and show
-    no convergence to the thermodynamic values up to N = 16.  Thermodynamic
-    comparisons hold at odd L, the acceptance setting.
+    the flat basis is an asymptotic (large-N) construction.
     """
     params = next(iter(ground_states.values())).params
     Lr = params.L - params.r
-    signs = calibrate_norm_signs(ground_states)
     ph_l = flat_basis_phases(*left_label, params)
     ph_r = flat_basis_phases(*right_label, params)
     tot = 0.0j
@@ -562,7 +551,7 @@ def flat_matrix_element(path, left_label, right_label, ground_states,
         for vk in ph_r:
             val = path_element(ground_states[uk], ground_states[vk], path,
                                method)
-            tot += signs[uk] * signs[vk] * val * ph_r[vk] / ph_l[uk]
+            tot += val * ph_r[vk] / ph_l[uk]
     return tot / (2 * Lr)
 
 

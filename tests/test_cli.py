@@ -324,6 +324,19 @@ class TestConverge:
         assert len(doc["rows"]) == 2
         assert doc["monotone"] is True
 
+    def test_even_L_monotone(self, bond_path, tmp_path):
+        # L = 4, r = 1: the flat route takes the dense fallback for the
+        # twist partners; deviations 6.4e-3, 2.2e-3, 8.1e-4 at N = 4, 6, 8
+        cfg = tmp_path / "even.cfg"
+        cfg.write_text("tau_im = 0.45\nr = 1\nL = 4\ns0 = physical\nN = 4\n"
+                       "xi = homogeneous\n")
+        out = tmp_path / "conv.json"
+        code = cli.main(["converge", "--config", str(cfg),
+                         "--path", bond_path, "--n-list", "4,6,8",
+                         "--resolution", "128", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["monotone"] is True
+
     def test_single_n_no_claim(self, thermo_config, bond_path, tmp_path):
         out = tmp_path / "conv.json"
         code = cli.main(["converge", "--config", thermo_config,

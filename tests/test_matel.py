@@ -249,8 +249,8 @@ class TestDeterminantRepresentation:
 
     def test_m0_reduces_to_form_factor(self, ground4):
         us, vs = ground4[(0, 0)], ground4[(1, 1)]
-        nu, nv = M.coherent_norms(us, vs)
-        ff = C.delta_form_factor(us, vs, 1, route="brute") / (nu * nv)
+        ff = C.delta_form_factor(us, vs, 1, route="brute") / (
+            M.norm_root(us) * M.norm_root(vs))
         det = M.mpme_det(us, vs, PATH0, 1)
         assert abs(det - ff) / abs(ff) < 1e-10
 
@@ -327,11 +327,54 @@ class TestTwistPartners:
         with pytest.raises(DegenerateConfigError):
             M.mpme_det(family_L4[(0, 0)], family_L4[(1, 1)], path0, 0)
 
-    def test_dense_route_handles_partner(self, family_L4):
+    def test_dense_route_handles_partner(self, family_L4, monkeypatch):
+        # the oracle contracts u's own left vector: it reaches neither the
+        # root-set classification nor the rebase of the determinant route
+        def refuse(*args):
+            raise AssertionError("the dense route read the det convention")
+
+        monkeypatch.setattr(M, "root_collision", refuse)
+        monkeypatch.setattr(M, "_rebase_onto", refuse)
         path0 = M.AdjacentPath(vertices=((1, 1),), heights=(0,))
         val = M.mpme_bruteforce(family_L4[(0, 0)], family_L4[(1, 1)],
                                 path0, 0)
         assert np.isfinite(val)
+
+    def test_flat_one_point_tables_are_probabilities(self, monkeypatch):
+        # L = 4, r = 1, physical s0: the twist partners with one root set
+        # and different omega^2 take the dense route.  Every flat label
+        # gives a probability table, and the gap to the closed form falls
+        # with N (9.6e-3, 4.2e-3, 1.5e-3 at N = 4, 6, 8).
+        tau = 0.45j
+        params = ModelParams(tau=tau, r=1, L=4, s0=tau * 2)
+        # the pair elements do not depend on the label: the six labels of
+        # one N share them
+        pair_values = {}
+        element = M.path_element
+
+        def shared(u_set, v_set, path, method):
+            key = (id(u_set), id(v_set), path)
+            if key not in pair_values:
+                pair_values[key] = element(u_set, v_set, path, method)
+            return pair_values[key]
+
+        monkeypatch.setattr(M, "path_element", shared)
+        gaps = []
+        for N in (4, 6, 8):
+            pair_values.clear()
+            gs = B.all_ground_states(homogeneous_config(N), params)
+            gap = 0.0
+            for eps, t in itertools.product((0, 1), range(3)):
+                vals = [M.finite_lhp(
+                    M.AdjacentPath(vertices=((1, 1),), heights=(a,)),
+                    ("flat", eps, t), gs) for a in range(4)]
+                assert abs(sum(vals) - 1.0) < 1e-12, (N, eps, t)
+                assert min(v.real for v in vals) >= -1e-12, (N, eps, t)
+                gap = max(gap, max(
+                    abs(v - T.one_point_barP(a, 0.0, eps, t, params))
+                    for a, v in enumerate(vals)))
+            gaps.append(gap)
+        assert gaps[0] > gaps[1] > gaps[2], gaps
 
 
 class TestOracleBoundary:
@@ -425,9 +468,9 @@ class TestNormMemo:
         val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), gs)
         assert sorted(calls) == [0, 1, 10, 11]
         # the same value, to the bit, as a norm computed on every use
-        monkeypatch.setattr(M, "_norm_sqrt",
-                            lambda rs: complex(np.sqrt(norm_det(rs))))
         fresh = B.all_ground_states(config4, params)
+        for rs in fresh.values():
+            rs.memo = _GaudinStores(keep=False, key="norm")
         assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
 
 
@@ -449,6 +492,25 @@ class TestTwistWeightMemo:
         assert w is S.twist_weights(params.height(1), 0.2 + 0.1j, params)
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+class TestNormRoot:
+    @pytest.mark.parametrize("L, r", [(3, 1), (3, 2), (4, 1), (5, 2)])
+    def test_own_root_needs_no_partner(self, L, r):
+        # the premise of norm_root: (-1)^n N / omega^{2n} is a positive
+        # real on every ground state, so its principal root fixes the
+        # branch of ||u|| from the state alone
+        for tau in (0.45j, 0.8j):
+            for s0 in (tau * L / (2 * r), 0.41 + 0.13j):
+                params = ModelParams(tau=tau, r=r, L=L, s0=s0)
+                for N in (4, 6, 8):
+                    gs = B.all_ground_states(homogeneous_config(N), params)
+                    for rs in gs.values():
+                        nrm = S.norm_det(rs)
+                        ratio = (-1) ** rs.n * nrm / rs.omega_pow(2 * rs.n)
+                        assert abs(np.angle(ratio)) < 1e-10, (N, rs.k, rs.ell)
+                        assert abs(M.norm_root(rs) ** 2 - nrm) < \
+                            1e-14 * abs(nrm)
 
 
 class _GaudinStores(dict):
@@ -678,7 +740,7 @@ class TestFlatBasis:
         import csoslab.bethe as BB
         params = ground4[(0, 0)].params
         us, vs = ground4[(0, 0)], ground4[(1, 1)]
-        nu, nv = M.coherent_norms(us, vs)
+        nrm = M.norm_root(us) * M.norm_root(vs)
         for heights, alpha in (((1, 2), 1), ((1, 0), -1)):
             path = M.vertical_path(heights)
             det = M.mpme_det(us, vs, path, 1)
@@ -690,7 +752,7 @@ class TestFlatBasis:
             acted = StateVector(config4, params,
                                 emat @ rv.amps.reshape(-1))
             acted = local_operator_apply("delta", acted, i=1, a=1)
-            val = BB.left_contract(us, acted) / (nu * nv)
+            val = BB.left_contract(us, acted) / nrm
             assert abs(det - val) / abs(val) < 1e-8
 
     def test_flat_basis_asymptotic_diagonality(self):
@@ -724,12 +786,12 @@ class TestFlatBasis:
     def test_sign_rule_matches_thermo_branch(self, L, r, tau):
         # oracle: the thermodynamic one-point value of the pair (0,0)-key at
         # its largest height picks the nearer of +-1 for the finite element;
-        # the rule (-1)^{k n} must be that sign, by a clear margin
+        # the sign (-1)^{k n} the norm roots give it must be that sign, by a
+        # clear margin
         params = ModelParams(tau=tau, r=r, L=L, s0=tau * L / (2 * r))
         worst = 0.0
         for N in (4, 6, 8, 10):
             gs = B.all_ground_states(homogeneous_config(N), params)
-            signs = M.calibrate_norm_signs(gs)
             for key in sorted(gs)[1:]:
                 pbs = S.gamma_retry(
                     lambda g: [T._pbar_bethe_pair(params.height(a), 0.0,
@@ -738,8 +800,7 @@ class TestFlatBasis:
                 a_max = int(np.argmax(np.abs(pbs)))
                 pb = pbs[a_max]
                 path = M.AdjacentPath(vertices=((1, 1),), heights=(a_max,))
-                val = signs[key] * M.path_element(gs[(0, 0)], gs[key], path,
-                                                  "det")
+                val = M.path_element(gs[(0, 0)], gs[key], path, "det")
                 worst = max(worst, abs(val - pb) / abs(val + pb))
         assert worst < 0.5, worst
 
