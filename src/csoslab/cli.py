@@ -143,44 +143,37 @@ def cmd_lhp(args):
     path = load_path(args.path)
     resolution = thermo.check_resolution(
         args.resolution or int(cfg.get("resolution", "512")))
-    labels = [(eps, t) for eps in (0, 1) for t in range(params.L - params.r)]
+    labels = matel.flat_labels(params)
     shifts = range(params.L)
     config = build_lattice(cfg, params)
-    records = []
-    if args.mode == "finite":
-        gs = bethe.all_ground_states(config, params)
+    finite = args.mode == "finite"
+    gs = bethe.all_ground_states(config, params) if finite else None
+    extra = {"thermo_skipped": None} if finite else {}
+    try:
+        refs = thermo.lhp_table(path, labels, shifts, config, params,
+                                resolution, tolerance=args.tolerance)
+    except ValueError as exc:
+        if not finite:
+            raise
         # a skip reason depends on the path arguments only, so it holds for
         # every record of the table
-        refs, skip_reason = {}, None
-        try:
-            refs = thermo.lhp_table(path, labels, shifts, config, params,
-                                    resolution, tolerance=args.tolerance)
-        except ValueError as exc:
-            skip_reason = str(exc)
-        for eps, t in labels:
-            for c in shifts:
-                sp = _shifted(path, c)
-                val = matel.flat_matrix_element(sp, (eps, t), (eps, t), gs)
-                ref = refs.get((eps, t, c))
-                records.append({"eps": eps, "t": t, "height_shift": c,
-                                "heights": list(sp.heights),
-                                "value_re": float(val.real),
-                                "value_im": float(val.imag),
-                                "error_estimate": None,
-                                "deviation_from_thermo":
-                                None if ref is None else
-                                float(abs(val - ref[0])),
-                                "thermo_skipped": skip_reason})
-    else:
-        table = thermo.lhp_table(path, labels, shifts, config, params,
-                                 resolution, tolerance=args.tolerance)
-        for (eps, t, c), (val, err) in table.items():
+        refs, extra["thermo_skipped"] = {}, str(exc)
+    flat = [matel.flat_matrix_element(_shifted(path, c), gs)
+            for c in shifts] if finite else None
+    records = []
+    for row, (eps, t) in enumerate(labels):
+        for c in shifts:
+            ref = refs.get((eps, t, c))
+            val, err = (flat[c][row, row], None) if finite else ref
+            dev = (float(abs(val - ref[0])) if finite and ref is not None
+                   else None)
             records.append({"eps": eps, "t": t, "height_shift": c,
                             "heights": list(_shifted(path, c).heights),
                             "value_re": float(np.real(val)),
                             "value_im": float(np.imag(val)),
-                            "error_estimate": float(err),
-                            "deviation_from_thermo": None})
+                            "error_estimate": None if err is None
+                            else float(err),
+                            "deviation_from_thermo": dev, **extra})
     doc = {
         "mode": args.mode,
         "path": path.to_json_dict(),
@@ -205,6 +198,9 @@ def cmd_converge(args):
     n_list = [int(tok) for tok in args.n_list.split(",")]
     eps = int(cfg.get("eps", "0"))
     t = int(cfg.get("t", "0"))
+    if (eps, t) not in matel.flat_labels(params):
+        raise ValueError(f"flat label (eps, t) = ({eps}, {t}) is not one of "
+                         f"{matel.flat_labels(params)}")
     resolution = thermo.check_resolution(
         args.resolution or int(cfg.get("resolution", "256")))
     rows = []

@@ -308,11 +308,13 @@ def _mean_value_pair(u_set, v_set):
 
     Twist partners omega_u = -omega_v share their root set (the Bethe
     equations see only omega^2); the mean-value kernel applies because the
-    twist ratio enters it squared.  A partial overlap has no determinant
-    representation here and is refused.  The rebased copy is a kernel
-    device only: mpme_det divides by the norm roots of the caller's own
-    states, taken before the rebase, so its elements carry (-1)^{k n} per
-    state as every Bethe-basis element does.
+    twist ratio enters it squared.  It needs the representatives to
+    coincide too: at r = L - 1 two labels share omega and a root set
+    shifted by one lattice unit per root, and are two states.  A partial
+    overlap has no determinant representation here.  The rebased copy is
+    a kernel device only: mpme_det divides by the norm roots of the
+    caller's own states, taken before the rebase, so its elements carry
+    (-1)^{k n} per state as every Bethe-basis element does.
     """
     kind = root_collision(u_set, v_set)
     if kind == "partial":
@@ -321,9 +323,10 @@ def _mean_value_pair(u_set, v_set):
             "determinant representation")
     if kind == "distinct":
         return u_set, False
-    if abs((v_set.omega / u_set.omega) ** 2 - 1.0) > 1e-8:
-        raise DegenerateConfigError(
-            "coinciding root sets with different omega^2")
+    if (abs(u_set.sum_x() - v_set.sum_x()) > 1e-9
+            or abs((v_set.omega / u_set.omega) ** 2 - 1.0) > 1e-8):
+        raise DegenerateConfigError("coinciding root sets with shifted "
+                                    "representatives or different omega^2")
     return _rebase_onto(u_set, v_set), True
 
 
@@ -523,6 +526,11 @@ def _q_transformed(gamma, u, v, zetas, bet, params):
 # finite-size local height probabilities
 # ---------------------------------------------------------------------------
 
+def flat_labels(params):
+    """The flat-basis labels (eps, t), in report order."""
+    return [(eps, t) for eps in (0, 1) for t in range(params.L - params.r)]
+
+
 def flat_basis_phases(eps, t_label, params):
     """Coefficients of the discrete Fourier change to the flat-state basis."""
     Lr = params.L - params.r
@@ -532,27 +540,23 @@ def flat_basis_phases(eps, t_label, params):
             for k in (0, 1) for ell in range(Lr)}
 
 
-def flat_matrix_element(path, left_label, right_label, ground_states,
-                        method="det"):
-    """Matrix element of the path operator between two flat-basis states.
+def flat_matrix_element(path, ground_states, method="det"):
+    """The path operator in the flat-state basis: the K x K matrix F whose
+    rows and columns follow flat_labels, K = 2(L - r).
 
-    For even L the ground-state family contains twist-partner pairs whose
-    root sets coincide modulo the bracket lattice (integer root-sum
-    difference); the determinant representation does not cover that case
-    and those pair elements fall back to the dense route.  The rotation to
-    the flat basis is an asymptotic (large-N) construction.
+    The pair table E[u, v] = path_element(u, v, path, method) over the
+    ground states is built once.  With Phi[l, u] the phase of state u in
+    label l (flat_basis_phases), F = (1/Phi) E Phi^T / K, the inverse
+    taken entry by entry: the phases are not unimodular at complex s0.
+    The rotation is an asymptotic (large-N) construction.
     """
     params = next(iter(ground_states.values())).params
-    Lr = params.L - params.r
-    ph_l = flat_basis_phases(*left_label, params)
-    ph_r = flat_basis_phases(*right_label, params)
-    tot = 0.0j
-    for uk in ph_l:
-        for vk in ph_r:
-            val = path_element(ground_states[uk], ground_states[vk], path,
-                               method)
-            tot += val * ph_r[vk] / ph_l[uk]
-    return tot / (2 * Lr)
+    rows = [flat_basis_phases(*label, params) for label in flat_labels(params)]
+    states = list(rows[0])
+    phi = np.array([[row[u] for u in states] for row in rows])
+    table = np.array([[path_element(ground_states[u], ground_states[v], path,
+                                    method) for v in states] for u in states])
+    return (1.0 / phi) @ table @ phi.T / len(states)
 
 
 def finite_lhp(path, basis, ground_states, method="det"):
@@ -567,18 +571,18 @@ def finite_lhp(path, basis, ground_states, method="det"):
                             path, method)
     if basis[0] != "flat":
         raise ValueError("basis must be 'bethe' or 'flat'")
-    _, eps, t_label = basis
-    return flat_matrix_element(path, (eps, t_label), (eps, t_label),
-                               ground_states, method=method)
+    params = next(iter(ground_states.values())).params
+    row = flat_labels(params).index(tuple(basis[1:]))
+    return flat_matrix_element(path, ground_states, method)[row, row]
 
 
 def path_element(u_set, v_set, path, method):
     """<u| path |v> times the anchor factor of the path.
 
     method='det' takes mpme_det, and the dense route where the determinant
-    representation does not apply (lattice-coincident twist partners at
-    even L, the pairs det_route_zetas refuses); method='brute' takes the
-    dense route.
+    representation does not apply (the coinciding root sets
+    _mean_value_pair refuses, the pairs det_route_zetas refuses);
+    method='brute' takes the dense route.
     """
     a1 = path.heights[0]
     if method == "det":

@@ -163,6 +163,30 @@ class TestLhpTables:
                    and r["thermo_skipped"] == "degenerate pair"
                    for r in records)
 
+    def test_finite_table_builds_one_pair_table_per_shift(
+            self, thermo_config, tmp_path, monkeypatch):
+        # L = 3, r = 1: one K x K pair table, K = 2(L - r) = 4, for each of
+        # the L height shifts, shared by all K flat labels: L K^2 = 48
+        # pair elements
+        calls = []
+        element = cli.matel.path_element
+
+        def counted(*args):
+            calls.append(1)
+            return element(*args)
+
+        monkeypatch.setattr(cli.matel, "path_element", counted)
+        path = tmp_path / "bond12.json"
+        path.write_text(json.dumps({"vertices": [[1, 1], [2, 1]],
+                                    "heights": [1, 2]}))
+        out = tmp_path / "table.json"
+        code = cli.main(["lhp", "--mode", "finite", "--config", thermo_config,
+                         "--path", str(path), "--resolution", "64",
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert len(json.loads(out.read_text())["records"]) == 3 * 4
+        assert len(calls) == 3 * 4 ** 2
+
     @pytest.mark.parametrize("mode", ["lhp", "converge"])
     def test_thermo_failure_not_swallowed(self, thermo_config, point_path,
                                           tmp_path, monkeypatch, mode):
@@ -336,6 +360,27 @@ class TestConverge:
                          "--resolution", "128", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["monotone"] is True
+
+    @pytest.mark.parametrize("eps, t", [(2, 0), (0, 7), (0, -1)])
+    def test_label_outside_the_family_exit_2(self, bond_path, tmp_path,
+                                             monkeypatch, capsys, eps, t):
+        # L = 3, r = 1 has the flat labels eps in {0, 1}, t in {0, 1}; any
+        # other label is refused before a Bethe or a thermodynamic solve
+        def solved(*args, **kwargs):
+            raise AssertionError("solved before the label was checked")
+
+        monkeypatch.setattr(cli.bethe, "all_ground_states", solved)
+        monkeypatch.setattr(cli.thermo, "multipoint_lhp", solved)
+        cfg = tmp_path / "label.cfg"
+        cfg.write_text("tau_im = 0.45\nr = 1\nL = 3\ns0 = physical\nN = 8\n"
+                       f"xi = homogeneous\neps = {eps}\nt = {t}\n")
+        out = tmp_path / "conv.json"
+        code = cli.main(["converge", "--config", str(cfg),
+                         "--path", bond_path, "--n-list", "8",
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "flat label" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_n_no_claim(self, thermo_config, bond_path, tmp_path):
         out = tmp_path / "conv.json"

@@ -126,7 +126,7 @@ class TestPathGeometry:
         with pytest.raises(DegenerateConfigError, match="too close"):
             M.mpme_det(gs[(0, 0)], gs[(1, 1)], path, 0)
         monkeypatch.undo()
-        assert np.isfinite(M.flat_matrix_element(path, (0, 0), (0, 0), gs))
+        assert np.isfinite(M.flat_matrix_element(path, gs)[0, 0])
 
     def test_json_roundtrip(self, config4):
         doc = PATH2.to_json_dict()
@@ -340,41 +340,44 @@ class TestTwistPartners:
                                 path0, 0)
         assert np.isfinite(val)
 
-    def test_flat_one_point_tables_are_probabilities(self, monkeypatch):
-        # L = 4, r = 1, physical s0: the twist partners with one root set
-        # and different omega^2 take the dense route.  Every flat label
-        # gives a probability table, and the gap to the closed form falls
-        # with N (9.6e-3, 4.2e-3, 1.5e-3 at N = 4, 6, 8).
+    @pytest.mark.parametrize("L, r", [(4, 1), (4, 3), (6, 5)])
+    def test_flat_one_point_tables_are_probabilities(self, L, r):
+        # physical s0: the coinciding root sets the determinant route
+        # refuses take the dense route, among them the (L, L - 1) pair
+        # (0,0)-(1,0) with shifted representatives.  Every flat label gives
+        # a probability table, and the gap to the closed form falls with N:
+        # 9.6e-3, 4.2e-3, 1.5e-3 at (4, 1); 1.25e-3, 2.3e-5, 1.0e-6 at
+        # (4, 3); 8.9e-3, 8.5e-4, 8.3e-5 at (6, 5), for N = 4, 6, 8.
         tau = 0.45j
-        params = ModelParams(tau=tau, r=1, L=4, s0=tau * 2)
-        # the pair elements do not depend on the label: the six labels of
-        # one N share them
-        pair_values = {}
-        element = M.path_element
-
-        def shared(u_set, v_set, path, method):
-            key = (id(u_set), id(v_set), path)
-            if key not in pair_values:
-                pair_values[key] = element(u_set, v_set, path, method)
-            return pair_values[key]
-
-        monkeypatch.setattr(M, "path_element", shared)
+        params = ModelParams(tau=tau, r=r, L=L, s0=tau * L / (2 * r))
+        labels = M.flat_labels(params)
         gaps = []
         for N in (4, 6, 8):
-            pair_values.clear()
             gs = B.all_ground_states(homogeneous_config(N), params)
-            gap = 0.0
-            for eps, t in itertools.product((0, 1), range(3)):
-                vals = [M.finite_lhp(
-                    M.AdjacentPath(vertices=((1, 1),), heights=(a,)),
-                    ("flat", eps, t), gs) for a in range(4)]
-                assert abs(sum(vals) - 1.0) < 1e-12, (N, eps, t)
-                assert min(v.real for v in vals) >= -1e-12, (N, eps, t)
-                gap = max(gap, max(
-                    abs(v - T.one_point_barP(a, 0.0, eps, t, params))
-                    for a, v in enumerate(vals)))
-            gaps.append(gap)
+            # one flat matrix per height; its diagonal holds every label
+            vals = np.array([np.diag(M.flat_matrix_element(
+                M.AdjacentPath(vertices=((1, 1),), heights=(a,)), gs))
+                for a in range(L)])
+            assert np.all(np.abs(vals.sum(axis=0) - 1.0) < 1e-12), N
+            assert vals.real.min() >= -1e-12, N
+            gaps.append(max(
+                abs(vals[a, row] - T.one_point_barP(a, 0.0, eps, t, params))
+                for a in range(L) for row, (eps, t) in enumerate(labels)))
         assert gaps[0] > gaps[1] > gaps[2], gaps
+
+    def test_shifted_representatives_refused(self):
+        # (4, 3): labels (0,0) and (1,0) share omega and a root set, with
+        # representatives shifted by one lattice unit per root; the
+        # mean-value kernel gets this pair wrong, so the route refuses it
+        tau = 0.45j
+        params = ModelParams(tau=tau, r=3, L=4, s0=tau * 4 / 6)
+        gs = B.all_ground_states(homogeneous_config(4), params)
+        us, vs = gs[(0, 0)], gs[(1, 0)]
+        assert M.root_collision(us, vs) == "equal"
+        assert abs(us.sum_x() - vs.sum_x() + 2.0) < 1e-12
+        with pytest.raises(DegenerateConfigError, match="shifted"):
+            M.mpme_det(us, vs, M.AdjacentPath(vertices=((1, 1),),
+                                              heights=(0,)), 0)
 
 
 class TestOracleBoundary:
@@ -397,7 +400,7 @@ class TestOracleBoundary:
         B.bethe_vector(roots, side="left")
         assert B.eigenstate_residual(roots, 0.23 + 0.11j, side="left") < 1e-8
         S.norm_det(roots)
-        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), ground4)
+        val = M.flat_matrix_element(PATH1, ground4)[0, 0]
         assert np.isfinite(val)
 
 
@@ -465,13 +468,13 @@ class TestNormMemo:
             return norm_det(root_set)
 
         monkeypatch.setattr(M, "norm_det", counted)
-        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), gs)
+        val = M.flat_matrix_element(PATH1, gs)[0, 0]
         assert sorted(calls) == [0, 1, 10, 11]
         # the same value, to the bit, as a norm computed on every use
         fresh = B.all_ground_states(config4, params)
         for rs in fresh.values():
             rs.memo = _GaudinStores(keep=False, key="norm")
-        assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
+        assert M.flat_matrix_element(PATH1, fresh)[0, 0] == val
 
 
 class TestTwistWeightMemo:
@@ -479,13 +482,13 @@ class TestTwistWeightMemo:
         # every mpme_det of the element asks for the weights; they are
         # evaluated once per (height, gamma) pair
         S.twist_weights.cache_clear()
-        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), ground4)
+        val = M.flat_matrix_element(PATH1, ground4)[0, 0]
         info = S.twist_weights.cache_info()
         assert info.misses == 1       # the path's height s0 + 1, one gamma
         assert info.hits + info.misses >= len(ground4) ** 2
         # the same value, to the bit, as weights computed on every use
         monkeypatch.setattr(M, "twist_weights", S.twist_weights.__wrapped__)
-        assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), ground4) == val
+        assert M.flat_matrix_element(PATH1, ground4)[0, 0] == val
 
     def test_cached_weights_are_read_only(self, params):
         w = S.twist_weights(params.height(1), 0.2 + 0.1j, params)
@@ -535,7 +538,7 @@ class TestGaudinMemo:
         gs = B.all_ground_states(config4, params)
         for rs in gs.values():
             rs.memo = _GaudinStores()
-        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), gs)
+        val = M.flat_matrix_element(PATH1, gs)[0, 0]
         assert [rs.memo.stores for rs in gs.values()] == [1] * len(gs)
         mat = S.gaudin_matrix(gs[(0, 0)])
         assert not mat.flags.writeable
@@ -544,7 +547,7 @@ class TestGaudinMemo:
         fresh = B.all_ground_states(config4, params)
         for rs in fresh.values():
             rs.memo = _GaudinStores(keep=False)
-        assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
+        assert M.flat_matrix_element(PATH1, fresh)[0, 0] == val
         assert all(rs.memo.stores > 1 for rs in fresh.values())
 
 
@@ -554,7 +557,7 @@ class TestGaudinMemo:
         gs = B.all_ground_states(config4, params)
         for rs in gs.values():
             rs.memo = _GaudinStores(key="d")
-        val = M.flat_matrix_element(PATH1, (0, 0), (0, 0), gs)
+        val = M.flat_matrix_element(PATH1, gs)[0, 0]
         assert [rs.memo.stores for rs in gs.values()] == [1] * len(gs)
         us = gs[(0, 0)]
         d = S._own_d(us)
@@ -562,7 +565,7 @@ class TestGaudinMemo:
         fresh = B.all_ground_states(config4, params)
         for rs in fresh.values():
             rs.memo = _GaudinStores(keep=False, key="d")
-        assert M.flat_matrix_element(PATH1, (0, 0), (0, 0), fresh) == val
+        assert M.flat_matrix_element(PATH1, fresh)[0, 0] == val
         assert all(rs.memo.stores > 1 for rs in fresh.values())
 
 
@@ -708,13 +711,12 @@ class TestSectorIndependence:
 
 class TestFlatBasis:
     def test_rows_sum_to_one(self, ground4):
+        # one flat matrix per height; its diagonal holds every label
         params = ground4[(0, 0)].params
-        for eps in (0, 1):
-            for t in (0, 1):
-                tot = sum(M.finite_lhp(
-                    M.AdjacentPath(vertices=((1, 1),), heights=(a,)),
-                    ("flat", eps, t), ground4) for a in range(params.L))
-                assert abs(tot - 1.0) < 1e-9
+        tot = sum(M.flat_matrix_element(
+            M.AdjacentPath(vertices=((1, 1),), heights=(a,)), ground4)
+            for a in range(params.L))
+        assert np.all(np.abs(np.diag(tot) - 1.0) < 1e-9)
 
     def test_bethe_basis_route(self, ground4):
         val = M.finite_lhp(PATH1, ("bethe", 0, 0, 1, 1), ground4)
@@ -762,15 +764,9 @@ class TestFlatBasis:
         ys = (0.04, -0.03, 0.02, -0.05, 0.035, -0.02, 0.05, -0.04)
         config = LatticeConfig(N=8, xi=tuple(0.5 + 1j * y for y in ys))
         gs = B.all_ground_states(config, params)
-        labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        worst = 0.0
-        for l1 in labels:
-            for l2 in labels:
-                if l1 == l2:
-                    continue
-                val = M.flat_matrix_element(PATH0, l1, l2, gs)
-                worst = max(worst, abs(val))
-        assert worst < 1e-4
+        flat = M.flat_matrix_element(PATH0, gs)
+        assert flat.shape == (4, 4)
+        assert np.max(np.abs(flat - np.diag(np.diag(flat)))) < 1e-4
 
     def test_flat_value_at_a_thermo_gamma_pole(self):
         # at this s0 the default gamma sits on a pole of the thermodynamic
