@@ -15,7 +15,7 @@ from .bethe import (BetheRootSet, all_ground_states, bethe_residual,
 from .scalar import gaudin_matrix, norm_det
 from .matel import (AdjacentPath, finite_lhp, mpme_bruteforce, mpme_det,
                     vertical_path)
-from .thermo import (density, fredholm_det, kernel_fourier, lhp_table,
-                     multipoint_lhp, one_point_barP)
+from .thermo import lhp_table, multipoint_lhp, one_point_barP
+from .contract import density, fredholm_det, kernel_fourier
 
 __version__ = "0.1.0"

@@ -6,8 +6,9 @@ against an independent check, within its own pinned tolerance.
 worst residual over seeds 1-20 and the acceptance seeds, and the
 `acceptance` rows of the finite-size criteria.  A row of 0 is exact.
 The module also holds the checks and formulas that no production route
-calls: the identity residuals, the partial scalar products, and the
-oracles of the finite-size formulas.
+calls: the identity residuals, the oracle forms of the appendix C and D
+quantities, the partial scalar products, and the oracles of the
+finite-size formulas.
 """
 
 import cmath
@@ -15,21 +16,22 @@ import math
 
 import numpy as np
 
-from . import thermo
-from .elliptic import (DegenerateConfigError, ModelParams, PoleError,
-                       _JACOBI_PARTNER, theta)
+from .elliptic import (DegenerateConfigError, EllipticDomainError,
+                       ModelParams, PoleError, _JACOBI_PARTNER, stacked,
+                       theta, theta_log)
 from .lattice import (LatticeConfig, StateVector, _dense_from_apply,
                       _entries_batch, _local_batch, guard_dense,
                       homogeneous_config, local_operator_apply,
                       monodromy_entry_apply, monodromy_entry_dense)
-from .bethe import (_log_ratio_odd, _phi_weights, density_fourier,
-                    eigenvalue_tau, p0_tot)
+from .bethe import (_log_ratio_odd, _phi_weights, all_ground_states,
+                    density_fourier, eigenvalue_tau, momentum_shifts, p0_tot)
 from .scalar import (_check_kappa, _own_d, _sector_q_powers, gamma_retry,
                      twist_weights)
 from .matel import (AdjacentPath, _extended_params, _h_transformed,
                     _q_transformed, det_route_zetas, enumerate_tuples,
-                    mpme_det, norm_root, slot_positions)
-from .thermo import density, kernel_fourier
+                    flat_basis_phases, mpme_bruteforce, mpme_det, norm_root,
+                    slot_positions, vertical_path)
+from .thermo import _exp_clamped, _theta1_prime0, one_point_barP
 
 FOURIER_MODES = 400
 
@@ -80,6 +82,44 @@ TOL = {
         "nu_vs_closed_L4": 5e-14,         # 2.1e-15
         "normalization_L4": 5e-14,        # 1.6e-15
         "parity_zero_L4": 0.0,            # exact
+    },
+    # fixed inputs (see _suite_oracle): each comment is the one measured
+    # gap, det against dense, relative to the family's largest element
+    "oracle": {
+        "L2_r1_m0": 1e-14,                # 2.7e-16
+        "L2_r1_m1": 1e-14,                # 2.4e-16
+        "L3_r1_m0": 2e-13,                # 5.1e-15
+        "L3_r1_m1": 2e-13,                # 5.1e-15
+        "L3_r2_m0": 5e-13,                # 1.3e-14
+        "L3_r2_m1": 5e-12,                # 1.1e-13
+        "L4_r1_m0": 1e-13,                # 2.8e-15
+        "L4_r1_m1": 1e-13,                # 2.4e-15
+        "L4_r3_m0": 2e-14,                # 5.6e-16
+        "L4_r3_m1": 1e-13,                # 3.7e-15
+        "L5_r1_m0": 1e-12,                # 2.6e-14
+        "L5_r1_m1": 5e-13,                # 1.4e-14
+        "L5_r2_m0": 2e-12,                # 4.1e-14
+        "L5_r2_m1": 5e-13,                # 1.8e-14
+        "L5_r3_m0": 5e-13,                # 1.3e-14
+        "L5_r3_m1": 2e-12,                # 8.7e-14
+        "L5_r4_m0": 2e-13,                # 4.7e-15
+        "L5_r4_m1": 5e-12,                # 1.3e-13
+        "L6_r1_m0": 2e-13,                # 4.9e-15
+        "L6_r1_m1": 2e-13,                # 5.2e-15
+        "L6_r5_m0": 5e-15,                # 1.3e-16
+        "L6_r5_m1": 2e-14,                # 7.8e-16
+        "L7_r1_m0": 5e-13,                # 1.0e-14
+        "L7_r1_m1": 2e-13,                # 6.1e-15
+        "L7_r2_m0": 2e-13,                # 5.5e-15
+        "L7_r2_m1": 1e-13,                # 2.9e-15
+        "L7_r3_m0": 5e-13,                # 1.2e-14
+        "L7_r3_m1": 2e-13,                # 7.3e-15
+        "L7_r4_m0": 2e-13,                # 4.2e-15
+        "L7_r4_m1": 5e-13,                # 1.6e-14
+        "L7_r5_m0": 2e-12,                # 6.2e-14
+        "L7_r5_m1": 1e-10,                # 2.3e-12
+        "L7_r6_m0": 1e-12,                # 2.3e-14
+        "L7_r6_m1": 5e-12,                # 1.8e-13
     },
     # finite-size checks of the acceptance suite, and its time budgets
     "acceptance": {
@@ -498,6 +538,272 @@ def resolvent_equation_residual(Y, X, zeta, params):
 
 
 # ---------------------------------------------------------------------------
+# appendix C and D oracle forms of the thermodynamic side: the root density
+# ---------------------------------------------------------------------------
+
+def rho_homogeneous(z, params):
+    """Root density of the homogeneous model (theta closed form)."""
+    et = params.eta_tilde
+    num = theta(1, 0, et, order=1) * theta(3, np.asarray(z), et)
+    den = theta(2, 0, et) * theta(4, np.asarray(z), et)
+    return num / den / (2.0 * math.pi)
+
+
+def density(z, config, params):
+    """rho_tot(z): inhomogeneity-averaged root density."""
+    sh = momentum_shifts(config, params)
+    vals = rho_homogeneous(np.asarray(z)[..., None] - sh, params)
+    return vals.mean(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# kernel family and Fourier coefficients
+# ---------------------------------------------------------------------------
+
+def _strip_check(t, tau):
+    if not 0 < complex(t).imag < complex(tau).imag:
+        raise EllipticDomainError(
+            f"parameter {t} outside the strip 0 < Im t < Im tau = {tau}")
+
+
+def _exp_ratio(a, z):
+    """e^{2 pi i a} / (1 - e^{2 pi i z}), stable for Im(z) of either sign."""
+    if complex(z).imag >= 0.0:
+        den = 1.0 - cmath.exp(2j * math.pi * z)
+        if abs(den) < 1e-14:
+            raise PoleError("vanishing denominator in Fourier coefficient")
+        return cmath.exp(2j * math.pi * a) / den
+    den = 1.0 - cmath.exp(-2j * math.pi * z)
+    if abs(den) < 1e-14:
+        raise PoleError("vanishing denominator in Fourier coefficient")
+    return -cmath.exp(2j * math.pi * (a - z)) / den
+
+
+def kernel_fourier(kernel_id, m, params, **kw):
+    """Closed-form Fourier coefficient of one of the 1-periodic kernels.
+
+    kernel_id in {'theta0', 'theta_Xt', 'p0prime', 'K', 'K_XY', 't_XY'};
+    keyword arguments supply t, X, Y, zeta as needed.
+    """
+    tt = params.tau_tilde
+    et = params.eta_tilde
+    if kernel_id == "theta0":
+        t = kw["t"]
+        _strip_check(t, tt)
+        if m == 0:
+            return 0.5
+        return _exp_ratio(m * t, m * tt)
+    if kernel_id == "theta_Xt":
+        t, X = kw["t"], kw["X"]
+        _strip_check(t, tt)
+        return _exp_ratio(m * t, X + m * tt)
+    if kernel_id == "p0prime":
+        if m == 0:
+            return 2.0 * math.pi
+        am = abs(m)
+        return (2.0 * math.pi * np.exp(1j * math.pi * am * et)
+                * (1 - np.exp(2j * math.pi * am * (tt - et)))
+                / (1 - np.exp(2j * math.pi * am * tt)))
+    if kernel_id == "K":
+        if m == 0:
+            return 1.0
+        am = abs(m)
+        return (np.exp(2j * math.pi * am * et)
+                * (1 - np.exp(2j * math.pi * am * (tt - 2 * et)))
+                / (1 - np.exp(2j * math.pi * am * tt)))
+    if kernel_id == "K_XY":
+        X, Y = kw["X"], kw["Y"]
+        return (_exp_ratio(Y + m * et, X + m * tt)
+                + _exp_ratio(-Y - m * et, -X - m * tt))
+    if kernel_id == "t_XY":
+        X, Y, zeta = kw["X"], kw["Y"], kw["zeta"]
+        return (_exp_ratio(Y + m * et - m * zeta, X + m * tt)
+                + _exp_ratio(-m * zeta, -X - m * tt))
+    raise ValueError(f"unknown kernel id {kernel_id!r}")
+
+
+# ---------------------------------------------------------------------------
+# Fredholm determinants
+# ---------------------------------------------------------------------------
+
+def _nome_products(params, M):
+    tt, et = params.tau_tilde, params.eta_tilde
+    qt = np.exp(2j * math.pi * tt * np.arange(1, M + 1))
+    qe = np.exp(2j * math.pi * et * np.arange(1, M + 1))
+    qte = np.exp(2j * math.pi * (tt - et) * np.arange(1, M + 1))
+    return qt, qe, qte
+
+
+def fredholm_det(which, mode, params, X=None, Y=None, modes=200):
+    """Fredholm determinants of the convolution kernels on [-1/2, 1/2].
+
+    which: 'base' (1 + K - V0), 'XY' (1 + K_X^(Y)), or 'ratio'.
+    mode: 'closed' evaluates the theta/product expressions (tail truncated
+    at `modes`); 'truncated' multiplies eigenvalues 1 + c_m for |m| <= modes
+    (not for the ratio, which has its closed form only).
+    """
+    if mode not in (("closed",) if which == "ratio"
+                    else ("closed", "truncated")):
+        raise ValueError(f"unknown mode {mode!r} for {which!r}")
+    eta = params.eta
+    tt, et = params.tau_tilde, params.eta_tilde
+    if which == "base":
+        if mode == "truncated":
+            out = 2.0 * (1.0 - eta)
+            for m in range(1, modes + 1):
+                lam = 1.0 + kernel_fourier("K", m, params)
+                if lam == 0.0:
+                    raise PoleError("singular integral operator: 1 + K_m = 0")
+                out *= lam ** 2
+            return out
+        qt, qe, qte = _nome_products(params, modes)
+        return 2.0 * (1.0 - eta) * np.prod((1 + qe) ** 2 * (1 - qte) ** 2
+                                           / (1 - qt) ** 2)
+    if which == "XY":
+        if mode == "truncated":
+            out = 1.0 + 0.0j
+            for m in range(-modes, modes + 1):
+                lam = 1.0 + kernel_fourier("K_XY", m, params, X=X, Y=Y)
+                if lam == 0.0:
+                    raise PoleError("singular integral operator: 1 + c_m = 0")
+                out *= lam
+            return out
+        qt, qe, qte = _nome_products(params, modes)
+        pref = (theta(1, X - Y, tt - et) * theta(2, Y, et) / theta(1, X, tt))
+        return pref * np.prod((1 - qt) / ((1 - qe) * (1 - qte)))
+    if which == "ratio":
+        return (theta(1, X - Y, tt - et) / theta(1, 0, tt - et, order=1)
+                * theta(1, 0, tt, order=1) / theta(1, X, tt)
+                * theta(2, Y, et) / theta(2, 0, et) / (1.0 - eta))
+    raise ValueError(f"unknown determinant {which!r}")
+
+
+# ---------------------------------------------------------------------------
+# the one-point factor as a twist sum and in the rotated modulus
+# ---------------------------------------------------------------------------
+
+def _pbar_bethe_pair(s, Z, kk, ll, params, gamma):
+    """Dressing factor P(s, Z; k, l) between two ground-state labels.
+
+    Twist-sum representation; gamma is the untilded free parameter, the
+    tilded one is gamma_t = eta_tilde * gamma.
+    """
+    L, r, eta = params.L, params.r, params.eta
+    Lr = L - r
+    tt, et = params.tau_tilde, params.eta_tilde
+    gt = et * gamma
+    D = (L * kk + 2.0 * ll) / (2.0 * Lr)
+    # one theta call per (kind, modulus, order)
+    den, num = stacked(lambda z: theta(1, z, tt), Z - D + gt + et * s, et * s)
+    if np.min(np.abs(den)) < 1e-13:
+        raise PoleError("one-point prefactor pole; redraw gamma")
+    pref = (np.exp(-1j * math.pi * s * (-(r * kk + 2.0 * ll) / Lr
+                                        + 2.0 * eta * gt))
+            * num / (et * den))
+    nu = np.arange(L).reshape((L,) + (1,) * np.ndim(Z))
+    th2, th2_0 = stacked(lambda z: theta(2, z, et),
+                         Z - D + eta * (gt - nu), 0)
+    tot = np.sum(twist_weights(s, gamma, params).reshape(nu.shape)
+                 * theta(1, (1 - eta) * gt + eta * nu, tt - et)
+                 / _theta1_prime0(tt - et)
+                 * th2 / th2_0, axis=0)
+    return pref * tot / Lr
+
+
+def _pbar_bethe_pair_fred(s, Z, kk, ll, params, gamma):
+    """Same quantity with the explicit Fredholm-determinant ratio."""
+    L, r, eta = params.L, params.r, params.eta
+    Lr = L - r
+    tt, et = params.tau_tilde, params.eta_tilde
+    gt = et * gamma
+    D = (L * kk + 2.0 * ll) / (2.0 * Lr)
+    pref = (np.exp(-1j * math.pi * s * (kk - (L * kk + 2.0 * ll) / Lr
+                                        + 2.0 * eta * gt))
+            * theta(1, et * s, tt) * theta(1, -D + gt, tt)
+            / (et * theta(1, 0, tt, order=1)
+               * theta(1, Z - D + gt + et * s, tt)))
+    nu = np.arange(L).reshape((L,) + (1,) * np.ndim(Z))
+    ratio = fredholm_det("ratio", "closed", params,
+                         X=gt - D, Y=eta * (gt - nu) - D)
+    tot = np.sum(twist_weights(s, gamma, params).reshape(nu.shape) * ratio
+                 * theta(2, Z - D + eta * (gt - nu), et)
+                 / theta(2, -D + eta * (gt - nu), et), axis=0)
+    return pref * tot / L
+
+
+def _pbar_bethe_pair_alt(s, Z, kk, ll, params, gamma):
+    """Summation-swapped representation (series over the dual index j)."""
+    L, r, eta = params.L, params.r, params.eta
+    Lr = L - r
+    tt, et = params.tau_tilde, params.eta_tilde
+    gt = et * gamma
+    D = (L * kk + 2.0 * ll) / (2.0 * Lr)
+    jmax = max(12, int(7.0 / math.sqrt(complex(et).imag)))
+    pref = np.exp(1j * math.pi * s * (r * kk + 2.0 * ll) / Lr) / Lr
+    js = range(-jmax, jmax + 1)
+    ths, thz, thg, *thj = stacked(      # three factors per j
+        lambda z: theta(1, z, tt), et * s, Z - D + gt + et * s, gt,
+        *(x for j in js
+          for x in (gt - D + Z + et * j, gt + et * (s - j), et * (s - j))))
+    tp_dual, th2_0 = theta(1, 0, tt - et, order=1), theta(2, 0, et)
+    tp = theta(1, 0, tt, order=1)
+    tot = 0.0j
+    for j, num_j, num_sj, den_sj in zip(js, thj[::3], thj[1::3], thj[2::3]):
+        tot += (np.exp(1j * math.pi * et * j * j)
+                * np.exp(2j * math.pi * j * (Z - D))
+                * ths * num_j / (thz * tp_dual * th2_0)
+                * num_sj * tp / (den_sj * thg))
+    return pref * tot
+
+
+def one_point_twist_sum(pair, a, Z, eps, t_label, params, gamma=None):
+    """P(s0+a, Z; eps, t) as the flat-basis sum over the ground-state labels
+    of a dressing factor: `pair` is one of _pbar_bethe_pair (twist sum),
+    _pbar_bethe_pair_fred (explicit Fredholm ratio) or _pbar_bethe_pair_alt
+    (dual series).  The value does not depend on gamma; unset, the
+    reproducible default is redrawn off a prefactor pole."""
+    s = params.height(a)
+    phases = flat_basis_phases(eps, t_label, params).items()
+    return gamma_retry(lambda g: sum(
+        phase * pair(s, Z, kk, ll, params, g)
+        for (kk, ll), phase in phases), params, gamma)
+
+
+def one_point_closed_tilde(a, Z, eps, t_label, params):
+    """P(s0+a, Z; eps, t) in the rotated modulus tau_tilde, against which
+    `thermo.one_point_barP` is checked."""
+    L, r = params.L, params.r
+    Lr = L - r
+    s = params.height(a)
+    tt, et = params.tau_tilde, params.eta_tilde
+    st = s + 1.0 / (2.0 * et)
+    st0 = params.s0 + 1.0 / (2.0 * et)
+    Z = np.asarray(Z, dtype=complex)
+    lg = (1j * math.pi * et * (t_label + st0 - st) ** 2
+          - 2j * math.pi * (t_label + st0 - st) * Z
+          + theta_log(2, et * st, tt)
+          - theta_log(2, 0, et)
+          - theta_log(2, et * (st0 + t_label), tt - et)
+          + math.log(2.0))
+    if L % 2 == 0:
+        if (eps + t_label - a) % 2 != 0:
+            return (np.zeros(Z.shape, dtype=complex) if Z.ndim
+                    else 0.0 + 0.0j)
+        lg = lg + theta_log(3, r * et * st - Lr * Z
+                            + r * (t_label + st0 - st) * tt, r * Lr * tt)
+        return _exp_clamped(lg)
+    w = eps + t_label + st0 - st
+    lg = lg + (1j * math.pi * r * Lr * tt * w * w
+               - 2j * math.pi * w * (r * et * st
+                                     + r * (t_label + st0 - st) * tt
+                                     - Lr * Z)
+               + theta_log(3, 2 * r * et * st - 2 * Lr * Z
+                           + 2 * r * (t_label + st0 - st) * tt
+                           - 2 * r * w * Lr * tt, 4 * r * Lr * tt))
+    return _exp_clamped(lg)
+
+
+# ---------------------------------------------------------------------------
 # identity suites: residual name -> worst residual over the draws
 # ---------------------------------------------------------------------------
 
@@ -593,13 +899,13 @@ def _suite_appendixC(rng, draws):
     X = complex(rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.2))
     Y = complex(rng.uniform(0.2, 0.5), rng.uniform(-0.3, -0.1))
     out = {}
-    base_t = thermo.fredholm_det("base", "truncated", params)
-    base_c = thermo.fredholm_det("base", "closed", params)
+    base_t = fredholm_det("base", "truncated", params)
+    base_c = fredholm_det("base", "closed", params)
     out["fredholm_base"] = abs(base_t - base_c) / abs(base_c)
-    xy_t = thermo.fredholm_det("XY", "truncated", params, X=X, Y=Y)
-    xy_c = thermo.fredholm_det("XY", "closed", params, X=X, Y=Y)
+    xy_t = fredholm_det("XY", "truncated", params, X=X, Y=Y)
+    xy_c = fredholm_det("XY", "closed", params, X=X, Y=Y)
     out["fredholm_XY"] = abs(xy_t - xy_c) / abs(xy_c)
-    ratio = thermo.fredholm_det("ratio", "closed", params, X=X, Y=Y)
+    ratio = fredholm_det("ratio", "closed", params, X=X, Y=Y)
     out["fredholm_ratio"] = abs(ratio - xy_c / base_c) / abs(ratio)
     circle = 0.013 * np.exp(2j * math.pi * np.arange(64) / 64)
     res = 2j * math.pi * np.mean(resolvent_S(Y, circle, params) * circle)
@@ -629,20 +935,47 @@ def _suite_appendixD(rng, draws):
             for t in range(L - r):
                 tot = 0.0j
                 for a in range(L):
-                    v1 = thermo.one_point_barP(a, Z, eps, t, params,
-                                               mode="nu_sum")
-                    v2 = thermo.one_point_barP(a, Z, eps, t, params,
-                                               mode="closed")
+                    v1 = one_point_twist_sum(_pbar_bethe_pair, a, Z, eps, t,
+                                             params)
+                    v2 = one_point_barP(a, Z, eps, t, params)
                     if L % 2 == 0 and (eps + t - a) % 2 != 0:
                         parity = max(parity, abs(v2))
                     worst = max(worst, abs(v1 - v2))
-                    tot += thermo.one_point_barP(a, 0.0, eps, t, params,
-                                                 mode="nu_sum")
+                    tot += one_point_twist_sum(_pbar_bethe_pair, a, 0.0, eps,
+                                               t, params)
                 norm = max(norm, abs(tot - 1.0))
         out[f"nu_vs_closed_L{L}"] = worst
         out[f"normalization_L{L}"] = norm
         if L % 2 == 0:
             out[f"parity_zero_L{L}"] = parity
+    return out
+
+
+def _suite_oracle(rng, draws):
+    """mpme_det against mpme_bruteforce on every ground-state pair of each
+    coprime (L, r) with L <= 7: tau = 0.45i, physical s0, a homogeneous
+    column of N = 4 and the paths (1,) and (1, 2).  Each gap is taken
+    relative to the largest |dense| element of the family's table, since
+    some elements are exactly zero; pairs the determinant route refuses
+    are not compared.  The inputs are fixed: rng and draws are unused."""
+    tau = 0.45j
+    out = {}
+    for L, r in ((L, r) for L in range(2, 8) for r in range(1, L)
+                 if math.gcd(L, r) == 1):
+        params = ModelParams(tau=tau, r=r, L=L, s0=tau / (2.0 * r / L))
+        states = list(all_ground_states(homogeneous_config(4),
+                                        params).values())
+        for path in (vertical_path((1,)), vertical_path((1, 2))):
+            scale, gap = 0.0, 0.0
+            for u in states:
+                for v in states:
+                    dense = mpme_bruteforce(u, v, path, 1)
+                    scale = max(scale, abs(dense))
+                    try:
+                        gap = max(gap, abs(mpme_det(u, v, path, 1) - dense))
+                    except DegenerateConfigError:
+                        pass
+            out[f"L{L}_r{r}_m{path.m}"] = gap / scale
     return out
 
 
@@ -652,6 +985,7 @@ SUITES = {
     "appendixB": _suite_appendixB,
     "appendixC": _suite_appendixC,
     "appendixD": _suite_appendixD,
+    "oracle": _suite_oracle,
 }
 
 

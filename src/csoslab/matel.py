@@ -515,6 +515,11 @@ def _q_transformed(gamma, u, v, zetas, bet, params):
     bt, bvz, buz, bvzt, buzp, bvzp, buzm, bvzm, bvztp, bvztm = \
         params.brackets(t, vz, uz, vz + t, uz + 1, vz + 1, uz - 1, vz - 1,
                         vz + t + 1, vz + t - 1)
+    if any(np.any(np.abs(b) < 1e-10)
+           for b in (bvz, buz, bvzp, buzp, bvzm, buzm)):
+        raise DegenerateConfigError(
+            "a Bethe root sits on a path argument z or on z +- 1, where the "
+            "path block of the determinant representation is singular")
     prod_p = np.prod(bvz / buz * buzp / bvzp, axis=0)
     prod_m = np.prod(bvz / buz * buzm / bvzm, axis=0)
     return (params.bracket_prime0 / bt) * (
@@ -581,7 +586,8 @@ def path_element(u_set, v_set, path, method):
 
     method='det' takes mpme_det, and the dense route where the determinant
     representation does not apply (the coinciding root sets
-    _mean_value_pair refuses, the pairs det_route_zetas refuses);
+    _mean_value_pair refuses, the pairs det_route_zetas refuses, a root on
+    a path argument z or z +- 1, which _q_transformed refuses);
     method='brute' takes the dense route.
     """
     a1 = path.heights[0]

@@ -1,10 +1,13 @@
-"""Thermodynamic limit: densities, Fredholm determinants, and multi-point
-local height probabilities as multiple integrals.
+"""Thermodynamic limit: multi-point local height probabilities as
+multiple integrals over the closed one-point factor.
 
 Unless a modulus is written explicitly, theta functions in this module use
-the rotated quasi-period tau_tilde = -1/tau; the kernel family lives at
-modulus eta_tilde, and the closed one-point formulas mix moduli built from
-(r, L) as indicated at each site.
+the rotated quasi-period tau_tilde = -1/tau; the Cauchy core lives at
+modulus eta_tilde, and the closed one-point formula mixes moduli built from
+(r, L) as indicated at each site.  The other forms of the appendix C and D
+quantities (densities, Fredholm determinants, kernel Fourier coefficients,
+the twist-sum and rotated-modulus one-point forms) are oracles, in
+`csoslab.contract`.
 
 The multi-point integrals run each variable over the period [-1/2, 1/2]
 plus small circles around the path arguments: a lambda attached to a
@@ -14,163 +17,19 @@ integrand has simple poles there and the circle parts reduce to residues,
 evaluated exactly; the segment part is a periodic trapezoid sum.
 """
 
-import cmath
 import functools
 import itertools
 import math
 
 import numpy as np
 
-from .elliptic import (AccuracyError, DegenerateConfigError,
-                       EllipticDomainError, PoleError, stacked, theta,
+from .elliptic import (AccuracyError, DegenerateConfigError, stacked, theta,
                        theta_log)
-from .bethe import momentum_shifts
-from .scalar import gamma_retry, twist_weights
-from .matel import flat_basis_phases, slot_positions
+from .matel import slot_positions
 
 # an m = 3 quadrature grid is summed in slabs of the leading axis holding
 # at most this many points
 SLAB_POINTS = 1 << 21
-
-
-# ---------------------------------------------------------------------------
-# density
-# ---------------------------------------------------------------------------
-
-def rho_homogeneous(z, params):
-    """Root density of the homogeneous model (theta closed form)."""
-    et = params.eta_tilde
-    num = theta(1, 0, et, order=1) * theta(3, np.asarray(z), et)
-    den = theta(2, 0, et) * theta(4, np.asarray(z), et)
-    return num / den / (2.0 * math.pi)
-
-
-def density(z, config, params):
-    """rho_tot(z): inhomogeneity-averaged root density."""
-    sh = momentum_shifts(config, params)
-    vals = rho_homogeneous(np.asarray(z)[..., None] - sh, params)
-    return vals.mean(axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# kernel family and Fourier coefficients
-# ---------------------------------------------------------------------------
-
-def _strip_check(t, tau):
-    if not 0 < complex(t).imag < complex(tau).imag:
-        raise EllipticDomainError(
-            f"parameter {t} outside the strip 0 < Im t < Im tau = {tau}")
-
-
-def _exp_ratio(a, z):
-    """e^{2 pi i a} / (1 - e^{2 pi i z}), stable for Im(z) of either sign."""
-    if complex(z).imag >= 0.0:
-        den = 1.0 - cmath.exp(2j * math.pi * z)
-        if abs(den) < 1e-14:
-            raise PoleError("vanishing denominator in Fourier coefficient")
-        return cmath.exp(2j * math.pi * a) / den
-    den = 1.0 - cmath.exp(-2j * math.pi * z)
-    if abs(den) < 1e-14:
-        raise PoleError("vanishing denominator in Fourier coefficient")
-    return -cmath.exp(2j * math.pi * (a - z)) / den
-
-
-def kernel_fourier(kernel_id, m, params, **kw):
-    """Closed-form Fourier coefficient of one of the 1-periodic kernels.
-
-    kernel_id in {'theta0', 'theta_Xt', 'p0prime', 'K', 'K_XY', 't_XY'};
-    keyword arguments supply t, X, Y, zeta as needed.
-    """
-    tt = params.tau_tilde
-    et = params.eta_tilde
-    if kernel_id == "theta0":
-        t = kw["t"]
-        _strip_check(t, tt)
-        if m == 0:
-            return 0.5
-        return _exp_ratio(m * t, m * tt)
-    if kernel_id == "theta_Xt":
-        t, X = kw["t"], kw["X"]
-        _strip_check(t, tt)
-        return _exp_ratio(m * t, X + m * tt)
-    if kernel_id == "p0prime":
-        if m == 0:
-            return 2.0 * math.pi
-        am = abs(m)
-        return (2.0 * math.pi * np.exp(1j * math.pi * am * et)
-                * (1 - np.exp(2j * math.pi * am * (tt - et)))
-                / (1 - np.exp(2j * math.pi * am * tt)))
-    if kernel_id == "K":
-        if m == 0:
-            return 1.0
-        am = abs(m)
-        return (np.exp(2j * math.pi * am * et)
-                * (1 - np.exp(2j * math.pi * am * (tt - 2 * et)))
-                / (1 - np.exp(2j * math.pi * am * tt)))
-    if kernel_id == "K_XY":
-        X, Y = kw["X"], kw["Y"]
-        return (_exp_ratio(Y + m * et, X + m * tt)
-                + _exp_ratio(-Y - m * et, -X - m * tt))
-    if kernel_id == "t_XY":
-        X, Y, zeta = kw["X"], kw["Y"], kw["zeta"]
-        return (_exp_ratio(Y + m * et - m * zeta, X + m * tt)
-                + _exp_ratio(-m * zeta, -X - m * tt))
-    raise ValueError(f"unknown kernel id {kernel_id!r}")
-
-
-# ---------------------------------------------------------------------------
-# Fredholm determinants
-# ---------------------------------------------------------------------------
-
-def _nome_products(params, M):
-    tt, et = params.tau_tilde, params.eta_tilde
-    qt = np.exp(2j * math.pi * tt * np.arange(1, M + 1))
-    qe = np.exp(2j * math.pi * et * np.arange(1, M + 1))
-    qte = np.exp(2j * math.pi * (tt - et) * np.arange(1, M + 1))
-    return qt, qe, qte
-
-
-def fredholm_det(which, mode="closed", params=None, X=None, Y=None, modes=200):
-    """Fredholm determinants of the convolution kernels on [-1/2, 1/2].
-
-    which: 'base' (1 + K - V0), 'XY' (1 + K_X^(Y)), or 'ratio'.
-    mode: 'closed' evaluates the theta/product expressions (tail truncated
-    at `modes`); 'truncated' multiplies eigenvalues 1 + c_m for |m| <= modes.
-    """
-    eta = params.eta
-    tt, et = params.tau_tilde, params.eta_tilde
-    if which == "base":
-        if mode == "truncated":
-            out = 2.0 * (1.0 - eta)
-            for m in range(1, modes + 1):
-                lam = 1.0 + kernel_fourier("K", m, params)
-                if lam == 0.0:
-                    raise PoleError("singular integral operator: 1 + K_m = 0")
-                out *= lam ** 2
-            return out
-        qt, qe, qte = _nome_products(params, modes)
-        return 2.0 * (1.0 - eta) * np.prod((1 + qe) ** 2 * (1 - qte) ** 2
-                                           / (1 - qt) ** 2)
-    if which == "XY":
-        if mode == "truncated":
-            out = 1.0 + 0.0j
-            for m in range(-modes, modes + 1):
-                lam = 1.0 + kernel_fourier("K_XY", m, params, X=X, Y=Y)
-                if lam == 0.0:
-                    raise PoleError("singular integral operator: 1 + c_m = 0")
-                out *= lam
-            return out
-        qt, qe, qte = _nome_products(params, modes)
-        pref = (theta(1, X - Y, tt - et) * theta(2, Y, et) / theta(1, X, tt))
-        return pref * np.prod((1 - qt) / ((1 - qe) * (1 - qte)))
-    if which == "ratio":
-        if mode == "truncated":
-            return (fredholm_det("XY", "truncated", params, X=X, Y=Y, modes=modes)
-                    / fredholm_det("base", "truncated", params, modes=modes))
-        return (theta(1, X - Y, tt - et) / theta(1, 0, tt - et, order=1)
-                * theta(1, 0, tt, order=1) / theta(1, X, tt)
-                * theta(2, Y, et) / theta(2, 0, et) / (1.0 - eta))
-    raise ValueError(f"unknown determinant {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,147 +42,39 @@ def _theta1_prime0(tau):
     return theta(1, 0, tau, order=1)
 
 
-def _pbar_bethe_pair(s, Z, kk, ll, params, gamma):
-    """Dressing factor P(s, Z; k, l) between two ground-state labels.
+def one_point_barP(a, Z, eps, t_label, params, mode="closed"):
+    """(Modified) one-point local height probability P(s0+a, Z; eps, t):
+    the parity-split theta formulas in the original modulus.
 
-    Twist-sum representation; gamma is the untilded free parameter, the
-    tilded one is gamma_t = eta_tilde * gamma.
+    mode names that form and accepts 'closed' only.
     """
-    L, r, eta = params.L, params.r, params.eta
-    Lr = L - r
-    tt, et = params.tau_tilde, params.eta_tilde
-    gt = et * gamma
-    D = (L * kk + 2.0 * ll) / (2.0 * Lr)
-    # one theta call per (kind, modulus, order)
-    den, num = stacked(lambda z: theta(1, z, tt), Z - D + gt + et * s, et * s)
-    if np.min(np.abs(den)) < 1e-13:
-        raise PoleError("one-point prefactor pole; redraw gamma")
-    pref = (np.exp(-1j * math.pi * s * (-(r * kk + 2.0 * ll) / Lr
-                                        + 2.0 * eta * gt))
-            * num / (et * den))
-    nu = np.arange(L).reshape((L,) + (1,) * np.ndim(Z))
-    th2, th2_0 = stacked(lambda z: theta(2, z, et),
-                         Z - D + eta * (gt - nu), 0)
-    tot = np.sum(twist_weights(s, gamma, params).reshape(nu.shape)
-                 * theta(1, (1 - eta) * gt + eta * nu, tt - et)
-                 / _theta1_prime0(tt - et)
-                 * th2 / th2_0, axis=0)
-    return pref * tot / Lr
-
-
-def _pbar_bethe_pair_fred(s, Z, kk, ll, params, gamma):
-    """Same quantity with the explicit Fredholm-determinant ratio."""
-    L, r, eta = params.L, params.r, params.eta
-    Lr = L - r
-    tt, et = params.tau_tilde, params.eta_tilde
-    gt = et * gamma
-    D = (L * kk + 2.0 * ll) / (2.0 * Lr)
-    pref = (np.exp(-1j * math.pi * s * (kk - (L * kk + 2.0 * ll) / Lr
-                                        + 2.0 * eta * gt))
-            * theta(1, et * s, tt) * theta(1, -D + gt, tt)
-            / (et * theta(1, 0, tt, order=1)
-               * theta(1, Z - D + gt + et * s, tt)))
-    nu = np.arange(L).reshape((L,) + (1,) * np.ndim(Z))
-    ratio = fredholm_det("ratio", "closed", params,
-                         X=gt - D, Y=eta * (gt - nu) - D)
-    tot = np.sum(twist_weights(s, gamma, params).reshape(nu.shape) * ratio
-                 * theta(2, Z - D + eta * (gt - nu), et)
-                 / theta(2, -D + eta * (gt - nu), et), axis=0)
-    return pref * tot / L
-
-
-def _pbar_bethe_pair_alt(s, Z, kk, ll, params, gamma):
-    """Summation-swapped representation (series over the dual index j)."""
-    L, r, eta = params.L, params.r, params.eta
-    Lr = L - r
-    tt, et = params.tau_tilde, params.eta_tilde
-    gt = et * gamma
-    D = (L * kk + 2.0 * ll) / (2.0 * Lr)
-    jmax = max(12, int(7.0 / math.sqrt(complex(et).imag)))
-    pref = np.exp(1j * math.pi * s * (r * kk + 2.0 * ll) / Lr) / Lr
-    js = range(-jmax, jmax + 1)
-    ths, thz, thg, *thj = stacked(      # three factors per j
-        lambda z: theta(1, z, tt), et * s, Z - D + gt + et * s, gt,
-        *(x for j in js
-          for x in (gt - D + Z + et * j, gt + et * (s - j), et * (s - j))))
-    tp_dual, th2_0 = theta(1, 0, tt - et, order=1), theta(2, 0, et)
-    tp = theta(1, 0, tt, order=1)
-    tot = 0.0j
-    for j, num_j, num_sj, den_sj in zip(js, thj[::3], thj[1::3], thj[2::3]):
-        tot += (np.exp(1j * math.pi * et * j * j)
-                * np.exp(2j * math.pi * j * (Z - D))
-                * ths * num_j / (thz * tp_dual * th2_0)
-                * num_sj * tp / (den_sj * thg))
-    return pref * tot
-
-
-def one_point_barP(a, Z, eps, t_label, params, mode="closed", gamma=None):
-    """(Modified) one-point local height probability P(s0+a, Z; eps, t).
-
-    mode: 'closed' (parity-split theta formulas in the original modulus),
-    'closed_tilde' (rotated-modulus form), 'nu_sum' (twist sum over the
-    ground-state pairs), 'nu_sum_fred' (ditto, explicit Fredholm ratio) or
-    'alt' (dual series form).
-    """
-    L, r, eta = params.L, params.r, params.eta
+    if mode != "closed":
+        raise ValueError(f"unknown mode {mode!r}")
+    L, r = params.L, params.r
     Lr = L - r
     s = params.height(a)
-    if mode in ("nu_sum", "nu_sum_fred", "alt"):
-        fun = {"nu_sum": _pbar_bethe_pair,
-               "nu_sum_fred": _pbar_bethe_pair_fred,
-               "alt": _pbar_bethe_pair_alt}[mode]
-        phases = flat_basis_phases(eps, t_label, params).items()
-        return gamma_retry(lambda g: sum(
-            phase * fun(s, Z, kk, ll, params, g)
-            for (kk, ll), phase in phases), params, gamma)
-
     tau = complex(params.tau)
-    tt, et = params.tau_tilde, params.eta_tilde
+    et = params.eta_tilde
     st = s + 1.0 / (2.0 * et)
     st0 = params.s0 + 1.0 / (2.0 * et)
     Z = np.asarray(Z, dtype=complex)
-    if mode == "closed":
-        # assembled in log space: the individual theta factors run over the
-        # whole double range at small |tau| while the probability is O(1)
-        if L % 2 == 0 and (eps + t_label - a) % 2 != 0:
-            return (np.zeros(Z.shape, dtype=complex) if Z.ndim else 0.0 + 0.0j)
-        lg = (1j * math.pi * (2.0 * r / L * st * Z + (L - r) / r * Z * Z * tau)
-              + theta_log(4, r * st / L, tau)
-              - math.log(L)
-              - theta_log(4, 0, L * tau / r)
-              - theta_log(4, r * (st0 + t_label) / Lr, L * tau / Lr))
-        if L % 2 == 0:
-            lg = lg + math.log(2.0) + theta_log(
-                3, (st0 + t_label) / Lr - st / L + Z * tau / r, tau / (r * Lr))
-        else:
-            lg = lg + theta_log(
-                3, (0.5 - 0.5 / L) * st - (0.5 - 0.5 / Lr) * (st0 + t_label)
-                - eps / 2.0 + Z * tau / (2.0 * r), tau / (4.0 * r * Lr))
-        return _exp_clamped(lg)
-    if mode == "closed_tilde":
-        lg = (1j * math.pi * et * (t_label + st0 - st) ** 2
-              - 2j * math.pi * (t_label + st0 - st) * Z
-              + theta_log(2, et * st, tt)
-              - theta_log(2, 0, et)
-              - theta_log(2, et * (st0 + t_label), tt - et)
-              + math.log(2.0))
-        if L % 2 == 0:
-            if (eps + t_label - a) % 2 != 0:
-                return (np.zeros(Z.shape, dtype=complex) if Z.ndim
-                        else 0.0 + 0.0j)
-            lg = lg + theta_log(3, r * et * st - Lr * Z
-                                + r * (t_label + st0 - st) * tt, r * Lr * tt)
-            return _exp_clamped(lg)
-        w = eps + t_label + st0 - st
-        lg = lg + (1j * math.pi * r * Lr * tt * w * w
-                   - 2j * math.pi * w * (r * et * st
-                                         + r * (t_label + st0 - st) * tt
-                                         - Lr * Z)
-                   + theta_log(3, 2 * r * et * st - 2 * Lr * Z
-                               + 2 * r * (t_label + st0 - st) * tt
-                               - 2 * r * w * Lr * tt, 4 * r * Lr * tt))
-        return _exp_clamped(lg)
-    raise ValueError(f"unknown mode {mode!r}")
+    # assembled in log space: the individual theta factors run over the
+    # whole double range at small |tau| while the probability is O(1)
+    if L % 2 == 0 and (eps + t_label - a) % 2 != 0:
+        return (np.zeros(Z.shape, dtype=complex) if Z.ndim else 0.0 + 0.0j)
+    lg = (1j * math.pi * (2.0 * r / L * st * Z + (L - r) / r * Z * Z * tau)
+          + theta_log(4, r * st / L, tau)
+          - math.log(L)
+          - theta_log(4, 0, L * tau / r)
+          - theta_log(4, r * (st0 + t_label) / Lr, L * tau / Lr))
+    if L % 2 == 0:
+        lg = lg + math.log(2.0) + theta_log(
+            3, (st0 + t_label) / Lr - st / L + Z * tau / r, tau / (r * Lr))
+    else:
+        lg = lg + theta_log(
+            3, (0.5 - 0.5 / L) * st - (0.5 - 0.5 / Lr) * (st0 + t_label)
+            - eps / 2.0 + Z * tau / (2.0 * r), tau / (4.0 * r * Lr))
+    return _exp_clamped(lg)
 
 
 def _exp_clamped(logval):

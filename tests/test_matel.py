@@ -128,6 +128,22 @@ class TestPathGeometry:
         monkeypatch.undo()
         assert np.isfinite(M.flat_matrix_element(path, gs)[0, 0])
 
+    def test_root_on_a_path_argument_refused_by_det_route(self):
+        # at (L, r) = (3, 2), tau = 0.45i, physical s0, N = 6 the k = 0
+        # states have their middle root at x = 1, where [v - z - 1] of the
+        # path block vanishes: the det route refuses, the element and the
+        # flat matrix take the dense route
+        tau, L, r = 0.45j, 3, 2
+        params = ModelParams(tau=tau, r=r, L=L, s0=tau / (2.0 * r / L))
+        gs = B.all_ground_states(homogeneous_config(6), params)
+        path = M.vertical_path((1, 2))
+        for key in ((0, 0), (1, 0)):
+            with pytest.raises(DegenerateConfigError, match="path argument"):
+                M.mpme_det(gs[key], gs[(0, 0)], path, 1)
+            assert (M.path_element(gs[key], gs[(0, 0)], path, "det")
+                    == M.path_element(gs[key], gs[(0, 0)], path, "brute"))
+        assert np.all(np.isfinite(M.flat_matrix_element(path, gs)))
+
     def test_json_roundtrip(self, config4):
         doc = PATH2.to_json_dict()
         back = M.AdjacentPath.from_json_dict(doc)
@@ -790,7 +806,7 @@ class TestFlatBasis:
             gs = B.all_ground_states(homogeneous_config(N), params)
             for key in sorted(gs)[1:]:
                 pbs = S.gamma_retry(
-                    lambda g: [T._pbar_bethe_pair(params.height(a), 0.0,
+                    lambda g: [C._pbar_bethe_pair(params.height(a), 0.0,
                                                   key[0], key[1], params, g)
                                for a in range(L)], params, None)
                 a_max = int(np.argmax(np.abs(pbs)))

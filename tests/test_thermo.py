@@ -37,7 +37,7 @@ class TestDensity:
 
     def test_normalization_by_trapezoid(self, params_c, config8):
         z = -0.5 + np.arange(4096) / 4096
-        val = np.mean(T.density(z, config8, params_c))
+        val = np.mean(C.density(z, config8, params_c))
         assert abs(val - 0.5) < 1e-12
 
     def test_lieb_residual(self, params_c, config8):
@@ -49,13 +49,13 @@ class TestDensity:
         ser = sum(np.exp(2j * math.pi * m * z)
                   / (2 * np.cosh(1j * math.pi * m * params_c.eta_tilde))
                   for m in range(-80, 81))
-        assert np.max(np.abs(T.rho_homogeneous(z, params_c) - ser)) < 1e-13
+        assert np.max(np.abs(C.rho_homogeneous(z, params_c) - ser)) < 1e-13
 
 
 class TestKernelFourier:
     def test_zero_modes(self, params_c):
-        assert abs(T.kernel_fourier("K", 0, params_c) - 1.0) < 1e-15
-        assert abs(T.kernel_fourier("p0prime", 0, params_c)
+        assert abs(C.kernel_fourier("K", 0, params_c) - 1.0) < 1e-15
+        assert abs(C.kernel_fourier("p0prime", 0, params_c)
                    - 2 * math.pi) < 1e-15
 
     def test_quadrature_oracle(self, params_c):
@@ -70,48 +70,48 @@ class TestKernelFourier:
             for m in (0, 3, -2):
                 quad = np.mean(C.kernel_direct(kid, nodes, params_c, **kw)
                                * np.exp(-2j * math.pi * m * nodes))
-                closed = T.kernel_fourier(kid, m, params_c, **kw)
+                closed = C.kernel_fourier(kid, m, params_c, **kw)
                 assert abs(quad - closed) < 1e-12
 
     def test_large_mode_stability(self, params_c):
-        val = T.kernel_fourier("K_XY", -300, params_c,
+        val = C.kernel_fourier("K_XY", -300, params_c,
                                X=0.21 + 0.13j, Y=0.4 - 0.27j)
         assert np.isfinite(val) and abs(val) < 1.0
 
     def test_strip_validation(self, params_c):
         from csoslab.elliptic import EllipticDomainError
         with pytest.raises(EllipticDomainError):
-            T.kernel_fourier("theta0", 1, params_c, t=-0.3j)
+            C.kernel_fourier("theta0", 1, params_c, t=-0.3j)
 
 
 class TestFredholm:
     def test_base_truncated_vs_closed(self, params_c):
-        t = T.fredholm_det("base", "truncated", params_c, modes=200)
-        c = T.fredholm_det("base", "closed", params_c, modes=200)
+        t = C.fredholm_det("base", "truncated", params_c, modes=200)
+        c = C.fredholm_det("base", "closed", params_c, modes=200)
         assert abs(t - c) / abs(c) < 1e-10
 
     def test_xy_truncated_vs_closed(self, params_c):
         X, Y = 0.21 + 0.13j, 0.4 - 0.27j
-        t = T.fredholm_det("XY", "truncated", params_c, X=X, Y=Y, modes=200)
-        c = T.fredholm_det("XY", "closed", params_c, X=X, Y=Y, modes=200)
+        t = C.fredholm_det("XY", "truncated", params_c, X=X, Y=Y, modes=200)
+        c = C.fredholm_det("XY", "closed", params_c, X=X, Y=Y, modes=200)
         assert abs(t - c) / abs(c) < 1e-10
 
     def test_ratio_consistency(self, params_c):
         X, Y = 0.21 + 0.13j, 0.4 - 0.27j
-        ratio = T.fredholm_det("ratio", "closed", params_c, X=X, Y=Y)
-        quot = (T.fredholm_det("XY", "closed", params_c, X=X, Y=Y, modes=300)
-                / T.fredholm_det("base", "closed", params_c, modes=300))
+        ratio = C.fredholm_det("ratio", "closed", params_c, X=X, Y=Y)
+        quot = (C.fredholm_det("XY", "closed", params_c, X=X, Y=Y, modes=300)
+                / C.fredholm_det("base", "closed", params_c, modes=300))
         assert abs(ratio - quot) / abs(ratio) < 1e-10
 
     def test_vanishing_tail_prefactor(self, params_c):
         # the m-sum tail switched off leaves the bare eigenvalue 2(1 - eta)
-        val = T.fredholm_det("base", "closed", params_c, modes=0)
+        val = C.fredholm_det("base", "closed", params_c, modes=0)
         assert abs(val - 2 * (1 - params_c.eta)) < 1e-14
 
     def test_tail_bound(self, params_c):
         b200 = C.fredholm_tail_bound("base", params_c, modes=200)
-        t = T.fredholm_det("base", "truncated", params_c, modes=200)
-        t2 = T.fredholm_det("base", "truncated", params_c, modes=400)
+        t = C.fredholm_det("base", "truncated", params_c, modes=200)
+        t2 = C.fredholm_det("base", "truncated", params_c, modes=400)
         assert abs(t - t2) <= b200 * abs(t2)
 
 
@@ -152,16 +152,21 @@ class TestOnePoint:
         for z in (Z, np.array([Z, -Z])):   # one point, and an array
             for eps, t, a in itertools.product((0, 1), range(L - r),
                                                range(L)):
-                ref = T.one_point_barP(a, z, eps, t, params, mode="nu_sum")
-                for mode in ("nu_sum_fred", "alt", "closed", "closed_tilde"):
-                    val = T.one_point_barP(a, z, eps, t, params, mode=mode)
+                ref = C.one_point_twist_sum(C._pbar_bethe_pair, a, z, eps, t,
+                                            params)
+                for val in (C.one_point_twist_sum(C._pbar_bethe_pair_fred, a,
+                                                  z, eps, t, params),
+                            C.one_point_twist_sum(C._pbar_bethe_pair_alt, a,
+                                                  z, eps, t, params),
+                            T.one_point_barP(a, z, eps, t, params),
+                            C.one_point_closed_tilde(a, z, eps, t, params)):
                     assert np.all(np.abs(val - ref)
                                   < 1e-9 * np.maximum(1.0, np.abs(ref)))
 
     def test_alt_theta_calls_do_not_grow_with_jmax(self, monkeypatch):
         # the dual series evaluates its j-dependent factors in one call:
         # Im(tau) = 0.8 (jmax = 12) and 2 (jmax = 17) make as many calls
-        theta_fun = T.theta
+        theta_fun = C.theta
         calls = []
 
         def counted(*args, **kwargs):
@@ -172,13 +177,13 @@ class TestOnePoint:
         for tau in (0.8j, 2j):
             params = ModelParams(tau=tau, r=1, L=3, s0=0.37 + 0.21j)
             jmax = max(12, int(7.0 / math.sqrt(params.eta_tilde.imag)))
-            monkeypatch.setattr(T, "theta", counted)
+            monkeypatch.setattr(C, "theta", counted)
             for z in (0.1 - 0.05j, np.array([0.1 - 0.05j, 0.2j])):
                 calls.clear()
-                T._pbar_bethe_pair_alt(params.height(1), z, 1, 0, params,
+                C._pbar_bethe_pair_alt(params.height(1), z, 1, 0, params,
                                        0.21 + 0.4j)
                 counts[jmax, np.ndim(z)] = len(calls)
-            monkeypatch.setattr(T, "theta", theta_fun)
+            monkeypatch.setattr(C, "theta", theta_fun)
         assert counts == {(12, 0): 4, (12, 1): 4, (17, 0): 4, (17, 1): 4}
 
     def test_parity_forbidden_exact_zero(self):
@@ -186,18 +191,25 @@ class TestOnePoint:
         val = T.one_point_barP(1, 0.17 - 0.08j, 0, 0, params, mode="closed")
         assert val == 0.0
 
+    def test_oracle_modes_are_refused(self, params_c):
+        # the closed form is the one production form; the oracle forms are
+        # functions of csoslab.contract
+        with pytest.raises(ValueError, match="nu_sum"):
+            T.one_point_barP(1, 0.0, 0, 0, params_c, mode="nu_sum")
+
     def test_normalization(self, params_c):
         for eps in (0, 1):
             for t in range(2):
-                tot = sum(T.one_point_barP(a, 0.0, eps, t, params_c,
-                                           mode="nu_sum") for a in range(3))
+                tot = sum(C.one_point_twist_sum(C._pbar_bethe_pair, a, 0.0,
+                                                eps, t, params_c)
+                          for a in range(3))
                 assert abs(tot - 1.0) < 1e-9
 
     def test_gamma_independence(self, params_c):
-        v1 = T.one_point_barP(1, 0.1j, 0, 1, params_c, mode="nu_sum",
-                              gamma=0.21 + 0.4j)
-        v2 = T.one_point_barP(1, 0.1j, 0, 1, params_c, mode="nu_sum",
-                              gamma=0.33 + 0.52j)
+        v1 = C.one_point_twist_sum(C._pbar_bethe_pair, 1, 0.1j, 0, 1,
+                                   params_c, gamma=0.21 + 0.4j)
+        v2 = C.one_point_twist_sum(C._pbar_bethe_pair, 1, 0.1j, 0, 1,
+                                   params_c, gamma=0.33 + 0.52j)
         assert abs(v1 - v2) < 1e-9 * max(1.0, abs(v1))
 
     def test_low_temperature_flat_pattern(self):
