@@ -203,18 +203,18 @@ def cmd_converge(args):
                          f"{matel.flat_labels(params)}")
     resolution = thermo.check_resolution(
         args.resolution or int(cfg.get("resolution", "256")))
+    configs = {N: build_lattice(cfg, params, n_override=N) for N in n_list}
     rows = []
     thermo_val = None
     skip_reason = None
     try:
-        cfg_ref = build_lattice(cfg, params, n_override=max(n_list))
-        thermo_val, err = thermo.multipoint_lhp(path, eps, t, cfg_ref, params,
+        thermo_val, err = thermo.multipoint_lhp(path, eps, t,
+                                                configs[max(n_list)], params,
                                                 resolution=resolution)
     except ValueError as exc:   # degenerate paths are skipped
         skip_reason = str(exc)
     for N in n_list:
-        config = build_lattice(cfg, params, n_override=N)
-        gs = bethe.all_ground_states(config, params)
+        gs = bethe.all_ground_states(configs[N], params)
         val = matel.finite_lhp(path, ("flat", eps, t), gs)
         dev = abs(val - thermo_val) if thermo_val is not None else None
         rows.append({"N": N, "value_re": float(val.real),

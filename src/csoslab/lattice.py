@@ -53,6 +53,8 @@ class LatticeConfig:
     def __post_init__(self):
         if self.N % 2 != 0:
             raise ValueError(f"N must be even, got {self.N}")
+        if self.N < 2:
+            raise ValueError(f"N must be a positive even number, got {self.N}")
         if len(self.xi) != self.N:
             raise ValueError("xi list must have length N")
         object.__setattr__(self, "xi", tuple(complex(x) for x in self.xi))

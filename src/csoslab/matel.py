@@ -30,14 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import DegenerateConfigError, PoleError, _cmul
+from .elliptic import DegenerateConfigError, PoleError, _cdiv, _cmul
 from .lattice import local_operator_apply, monodromy_entry_apply
 from .bethe import (BetheRootSet, bethe_vector, left_contract,
                     eigenvalue_tau, lambda_pm, scaled_eigenvalue)
 from .scalar import (gamma_retry, gaudin_matrix, norm_det, twist_weights,
                      _check_kappa, _own_d, _sector_q_powers)
 
-# tuples per determinant stack in mpme_det (bounds memory, not the value)
+# left states x tuples per determinant stack of _column_kernel (bounds
+# memory, not the value)
 TUPLE_BLOCK = 1024
 
 # smallest |[z_j - z_k]| of two path arguments the determinant route takes.
@@ -343,15 +344,17 @@ def _mean_value_kernel(gamma, v_set, a2, a4):
     return np.eye(len(v)) * diag[:, None] + _h_kernel(brs, a2, a4, params)
 
 
-def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
-                       d_ratio):
-    """Prefactors G_b for the tuple rows of b with inversion counts inv,
-    gathered from an (m, n+m) table of single-slot factors (the lambda factor
-    of a path-argument index in its last m columns) and an (n+m, n+m) table
-    of pair brackets [v_i - v_j + 1].  lams = (lam+, lam-) holds
-    lambda_pm(zeta_j, v_set); d_ratio is prod_j d(u_j)/d(v_j)."""
-    n, m = u_set.n, len(zetas)
-    s = u_set.params.height(a1)
+def algebraic_factor_G(b, inv, a1, v_set, zetas, alphas, lams):
+    """The prefactors G_b for the tuple rows of b with inversion counts inv,
+    as far as they depend on the right state, the path and the height:
+    (c, num, den), with G_b = lead_u num_b / den_b for a left state u and
+    lead_u = c[0] (omega_v/omega_u)^s prod_j d(u_j)/d(v_j) / c[1] / c[2]
+    (_g_lead).  num and den are gathered from an (m, n+m) table of
+    single-slot factors (the lambda factor of a path-argument index in its
+    last m columns) and an (n+m, n+m) table of pair brackets
+    [v_i - v_j + 1].  lams = (lam+, lam-) holds lambda_pm(zeta_j, v_set)."""
+    n, m = v_set.n, len(zetas)
+    s = v_set.params.height(a1)
     ipos, n_minus = slot_positions(alphas)
     ip = np.asarray(ipos, dtype=int) - 1          # path position of a slot
     z = np.asarray(zetas, dtype=complex)
@@ -361,7 +364,7 @@ def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
     rel = np.arange(m)[None, :, None] - ip[:, None, None]   # l - i_p
     a_ip = np.asarray(alphas, dtype=float)[ip][:, None, None]
     # [z_l - v_k], the slot factors, the pair table [v_i - v_j + 1]
-    bzv, bnum, bden, bzva, pair = u_set.params.brackets(
+    bzv, bnum, bden, bzva, pair = v_set.params.brackets(
         zv, s + part[:, None] + v_ext[None, :] - z[ip][:, None], s + part,
         zv + a_ip, v_ext[:, None] - v_ext[None, :] + 1)
     single = (bnum / bden[:, None]
@@ -371,99 +374,162 @@ def algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
     single[:, n:] *= np.where(np.arange(m)[:, None] < n_minus,
                               lams[1], lams[0])[:, ::-1]
     p, q = np.triu_indices(m, 1)
-    const = ((-1.0) ** (m * n + n_minus) * _omega_ratio_pow(u_set, v_set, s)
-             * d_ratio / np.prod(lams[0] - lams[1])
-             / np.prod(bzv[p, n + m - 1 - q]))        # [z_p - z_q]
-    return (const * (-1.0) ** inv
-            * np.prod(single[np.arange(m), b - 1], axis=1)
-            / np.prod(pair[b[:, p] - 1, b[:, q] - 1], axis=1))
+    c = ((-1.0) ** (m * n + n_minus), np.prod(lams[0] - lams[1]),
+         np.prod(bzv[p, n + m - 1 - q]))             # [z_p - z_q]
+    return (c, (-1.0) ** inv * np.prod(single[np.arange(m), b - 1], axis=1),
+            np.prod(pair[b[:, p] - 1, b[:, q] - 1], axis=1))
 
 
-def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
-    """Determinant representation of the normalized matrix element.
+def _g_lead(c, u_set, v_set, s, d_v):
+    """The left-state factor lead_u of algebraic_factor_G, d_v the d of
+    v_set at its own roots.  Scalar arithmetic in this order keeps each
+    element's rounding, bit for bit, that of the formula evaluated for its
+    pair alone."""
+    return (c[0] * _omega_ratio_pow(u_set, v_set, s)
+            * np.prod(_own_d(u_set) / d_v) / c[1] / c[2])
 
-    The kernels of all L twist sectors are built once per call, as (L, n, n)
-    stacks; reduction='m' reduces each tuple to m x m determinants through
-    one stacked solve, reduction='n' takes the mixed n x n determinants.
+
+def _column_kernel(v_set, path, a1, zetas, reduction="m"):
+    """The determinant representation against one right state {v}.
+
+    What depends on {v}, the path and the height only is built here, once:
+    the Gaudin matrix with its determinant and condition number, lambda_pm,
+    the tuples and the {v} part of their factors G_b.  The function
+    returned, elements(u_sets, same, gamma), evaluates a stack of left
+    states at one gamma, every builder on one stacked bracket call.
+    u_sets are the left states as the kernel takes them (rebased by
+    _mean_value_pair where the flag in the boolean array `same` is set).
+    It returns the elements before the norm roots, and a mask of the pairs
+    that sit on a pole of this gamma (their values are not set).
+    reduction='m' reduces each tuple to m x m determinants through one
+    stacked solve, reduction='n' takes the mixed n x n determinants.
     """
-    params, config = u_set.params, u_set.config
-    if gamma is None:
-        return gamma_retry(
-            lambda g: mpme_det(u_set, v_set, path, a1, gamma=g,
-                               reduction=reduction),
-            params, None)
-    zetas = det_route_zetas(path, config, params)
+    params = v_set.params
+    n, m, L = v_set.n, path.m, params.L
     alphas = path.alphas
-    n, m = u_set.n, path.m
     s = params.height(a1)
-    L = params.L
-    scale = norm_root(v_set) / norm_root(u_set)
-    u_set, same = _mean_value_pair(u_set, v_set)
-    u, v = u_set.v, v_set.v
-    t0 = np.sum(u) - np.sum(v) + gamma
-    v_ext = np.asarray(_extended_params(v_set.v, zetas), dtype=complex)
-    b = enumerate_tuples(n, m, slot_positions(alphas)[0])
-    keep_sum = np.sum(v_set.v) + sum(zetas) - np.sum(v_ext[b - 1], axis=1)
-    bt0, bs, den = params.brackets(t0, s,
-                                   np.sum(u_set.v) - keep_sum + gamma + s)
-    if abs(bt0) < 1e-13:
-        raise PoleError("[|u|-|v|+gamma] vanishes; redraw gamma")
-    bst = bs * bt0
+    z = np.asarray(zetas, dtype=complex)
+    v = v_set.v
     phi_v = gaudin_matrix(v_set)
     det_phi = np.linalg.det(phi_v)
     _check_kappa(phi_v, "Gaudin matrix")
-
+    lams = lambda_pm(z, v_set)
+    d_v = _own_d(v_set)
+    v_ext = np.asarray(_extended_params(v, zetas), dtype=complex)
+    b = enumerate_tuples(n, m, slot_positions(alphas)[0])
+    inv = inversion_counts(b)
+    g_c, g_num, g_den = algebraic_factor_G(b, inv, a1, v_set, zetas, alphas,
+                                           lams)
+    nz = g_num != 0.0
+    b, inv, g_num, g_den = b[nz], inv[nz], g_num[nz], g_den[nz]
+    keep_sum = np.sum(v) + sum(zetas) - np.sum(v_ext[b - 1], axis=1)
+    # index b <= n picks a root row of S (column of H), b > n the path
+    # argument zeta_{n+m+1-b}: a reversed identity row (reversed Q column)
+    if reduction == "m":
+        sign = (-1.0) ** (m * (n + 1) + m * (m - 1) // 2 + inv)
+        ax, idx = 2, b - 1
+    else:
+        free = ~np.any(b[:, :, None] - 1 == np.arange(n + m), axis=1)
+        ax, idx = 3, np.nonzero(free)[1].reshape(len(b), n)
     # appendix-B coefficients, a row per sector nu: (1, q^-nu, w^2, q^nu w^2)
     # for H, (lam+, lam+ q^-nu, lam- w^2, lam- w^2 q^nu) for Q, w = omega_v/
     # omega_u; a vanishing lambda (lam+ on an upward step) zeroes two terms.
     # _cmul rounds an array product as the scalar product of one sector.
-    w2 = _omega_ratio_pow(u_set, v_set, 2.0)
     one = np.ones((L, 1))
     qm, qp = _sector_q_powers(params)
-    z = np.asarray(zetas, dtype=complex)
-    lams = lambda_pm(z, v_set)
-    lam_p, lam_m = lams[0], lams[1] * w2
-    d_ratio = np.prod(_own_d(u_set) / _own_d(v_set))
-    twist = twist_weights(s, gamma, params)
-    alup = (one, qm, one * w2, _cmul(qp, w2))
-    base = (_mean_value_kernel(gamma, v_set, qm, qp) if same else
-            _h_transformed(gamma, u, v, alup, params))
-    q_mats = _q_transformed(gamma, u, v, z,
-                            (lam_p, lam_p * qm, lam_m, lam_m * qp), params)
-    base_dets = np.linalg.det(base)
 
-    inv = inversion_counts(b)
-    gb = algebraic_factor_G(b, inv, a1, u_set, v_set, zetas, alphas, lams,
-                            d_ratio)
-    nz = gb != 0.0
-    b, inv, gb, den = b[nz], inv[nz], gb[nz], den[nz]
-    if np.any(np.abs(den) < 1e-13):
-        raise PoleError("b-dependent prefactor pole; redraw gamma")
-    pre = bst / (params.bracket_prime0 * den)
-    # index b <= n picks a root row of S (column of H), b > n the path
-    # argument zeta_{n+m+1-b}: a reversed identity row (reversed Q column)
-    if reduction == "m":
-        ext = np.concatenate([np.linalg.solve(base, q_mats), np.broadcast_to(
-            -np.eye(m)[::-1], (L, m, m))], axis=1)
-        sign = (-1.0) ** (m * (n + 1) + m * (m - 1) // 2 + inv)
-        ax, idx, fac = 1, b - 1, sign[:, None] * base_dets
-    else:
-        ext = np.concatenate([base, q_mats[..., ::-1]], axis=-1)
-        free = ~np.any(b[:, :, None] - 1 == np.arange(n + m), axis=1)
-        ax, idx = 2, np.nonzero(free)[1].reshape(len(b), n)
-        fac = np.ones((len(b), L))
-    terms = np.empty(len(b), dtype=complex)
-    for lo in range(0, len(b), TUPLE_BLOCK):
-        blk = slice(lo, lo + TUPLE_BLOCK)
-        dets = np.linalg.det(np.moveaxis(np.take(ext, idx[blk], ax), ax, 0))
-        det_h = _cmul(fac[blk], dets)
-        terms[blk] = (gb[blk] * pre[blk] * np.sum(_cmul(det_h, twist), axis=1)
-                      / (L * det_phi))
-    return np.sum(terms) * scale
+    def elements(u_sets, same, gamma):
+        u = np.array([us.v for us in u_sets])
+        su = np.sum(u, axis=1)
+        bt0, bs, den = params.brackets(su - np.sum(v) + gamma, s,
+                                       su[:, None] - keep_sum + gamma + s)
+        pole = (np.abs(bt0) < 1e-13) | np.any(np.abs(den) < 1e-13, axis=1)
+        vals = np.zeros(len(u_sets), dtype=complex)
+        if pole.all():
+            return vals, pole
+        live = ~pole
+        u, same, bt0, den = u[live], same[live], bt0[live], den[live]
+        u_sets = [us for us, ok in zip(u_sets, live) if ok]
+        P = len(u_sets)
+        twist = twist_weights(s, gamma, params)
+        w2 = np.array([_omega_ratio_pow(us, v_set, 2.0)
+                       for us in u_sets])[:, None, None]
+        lam_m = lams[1] * w2
+        q_mats = _q_transformed(gamma, u[:, None, :], v, z,
+                                (lams[0], lams[0] * qm, lam_m, lam_m * qp),
+                                params)
+        base = np.empty((P, L, n, n), dtype=complex)
+        if same.any():
+            base[same] = _mean_value_kernel(gamma, v_set, qm, qp)
+        if not same.all():
+            a3 = one * w2[~same]
+            base[~same] = _h_transformed(gamma, u[~same][:, None, :], v,
+                                         (one, qm, a3, _cmul(a3, qp)), params)
+        base_dets = np.linalg.det(base)
+        lead = np.array([_g_lead(g_c, us, v_set, s, d_v) for us in u_sets])
+        gb = lead[:, None] * g_num / g_den
+        # [s][t0] and [0]'/[t] of the builders round as scalar products
+        pre = _cmul(bt0, bs)[:, None] / (params.bracket_prime0 * den)
+        if reduction == "m":
+            ext = np.concatenate([np.linalg.solve(base, q_mats),
+                                  np.broadcast_to(-np.eye(m)[::-1],
+                                                  (P, L, m, m))], axis=2)
+            fac = sign[:, None] * base_dets[:, None, :]
+        else:
+            ext = np.concatenate([base, q_mats[..., ::-1]], axis=-1)
+            fac = np.ones((P, len(b), L))
+        # left states x tuples per determinant stack: at most TUPLE_BLOCK
+        step = max(1, TUPLE_BLOCK // P)
+        terms = np.empty((P, len(b)), dtype=complex)
+        for lo in range(0, len(b), step):
+            blk = slice(lo, lo + step)
+            dets = np.linalg.det(np.moveaxis(np.take(ext, idx[blk], ax),
+                                             ax, 1))
+            det_h = _cmul(fac[:, blk], dets)
+            terms[:, blk] = (gb[:, blk] * pre[:, blk]
+                             * np.sum(_cmul(det_h, twist), axis=-1)
+                             / (L * det_phi))
+        vals[live] = np.sum(terms, axis=1)
+        return vals, pole
+
+    return elements
+
+
+def _with_draws(elements, u_sets, same, params, gamma=None):
+    """elements(u_sets, same, gamma) under gamma_retry's rule, pair by pair:
+    each pair takes the first default draw at which it has no pole, so a
+    pole redraws only its own pair.  An explicit gamma is the only draw."""
+    vals = np.empty(len(u_sets), dtype=complex)
+    todo = np.arange(len(u_sets))
+
+    def draw(g):
+        nonlocal todo
+        got, pole = elements([u_sets[p] for p in todo], same[todo], g)
+        vals[todo[~pole]] = got[~pole]
+        todo = todo[pole]
+        if todo.size:
+            raise PoleError("[|u|-|v|+gamma] or a b-dependent prefactor "
+                            "vanishes; redraw gamma")
+
+    gamma_retry(draw, params, gamma)
+    return vals
+
+
+def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
+    """Determinant representation of the normalized matrix element: the
+    one-left-state case of _column_kernel.  The kernels of all L twist
+    sectors are built as (L, n, n) stacks."""
+    params, config = u_set.params, u_set.config
+    zetas = det_route_zetas(path, config, params)
+    scale = norm_root(v_set) / norm_root(u_set)
+    u_set, same = _mean_value_pair(u_set, v_set)
+    elements = _column_kernel(v_set, path, a1, zetas, reduction)
+    return _with_draws(elements, [u_set], np.array([same]), params,
+                       gamma)[0] * scale
 
 
 # ---------------------------------------------------------------------------
-# Appendix-B transformation: the H and Q builders of mpme_det
+# Appendix-B transformation: the H and Q builders of _column_kernel
 # ---------------------------------------------------------------------------
 
 
@@ -480,49 +546,67 @@ def _h_kernel(brs, a2, a4, params):
     _h_kernel_args (coefficients as in _h_transformed)."""
     bt, bpt, bp, bmt, bm = brs
     a2, a4 = np.expand_dims(a2, -2), np.expand_dims(a4, -2)
-    return (params.bracket_prime0 / bt) * (a2 * bpt / bp - a4 * bmt / bm)
+    return _cdiv(params.bracket_prime0, bt) * (a2 * bpt / bp - a4 * bmt / bm)
 
 
 def _h_transformed(gamma, u, v, alup, params):
     """Transformed kernel H.  Each coefficient in alup = (a1, a2, a3, a4)
-    holds one value per column on its last axis (length 1 or n); a leading
-    axis stacks the twist sectors, one n x n matrix each."""
+    holds one value per column on its last axis (length 1 or n); its
+    leading axes stack the twist sectors, one n x n matrix each.  The
+    leading axes of u, one root set per left state, broadcast against the
+    coefficients' leading axes: u of shape (P, 1, n) against (P, L, 1)
+    coefficients gives a (P, L, n, n) stack."""
     a1, a2, a3, a4 = alup
     n = len(v)
-    t = np.sum(u - v) + gamma
-    uv = u[:, None] - v[None, :]
+    t = (np.sum(u - v, axis=-1) + gamma)[..., None, None]
+    uv = u[..., :, None] - v
     dv = v[:, None] - v[None, :]
     # kern holds the brackets of _h_kernel, [dv + 1] and [dv - 1] among
     # them; prod_{k != j} [v_j - v_k] takes the off-diagonal dv, row by row
     *kern, buvp, buvm, boff, bvu = params.brackets(
         *_h_kernel_args(t, dv), uv + 1, uv - 1,
-        dv[~np.eye(n, dtype=bool)].reshape(n, n - 1), v[:, None] - u[None, :])
-    pp = np.prod(buvp, axis=0) / np.prod(kern[2], axis=0)
-    pm = np.prod(buvm, axis=0) / np.prod(kern[4], axis=0)
+        dv[~np.eye(n, dtype=bool)].reshape(n, n - 1),
+        v[:, None] - u[..., None, :])
+    pp = np.prod(buvp, axis=-2) / np.prod(kern[2], axis=0)
+    pm = np.prod(buvm, axis=-2) / np.prod(kern[4], axis=0)
     num = np.prod(boff, axis=1)
-    den = np.prod(bvu, axis=1)
+    den = np.prod(bvu, axis=-1)
     diag = params.bracket_prime0 * num / den * (a1 * pp - a3 * pm)
     return np.eye(n) * diag[..., None] + _h_kernel(kern, a2, a4, params)
 
 
+def _on_path(*brs):
+    """Whether a bracket [x - z], [x - z + 1] or [x - z - 1] of a root x
+    and a path argument z vanishes (|.| < 1e-10): there the path block Q of
+    the determinant representation is singular."""
+    return any(np.any(np.abs(b) < 1e-10) for b in brs)
+
+
+def _root_on_path(u_set, z):
+    """_on_path for the roots of one state, refused by _q_transformed as a
+    right state and as a distinct left state."""
+    xz = u_set.v[:, None] - z[None, :]
+    return _on_path(*u_set.params.brackets(xz, xz + 1, xz - 1))
+
+
 def _q_transformed(gamma, u, v, zetas, bet, params):
     """Path block Q, one column per argument in zetas; the coefficients
-    bet = (b1, b2, b3, b4) are laid out as in _h_transformed."""
+    bet = (b1, b2, b3, b4) and the leading axes of u are laid out as in
+    _h_transformed."""
     b1, b2, b3, b4 = (np.expand_dims(b, -2) for b in bet)
-    t = np.sum(u - v) + gamma
+    t = (np.sum(u - v, axis=-1) + gamma)[..., None, None]
     vz = v[:, None] - zetas[None, :]
-    uz = u[:, None] - zetas[None, :]
+    uz = u[..., :, None] - zetas
     bt, bvz, buz, bvzt, buzp, bvzp, buzm, bvzm, bvztp, bvztm = \
         params.brackets(t, vz, uz, vz + t, uz + 1, vz + 1, uz - 1, vz - 1,
                         vz + t + 1, vz + t - 1)
-    if any(np.any(np.abs(b) < 1e-10)
-           for b in (bvz, buz, bvzp, buzp, bvzm, buzm)):
+    if _on_path(bvz, buz, bvzp, buzp, bvzm, buzm):
         raise DegenerateConfigError(
             "a Bethe root sits on a path argument z or on z +- 1, where the "
             "path block of the determinant representation is singular")
-    prod_p = np.prod(bvz / buz * buzp / bvzp, axis=0)
-    prod_m = np.prod(bvz / buz * buzm / bvzm, axis=0)
-    return (params.bracket_prime0 / bt) * (
+    prod_p = np.prod(bvz / buz * buzp / bvzp, axis=-2, keepdims=True)
+    prod_m = np.prod(bvz / buz * buzm / bvzm, axis=-2, keepdims=True)
+    return _cdiv(params.bracket_prime0, bt) * (
         b2 * bvztp / bvzp - b1 * bvzt / bvz * prod_p
         - b4 * bvztm / bvzm + b3 * bvzt / bvz * prod_m)
 
@@ -549,19 +633,68 @@ def flat_matrix_element(path, ground_states, method="det"):
     """The path operator in the flat-state basis: the K x K matrix F whose
     rows and columns follow flat_labels, K = 2(L - r).
 
-    The pair table E[u, v] = path_element(u, v, path, method) over the
-    ground states is built once.  With Phi[l, u] the phase of state u in
-    label l (flat_basis_phases), F = (1/Phi) E Phi^T / K, the inverse
-    taken entry by entry: the phases are not unimodular at complex s0.
-    The rotation is an asymptotic (large-N) construction.
+    The pair table E over the ground states (_pair_table) is built once.
+    With Phi[l, u] the phase of state u in label l (flat_basis_phases),
+    F = (1/Phi) E Phi^T / K, the inverse taken entry by entry: the phases
+    are not unimodular at complex s0.  The rotation is an asymptotic
+    (large-N) construction.
     """
     params = next(iter(ground_states.values())).params
     rows = [flat_basis_phases(*label, params) for label in flat_labels(params)]
     states = list(rows[0])
     phi = np.array([[row[u] for u in states] for row in rows])
-    table = np.array([[path_element(ground_states[u], ground_states[v], path,
-                                    method) for v in states] for u in states])
+    table = _pair_table(path, [ground_states[u] for u in states], method)
     return (1.0 / phi) @ table @ phi.T / len(states)
+
+
+def _pair_table(path, states, method):
+    """E[i, j] = path_element(states[i], states[j], path, method).
+
+    method='det' builds E one column per pass: _column_kernel once per
+    right state, on the stack of its left states.  det_route_zetas runs
+    once per path, the root-on-path refusal once per state and
+    _mean_value_pair once per pair; a pair either refuses goes to the
+    dense route, as in path_element.
+    """
+    _check_method(method)
+    a1 = path.heights[0]
+    if method == "brute":
+        return np.array([[path_element(u_set, v_set, path, method)
+                          for v_set in states] for u_set in states])
+    params, config = states[0].params, states[0].config
+    try:
+        zetas = det_route_zetas(path, config, params)
+        z = np.asarray(zetas, dtype=complex)
+        clear = [not _root_on_path(st, z) for st in states]
+    except DegenerateConfigError:
+        clear = [False] * len(states)
+    table = np.empty((len(states), len(states)), dtype=complex)
+    for j, v_set in enumerate(states):
+        rows, lefts, same = [], [], []
+        for i, u_set in enumerate(states):
+            flag = None
+            if clear[j]:
+                try:
+                    u_eff, flag = _mean_value_pair(u_set, v_set)
+                except DegenerateConfigError:
+                    pass
+            # a rebased left state carries v's roots, cleared with v's
+            if flag is None or not (flag or clear[i]):
+                table[i, j] = (mpme_bruteforce(u_set, v_set, path, a1)
+                               * _anchor_factor(path, u_set, v_set))
+                continue
+            rows.append(i)
+            lefts.append(u_eff)
+            same.append(flag)
+        if not rows:
+            continue
+        vals = _with_draws(_column_kernel(v_set, path, a1, zetas), lefts,
+                           np.array(same), params)
+        for i, val in zip(rows, vals):
+            u_set = states[i]
+            table[i, j] = (val * (norm_root(v_set) / norm_root(u_set))
+                           * _anchor_factor(path, u_set, v_set))
+    return table
 
 
 def finite_lhp(path, basis, ground_states, method="det"):
@@ -581,6 +714,11 @@ def finite_lhp(path, basis, ground_states, method="det"):
     return flat_matrix_element(path, ground_states, method)[row, row]
 
 
+def _check_method(method):
+    if method not in ("det", "brute"):
+        raise ValueError(f"method must be 'det' or 'brute', got {method!r}")
+
+
 def path_element(u_set, v_set, path, method):
     """<u| path |v> times the anchor factor of the path.
 
@@ -590,6 +728,7 @@ def path_element(u_set, v_set, path, method):
     a path argument z or z +- 1, which _q_transformed refuses);
     method='brute' takes the dense route.
     """
+    _check_method(method)
     a1 = path.heights[0]
     if method == "det":
         try:

@@ -1,6 +1,7 @@
 """Batch front end: exit codes, determinism, and table contracts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -166,16 +167,16 @@ class TestLhpTables:
     def test_finite_table_builds_one_pair_table_per_shift(
             self, thermo_config, tmp_path, monkeypatch):
         # L = 3, r = 1: one K x K pair table, K = 2(L - r) = 4, for each of
-        # the L height shifts, shared by all K flat labels: L K^2 = 48
-        # pair elements
+        # the L height shifts, shared by all K flat labels; each table is
+        # K column passes, one per right state: L K = 12 passes
         calls = []
-        element = cli.matel.path_element
+        kernel = cli.matel._column_kernel
 
         def counted(*args):
             calls.append(1)
-            return element(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr(cli.matel, "path_element", counted)
+        monkeypatch.setattr(cli.matel, "_column_kernel", counted)
         path = tmp_path / "bond12.json"
         path.write_text(json.dumps({"vertices": [[1, 1], [2, 1]],
                                     "heights": [1, 2]}))
@@ -185,7 +186,7 @@ class TestLhpTables:
                          "--out", str(out)])
         assert code == cli.EXIT_OK
         assert len(json.loads(out.read_text())["records"]) == 3 * 4
-        assert len(calls) == 3 * 4 ** 2
+        assert len(calls) == 3 * 4
 
     @pytest.mark.parametrize("mode", ["lhp", "converge"])
     def test_thermo_failure_not_swallowed(self, thermo_config, point_path,
@@ -380,6 +381,24 @@ class TestConverge:
                          "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert "flat label" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_list", ["0", "-4"])
+    def test_non_positive_n_exit_2(self, thermo_config, bond_path, tmp_path,
+                                   capsys, n_list):
+        # refused by the lattice geometry before any solve: no numpy
+        # warning on an empty column, and the reason names N
+        out = tmp_path / "conv.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["converge", "--config", thermo_config,
+                             "--path", bond_path, f"--n-list={n_list}",
+                             "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert (f"N must be a positive even number, got {n_list}"
+                in capsys.readouterr().err)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     def test_single_n_no_claim(self, thermo_config, bond_path, tmp_path):

@@ -495,13 +495,13 @@ class TestNormMemo:
 
 class TestTwistWeightMemo:
     def test_weights_computed_once_per_height(self, ground4, monkeypatch):
-        # every mpme_det of the element asks for the weights; they are
-        # evaluated once per (height, gamma) pair
+        # every column pass of the element asks for the weights once; they
+        # are evaluated once per (height, gamma) pair
         S.twist_weights.cache_clear()
         val = M.flat_matrix_element(PATH1, ground4)[0, 0]
         info = S.twist_weights.cache_info()
         assert info.misses == 1       # the path's height s0 + 1, one gamma
-        assert info.hits + info.misses >= len(ground4) ** 2
+        assert info.hits + info.misses == len(ground4)
         # the same value, to the bit, as weights computed on every use
         monkeypatch.setattr(M, "twist_weights", S.twist_weights.__wrapped__)
         assert M.flat_matrix_element(PATH1, ground4)[0, 0] == val
@@ -840,6 +840,150 @@ class TestFlatBasis:
                  / B.eigenvalue_tau(config4.xi[0], vs))
         assert abs(base - plain * ratio) < 1e-12
 
+
+
+def _physical(L, r, tau=0.45j):
+    return ModelParams(tau=tau, r=r, L=L, s0=tau * L / (2 * r))
+
+
+def _flat_states(gs):
+    """The ground states in the order of the flat_matrix_element table."""
+    params = next(iter(gs.values())).params
+    return [gs[key] for key in M.flat_basis_phases(0, 0, params)]
+
+
+def _per_pair_table(path, states):
+    return np.array([[M.path_element(u_set, v_set, path, "det")
+                      for v_set in states] for u_set in states])
+
+
+def _branches(states, path):
+    """The routes the pairs of a table take: distinct and mean-value pairs
+    on the determinant route; twist partners with different omega^2,
+    shifted representatives and a root on a path argument on the dense
+    one."""
+    z = np.asarray(path.zetas(states[0].config), dtype=complex)
+    found = {"root_on_path" for st in states if M._root_on_path(st, z)}
+    for u_set in states:
+        for v_set in states:
+            try:
+                found.add("mean_value" if M._mean_value_pair(u_set, v_set)[1]
+                          else "distinct")
+            except DegenerateConfigError:
+                found.add("twist_omega2" if abs((v_set.omega / u_set.omega)
+                                                ** 2 - 1.0) > 1e-8
+                          else "shifted_reps")
+    return found
+
+
+ORACLE_COLUMN = LatticeConfig(N=4, xi=tuple(0.5 + 1j * y for y in (
+    0.04, -0.03, 0.02, -0.05)))
+
+# name -> ((L, r) at tau = 0.45i and physical s0, or None for the oracle
+# model on ORACLE_COLUMN; N; heights; the branch the table must take;
+# bound relative to the largest entry)
+COLUMN_CASES = {
+    "distinct_31": ((3, 1), 6, (1, 2), "distinct", 1e-14),
+    "mean_value_31": ((3, 1), 6, (1, 2), "mean_value", 1e-14),
+    "distinct_52": ((5, 2), 6, (1, 2), "distinct", 1e-14),
+    "mean_value_52": ((5, 2), 6, (1, 2), "mean_value", 1e-14),
+    "twist_partners_41": ((4, 1), 6, (1, 2), "twist_omega2", 1e-14),
+    "shifted_reps_43": ((4, 3), 6, (1, 2), "shifted_reps", 1e-14),
+    "root_on_path_32": ((3, 2), 6, (1, 2), "root_on_path", 1e-14),
+    "m2_upward": (None, 4, (0, 1, 2), "distinct", 5e-13),
+}
+
+
+class TestColumnPass:
+    """flat_matrix_element's pair table, one column pass per right state,
+    against path_element pair by pair."""
+
+    @staticmethod
+    def _model(family, N):
+        if family is None:
+            return (ModelParams(tau=0.8j, r=1, L=3, s0=0.41 + 0.13j),
+                    ORACLE_COLUMN)
+        return _physical(*family), homogeneous_config(N)
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_CASES))
+    def test_table_matches_per_pair_route(self, name):
+        family, N, heights, branch, bound = COLUMN_CASES[name]
+        params, config = self._model(family, N)
+        states = _flat_states(B.all_ground_states(config, params))
+        path = M.vertical_path(heights)
+        assert branch in _branches(states, path)
+        table = M._pair_table(path, states, "det")
+        ref = _per_pair_table(path, states)
+        assert np.all(np.isfinite(table))
+        gap = np.max(np.abs(table - ref)) / np.max(np.abs(ref))
+        assert gap <= bound, gap
+
+    def test_pole_redraws_its_own_pair_only(self, ground4, monkeypatch):
+        # draw 0 puts [t0] = [sum u - sum v + gamma] on a pole for the pair
+        # (0,0)-(1,1) alone: that pair takes draw 1, every other pair keeps
+        # draw 0, as path_element does pair by pair
+        us, vs = ground4[(0, 0)], ground4[(1, 1)]
+        params = us.params
+        draw = S.default_gamma
+        pole = complex(np.sum(vs.v) - np.sum(us.v))
+
+        def patched(params, redraw=0):
+            return pole if redraw == 0 else draw(params, redraw)
+
+        with pytest.raises(PoleError):
+            M.mpme_det(us, vs, PATH1, 1, gamma=pole)
+        monkeypatch.setattr(S, "default_gamma", patched)
+        states = _flat_states(ground4)
+        table = M._pair_table(PATH1, states, "det")
+        ref = _per_pair_table(PATH1, states)
+        keys = list(M.flat_basis_phases(0, 0, params))
+        i, j = keys.index((0, 0)), keys.index((1, 1))
+        scale = np.max(np.abs(ref))
+        redrawn = M.mpme_det(us, vs, PATH1, 1, gamma=draw(params, 1))
+        assert abs(table[i, j] - redrawn) <= 1e-14 * scale
+        assert abs(ref[i, j] - redrawn) <= 1e-14 * scale
+        others = np.ones(table.shape, dtype=bool)
+        others[i, j] = False
+        assert np.max(np.abs(table - ref)[others]) <= 1e-14 * scale
+        # the other pairs kept draw 0: they differ from a table at draw 1
+        monkeypatch.setattr(S, "default_gamma",
+                            lambda params, redraw=0: draw(params, redraw + 1))
+        at_draw_1 = M._pair_table(PATH1, states, "det")
+        assert abs(at_draw_1[i, j] - table[i, j]) <= 1e-14 * scale
+        assert np.all(at_draw_1[others] != table[others])
+
+    def test_bracket_calls_grow_like_K(self, monkeypatch):
+        # a flat table makes as many bracket calls per column pass at
+        # K = 4 ((L, r) = (3, 1)) as at K = 6 ((5, 2)): the calls grow like
+        # K, not like the K^2 pairs
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
+        per_column = {}
+        for L, r in ((3, 1), (5, 2)):
+            params = _physical(L, r)
+            gs = B.all_ground_states(homogeneous_config(4), params)
+            monkeypatch.setattr(ModelParams, "bracket", counted)
+            calls.clear()
+            M.flat_matrix_element(PATH1, gs)
+            monkeypatch.setattr(ModelParams, "bracket", bracket)
+            per_column[len(gs)] = len(calls) / len(gs)
+        assert per_column[4] == per_column[6], per_column
+
+    @pytest.mark.parametrize("method", ["dett", "dense", None])
+    def test_unknown_method_refused(self, ground4, method):
+        # no method other than 'det' and 'brute' falls through to a route
+        us, vs = ground4[(0, 0)], ground4[(1, 1)]
+        for call in (lambda: M.path_element(us, vs, PATH1, method),
+                     lambda: M.flat_matrix_element(PATH1, ground4, method),
+                     lambda: M.finite_lhp(PATH1, ("flat", 0, 0), ground4,
+                                          method=method)):
+            with pytest.raises(ValueError, match="method"):
+                call()
 
 
 # path -> outcome on the homogeneous and on the inhomogeneous N = 4 column:
