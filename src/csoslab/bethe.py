@@ -12,6 +12,14 @@ from the logarithmic equations
 Bare momentum and phase use theta functions of modulus tau_tilde = -1/tau;
 both are taken odd and continuous on the real axis (value 0 at 0, slope
 2 pi per unit period).
+
+The 2(L-r) labels of one lattice and model form a family.  Its labels
+that the root cache does not hold are seeded together (quantiles of the
+root density, 20 bisection halvings) and solved together: one damped-Newton
+loop runs on the stack of their root rows, one theta-series pass per step
+for all of them, and each row keeps its own line search and stop rule, so
+it comes out as it would from a solve of its own.  solve_ground_state is
+the one-label case.
 """
 
 import cmath
@@ -24,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import ModelParams, SolverError, _theta_rows, stacked, theta
+from .elliptic import ModelParams, SolverError, _cmul, _theta_rows, stacked, \
+    theta
 from .lattice import LatticeConfig, StateVector, _entries_apply, \
     monodromy_entry_apply, transfer_apply
 
@@ -62,29 +71,38 @@ def momentum_shifts(config, params):
 
 
 def _p0_term(z, config, params):
-    """The (z, shift) term of p0_tot for _log_ratio_odd, a column per site."""
+    """The (z, shift) term of p0_tot for _log_ratio_odd, a column per
+    distinct momentum shift (sites with equal xi share one, so a
+    homogeneous lattice evaluates one), and each site's column."""
+    shifts, site = np.unique(momentum_shifts(config, params),
+                             return_inverse=True)
     z = np.asarray(z, dtype=float)
-    return (z[..., None] - momentum_shifts(config, params),
-            params.eta_tilde / 2.0)
+    return (z[..., None] - shifts, params.eta_tilde / 2.0), site
 
 
-def _site_mean(vals, order):
+def _site_mean(vals, site, order):
+    """The mean over sites of p0 values held a column per distinct shift,
+    taken over a C-ordered copy with one column per site, so that it sums
+    as the mean of a column per site does."""
+    vals = np.ascontiguousarray(vals[..., site])
     return np.real(vals).mean(axis=-1) if order == 0 else vals.mean(axis=-1)
 
 
 def p0_tot(z, config, params, order=0):
-    vals, = _log_ratio_odd([_p0_term(z, config, params)], params.tau_tilde,
-                           order)
-    return _site_mean(vals, order)
+    term, site = _p0_term(z, config, params)
+    vals, = _log_ratio_odd([term], params.tau_tilde, order)
+    return _site_mean(vals, site, order)
 
 
 def _bethe_terms(x, config, params, order):
     """p0_tot(x) and the phase matrix theta(x_j - x_l), or their
-    derivatives (order 1), from one _log_ratio_odd evaluation."""
+    derivatives (order 1), from one _log_ratio_odd evaluation; leading axes
+    of x stack root sets, one matrix each."""
+    term, site = _p0_term(x, config, params)
     mom, phase = _log_ratio_odd(
-        [_p0_term(x, config, params),
-         (x[:, None] - x[None, :], params.eta_tilde)], params.tau_tilde, order)
-    return _site_mean(mom, order), phase
+        [term, (x[..., :, None] - x[..., None, :], params.eta_tilde)],
+        params.tau_tilde, order)
+    return _site_mean(mom, site, order), phase
 
 
 def xibar(config, params):
@@ -135,10 +153,15 @@ class BetheRootSet:
         return np.exp(np.asarray(z) * self.log_omega) if np.ndim(z) \
             else cmath.exp(z * self.log_omega)
 
+    def _d_args(self, u):
+        """The bracket arguments (u - xi_k, u - xi_k + 1) of d_fun, a column
+        per site."""
+        uk = np.asarray(u)[..., None] - np.array(self.config.xi)
+        return uk, uk + 1
+
     def d_fun(self, u):
         """prod_k [u - xi_k]/[u - xi_k + 1], one bracket array per factor."""
-        uk = np.asarray(u)[..., None] - np.array(self.config.xi)
-        num, den = self.params.brackets(uk, uk + 1)
+        num, den = self.params.brackets(*self._d_args(u))
         out = np.prod(num / den, axis=-1)
         return out if np.ndim(u) else complex(out)
 
@@ -147,33 +170,51 @@ class BetheRootSet:
 
 
 def log_bethe_residual(x, k, ell, config, params):
-    """LHS - RHS of the logarithmic Bethe equations at real roots x."""
+    """LHS - RHS of the logarithmic Bethe equations at real roots x.
+
+    Leading axes of x stack root sets (one row of n roots per label), with
+    k and ell one per row; each row's values are those of its own call.
+    """
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    k, ell = np.asarray(k)[..., None], np.asarray(ell)[..., None]
+    n = x.shape[-1]
     N = config.N
     nj = np.arange(1, n + 1) + k
     p0, phase = _bethe_terms(x, config, params, 0)
     lhs = N * p0
-    lhs = lhs - np.sum(phase, axis=1)
+    lhs = lhs - np.sum(phase, axis=-1)
     rhs = 2.0 * math.pi * (nj - (n + 1) / 2.0
                            + (params.r * n + 2.0 * ell) / params.L
-                           + 2.0 * params.eta * np.sum(x)
+                           + 2.0 * params.eta * np.sum(x, axis=-1,
+                                                       keepdims=True)
                            + params.eta * xibar(config, params))
     return lhs - rhs
 
 
 def _log_bethe_jacobian(x, config, params):
-    """Complex Jacobian of the logarithmic Bethe equations at real roots x;
-    Newton takes its real part, and (eta~/i) times it is the Gaudin matrix.
+    """Complex Jacobian of the logarithmic Bethe equations at real roots x
+    (leading axes stack root sets, one matrix each); Newton takes its real
+    part, and (eta~/i) times it is the Gaudin matrix.
 
     The real and imaginary parts of the phase rows are summed apart, so the
     real part has the bits of a sum over the real entries.
     """
     x = np.asarray(x, dtype=float)
     p0, phase = _bethe_terms(x, config, params, 1)
-    rows = np.sum(phase.real, axis=1) + 1j * np.sum(phase.imag, axis=1)
-    return (np.diag(config.N * p0 - rows) + phase
-            - 4.0 * math.pi * params.eta)
+    rows = np.sum(phase.real, axis=-1) + 1j * np.sum(phase.imag, axis=-1)
+    diag = np.zeros_like(phase)
+    idx = np.arange(x.shape[-1])
+    diag[..., idx, idx] = config.N * p0 - rows
+    return diag + phase - 4.0 * math.pi * params.eta
+
+
+def _coinciding(x):
+    """Whether two roots of x coincide modulo the real period."""
+    n = len(x)
+    if n < 2:
+        return False
+    xd = x[:, None] - x[None, :] + 0.37 * np.eye(n)
+    return np.min(np.abs(xd - np.round(xd))) < 1e-10
 
 
 def bethe_residual(roots):
@@ -181,21 +222,36 @@ def bethe_residual(roots):
     divided by max(1, |LHS|, |RHS|), which keeps the solver acceptance
     meaningful at larger N where the bracket products grow exponentially.
     """
-    v = roots.v
-    n = roots.n
-    params = roots.params
-    if n > 1:
-        xd = roots.x[:, None] - roots.x[None, :] + 0.37 * np.eye(n)
-        if np.min(np.abs(xd - np.round(xd))) < 1e-10:
-            raise SolverError("coinciding Bethe roots")
-    dv = (v[:, None] - v[None, :])[~np.eye(n, dtype=bool)].reshape(
-        n, max(n - 1, 0))
-    br = params.bracket(np.stack([-dv + 1, -dv, dv + 1, dv]))
-    sgn = (-1.0) ** (params.r * roots.aleph)
-    lhs = np.prod(br[0] / br[1], axis=1)   # a(v_j) = 1
-    rhs = (sgn * roots.omega ** (-2) * roots.d_fun(v)
-           * np.prod(br[2] / br[3], axis=1))
-    return (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    res, = _bethe_residuals([roots])
+    if res is None:
+        raise SolverError("coinciding Bethe roots")
+    return res
+
+
+def _bethe_residuals(family):
+    """bethe_residual of each root set of one family (one config and
+    params), None where roots coincide; the brackets of all of them come
+    from one call, and each defect is that of its own call, bit for bit."""
+    coinciding = [_coinciding(roots.x) for roots in family]
+    ok = [roots for roots, bad in zip(family, coinciding) if not bad]
+    if not ok:
+        return [None] * len(family)
+    params, n = ok[0].params, ok[0].n
+    v = np.array([roots.v for roots in ok])
+    dv = (v[:, :, None] - v[:, None, :])[:, ~np.eye(n, dtype=bool)].reshape(
+        len(ok), n, max(n - 1, 0))
+    brs, num, den = params.brackets(
+        np.stack([-dv + 1, -dv, dv + 1, dv], axis=1), *ok[0]._d_args(v))
+    out = []
+    for roots, br, nu, de in zip(ok, brs, num, den):
+        sgn = (-1.0) ** (params.r * roots.aleph)
+        lhs = np.prod(br[0] / br[1], axis=1)   # a(v_j) = 1
+        rhs = (sgn * roots.omega ** (-2) * np.prod(nu / de, axis=-1)
+               * np.prod(br[2] / br[3], axis=1))
+        out.append((lhs - rhs) / np.maximum(
+            1.0, np.maximum(np.abs(lhs), np.abs(rhs))))
+    vals = iter(out)
+    return [None if bad else next(vals) for bad in coinciding]
 
 
 def density_fourier(m, config, params):
@@ -223,8 +279,11 @@ def _initial_guess(n, labels, config, params):
     n roots per label (k, ell).
 
     The density is summed over its first 80 Fourier modes; the targets of
-    all labels are bisected together, 60 halvings of [-1/2, 1/2].  Each
-    row is computed as it would be alone.
+    all labels are bisected together, 20 halvings of [-1/2, 1/2].  The
+    quantiles are only a Newton start: their bisection error, 2^-21, lies
+    far below the seed's own finite-size error, and further halvings move
+    the solved roots by round-off only.  Each row is computed as it would
+    be alone.
     """
     N = config.N
     targets = np.array([(np.arange(1, n + 1) + k - (n + 1) / 2.0
@@ -233,7 +292,7 @@ def _initial_guess(n, labels, config, params):
     targets = np.clip(targets, 0.02, 0.48)
     coeffs = density_fourier(np.arange(1, 81), config, params)
     lo, hi = np.full(targets.shape, -0.5), np.full(targets.shape, 0.5)
-    for _ in range(60):
+    for _ in range(20):
         mid = 0.5 * (lo + hi)
         below = _cumulative_density(mid, coeffs) < targets
         lo = np.where(below, mid, lo)
@@ -241,86 +300,139 @@ def _initial_guess(n, labels, config, params):
     return np.sort(0.5 * (lo + hi), axis=-1)
 
 
-def solve_ground_state(k, ell, config, params, cache_dir=None, seed=None):
-    """Damped-Newton solution of the logarithmic Bethe equations.
+def _newton(x, labels, config, params):
+    """Damped Newton on the logarithmic Bethe equations for a stack of
+    labels at once, from x, one row of roots per label.  Returns the last
+    iterates and per row the step count, the log residual and the
+    SolverError of a singular Jacobian (else None).
+
+    Every step makes one _log_ratio_odd pass for the Jacobians of all rows
+    still iterating, one batched linear solve, and one pass per halving of
+    the line search for the rows still searching.  Each row keeps its own
+    step scale and stop rule, as if solved alone: it stops at log residual
+    1e-13, after 200 steps, or at the round-off floor, where no halving of
+    its step lowers the residual; then it leaves the stack.
+    """
+    x = np.array(x, dtype=float)
+    k, ell = np.array(labels).T
+    res = log_bethe_residual(x, k, ell, config, params)
+    rnorm = np.max(np.abs(res), axis=-1)
+    iters = np.zeros(len(labels), dtype=int)
+    errors = [None] * len(labels)
+    live = np.flatnonzero(rnorm > 1e-13)
+    while live.size:
+        jac = _log_bethe_jacobian(x[live], config, params).real
+        try:
+            step = np.linalg.solve(jac, res[live][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.zeros(x[live].shape)
+            for pos, row in enumerate(live):
+                try:
+                    step[pos] = np.linalg.solve(jac[pos], res[row])
+                except np.linalg.LinAlgError:
+                    errors[row] = SolverError(
+                        f"singular Jacobian at iteration {iters[row]}",
+                        best=x[row].copy(), residual=float(rnorm[row]))
+        ok = np.array([errors[row] is None for row in live])
+        searching = ok.copy()
+        scale = np.ones(live.size)
+        for _ in range(20):
+            if not searching.any():
+                break
+            pos = np.flatnonzero(searching)
+            rows = live[pos]
+            trial = x[rows] - scale[pos, None] * step[pos]
+            tres = log_bethe_residual(trial, k[rows], ell[rows], config,
+                                      params)
+            tnorm = np.max(np.abs(tres), axis=-1)
+            better = tnorm < rnorm[rows]
+            done = rows[better]
+            x[done], res[done], rnorm[done] = \
+                trial[better], tres[better], tnorm[better]
+            iters[done] += 1
+            searching[pos[better]] = False
+            scale[pos[~better]] *= 0.5
+        # a row still searching is at the round-off floor
+        live = live[ok & ~searching & (rnorm[live] > 1e-13)
+                    & (iters[live] < 200)]
+    return x, iters, rnorm, errors
+
+
+def _solve_family(labels, config, params, cache_dir):
+    """The root sets of labels of one family (one config and params), keyed
+    by label.  The root cache serves what it holds; the other labels are
+    seeded in one bisection and solved in one Newton loop.  A label is
+    refused when its log residual stays above 1e-10 or its multiplicative
+    residual is above 1e-10; the first refused label (in the order given)
+    raises its SolverError, after the labels before it are stored in the
+    cache.
+    """
+    out = {}
+    for label in labels:
+        cached = _cache_load(*label, config, params, cache_dir)
+        if cached is not None:
+            out[label] = cached
+    todo = [label for label in labels if label not in out]
+    if todo:
+        x = _initial_guess(config.N // 2, todo, config, params)
+        x, iters, rnorm, errors = _newton(x, todo, config, params)
+        found = [BetheRootSet(x=np.sort(row), k=k, ell=ell, params=params,
+                              config=config, newton_iters=int(it))
+                 for row, (k, ell), it in zip(x, todo, iters)]
+        for pos, row in enumerate(x):
+            if errors[pos] is None and not rnorm[pos] <= 1e-10:
+                errors[pos] = SolverError(
+                    f"no convergence after {iters[pos]} iterations",
+                    best=row, residual=float(rnorm[pos]))
+        fine = [pos for pos, err in enumerate(errors) if err is None]
+        residuals = _bethe_residuals([found[pos] for pos in fine])
+        for pos, res in zip(fine, residuals):
+            roots = found[pos]
+            if res is None:
+                errors[pos] = SolverError("coinciding Bethe roots")
+                continue
+            roots.residual = float(np.max(np.abs(res)))
+            if not roots.residual <= 1e-10:
+                errors[pos] = SolverError(
+                    f"multiplicative residual {roots.residual:.2e} above "
+                    "1e-10", best=x[pos], residual=roots.residual)
+        for label, roots, err in zip(todo, found, errors):
+            if err is not None:
+                raise err
+            _cache_store(roots, cache_dir)
+            out[label] = roots
+    return {label: out[label] for label in labels}
+
+
+def solve_ground_state(k, ell, config, params, cache_dir=None):
+    """Damped-Newton solution of the logarithmic Bethe equations for one
+    label, the one-label case of the family solve of all_ground_states.
 
     Iterates until the log residual is at most 1e-13, for at most 200
     steps.  Returns a BetheRootSet with multiplicative residual below 1e-10;
-    raises SolverError (carrying the best iterate) on failure.  When the
-    root cache does not serve the state, seed(k, ell) gives the start
-    (default: the state's own _initial_guess).
+    raises SolverError (carrying the best iterate) on failure.  The root
+    cache, when it holds the state, serves it without a solve.
     """
     config.validate(params)
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
     if not 0 <= ell < params.L - params.r:
         raise ValueError(f"ell must lie in 0..{params.L - params.r - 1}")
-    n = config.N // 2
-
-    cached = _cache_load(k, ell, config, params, cache_dir)
-    if cached is not None:
-        return cached
-
-    x = (seed(k, ell) if seed is not None
-         else _initial_guess(n, [(k, ell)], config, params)[0])
-    res = log_bethe_residual(x, k, ell, config, params)
-    rnorm = float(np.max(np.abs(res)))
-    iters = 0
-    while rnorm > 1e-13 and iters < 200:
-        jac = _log_bethe_jacobian(x, config, params).real
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Jacobian at iteration {iters}",
-                              best=x, residual=rnorm) from exc
-        scale = 1.0
-        improved = False
-        for _ in range(20):
-            trial = x - scale * step
-            tres = log_bethe_residual(trial, k, ell, config, params)
-            tnorm = float(np.max(np.abs(tres)))
-            if tnorm < rnorm:
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break  # at the round-off floor; acceptance below decides
-        x, res, rnorm = trial, tres, tnorm
-        iters += 1
-    if rnorm > 1e-10:
-        raise SolverError(f"no convergence after {iters} iterations",
-                          best=x, residual=rnorm)
-    roots = BetheRootSet(x=np.sort(x), k=k, ell=ell, params=params,
-                         config=config, newton_iters=iters)
-    roots.residual = float(np.max(np.abs(bethe_residual(roots))))
-    if roots.residual > 1e-10:
-        raise SolverError(
-            f"multiplicative residual {roots.residual:.2e} above 1e-10",
-            best=x, residual=roots.residual)
-    _cache_store(roots, cache_dir)
-    return roots
+    return _solve_family([(k, ell)], config, params, cache_dir)[(k, ell)]
 
 
 def all_ground_states(config, params, cache_dir=None):
     """The 2(L-r) ground-state root sets, keyed by (k, ell).
 
-    The first state the root cache does not serve is seeded together with
-    every label after it, in one bisection; a fully cached column runs
-    none.
+    The labels the root cache does not serve are seeded in one bisection
+    and solved as one stack in one damped-Newton loop (see _newton), each
+    with the roots, step count and residuals of its own solve_ground_state
+    call, bit for bit; a fully cached column runs neither.  A failure
+    raises the SolverError of the first failing label in label order.
     """
+    config.validate(params)
     labels = [(k, ell) for k in (0, 1) for ell in range(params.L - params.r)]
-    seeds = {}
-
-    def seed(k, ell):
-        if (k, ell) not in seeds:
-            rest = labels[labels.index((k, ell)):]
-            seeds.update(zip(rest, _initial_guess(config.N // 2, rest,
-                                                  config, params)))
-        return seeds[(k, ell)]
-
-    return {label: solve_ground_state(*label, config, params,
-                                      cache_dir=cache_dir, seed=seed)
-            for label in labels}
+    return _solve_family(labels, config, params, cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +493,9 @@ def lambda_pm(zeta, roots):
     brs = roots.params.brackets(*(
         np.concatenate([z - xi + (1 + eps) // 2, roots.v - z + eps], axis=-1)
         for eps in (1, -1)))
-    out = tuple(eps * roots.omega ** (eps - 1) * np.prod(br, axis=-1)
+    # the twist factor multiplies through _cmul, so that an array of
+    # arguments rounds as each argument alone
+    out = tuple(_cmul(np.prod(br, axis=-1), eps * roots.omega ** (eps - 1))
                 for eps, br in zip((1, -1), brs))
     return out if np.ndim(zeta) else tuple(complex(val) for val in out)
 

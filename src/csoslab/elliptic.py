@@ -304,7 +304,8 @@ class ModelParams:
 
     Derived quantities: q = e^{2 pi i eta}, eta_tilde = -eta/tau,
     tau_tilde = -1/tau, s0_tilde = s0 + 1/(2 eta_tilde) = s0 - tau/(2 eta);
-    bracket_prime0 = [0]' is evaluated once, when the model is made.
+    bracket_prime0 = [0]' and bracket_prime1 = [1]' are evaluated once,
+    when the model is made.
     """
 
     tau: complex
@@ -312,6 +313,7 @@ class ModelParams:
     L: int
     s0: complex
     bracket_prime0: complex = field(init=False, repr=False, compare=False)
+    bracket_prime1: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -322,6 +324,7 @@ class ModelParams:
         if math.gcd(self.r, self.L) != 1:
             raise ValueError(f"r={self.r} and L={self.L} must be coprime")
         object.__setattr__(self, "bracket_prime0", self.bracket(0.0, order=1))
+        object.__setattr__(self, "bracket_prime1", self.bracket(1.0, order=1))
         # [s] vanishes where eta s is a lattice point m + n tau: the reduced
         # argument of each height lies within 1e-12 of 0
         zr = _reduce(self.eta * (self.s0 + np.arange(self.L)), tau)[0]

@@ -339,8 +339,7 @@ def _mean_value_kernel(gamma, v_set, a2, a4):
     params = v_set.params
     *brs, b1 = params.brackets(*_h_kernel_args(gamma, v[:, None] - v[None, :]),
                                1.0)
-    diag = np.diag(gaudin_matrix(v_set)) - 2.0 * params.bracket(
-        1.0, order=1) / b1
+    diag = np.diag(gaudin_matrix(v_set)) - 2.0 * params.bracket_prime1 / b1
     return np.eye(len(v)) * diag[:, None] + _h_kernel(brs, a2, a4, params)
 
 

@@ -115,8 +115,8 @@ class TestGroundStates:
 
 class TestSeed:
     @staticmethod
-    def scalar_seed(n, k, ell, config, params, modes=80):
-        """One 60-step bisection per root, modes summed one at a time."""
+    def scalar_seed(n, k, ell, config, params, modes=80, halvings=20):
+        """One bisection per root, modes summed one at a time."""
         coeffs = [complex(B.density_fourier(m, config, params))
                   for m in range(1, modes + 1)]
 
@@ -134,7 +134,7 @@ class TestSeed:
                  + (params.r * n + 2.0 * ell) / params.L) / config.N + 0.25
             t = min(max(t, 0.02), 0.48)
             lo, hi = -0.5, 0.5
-            for _ in range(60):
+            for _ in range(halvings):
                 mid = 0.5 * (lo + hi)
                 if cumulative(mid) < t:
                     lo = mid
@@ -183,17 +183,46 @@ class TestSeed:
 
     def test_cached_column_runs_no_bisection(self, params, tmp_path,
                                              monkeypatch):
+        # neither the seed nor the Newton loop runs for a cached column
         config = homogeneous_config(6)
         first = B.all_ground_states(config, params, cache_dir=str(tmp_path))
 
         def refuse(*args):
-            raise AssertionError("bisection run for a cached state")
+            raise AssertionError("seed or Newton run for a cached state")
 
         monkeypatch.setattr(B, "_initial_guess", refuse)
+        monkeypatch.setattr(B, "_newton", refuse)
         again = B.all_ground_states(config, params, cache_dir=str(tmp_path))
         assert sorted(again) == sorted(first)
         for key, roots in again.items():
             assert np.array_equal(roots.x, first[key].x)
+
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("L, r", [(3, 1), (5, 2), (4, 1)])
+    def test_seed_halvings_move_roots_by_round_off(self, L, r, N):
+        # the seed stops after 20 halvings; Newton from it and from a
+        # 60-halving bisection lands on the same roots to round-off
+        params = _physical(L, r)
+        config = homogeneous_config(N)
+        n = N // 2
+        labels = [(k, ell) for k in (0, 1) for ell in range(L - r)]
+        coeffs = B.density_fourier(np.arange(1, 81), config, params)
+        targets = np.clip([(np.arange(1, n + 1) + k - (n + 1) / 2.0
+                            + (r * n + 2.0 * ell) / L) / N + 0.25
+                           for k, ell in labels], 0.02, 0.48)
+        lo, hi = np.full(targets.shape, -0.5), np.full(targets.shape, 0.5)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = B._cumulative_density(mid, coeffs) < targets
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        fine = np.sort(0.5 * (lo + hi), axis=-1)
+        coarse = B._initial_guess(n, labels, config, params)
+        assert 1e-9 < np.max(np.abs(coarse - fine)) < 1e-5
+        x_fine, _, rnorm_fine, _ = B._newton(fine, labels, config, params)
+        x_coarse, _, rnorm_coarse, _ = B._newton(coarse, labels, config,
+                                                 params)
+        assert np.max(rnorm_fine) <= 1e-13 and np.max(rnorm_coarse) <= 1e-13
+        assert np.max(np.abs(x_coarse - x_fine)) <= 1e-13
 
     def test_density_fourier_array_matches_scalar(self, params, config4):
         ms = np.arange(-5, 6)
@@ -201,6 +230,126 @@ class TestSeed:
         assert arr.shape == ms.shape
         for m, val in zip(ms, arr):
             assert val == B.density_fourier(int(m), config4, params)
+
+
+def _physical(L, r, tau=0.45j):
+    return ModelParams(tau=tau, r=r, L=L, s0=tau * L / (2 * r))
+
+
+class TestFamilyNewton:
+    """all_ground_states solves the uncached labels of a column as one
+    stack in one Newton loop; each label comes out as its own solve."""
+
+    @pytest.mark.parametrize("L, r", [(3, 1), (5, 2)])
+    def test_family_equals_one_label_solves(self, L, r):
+        params = _physical(L, r)
+        config = homogeneous_config(8)
+        gs = B.all_ground_states(config, params)
+        for (k, ell), roots in gs.items():
+            own = B.solve_ground_state(k, ell, config, params)
+            assert roots.x.tobytes() == own.x.tobytes()
+            assert roots.newton_iters == own.newton_iters
+            assert roots.residual == own.residual
+        if (L, r) == (3, 1):
+            # labels leave the stack at different steps
+            assert sorted({r_.newton_iters for r_ in gs.values()}) == [4, 5]
+
+    def test_passes_do_not_grow_with_labels(self, monkeypatch):
+        # one _log_ratio_odd pass per Newton step and line-search halving
+        # serves the whole family: K = 4, 6 and 8 labels at N = 8 make as
+        # many passes as the slowest label alone
+        ratio = B._log_ratio_odd
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return ratio(*args)
+
+        monkeypatch.setattr(B, "_log_ratio_odd", counted)
+        counts = {}
+        for L, r in ((3, 1), (5, 2), (7, 3)):
+            calls.clear()
+            gs = B.all_ground_states(homogeneous_config(8), _physical(L, r))
+            counts[len(gs)] = len(calls)
+        assert counts[4] == counts[6] == counts[8], counts
+
+    def test_stacked_residual_and_jacobian_equal_rows(self, params):
+        config = homogeneous_config(8)
+        labels = [(k, ell) for k in (0, 1) for ell in range(2)]
+        x = B._initial_guess(4, labels, config, params)
+        k, ell = np.array(labels).T
+        res = B.log_bethe_residual(x, k, ell, config, params)
+        jac = B._log_bethe_jacobian(x, config, params)
+        for row, (kk, ll) in enumerate(labels):
+            assert np.array_equal(
+                res[row], B.log_bethe_residual(x[row], kk, ll, config,
+                                               params))
+            assert np.array_equal(jac[row],
+                                  B._log_bethe_jacobian(x[row], config,
+                                                        params))
+
+    @pytest.mark.parametrize("L, r, tau, iters, first", [
+        (6, 1, 0.8j, 11, (0, 4)), (5, 1, 1j, 15, (0, 3))])
+    def test_failing_family_raises_first_failing_label(
+            self, tmp_path, L, r, tau, iters, first):
+        params = ModelParams(tau=tau, r=r, L=L, s0=tau * L / (2 * r))
+        config = homogeneous_config(4)
+        with pytest.raises(SolverError) as fam:
+            B.all_ground_states(config, params, cache_dir=str(tmp_path))
+        assert str(fam.value) == f"no convergence after {iters} iterations"
+        with pytest.raises(SolverError) as own:
+            B.solve_ground_state(*first, config, params)
+        assert str(own.value) == str(fam.value)
+        assert np.array_equal(own.value.best, fam.value.best)
+        assert own.value.residual == fam.value.residual
+        # the labels before the failing one are solved and stored
+        labels = [(k, ell) for k in (0, 1) for ell in range(L - r)]
+        assert len(list(tmp_path.glob("*.json"))) == labels.index(first)
+
+    def test_singular_jacobian_stops_its_label_only(self, params,
+                                                     monkeypatch):
+        config = homogeneous_config(4)
+        labels = [(0, 0), (1, 1)]
+        x0 = B._initial_guess(2, labels, config, params)
+        alone = B._newton(x0[1:], labels[1:], config, params)
+        jacobian = B._log_bethe_jacobian
+
+        def singular_first(x, cfg, prm):
+            out = jacobian(x, cfg, prm)
+            if len(x) == 2:     # while both labels iterate
+                out[0] = 0.0
+            return out
+
+        monkeypatch.setattr(B, "_log_bethe_jacobian", singular_first)
+        x, iters, rnorm, errors = B._newton(x0, labels, config, params)
+        assert str(errors[0]) == "singular Jacobian at iteration 0"
+        assert np.array_equal(errors[0].best, x0[0]) and iters[0] == 0
+        assert errors[1] is None
+        assert x[1].tobytes() == alone[0][0].tobytes()
+        assert iters[1] == alone[1][0] and rnorm[1] == alone[2][0]
+
+    def test_partly_cached_column(self, params, tmp_path, monkeypatch):
+        # a column missing one cache file solves that label alone and
+        # serves the rest from the cache
+        config = homogeneous_config(6)
+        cold = B.all_ground_states(config, params)
+        B.all_ground_states(config, params, cache_dir=str(tmp_path))
+        gone = (1, 0)
+        (tmp_path / (B._cache_key(*gone, config, params) + ".json")).unlink()
+        newton = B._newton
+        solved = []
+
+        def recorded(x, labels, cfg, prm):
+            solved.append(list(labels))
+            return newton(x, labels, cfg, prm)
+
+        monkeypatch.setattr(B, "_newton", recorded)
+        again = B.all_ground_states(config, params, cache_dir=str(tmp_path))
+        assert solved == [[gone]]
+        assert list(again) == list(cold)
+        for label, roots in again.items():
+            assert roots.x.tobytes() == cold[label].x.tobytes()
+        assert len(list(tmp_path.glob("*.json"))) == len(cold)
 
 
 class TestNewtonStep:
@@ -231,6 +380,30 @@ class TestNewtonStep:
             monkeypatch.setattr(B, "theta", theta)
             monkeypatch.setattr(B, "_theta_rows", rows)
         assert counts[8] == counts[16] == (1, 1), counts
+
+    @pytest.mark.parametrize("ys", [(0.0,) * 8, (0.02, -0.03) * 4])
+    def test_p0_one_column_per_distinct_shift(self, params, ys,
+                                              monkeypatch):
+        # sites with equal xi share one theta column; p0_tot is the mean of
+        # one column per site, bit for bit
+        config = LatticeConfig(N=8, xi=tuple(0.5 + 1j * y for y in ys))
+        x = B._initial_guess(4, [(0, 0), (1, 1)], config, params)
+        sites = x[..., None] - B.momentum_shifts(config, params)
+        rows = B._theta_rows
+        points = []
+
+        def counted(kind, z, tau, order):
+            points.append(np.size(z))
+            return rows(kind, z, tau, order)
+
+        for order in (0, 1):
+            vals, = B._log_ratio_odd([(sites, params.eta_tilde / 2.0)],
+                                     params.tau_tilde, order)
+            ref = (np.real(vals) if order == 0 else vals).mean(axis=-1)
+            assert np.array_equal(B.p0_tot(x, config, params, order), ref)
+        monkeypatch.setattr(B, "_theta_rows", counted)
+        B.p0_tot(x, config, params, 1)
+        assert points == [2 * x.size * len(set(ys))]
 
     def test_stacked_terms_equal_single_terms(self, params, config4):
         # the residual's momentum and phase terms share one theta call;

@@ -305,6 +305,9 @@ class TestBracket:
     def test_bracket_prime0_is_the_derivative_at_zero(self, params):
         assert params.bracket_prime0 == params.bracket(0.0, order=1)
 
+    def test_bracket_prime1_is_the_derivative_at_one(self, params):
+        assert params.bracket_prime1 == params.bracket(1.0, order=1)
+
 
 class TestComplexDivision:
     def test_cdiv_rounds_as_python(self):

@@ -642,6 +642,33 @@ class TestSectorStacks:
             one = M._mean_value_kernel(0.27 + 0.19j, vs, qm[nu], qp[nu])
             assert np.array_equal(stack[nu], one)
 
+    def test_mean_value_kernel_one_bracket_call(self, ground4, monkeypatch):
+        # [1]' is a constant of the model and [1] rides on the kernel's
+        # one bracket call; the values are those of the bracket formula
+        vs = ground4[(1, 1)]
+        params = vs.params
+        qm = np.array([[params.q ** -1]])
+        qp = np.array([[params.q]])
+        S.gaudin_matrix(vs)     # memoized with the state
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(order)
+            return bracket(self, u, order=order)
+
+        monkeypatch.setattr(ModelParams, "bracket", counted)
+        got = M._mean_value_kernel(0.27 + 0.19j, vs, qm, qp)
+        monkeypatch.setattr(ModelParams, "bracket", bracket)
+        assert calls == [0]
+        v = vs.v
+        *brs, b1 = params.brackets(
+            *M._h_kernel_args(0.27 + 0.19j, v[:, None] - v[None, :]), 1.0)
+        diag = np.diag(S.gaudin_matrix(vs)) - 2.0 * params.bracket(
+            1.0, order=1) / b1
+        ref = np.eye(vs.n) * diag[:, None] + M._h_kernel(brs, qm, qp, params)
+        assert np.array_equal(got, ref)
+
 
 class TestSectorIndependence:
     def test_bracket_calls_do_not_grow_with_L(self, monkeypatch):
