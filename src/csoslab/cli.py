@@ -50,7 +50,11 @@ def parse_config(path):
 def build_params(cfg):
     tau = complex(float(cfg.get("tau_re", "0")), float(cfg["tau_im"]))
     s0 = complex(float(cfg.get("s0_re", "0")), float(cfg.get("s0_im", "0")))
-    if cfg.get("s0", "") == "physical":
+    if "s0" in cfg:
+        if cfg["s0"] != "physical" or {"s0_re", "s0_im"} & cfg.keys():
+            raise ValueError(f"s0 = {cfg['s0']!r}: s0 takes only 'physical', "
+                             "without s0_re and s0_im; give any other s0 as "
+                             "s0_re and s0_im")
         s0 = tau / (2.0 * int(cfg["r"]) / int(cfg["L"]))
     return ModelParams(tau=tau, r=int(cfg["r"]), L=int(cfg["L"]), s0=s0)
 

@@ -7,20 +7,22 @@ normalized matrix element
                        prod_k t_hat^{-1}(z_k) |v> / (||u|| ||v||),
 
 with spin steps a_k = s_{k+1} - s_k and spectral arguments z_k read off the
-step directions.  Three routes are implemented and cross-checked:
+step directions.  Two routes are implemented:
 
-  * dense operator application (oracle),
-  * the commutation-relation sum over m-tuples (coefficients F_b) against
-    partial scalar products, with the Bethe-vector weights phi~_u, phi_v
-    taken from `bethe._phi_weights`,
-  * the determinant form: algebraic factors G_b times a twist sum of
-    ratios det(H) / det(Phi), with an optional m x m reduction.
+  * dense operator application (`mpme_bruteforce`),
+  * the determinant form (`mpme_det`, `_column_kernel`): algebraic factors
+    G_b times a twist sum of ratios det(H) / det(Phi), with an optional
+    m x m reduction.
+
+One router, `_pair_table`, chooses between them for every pair element of
+production; the commutation-relation sum over m-tuples that checks the
+determinant form is `contract.mpme_sum_partial`.
 
 The sums over tuples b = (b_1..b_m) run over b_p in {1..n+m+1-i_p},
 pairwise distinct, where the slot ordering lists the a=-1 positions
 ascending followed by the a=+1 positions descending, and the extended
-parameter list is v_{n+j} = z_{m+1-j}.  The oracle walks the tuples one
-by one; the determinant form takes them as one (T, m) array.
+parameter list is v_{n+j} = z_{m+1-j}.  The determinant form takes the
+tuples as one (T, m) array.
 """
 
 import cmath
@@ -398,8 +400,11 @@ def _column_kernel(v_set, path, a1, zetas, reduction="m"):
     states at one gamma, every builder on one stacked bracket call.
     u_sets are the left states as the kernel takes them (rebased by
     _mean_value_pair where the flag in the boolean array `same` is set).
-    It returns the elements before the norm roots, and a mask of the pairs
-    that sit on a pole of this gamma (their values are not set).
+    It returns the elements before the norm roots and two row masks, whose
+    rows have no value: `pole`, the pairs on a pole of this gamma, and
+    `on_path`, the pairs with a root x of u or v on a path argument z or
+    on z +- 1 (|[x - z]|, |[x - z +- 1]| < 1e-10), where the path block Q
+    is singular at every gamma.
     reduction='m' reduces each tuple to m x m determinants through one
     stacked solve, reduction='n' takes the mixed n x n determinants.
     """
@@ -440,13 +445,17 @@ def _column_kernel(v_set, path, a1, zetas, reduction="m"):
     def elements(u_sets, same, gamma):
         u = np.array([us.v for us in u_sets])
         su = np.sum(u, axis=1)
-        bt0, bs, den = params.brackets(su - np.sum(v) + gamma, s,
-                                       su[:, None] - keep_sum + gamma + s)
+        xz = np.vstack([v, u])[:, :, None] - z      # row 0: the roots of v
+        bt0, bs, den, *bxz = params.brackets(
+            su - np.sum(v) + gamma, s, su[:, None] - keep_sum + gamma + s,
+            xz, xz + 1, xz - 1)
+        hit = np.any(np.abs(bxz) < 1e-10, axis=(0, 2, 3))
+        on_path = hit[0] | hit[1:]
         pole = (np.abs(bt0) < 1e-13) | np.any(np.abs(den) < 1e-13, axis=1)
         vals = np.zeros(len(u_sets), dtype=complex)
-        if pole.all():
-            return vals, pole
-        live = ~pole
+        live = ~(pole | on_path)
+        if not live.any():
+            return vals, pole, on_path
         u, same, bt0, den = u[live], same[live], bt0[live], den[live]
         u_sets = [us for us, ok in zip(u_sets, live) if ok]
         P = len(u_sets)
@@ -489,7 +498,7 @@ def _column_kernel(v_set, path, a1, zetas, reduction="m"):
                              * np.sum(_cmul(det_h, twist), axis=-1)
                              / (L * det_phi))
         vals[live] = np.sum(terms, axis=1)
-        return vals, pole
+        return vals, pole, on_path
 
     return elements
 
@@ -497,34 +506,45 @@ def _column_kernel(v_set, path, a1, zetas, reduction="m"):
 def _with_draws(elements, u_sets, same, params, gamma=None):
     """elements(u_sets, same, gamma) under gamma_retry's rule, pair by pair:
     each pair takes the first default draw at which it has no pole, so a
-    pole redraws only its own pair.  An explicit gamma is the only draw."""
+    pole redraws only its own pair.  An explicit gamma is the only draw.
+    Returns the values and the on_path mask of elements; a masked pair has
+    no value at any gamma and takes no redraw."""
     vals = np.empty(len(u_sets), dtype=complex)
+    on_path = np.zeros(len(u_sets), dtype=bool)
     todo = np.arange(len(u_sets))
 
     def draw(g):
         nonlocal todo
-        got, pole = elements([u_sets[p] for p in todo], same[todo], g)
-        vals[todo[~pole]] = got[~pole]
-        todo = todo[pole]
+        got, pole, off = elements([u_sets[p] for p in todo], same[todo], g)
+        done = ~pole | off
+        vals[todo[done]] = got[done]
+        on_path[todo] = off
+        todo = todo[~done]
         if todo.size:
             raise PoleError("[|u|-|v|+gamma] or a b-dependent prefactor "
                             "vanishes; redraw gamma")
 
     gamma_retry(draw, params, gamma)
-    return vals
+    return vals, on_path
 
 
 def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     """Determinant representation of the normalized matrix element: the
-    one-left-state case of _column_kernel.  The kernels of all L twist
+    one-left-state case of _column_kernel, with no dense fallback: a pair
+    the route does not take is refused.  The kernels of all L twist
     sectors are built as (L, n, n) stacks."""
     params, config = u_set.params, u_set.config
     zetas = det_route_zetas(path, config, params)
     scale = norm_root(v_set) / norm_root(u_set)
     u_set, same = _mean_value_pair(u_set, v_set)
     elements = _column_kernel(v_set, path, a1, zetas, reduction)
-    return _with_draws(elements, [u_set], np.array([same]), params,
-                       gamma)[0] * scale
+    vals, on_path = _with_draws(elements, [u_set], np.array([same]), params,
+                                gamma)
+    if on_path[0]:
+        raise DegenerateConfigError(
+            "a Bethe root sits on a path argument z or on z +- 1, where the "
+            "path block of the determinant representation is singular")
+    return vals[0] * scale
 
 
 # ---------------------------------------------------------------------------
@@ -574,24 +594,11 @@ def _h_transformed(gamma, u, v, alup, params):
     return np.eye(n) * diag[..., None] + _h_kernel(kern, a2, a4, params)
 
 
-def _on_path(*brs):
-    """Whether a bracket [x - z], [x - z + 1] or [x - z - 1] of a root x
-    and a path argument z vanishes (|.| < 1e-10): there the path block Q of
-    the determinant representation is singular."""
-    return any(np.any(np.abs(b) < 1e-10) for b in brs)
-
-
-def _root_on_path(u_set, z):
-    """_on_path for the roots of one state, refused by _q_transformed as a
-    right state and as a distinct left state."""
-    xz = u_set.v[:, None] - z[None, :]
-    return _on_path(*u_set.params.brackets(xz, xz + 1, xz - 1))
-
-
 def _q_transformed(gamma, u, v, zetas, bet, params):
     """Path block Q, one column per argument in zetas; the coefficients
     bet = (b1, b2, b3, b4) and the leading axes of u are laid out as in
-    _h_transformed."""
+    _h_transformed.  Q is singular where a root of u or v sits on an
+    argument z or on z +- 1, which _column_kernel masks."""
     b1, b2, b3, b4 = (np.expand_dims(b, -2) for b in bet)
     t = (np.sum(u - v, axis=-1) + gamma)[..., None, None]
     vz = v[:, None] - zetas[None, :]
@@ -599,10 +606,6 @@ def _q_transformed(gamma, u, v, zetas, bet, params):
     bt, bvz, buz, bvzt, buzp, bvzp, buzm, bvzm, bvztp, bvztm = \
         params.brackets(t, vz, uz, vz + t, uz + 1, vz + 1, uz - 1, vz - 1,
                         vz + t + 1, vz + t - 1)
-    if _on_path(bvz, buz, bvzp, buzp, bvzm, buzm):
-        raise DegenerateConfigError(
-            "a Bethe root sits on a path argument z or on z +- 1, where the "
-            "path block of the determinant representation is singular")
     prod_p = np.prod(bvz / buz * buzp / bvzp, axis=-2, keepdims=True)
     prod_m = np.prod(bvz / buz * buzm / bvzm, axis=-2, keepdims=True)
     return _cdiv(params.bracket_prime0, bt) * (
@@ -640,59 +643,55 @@ def flat_matrix_element(path, ground_states, method="det"):
     """
     params = next(iter(ground_states.values())).params
     rows = [flat_basis_phases(*label, params) for label in flat_labels(params)]
-    states = list(rows[0])
-    phi = np.array([[row[u] for u in states] for row in rows])
-    table = _pair_table(path, [ground_states[u] for u in states], method)
+    states = [ground_states[u] for u in rows[0]]
+    phi = np.array([[row[u] for u in rows[0]] for row in rows])
+    table = np.array(_pair_table(path, states, states, method))
     return (1.0 / phi) @ table @ phi.T / len(states)
 
 
-def _pair_table(path, states, method):
-    """E[i, j] = path_element(states[i], states[j], path, method).
+def _pair_table(path, lefts, rights, method):
+    """E[i][j] = <lefts[i]| path |rights[j]> times the anchor factor, as
+    nested lists of what each route returns: the one router of pair
+    elements.
 
-    method='det' builds E one column per pass: _column_kernel once per
-    right state, on the stack of its left states.  det_route_zetas runs
-    once per path, the root-on-path refusal once per state and
-    _mean_value_pair once per pair; a pair either refuses goes to the
-    dense route, as in path_element.
+    method='det' takes the determinant route one column per pass:
+    _column_kernel once per right state, on the stack of its left states,
+    with det_route_zetas once per path and _mean_value_pair once per pair.
+    A pair either refuses, or the kernel masks (a root on a path argument),
+    takes the dense route (mpme_bruteforce); method='brute' takes it for
+    every pair.
     """
     _check_method(method)
     a1 = path.heights[0]
-    if method == "brute":
-        return np.array([[path_element(u_set, v_set, path, method)
-                          for v_set in states] for u_set in states])
-    params, config = states[0].params, states[0].config
-    try:
-        zetas = det_route_zetas(path, config, params)
-        z = np.asarray(zetas, dtype=complex)
-        clear = [not _root_on_path(st, z) for st in states]
-    except DegenerateConfigError:
-        clear = [False] * len(states)
-    table = np.empty((len(states), len(states)), dtype=complex)
-    for j, v_set in enumerate(states):
-        rows, lefts, same = [], [], []
-        for i, u_set in enumerate(states):
-            flag = None
-            if clear[j]:
-                try:
-                    u_eff, flag = _mean_value_pair(u_set, v_set)
-                except DegenerateConfigError:
-                    pass
-            # a rebased left state carries v's roots, cleared with v's
-            if flag is None or not (flag or clear[i]):
-                table[i, j] = (mpme_bruteforce(u_set, v_set, path, a1)
-                               * _anchor_factor(path, u_set, v_set))
-                continue
-            rows.append(i)
-            lefts.append(u_eff)
-            same.append(flag)
-        if not rows:
+    table = [[None] * len(rights) for _ in lefts]
+    zetas = None
+    if method == "det":
+        try:
+            zetas = det_route_zetas(path, rights[0].config, rights[0].params)
+        except DegenerateConfigError:
+            pass
+    for j, v_set in enumerate(rights if zetas is not None else ()):
+        pairs = []
+        for i, u_set in enumerate(lefts):
+            try:
+                pairs.append((i, *_mean_value_pair(u_set, v_set)))
+            except DegenerateConfigError:
+                pass
+        if not pairs:
             continue
-        vals = _with_draws(_column_kernel(v_set, path, a1, zetas), lefts,
-                           np.array(same), params)
-        for i, val in zip(rows, vals):
-            u_set = states[i]
-            table[i, j] = (val * (norm_root(v_set) / norm_root(u_set))
+        rows, kernel_lefts, same = zip(*pairs)
+        vals, on_path = _with_draws(_column_kernel(v_set, path, a1, zetas),
+                                    kernel_lefts, np.array(same),
+                                    v_set.params)
+        for i, val in zip(np.array(rows)[~on_path], vals[~on_path]):
+            u_set = lefts[i]
+            table[i][j] = (val * (norm_root(v_set) / norm_root(u_set))
                            * _anchor_factor(path, u_set, v_set))
+    for row, u_set in zip(table, lefts):
+        for j, v_set in enumerate(rights):
+            if row[j] is None:
+                row[j] = (mpme_bruteforce(u_set, v_set, path, a1)
+                          * _anchor_factor(path, u_set, v_set))
     return table
 
 
@@ -719,24 +718,9 @@ def _check_method(method):
 
 
 def path_element(u_set, v_set, path, method):
-    """<u| path |v> times the anchor factor of the path.
-
-    method='det' takes mpme_det, and the dense route where the determinant
-    representation does not apply (the coinciding root sets
-    _mean_value_pair refuses, the pairs det_route_zetas refuses, a root on
-    a path argument z or z +- 1, which _q_transformed refuses);
-    method='brute' takes the dense route.
-    """
-    _check_method(method)
-    a1 = path.heights[0]
-    if method == "det":
-        try:
-            val = mpme_det(u_set, v_set, path, a1)
-        except DegenerateConfigError:
-            val = mpme_bruteforce(u_set, v_set, path, a1)
-    else:
-        val = mpme_bruteforce(u_set, v_set, path, a1)
-    return val * _anchor_factor(path, u_set, v_set)
+    """<u| path |v> times the anchor factor of the path: the 1 x 1 case of
+    _pair_table."""
+    return _pair_table(path, [u_set], [v_set], method)[0][0]
 
 
 def _anchor_factor(path, u_set, v_set):

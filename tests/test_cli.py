@@ -337,6 +337,24 @@ class TestLhpTables:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("s0, extra", [("0.41", ""),
+                                           ("0.41", "s0_im = 0.13\n"),
+                                           ("physical", "s0_re = 0.3\n")])
+    def test_s0_other_than_physical_exit_2(self, tmp_path, bond_path, capsys,
+                                           s0, extra):
+        # no s0 value is dropped: a number under s0 ran as s0_re + i s0_im
+        # (0.13i here, or their default 0), and 'physical' overrode them
+        bad = tmp_path / "s0.cfg"
+        bad.write_text(f"tau_im = 0.8\nr = 1\nL = 3\ns0 = {s0}\n{extra}"
+                       "N = 4\n")
+        out = tmp_path / "conv.json"
+        assert cli.main(["converge", "--config", str(bad), "--path",
+                         bond_path, "--n-list", "4", "--out",
+                         str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "s0_re" in err and "s0_im" in err
+        assert not out.exists()
+
 
 class TestConverge:
     def test_monotone_report(self, thermo_config, bond_path, tmp_path):

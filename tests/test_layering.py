@@ -55,3 +55,30 @@ def test_package_imports_at_module_top(name):
     nested = sorted({node.lineno for node, _ in _package_imports(tree)
                      if node not in tree.body})
     assert not nested, f"{name}.py imports csoslab modules at lines {nested}"
+
+
+# the one router of pair elements: in production (every module but the
+# contract and the CLI, which check and report) only matel._pair_table
+# calls the dense route and the determinant kernel; mpme_det, the
+# determinant route with no fallback, calls the kernel too
+ROUTE_CALLS = {("matel", "_pair_table", "mpme_bruteforce"),
+               ("matel", "_pair_table", "_column_kernel"),
+               ("matel", "mpme_det", "_column_kernel")}
+
+
+def _route_calls(name):
+    """(module, top-level definition, callee) for every call of
+    mpme_bruteforce or _column_kernel in the module."""
+    for top in _tree(name).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+                if callee in ("mpme_bruteforce", "_column_kernel"):
+                    yield name, getattr(top, "name", "<module>"), callee
+
+
+def test_one_router_of_pair_elements():
+    calls = {call for name in ORDER if name not in ("contract", "cli")
+             for call in _route_calls(name)}
+    assert calls == ROUTE_CALLS

@@ -879,18 +879,37 @@ def _flat_states(gs):
     return [gs[key] for key in M.flat_basis_phases(0, 0, params)]
 
 
+def _per_pair_element(u_set, v_set, path):
+    """The per-pair route, independent of the router: mpme_det, the dense
+    route where mpme_det refuses, times the anchor factor."""
+    try:
+        val = M.mpme_det(u_set, v_set, path, path.heights[0])
+    except DegenerateConfigError:
+        val = M.mpme_bruteforce(u_set, v_set, path, path.heights[0])
+    return val * M._anchor_factor(path, u_set, v_set)
+
+
 def _per_pair_table(path, states):
-    return np.array([[M.path_element(u_set, v_set, path, "det")
+    return np.array([[_per_pair_element(u_set, v_set, path)
                       for v_set in states] for u_set in states])
+
+
+def _table(path, states):
+    return np.array(M._pair_table(path, states, states, "det"))
 
 
 def _branches(states, path):
     """The routes the pairs of a table take: distinct and mean-value pairs
     on the determinant route; twist partners with different omega^2,
-    shifted representatives and a root on a path argument on the dense
-    one."""
+    shifted representatives and a root x on a path argument z or z +- 1
+    on the dense one."""
     z = np.asarray(path.zetas(states[0].config), dtype=complex)
-    found = {"root_on_path" for st in states if M._root_on_path(st, z)}
+    found = set()
+    for st in states:
+        xz = st.v[:, None] - z[None, :]
+        brs = st.params.bracket(np.stack([xz, xz + 1, xz - 1]))
+        if np.min(np.abs(brs)) < 1e-10:
+            found.add("root_on_path")
     for u_set in states:
         for v_set in states:
             try:
@@ -923,7 +942,8 @@ COLUMN_CASES = {
 
 class TestColumnPass:
     """flat_matrix_element's pair table, one column pass per right state,
-    against path_element pair by pair."""
+    against the per-pair route: mpme_det, the dense route where it
+    refuses."""
 
     @staticmethod
     def _model(family, N):
@@ -939,7 +959,7 @@ class TestColumnPass:
         states = _flat_states(B.all_ground_states(config, params))
         path = M.vertical_path(heights)
         assert branch in _branches(states, path)
-        table = M._pair_table(path, states, "det")
+        table = _table(path, states)
         ref = _per_pair_table(path, states)
         assert np.all(np.isfinite(table))
         gap = np.max(np.abs(table - ref)) / np.max(np.abs(ref))
@@ -948,7 +968,7 @@ class TestColumnPass:
     def test_pole_redraws_its_own_pair_only(self, ground4, monkeypatch):
         # draw 0 puts [t0] = [sum u - sum v + gamma] on a pole for the pair
         # (0,0)-(1,1) alone: that pair takes draw 1, every other pair keeps
-        # draw 0, as path_element does pair by pair
+        # draw 0, as mpme_det does pair by pair
         us, vs = ground4[(0, 0)], ground4[(1, 1)]
         params = us.params
         draw = S.default_gamma
@@ -961,7 +981,7 @@ class TestColumnPass:
             M.mpme_det(us, vs, PATH1, 1, gamma=pole)
         monkeypatch.setattr(S, "default_gamma", patched)
         states = _flat_states(ground4)
-        table = M._pair_table(PATH1, states, "det")
+        table = _table(PATH1, states)
         ref = _per_pair_table(PATH1, states)
         keys = list(M.flat_basis_phases(0, 0, params))
         i, j = keys.index((0, 0)), keys.index((1, 1))
@@ -975,14 +995,15 @@ class TestColumnPass:
         # the other pairs kept draw 0: they differ from a table at draw 1
         monkeypatch.setattr(S, "default_gamma",
                             lambda params, redraw=0: draw(params, redraw + 1))
-        at_draw_1 = M._pair_table(PATH1, states, "det")
+        at_draw_1 = _table(PATH1, states)
         assert abs(at_draw_1[i, j] - table[i, j]) <= 1e-14 * scale
         assert np.all(at_draw_1[others] != table[others])
 
     def test_bracket_calls_grow_like_K(self, monkeypatch):
-        # a flat table makes as many bracket calls per column pass at
-        # K = 4 ((L, r) = (3, 1)) as at K = 6 ((5, 2)): the calls grow like
-        # K, not like the K^2 pairs
+        # a flat table makes 8 bracket calls per column pass at K = 4
+        # ((L, r) = (3, 1)) as at K = 6 ((5, 2)): the calls grow like K,
+        # not like the K^2 pairs, and the root-on-path mask rides on the
+        # kernel's pole call
         bracket = ModelParams.bracket
         calls = []
 
@@ -999,7 +1020,7 @@ class TestColumnPass:
             M.flat_matrix_element(PATH1, gs)
             monkeypatch.setattr(ModelParams, "bracket", bracket)
             per_column[len(gs)] = len(calls) / len(gs)
-        assert per_column[4] == per_column[6], per_column
+        assert per_column[4] == per_column[6] == 8, per_column
 
     @pytest.mark.parametrize("method", ["dett", "dense", None])
     def test_unknown_method_refused(self, ground4, method):
