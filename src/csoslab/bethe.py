@@ -40,13 +40,16 @@ from .lattice import LatticeConfig, StateVector, _entries_apply, \
 CACHE_ENV = "CSOSLAB_CACHE_DIR"
 
 
-def _log_ratio_odd(terms, tau_t, order):
+def _log_ratio_odd(terms, tau_t, order, antisymmetric=()):
     """i*log(theta1(shift+z)/theta1(shift-z)), or its z-derivative (order
     1), for each (z, shift) in terms; one series sum holds every term's
     values (theta1 and theta1' for order 1).
 
     The log is continuous and odd in z (real z): principal value on the
-    fundamental interval plus 2 pi per full period.
+    fundamental interval plus 2 pi per full period.  At order 0 a term
+    whose index is in `antisymmetric` has z antisymmetric in its last two
+    axes, so theta1(shift - z) is the transpose of theta1(shift + z) bit
+    for bit, and only the latter is evaluated.
     """
     if order == 1:
         args = [a for z, shift in terms
@@ -57,11 +60,19 @@ def _log_ratio_odd(terms, tau_t, order):
                 for plus, minus in zip(dlog[::2], dlog[1::2])]
     zs = [np.asarray(z, dtype=float) for z, _ in terms]
     winds = [np.round(z) for z in zs]
-    args = [a for z, wind, (_, shift) in zip(zs, winds, terms)
-            for a in (shift + (z - wind), shift - (z - wind))]
-    f = stacked(lambda a: theta(1, a, tau_t), *args)
-    return [np.real(1j * np.log(plus / minus)) + 2.0 * math.pi * wind
-            for plus, minus, wind in zip(f[::2], f[1::2], winds)]
+    # round(-z) = -round(z), so the reduced z stays antisymmetric
+    reduced = [(z - wind, shift) for z, wind, (_, shift) in zip(zs, winds,
+                                                                terms)]
+    f = stacked(lambda a: theta(1, a, tau_t),
+                *(shift + d for d, shift in reduced),
+                *(shift - d for i, (d, shift) in enumerate(reduced)
+                  if i not in antisymmetric))
+    minus = iter(f[len(terms):])
+    return [np.real(1j * np.log(plus / (np.swapaxes(plus, -1, -2)
+                                        if i in antisymmetric
+                                        else next(minus))))
+            + 2.0 * math.pi * wind
+            for i, (plus, wind) in enumerate(zip(f, winds))]
 
 
 def momentum_shifts(config, params):
@@ -101,7 +112,7 @@ def _bethe_terms(x, config, params, order):
     term, site = _p0_term(x, config, params)
     mom, phase = _log_ratio_odd(
         [term, (x[..., :, None] - x[..., None, :], params.eta_tilde)],
-        params.tau_tilde, order)
+        params.tau_tilde, order, (1,))
     return _site_mean(mom, site, order), phase
 
 

@@ -294,6 +294,47 @@ def theta_log(kind, z, tau):
     return complex(out[0]) if scalar else out
 
 
+def theta3_log_outer(base, offsets, z, tau):
+    """log(theta3(base + offsets[j] + z[k]; tau)) on the outer sum of the
+    real offsets (a 1-d array of J) and the points z: shape (J,) + z.shape,
+    branches as for theta_log.
+
+    A real offset leaves the imaginary part alone, so the argument is
+    reduced once per point, y_k = base + z_k, and each offset modulo the
+    period 1.  Each series term then factors as e^{2 pi i a c_j} times
+    e^{i pi tau a^2 + 2 pi i a y_k}: one exp per term and point and one per
+    term and offset.  The products are summed elementwise in term order
+    (no BLAS), so the value at (j, k) depends only on offsets[j] and z[k].
+    Below DUAL_MODULUS_IM, where the offsets turn imaginary, it is
+    theta_log on the outer sum.
+    """
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise EllipticDomainError(f"Im(tau) must be positive, got tau={tau}")
+    offsets = np.asarray(offsets, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    if tau.imag < DUAL_MODULUS_IM:
+        return theta_log(3, (base + offsets).reshape(
+            (-1,) + (1,) * z.ndim) + z, tau)
+    y, _, m = _reduce(np.ravel(base + z), tau)
+    c = offsets - np.round(offsets)     # theta3 has period 1
+    t = _term_table(3, tau)
+    rec = np.exp(t.fac[1][:, None] * c)
+    node = t.sign[:, None] * np.exp(t.expo[:, None] + t.fac[1][:, None] * y)
+    # numpy's complex multiply fuses on some operand layouts and not on
+    # others: each product is taken on distinct contiguous operands of one
+    # shape, so every point goes through the same loop
+    shape = (c.size, y.size)
+    g = np.zeros(shape, dtype=complex)
+    a, b, term = (np.empty(shape, dtype=complex) for _ in range(3))
+    for rec_a, node_a in zip(rec, node):
+        a[...], b[...] = rec_a[:, None], node_a
+        g += np.multiply(a, b, out=term)
+    out = (np.log(g) - 1j * math.pi * tau * m * m
+           - 2j * math.pi * m * (c[:, None] + y))
+    return out.reshape(c.shape + z.shape)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Global parameters of the cyclic SOS model.

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .elliptic import (AccuracyError, DegenerateConfigError, stacked, theta,
-                       theta_log)
+                       theta3_log_outer, theta_log)
 from .matel import slot_positions
 
 # an m = 3 quadrature grid is summed in slabs of the leading axis holding
@@ -46,35 +46,54 @@ def one_point_barP(a, Z, eps, t_label, params, mode="closed"):
     """(Modified) one-point local height probability P(s0+a, Z; eps, t):
     the parity-split theta formulas in the original modulus.
 
-    mode names that form and accepts 'closed' only.
+    a, eps and t_label are integers, or 1-d arrays of J records (an
+    integer among them is shared by all); records then lead the result,
+    (J,) + Z.shape, and each row is bit for bit its record's own call.
+    The records shift the theta3 argument by real amounts only, so one
+    `theta3_log_outer` call serves them all.  mode names that form and
+    accepts 'closed' only.
     """
     if mode != "closed":
         raise ValueError(f"unknown mode {mode!r}")
+    single = all(np.ndim(v) == 0 for v in (a, eps, t_label))
+    a, eps, t_label = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=int)) for v in (a, eps, t_label)))
     L, r = params.L, params.r
     Lr = L - r
-    s = params.height(a)
     tau = complex(params.tau)
     et = params.eta_tilde
-    st = s + 1.0 / (2.0 * et)
     st0 = params.s0 + 1.0 / (2.0 * et)
-    Z = np.asarray(Z, dtype=complex)
-    # assembled in log space: the individual theta factors run over the
-    # whole double range at small |tau| while the probability is O(1)
-    if L % 2 == 0 and (eps + t_label - a) % 2 != 0:
-        return (np.zeros(Z.shape, dtype=complex) if Z.ndim else 0.0 + 0.0j)
-    lg = (1j * math.pi * (2.0 * r / L * st * Z + (L - r) / r * Z * Z * tau)
-          + theta_log(4, r * st / L, tau)
-          - math.log(L)
-          - theta_log(4, 0, L * tau / r)
-          - theta_log(4, r * (st0 + t_label) / Lr, L * tau / Lr))
-    if L % 2 == 0:
-        lg = lg + math.log(2.0) + theta_log(
-            3, (st0 + t_label) / Lr - st / L + Z * tau / r, tau / (r * Lr))
-    else:
-        lg = lg + theta_log(
-            3, (0.5 - 0.5 / L) * st - (0.5 - 0.5 / Lr) * (st0 + t_label)
-            - eps / 2.0 + Z * tau / (2.0 * r), tau / (4.0 * r * Lr))
-    return _exp_clamped(lg)
+    # points as a 1-d array: each one's value does not depend on the others
+    shape = np.shape(Z)
+    Z = np.ravel(np.asarray(Z, dtype=complex))
+    # a record forbidden by parity is exactly zero, and never evaluated
+    keep = (L % 2 == 1) | ((eps + t_label - a) % 2 == 0)
+    lg = np.full(a.shape + Z.shape, -np.inf, dtype=complex)
+    if keep.any():
+        a, eps, t_label = a[keep], eps[keep], t_label[keep]
+        st = params.height(a) + 1.0 / (2.0 * et)
+        col = st[:, None]
+        # assembled in log space: the individual theta factors run over the
+        # whole double range at small |tau| while the probability is O(1)
+        lg_kept = (
+            1j * math.pi * (2.0 * r / L * col * Z + (L - r) / r * Z * Z * tau)
+            + theta_log(4, r * col / L, tau)
+            - math.log(L)
+            - theta_log(4, 0, L * tau / r)
+            - theta_log(4, r * (st0 + t_label.reshape(col.shape)) / Lr,
+                        L * tau / Lr))
+        if L % 2 == 0:
+            lg_kept = lg_kept + math.log(2.0) + theta3_log_outer(
+                st0 / Lr - st0 / L, t_label / Lr - a / L, Z * tau / r,
+                tau / (r * Lr))
+        else:
+            lg_kept = lg_kept + theta3_log_outer(
+                (0.5 - 0.5 / L) * st0 - (0.5 - 0.5 / Lr) * st0,
+                (0.5 - 0.5 / L) * a - (0.5 - 0.5 / Lr) * t_label - eps / 2.0,
+                Z * tau / (2.0 * r), tau / (4.0 * r * Lr))
+        lg[keep] = lg_kept
+    lg = lg.reshape(keep.shape + shape)
+    return _exp_clamped(lg[0] if single else lg)
 
 
 def _exp_clamped(logval):
@@ -91,38 +110,54 @@ def _exp_clamped(logval):
 # multi-point local height probabilities (multiple integrals)
 # ---------------------------------------------------------------------------
 
-def algebraic_factor_Gtilde(lams, s1, alphas, mus, params):
-    """G~(s_1; {lambda}, {mu}) of the thermodynamic representation.
+def algebraic_factor_Gtilde(lams, s1s, alphas, mus, params):
+    """G~(s_1; {lambda}, {mu}) of the thermodynamic representation at each
+    height s_1 of s1s, in order: a generator of one G~ per height.
 
     lams holds one value or node array per slot, the arrays broadcasting
-    against each other; returns their broadcast shape.  The factors of one
-    slot value or node run, with the [mu_k - mu_j], share one theta call.
+    against each other; each G~ has their broadcast shape.  One theta call,
+    made before the first G~, holds every factor: per height those of the
+    slot values or node runs, then the [mu_k - mu_j], the pair factors on
+    their distinct node differences and the mu - lambda factors.  A G~ is
+    built when it is asked for, so the caller holds one grid at a time, and
+    the caller may overwrite it.
     """
     tt, et = params.tau_tilde, params.eta_tilde
     m = len(alphas)
     ipos, n_minus = slot_positions(alphas)
-    shift = [et * (s1 + sum(alphas[:ip - 1])) for ip in ipos]
+    shifts = [[et * (s1 + sum(alphas[:ip - 1])) for ip in ipos]
+              for s1 in s1s]
     pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
-    # in product order: theta1(shift + lambda_p - mu_{i_p}) and theta1(shift)
-    # per slot, the theta1(mu_k - mu_j), then per slot theta1(mu_k -
-    # lambda_p), plus eta~ alpha_{i_p} past the slot's path position
+    diffs = [_distinct_sums(lams[j], -lams[k]) for j, k in pairs]
+    # in product order: per height theta1(shift + lambda_p - mu_{i_p}) and
+    # theta1(shift) per slot; the theta1(mu_k - mu_j) and theta1(lambda_j -
+    # lambda_k + eta~); per slot theta1(mu_k - lambda_p), plus eta~
+    # alpha_{i_p} past the slot's path position
     vals = stacked(
         lambda z: theta(1, z, tt),
-        *(sh + lam - mus[ip - 1] for sh, lam, ip in zip(shift, lams, ipos)),
-        *shift, *(mus[k] - mus[j] for j, k in pairs),
+        *(arg for shift in shifts for arg in (
+            *(sh + lam - mus[ip - 1] for sh, lam, ip in zip(shift, lams,
+                                                             ipos)),
+            *shift)),
+        *(mus[k] - mus[j] for j, k in pairs),
+        *(points + et for points, _ in diffs),
         *(mus[k - 1] - lam + et * alphas[ip - 1] if k > ip
           else mus[k - 1] - lam
           for lam, ip in zip(lams, ipos) for k in range(1, m + 1) if k != ip))
-    out = complex((-1.0) ** (m - n_minus))
-    for num, den in zip(vals[:m], vals[m:2 * m]):
-        out = out * (num / den)
-    for (j, k), th_mu in zip(pairs, vals[2 * m:]):
-        out = out / th_mu
-        out = out / _on_distinct(lambda d: theta(1, d + et, tt),
-                                 lams[j], -lams[k])
-    for th in vals[2 * m + len(pairs):]:
-        out = out * th
-    return out
+    common = vals[2 * m * len(shifts):]
+    th_mu, th_lam = common[:len(pairs)], common[len(pairs):2 * len(pairs)]
+    for h in range(len(shifts)):
+        out = complex((-1.0) ** (m - n_minus))
+        for num, den in zip(vals[2 * m * h:2 * m * h + m],
+                            vals[2 * m * h + m:2 * m * (h + 1)]):
+            out = out * (num / den)
+        # out has the grid's shape now: the other factors act in place
+        for th_m, th_l, (_, index) in zip(th_mu, th_lam, diffs):
+            out /= th_m
+            out /= _gathered(th_l, index)
+        for th in common[2 * len(pairs):]:
+            out *= th
+        yield out
 
 
 def cauchy_factor_S(lams, mus, params, frozen):
@@ -131,31 +166,32 @@ def cauchy_factor_S(lams, mus, params, frozen):
     lams as for `algebraic_factor_Gtilde`, a frozen slot holding its
     value.  Each frozen lambda drops its own singular factor and one power
     of theta1'(0)/(2 pi i) (its residue has already been extracted).  The
-    [mu_j - mu_i] and lambda-mu factors share one theta call.
+    [mu_j - mu_i], the [lambda_i - lambda_j] on their distinct node
+    differences and the lambda-mu factors share one theta call.
     """
     et = params.eta_tilde
     m = len(mus)
     nfree = m - sum(frozen)
     out = complex((_theta1_prime0(et) / (2j * math.pi)) ** nfree)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    args = [mus[j] - mus[i] for i, j in pairs] + [
-        lams[i] - mus[j] for i in range(m) for j in range(m)
-        if not (frozen[i] and abs(complex(lams[i]) - complex(mus[j])) < 1e-14)]
+    diffs = [_distinct_sums(lams[i], -lams[j]) for i, j in pairs]
+    lam_mu = [lams[i] - mus[j] for i in range(m) for j in range(m)
+              if not (frozen[i]
+                      and abs(complex(lams[i]) - complex(mus[j])) < 1e-14)]
+    args = ([mus[j] - mus[i] for i, j in pairs]
+            + [points for points, _ in diffs] + lam_mu)
     vals = stacked(lambda z: theta(1, z, et), *args) if args else []
-    for (i, j), th_mu in zip(pairs, vals):
-        out = out * _on_distinct(lambda d: theta(1, d, et),
-                                 lams[i], -lams[j])
+    for th_mu, th_lam, (_, index) in zip(vals, vals[len(pairs):], diffs):
+        out = out * _gathered(th_lam, index)
         out = out * th_mu
-    for th in vals[len(pairs):]:
+    for th in vals[2 * len(pairs):]:
         out = out / th
     return out
 
 
-def _on_distinct(fun, *terms):
-    """fun(sum of terms), with fun evaluated once per distinct sum (see
-    `_distinct_sums`)."""
-    points, index = _distinct_sums(*terms)
-    vals = fun(points)
+def _gathered(vals, index):
+    """Values on the distinct sums of `_distinct_sums`, gathered back to the
+    broadcast shape of its terms."""
     return vals if index is None else vals[sum(index)]
 
 
@@ -299,15 +335,17 @@ def _lhp_contour_sum(path, records, zt, fam, params, resolution):
     even-indexed subgrid, the nodes of resolution // 2: one (full, half)
     pair per record.
 
-    Per residue combination and slab the Cauchy core S and the node-sum
-    gather are evaluated once, G~ once per height shift c; a record adds
-    its one-point factor on the distinct node sums.
+    Per residue combination and slab the Cauchy core S, the node-sum
+    gather and the one-point factor of every record on the distinct node
+    sums are evaluated once, and one G~ call serves every height shift c.
     """
     m = path.m
     alphas = path.alphas
     by_shift = {}
-    for i, (eps, t_label, c) in enumerate(records):
-        by_shift.setdefault(c, []).append((i, eps, t_label))
+    for i, (_, _, c) in enumerate(records):
+        by_shift.setdefault(c, []).append(i)
+    s1s = [params.height(path.heights[0] + c) for c in by_shift]
+    eps, t_label, shift = np.array(records).T
     mus = np.asarray(zt, dtype=complex)
 
     # admissible residue targets per integration slot
@@ -344,15 +382,15 @@ def _lhp_contour_sum(path, records, zt, fam, params, resolution):
                     (1,) * axis + (-1,) + (1,) * (len(free) - axis - 1))
             sc = cauchy_factor_S(lams, mus, params, frozen)
             zs, index = _distinct_sums(*lams, -mus.sum())
-            for c, group in by_shift.items():
-                s1o = path.heights[0] + c
-                gs = algebraic_factor_Gtilde(lams, params.height(s1o),
-                                             alphas, mus, params) * sc
-                for i, eps, t_label in group:
-                    pb = one_point_barP(s1o, zs, eps, t_label, params,
-                                        mode="closed")
+            pb = one_point_barP(path.heights[0] + shift, zs, eps, t_label,
+                                params, mode="closed")
+            groups = iter(by_shift.values())
+            for gs in algebraic_factor_Gtilde(lams, s1s, alphas, mus,
+                                              params):
+                gs *= sc   # in place: the generator holds G~ until the next
+                for i in next(groups):
                     blocks[i] = blocks[i] + _block_sums(
-                        gs, pb if index is None else pb[sum(index)], first)
+                        gs, _gathered(pb[i], index), first)
                 del gs   # one (G~ S) block alive at a time
         for i, block in enumerate(blocks):
             total[i] += weight * block[0] / (resolution ** len(free))

@@ -353,6 +353,38 @@ class TestFamilyNewton:
 
 
 class TestNewtonStep:
+    def test_phase_minus_half_is_the_transpose(self, monkeypatch):
+        # the order-0 phase term evaluates theta1(eta~ + d) only: a residual
+        # pass of the N = 16 family takes 320 theta points, not 576, and
+        # the roots, step counts and residuals are those of both halves
+        params = _physical(3, 1)
+        config = homogeneous_config(16)
+        labels = [(k, ell) for k in (0, 1) for ell in range(2)]
+        x = B._initial_guess(8, labels, config, params)
+        k, ell = np.array(labels).T
+        theta, ratio = B.theta, B._log_ratio_odd
+        points = []
+
+        def counted(kind, z, *args, **kwargs):
+            points.append(np.size(z))
+            return theta(kind, z, *args, **kwargs)
+
+        monkeypatch.setattr(B, "theta", counted)
+        one = B.log_bethe_residual(x, k, ell, config, params)
+        monkeypatch.setattr(B, "theta", theta)
+        gs = B.all_ground_states(config, params)
+        # both halves of every term
+        monkeypatch.setattr(B, "_log_ratio_odd",
+                            lambda terms, tau_t, order, antisymmetric=():
+                            ratio(terms, tau_t, order))
+        assert points == [320]
+        assert np.array_equal(one, B.log_bethe_residual(x, k, ell, config,
+                                                        params))
+        for key, roots in B.all_ground_states(config, params).items():
+            assert np.array_equal(gs[key].x, roots.x)
+            assert gs[key].newton_iters == roots.newton_iters
+            assert gs[key].residual == roots.residual
+
     def test_theta_calls_do_not_grow_with_N(self, params, monkeypatch):
         # the log residual evaluates all its theta values in one call and
         # the Jacobian theta1 and theta1' in one series sum, at any N

@@ -367,6 +367,22 @@ class TestConverge:
         assert len(doc["rows"]) == 2
         assert doc["monotone"] is True
 
+    def test_report_unchanged_by_phase_transposes(self, thermo_config,
+                                                  bond_path, tmp_path,
+                                                  monkeypatch):
+        # the Newton residual reads theta1(eta~ - d) as the transpose of
+        # theta1(eta~ + d): the report is byte for byte that of both halves
+        argv = ["converge", "--config", thermo_config, "--path", bond_path,
+                "--n-list", "8,16", "--resolution", "32", "--out"]
+        assert cli.main(argv + [str(tmp_path / "one.json")]) == 0
+        ratio = cli.bethe._log_ratio_odd
+        monkeypatch.setattr(cli.bethe, "_log_ratio_odd",
+                            lambda terms, tau_t, order, antisymmetric=():
+                            ratio(terms, tau_t, order))
+        assert cli.main(argv + [str(tmp_path / "both.json")]) == 0
+        assert ((tmp_path / "one.json").read_bytes()
+                == (tmp_path / "both.json").read_bytes())
+
     def test_even_L_monotone(self, bond_path, tmp_path):
         # L = 4, r = 1: the flat route takes the dense fallback for the
         # twist partners; deviations 6.4e-3, 2.2e-3, 8.1e-4 at N = 4, 6, 8

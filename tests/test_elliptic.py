@@ -1,6 +1,7 @@
 """Theta functions, the model bracket, and the identity catalogue."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,13 @@ import pytest
 from csoslab.contract import (frobenius_residual, id_sum1_residual,
                               id_sum2_residual, jacobi_residual,
                               schroter_residual)
-from csoslab.elliptic import (SERIES_BLOCK, SERIES_RTOL, EllipticDomainError,
-                              ModelParams, PoleError, _cdiv, _term_table,
-                              theta, theta_log)
+from csoslab.elliptic import (DUAL_MODULUS_IM, SERIES_BLOCK, SERIES_RTOL,
+                              EllipticDomainError, ModelParams, PoleError,
+                              _cdiv, _term_table, theta, theta3_log_outer,
+                              theta_log)
+from csoslab.lattice import LatticeConfig
+from csoslab import matel as M
+from csoslab import thermo as T
 
 
 def direct_theta3(z, tau, terms=50):
@@ -259,6 +264,112 @@ class TestThetaLog:
                     ref = -0.5 * math.log(eps) - math.pi * (z - shift) ** 2 / eps
                     lg = theta_log(kind, z, 1j * eps)
                     assert abs(lg.real - ref) <= 1e-12 * abs(ref)
+
+
+def _outer_calls(monkeypatch, run):
+    """The (base, offsets, z, tau) of each theta3_log_outer call that run()
+    makes through the one-point factor."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return theta3_log_outer(*args)
+
+    monkeypatch.setattr(T, "theta3_log_outer", recorded)
+    run()
+    monkeypatch.setattr(T, "theta3_log_outer", theta3_log_outer)
+    return calls
+
+
+def _one_point_records(params, Z, monkeypatch):
+    """The kernel calls of one one-point call on every record (a, eps, t)
+    of the model's table at the node sums Z."""
+    a, eps, t = np.array(list(itertools.product(
+        range(params.L), (0, 1), range(params.L - params.r)))).T
+    return _outer_calls(monkeypatch, lambda: T.one_point_barP(
+        a, Z, eps, t, params))
+
+
+def _physical(L, r, tau):
+    return ModelParams(tau=tau, r=r, L=L, s0=tau * L / (2 * r))
+
+
+class TestTheta3LogOuter:
+    """The outer-sum kernel of the one-point factor's theta3 series."""
+
+    Z = np.linspace(-1.0, 1.0, 41) - 0.07j
+
+    @pytest.mark.parametrize("L, r", [(3, 1), (4, 1)])
+    def test_matches_theta_log_on_the_outer_sum(self, monkeypatch, L, r):
+        # odd L sums at tau / (4 r (L - r)), even L at tau / (r (L - r));
+        # near a zero of theta3 the relative gap grows, so the largest gap
+        # is taken against the largest value
+        [(base, offsets, z, tau)] = _one_point_records(
+            _physical(L, r, 0.45j), self.Z, monkeypatch)
+        assert tau.imag >= DUAL_MODULUS_IM
+        got = theta3_log_outer(base, offsets, z, tau)
+        want = theta_log(3, (base + offsets)[:, None] + z, tau)
+        assert got.shape == (len(offsets), len(z))
+        assert np.median(np.abs(np.exp(got - want) - 1.0)) <= 1e-14
+        assert (np.max(np.abs(np.exp(got) - np.exp(want)))
+                <= 1e-14 * np.max(np.abs(np.exp(want))))
+
+    def test_dual_branch_below_the_dual_modulus(self, monkeypatch):
+        # tau / 8 = 0.0375i: theta_log on the outer sum, bit for bit
+        [(base, offsets, z, tau)] = _one_point_records(
+            _physical(3, 1, 0.3j), self.Z, monkeypatch)
+        assert tau.imag < DUAL_MODULUS_IM
+        assert np.array_equal(
+            theta3_log_outer(base, offsets, z, tau),
+            theta_log(3, (base + offsets)[:, None] + z, tau))
+
+    @pytest.mark.parametrize("tau", [0.45j, 0.3j])
+    def test_record_array_equals_per_record_calls(self, monkeypatch, tau):
+        # each value depends on its own offset and point only, whatever the
+        # other offsets and points of the call
+        [(base, offsets, z, tau)] = _one_point_records(
+            _physical(3, 1, tau), self.Z, monkeypatch)
+        full = theta3_log_outer(base, offsets, z, tau)
+        for j, c in enumerate(offsets):
+            assert np.array_equal(
+                full[j], theta3_log_outer(base, [c], z, tau)[0])
+        for k, point in enumerate(z):
+            j = k % len(offsets)
+            assert np.array_equal(
+                full[:, k], theta3_log_outer(base, offsets, point, tau))
+            assert full[j, k] == theta3_log_outer(base, offsets[j:j + 1],
+                                                  point, tau)[0]
+
+    def test_against_mpmath_on_the_benchmark_tables(self, monkeypatch):
+        # the one-point arguments of the benchmark's m = 2 tables (model
+        # tau = 0.45i, L = 3, r = 1, physical s0; 12 records; resolution 32)
+        # on an 8-site column, every 8th point: the kernel's median and
+        # largest relative error are at most twice theta_log's, against
+        # theta3 at the exact sum of the inputs
+        mpmath = pytest.importorskip("mpmath")
+        params = _physical(3, 1, 0.45j)
+        ys = (0.04, -0.03, 0.02, -0.05, 0.035, -0.02, 0.05, -0.04)
+        config = LatticeConfig(N=8, xi=tuple(0.5 + 1j * y for y in ys))
+        labels = [(eps, t) for eps in (0, 1) for t in range(2)]
+        calls = _outer_calls(monkeypatch, lambda: [
+            T.lhp_table(M.vertical_path(heights), labels, range(3), config,
+                        params, 32) for heights in ((0, 1, 2), (0, 1, 0))])
+        points = [(base, c, point, tau) for base, offsets, z, tau in calls
+                  for c in offsets for point in np.ravel(z)][::8]
+        assert len(points) == 480
+        mpmath.mp.dps = 30
+        errors = []
+        for base, c, point, tau in points:
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            ref = mpmath.jtheta(3, mpmath.pi * (
+                mpmath.mpc(base) + mpmath.mpf(c) + mpmath.mpc(point)), q)
+            errors.append([
+                float(abs(mpmath.exp(mpmath.mpc(lg)) / ref - 1))
+                for lg in (theta3_log_outer(base, [c], point, tau)[0],
+                           theta_log(3, base + c + point, tau))])
+        kernel, plain = np.array(errors).T
+        assert np.median(kernel) <= 2.0 * np.median(plain)
+        assert np.max(kernel) <= 2.0 * np.max(plain)
 
 
 class TestBracket:

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from csoslab.elliptic import (DegenerateConfigError, ModelParams, PoleError,
-                              theta)
+from csoslab.elliptic import (AccuracyError, DegenerateConfigError,
+                              ModelParams, PoleError, theta)
 from csoslab.lattice import LatticeConfig, homogeneous_config
 from csoslab import bethe as B
 from csoslab import contract as C
@@ -191,6 +191,31 @@ class TestOnePoint:
         val = T.one_point_barP(1, 0.17 - 0.08j, 0, 0, params, mode="closed")
         assert val == 0.0
 
+    @pytest.mark.parametrize("L", [3, 4])
+    def test_record_array_equals_per_record_calls(self, L):
+        # every record of the model's table in one call: each row, and each
+        # of its points, bit for bit the record's own call; even L includes
+        # the records forbidden by parity
+        params = ModelParams(tau=0.45j, r=1, L=L, s0=0.45j * L / 2)
+        records = list(itertools.product(range(L), (0, 1), range(L - 1)))
+        Z = np.linspace(-1.0, 1.0, 41) - 0.07j
+        a, eps, t = np.array(records).T
+        rows = T.one_point_barP(a, Z, eps, t, params)
+        assert rows.shape == (len(records), len(Z))
+        for row, (a, eps, t) in zip(rows, records):
+            assert np.array_equal(row, T.one_point_barP(a, Z, eps, t, params))
+            assert row[7] == T.one_point_barP(a, Z[7], eps, t, params)
+
+    def test_parity_mask_before_the_overflow_check(self):
+        # at Z = 20i an allowed L = 4 record overflows loudly; a forbidden
+        # one is never evaluated and stays exactly zero
+        params = ModelParams(tau=0.45j, r=1, L=4, s0=0.9j)
+        with pytest.raises(AccuracyError, match="overflows"):
+            T.one_point_barP(0, 20j, 0, 0, params)
+        assert T.one_point_barP(1, 20j, 0, 0, params) == 0.0
+        assert np.array_equal(T.one_point_barP([1, 3], [20j, 1j], 0, 0,
+                                               params), np.zeros((2, 2)))
+
     def test_oracle_modes_are_refused(self, params_c):
         # the closed form is the one production form; the oracle forms are
         # functions of csoslab.contract
@@ -345,8 +370,8 @@ class TestMultiPoint:
         R = 16
         records = [(0, 0, 0), (1, 0, 1), (0, 1, 2), (1, 1, 1)]
         sums = T._lhp_contour_sum(path, records, zt, fam, params, R)
-        monkeypatch.setattr(T, "_on_distinct",
-                            lambda fun, *terms: fun(sum(terms)))
+        monkeypatch.setattr(T, "_distinct_sums",
+                            lambda *terms: (sum(terms), None))
         m = path.m
         _, n_minus = M.slot_positions(path.alphas)
         mus = np.asarray(zt)
@@ -367,9 +392,9 @@ class TestMultiPoint:
                 grids = np.meshgrid(*[nodes] * len(free), indexing="ij")
                 for p, grid in zip(free, grids):
                     lams[p] = grid.ravel()
-                vals = (T.algebraic_factor_Gtilde(lams, params.height(s1o),
-                                                  path.alphas, mus, params)
-                        * T.cauchy_factor_S(lams, mus, params, frozen)
+                [gt] = T.algebraic_factor_Gtilde(lams, [params.height(s1o)],
+                                                 path.alphas, mus, params)
+                vals = (gt * T.cauchy_factor_S(lams, mus, params, frozen)
                         * T.one_point_barP(s1o, sum(lams) - mus.sum(), eps,
                                            t, params, mode="closed"))
                 weight = math.prod(c[0] for c in combo if c is not None)
@@ -388,17 +413,55 @@ class TestMultiPoint:
                 return fun(kind, z, *args, **kwargs)
             return wrapper
 
+        def counted_outer(base, offsets, z, tau):
+            points[0] += np.size(offsets) * np.size(z)
+            return outer(base, offsets, z, tau)
+
+        outer = T.theta3_log_outer
         monkeypatch.setattr(T, "theta", counted(T.theta))
         monkeypatch.setattr(T, "theta_log", counted(T.theta_log))
+        monkeypatch.setattr(T, "theta3_log_outer", counted_outer)
         counts = {}
         for R in (64, 128):
             points[0] = 0
             T.multipoint_lhp(M.vertical_path((0, 1, 2)), 0, 0, config,
                              params, resolution=R)
             counts[R] = points[0]
-        # 8,230 points at R = 128 (4,198 at R = 64)
+        # 5,452 points at R = 128 (2,765 at R = 64)
         assert counts[128] <= 100 * 128
         assert counts[128] <= 2.5 * counts[64]
+
+    @pytest.mark.parametrize("heights, calls", [((0, 1), 2), ((0, 1, 2), 7),
+                                                ((0, 1, 2, 3), 37)])
+    def test_one_evaluation_per_combination(self, setup, monkeypatch,
+                                            heights, calls):
+        # per residue combination and slab (m = 3: slabs of 5 rows) one
+        # Cauchy core, one one-point call for all records and one G~ theta
+        # call for all height shifts: a 12-record table makes the calls of
+        # a one-record call
+        params, config = setup
+        monkeypatch.setattr(T, "SLAB_POINTS", 5 * 16 * 16)
+        counts = {}
+
+        def counted(name, fun, key=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                if key(*args):
+                    counts[name] += 1
+                return fun(*args, **kwargs)
+            monkeypatch.setattr(T, name, wrapper)
+
+        counted("cauchy_factor_S", T.cauchy_factor_S)
+        counted("one_point_barP", T.one_point_barP)
+        # G~ is the one caller at the rotated modulus tau~
+        counted("theta", T.theta,
+                lambda kind, z, tau: tau == params.tau_tilde)
+        path = M.vertical_path(heights)
+        labels = [(eps, t) for eps in (0, 1) for t in range(2)]
+        for table in (([(0, 0)], [0]), (labels, range(3))):
+            counts.update(cauchy_factor_S=0, one_point_barP=0, theta=0)
+            T.lhp_table(path, *table, config, params, 16)
+            assert counts == dict(cauchy_factor_S=calls,
+                                  one_point_barP=calls, theta=calls)
 
     @pytest.mark.parametrize("heights", [(0, 1), (0, 1, 2), (0, 1, 2, 3)])
     def test_estimate_is_the_half_resolution_gap(self, setup, heights):
@@ -495,6 +558,20 @@ class TestMultiPoint:
         monkeypatch.setattr(T, "SLAB_POINTS", 5 * 16 * 16)
         self._table_vs_single_calls(M.vertical_path((0, 1, 2, 3)), config,
                                     params, 16)
+
+    def test_even_L_table_is_zero_for_odd_parity(self, setup):
+        # L = 4, r = 1: a record whose eps + t - a is odd is exactly 0.0
+        # with a zero estimate, the others are not
+        _, config = setup
+        params = ModelParams(tau=0.45j, r=1, L=4, s0=0.9j)
+        labels = [(eps, t) for eps in (0, 1) for t in range(3)]
+        table = T.lhp_table(M.vertical_path((0, 1, 2)), labels, range(4),
+                            config, params, 32)
+        for (eps, t, c), (val, est) in table.items():
+            if (eps + t - c) % 2:
+                assert val == 0.0 and est == 0.0
+            else:
+                assert val != 0.0
 
     def test_table_tolerance_error_is_the_first_records(self, setup):
         # the first record in report order above the tolerance raises, with
