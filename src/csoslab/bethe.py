@@ -369,20 +369,34 @@ def _newton(x, labels, config, params):
     return x, iters, rnorm, errors
 
 
+def _accept(family):
+    """Set the multiplicative residual of each root set of one family from
+    one _bethe_residuals call; returns per set the SolverError that refuses
+    it (coinciding roots, or a residual above 1e-10), else None."""
+    errors = []
+    for roots, res in zip(family, _bethe_residuals(family)):
+        if res is None:
+            errors.append(SolverError("coinciding Bethe roots"))
+            continue
+        roots.residual = float(np.max(np.abs(res)))
+        errors.append(None if roots.residual <= 1e-10 else SolverError(
+            f"multiplicative residual {roots.residual:.2e} above 1e-10",
+            best=roots.x, residual=roots.residual))
+    return errors
+
+
 def _solve_family(labels, config, params, cache_dir):
     """The root sets of labels of one family (one config and params), keyed
-    by label.  The root cache serves what it holds; the other labels are
-    seeded in one bisection and solved in one Newton loop.  A label is
-    refused when its log residual stays above 1e-10 or its multiplicative
-    residual is above 1e-10; the first refused label (in the order given)
-    raises its SolverError, after the labels before it are stored in the
-    cache.
+    by label.  The root cache serves what it holds and _accept accepts; the
+    other labels are seeded in one bisection and solved in one Newton loop.
+    A solved label is refused when its log residual stays above 1e-10 or
+    _accept refuses it; the first refused label (in the order given) raises
+    its SolverError, after the labels before it are stored in the cache.
     """
-    out = {}
-    for label in labels:
-        cached = _cache_load(*label, config, params, cache_dir)
-        if cached is not None:
-            out[label] = cached
+    cached = [_cache_load(*label, config, params, cache_dir) for label in labels]
+    cached = [roots for roots in cached if roots is not None]
+    out = {(roots.k, roots.ell): roots
+           for roots, err in zip(cached, _accept(cached)) if err is None}
     todo = [label for label in labels if label not in out]
     if todo:
         x = _initial_guess(config.N // 2, todo, config, params)
@@ -396,17 +410,8 @@ def _solve_family(labels, config, params, cache_dir):
                     f"no convergence after {iters[pos]} iterations",
                     best=row, residual=float(rnorm[pos]))
         fine = [pos for pos, err in enumerate(errors) if err is None]
-        residuals = _bethe_residuals([found[pos] for pos in fine])
-        for pos, res in zip(fine, residuals):
-            roots = found[pos]
-            if res is None:
-                errors[pos] = SolverError("coinciding Bethe roots")
-                continue
-            roots.residual = float(np.max(np.abs(res)))
-            if not roots.residual <= 1e-10:
-                errors[pos] = SolverError(
-                    f"multiplicative residual {roots.residual:.2e} above "
-                    "1e-10", best=x[pos], residual=roots.residual)
+        for pos, err in zip(fine, _accept([found[pos] for pos in fine])):
+            errors[pos] = err
         for label, roots, err in zip(todo, found, errors):
             if err is not None:
                 raise err
@@ -488,14 +493,6 @@ def bethe_vector(roots, side="right"):
     return row.scale_heights(_phi_weights(roots, dual=True))
 
 
-def left_contract(roots, state):
-    """<{u}, omega_u | state> without materializing the covector."""
-    work = state.scale_heights(_phi_weights(roots, dual=True))
-    for vj in roots.v:
-        work = monodromy_entry_apply("C", vj, work)
-    return work.bra_contract_reference()
-
-
 def lambda_pm(zeta, roots):
     """(Lambda_+, Lambda_-)(z; {v}, omega), the eigenvalue halves built on
     one sector each, from one bracket call."""
@@ -571,10 +568,10 @@ def _cache_dir(cache_dir):
 
 
 def _cache_load(k, ell, config, params, cache_dir):
-    """Cached roots, or None when absent, unreadable or not a solution.
+    """Cached roots of the right shape, or None when absent or unreadable.
 
-    The Bethe equations are checked again on load, so a stale or edited
-    file is solved afresh instead of being trusted.
+    The roots are not trusted: _solve_family checks the Bethe equations
+    again (_accept), so a stale or edited file is solved afresh.
     """
     root = _cache_dir(cache_dir)
     if not root:
@@ -588,14 +585,10 @@ def _cache_load(k, ell, config, params, cache_dir):
         x = np.array(doc["x"], dtype=float)
         if x.shape != (config.N // 2,):
             return None
-        roots = BetheRootSet(x=x, k=k, ell=ell, params=params, config=config,
-                             newton_iters=int(doc["newton_iters"]))
-        roots.residual = float(np.max(np.abs(bethe_residual(roots))))
-    except (ValueError, KeyError, TypeError, SolverError):
+        return BetheRootSet(x=x, k=k, ell=ell, params=params, config=config,
+                            newton_iters=int(doc["newton_iters"]))
+    except (ValueError, KeyError, TypeError):
         return None
-    if not roots.residual <= 1e-10:
-        return None
-    return roots
 
 
 def _cache_store(roots, cache_dir):

@@ -27,10 +27,10 @@ from .bethe import (_log_ratio_odd, _phi_weights, all_ground_states,
                     density_fourier, eigenvalue_tau, momentum_shifts, p0_tot)
 from .scalar import (_check_kappa, _own_d, _sector_q_powers, gamma_retry,
                      twist_weights)
-from .matel import (AdjacentPath, _extended_params, _h_transformed,
-                    _q_transformed, det_route_zetas, enumerate_tuples,
-                    flat_basis_phases, mpme_bruteforce, mpme_det, norm_root,
-                    slot_positions, vertical_path)
+from .matel import (AdjacentPath, _dense_table, _det_table,
+                    _extended_params, _h_transformed, _q_transformed,
+                    det_route_zetas, enumerate_tuples, flat_basis_phases,
+                    mpme_det, norm_root, slot_positions, vertical_path)
 from .thermo import _exp_clamped, _theta1_prime0, one_point_barP
 
 FOURIER_MODES = 400
@@ -84,7 +84,8 @@ TOL = {
         "parity_zero_L4": 0.0,            # exact
     },
     # fixed inputs (see _suite_oracle): each comment is the one measured
-    # gap, det against dense, relative to the family's largest element
+    # gap, det against dense, relative to the family's largest element;
+    # the N = 6 rows are the largest 1-2-5 value at most 50x their gap
     "oracle": {
         "L2_r1_m0": 1e-14,                # 2.7e-16
         "L2_r1_m1": 1e-14,                # 2.4e-16
@@ -120,6 +121,40 @@ TOL = {
         "L7_r5_m1": 1e-10,                # 2.3e-12
         "L7_r6_m0": 1e-12,                # 2.3e-14
         "L7_r6_m1": 5e-12,                # 1.8e-13
+        "L2_r1_m0_N6": 2e-14,             # 7.7e-16
+        "L2_r1_m1_N6": 2e-14,             # 6.0e-16
+        "L3_r1_m0_N6": 2e-13,             # 6.6e-15
+        "L3_r1_m1_N6": 2e-13,             # 7.2e-15
+        "L3_r2_m0_N6": 5e-13,             # 1.7e-14
+        "L3_r2_m1_N6": 1e-12,             # 3.2e-14
+        "L4_r1_m0_N6": 5e-13,             # 1.1e-14
+        "L4_r1_m1_N6": 5e-13,             # 1.0e-14
+        "L4_r3_m0_N6": 2e-14,             # 8.7e-16
+        "L4_r3_m1_N6": 2e-13,             # 7.1e-15
+        "L5_r1_m0_N6": 2e-13,             # 5.3e-15
+        "L5_r1_m1_N6": 1e-13,             # 2.6e-15
+        "L5_r2_m0_N6": 5e-13,             # 1.7e-14
+        "L5_r2_m1_N6": 5e-13,             # 1.1e-14
+        "L5_r3_m0_N6": 2e-12,             # 4.9e-14
+        "L5_r3_m1_N6": 1e-11,             # 2.4e-13
+        "L5_r4_m0_N6": 1e-12,             # 2.1e-14
+        "L5_r4_m1_N6": 1e-11,             # 2.7e-13
+        "L6_r1_m0_N6": 2e-12,             # 7.8e-14
+        "L6_r1_m1_N6": 2e-12,             # 6.0e-14
+        "L6_r5_m0_N6": 1e-14,             # 3.6e-16
+        "L6_r5_m1_N6": 2e-14,             # 8.9e-16
+        "L7_r1_m0_N6": 2e-13,             # 4.4e-15
+        "L7_r1_m1_N6": 1e-13,             # 3.6e-15
+        "L7_r2_m0_N6": 1e-12,             # 2.8e-14
+        "L7_r2_m1_N6": 5e-13,             # 1.2e-14
+        "L7_r3_m0_N6": 5e-13,             # 1.1e-14
+        "L7_r3_m1_N6": 2e-13,             # 6.4e-15
+        "L7_r4_m0_N6": 1e-12,             # 3.1e-14
+        "L7_r4_m1_N6": 2e-12,             # 6.0e-14
+        "L7_r5_m0_N6": 1e-12,             # 2.5e-14
+        "L7_r5_m1_N6": 2e-11,             # 4.6e-13
+        "L7_r6_m0_N6": 1e-12,             # 3.1e-14
+        "L7_r6_m1_N6": 5e-12,             # 1.4e-13
     },
     # finite-size checks of the acceptance suite, and its time budgets
     "acceptance": {
@@ -952,30 +987,29 @@ def _suite_appendixD(rng, draws):
 
 
 def _suite_oracle(rng, draws):
-    """mpme_det against mpme_bruteforce on every ground-state pair of each
-    coprime (L, r) with L <= 7: tau = 0.45i, physical s0, a homogeneous
-    column of N = 4 and the paths (1,) and (1, 2).  Each gap is taken
-    relative to the largest |dense| element of the family's table, since
-    some elements are exactly zero; pairs the determinant route refuses
-    are not compared.  The inputs are fixed: rng and draws are unused."""
+    """The determinant table against the dense one on every ground-state
+    pair of each coprime (L, r) with L <= 7: tau = 0.45i, physical s0, a
+    homogeneous column of N = 4 and 6 (rows suffixed _N6), paths (1,) and
+    (1, 2).  Each gap is relative to the family's largest |dense| element,
+    since some elements are exactly zero; refused pairs are not compared.
+    The inputs are fixed: rng and draws are unused."""
     tau = 0.45j
     out = {}
-    for L, r in ((L, r) for L in range(2, 8) for r in range(1, L)
-                 if math.gcd(L, r) == 1):
-        params = ModelParams(tau=tau, r=r, L=L, s0=tau / (2.0 * r / L))
-        states = list(all_ground_states(homogeneous_config(4),
-                                        params).values())
-        for path in (vertical_path((1,)), vertical_path((1, 2))):
-            scale, gap = 0.0, 0.0
-            for u in states:
-                for v in states:
-                    dense = mpme_bruteforce(u, v, path, 1)
-                    scale = max(scale, abs(dense))
-                    try:
-                        gap = max(gap, abs(mpme_det(u, v, path, 1) - dense))
-                    except DegenerateConfigError:
-                        pass
-            out[f"L{L}_r{r}_m{path.m}"] = gap / scale
+    for N, suffix in ((4, ""), (6, "_N6")):
+        for L, r in ((L, r) for L in range(2, 8) for r in range(1, L)
+                     if math.gcd(L, r) == 1):
+            params = ModelParams(tau=tau, r=r, L=L, s0=tau / (2.0 * r / L))
+            states = list(all_ground_states(homogeneous_config(N),
+                                            params).values())
+            for path in (vertical_path((1,)), vertical_path((1, 2))):
+                dense = np.array(_dense_table(path, 1, states, states))
+                det = _det_table(path, 1, states, states)[0]
+                gap = max((abs(val - dense[i, j])
+                           for i, row in enumerate(det)
+                           for j, val in enumerate(row) if val is not None),
+                          default=0.0)
+                out[f"L{L}_r{r}_m{path.m}{suffix}"] = (
+                    gap / np.max(np.abs(dense)))
     return out
 
 

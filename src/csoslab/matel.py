@@ -7,16 +7,14 @@ normalized matrix element
                        prod_k t_hat^{-1}(z_k) |v> / (||u|| ||v||),
 
 with spin steps a_k = s_{k+1} - s_k and spectral arguments z_k read off the
-step directions.  Two routes are implemented:
-
-  * dense operator application (`mpme_bruteforce`),
-  * the determinant form (`mpme_det`, `_column_kernel`): algebraic factors
-    G_b times a twist sum of ratios det(H) / det(Phi), with an optional
-    m x m reduction.
-
-One router, `_pair_table`, chooses between them for every pair element of
-production; the commutation-relation sum over m-tuples that checks the
-determinant form is `contract.mpme_sum_partial`.
+step directions.  Two table functions build the elements E[i][j] of left
+states u_i against right states v_j, one pass per right state: `_det_table`,
+the determinant form (algebraic factors G_b times a twist sum of ratios
+det(H) / det(Phi), with an optional m x m reduction), and `_dense_table`,
+dense operator application.  `mpme_det` and `mpme_bruteforce` are their
+1 x 1 cases; the router `_pair_table` takes the determinant table, and the
+dense one where it refuses.  The commutation-relation sum over m-tuples
+that checks the determinant form is `contract.mpme_sum_partial`.
 
 The sums over tuples b = (b_1..b_m) run over b_p in {1..n+m+1-i_p},
 pairwise distinct, where the slot ordering lists the a=-1 positions
@@ -33,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import DegenerateConfigError, PoleError, _cdiv, _cmul
-from .lattice import local_operator_apply, monodromy_entry_apply
-from .bethe import (BetheRootSet, bethe_vector, left_contract,
-                    eigenvalue_tau, lambda_pm, scaled_eigenvalue)
+from .lattice import (_guard_bytes, local_operator_apply,
+                      monodromy_entry_apply)
+from .bethe import (BetheRootSet, bethe_vector, eigenvalue_tau, lambda_pm,
+                    scaled_eigenvalue)
 from .scalar import (gamma_retry, gaudin_matrix, norm_det, twist_weights,
                      _check_kappa, _own_d, _sector_q_powers)
 
@@ -263,25 +262,9 @@ def _omega_ratio_pow(u_set, v_set, z):
 
 
 def mpme_bruteforce(u_set, v_set, path, a1):
-    """Dense-operator route for the normalized multi-point matrix element.
-
-    Works in the gauge where every R-factor is scaled by [u - xi_k + 1], so
-    upward steps (arguments xi_i - 1) stay finite; the matching scaled
-    eigenvalue divides the result.  Each state enters with its own Bethe
-    vector and its own norm_root.
-    """
-    params, config = u_set.params, u_set.config
-    zetas = path.check_zetas(config, params)[0]
-    alphas = path.alphas
-    state = bethe_vector(v_set, side="right")
-    denom = 1.0 + 0.0j
-    for k in range(path.m - 1, -1, -1):
-        entry = "A" if alphas[k] == 1 else "D"
-        state = monodromy_entry_apply(entry, zetas[k], state, scaled=True)
-        denom *= scaled_eigenvalue(zetas[k], v_set)
-    state = local_operator_apply("delta", state, i=1, a=a1)
-    val = left_contract(u_set, state)
-    return val / denom / (norm_root(u_set) * norm_root(v_set))
+    """Dense-operator route for the normalized multi-point matrix element:
+    the 1 x 1 case of _dense_table."""
+    return _dense_table(path, a1, [u_set], [v_set])[0][0]
 
 
 def root_collision(u_set, v_set):
@@ -315,7 +298,7 @@ def _mean_value_pair(u_set, v_set):
     coincide too: at r = L - 1 two labels share omega and a root set
     shifted by one lattice unit per root, and are two states.  A partial
     overlap has no determinant representation here.  The rebased copy is
-    a kernel device only: mpme_det divides by the norm roots of the
+    a kernel device only: _det_table divides by the norm roots of the
     caller's own states, taken before the rebase, so its elements carry
     (-1)^{k n} per state as every Bethe-basis element does.
     """
@@ -530,21 +513,79 @@ def _with_draws(elements, u_sets, same, params, gamma=None):
 
 def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
     """Determinant representation of the normalized matrix element: the
-    one-left-state case of _column_kernel, with no dense fallback: a pair
-    the route does not take is refused.  The kernels of all L twist
-    sectors are built as (L, n, n) stacks."""
-    params, config = u_set.params, u_set.config
-    zetas = det_route_zetas(path, config, params)
-    scale = norm_root(v_set) / norm_root(u_set)
-    u_set, same = _mean_value_pair(u_set, v_set)
-    elements = _column_kernel(v_set, path, a1, zetas, reduction)
-    vals, on_path = _with_draws(elements, [u_set], np.array([same]), params,
-                                gamma)
-    if on_path[0]:
-        raise DegenerateConfigError(
-            "a Bethe root sits on a path argument z or on z +- 1, where the "
-            "path block of the determinant representation is singular")
-    return vals[0] * scale
+    1 x 1 case of _det_table, with no dense fallback: a pair the route
+    refuses raises the DegenerateConfigError the table records."""
+    table, refused = _det_table(path, a1, [u_set], [v_set], gamma, reduction)
+    if refused:
+        raise refused[0, 0]
+    return table[0][0]
+
+
+def _det_table(path, a1, lefts, rights, gamma=None, reduction="m"):
+    """E[i][j] = <lefts[i]| path |rights[j]> / (||u|| ||v||) on the
+    determinant route: det_route_zetas once per path, _mean_value_pair once
+    per pair and one _column_kernel per right state.  Returns the table,
+    None at each refused pair, and a dict mapping each refused pair (i, j)
+    to its DegenerateConfigError."""
+    table = [[None] * len(rights) for _ in lefts]
+    try:
+        zetas = det_route_zetas(path, rights[0].config, rights[0].params)
+    except DegenerateConfigError as exc:
+        return table, {(i, j): exc for i in range(len(lefts))
+                       for j in range(len(rights))}
+    refused = {}
+    norms = [norm_root(u_set) for u_set in lefts]
+    for j, v_set in enumerate(rights):
+        pairs = []
+        for i, u_set in enumerate(lefts):
+            try:
+                pairs.append((i, *_mean_value_pair(u_set, v_set)))
+            except DegenerateConfigError as exc:
+                refused[i, j] = exc
+        if not pairs:
+            continue
+        rows, kernel_lefts, same = zip(*pairs)
+        vals, on_path = _with_draws(
+            _column_kernel(v_set, path, a1, zetas, reduction), kernel_lefts,
+            np.array(same), v_set.params, gamma)
+        for i, val, masked in zip(rows, vals, on_path):
+            if masked:
+                refused[i, j] = DegenerateConfigError(
+                    "a Bethe root sits on a path argument z or on z +- 1, "
+                    "where the path block of the determinant representation "
+                    "is singular")
+            else:
+                table[i][j] = val * (norm_root(v_set) / norms[i])
+    return table, refused
+
+
+def _dense_table(path, a1, lefts, rights):
+    """E[i][j] = <lefts[i]| path |rights[j]> / (||u|| ||v||) by dense
+    operator application: each right state's Bethe vector goes through the
+    path operators and the height projector once, and pairs with each left
+    state's covector, built once and counted with a sweep's six arrays
+    before any vector is built.  The gauge scales every R-factor by
+    [u - xi_k + 1], so upward steps (arguments xi_i - 1) stay finite; the
+    matching scaled eigenvalue divides each element."""
+    config, params = rights[0].config, rights[0].params
+    zetas = path.check_zetas(config, params)[0]
+    _guard_bytes(16 * params.L * (len(lefts) + 6) << config.N,
+                 f"dense table refused: N={config.N}, {len(lefts)} covectors")
+    covectors = [bethe_vector(u_set, side="left") for u_set in lefts]
+    norms = [norm_root(u_set) for u_set in lefts]
+    table = [[None] * len(rights) for _ in lefts]
+    for j, v_set in enumerate(rights):
+        state = bethe_vector(v_set, side="right")
+        denom = 1.0 + 0.0j
+        for k in range(path.m - 1, -1, -1):
+            entry = "A" if path.alphas[k] == 1 else "D"
+            state = monodromy_entry_apply(entry, zetas[k], state, scaled=True)
+            denom *= scaled_eigenvalue(zetas[k], v_set)
+        state = local_operator_apply("delta", state, i=1, a=a1)
+        norm_v = norm_root(v_set)
+        for row, covector, norm_u in zip(table, covectors, norms):
+            row[j] = covector.dot(state) / denom / (norm_u * norm_v)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -651,48 +692,24 @@ def flat_matrix_element(path, ground_states, method="det"):
 
 def _pair_table(path, lefts, rights, method):
     """E[i][j] = <lefts[i]| path |rights[j]> times the anchor factor, as
-    nested lists of what each route returns: the one router of pair
-    elements.
-
-    method='det' takes the determinant route one column per pass:
-    _column_kernel once per right state, on the stack of its left states,
-    with det_route_zetas once per path and _mean_value_pair once per pair.
-    A pair either refuses, or the kernel masks (a root on a path argument),
-    takes the dense route (mpme_bruteforce); method='brute' takes it for
-    every pair.
+    nested lists: the one router of pair elements.  method='det' takes
+    _det_table and one _dense_table pass over only the rows and columns
+    that hold the pairs it refuses; method='brute' takes _dense_table.
     """
-    _check_method(method)
+    if method not in ("det", "brute"):
+        raise ValueError(f"method must be 'det' or 'brute', got {method!r}")
     a1 = path.heights[0]
-    table = [[None] * len(rights) for _ in lefts]
-    zetas = None
-    if method == "det":
-        try:
-            zetas = det_route_zetas(path, rights[0].config, rights[0].params)
-        except DegenerateConfigError:
-            pass
-    for j, v_set in enumerate(rights if zetas is not None else ()):
-        pairs = []
-        for i, u_set in enumerate(lefts):
-            try:
-                pairs.append((i, *_mean_value_pair(u_set, v_set)))
-            except DegenerateConfigError:
-                pass
-        if not pairs:
-            continue
-        rows, kernel_lefts, same = zip(*pairs)
-        vals, on_path = _with_draws(_column_kernel(v_set, path, a1, zetas),
-                                    kernel_lefts, np.array(same),
-                                    v_set.params)
-        for i, val in zip(np.array(rows)[~on_path], vals[~on_path]):
-            u_set = lefts[i]
-            table[i][j] = (val * (norm_root(v_set) / norm_root(u_set))
-                           * _anchor_factor(path, u_set, v_set))
-    for row, u_set in zip(table, lefts):
-        for j, v_set in enumerate(rights):
-            if row[j] is None:
-                row[j] = (mpme_bruteforce(u_set, v_set, path, a1)
-                          * _anchor_factor(path, u_set, v_set))
-    return table
+    table, refused = (_det_table(path, a1, lefts, rights) if method == "det"
+                      else (_dense_table(path, a1, lefts, rights), {}))
+    if refused:
+        rows, cols = (sorted(set(axis)) for axis in zip(*refused))
+        dense = _dense_table(path, a1, [lefts[i] for i in rows],
+                             [rights[j] for j in cols])
+        for i, j in refused:
+            table[i][j] = dense[rows.index(i)][cols.index(j)]
+    return [[val * _anchor_factor(path, u_set, v_set)
+             for val, v_set in zip(row, rights)]
+            for row, u_set in zip(table, lefts)]
 
 
 def finite_lhp(path, basis, ground_states, method="det"):
@@ -703,24 +720,13 @@ def finite_lhp(path, basis, ground_states, method="det"):
     """
     if basis[0] == "bethe":
         _, k1, l1, k2, l2 = basis
-        return path_element(ground_states[(k1, l1)], ground_states[(k2, l2)],
-                            path, method)
+        return _pair_table(path, [ground_states[(k1, l1)]],
+                           [ground_states[(k2, l2)]], method)[0][0]
     if basis[0] != "flat":
         raise ValueError("basis must be 'bethe' or 'flat'")
     params = next(iter(ground_states.values())).params
     row = flat_labels(params).index(tuple(basis[1:]))
     return flat_matrix_element(path, ground_states, method)[row, row]
-
-
-def _check_method(method):
-    if method not in ("det", "brute"):
-        raise ValueError(f"method must be 'det' or 'brute', got {method!r}")
-
-
-def path_element(u_set, v_set, path, method):
-    """<u| path |v> times the anchor factor of the path: the 1 x 1 case of
-    _pair_table."""
-    return _pair_table(path, [u_set], [v_set], method)[0][0]
 
 
 def _anchor_factor(path, u_set, v_set):

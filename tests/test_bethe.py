@@ -183,19 +183,30 @@ class TestSeed:
 
     def test_cached_column_runs_no_bisection(self, params, tmp_path,
                                              monkeypatch):
-        # neither the seed nor the Newton loop runs for a cached column
+        # neither the seed nor the Newton loop runs for a cached column,
+        # and its 4 labels are accepted in one bracket call
         config = homogeneous_config(6)
         first = B.all_ground_states(config, params, cache_dir=str(tmp_path))
 
         def refuse(*args):
             raise AssertionError("seed or Newton run for a cached state")
 
+        bracket = ModelParams.bracket
+        calls = []
+
+        def counted(self, u, order=0):
+            calls.append(1)
+            return bracket(self, u, order=order)
+
         monkeypatch.setattr(B, "_initial_guess", refuse)
         monkeypatch.setattr(B, "_newton", refuse)
+        monkeypatch.setattr(ModelParams, "bracket", counted)
         again = B.all_ground_states(config, params, cache_dir=str(tmp_path))
-        assert sorted(again) == sorted(first)
+        assert len(calls) == 1
+        assert sorted(again) == sorted(first) and len(first) == 4
         for key, roots in again.items():
             assert np.array_equal(roots.x, first[key].x)
+            assert roots.residual == first[key].residual
 
     @pytest.mark.parametrize("N", [8, 16])
     @pytest.mark.parametrize("L, r", [(3, 1), (5, 2), (4, 1)])
@@ -491,12 +502,6 @@ class TestEigenstates:
                    + (-1) ** (params.r * roots.aleph) / omega * roots.d_fun(u))
         assert np.max(np.abs(out.amps - tau_val * state.amps)) < 1e-10
 
-    def test_left_contract_matches_vector(self, params, ground4_homog):
-        left = ground4_homog[(0, 0)]
-        right = B.bethe_vector(ground4_homog[(1, 1)], side="right")
-        lv = B.bethe_vector(left, side="left")
-        assert abs(lv.dot(right) - B.left_contract(left, right)) < 1e-10
-
     @pytest.mark.parametrize("N", [4, 8])
     def test_phi_weights_one_bracket_call_per_vector(self, params, N,
                                                      monkeypatch):
@@ -526,12 +531,9 @@ class TestEigenstates:
         monkeypatch.setattr(B, "monodromy_entry_apply",
                             lambda entry, u, state, dual=False: state)
         monkeypatch.setattr(ModelParams, "bracket", counted)
-        state = StateVector.reference(config, params)
-        for run in (lambda: B.bethe_vector(roots, side="right"),
-                    lambda: B.bethe_vector(roots, side="left"),
-                    lambda: B.left_contract(roots, state)):
+        for side in ("right", "left"):
             calls.clear()
-            run()
+            B.bethe_vector(roots, side=side)
             assert len(calls) == 1
 
 

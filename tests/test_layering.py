@@ -59,22 +59,23 @@ def test_package_imports_at_module_top(name):
 
 # the one router of pair elements: in production (every module but the
 # contract and the CLI, which check and report) only matel._pair_table
-# calls the dense route and the determinant kernel; mpme_det, the
-# determinant route with no fallback, calls the kernel too
-ROUTE_CALLS = {("matel", "_pair_table", "mpme_bruteforce"),
-               ("matel", "_pair_table", "_column_kernel"),
-               ("matel", "mpme_det", "_column_kernel")}
+# calls the dense table, and only matel._det_table the determinant kernel;
+# mpme_bruteforce, the dense table's 1 x 1 case, has no production caller
+ROUTE_CALLS = {("matel", "_pair_table", "_dense_table"),
+               ("matel", "mpme_bruteforce", "_dense_table"),
+               ("matel", "_det_table", "_column_kernel")}
+WATCHED = ("mpme_bruteforce", "_dense_table", "_column_kernel")
 
 
 def _route_calls(name):
-    """(module, top-level definition, callee) for every call of
-    mpme_bruteforce or _column_kernel in the module."""
+    """(module, top-level definition, callee) for every call of a WATCHED
+    function in the module."""
     for top in _tree(name).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id",
                                  getattr(node.func, "attr", None))
-                if callee in ("mpme_bruteforce", "_column_kernel"):
+                if callee in WATCHED:
                     yield name, getattr(top, "name", "<module>"), callee
 
 

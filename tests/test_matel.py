@@ -6,8 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from csoslab.elliptic import DegenerateConfigError, ModelParams, PoleError
+from csoslab.elliptic import (DegenerateConfigError, ModelParams, PoleError,
+                              SizeGuardError)
 from csoslab.lattice import LatticeConfig, homogeneous_config
+from csoslab import lattice
 from csoslab import bethe as B
 from csoslab import contract as C
 from csoslab import matel as M
@@ -140,8 +142,9 @@ class TestPathGeometry:
         for key in ((0, 0), (1, 0)):
             with pytest.raises(DegenerateConfigError, match="path argument"):
                 M.mpme_det(gs[key], gs[(0, 0)], path, 1)
-            assert (M.path_element(gs[key], gs[(0, 0)], path, "det")
-                    == M.path_element(gs[key], gs[(0, 0)], path, "brute"))
+            basis = ("bethe", *key, 0, 0)
+            assert (M.finite_lhp(path, basis, gs, method="det")
+                    == M.finite_lhp(path, basis, gs, method="brute"))
         assert np.all(np.isfinite(M.flat_matrix_element(path, gs)))
 
     def test_json_roundtrip(self, config4):
@@ -797,7 +800,7 @@ class TestFlatBasis:
             acted = StateVector(config4, params,
                                 emat @ rv.amps.reshape(-1))
             acted = local_operator_apply("delta", acted, i=1, a=1)
-            val = BB.left_contract(us, acted) / nrm
+            val = BB.bethe_vector(us, side="left").dot(acted) / nrm
             assert abs(det - val) / abs(val) < 1e-8
 
     def test_flat_basis_asymptotic_diagonality(self):
@@ -839,7 +842,7 @@ class TestFlatBasis:
                 a_max = int(np.argmax(np.abs(pbs)))
                 pb = pbs[a_max]
                 path = M.AdjacentPath(vertices=((1, 1),), heights=(a_max,))
-                val = M.path_element(gs[(0, 0)], gs[key], path, "det")
+                val = M.finite_lhp(path, ("bethe", 0, 0, *key), gs)
                 worst = max(worst, abs(val - pb) / abs(val + pb))
         assert worst < 0.5, worst
 
@@ -1022,11 +1025,66 @@ class TestColumnPass:
             per_column[len(gs)] = len(calls) / len(gs)
         assert per_column[4] == per_column[6] == 8, per_column
 
+    @staticmethod
+    def _count_vectors(monkeypatch):
+        """Record the side of every Bethe vector the dense table builds."""
+        built = []
+
+        def counted(roots, side="right"):
+            built.append(side)
+            return B.bethe_vector(roots, side=side)
+
+        monkeypatch.setattr(M, "bethe_vector", counted)
+        return built
+
+    @pytest.mark.parametrize("L, r", [(3, 1), (5, 2)])
+    def test_dense_table_one_vector_per_state(self, L, r, monkeypatch):
+        # a K x K dense table (K = 4, 6) builds each right vector and each
+        # left covector once: 2K vectors for the K^2 pairs
+        states = _flat_states(B.all_ground_states(homogeneous_config(4),
+                                                  _physical(L, r)))
+        built = self._count_vectors(monkeypatch)
+        table = M._dense_table(PATH1, 1, states, states)
+        K = len(states)
+        assert sorted(built) == ["left"] * K + ["right"] * K
+        assert np.all(np.isfinite(table))
+
+    def test_dense_pass_only_over_refused_rows_and_columns(self,
+                                                           monkeypatch):
+        # at (4, 1) the determinant route refuses the twist partners with
+        # different omega^2: the router's dense pass covers only the rows
+        # and columns that hold them
+        gs = B.all_ground_states(homogeneous_config(4), _physical(4, 1))
+        states = _flat_states(gs)
+        refused = M._det_table(PATH1, 1, states, states)[1]
+        rows = {i for i, _ in refused}
+        cols = {j for _, j in refused}
+        assert 0 < len(rows) < len(states) and 0 < len(cols) < len(states)
+        built = self._count_vectors(monkeypatch)
+        table = M.flat_matrix_element(PATH1, gs)
+        assert built.count("left") == len(rows)
+        assert built.count("right") == len(cols)
+        assert np.all(np.isfinite(table))
+
+    def test_dense_table_counts_its_covectors(self, ground4, monkeypatch):
+        # a budget that admits one covector and a sweep, seven vectors'
+        # bytes, refuses the 4 x 4 table before any vector is built
+        states = _flat_states(ground4)
+        config, params = states[0].config, states[0].params
+        monkeypatch.setattr(lattice, "DENSE_MAX_BYTES",
+                            7 * 16 * params.L << config.N)
+        built = self._count_vectors(monkeypatch)
+        with pytest.raises(SizeGuardError, match="dense table refused"):
+            M._dense_table(PATH1, 1, states, states)
+        assert built == []
+        one = M._dense_table(PATH1, 1, states[:1], states[1:2])[0][0]
+        assert one == M.mpme_bruteforce(states[0], states[1], PATH1, 1)
+
     @pytest.mark.parametrize("method", ["dett", "dense", None])
     def test_unknown_method_refused(self, ground4, method):
         # no method other than 'det' and 'brute' falls through to a route
-        us, vs = ground4[(0, 0)], ground4[(1, 1)]
-        for call in (lambda: M.path_element(us, vs, PATH1, method),
+        for call in (lambda: M.finite_lhp(PATH1, ("bethe", 0, 0, 1, 1),
+                                          ground4, method=method),
                      lambda: M.flat_matrix_element(PATH1, ground4, method),
                      lambda: M.finite_lhp(PATH1, ("flat", 0, 0), ground4,
                                           method=method)):

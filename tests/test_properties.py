@@ -41,26 +41,36 @@ def models(draw, families=((3, 1), (5, 2))):
     return params, LatticeConfig(N=4, xi=tuple(0.5 + 1j * y for y in ys))
 
 
-@hypothesis.settings(derandomize=True, database=None, deadline=None,
-                     max_examples=60)
-@hypothesis.given(models())
-def test_routes_agree_or_raise_typed(model):
-    params, config = model
-    try:
-        gs = B.all_ground_states(config, params)
-        for roots in gs.values():
-            dense = B.bethe_vector(roots, side="left").dot(
-                B.bethe_vector(roots, side="right"))
-            gap = abs(S.norm_det(roots) - dense) / abs(dense)
-            assert gap < ACC["norm_vs_dense"]
-        us, vs = gs[(0, 0)], gs[(1, 1)]
-        for heights in ((1, 2), (0, 1, 2)):
-            path = M.vertical_path(heights)
-            brute = M.mpme_bruteforce(us, vs, path, heights[0])
-            det = M.mpme_det(us, vs, path, heights[0])
-            assert abs(det - brute) / abs(brute) < ACC["mpme_vs_dense"]
-    except TYPED_ERRORS:
-        pass
+def test_routes_agree_or_raise_typed():
+    # a typed error may end an example, but not most of them: the routes
+    # are compared on 56 of the 60 examples drawn, and fewer than 45 would
+    # mean the refusals hide what the comparison checks
+    compared = []
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=60)
+    @hypothesis.given(models())
+    def check(model):
+        params, config = model
+        try:
+            gs = B.all_ground_states(config, params)
+            for roots in gs.values():
+                dense = B.bethe_vector(roots, side="left").dot(
+                    B.bethe_vector(roots, side="right"))
+                gap = abs(S.norm_det(roots) - dense) / abs(dense)
+                assert gap < ACC["norm_vs_dense"]
+            us, vs = gs[(0, 0)], gs[(1, 1)]
+            for heights in ((1, 2), (0, 1, 2)):
+                path = M.vertical_path(heights)
+                brute = M.mpme_bruteforce(us, vs, path, heights[0])
+                det = M.mpme_det(us, vs, path, heights[0])
+                assert abs(det - brute) / abs(brute) < ACC["mpme_vs_dense"]
+            compared.append(model)
+        except TYPED_ERRORS:
+            pass
+
+    check()
+    assert len(compared) >= 45, len(compared)
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
