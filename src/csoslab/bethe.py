@@ -495,17 +495,31 @@ def bethe_vector(roots, side="right"):
 
 def lambda_pm(zeta, roots):
     """(Lambda_+, Lambda_-)(z; {v}, omega), the eigenvalue halves built on
-    one sector each, from one bracket call."""
-    z = np.asarray(zeta)[..., None]
-    xi = np.array(roots.config.xi)
-    brs = roots.params.brackets(*(
-        np.concatenate([z - xi + (1 + eps) // 2, roots.v - z + eps], axis=-1)
-        for eps in (1, -1)))
-    # the twist factor multiplies through _cmul, so that an array of
-    # arguments rounds as each argument alone
-    out = tuple(_cmul(np.prod(br, axis=-1), eps * roots.omega ** (eps - 1))
-                for eps, br in zip((1, -1), brs))
+    one sector each: the one-state case of _lambda_pm_rows."""
+    out = tuple(half[0] for half in _lambda_pm_rows(zeta, [roots]))
     return out if np.ndim(zeta) else tuple(complex(val) for val in out)
+
+
+def _lambda_pm_rows(zeta, family):
+    """lambda_pm(zeta, roots) for each root set of one family (one config
+    and params), stacked on a leading axis, from one bracket call: the site
+    factors [z - xi_k + 1] and [z - xi_k] once, the root factors
+    [v_j - z +- 1] once per set.  Each row is that of its own call, bit for
+    bit."""
+    z = np.asarray(zeta)[..., None]
+    xi = np.array(family[0].config.xi)
+    lead = (len(family),) + (1,) * np.ndim(zeta)
+    v = np.array([roots.v for roots in family]).reshape(lead + (-1,))
+    brs = family[0].params.brackets(z - xi + 1, v - z + 1, z - xi, v - z - 1)
+    out = []
+    for eps, site, root in zip((1, -1), brs[::2], brs[1::2]):
+        site = np.broadcast_to(site, root.shape[:-1] + site.shape[-1:])
+        twist = np.array([eps * roots.omega ** (eps - 1) for roots in family])
+        # the twist factor multiplies through _cmul, so that an array of
+        # arguments rounds as each argument alone
+        out.append(_cmul(np.prod(np.concatenate([site, root], axis=-1),
+                                 axis=-1), twist.reshape(lead)))
+    return tuple(out)
 
 
 def scaled_eigenvalue(u, roots):

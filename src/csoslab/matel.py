@@ -8,10 +8,11 @@ normalized matrix element
 
 with spin steps a_k = s_{k+1} - s_k and spectral arguments z_k read off the
 step directions.  Two table functions build the elements E[i][j] of left
-states u_i against right states v_j, one pass per right state: `_det_table`,
-the determinant form (algebraic factors G_b times a twist sum of ratios
-det(H) / det(Phi), with an optional m x m reduction), and `_dense_table`,
-dense operator application.  `mpme_det` and `mpme_bruteforce` are their
+states u_i against right states v_j: `_det_table`, the determinant form
+(algebraic factors G_b times a twist sum of ratios det(H) / det(Phi), with
+an optional m x m reduction), one kernel and one stacked pass for all
+pairs, and `_dense_table`, dense operator application, one pass per right
+state.  `mpme_det` and `mpme_bruteforce` are their
 1 x 1 cases; the router `_pair_table` takes the determinant table, and the
 dense one where it refuses.  The commutation-relation sum over m-tuples
 that checks the determinant form is `contract.mpme_sum_partial`.
@@ -33,13 +34,13 @@ import numpy as np
 from .elliptic import DegenerateConfigError, PoleError, _cdiv, _cmul
 from .lattice import (_guard_bytes, local_operator_apply,
                       monodromy_entry_apply)
-from .bethe import (BetheRootSet, bethe_vector, eigenvalue_tau, lambda_pm,
-                    scaled_eigenvalue)
-from .scalar import (gamma_retry, gaudin_matrix, norm_det, twist_weights,
-                     _check_kappa, _own_d, _sector_q_powers)
+from .bethe import (BetheRootSet, _lambda_pm_rows, bethe_vector,
+                    eigenvalue_tau, scaled_eigenvalue)
+from .scalar import (gamma_retry, norm_det, twist_weights, _family_d,
+                     _family_gaudin, _family_norms, _own_d, _sector_q_powers)
 
-# left states x tuples per determinant stack of _column_kernel (bounds
-# memory, not the value)
+# pairs x tuples per determinant stack of _table_kernel (bounds memory, not
+# the value)
 TUPLE_BLOCK = 1024
 
 # smallest |[z_j - z_k]| of two path arguments the determinant route takes.
@@ -225,14 +226,11 @@ def norm_root(u_set):
     (-1)^n N / omega^{2n} is a positive real on every state measured, so
     the root needs no partner state.  The sign (-1)^{k n} is
     calibrate_norm_signs(u_set), so a Bethe-basis element carries it for
-    each of its two states.  N depends on the roots only and is memoized;
-    the root reads the twist label and is not (a rebased copy shares its
-    partner's memo).
+    each of its two states.  N depends on the roots only and norm_det
+    keeps it in the memo; the root reads the twist label and is not (a
+    rebased copy shares its partner's memo).
     """
-    nrm = u_set.memo.get("norm")
-    if nrm is None:
-        nrm = norm_det(u_set)
-        u_set.memo["norm"] = nrm
+    nrm = norm_det(u_set)
     n = u_set.n
     w_n = u_set.omega_pow(n)
     return (calibrate_norm_signs(u_set) * 1j ** n * w_n
@@ -316,100 +314,133 @@ def _mean_value_pair(u_set, v_set):
     return _rebase_onto(u_set, v_set), True
 
 
-def _mean_value_kernel(gamma, v_set, a2, a4):
-    """Mean-value ({u} = {v}) replacement for the transformed kernel: the
-    Gaudin diagonal less 2[1]'/[1], plus the kernel of _h_transformed at
-    t = gamma, w = 1, one matrix per row of the coefficients."""
-    v = np.asarray(v_set.v)
-    params = v_set.params
-    *brs, b1 = params.brackets(*_h_kernel_args(gamma, v[:, None] - v[None, :]),
-                               1.0)
-    diag = np.diag(gaudin_matrix(v_set)) - 2.0 * params.bracket_prime1 / b1
-    return np.eye(len(v)) * diag[:, None] + _h_kernel(brs, a2, a4, params)
+def _mean_value_kernel(gamma, v_sets, a2, a4):
+    """Mean-value ({u} = {v}) replacement for the transformed kernel, for
+    right states v_sets of one family: the Gaudin diagonal less 2[1]'/[1],
+    plus the kernel of _h_transformed at t = gamma, w = 1, one matrix per
+    row of the coefficients, stacked on a leading axis of states; one
+    bracket call for all of them."""
+    v = np.array([v_set.v for v_set in v_sets])[:, None, :]
+    params = v_sets[0].params
+    *brs, b1 = params.brackets(*_h_kernel_args(gamma, v[..., :, None]
+                                               - v[..., None, :]), 1.0)
+    diag = (np.diagonal(np.array(_family_gaudin(v_sets)), axis1=-2,
+                        axis2=-1)[:, None, :]
+            - 2.0 * params.bracket_prime1 / b1)
+    return np.eye(v.shape[-1]) * diag[..., None] + _h_kernel(brs, a2, a4,
+                                                            params)
 
 
-def algebraic_factor_G(b, inv, a1, v_set, zetas, alphas, lams):
+def algebraic_factor_G(b, inv, a1, v_sets, zetas, alphas, lams):
     """The prefactors G_b for the tuple rows of b with inversion counts inv,
-    as far as they depend on the right state, the path and the height:
+    as far as they depend on the right state, the path and the height, for
+    right states v_sets of one family stacked on a leading axis:
     (c, num, den), with G_b = lead_u num_b / den_b for a left state u and
     lead_u = c[0] (omega_v/omega_u)^s prod_j d(u_j)/d(v_j) / c[1] / c[2]
     (_g_lead).  num and den are gathered from an (m, n+m) table of
     single-slot factors (the lambda factor of a path-argument index in its
     last m columns) and an (n+m, n+m) table of pair brackets
-    [v_i - v_j + 1].  lams = (lam+, lam-) holds lambda_pm(zeta_j, v_set)."""
-    n, m = v_set.n, len(zetas)
-    s = v_set.params.height(a1)
+    [v_i - v_j + 1], one of each per state.  lams = (lam+, lam-) holds
+    lambda_pm(zeta_j, v) of each state, one row per state."""
+    n, m = v_sets[0].n, len(zetas)
+    params = v_sets[0].params
+    s = params.height(a1)
     ipos, n_minus = slot_positions(alphas)
     ip = np.asarray(ipos, dtype=int) - 1          # path position of a slot
     z = np.asarray(zetas, dtype=complex)
-    v_ext = np.asarray(_extended_params(v_set.v, zetas), dtype=complex)
+    v_ext = np.array([_extended_params(v_set.v, zetas) for v_set in v_sets],
+                     dtype=complex)[:, None, :]
     part = np.cumsum((0,) + tuple(alphas))[ip]    # a_1 + ... + a_{i_p - 1}
-    zv = z[:, None] - v_ext[None, :]
+    zv = z[:, None] - v_ext
     rel = np.arange(m)[None, :, None] - ip[:, None, None]   # l - i_p
     a_ip = np.asarray(alphas, dtype=float)[ip][:, None, None]
     # [z_l - v_k], the slot factors, the pair table [v_i - v_j + 1]
-    bzv, bnum, bden, bzva, pair = v_set.params.brackets(
-        zv, s + part[:, None] + v_ext[None, :] - z[ip][:, None], s + part,
-        zv + a_ip, v_ext[:, None] - v_ext[None, :] + 1)
+    bzv, bnum, bden, bzva, pair = params.brackets(
+        zv, s + part[:, None] + v_ext - z[ip][:, None], s + part,
+        zv[:, None] + a_ip, v_ext[:, 0, :, None] - v_ext + 1)
     single = (bnum / bden[:, None]
-              * np.prod(np.where(rel < 0, bzv, 1.0), axis=1)
-              * np.prod(np.where(rel > 0, bzva, 1.0), axis=1))
+              * np.prod(np.where(rel < 0, bzv[:, None], 1.0), axis=2)
+              * np.prod(np.where(rel > 0, bzva, 1.0), axis=2))
     # v_{n+j} = zeta_{m+1-j}: lam- on a minus slot, lam+ on a plus slot
-    single[:, n:] *= np.where(np.arange(m)[:, None] < n_minus,
-                              lams[1], lams[0])[:, ::-1]
+    single[..., n:] *= np.where(np.arange(m)[:, None] < n_minus,
+                                lams[1][:, None], lams[0][:, None])[..., ::-1]
     p, q = np.triu_indices(m, 1)
-    c = ((-1.0) ** (m * n + n_minus), np.prod(lams[0] - lams[1]),
-         np.prod(bzv[p, n + m - 1 - q]))             # [z_p - z_q]
-    return (c, (-1.0) ** inv * np.prod(single[np.arange(m), b - 1], axis=1),
-            np.prod(pair[b[:, p] - 1, b[:, q] - 1], axis=1))
+    # numpy orders a reduction by the operands' strides, and a product or
+    # sum rounds differently taken along the fast axis than across it.  A
+    # gather behind the leading state axis comes out state-fastest, so each
+    # is reduced in the layout one state's gather has: C order for the
+    # slot factors and [z_p - z_q]; tuple-fastest for the pair brackets,
+    # (T, pairs) on one state, kept as (pairs, K, T) for K
+    c = ((-1.0) ** (m * n + n_minus), np.prod(lams[0] - lams[1], axis=-1),
+         np.prod(np.ascontiguousarray(bzv[:, p, n + m - 1 - q]), axis=-1))
+    num = np.prod(np.ascontiguousarray(single[:, np.arange(m), b - 1]),
+                  axis=-1)
+    den = np.prod(np.ascontiguousarray(np.moveaxis(
+        pair[:, b[:, p].T - 1, b[:, q].T - 1], 0, 1)), axis=0)
+    return c, (-1.0) ** inv * num, den
 
 
 def _g_lead(c, u_set, v_set, s, d_v):
-    """The left-state factor lead_u of algebraic_factor_G, d_v the d of
-    v_set at its own roots.  Scalar arithmetic in this order keeps each
-    element's rounding, bit for bit, that of the formula evaluated for its
-    pair alone."""
+    """The left-state factor lead_u of algebraic_factor_G, c the factors of
+    v_set and d_v its d at its own roots.  Scalar arithmetic in this order
+    keeps each element's rounding, bit for bit, that of the formula
+    evaluated for its pair alone."""
     return (c[0] * _omega_ratio_pow(u_set, v_set, s)
             * np.prod(_own_d(u_set) / d_v) / c[1] / c[2])
 
 
-def _column_kernel(v_set, path, a1, zetas, reduction="m"):
-    """The determinant representation against one right state {v}.
+def _roots_on_path(states, zetas):
+    """Whether a root x of each state sits on a path argument z or on
+    z +- 1 (|[x - z]|, |[x - z +- 1]| < 1e-10), where the path block Q of
+    the determinant representation is singular at every gamma: one bracket
+    call for all the states."""
+    xz = np.array([st.v for st in states])[:, :, None] - np.asarray(
+        zetas, dtype=complex)
+    brs = states[0].params.brackets(xz, xz + 1, xz - 1)
+    return np.any(np.abs(brs) < 1e-10, axis=(0, 2, 3))
 
-    What depends on {v}, the path and the height only is built here, once:
-    the Gaudin matrix with its determinant and condition number, lambda_pm,
-    the tuples and the {v} part of their factors G_b.  The function
-    returned, elements(u_sets, same, gamma), evaluates a stack of left
-    states at one gamma, every builder on one stacked bracket call.
-    u_sets are the left states as the kernel takes them (rebased by
-    _mean_value_pair where the flag in the boolean array `same` is set).
-    It returns the elements before the norm roots and two row masks, whose
-    rows have no value: `pole`, the pairs on a pole of this gamma, and
-    `on_path`, the pairs with a root x of u or v on a path argument z or
-    on z +- 1 (|[x - z]|, |[x - z +- 1]| < 1e-10), where the path block Q
-    is singular at every gamma.
+
+def _table_kernel(rights, path, a1, zetas, reduction="m"):
+    """The determinant representation against the right states of one
+    table, all at once.
+
+    What depends on {v}, the path and the height only is built here, once
+    for all right states, each builder on one stacked bracket call: the
+    Gaudin matrices with their determinants, lambda_pm, d at the roots, the
+    tuples and the {v} part of their factors G_b.  The function returned,
+    elements(pairs, same, gamma), evaluates a stack of pairs at one gamma,
+    every builder on one stacked bracket call.  A pair is (u_set, j): the
+    left state as the kernel takes it (rebased by _mean_value_pair where
+    the flag in the boolean array `same` is set) and the index of its right
+    state in `rights`.  It returns the elements before the norm roots and
+    the mask `pole` of the pairs on a pole of this gamma, which have no
+    value.  Pairs with a root on a path argument (_roots_on_path) are the
+    caller's to leave out.
     reduction='m' reduces each tuple to m x m determinants through one
     stacked solve, reduction='n' takes the mixed n x n determinants.
     """
-    params = v_set.params
-    n, m, L = v_set.n, path.m, params.L
+    params = rights[0].params
+    n, m, L = rights[0].n, path.m, params.L
     alphas = path.alphas
     s = params.height(a1)
     z = np.asarray(zetas, dtype=complex)
-    v = v_set.v
-    phi_v = gaudin_matrix(v_set)
-    det_phi = np.linalg.det(phi_v)
-    _check_kappa(phi_v, "Gaudin matrix")
-    lams = lambda_pm(z, v_set)
-    d_v = _own_d(v_set)
-    v_ext = np.asarray(_extended_params(v, zetas), dtype=complex)
+    v = np.array([v_set.v for v_set in rights])
+    sum_v = np.sum(v, axis=1)
+    det_phi = np.linalg.det(_family_gaudin(rights))
+    lams = _lambda_pm_rows(z, rights)
+    d_v = _family_d(rights)
+    v_ext = np.array([_extended_params(row, zetas) for row in v],
+                     dtype=complex)
     b = enumerate_tuples(n, m, slot_positions(alphas)[0])
     inv = inversion_counts(b)
-    g_c, g_num, g_den = algebraic_factor_G(b, inv, a1, v_set, zetas, alphas,
-                                           lams)
-    nz = g_num != 0.0
-    b, inv, g_num, g_den = b[nz], inv[nz], g_num[nz], g_den[nz]
-    keep_sum = np.sum(v) + sum(zetas) - np.sum(v_ext[b - 1], axis=1)
+    g_c, g_num, g_den = algebraic_factor_G(b, inv, a1, rights, zetas,
+                                           alphas, lams)
+    # the tuples whose factor vanishes for every right state: those of a
+    # vanishing lambda (lam+ on an upward step, lam- on a downward one)
+    nz = np.any(g_num != 0.0, axis=0)
+    b, inv, g_num, g_den = b[nz], inv[nz], g_num[:, nz], g_den[:, nz]
+    keep_sum = (sum_v[:, None] + sum(zetas)
+                - np.sum(np.ascontiguousarray(v_ext[:, b - 1]), axis=-1))
     # index b <= n picks a root row of S (column of H), b > n the path
     # argument zeta_{n+m+1-b}: a reversed identity row (reversed Q column)
     if reduction == "m":
@@ -425,40 +456,44 @@ def _column_kernel(v_set, path, a1, zetas, reduction="m"):
     one = np.ones((L, 1))
     qm, qp = _sector_q_powers(params)
 
-    def elements(u_sets, same, gamma):
-        u = np.array([us.v for us in u_sets])
+    def elements(pairs, same, gamma):
+        u = np.array([us.v for us, _ in pairs])
+        col = np.array([j for _, j in pairs])
         su = np.sum(u, axis=1)
-        xz = np.vstack([v, u])[:, :, None] - z      # row 0: the roots of v
-        bt0, bs, den, *bxz = params.brackets(
-            su - np.sum(v) + gamma, s, su[:, None] - keep_sum + gamma + s,
-            xz, xz + 1, xz - 1)
-        hit = np.any(np.abs(bxz) < 1e-10, axis=(0, 2, 3))
-        on_path = hit[0] | hit[1:]
+        bt0, bs, den = params.brackets(
+            su - sum_v[col] + gamma, s,
+            su[:, None] - keep_sum[col] + gamma + s)
         pole = (np.abs(bt0) < 1e-13) | np.any(np.abs(den) < 1e-13, axis=1)
-        vals = np.zeros(len(u_sets), dtype=complex)
-        live = ~(pole | on_path)
+        vals = np.zeros(len(pairs), dtype=complex)
+        live = ~pole
         if not live.any():
-            return vals, pole, on_path
-        u, same, bt0, den = u[live], same[live], bt0[live], den[live]
-        u_sets = [us for us, ok in zip(u_sets, live) if ok]
-        P = len(u_sets)
+            return vals, pole
+        u, col, same = u[live], col[live], same[live]
+        bt0, den = bt0[live], den[live]
+        pairs = [pair for pair, ok in zip(pairs, live) if ok]
+        P = len(pairs)
         twist = twist_weights(s, gamma, params)
-        w2 = np.array([_omega_ratio_pow(us, v_set, 2.0)
-                       for us in u_sets])[:, None, None]
-        lam_m = lams[1] * w2
-        q_mats = _q_transformed(gamma, u[:, None, :], v, z,
-                                (lams[0], lams[0] * qm, lam_m, lam_m * qp),
+        w2 = np.array([_omega_ratio_pow(us, rights[j], 2.0)
+                       for us, j in pairs])[:, None, None]
+        lam_p = lams[0][col][:, None, :]
+        lam_m = lams[1][col][:, None, :] * w2
+        q_mats = _q_transformed(gamma, u[:, None, :], v[col][:, None, :], z,
+                                (lam_p, lam_p * qm, lam_m, lam_m * qp),
                                 params)
         base = np.empty((P, L, n, n), dtype=complex)
         if same.any():
-            base[same] = _mean_value_kernel(gamma, v_set, qm, qp)
+            cols, at = np.unique(col[same], return_inverse=True)
+            base[same] = _mean_value_kernel(
+                gamma, [rights[j] for j in cols], qm, qp)[at]
         if not same.all():
             a3 = one * w2[~same]
-            base[~same] = _h_transformed(gamma, u[~same][:, None, :], v,
-                                         (one, qm, a3, _cmul(a3, qp)), params)
+            base[~same] = _h_transformed(
+                gamma, u[~same][:, None, :], v[col[~same]][:, None, :],
+                (one, qm, a3, _cmul(a3, qp)), params)
         base_dets = np.linalg.det(base)
-        lead = np.array([_g_lead(g_c, us, v_set, s, d_v) for us in u_sets])
-        gb = lead[:, None] * g_num / g_den
+        lead = np.array([_g_lead((g_c[0], g_c[1][j], g_c[2][j]), us,
+                                 rights[j], s, d_v[j]) for us, j in pairs])
+        gb = lead[:, None] * g_num[col] / g_den[col]
         # [s][t0] and [0]'/[t] of the builders round as scalar products
         pre = _cmul(bt0, bs)[:, None] / (params.bracket_prime0 * den)
         if reduction == "m":
@@ -469,7 +504,8 @@ def _column_kernel(v_set, path, a1, zetas, reduction="m"):
         else:
             ext = np.concatenate([base, q_mats[..., ::-1]], axis=-1)
             fac = np.ones((P, len(b), L))
-        # left states x tuples per determinant stack: at most TUPLE_BLOCK
+        norm = (L * det_phi[col])[:, None]
+        # pairs x tuples per determinant stack: at most TUPLE_BLOCK
         step = max(1, TUPLE_BLOCK // P)
         terms = np.empty((P, len(b)), dtype=complex)
         for lo in range(0, len(b), step):
@@ -478,37 +514,31 @@ def _column_kernel(v_set, path, a1, zetas, reduction="m"):
                                              ax, 1))
             det_h = _cmul(fac[:, blk], dets)
             terms[:, blk] = (gb[:, blk] * pre[:, blk]
-                             * np.sum(_cmul(det_h, twist), axis=-1)
-                             / (L * det_phi))
+                             * np.sum(_cmul(det_h, twist), axis=-1) / norm)
         vals[live] = np.sum(terms, axis=1)
-        return vals, pole, on_path
+        return vals, pole
 
     return elements
 
 
-def _with_draws(elements, u_sets, same, params, gamma=None):
-    """elements(u_sets, same, gamma) under gamma_retry's rule, pair by pair:
+def _with_draws(elements, pairs, same, params, gamma=None):
+    """elements(pairs, same, gamma) under gamma_retry's rule, pair by pair:
     each pair takes the first default draw at which it has no pole, so a
-    pole redraws only its own pair.  An explicit gamma is the only draw.
-    Returns the values and the on_path mask of elements; a masked pair has
-    no value at any gamma and takes no redraw."""
-    vals = np.empty(len(u_sets), dtype=complex)
-    on_path = np.zeros(len(u_sets), dtype=bool)
-    todo = np.arange(len(u_sets))
+    pole redraws only its own pair.  An explicit gamma is the only draw."""
+    vals = np.empty(len(pairs), dtype=complex)
+    todo = np.arange(len(pairs))
 
     def draw(g):
         nonlocal todo
-        got, pole, off = elements([u_sets[p] for p in todo], same[todo], g)
-        done = ~pole | off
-        vals[todo[done]] = got[done]
-        on_path[todo] = off
-        todo = todo[~done]
+        got, pole = elements([pairs[p] for p in todo], same[todo], g)
+        vals[todo[~pole]] = got[~pole]
+        todo = todo[pole]
         if todo.size:
             raise PoleError("[|u|-|v|+gamma] or a b-dependent prefactor "
                             "vanishes; redraw gamma")
 
     gamma_retry(draw, params, gamma)
-    return vals, on_path
+    return vals
 
 
 def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
@@ -523,39 +553,47 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
 
 def _det_table(path, a1, lefts, rights, gamma=None, reduction="m"):
     """E[i][j] = <lefts[i]| path |rights[j]> / (||u|| ||v||) on the
-    determinant route: det_route_zetas once per path, _mean_value_pair once
-    per pair and one _column_kernel per right state.  Returns the table,
-    None at each refused pair, and a dict mapping each refused pair (i, j)
-    to its DegenerateConfigError."""
+    determinant route: det_route_zetas once per path, the norms and the
+    root-on-path mask once per distinct state, _mean_value_pair once per
+    pair, and one _table_kernel for all right states, whose elements run
+    over all pairs as one stack.  Returns the table, None at each refused
+    pair, and a dict mapping each refused pair (i, j) to its
+    DegenerateConfigError."""
     table = [[None] * len(rights) for _ in lefts]
     try:
         zetas = det_route_zetas(path, rights[0].config, rights[0].params)
     except DegenerateConfigError as exc:
         return table, {(i, j): exc for i in range(len(lefts))
                        for j in range(len(rights))}
-    refused = {}
-    norms = [norm_root(u_set) for u_set in lefts]
+    states = list({id(st): st for st in lefts + rights}.values())
+    _family_norms(states)
+    roots = {id(st): norm_root(st) for st in states}
+    on_path = dict(zip(map(id, states), _roots_on_path(states, zetas)))
+    refused, found = {}, []
     for j, v_set in enumerate(rights):
-        pairs = []
         for i, u_set in enumerate(lefts):
             try:
-                pairs.append((i, *_mean_value_pair(u_set, v_set)))
+                kernel_left, same = _mean_value_pair(u_set, v_set)
             except DegenerateConfigError as exc:
                 refused[i, j] = exc
-        if not pairs:
-            continue
-        rows, kernel_lefts, same = zip(*pairs)
-        vals, on_path = _with_draws(
-            _column_kernel(v_set, path, a1, zetas, reduction), kernel_lefts,
-            np.array(same), v_set.params, gamma)
-        for i, val, masked in zip(rows, vals, on_path):
-            if masked:
+                continue
+            if on_path[id(v_set)] or on_path[id(u_set)] and not same:
                 refused[i, j] = DegenerateConfigError(
                     "a Bethe root sits on a path argument z or on z +- 1, "
                     "where the path block of the determinant representation "
                     "is singular")
             else:
-                table[i][j] = val * (norm_root(v_set) / norms[i])
+                found.append((i, j, kernel_left, same))
+    if not found:
+        return table, refused
+    cols = sorted({j for _, j, _, _ in found})
+    kernel = _table_kernel([rights[j] for j in cols], path, a1, zetas,
+                           reduction)
+    vals = _with_draws(kernel, [(us, cols.index(j)) for _, j, us, _ in found],
+                       np.array([same for *_, same in found]),
+                       rights[0].params, gamma)
+    for (i, j, _, _), val in zip(found, vals):
+        table[i][j] = val * (roots[id(rights[j])] / roots[id(lefts[i])])
     return table, refused
 
 
@@ -589,7 +627,7 @@ def _dense_table(path, a1, lefts, rights):
 
 
 # ---------------------------------------------------------------------------
-# Appendix-B transformation: the H and Q builders of _column_kernel
+# Appendix-B transformation: the H and Q builders of _table_kernel
 # ---------------------------------------------------------------------------
 
 
@@ -609,44 +647,63 @@ def _h_kernel(brs, a2, a4, params):
     return _cdiv(params.bracket_prime0, bt) * (a2 * bpt / bp - a4 * bmt / bm)
 
 
+def _distinct_rows(v):
+    """The root sets among the rows of v with each run of equal rows taken
+    once, a (D, n) array, and the index into it of each row, in v's leading
+    shape: the builders take the brackets of {v} alone once per run, which
+    is once per right state for pairs in column order, not once per pair."""
+    flat = v.reshape(-1, v.shape[-1])
+    start = np.ones(len(flat), dtype=bool)
+    start[1:] = np.any(flat[1:] != flat[:-1], axis=1)
+    return flat[start], (np.cumsum(start) - 1).reshape(v.shape[:-1])
+
+
 def _h_transformed(gamma, u, v, alup, params):
     """Transformed kernel H.  Each coefficient in alup = (a1, a2, a3, a4)
     holds one value per column on its last axis (length 1 or n); its
     leading axes stack the twist sectors, one n x n matrix each.  The
-    leading axes of u, one root set per left state, broadcast against the
-    coefficients' leading axes: u of shape (P, 1, n) against (P, L, 1)
-    coefficients gives a (P, L, n, n) stack."""
+    leading axes of u and v, one root set per state, broadcast against
+    each other and against the coefficients' leading axes: u and v of
+    shape (P, 1, n), one pair per row, against (P, L, 1) coefficients give
+    a (P, L, n, n) stack."""
     a1, a2, a3, a4 = alup
-    n = len(v)
+    n = v.shape[-1]
+    vd, at = _distinct_rows(v)
     t = (np.sum(u - v, axis=-1) + gamma)[..., None, None]
-    uv = u[..., :, None] - v
-    dv = v[:, None] - v[None, :]
-    # kern holds the brackets of _h_kernel, [dv + 1] and [dv - 1] among
-    # them; prod_{k != j} [v_j - v_k] takes the off-diagonal dv, row by row
-    *kern, buvp, buvm, boff, bvu = params.brackets(
-        *_h_kernel_args(t, dv), uv + 1, uv - 1,
-        dv[~np.eye(n, dtype=bool)].reshape(n, n - 1),
-        v[:, None] - u[..., None, :])
-    pp = np.prod(buvp, axis=-2) / np.prod(kern[2], axis=0)
-    pm = np.prod(buvm, axis=-2) / np.prod(kern[4], axis=0)
-    num = np.prod(boff, axis=1)
+    uv = u[..., :, None] - v[..., None, :]
+    dvd = vd[:, :, None] - vd[:, None, :]
+    dv = dvd[at]
+    # the brackets of _h_kernel (_h_kernel_args), of which [dv + 1] and
+    # [dv - 1] depend on v alone, as does prod_{k != j} [v_j - v_k] over the
+    # off-diagonal dv, row by row
+    bt, bpt, bmt, buvp, buvm, bvu, bp, bm, boff = params.brackets(
+        t, dv + t + 1, dv + t - 1, uv + 1, uv - 1,
+        v[..., :, None] - u[..., None, :], dvd + 1, dvd - 1,
+        dvd[:, ~np.eye(n, dtype=bool)].reshape(-1, n, n - 1))
+    pp = np.prod(buvp, axis=-2) / np.prod(bp, axis=-2)[at]
+    pm = np.prod(buvm, axis=-2) / np.prod(bm, axis=-2)[at]
+    num = np.prod(boff, axis=-1)[at]
     den = np.prod(bvu, axis=-1)
     diag = params.bracket_prime0 * num / den * (a1 * pp - a3 * pm)
-    return np.eye(n) * diag[..., None] + _h_kernel(kern, a2, a4, params)
+    return np.eye(n) * diag[..., None] + _h_kernel(
+        (bt, bpt, bp[at], bmt, bm[at]), a2, a4, params)
 
 
 def _q_transformed(gamma, u, v, zetas, bet, params):
     """Path block Q, one column per argument in zetas; the coefficients
-    bet = (b1, b2, b3, b4) and the leading axes of u are laid out as in
-    _h_transformed.  Q is singular where a root of u or v sits on an
-    argument z or on z +- 1, which _column_kernel masks."""
+    bet = (b1, b2, b3, b4) and the leading axes of u and v are laid out as
+    in _h_transformed.  Q is singular where a root of u or v sits on an
+    argument z or on z +- 1, pairs that _det_table refuses."""
     b1, b2, b3, b4 = (np.expand_dims(b, -2) for b in bet)
+    vd, at = _distinct_rows(v)
     t = (np.sum(u - v, axis=-1) + gamma)[..., None, None]
-    vz = v[:, None] - zetas[None, :]
+    vz = v[..., :, None] - zetas
     uz = u[..., :, None] - zetas
-    bt, bvz, buz, bvzt, buzp, bvzp, buzm, bvzm, bvztp, bvztm = \
-        params.brackets(t, vz, uz, vz + t, uz + 1, vz + 1, uz - 1, vz - 1,
-                        vz + t + 1, vz + t - 1)
+    vzd = vd[:, :, None] - zetas
+    bt, buz, bvzt, buzp, buzm, bvztp, bvztm, *bvs = params.brackets(
+        t, uz, vz + t, uz + 1, uz - 1, vz + t + 1, vz + t - 1, vzd, vzd + 1,
+        vzd - 1)
+    bvz, bvzp, bvzm = (br[at] for br in bvs)
     prod_p = np.prod(bvz / buz * buzp / bvzp, axis=-2, keepdims=True)
     prod_m = np.prod(bvz / buz * buzm / bvzm, axis=-2, keepdims=True)
     return _cdiv(params.bracket_prime0, bt) * (

@@ -168,15 +168,15 @@ class TestLhpTables:
             self, thermo_config, tmp_path, monkeypatch):
         # L = 3, r = 1: one K x K pair table, K = 2(L - r) = 4, for each of
         # the L height shifts, shared by all K flat labels; each table is
-        # K column passes, one per right state: L K = 12 passes
+        # one kernel for all its right states: L = 3 kernels
         calls = []
-        kernel = cli.matel._column_kernel
+        kernel = cli.matel._table_kernel
 
         def counted(*args):
             calls.append(1)
             return kernel(*args)
 
-        monkeypatch.setattr(cli.matel, "_column_kernel", counted)
+        monkeypatch.setattr(cli.matel, "_table_kernel", counted)
         path = tmp_path / "bond12.json"
         path.write_text(json.dumps({"vertices": [[1, 1], [2, 1]],
                                     "heights": [1, 2]}))
@@ -186,7 +186,7 @@ class TestLhpTables:
                          "--out", str(out)])
         assert code == cli.EXIT_OK
         assert len(json.loads(out.read_text())["records"]) == 3 * 4
-        assert len(calls) == 3 * 4
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("mode", ["lhp", "converge"])
     def test_thermo_failure_not_swallowed(self, thermo_config, point_path,

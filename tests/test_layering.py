@@ -59,12 +59,13 @@ def test_package_imports_at_module_top(name):
 
 # the one router of pair elements: in production (every module but the
 # contract and the CLI, which check and report) only matel._pair_table
-# calls the dense table, and only matel._det_table the determinant kernel;
-# mpme_bruteforce, the dense table's 1 x 1 case, has no production caller
+# calls the dense table, and only matel._det_table the determinant kernel
+# of a table; mpme_bruteforce, the dense table's 1 x 1 case, has no
+# production caller
 ROUTE_CALLS = {("matel", "_pair_table", "_dense_table"),
                ("matel", "mpme_bruteforce", "_dense_table"),
-               ("matel", "_det_table", "_column_kernel")}
-WATCHED = ("mpme_bruteforce", "_dense_table", "_column_kernel")
+               ("matel", "_det_table", "_table_kernel")}
+WATCHED = ("mpme_bruteforce", "_dense_table", "_table_kernel")
 
 
 def _route_calls(name):
@@ -83,3 +84,8 @@ def test_one_router_of_pair_elements():
     calls = {call for name in ORDER if name not in ("contract", "cli")
              for call in _route_calls(name)}
     assert calls == ROUTE_CALLS
+    # the contract and the CLI reach the determinant kernel through
+    # _det_table only, as production does
+    kernel = {call for name in ORDER for call in _route_calls(name)
+              if call[2] == "_table_kernel"}
+    assert kernel == {("matel", "_det_table", "_table_kernel")}

@@ -487,8 +487,13 @@ class TestNormMemo:
             return norm_det(root_set)
 
         monkeypatch.setattr(M, "norm_det", counted)
+        for rs in gs.values():
+            rs.memo = _GaudinStores(key="norm")
         val = M.flat_matrix_element(PATH1, gs)[0, 0]
+        # one read per state through norm_root, one store per state from
+        # the table's family pass
         assert sorted(calls) == [0, 1, 10, 11]
+        assert [rs.memo.stores for rs in gs.values()] == [1] * len(gs)
         # the same value, to the bit, as a norm computed on every use
         fresh = B.all_ground_states(config4, params)
         for rs in fresh.values():
@@ -498,13 +503,13 @@ class TestNormMemo:
 
 class TestTwistWeightMemo:
     def test_weights_computed_once_per_height(self, ground4, monkeypatch):
-        # every column pass of the element asks for the weights once; they
-        # are evaluated once per (height, gamma) pair
+        # the table's one stacked pass asks for the weights once per gamma
+        # draw; they are evaluated once per (height, gamma) pair
         S.twist_weights.cache_clear()
         val = M.flat_matrix_element(PATH1, ground4)[0, 0]
         info = S.twist_weights.cache_info()
         assert info.misses == 1       # the path's height s0 + 1, one gamma
-        assert info.hits + info.misses == len(ground4)
+        assert info.hits + info.misses == 1
         # the same value, to the bit, as weights computed on every use
         monkeypatch.setattr(M, "twist_weights", S.twist_weights.__wrapped__)
         assert M.flat_matrix_element(PATH1, ground4)[0, 0] == val
@@ -639,11 +644,17 @@ class TestSectorStacks:
         q = vs.params.q
         qm = np.array([[q ** (-nu)] for nu in range(L)])
         qp = np.array([[q ** nu] for nu in range(L)])
-        stack = M._mean_value_kernel(0.27 + 0.19j, vs, qm, qp)
+        stack = M._mean_value_kernel(0.27 + 0.19j, [vs], qm, qp)[0]
         assert stack.shape == (L, vs.n, vs.n)
         for nu in range(L):
-            one = M._mean_value_kernel(0.27 + 0.19j, vs, qm[nu], qp[nu])
-            assert np.array_equal(stack[nu], one)
+            one = M._mean_value_kernel(0.27 + 0.19j, [vs], qm[nu], qp[nu])
+            assert np.array_equal(stack[nu], one[0, 0])
+        # a stack of right states: each state's kernel, to the bit
+        states = [ground4[key] for key in sorted(ground4)]
+        both = M._mean_value_kernel(0.27 + 0.19j, states, qm, qp)
+        for st, got in zip(states, both):
+            assert np.array_equal(got, M._mean_value_kernel(
+                0.27 + 0.19j, [st], qm, qp)[0])
 
     def test_mean_value_kernel_one_bracket_call(self, ground4, monkeypatch):
         # [1]' is a constant of the model and [1] rides on the kernel's
@@ -661,7 +672,7 @@ class TestSectorStacks:
             return bracket(self, u, order=order)
 
         monkeypatch.setattr(ModelParams, "bracket", counted)
-        got = M._mean_value_kernel(0.27 + 0.19j, vs, qm, qp)
+        got = M._mean_value_kernel(0.27 + 0.19j, [vs], qm, qp)[0]
         monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert calls == [0]
         v = vs.v
@@ -726,9 +737,10 @@ class TestSectorIndependence:
             monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert counts[4] == counts[8], counts
         # each builder stacks its brackets into one call, and so do the
-        # pair relations of check_zetas; the Gaudin matrices come from the
-        # Bethe Jacobian, outside the bracket (one call per factor made 73)
-        assert counts[4] == 10, counts
+        # pair relations of check_zetas and the norms of the two states;
+        # the Gaudin matrices come from the Bethe Jacobian, outside the
+        # bracket (one call per factor made 73, one norm pass per state 10)
+        assert counts[4] == 9, counts
 
     def test_partial_scalar_bracket_calls_do_not_grow_with_L(self,
                                                              monkeypatch):
@@ -944,9 +956,9 @@ COLUMN_CASES = {
 
 
 class TestColumnPass:
-    """flat_matrix_element's pair table, one column pass per right state,
-    against the per-pair route: mpme_det, the dense route where it
-    refuses."""
+    """flat_matrix_element's pair table, one determinant kernel and one
+    stacked pass for all its pairs, against the per-pair route: mpme_det,
+    the dense route where it refuses."""
 
     @staticmethod
     def _model(family, N):
@@ -1002,11 +1014,50 @@ class TestColumnPass:
         assert abs(at_draw_1[i, j] - table[i, j]) <= 1e-14 * scale
         assert np.all(at_draw_1[others] != table[others])
 
-    def test_bracket_calls_grow_like_K(self, monkeypatch):
-        # a flat table makes 8 bracket calls per column pass at K = 4
-        # ((L, r) = (3, 1)) as at K = 6 ((5, 2)): the calls grow like K,
-        # not like the K^2 pairs, and the root-on-path mask rides on the
-        # kernel's pole call
+    @pytest.mark.parametrize("name", sorted(COLUMN_CASES) + ["pole"])
+    def test_table_bit_identical_to_per_pair_route(self, name, ground4,
+                                                   monkeypatch):
+        # every determinant entry of the one stacked table pass is the
+        # per-pair route's value to the bit, the pair redrawn off a pole
+        # ("pole": as in test_pole_redraws_its_own_pair_only) and the
+        # mean-value pairs among them; each pair the table refuses (the
+        # root-on-path pairs of root_on_path_32 among them) mpme_det
+        # refuses with the same message
+        if name == "pole":
+            us, vs = ground4[(0, 0)], ground4[(1, 1)]
+            pole = complex(np.sum(vs.v) - np.sum(us.v))
+            draw = S.default_gamma
+            monkeypatch.setattr(S, "default_gamma", lambda params, redraw=0:
+                                pole if redraw == 0 else draw(params, redraw))
+            states, path = _flat_states(ground4), PATH1
+        else:
+            family, N, heights, _, _ = COLUMN_CASES[name]
+            params, config = self._model(family, N)
+            states = _flat_states(B.all_ground_states(config, params))
+            path = M.vertical_path(heights)
+        a1 = path.heights[0]
+        table, refused = M._det_table(path, a1, states, states)
+        ref = _per_pair_table(path, states)
+        for i, u_set in enumerate(states):
+            for j, v_set in enumerate(states):
+                if (i, j) not in refused:
+                    assert repr(complex(table[i][j])) == repr(complex(
+                        ref[i, j])), (i, j)
+                    continue
+                assert table[i][j] is None
+                with pytest.raises(DegenerateConfigError) as info:
+                    M.mpme_det(u_set, v_set, path, a1)
+                assert str(info.value) == str(refused[i, j])
+        if name == "root_on_path_32":
+            assert any("path argument" in str(exc)
+                       for exc in refused.values())
+
+    def test_table_bracket_calls_do_not_grow_with_K(self, monkeypatch):
+        # a K x K flat table makes 9 bracket calls at K = 4 ((L, r) =
+        # (3, 1)) as at K = 6 ((5, 2)): once per table the norms of the
+        # family (d and the pair products), the root-on-path mask,
+        # lambda_pm and the G_b factors; once per gamma draw the pole
+        # check, Q, H and the mean-value kernel
         bracket = ModelParams.bracket
         calls = []
 
@@ -1014,7 +1065,7 @@ class TestColumnPass:
             calls.append(1)
             return bracket(self, u, order=order)
 
-        per_column = {}
+        counts = {}
         for L, r in ((3, 1), (5, 2)):
             params = _physical(L, r)
             gs = B.all_ground_states(homogeneous_config(4), params)
@@ -1022,8 +1073,61 @@ class TestColumnPass:
             calls.clear()
             M.flat_matrix_element(PATH1, gs)
             monkeypatch.setattr(ModelParams, "bracket", bracket)
-            per_column[len(gs)] = len(calls) / len(gs)
-        assert per_column[4] == per_column[6] == 8, per_column
+            counts[len(gs)] = len(calls)
+        assert counts[4] == counts[6] == 9, counts
+
+    def test_root_on_path_mask_once_per_state(self, monkeypatch):
+        # [x - z] and [x - z +- 1] are evaluated once per distinct state of
+        # the table's lefts and rights: with the K = 4 states on the left,
+        # the mask's bracket points do not grow with the number of columns
+        states = _flat_states(B.all_ground_states(homogeneous_config(4),
+                                                  _physical(3, 1)))
+        mask, bracket = M._roots_on_path, ModelParams.bracket
+        inside, points = [], []
+
+        def counted_bracket(self, u, order=0):
+            if inside:
+                points.append(np.size(u))
+            return bracket(self, u, order=order)
+
+        def counted_mask(mask_states, zetas):
+            inside.append(1)
+            try:
+                return mask(mask_states, zetas)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(ModelParams, "bracket", counted_bracket)
+        monkeypatch.setattr(M, "_roots_on_path", counted_mask)
+        per_columns = {}
+        for cols in (1, 2, 4):
+            points.clear()
+            M._det_table(PATH1, 1, states, states[:cols])
+            per_columns[cols] = sum(points)
+        n, m = states[0].n, PATH1.m
+        assert per_columns == {cols: 3 * len(states) * n * m
+                               for cols in (1, 2, 4)}, per_columns
+
+    def test_one_condition_number_per_state(self, monkeypatch):
+        # a K x K table takes each state's Gaudin condition number once,
+        # with its memoised matrix, where the norm and each column pass
+        # took it before
+        states = _flat_states(B.all_ground_states(homogeneous_config(4),
+                                                  _physical(3, 1)))
+        cond = np.linalg.cond
+        matrices = []
+
+        def counted(x, p=None):
+            matrices.append(int(np.prod(np.shape(x)[:-2])))
+            return cond(x, p)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        M._det_table(PATH1, 1, states, states)
+        M._det_table(PATH1, 1, states, states)
+        monkeypatch.undo()
+        assert sum(matrices) == len(states)
+        for st in states:
+            assert st.memo["kappa"] == np.max(cond(st.memo["gaudin"]))
 
     @staticmethod
     def _count_vectors(monkeypatch):
