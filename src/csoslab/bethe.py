@@ -133,8 +133,8 @@ class BetheRootSet:
     config: LatticeConfig
     residual: float = 0.0
     newton_iters: int = 0
-    # results that depend on the roots only (norm, Gaudin matrix, d), filled
-    # lazily and shared by copies carrying the same roots
+    # results that depend on the roots only (norm, Gaudin matrix, d),
+    # filled lazily
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 
@@ -266,10 +266,15 @@ def _bethe_residuals(family):
 
 
 def density_fourier(m, config, params):
-    """Fourier coefficient(s) of rho_tot at the integer mode(s) m."""
+    """Fourier coefficient(s) of rho_tot at the integer mode(s) m.
+
+    Where cosh(i pi m eta~) overflows, at small Im(tau) and high modes,
+    the mode's factor 1/(2 cosh) lies below the double range and is 0."""
     sh = momentum_shifts(config, params)
     m = np.asarray(m)
-    base = 1.0 / (2.0 * np.cosh(1j * math.pi * m * params.eta_tilde))
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = 1.0 / (2.0 * np.cosh(1j * math.pi * m * params.eta_tilde))
+    base = np.where(np.isfinite(base), base, 0.0)
     return base * np.mean(np.exp(-2j * math.pi * m[..., None] * sh), axis=-1)
 
 

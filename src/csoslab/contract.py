@@ -812,7 +812,7 @@ def one_point_closed_tilde(a, Z, eps, t_label, params):
     s = params.height(a)
     tt, et = params.tau_tilde, params.eta_tilde
     st = s + 1.0 / (2.0 * et)
-    st0 = params.s0 + 1.0 / (2.0 * et)
+    st0 = params.s0_tilde
     Z = np.asarray(Z, dtype=complex)
     lg = (1j * math.pi * et * (t_label + st0 - st) ** 2
           - 2j * math.pi * (t_label + st0 - st) * Z

@@ -34,8 +34,8 @@ import numpy as np
 from .elliptic import DegenerateConfigError, PoleError, _cdiv, _cmul
 from .lattice import (_guard_bytes, local_operator_apply,
                       monodromy_entry_apply)
-from .bethe import (BetheRootSet, _lambda_pm_rows, bethe_vector,
-                    eigenvalue_tau, scaled_eigenvalue)
+from .bethe import (_lambda_pm_rows, bethe_vector, eigenvalue_tau,
+                    scaled_eigenvalue)
 from .scalar import (gamma_retry, norm_det, twist_weights, _family_d,
                      _family_gaudin, _family_norms, _own_d, _sector_q_powers)
 
@@ -227,8 +227,7 @@ def norm_root(u_set):
     the root needs no partner state.  The sign (-1)^{k n} is
     calibrate_norm_signs(u_set), so a Bethe-basis element carries it for
     each of its two states.  N depends on the roots only and norm_det
-    keeps it in the memo; the root reads the twist label and is not (a
-    rebased copy shares its partner's memo).
+    keeps it in the memo; the root reads the twist label and is not.
     """
     nrm = norm_det(u_set)
     n = u_set.n
@@ -278,26 +277,17 @@ def root_collision(u_set, v_set):
     return "partial"
 
 
-def _rebase_onto(u_set, v_set):
-    """Copy of {u}'s label data carrying {v}'s root representatives."""
-    out = BetheRootSet(x=np.array(v_set.x), k=u_set.k, ell=u_set.ell,
-                       params=u_set.params, config=u_set.config,
-                       residual=u_set.residual)
-    out.memo = v_set.memo   # no memo entry depends on the twist label
-    return out
-
-
 def _mean_value_pair(u_set, v_set):
-    """For coinciding root sets, rebase {u} onto {v}'s representatives.
+    """Whether the pair takes the mean-value kernel: True for coinciding
+    root sets, on which the kernel reads {v}'s roots and d for {u}'s.
 
     Twist partners omega_u = -omega_v share their root set (the Bethe
     equations see only omega^2); the mean-value kernel applies because the
     twist ratio enters it squared.  It needs the representatives to
     coincide too: at r = L - 1 two labels share omega and a root set
     shifted by one lattice unit per root, and are two states.  A partial
-    overlap has no determinant representation here.  The rebased copy is
-    a kernel device only: _det_table divides by the norm roots of the
-    caller's own states, taken before the rebase, so its elements carry
+    overlap has no determinant representation here.  _det_table divides by
+    the norm roots of the caller's own states, so the elements carry
     (-1)^{k n} per state as every Bethe-basis element does.
     """
     kind = root_collision(u_set, v_set)
@@ -306,12 +296,12 @@ def _mean_value_pair(u_set, v_set):
             "partially coinciding Bethe root sets are not supported by the "
             "determinant representation")
     if kind == "distinct":
-        return u_set, False
+        return False
     if (abs(u_set.sum_x() - v_set.sum_x()) > 1e-9
             or abs((v_set.omega / u_set.omega) ** 2 - 1.0) > 1e-8):
         raise DegenerateConfigError("coinciding root sets with shifted "
                                     "representatives or different omega^2")
-    return _rebase_onto(u_set, v_set), True
+    return True
 
 
 def _mean_value_kernel(gamma, v_sets, a2, a4):
@@ -380,13 +370,13 @@ def algebraic_factor_G(b, inv, a1, v_sets, zetas, alphas, lams):
     return c, (-1.0) ** inv * num, den
 
 
-def _g_lead(c, u_set, v_set, s, d_v):
+def _g_lead(c, u_set, v_set, s, d_ratio):
     """The left-state factor lead_u of algebraic_factor_G, c the factors of
-    v_set and d_v its d at its own roots.  Scalar arithmetic in this order
-    keeps each element's rounding, bit for bit, that of the formula
-    evaluated for its pair alone."""
+    v_set and d_ratio the left roots' d over v_set's d at its own roots.
+    Scalar arithmetic in this order keeps each element's rounding, bit for
+    bit, that of the formula evaluated for its pair alone."""
     return (c[0] * _omega_ratio_pow(u_set, v_set, s)
-            * np.prod(_own_d(u_set) / d_v) / c[1] / c[2])
+            * np.prod(d_ratio) / c[1] / c[2])
 
 
 def _roots_on_path(states, zetas):
@@ -410,12 +400,12 @@ def _table_kernel(rights, path, a1, zetas, reduction="m"):
     tuples and the {v} part of their factors G_b.  The function returned,
     elements(pairs, same, gamma), evaluates a stack of pairs at one gamma,
     every builder on one stacked bracket call.  A pair is (u_set, j): the
-    left state as the kernel takes it (rebased by _mean_value_pair where
-    the flag in the boolean array `same` is set) and the index of its right
-    state in `rights`.  It returns the elements before the norm roots and
-    the mask `pole` of the pairs on a pole of this gamma, which have no
-    value.  Pairs with a root on a path argument (_roots_on_path) are the
-    caller's to leave out.
+    left state and the index of its right state in `rights`; where the
+    flag in the boolean array `same` is set (_mean_value_pair) the kernel
+    takes the right state's roots and d for the left state's.  It returns
+    the elements before the norm roots and the mask `pole` of the pairs on
+    a pole of this gamma, which have no value.  Pairs with a root on a
+    path argument (_roots_on_path) are the caller's to leave out.
     reduction='m' reduces each tuple to m x m determinants through one
     stacked solve, reduction='n' takes the mixed n x n determinants.
     """
@@ -457,8 +447,9 @@ def _table_kernel(rights, path, a1, zetas, reduction="m"):
     qm, qp = _sector_q_powers(params)
 
     def elements(pairs, same, gamma):
-        u = np.array([us.v for us, _ in pairs])
         col = np.array([j for _, j in pairs])
+        u = np.where(same[:, None], v[col],
+                     np.array([us.v for us, _ in pairs]))
         su = np.sum(u, axis=1)
         bt0, bs, den = params.brackets(
             su - sum_v[col] + gamma, s,
@@ -492,7 +483,9 @@ def _table_kernel(rights, path, a1, zetas, reduction="m"):
                 (one, qm, a3, _cmul(a3, qp)), params)
         base_dets = np.linalg.det(base)
         lead = np.array([_g_lead((g_c[0], g_c[1][j], g_c[2][j]), us,
-                                 rights[j], s, d_v[j]) for us, j in pairs])
+                                 rights[j], s,
+                                 (d_v[j] if mean else _own_d(us)) / d_v[j])
+                         for (us, j), mean in zip(pairs, same)])
         gb = lead[:, None] * g_num[col] / g_den[col]
         # [s][t0] and [0]'/[t] of the builders round as scalar products
         pre = _cmul(bt0, bs)[:, None] / (params.bracket_prime0 * den)
@@ -573,7 +566,7 @@ def _det_table(path, a1, lefts, rights, gamma=None, reduction="m"):
     for j, v_set in enumerate(rights):
         for i, u_set in enumerate(lefts):
             try:
-                kernel_left, same = _mean_value_pair(u_set, v_set)
+                same = _mean_value_pair(u_set, v_set)
             except DegenerateConfigError as exc:
                 refused[i, j] = exc
                 continue
@@ -583,16 +576,17 @@ def _det_table(path, a1, lefts, rights, gamma=None, reduction="m"):
                     "where the path block of the determinant representation "
                     "is singular")
             else:
-                found.append((i, j, kernel_left, same))
+                found.append((i, j, same))
     if not found:
         return table, refused
-    cols = sorted({j for _, j, _, _ in found})
+    cols = sorted({j for _, j, _ in found})
     kernel = _table_kernel([rights[j] for j in cols], path, a1, zetas,
                            reduction)
-    vals = _with_draws(kernel, [(us, cols.index(j)) for _, j, us, _ in found],
+    vals = _with_draws(kernel, [(lefts[i], cols.index(j))
+                                for i, j, _ in found],
                        np.array([same for *_, same in found]),
                        rights[0].params, gamma)
-    for (i, j, _, _), val in zip(found, vals):
+    for (i, j, _), val in zip(found, vals):
         table[i][j] = val * (roots[id(rights[j])] / roots[id(lefts[i])])
     return table, refused
 
@@ -604,11 +598,13 @@ def _dense_table(path, a1, lefts, rights):
     state's covector, built once and counted with a sweep's six arrays
     before any vector is built.  The gauge scales every R-factor by
     [u - xi_k + 1], so upward steps (arguments xi_i - 1) stay finite; the
-    matching scaled eigenvalue divides each element."""
+    matching scaled eigenvalue divides each element.  The norms of the
+    table's distinct states take one family pass."""
     config, params = rights[0].config, rights[0].params
     zetas = path.check_zetas(config, params)[0]
     _guard_bytes(16 * params.L * (len(lefts) + 6) << config.N,
                  f"dense table refused: N={config.N}, {len(lefts)} covectors")
+    _family_norms(list({id(st): st for st in lefts + rights}.values()))
     covectors = [bethe_vector(u_set, side="left") for u_set in lefts]
     norms = [norm_root(u_set) for u_set in lefts]
     table = [[None] * len(rights) for _ in lefts]

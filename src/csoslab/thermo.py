@@ -62,7 +62,7 @@ def one_point_barP(a, Z, eps, t_label, params, mode="closed"):
     Lr = L - r
     tau = complex(params.tau)
     et = params.eta_tilde
-    st0 = params.s0 + 1.0 / (2.0 * et)
+    st0 = params.s0_tilde
     # points as a 1-d array: each one's value does not depend on the others
     shape = np.shape(Z)
     Z = np.ravel(np.asarray(Z, dtype=complex))
@@ -110,83 +110,70 @@ def _exp_clamped(logval):
 # multi-point local height probabilities (multiple integrals)
 # ---------------------------------------------------------------------------
 
-def algebraic_factor_Gtilde(lams, s1s, alphas, mus, params):
-    """G~(s_1; {lambda}, {mu}) of the thermodynamic representation at each
-    height s_1 of s1s, in order: a generator of one G~ per height.
+def integrand_core(lams, s1s, alphas, mus, params, frozen):
+    """G~ S-bar of the thermodynamic integrand split at the height:
+    (core, slots), the product at the height s_1 = s1s[h] being core times
+    each ratio of slots[h].
 
     lams holds one value or node array per slot, the arrays broadcasting
-    against each other; each G~ has their broadcast shape.  One theta call,
-    made before the first G~, holds every factor: per height those of the
-    slot values or node runs, then the [mu_k - mu_j], the pair factors on
-    their distinct node differences and the mu - lambda factors.  A G~ is
-    built when it is asked for, so the caller holds one grid at a time, and
-    the caller may overwrite it.
+    against each other; a frozen slot holds its value, its residue already
+    extracted.  core has their broadcast shape: S-bar, the Cauchy-type
+    determinant core at modulus eta_tilde, times the factors of G~ that do
+    not depend on the height, the [mu_k - mu_j], the pair factors on the
+    distinct lambda differences and the mu - lambda factors.  Each frozen
+    lambda drops its own singular factor of S-bar and one power of
+    theta1'(0)/(2 pi i).  slots[h] holds G~'s m slot ratios, each in its
+    own lambda's shape.  The lambda pairs share one `_distinct_sums`, and
+    each modulus one theta call.
     """
     tt, et = params.tau_tilde, params.eta_tilde
     m = len(alphas)
     ipos, n_minus = slot_positions(alphas)
-    shifts = [[et * (s1 + sum(alphas[:ip - 1])) for ip in ipos]
-              for s1 in s1s]
     pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
     diffs = [_distinct_sums(lams[j], -lams[k]) for j, k in pairs]
-    # in product order: per height theta1(shift + lambda_p - mu_{i_p}) and
-    # theta1(shift) per slot; the theta1(mu_k - mu_j) and theta1(lambda_j -
-    # lambda_k + eta~); per slot theta1(mu_k - lambda_p), plus eta~
+    mu_diffs = [mus[k] - mus[j] for j, k in pairs]
+    # per slot p: theta1(lambda_p - mu_k) at eta~ but where a frozen lambda
+    # sits, and theta1(mu_k - lambda_p), k != i_p, at tau~, plus eta~
     # alpha_{i_p} past the slot's path position
-    vals = stacked(
-        lambda z: theta(1, z, tt),
-        *(arg for shift in shifts for arg in (
-            *(sh + lam - mus[ip - 1] for sh, lam, ip in zip(shift, lams,
-                                                             ipos)),
-            *shift)),
-        *(mus[k] - mus[j] for j, k in pairs),
+    lam_mu = [[lam - mu for mu in mus
+               if not (fr and abs(complex(lam) - complex(mu)) < 1e-14)]
+              for lam, fr in zip(lams, frozen)]
+    s_args = [*mu_diffs, *(points for points, _ in diffs),
+              *(arg for row in lam_mu for arg in row)]
+    s_vals = stacked(lambda z: theta(1, z, et), *s_args) if s_args else []
+    # per height theta1(shift + lambda_p - mu_{i_p}) and theta1(shift) per
+    # slot, after the height-free factors
+    shifts = [[et * (s1 + sum(alphas[:ip - 1])) for ip in ipos]
+              for s1 in s1s]
+    g_vals = stacked(
+        lambda z: theta(1, z, tt), *mu_diffs,
         *(points + et for points, _ in diffs),
         *(mus[k - 1] - lam + et * alphas[ip - 1] if k > ip
           else mus[k - 1] - lam
-          for lam, ip in zip(lams, ipos) for k in range(1, m + 1) if k != ip))
-    common = vals[2 * m * len(shifts):]
-    th_mu, th_lam = common[:len(pairs)], common[len(pairs):2 * len(pairs)]
-    for h in range(len(shifts)):
-        out = complex((-1.0) ** (m - n_minus))
-        for num, den in zip(vals[2 * m * h:2 * m * h + m],
-                            vals[2 * m * h + m:2 * m * (h + 1)]):
-            out = out * (num / den)
-        # out has the grid's shape now: the other factors act in place
-        for th_m, th_l, (_, index) in zip(th_mu, th_lam, diffs):
-            out /= th_m
-            out /= _gathered(th_l, index)
-        for th in common[2 * len(pairs):]:
-            out *= th
-        yield out
-
-
-def cauchy_factor_S(lams, mus, params, frozen):
-    """S-bar: the Cauchy-type determinant core at modulus eta_tilde.
-
-    lams as for `algebraic_factor_Gtilde`, a frozen slot holding its
-    value.  Each frozen lambda drops its own singular factor and one power
-    of theta1'(0)/(2 pi i) (its residue has already been extracted).  The
-    [mu_j - mu_i], the [lambda_i - lambda_j] on their distinct node
-    differences and the lambda-mu factors share one theta call.
-    """
-    et = params.eta_tilde
-    m = len(mus)
-    nfree = m - sum(frozen)
-    out = complex((_theta1_prime0(et) / (2j * math.pi)) ** nfree)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    diffs = [_distinct_sums(lams[i], -lams[j]) for i, j in pairs]
-    lam_mu = [lams[i] - mus[j] for i in range(m) for j in range(m)
-              if not (frozen[i]
-                      and abs(complex(lams[i]) - complex(mus[j])) < 1e-14)]
-    args = ([mus[j] - mus[i] for i, j in pairs]
-            + [points for points, _ in diffs] + lam_mu)
-    vals = stacked(lambda z: theta(1, z, et), *args) if args else []
-    for th_mu, th_lam, (_, index) in zip(vals, vals[len(pairs):], diffs):
-        out = out * _gathered(th_lam, index)
-        out = out * th_mu
-    for th in vals[2 * len(pairs):]:
-        out = out / th
-    return out
+          for lam, ip in zip(lams, ipos) for k in range(1, m + 1) if k != ip),
+        *(arg for shift in shifts for arg in (
+            *(sh + lam - mus[ip - 1] for sh, lam, ip in zip(shift, lams,
+                                                             ipos)),
+            *shift)))
+    P = len(pairs)
+    core = ((-1.0) ** (m - n_minus)
+            * (_theta1_prime0(et) / (2j * math.pi)) ** (m - sum(frozen)))
+    for num, den in zip(s_vals[:P], g_vals[:P]):
+        core = core * num / den
+    # the mu - lambda factors on each slot's own shape, then the pair
+    # factors on the grid, in place
+    g_slot, s_slot = iter(g_vals[2 * P:]), iter(s_vals[2 * P:])
+    for row in lam_mu:
+        core = core * (math.prod(itertools.islice(g_slot, m - 1))
+                       / math.prod(itertools.islice(s_slot, len(row))))
+    for num, den, (_, index) in zip(s_vals[P:2 * P], g_vals[P:2 * P],
+                                    diffs):
+        core *= _gathered(num / den, index)
+    per_height = g_vals[2 * P + m * (m - 1):]
+    slots = [[num / den for num, den in zip(
+        per_height[2 * m * h:2 * m * h + m],
+        per_height[2 * m * h + m:2 * m * (h + 1)])] for h in range(len(s1s))]
+    return core, slots
 
 
 def _gathered(vals, index):
@@ -335,9 +322,10 @@ def _lhp_contour_sum(path, records, zt, fam, params, resolution):
     even-indexed subgrid, the nodes of resolution // 2: one (full, half)
     pair per record.
 
-    Per residue combination and slab the Cauchy core S, the node-sum
+    Per residue combination and slab the integrand core, the node-sum
     gather and the one-point factor of every record on the distinct node
-    sums are evaluated once, and one G~ call serves every height shift c.
+    sums are evaluated once; each height shift c multiplies the core by its
+    own slot ratios.
     """
     m = path.m
     alphas = path.alphas
@@ -380,18 +368,19 @@ def _lhp_contour_sum(path, records, zt, fam, params, resolution):
                 run = nodes[first:first + slab] if axis == 0 else nodes
                 lams[p] = run.reshape(
                     (1,) * axis + (-1,) + (1,) * (len(free) - axis - 1))
-            sc = cauchy_factor_S(lams, mus, params, frozen)
+            core, slots = integrand_core(lams, s1s, alphas, mus, params,
+                                         frozen)
             zs, index = _distinct_sums(*lams, -mus.sum())
             pb = one_point_barP(path.heights[0] + shift, zs, eps, t_label,
                                 params, mode="closed")
-            groups = iter(by_shift.values())
-            for gs in algebraic_factor_Gtilde(lams, s1s, alphas, mus,
-                                              params):
-                gs *= sc   # in place: the generator holds G~ until the next
-                for i in next(groups):
+            for ratios, rows in zip(slots, by_shift.values()):
+                gs = core * ratios[0]
+                for ratio in ratios[1:]:
+                    gs *= ratio
+                for i in rows:
                     blocks[i] = blocks[i] + _block_sums(
                         gs, _gathered(pb[i], index), first)
-                del gs   # one (G~ S) block alive at a time
+                del gs   # one height's grid alive at a time
         for i, block in enumerate(blocks):
             total[i] += weight * block[0] / (resolution ** len(free))
             half[i] += weight * block[1] / ((resolution // 2) ** len(free))
@@ -403,8 +392,8 @@ def _block_sums(gs, pb, first):
     even-indexed nodes, the leading axis starting at node `first`.
 
     An array pb is overwritten with the product.  The operands keep their
-    order, (G~ S) P: with fused multiply-adds a complex product rounds
-    apart from its swap.
+    order, (core slots) P: with fused multiply-adds a complex product
+    rounds apart from its swap.
     """
     vals = (np.multiply(gs, pb, out=pb) if np.ndim(pb)
             else np.asarray(gs * pb))

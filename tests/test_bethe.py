@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,28 @@ class TestSeed:
         assert arr.shape == ms.shape
         for m, val in zip(ms, arr):
             assert val == B.density_fourier(int(m), config4, params)
+
+    def test_density_fourier_at_small_im_tau(self):
+        # at tau = 0.1i, pi m |eta~| passes the cosh overflow from mode 68:
+        # those factors are 0, so the coefficients stay finite, no
+        # floating-point warning is raised, the quantile seeds stay inside
+        # the period in increasing order (a NaN mode put every seed at
+        # -0.4999995) and the family solves; the targets' clip at 0.48
+        # ties the top seeds of a row
+        params = _physical(3, 1, tau=0.1j)
+        config = homogeneous_config(8)
+        labels = [(k, ell) for k in (0, 1) for ell in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            coeffs = B.density_fourier(np.arange(1, 81), config, params)
+            seeds = B._initial_guess(4, labels, config, params)
+            family = B.all_ground_states(config, params)
+        assert np.all(np.isfinite(coeffs)) and np.all(coeffs[67:] == 0.0)
+        assert np.all(np.diff(seeds, axis=-1) >= 0.0)
+        assert np.all(np.abs(seeds) < 0.49)
+        assert np.all(seeds[:, 1] > seeds[:, 0])
+        assert sorted(family) == labels
+        assert max(roots.residual for roots in family.values()) <= 1e-13
 
 
 def _physical(L, r, tau=0.45j):

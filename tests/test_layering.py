@@ -1,7 +1,11 @@
 """Module layering of the package: imports inside csoslab point down one
-order, and every intra-package import sits at the top of its module."""
+order, and every intra-package import sits at the top of its module; the
+package names the benchmark harness calls exist."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -89,3 +93,57 @@ def test_one_router_of_pair_elements():
     kernel = {call for name in ORDER for call in _route_calls(name)
               if call[2] == "_table_kernel"}
     assert kernel == {("matel", "_det_table", "_table_kernel")}
+
+
+# the benchmark harness, read here and never changed
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_functions_exist():
+    # every function the tracer wraps is in the package
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod, attrs, _ in spans.LAYER_FUNCTIONS.values():
+        home = importlib.import_module(f"csoslab.{mod}")
+        for attr in (attrs,) if isinstance(attrs, str) else attrs:
+            assert callable(getattr(home, attr, None)), f"{mod}.{attr}"
+
+
+def test_workload_calls_fit_signatures():
+    # every call the workloads make of a csoslab function binds to its
+    # signature: the function exists and takes the keywords given
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module or "").startswith("csoslab"):
+            for alias in node.names:
+                names[alias.asname or alias.name] = (
+                    importlib.import_module(f"csoslab.{alias.name}")
+                    if node.module == "csoslab" else
+                    getattr(importlib.import_module(node.module), alias.name))
+    keywords = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value,
+                                                           ast.Name):
+            owner = names.get(func.value.id)
+            if not inspect.ismodule(owner):
+                continue
+            target = getattr(owner, func.attr, None)
+            where = f"{func.value.id}.{func.attr}"
+        elif isinstance(func, ast.Name) and func.id in names:
+            target, where = names[func.id], func.id
+        else:
+            continue
+        assert callable(target), f"workloads.py:{node.lineno} {where}"
+        given = [kw.arg for kw in node.keywords]
+        keywords.update(given)
+        inspect.signature(target).bind(*node.args,
+                                       **dict.fromkeys(given))
+    assert {"mode", "method", "cache_dir", "side",
+            "resolution"} <= keywords

@@ -347,13 +347,12 @@ class TestTwistPartners:
             M.mpme_det(family_L4[(0, 0)], family_L4[(1, 1)], path0, 0)
 
     def test_dense_route_handles_partner(self, family_L4, monkeypatch):
-        # the oracle contracts u's own left vector: it reaches neither the
-        # root-set classification nor the rebase of the determinant route
+        # the oracle contracts u's own left vector: it does not reach the
+        # root-set classification of the determinant route
         def refuse(*args):
             raise AssertionError("the dense route read the det convention")
 
         monkeypatch.setattr(M, "root_collision", refuse)
-        monkeypatch.setattr(M, "_rebase_onto", refuse)
         path0 = M.AdjacentPath(vertices=((1, 1),), heights=(0,))
         val = M.mpme_bruteforce(family_L4[(0, 0)], family_L4[(1, 1)],
                                 path0, 0)
@@ -499,6 +498,22 @@ class TestNormMemo:
         for rs in fresh.values():
             rs.memo = _GaudinStores(keep=False, key="norm")
         assert M.flat_matrix_element(PATH1, fresh)[0, 0] == val
+
+    def test_dense_table_norms_in_one_pass(self, params, config4,
+                                           monkeypatch):
+        # fresh root sets: the K x K dense table takes the norms of its
+        # states in one family pass, one Jacobian call
+        states = list(B.all_ground_states(config4, params).values())
+        calls = []
+        jacobian = S._log_bethe_jacobian
+
+        def counted(*args):
+            calls.append(1)
+            return jacobian(*args)
+
+        monkeypatch.setattr(S, "_log_bethe_jacobian", counted)
+        M._dense_table(PATH1, 1, states, states)
+        assert len(calls) == 1
 
 
 class TestTwistWeightMemo:
@@ -928,7 +943,7 @@ def _branches(states, path):
     for u_set in states:
         for v_set in states:
             try:
-                found.add("mean_value" if M._mean_value_pair(u_set, v_set)[1]
+                found.add("mean_value" if M._mean_value_pair(u_set, v_set)
                           else "distinct")
             except DegenerateConfigError:
                 found.add("twist_omega2" if abs((v_set.omega / u_set.omega)
@@ -1051,6 +1066,26 @@ class TestColumnPass:
         if name == "root_on_path_32":
             assert any("path argument" in str(exc)
                        for exc in refused.values())
+
+    def test_mean_value_pairs_build_no_root_set(self, monkeypatch):
+        # a mean-value pair hands the kernel its right state's roots and d:
+        # the table constructs no BetheRootSet
+        family, N, heights, _, _ = COLUMN_CASES["mean_value_52"]
+        params, config = self._model(family, N)
+        states = _flat_states(B.all_ground_states(config, params))
+        path = M.vertical_path(heights)
+        assert "mean_value" in _branches(states, path)
+        built = []
+        init = B.BetheRootSet.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(B.BetheRootSet, "__init__", counted)
+        table, _ = M._det_table(path, path.heights[0], states, states)
+        assert all(table[i][i] is not None for i in range(len(states)))
+        assert not built
 
     def test_table_bracket_calls_do_not_grow_with_K(self, monkeypatch):
         # a K x K flat table makes 9 bracket calls at K = 4 ((L, r) =

@@ -392,11 +392,15 @@ class TestMultiPoint:
                 grids = np.meshgrid(*[nodes] * len(free), indexing="ij")
                 for p, grid in zip(free, grids):
                     lams[p] = grid.ravel()
-                [gt] = T.algebraic_factor_Gtilde(lams, [params.height(s1o)],
-                                                 path.alphas, mus, params)
-                vals = (gt * T.cauchy_factor_S(lams, mus, params, frozen)
-                        * T.one_point_barP(s1o, sum(lams) - mus.sum(), eps,
-                                           t, params, mode="closed"))
+                # in the contour sum's order: the core, each slot ratio,
+                # then the one-point factor
+                vals, [ratios] = T.integrand_core(
+                    lams, [params.height(s1o)], path.alphas, mus, params,
+                    frozen)
+                for ratio in ratios:
+                    vals = vals * ratio
+                vals = vals * T.one_point_barP(s1o, sum(lams) - mus.sum(),
+                                               eps, t, params, mode="closed")
                 weight = math.prod(c[0] for c in combo if c is not None)
                 total += weight * np.sum(vals) / R ** len(free)
             assert abs(total - got) <= 1e-14, (eps, t, shift)
@@ -436,32 +440,44 @@ class TestMultiPoint:
     def test_one_evaluation_per_combination(self, setup, monkeypatch,
                                             heights, calls):
         # per residue combination and slab (m = 3: slabs of 5 rows) one
-        # Cauchy core, one one-point call for all records and one G~ theta
-        # call for all height shifts: a 12-record table makes the calls of
-        # a one-record call
+        # integrand core, one one-point call for all records, one theta
+        # call at tau~ for all height shifts, one at eta~ and one
+        # `_distinct_sums` per lambda pair besides the node sums' own: a
+        # 12-record table makes the calls of a one-record call.  The m = 1
+        # residue term has no eta~ factor: its lambda sits on the one mu,
+        # so only the segment term calls theta at eta~
         params, config = setup
         monkeypatch.setattr(T, "SLAB_POINTS", 5 * 16 * 16)
         counts = {}
 
-        def counted(name, fun, key=lambda *args: True):
+        def counted(name, fun, key=lambda *args, **kwargs: True):
             def wrapper(*args, **kwargs):
-                if key(*args):
+                if key(*args, **kwargs):
                     counts[name] += 1
                 return fun(*args, **kwargs)
-            monkeypatch.setattr(T, name, wrapper)
+            return wrapper
 
-        counted("cauchy_factor_S", T.cauchy_factor_S)
-        counted("one_point_barP", T.one_point_barP)
-        # G~ is the one caller at the rotated modulus tau~
-        counted("theta", T.theta,
-                lambda kind, z, tau: tau == params.tau_tilde)
+        theta = T.theta
+        for name in ("integrand_core", "one_point_barP", "_distinct_sums"):
+            monkeypatch.setattr(T, name, counted(name, getattr(T, name)))
+        # the core is the one caller at the rotated modulus tau~ and the
+        # one caller at eta~ but theta1'(0)
+        monkeypatch.setattr(T, "theta", counted(
+            "theta", counted("theta_eta", theta,
+                             lambda kind, z, tau, order=0:
+                             tau == params.eta_tilde and not order),
+            lambda kind, z, tau, order=0: tau == params.tau_tilde))
         path = M.vertical_path(heights)
+        pairs = path.m * (path.m - 1) // 2
+        at_eta = 1 if path.m == 1 else calls
         labels = [(eps, t) for eps in (0, 1) for t in range(2)]
         for table in (([(0, 0)], [0]), (labels, range(3))):
-            counts.update(cauchy_factor_S=0, one_point_barP=0, theta=0)
+            counts.update(integrand_core=0, one_point_barP=0, theta=0,
+                          theta_eta=0, _distinct_sums=0)
             T.lhp_table(path, *table, config, params, 16)
-            assert counts == dict(cauchy_factor_S=calls,
-                                  one_point_barP=calls, theta=calls)
+            assert counts == dict(integrand_core=calls, one_point_barP=calls,
+                                  theta=calls, theta_eta=at_eta,
+                                  _distinct_sums=calls * (pairs + 1))
 
     @pytest.mark.parametrize("heights", [(0, 1), (0, 1, 2), (0, 1, 2, 3)])
     def test_estimate_is_the_half_resolution_gap(self, setup, heights):
