@@ -15,11 +15,11 @@ both are taken odd and continuous on the real axis (value 0 at 0, slope
 
 The 2(L-r) labels of one lattice and model form a family.  Its labels
 that the root cache does not hold are seeded together (quantiles of the
-root density, 20 bisection halvings) and solved together: one damped-Newton
-loop runs on the stack of their root rows, one theta-series pass per step
-for all of them, and each row keeps its own line search and stop rule, so
-it comes out as it would from a solve of its own.  solve_ground_state is
-the one-label case.
+root density on the winding line, from one inverse FFT) and solved
+together: one damped-Newton loop runs on the stack of their root rows,
+one theta-series pass per step for all of them, and each row keeps its
+own line search and stop rule, so it comes out as it would from a solve
+of its own.  solve_ground_state is the one-label case.
 """
 
 import cmath
@@ -278,42 +278,41 @@ def density_fourier(m, config, params):
     return base * np.mean(np.exp(-2j * math.pi * m[..., None] * sh), axis=-1)
 
 
-def _cumulative_density(x, coeffs):
-    """N-independent integral of rho_tot from -1/2 to x (x real).
+def _cumulative_grid(config, params):
+    """The integral F of rho_tot from -1/2 to x_g = -1/2 + g/512, at
+    g = 0, ..., 512, from one inverse FFT of its first 80 Fourier modes
+    rho_m:
 
-    coeffs holds density_fourier at the modes 1, 2, ..., len(coeffs).
+      F(x_g) = g/1024 + 2 Re sum_m a_m (e^{2 pi i m g/512} - 1),
+      a_m = (-1)^m rho_m / (2 pi i m).
     """
-    x = np.asarray(x, dtype=float)
-    m = np.arange(1, len(coeffs) + 1)
-    term = np.exp(2j * math.pi * m * x[..., None]) - np.exp(-1j * math.pi * m)
-    return (x + 0.5) / 2.0 + np.sum(
-        2.0 * np.real(term * coeffs / (2j * math.pi * m)), axis=-1)
+    m = np.arange(1, 81)
+    a = (-1.0) ** m * density_fourier(m, config, params) / (2j * math.pi * m)
+    waves = 512 * np.fft.irfft(np.concatenate([[0.0], a]), 512)
+    return np.arange(513) / 1024 + np.append(waves, waves[0]) - waves[0]
 
 
 def _initial_guess(n, labels, config, params):
     """Quantiles of the root density seed the Newton iteration, one row of
     n roots per label (k, ell).
 
-    The density is summed over its first 80 Fourier modes; the targets of
-    all labels are bisected together, 20 halvings of [-1/2, 1/2].  The
-    quantiles are only a Newton start: their bisection error, 2^-21, lies
-    far below the seed's own finite-size error, and further halvings move
-    the solved roots by round-off only.  Each row is computed as it would
+    A target t splits as t0 + w/2 with w = floor(2 t): the density has
+    mean 1/2, so its integral F from -1/2 obeys F(x + 1) = F(x) + 1/2, and
+    the seed is F^-1(t0) + w, on the winding line.  F^-1 interpolates
+    _cumulative_grid linearly; the quantiles are only a Newton start, and
+    their interpolation error lies far below the seed's own finite-size
+    error.  From Im tau = 2 on, the 80-mode sum ripples by up to about
+    1e-8 where the density all but vanishes, so a target there reads some
+    point of that nearly empty stretch.  Each row is computed as it would
     be alone.
     """
     N = config.N
     targets = np.array([(np.arange(1, n + 1) + k - (n + 1) / 2.0
                          + (params.r * n + 2.0 * ell) / params.L) / N + 0.25
                         for k, ell in labels])
-    targets = np.clip(targets, 0.02, 0.48)
-    coeffs = density_fourier(np.arange(1, 81), config, params)
-    lo, hi = np.full(targets.shape, -0.5), np.full(targets.shape, 0.5)
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        below = _cumulative_density(mid, coeffs) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return np.sort(0.5 * (lo + hi), axis=-1)
+    wind = np.floor(2.0 * targets)
+    return np.interp(targets - wind / 2.0, _cumulative_grid(config, params),
+                     np.arange(513) / 512 - 0.5) + wind
 
 
 def _newton(x, labels, config, params):
@@ -393,7 +392,7 @@ def _accept(family):
 def _solve_family(labels, config, params, cache_dir):
     """The root sets of labels of one family (one config and params), keyed
     by label.  The root cache serves what it holds and _accept accepts; the
-    other labels are seeded in one bisection and solved in one Newton loop.
+    other labels are seeded together and solved in one Newton loop.
     A solved label is refused when its log residual stays above 1e-10 or
     _accept refuses it; the first refused label (in the order given) raises
     its SolverError, after the labels before it are stored in the cache.
@@ -445,8 +444,8 @@ def solve_ground_state(k, ell, config, params, cache_dir=None):
 def all_ground_states(config, params, cache_dir=None):
     """The 2(L-r) ground-state root sets, keyed by (k, ell).
 
-    The labels the root cache does not serve are seeded in one bisection
-    and solved as one stack in one damped-Newton loop (see _newton), each
+    The labels the root cache does not serve are seeded together and
+    solved as one stack in one damped-Newton loop (see _newton), each
     with the roots, step count and residuals of its own solve_ground_state
     call, bit for bit; a fully cached column runs neither.  A failure
     raises the SolverError of the first failing label in label order.

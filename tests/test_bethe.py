@@ -114,53 +114,56 @@ class TestGroundStates:
             B.solve_ground_state(0, 5, config4_homog, params)
 
 
+def _mode_sum_cumulative(x, config, params, modes=80):
+    """The integral of rho_tot from -1/2 to x (x real, any shape), its
+    first `modes` Fourier modes summed one at a time."""
+    x = np.asarray(x, dtype=float)
+    total = (x + 0.5) / 2.0
+    coeffs = B.density_fourier(np.arange(1, modes + 1), config, params)
+    for m, c in enumerate(coeffs.tolist(), start=1):
+        term = np.exp(2j * math.pi * m * x) - cmath.exp(-1j * math.pi * m)
+        total = total + 2.0 * (term * c / (2j * math.pi * m)).real
+    return total
+
+
+def _targets(n, labels, config, params):
+    """The density quantile of each root of each label's row."""
+    return np.array([(np.arange(1, n + 1) + k - (n + 1) / 2.0
+                      + (params.r * n + 2.0 * ell) / params.L) / config.N
+                     + 0.25 for k, ell in labels])
+
+
+def _clipped_bisection_seed(n, labels, config, params):
+    """An older seed, kept to reach a Newton failure: the quantile targets
+    clipped to [0.02, 0.48] and never wound, each bisected in 20 halvings
+    of [-1/2, 1/2]."""
+    targets = np.clip(_targets(n, labels, config, params), 0.02, 0.48)
+    lo, hi = np.full(targets.shape, -0.5), np.full(targets.shape, 0.5)
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        below = _mode_sum_cumulative(mid, config, params) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.sort(0.5 * (lo + hi), axis=-1)
+
+
 class TestSeed:
-    @staticmethod
-    def scalar_seed(n, k, ell, config, params, modes=80, halvings=20):
-        """One bisection per root, modes summed one at a time."""
-        coeffs = [complex(B.density_fourier(m, config, params))
-                  for m in range(1, modes + 1)]
-
-        def cumulative(x):
-            total = (x + 0.5) / 2.0
-            for m, c in enumerate(coeffs, start=1):
-                term = cmath.exp(2j * math.pi * m * x) - cmath.exp(
-                    -1j * math.pi * m)
-                total += 2.0 * (term * c / (2j * math.pi * m)).real
-            return total
-
-        xs = []
-        for j in range(1, n + 1):
-            t = (j + k - (n + 1) / 2.0
-                 + (params.r * n + 2.0 * ell) / params.L) / config.N + 0.25
-            t = min(max(t, 0.02), 0.48)
-            lo, hi = -0.5, 0.5
-            for _ in range(halvings):
-                mid = 0.5 * (lo + hi)
-                if cumulative(mid) < t:
-                    lo = mid
-                else:
-                    hi = mid
-            xs.append(0.5 * (lo + hi))
-        return np.sort(xs)
-
     @pytest.mark.parametrize("N", [8, 16, 24])
     def test_vectorised_seed_matches_scalar_bisection(self, params, N):
+        # the seed's cumulative density, one inverse FFT, equals the sum of
+        # its 80 modes taken one at a time at every grid point
         ys = np.linspace(-0.05, 0.05, N)
         configs = (homogeneous_config(N),
                    LatticeConfig(N=N, xi=tuple(0.5 + 1j * y for y in ys)))
+        grid = np.arange(513) / 512 - 0.5
         for config in configs:
-            for k in (0, 1):
-                for ell in range(params.L - params.r):
-                    seed = B._initial_guess(N // 2, [(k, ell)], config,
-                                            params)[0]
-                    ref = self.scalar_seed(N // 2, k, ell, config, params)
-                    assert np.max(np.abs(seed - ref)) <= 1e-15
+            ref = _mode_sum_cumulative(grid, config, params)
+            assert np.max(np.abs(B._cumulative_grid(config, params)
+                                 - ref)) <= 1e-15
 
     @pytest.mark.parametrize("N", [8, 16])
     def test_column_seeds_equal_per_state_seeds(self, params, N,
                                                 monkeypatch):
-        # all_ground_states seeds its column in one bisection; every row
+        # all_ground_states seeds its column in one call; every row
         # equals the state's own seed bit for bit
         config = LatticeConfig(N=N, xi=tuple(
             0.5 + 1j * y for y in np.linspace(-0.05, 0.05, N)))
@@ -212,29 +215,28 @@ class TestSeed:
     @pytest.mark.parametrize("N", [8, 16])
     @pytest.mark.parametrize("L, r", [(3, 1), (5, 2), (4, 1)])
     def test_seed_halvings_move_roots_by_round_off(self, L, r, N):
-        # the seed stops after 20 halvings; Newton from it and from a
-        # 60-halving bisection lands on the same roots to round-off
+        # the seed interpolates the cumulative density on a grid of step
+        # 1/512; Newton from it and from the exact quantiles on the
+        # winding line (60 halvings) lands on the same roots to round-off
         params = _physical(L, r)
         config = homogeneous_config(N)
         n = N // 2
         labels = [(k, ell) for k in (0, 1) for ell in range(L - r)]
-        coeffs = B.density_fourier(np.arange(1, 81), config, params)
-        targets = np.clip([(np.arange(1, n + 1) + k - (n + 1) / 2.0
-                            + (r * n + 2.0 * ell) / L) / N + 0.25
-                           for k, ell in labels], 0.02, 0.48)
+        targets = _targets(n, labels, config, params)
+        wind = np.floor(2.0 * targets)
         lo, hi = np.full(targets.shape, -0.5), np.full(targets.shape, 0.5)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            below = B._cumulative_density(mid, coeffs) < targets
+            below = (_mode_sum_cumulative(mid, config, params)
+                     < targets - wind / 2.0)
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        fine = np.sort(0.5 * (lo + hi), axis=-1)
-        coarse = B._initial_guess(n, labels, config, params)
-        assert 1e-9 < np.max(np.abs(coarse - fine)) < 1e-5
-        x_fine, _, rnorm_fine, _ = B._newton(fine, labels, config, params)
-        x_coarse, _, rnorm_coarse, _ = B._newton(coarse, labels, config,
-                                                 params)
-        assert np.max(rnorm_fine) <= 1e-13 and np.max(rnorm_coarse) <= 1e-13
-        assert np.max(np.abs(x_coarse - x_fine)) <= 1e-13
+        exact = 0.5 * (lo + hi) + wind
+        seed = B._initial_guess(n, labels, config, params)
+        assert 1e-9 < np.max(np.abs(seed - exact)) < 1e-5
+        x_exact, _, rnorm_exact, _ = B._newton(exact, labels, config, params)
+        x_seed, _, rnorm_seed, _ = B._newton(seed, labels, config, params)
+        assert np.max(rnorm_exact) <= 1e-13 and np.max(rnorm_seed) <= 1e-13
+        assert np.max(np.abs(x_seed - x_exact)) <= 1e-13
 
     def test_density_fourier_array_matches_scalar(self, params, config4):
         ms = np.arange(-5, 6)
@@ -246,10 +248,9 @@ class TestSeed:
     def test_density_fourier_at_small_im_tau(self):
         # at tau = 0.1i, pi m |eta~| passes the cosh overflow from mode 68:
         # those factors are 0, so the coefficients stay finite, no
-        # floating-point warning is raised, the quantile seeds stay inside
-        # the period in increasing order (a NaN mode put every seed at
-        # -0.4999995) and the family solves; the targets' clip at 0.48
-        # ties the top seeds of a row
+        # floating-point warning is raised, the quantile seeds are finite
+        # and strictly increasing along each row (a NaN mode put every
+        # seed at -0.4999995) and the family solves
         params = _physical(3, 1, tau=0.1j)
         config = homogeneous_config(8)
         labels = [(k, ell) for k in (0, 1) for ell in range(2)]
@@ -259,9 +260,7 @@ class TestSeed:
             seeds = B._initial_guess(4, labels, config, params)
             family = B.all_ground_states(config, params)
         assert np.all(np.isfinite(coeffs)) and np.all(coeffs[67:] == 0.0)
-        assert np.all(np.diff(seeds, axis=-1) >= 0.0)
-        assert np.all(np.abs(seeds) < 0.49)
-        assert np.all(seeds[:, 1] > seeds[:, 0])
+        assert np.all(np.diff(seeds, axis=-1) > 0.0)
         assert sorted(family) == labels
         assert max(roots.residual for roots in family.values()) <= 1e-13
 
@@ -300,12 +299,18 @@ class TestFamilyNewton:
             return ratio(*args)
 
         monkeypatch.setattr(B, "_log_ratio_odd", counted)
-        counts = {}
+        config = homogeneous_config(8)
         for L, r in ((3, 1), (5, 2), (7, 3)):
+            params = _physical(L, r)
             calls.clear()
-            gs = B.all_ground_states(homogeneous_config(8), _physical(L, r))
-            counts[len(gs)] = len(calls)
-        assert counts[4] == counts[6] == counts[8], counts
+            gs = B.all_ground_states(config, params)
+            family = len(calls)
+            alone = []
+            for k, ell in gs:
+                calls.clear()
+                B.solve_ground_state(k, ell, config, params)
+                alone.append(len(calls))
+            assert family == max(alone), (L, r, family, alone)
 
     def test_stacked_residual_and_jacobian_equal_rows(self, params):
         config = homogeneous_config(8)
@@ -325,7 +330,10 @@ class TestFamilyNewton:
     @pytest.mark.parametrize("L, r, tau, iters, first", [
         (6, 1, 0.8j, 11, (0, 4)), (5, 1, 1j, 15, (0, 3))])
     def test_failing_family_raises_first_failing_label(
-            self, tmp_path, L, r, tau, iters, first):
+            self, tmp_path, monkeypatch, L, r, tau, iters, first):
+        # both models solve from the density quantiles on the winding
+        # line; the older clipped seed still makes them fail
+        monkeypatch.setattr(B, "_initial_guess", _clipped_bisection_seed)
         params = ModelParams(tau=tau, r=r, L=L, s0=tau * L / (2 * r))
         config = homogeneous_config(4)
         with pytest.raises(SolverError) as fam:
@@ -339,6 +347,24 @@ class TestFamilyNewton:
         # the labels before the failing one are solved and stored
         labels = [(k, ell) for k in (0, 1) for ell in range(L - r)]
         assert len(list(tmp_path.glob("*.json"))) == labels.index(first)
+
+    @pytest.mark.parametrize("L, r, tau, Ns", [
+        (6, 1, 0.8j, (4, 6)), (5, 1, 1j, (4,)), (3, 1, 3j, (32,))])
+    def test_models_the_clipped_seed_failed_solve(self, rng, L, r, tau, Ns):
+        # the winding seed solves what the clipped seed left to Newton
+        # failure, and the small columns are eigenstates
+        params = _physical(L, r, tau=tau)
+        for N in Ns:
+            gs = B.all_ground_states(homogeneous_config(N), params)
+            for roots in gs.values():
+                assert roots.residual <= 1e-10
+                if N > 6:
+                    continue
+                for _ in range(2):
+                    u = complex(rng.uniform(-0.4, 0.4),
+                                rng.uniform(-0.2, 0.2))
+                    scale = max(1.0, abs(B.eigenvalue_tau(u, roots)))
+                    assert B.eigenstate_residual(roots, u) / scale < 1e-8
 
     def test_singular_jacobian_stops_its_label_only(self, params,
                                                      monkeypatch):

@@ -10,23 +10,28 @@ from csoslab import matel as M
 from csoslab import scalar as S
 from csoslab.lattice import LatticeConfig
 
-# every failure the package may raise on a drawn model
+# every failure the package may raise on a drawn model; the Bethe solve
+# is not one of them
 TYPED_ERRORS = (E.EllipticDomainError, E.PoleError, E.DegenerateConfigError,
-                E.SizeGuardError, E.SolverError, E.AccuracyError)
+                E.SizeGuardError, E.AccuracyError)
 ACC = C.TOL["acceptance"]
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
+# every odd-L coprime family with L <= 7 and a (1, 1) label (L - r >= 2)
+ODD_FAMILIES = ((3, 1), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3),
+                (7, 4), (7, 5))
+
+
 @st.composite
-def models(draw, families=((3, 1), (5, 2))):
+def models(draw, families=ODD_FAMILIES):
     """(L, r) from families, Im tau in [0.4, 1.2], a generic s0 and
     xi_j = 1/2 + i y_j with |y_j| <= 0.05, at N = 4.
 
-    Left out: (5, 1), whose Newton solve fails at N = 4 for Im tau above
-    about 0.83.  Even L, (4, 1), is drawn for the flat-basis test only: its
-    twist partners (0, 0) and (1, 1) share their root set with different
+    Even L, (4, 1), is drawn for the flat-basis test only: its twist
+    partners (0, 0) and (1, 1) share their root set with different
     omega^2, so the determinant route refuses that pair with a typed error
     and the route comparison would end every example there.
     """
@@ -44,7 +49,8 @@ def models(draw, families=((3, 1), (5, 2))):
 def test_routes_agree_or_raise_typed():
     # a typed error may end an example, but not most of them: the routes
     # are compared on 56 of the 60 examples drawn, and fewer than 45 would
-    # mean the refusals hide what the comparison checks
+    # mean the refusals hide what the comparison checks; every drawn
+    # family solves, so a SolverError fails the test
     compared = []
 
     @hypothesis.settings(derandomize=True, database=None, deadline=None,
