@@ -20,6 +20,10 @@ together: one damped-Newton loop runs on the stack of their root rows,
 one theta-series pass per step for all of them, and each row keeps its
 own line search and stop rule, so it comes out as it would from a solve
 of its own.  solve_ground_state is the one-label case.
+
+What depends on a root set alone (the acceptance residual, d at the
+roots, the Gaudin matrix and the norm) is measured once per family, as
+the family is accepted, by _measure, the one writer of a root set's memo.
 """
 
 import cmath
@@ -28,6 +32,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +43,9 @@ from .lattice import LatticeConfig, StateVector, _entries_apply, \
     monodromy_entry_apply, transfer_apply
 
 CACHE_ENV = "CSOSLAB_CACHE_DIR"
+COND_WARN = 1e12
+# the entries _measure keeps in a root set's memo
+MEASURES = {"residual", "d", "gaudin", "kappa", "det", "norm"}
 
 
 def _log_ratio_odd(terms, tau_t, order, antisymmetric=()):
@@ -133,8 +141,7 @@ class BetheRootSet:
     config: LatticeConfig
     residual: float = 0.0
     newton_iters: int = 0
-    # results that depend on the roots only (norm, Gaudin matrix, d),
-    # filled lazily
+    # what depends on the roots alone, kept by _measure (MEASURES)
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 
@@ -232,37 +239,74 @@ def bethe_residual(roots):
     """Multiplicative Bethe-equation defect, one complex number per root,
     divided by max(1, |LHS|, |RHS|), which keeps the solver acceptance
     meaningful at larger N where the bracket products grow exponentially.
-    """
-    res, = _bethe_residuals([roots])
+    One of the set's measures (_measure), read-only."""
+    res = _measure([roots])[0]["residual"]
     if res is None:
         raise SolverError("coinciding Bethe roots")
     return res
 
 
-def _bethe_residuals(family):
-    """bethe_residual of each root set of one family (one config and
-    params), None where roots coincide; the brackets of all of them come
-    from one call, and each defect is that of its own call, bit for bit."""
-    coinciding = [_coinciding(roots.x) for roots in family]
-    ok = [roots for roots, bad in zip(family, coinciding) if not bad]
-    if not ok:
-        return [None] * len(family)
-    params, n = ok[0].params, ok[0].n
-    v = np.array([roots.v for roots in ok])
-    dv = (v[:, :, None] - v[:, None, :])[:, ~np.eye(n, dtype=bool)].reshape(
-        len(ok), n, max(n - 1, 0))
-    brs, num, den = params.brackets(
-        np.stack([-dv + 1, -dv, dv + 1, dv], axis=1), *ok[0]._d_args(v))
-    out = []
-    for roots, br, nu, de in zip(ok, brs, num, den):
-        sgn = (-1.0) ** (params.r * roots.aleph)
-        lhs = np.prod(br[0] / br[1], axis=1)   # a(v_j) = 1
-        rhs = (sgn * roots.omega ** (-2) * np.prod(nu / de, axis=-1)
-               * np.prod(br[2] / br[3], axis=1))
-        out.append((lhs - rhs) / np.maximum(
-            1.0, np.maximum(np.abs(lhs), np.abs(rhs))))
-    vals = iter(out)
-    return [None if bad else next(vals) for bad in coinciding]
+def _check_kappa(mat, label):
+    kappa = np.max(np.linalg.cond(mat))
+    if kappa > COND_WARN:
+        warnings.warn(f"{label} condition number {kappa:.2e}", RuntimeWarning)
+    return kappa
+
+
+def _measure(family):
+    """What depends on the roots alone, a dict per root set of one family
+    (one config and params): bethe_residual's defect (None where roots
+    coincide), d at the roots, the Gaudin matrix, (eta~/i) times the
+    complex Jacobian of the logarithmic Bethe equations (the Gaudin-Korepin
+    theorem; Korepin, Commun. Math. Phys. 86 (1982) 391), with its
+    condition number and determinant, and the squared norm, not finite
+    where the bracket products leave the double range (near n = 22 at
+    tau = 0.45i).
+
+    A set whose memo holds them is read from it.  The others are measured
+    together from one bracket call ([v_i - v_j + 1] and [v_i - v_j] on the
+    n x n grid, d's [v - xi_k] and [v - xi_k + 1]) and one
+    _log_bethe_jacobian pass, each value read-only and that of the set
+    measured alone, bit for bit, and kept in its memo, which no other
+    function writes.
+    """
+    out = [roots.memo for roots in family]
+    todo = [pos for pos, got in enumerate(out) if not MEASURES <= got.keys()]
+    if not todo:
+        return out
+    first = family[todo[0]]
+    params, n = first.params, first.n
+    v = np.array([family[pos].v for pos in todo])
+    dv = v[:, :, None] - v[:, None, :]
+    plus, minus, num, den = params.brackets(dv + 1, dv, *first._d_args(v))
+    d = np.prod(num / den, axis=-1)
+    gaudin = (params.eta_tilde / 1j) * _log_bethe_jacobian(
+        np.array([family[pos].x for pos in todo]), first.config, params)
+    d.flags.writeable = gaudin.flags.writeable = False
+    off = ~np.eye(n, dtype=bool)
+    for pos, bp, bm, d_row, mat, det in zip(todo, plus, minus, d, gaudin,
+                                            np.linalg.det(gaudin)):
+        roots, res = family[pos], None
+        if not _coinciding(roots.x):
+            # [v_j - v_i + 1] and [v_j - v_i] are the transposes, bit for
+            # bit; each product runs over one set's (n, n - 1) array
+            pair = [br[off].reshape(n, n - 1) for br in (bp.T, bm.T, bp, bm)]
+            lhs = np.prod(pair[0] / pair[1], axis=1)   # a(v_j) = 1
+            rhs = ((-1.0) ** (params.r * roots.aleph) * roots.omega ** (-2)
+                   * d_row * np.prod(pair[2] / pair[3], axis=1))
+            res = (lhs - rhs) / np.maximum(
+                1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            res.flags.writeable = False
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            norm = ((-1.0) ** (n * params.r * roots.aleph)   # a(u_j) = 1
+                    / (-params.bracket_prime0) ** n * np.prod(d_row)
+                    * np.prod(bp) / np.prod(bm[off]) * det)
+        out[pos] = {"residual": res, "d": d_row, "gaudin": mat,
+                    "kappa": _check_kappa(mat, "Gaudin matrix"), "det": det,
+                    "norm": norm}
+        for key, val in out[pos].items():
+            roots.memo[key] = val
+    return out
 
 
 def density_fourier(m, config, params):
@@ -375,14 +419,15 @@ def _newton(x, labels, config, params):
 
 def _accept(family):
     """Set the multiplicative residual of each root set of one family from
-    one _bethe_residuals call; returns per set the SolverError that refuses
-    it (coinciding roots, or a residual above 1e-10), else None."""
+    its measures (_measure, one pass for the family); returns per set the
+    SolverError that refuses it (coinciding roots, or a residual above
+    1e-10), else None."""
     errors = []
-    for roots, res in zip(family, _bethe_residuals(family)):
-        if res is None:
+    for roots, got in zip(family, _measure(family)):
+        if got["residual"] is None:
             errors.append(SolverError("coinciding Bethe roots"))
             continue
-        roots.residual = float(np.max(np.abs(res)))
+        roots.residual = float(np.max(np.abs(got["residual"])))
         errors.append(None if roots.residual <= 1e-10 else SolverError(
             f"multiplicative residual {roots.residual:.2e} above 1e-10",
             best=roots.x, residual=roots.residual))

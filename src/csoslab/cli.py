@@ -105,7 +105,7 @@ def _emit_csv(rows, header, out_path):
 
 def cmd_identities(args):
     rng = np.random.default_rng(args.seed)
-    tol = contract.rows(args.suite, args.tolerance or None)
+    tol = contract.rows(args.suite, args.tolerance)
     residuals = contract.SUITES[args.suite](rng, args.draws)
     worst_name = max(residuals, key=lambda k: residuals[k])
     failed = sorted(k for k, v in residuals.items()
@@ -146,7 +146,8 @@ def cmd_lhp(args):
     params = build_params(cfg)
     path = load_path(args.path)
     resolution = thermo.check_resolution(
-        args.resolution or int(cfg.get("resolution", "512")))
+        int(cfg.get("resolution", "512")) if args.resolution is None
+        else args.resolution)
     labels = matel.flat_labels(params)
     shifts = range(params.L)
     config = build_lattice(cfg, params)
@@ -206,7 +207,8 @@ def cmd_converge(args):
         raise ValueError(f"flat label (eps, t) = ({eps}, {t}) is not one of "
                          f"{matel.flat_labels(params)}")
     resolution = thermo.check_resolution(
-        args.resolution or int(cfg.get("resolution", "256")))
+        int(cfg.get("resolution", "256")) if args.resolution is None
+        else args.resolution)
     configs = {N: build_lattice(cfg, params, n_override=N) for N in n_list}
     rows = []
     thermo_val = None

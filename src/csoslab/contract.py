@@ -23,10 +23,10 @@ from .lattice import (LatticeConfig, StateVector, _dense_from_apply,
                       _entries_batch, _local_batch, guard_dense,
                       homogeneous_config, local_operator_apply,
                       monodromy_entry_apply, monodromy_entry_dense)
-from .bethe import (_log_ratio_odd, _phi_weights, all_ground_states,
-                    density_fourier, eigenvalue_tau, momentum_shifts, p0_tot)
-from .scalar import (_check_kappa, _own_d, _sector_q_powers, gamma_retry,
-                     twist_weights)
+from .bethe import (_check_kappa, _log_ratio_odd, _phi_weights,
+                    all_ground_states, density_fourier, eigenvalue_tau,
+                    momentum_shifts, p0_tot)
+from .scalar import _own_d, _sector_q_powers, gamma_retry, twist_weights
 from .matel import (AdjacentPath, _dense_table, _det_table,
                     _extended_params, _h_transformed, _q_transformed,
                     det_route_zetas, enumerate_tuples, flat_basis_phases,

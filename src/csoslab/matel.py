@@ -34,10 +34,10 @@ import numpy as np
 from .elliptic import DegenerateConfigError, PoleError, _cdiv, _cmul
 from .lattice import (_guard_bytes, local_operator_apply,
                       monodromy_entry_apply)
-from .bethe import (_lambda_pm_rows, bethe_vector, eigenvalue_tau,
-                    scaled_eigenvalue)
-from .scalar import (gamma_retry, norm_det, twist_weights, _family_d,
-                     _family_gaudin, _family_norms, _own_d, _sector_q_powers)
+from .bethe import (_lambda_pm_rows, _measure, bethe_vector,
+                    eigenvalue_tau, scaled_eigenvalue)
+from .scalar import (gamma_retry, norm_det, twist_weights, _own_d,
+                     _sector_q_powers)
 
 # pairs x tuples per determinant stack of _table_kernel (bounds memory, not
 # the value)
@@ -314,8 +314,8 @@ def _mean_value_kernel(gamma, v_sets, a2, a4):
     params = v_sets[0].params
     *brs, b1 = params.brackets(*_h_kernel_args(gamma, v[..., :, None]
                                                - v[..., None, :]), 1.0)
-    diag = (np.diagonal(np.array(_family_gaudin(v_sets)), axis1=-2,
-                        axis2=-1)[:, None, :]
+    diag = (np.diagonal(np.array([got["gaudin"] for got in _measure(v_sets)]),
+                        axis1=-2, axis2=-1)[:, None, :]
             - 2.0 * params.bracket_prime1 / b1)
     return np.eye(v.shape[-1]) * diag[..., None] + _h_kernel(brs, a2, a4,
                                                             params)
@@ -395,9 +395,10 @@ def _table_kernel(rights, path, a1, zetas, reduction="m"):
     table, all at once.
 
     What depends on {v}, the path and the height only is built here, once
-    for all right states, each builder on one stacked bracket call: the
-    Gaudin matrices with their determinants, lambda_pm, d at the roots, the
-    tuples and the {v} part of their factors G_b.  The function returned,
+    for all right states, each builder on one stacked bracket call:
+    lambda_pm, the tuples and the {v} part of their factors G_b; the Gaudin
+    determinants and d at the roots are read from the states' measures
+    (bethe._measure).  The function returned,
     elements(pairs, same, gamma), evaluates a stack of pairs at one gamma,
     every builder on one stacked bracket call.  A pair is (u_set, j): the
     left state and the index of its right state in `rights`; where the
@@ -416,9 +417,10 @@ def _table_kernel(rights, path, a1, zetas, reduction="m"):
     z = np.asarray(zetas, dtype=complex)
     v = np.array([v_set.v for v_set in rights])
     sum_v = np.sum(v, axis=1)
-    det_phi = np.linalg.det(_family_gaudin(rights))
+    measures = _measure(rights)
+    det_phi = np.array([got["det"] for got in measures])
+    d_v = [got["d"] for got in measures]
     lams = _lambda_pm_rows(z, rights)
-    d_v = _family_d(rights)
     v_ext = np.array([_extended_params(row, zetas) for row in v],
                      dtype=complex)
     b = enumerate_tuples(n, m, slot_positions(alphas)[0])
@@ -546,12 +548,12 @@ def mpme_det(u_set, v_set, path, a1, gamma=None, reduction="m"):
 
 def _det_table(path, a1, lefts, rights, gamma=None, reduction="m"):
     """E[i][j] = <lefts[i]| path |rights[j]> / (||u|| ||v||) on the
-    determinant route: det_route_zetas once per path, the norms and the
-    root-on-path mask once per distinct state, _mean_value_pair once per
-    pair, and one _table_kernel for all right states, whose elements run
-    over all pairs as one stack.  Returns the table, None at each refused
-    pair, and a dict mapping each refused pair (i, j) to its
-    DegenerateConfigError."""
+    determinant route: det_route_zetas once per path, the measures
+    (bethe._measure) and the root-on-path mask once per distinct state,
+    _mean_value_pair once per pair, and one _table_kernel for all right
+    states, whose elements run over all pairs as one stack.  Returns the
+    table, None at each refused pair, and a dict mapping each refused pair
+    (i, j) to its DegenerateConfigError."""
     table = [[None] * len(rights) for _ in lefts]
     try:
         zetas = det_route_zetas(path, rights[0].config, rights[0].params)
@@ -559,7 +561,7 @@ def _det_table(path, a1, lefts, rights, gamma=None, reduction="m"):
         return table, {(i, j): exc for i in range(len(lefts))
                        for j in range(len(rights))}
     states = list({id(st): st for st in lefts + rights}.values())
-    _family_norms(states)
+    _measure(states)
     roots = {id(st): norm_root(st) for st in states}
     on_path = dict(zip(map(id, states), _roots_on_path(states, zetas)))
     refused, found = {}, []
@@ -598,13 +600,13 @@ def _dense_table(path, a1, lefts, rights):
     state's covector, built once and counted with a sweep's six arrays
     before any vector is built.  The gauge scales every R-factor by
     [u - xi_k + 1], so upward steps (arguments xi_i - 1) stay finite; the
-    matching scaled eigenvalue divides each element.  The norms of the
-    table's distinct states take one family pass."""
+    matching scaled eigenvalue divides each element.  The table's distinct
+    states are measured in one pass (bethe._measure)."""
     config, params = rights[0].config, rights[0].params
     zetas = path.check_zetas(config, params)[0]
     _guard_bytes(16 * params.L * (len(lefts) + 6) << config.N,
                  f"dense table refused: N={config.N}, {len(lefts)} covectors")
-    _family_norms(list({id(st): st for st in lefts + rights}.values()))
+    _measure(list({id(st): st for st in lefts + rights}.values()))
     covectors = [bethe_vector(u_set, side="left") for u_set in lefts]
     norms = [norm_root(u_set) for u_set in lefts]
     table = [[None] * len(rights) for _ in lefts]

@@ -13,6 +13,7 @@ from csoslab.lattice import (LatticeConfig, StateVector, homogeneous_config,
                              monodromy_entry_apply, transfer_apply)
 from csoslab import bethe as B
 from csoslab import contract as C
+from csoslab import scalar as S
 
 
 class TestBareFunctions:
@@ -104,8 +105,10 @@ class TestGroundStates:
         twin = B.BetheRootSet(x=np.full_like(roots.x, roots.x[0]),
                               k=roots.k, ell=roots.ell, params=roots.params,
                               config=roots.config)
-        with pytest.raises(SolverError, match="coinciding"):
+        with pytest.raises(SolverError, match="coinciding Bethe roots"):
             B.bethe_residual(twin)
+        # the set is measured, with no residual
+        assert twin.memo["residual"] is None
 
     def test_invalid_labels(self, params, config4_homog):
         with pytest.raises(ValueError):
@@ -648,6 +651,88 @@ class TestSiteProducts:
             for xi in roots.config.xi:
                 ref /= br(z - xi + 1)
             assert B.eigenvalue_tau(z, roots) == ref
+
+
+def _formula_residuals(family):
+    """The reference for bethe_residual: the defect of each root set of one
+    family from a bracket call of its own on the four off-diagonal arrays
+    [v_j - v_i + 1], [v_j - v_i], [v_i - v_j + 1], [v_i - v_j] and d's
+    site brackets."""
+    params, n = family[0].params, family[0].n
+    v = np.array([roots.v for roots in family])
+    dv = (v[:, :, None] - v[:, None, :])[:, ~np.eye(n, dtype=bool)].reshape(
+        len(family), n, n - 1)
+    brs, num, den = params.brackets(
+        np.stack([-dv + 1, -dv, dv + 1, dv], axis=1), *family[0]._d_args(v))
+    out = []
+    for roots, br, nu, de in zip(family, brs, num, den):
+        sgn = (-1.0) ** (params.r * roots.aleph)
+        lhs = np.prod(br[0] / br[1], axis=1)
+        rhs = (sgn * roots.omega ** (-2) * np.prod(nu / de, axis=-1)
+               * np.prod(br[2] / br[3], axis=1))
+        out.append((lhs - rhs) / np.maximum(
+            1.0, np.maximum(np.abs(lhs), np.abs(rhs))))
+    return out
+
+
+class TestMeasure:
+    """One pass per family measures what depends on the roots alone: the
+    residual, d, the Gaudin matrix and the norm."""
+
+    @pytest.mark.parametrize("L, r", [(3, 1), (5, 2), (4, 1)])
+    def test_residual_equals_its_own_bracket_call(self, L, r):
+        family = list(B.all_ground_states(homogeneous_config(6),
+                                          _physical(L, r)).values())
+        # off the solution too, so the defect is not rounding
+        bumped = [B.BetheRootSet(x=roots.x + 1e-3 * np.arange(roots.n),
+                                 k=roots.k, ell=roots.ell,
+                                 params=roots.params, config=roots.config)
+                  for roots in family]
+        for sets in (family, bumped):
+            for roots, ref in zip(sets, _formula_residuals(sets)):
+                got = B.bethe_residual(roots)
+                assert got.tobytes() == ref.tobytes()
+                assert not got.flags.writeable
+        # the acceptance read the same defect
+        assert [roots.residual for roots in family] == [
+            float(np.max(np.abs(ref))) for ref in _formula_residuals(family)]
+
+    @pytest.mark.parametrize("L, r", [(3, 1), (5, 2)])
+    def test_family_entries_equal_sets_measured_alone(self, L, r):
+        config, params = homogeneous_config(6), _physical(L, r)
+        family = B.all_ground_states(config, params)
+        for key, roots in family.items():
+            alone = B.BetheRootSet(x=roots.x.copy(), k=roots.k,
+                                   ell=roots.ell, params=params,
+                                   config=config)
+            got, = B._measure([alone])
+            assert set(roots.memo) == set(got) == B.MEASURES
+            for name in sorted(B.MEASURES):
+                assert np.asarray(roots.memo[name]).tobytes() == \
+                    np.asarray(got[name]).tobytes(), (key, name)
+
+    def test_cached_family_norms_from_one_pass(self, tmp_path, monkeypatch):
+        # a family served by the root cache is measured once as it is
+        # accepted: its norms cost no further bracket call or Jacobian
+        config, params = homogeneous_config(6), _physical(5, 2)
+        B.all_ground_states(config, params, cache_dir=str(tmp_path))
+        bracket, jacobian = ModelParams.bracket, B._log_bethe_jacobian
+        brackets, jacobians = [], []
+
+        def counted_bracket(self, u, order=0):
+            brackets.append(1)
+            return bracket(self, u, order=order)
+
+        def counted_jacobian(*args):
+            jacobians.append(1)
+            return jacobian(*args)
+
+        monkeypatch.setattr(ModelParams, "bracket", counted_bracket)
+        monkeypatch.setattr(B, "_log_bethe_jacobian", counted_jacobian)
+        family = B.all_ground_states(config, params, cache_dir=str(tmp_path))
+        norms = [S.norm_det(roots) for roots in family.values()]
+        assert len(family) == 6 and all(np.isfinite(norms))
+        assert (len(brackets), len(jacobians)) == (1, 1)
 
 
 class TestHeightProjection:

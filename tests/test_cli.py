@@ -93,6 +93,14 @@ class TestIdentities:
                          "--out", str(tmp_path / "r.json")])
         assert code == cli.EXIT_NUMERICAL
 
+    def test_zero_tolerance_is_an_override(self, tmp_path):
+        # a given 0 is a tolerance, not "unset": every row becomes exact
+        out = tmp_path / "r.json"
+        code = cli.main(["identities", "elliptic", "--draws", "5",
+                         "--tolerance", "0", "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        assert set(json.loads(out.read_text())["tolerance"].values()) == {0.0}
+
 
 class TestLhpTables:
     def test_thermo_point_table_rows_sum_to_one(self, thermo_config,
@@ -316,6 +324,20 @@ class TestLhpTables:
                                 bond_path, "--resolution", "127",
                                 "--out", str(out)])
         assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["lhp"], ["lhp", "--mode", "finite"],
+                                      ["converge", "--n-list", "4"]])
+    def test_zero_resolution_exit_2(self, thermo_config, bond_path, tmp_path,
+                                    capsys, argv):
+        # a given 0 is refused, not read as "unset" and run at the default
+        out = tmp_path / "report.json"
+        code = cli.main(argv + ["--config", thermo_config, "--path",
+                                bond_path, "--resolution", "0",
+                                "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "resolution must be even and positive, got 0" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_config_exit_2(self, tmp_path, point_path):

@@ -95,6 +95,30 @@ def test_one_router_of_pair_elements():
     assert kernel == {("matel", "_det_table", "_table_kernel")}
 
 
+def _memo_stores(tree):
+    """Line numbers of the assignments into `<x>.memo[...]`."""
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, (ast.AugAssign,
+                                                      ast.AnnAssign))
+                   else [])
+        for sub in (sub for target in targets for sub in ast.walk(target)):
+            if isinstance(sub, ast.Subscript) and isinstance(
+                    sub.value, ast.Attribute) and sub.value.attr == "memo":
+                yield sub.lineno
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_bethe_writes_root_set_memos(name):
+    # what depends on a root set alone is measured in one place,
+    # bethe._measure; every other module reads it
+    stores = sorted(set(_memo_stores(_tree(name))))
+    if name == "bethe":
+        assert stores, "bethe no longer stores a root set's measures"
+    else:
+        assert not stores, f"{name}.py stores into a memo at lines {stores}"
+
+
 # the benchmark harness, read here and never changed
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

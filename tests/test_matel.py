@@ -501,17 +501,20 @@ class TestNormMemo:
 
     def test_dense_table_norms_in_one_pass(self, params, config4,
                                            monkeypatch):
-        # fresh root sets: the K x K dense table takes the norms of its
-        # states in one family pass, one Jacobian call
+        # root sets with their measures cleared: the K x K dense table
+        # takes the norms of its states in one family pass, one Jacobian
+        # call
         states = list(B.all_ground_states(config4, params).values())
+        for st in states:
+            st.memo.clear()
         calls = []
-        jacobian = S._log_bethe_jacobian
+        jacobian = B._log_bethe_jacobian
 
         def counted(*args):
             calls.append(1)
             return jacobian(*args)
 
-        monkeypatch.setattr(S, "_log_bethe_jacobian", counted)
+        monkeypatch.setattr(B, "_log_bethe_jacobian", counted)
         M._dense_table(PATH1, 1, states, states)
         assert len(calls) == 1
 
@@ -752,10 +755,11 @@ class TestSectorIndependence:
             monkeypatch.setattr(ModelParams, "bracket", bracket)
         assert counts[4] == counts[8], counts
         # each builder stacks its brackets into one call, and so do the
-        # pair relations of check_zetas and the norms of the two states;
-        # the Gaudin matrices come from the Bethe Jacobian, outside the
-        # bracket (one call per factor made 73, one norm pass per state 10)
-        assert counts[4] == 9, counts
+        # pair relations of check_zetas; the norms of the two states came
+        # with their solve, and the Gaudin matrices from the Bethe
+        # Jacobian, outside the bracket (one call per factor made 73, one
+        # norm pass per state 10, norms taken at the table 9)
+        assert counts[4] == 7, counts
 
     def test_partial_scalar_bracket_calls_do_not_grow_with_L(self,
                                                              monkeypatch):
@@ -1088,11 +1092,11 @@ class TestColumnPass:
         assert not built
 
     def test_table_bracket_calls_do_not_grow_with_K(self, monkeypatch):
-        # a K x K flat table makes 9 bracket calls at K = 4 ((L, r) =
-        # (3, 1)) as at K = 6 ((5, 2)): once per table the norms of the
-        # family (d and the pair products), the root-on-path mask,
-        # lambda_pm and the G_b factors; once per gamma draw the pole
-        # check, Q, H and the mean-value kernel
+        # a K x K flat table makes 7 bracket calls at K = 4 ((L, r) =
+        # (3, 1)) as at K = 6 ((5, 2)): once per table the root-on-path
+        # mask, lambda_pm and the G_b factors; once per gamma draw the pole
+        # check, Q, H and the mean-value kernel.  The norms of the family
+        # came with its solve (taken at the table, they made 9)
         bracket = ModelParams.bracket
         calls = []
 
@@ -1109,7 +1113,7 @@ class TestColumnPass:
             M.flat_matrix_element(PATH1, gs)
             monkeypatch.setattr(ModelParams, "bracket", bracket)
             counts[len(gs)] = len(calls)
-        assert counts[4] == counts[6] == 9, counts
+        assert counts[4] == counts[6] == 7, counts
 
     def test_root_on_path_mask_once_per_state(self, monkeypatch):
         # [x - z] and [x - z +- 1] are evaluated once per distinct state of
@@ -1146,9 +1150,12 @@ class TestColumnPass:
     def test_one_condition_number_per_state(self, monkeypatch):
         # a K x K table takes each state's Gaudin condition number once,
         # with its memoised matrix, where the norm and each column pass
-        # took it before
+        # took it before; the states' measures are cleared, so the table
+        # takes them afresh
         states = _flat_states(B.all_ground_states(homogeneous_config(4),
                                                   _physical(3, 1)))
+        for st in states:
+            st.memo.clear()
         cond = np.linalg.cond
         matrices = []
 

@@ -177,8 +177,8 @@ class TestConditionCheck:
     def test_stack_warns_on_worst_sector(self):
         stack = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-14]]])
         with pytest.warns(RuntimeWarning, match="kernel condition"):
-            kappa = S._check_kappa(stack, "test kernel")
-        assert kappa == np.max(np.linalg.cond(stack)) > S.COND_WARN
+            kappa = B._check_kappa(stack, "test kernel")
+        assert kappa == np.max(np.linalg.cond(stack)) > B.COND_WARN
 
 
 class TestGammaRetry:
