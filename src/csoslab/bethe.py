@@ -17,9 +17,12 @@ The 2(L-r) labels of one lattice and model form a family.  Its labels
 that the root cache does not hold are seeded together (quantiles of the
 root density on the winding line, from one inverse FFT) and solved
 together: one damped-Newton loop runs on the stack of their root rows,
-one theta-series pass per step for all of them, and each row keeps its
-own line search and stop rule, so it comes out as it would from a solve
-of its own.  solve_ground_state is the one-label case.
+and each row keeps its own line search and stop rule, so it comes out as
+it would from a solve of its own.  solve_ground_state is the one-label
+case.  Every trial point of the loop takes one theta-series pass for all
+rows tried (_bethe_system): theta1 and theta1' at eta~/2 +- d and eta~ +
+d, d the roots or their differences reduced modulo the period, give the
+log residual and its Jacobian together.
 
 What depends on a root set alone (the acceptance residual, d at the
 roots, the Gaudin matrix and the norm) is measured once per family, as
@@ -37,8 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import ModelParams, SolverError, _cmul, _theta_rows, stacked, \
-    theta
+from .elliptic import ModelParams, SolverError, _cmul, _theta_rows, stacked
 from .lattice import LatticeConfig, StateVector, _entries_apply, \
     monodromy_entry_apply, transfer_apply
 
@@ -48,39 +50,35 @@ COND_WARN = 1e12
 MEASURES = {"residual", "d", "gaudin", "kappa", "det", "norm"}
 
 
-def _log_ratio_odd(terms, tau_t, order, antisymmetric=()):
-    """i*log(theta1(shift+z)/theta1(shift-z)), or its z-derivative (order
-    1), for each (z, shift) in terms; one series sum holds every term's
-    values (theta1 and theta1' for order 1).
+def _log_ratio_odd(terms, tau_t, antisymmetric=()):
+    """i*log(theta1(shift+z)/theta1(shift-z)) and its z-derivative, a
+    (value, derivative) pair for each (z, shift) in terms, from one series
+    sum of theta1 and theta1' at shift +- d, d = z - round(Re z).
 
     The log is continuous and odd in z (real z): principal value on the
-    fundamental interval plus 2 pi per full period.  At order 0 a term
+    fundamental interval plus 2 pi per full period.  theta1'/theta1 has
+    period 1, so the derivative at d is that at z, real or complex.  A term
     whose index is in `antisymmetric` has z antisymmetric in its last two
-    axes, so theta1(shift - z) is the transpose of theta1(shift + z) bit
-    for bit, and only the latter is evaluated.
+    axes, so theta1 and theta1' at shift - d are the transposes of those at
+    shift + d bit for bit, and only the latter are evaluated.
     """
-    if order == 1:
-        args = [a for z, shift in terms
-                for a in (np.asarray(z) + shift, np.asarray(z) - shift)]
-        vals, primes = stacked(lambda a: _theta_rows(1, a, tau_t, 1), *args)
-        dlog = [d / f for d, f in zip(primes, vals)]
-        return [1j * (plus - minus)
-                for plus, minus in zip(dlog[::2], dlog[1::2])]
-    zs = [np.asarray(z, dtype=float) for z, _ in terms]
-    winds = [np.round(z) for z in zs]
+    zs = [np.asarray(z) for z, _ in terms]
+    winds = [np.round(np.real(z)) for z in zs]
     # round(-z) = -round(z), so the reduced z stays antisymmetric
     reduced = [(z - wind, shift) for z, wind, (_, shift) in zip(zs, winds,
                                                                 terms)]
-    f = stacked(lambda a: theta(1, a, tau_t),
-                *(shift + d for d, shift in reduced),
-                *(shift - d for i, (d, shift) in enumerate(reduced)
-                  if i not in antisymmetric))
-    minus = iter(f[len(terms):])
-    return [np.real(1j * np.log(plus / (np.swapaxes(plus, -1, -2)
-                                        if i in antisymmetric
-                                        else next(minus))))
-            + 2.0 * math.pi * wind
-            for i, (plus, wind) in enumerate(zip(f, winds))]
+    f, df = stacked(lambda a: _theta_rows(1, a, tau_t, 1),
+                    *(shift + d for d, shift in reduced),
+                    *(shift - d for i, (d, shift) in enumerate(reduced)
+                      if i not in antisymmetric))
+    minus = iter(zip(f[len(terms):], df[len(terms):]))
+    out = []
+    for i, (plus, dplus, wind) in enumerate(zip(f, df, winds)):
+        fm, dfm = ((np.swapaxes(plus, -1, -2), np.swapaxes(dplus, -1, -2))
+                   if i in antisymmetric else next(minus))
+        out.append((np.real(1j * np.log(plus / fm)) + 2.0 * math.pi * wind,
+                    1j * (dplus / plus + dfm / fm)))
+    return out
 
 
 def momentum_shifts(config, params):
@@ -99,29 +97,19 @@ def _p0_term(z, config, params):
     return (z[..., None] - shifts, params.eta_tilde / 2.0), site
 
 
-def _site_mean(vals, site, order):
+def _site_mean(vals, site):
     """The mean over sites of p0 values held a column per distinct shift,
     taken over a C-ordered copy with one column per site, so that it sums
     as the mean of a column per site does."""
-    vals = np.ascontiguousarray(vals[..., site])
-    return np.real(vals).mean(axis=-1) if order == 0 else vals.mean(axis=-1)
+    return np.ascontiguousarray(vals[..., site]).mean(axis=-1)
 
 
 def p0_tot(z, config, params, order=0):
+    """p0_tot(z), or its derivative (order 1): a reader of one
+    _log_ratio_odd pass."""
     term, site = _p0_term(z, config, params)
-    vals, = _log_ratio_odd([term], params.tau_tilde, order)
-    return _site_mean(vals, site, order)
-
-
-def _bethe_terms(x, config, params, order):
-    """p0_tot(x) and the phase matrix theta(x_j - x_l), or their
-    derivatives (order 1), from one _log_ratio_odd evaluation; leading axes
-    of x stack root sets, one matrix each."""
-    term, site = _p0_term(x, config, params)
-    mom, phase = _log_ratio_odd(
-        [term, (x[..., :, None] - x[..., None, :], params.eta_tilde)],
-        params.tau_tilde, order, (1,))
-    return _site_mean(mom, site, order), phase
+    rows, = _log_ratio_odd([term], params.tau_tilde)
+    return _site_mean(rows[order], site)
 
 
 def xibar(config, params):
@@ -187,43 +175,45 @@ class BetheRootSet:
         return float(np.sum(self.x))
 
 
-def log_bethe_residual(x, k, ell, config, params):
-    """LHS - RHS of the logarithmic Bethe equations at real roots x.
+def _bethe_system(x, k, ell, config, params):
+    """LHS - RHS of the logarithmic Bethe equations at real roots x, and
+    their complex Jacobian, from one _log_ratio_odd pass: p0_tot and the
+    phase matrix theta(x_j - x_l) with their derivatives.
 
-    Leading axes of x stack root sets (one row of n roots per label), with
-    k and ell one per row; each row's values are those of its own call.
+    Leading axes of x stack root sets (one row of n roots per label, one
+    matrix each), with k and ell one per row; each row's values are those
+    of its own call.  Newton takes the Jacobian's real part, and (eta~/i)
+    times it is the Gaudin matrix.  The real and imaginary parts of the
+    phase derivative rows are summed apart, so the real part has the bits
+    of a sum over the real entries.
     """
     x = np.asarray(x, dtype=float)
     k, ell = np.asarray(k)[..., None], np.asarray(ell)[..., None]
     n = x.shape[-1]
     N = config.N
+    term, site = _p0_term(x, config, params)
+    (p0, dp0), (phase, dphase) = _log_ratio_odd(
+        [term, (x[..., :, None] - x[..., None, :], params.eta_tilde)],
+        params.tau_tilde, (1,))
     nj = np.arange(1, n + 1) + k
-    p0, phase = _bethe_terms(x, config, params, 0)
-    lhs = N * p0
+    lhs = N * _site_mean(p0, site)
     lhs = lhs - np.sum(phase, axis=-1)
     rhs = 2.0 * math.pi * (nj - (n + 1) / 2.0
                            + (params.r * n + 2.0 * ell) / params.L
                            + 2.0 * params.eta * np.sum(x, axis=-1,
                                                        keepdims=True)
                            + params.eta * xibar(config, params))
-    return lhs - rhs
+    rows = np.sum(dphase.real, axis=-1) + 1j * np.sum(dphase.imag, axis=-1)
+    diag = np.zeros_like(dphase)
+    idx = np.arange(n)
+    diag[..., idx, idx] = N * _site_mean(dp0, site) - rows
+    return lhs - rhs, diag + dphase - 4.0 * math.pi * params.eta
 
 
-def _log_bethe_jacobian(x, config, params):
-    """Complex Jacobian of the logarithmic Bethe equations at real roots x
-    (leading axes stack root sets, one matrix each); Newton takes its real
-    part, and (eta~/i) times it is the Gaudin matrix.
-
-    The real and imaginary parts of the phase rows are summed apart, so the
-    real part has the bits of a sum over the real entries.
-    """
-    x = np.asarray(x, dtype=float)
-    p0, phase = _bethe_terms(x, config, params, 1)
-    rows = np.sum(phase.real, axis=-1) + 1j * np.sum(phase.imag, axis=-1)
-    diag = np.zeros_like(phase)
-    idx = np.arange(x.shape[-1])
-    diag[..., idx, idx] = config.N * p0 - rows
-    return diag + phase - 4.0 * math.pi * params.eta
+def log_bethe_residual(x, k, ell, config, params):
+    """LHS - RHS of the logarithmic Bethe equations at real roots x, the
+    residual half of _bethe_system (leading axes of x stack root sets)."""
+    return _bethe_system(x, k, ell, config, params)[0]
 
 
 def _coinciding(x):
@@ -265,8 +255,8 @@ def _measure(family):
 
     A set whose memo holds them is read from it.  The others are measured
     together from one bracket call ([v_i - v_j + 1] and [v_i - v_j] on the
-    n x n grid, d's [v - xi_k] and [v - xi_k + 1]) and one
-    _log_bethe_jacobian pass, each value read-only and that of the set
+    n x n grid, d's [v - xi_k] and [v - xi_k + 1]) and the Jacobian half
+    of one _bethe_system pass, each value read-only and that of the set
     measured alone, bit for bit, and kept in its memo, which no other
     function writes.
     """
@@ -280,8 +270,10 @@ def _measure(family):
     dv = v[:, :, None] - v[:, None, :]
     plus, minus, num, den = params.brackets(dv + 1, dv, *first._d_args(v))
     d = np.prod(num / den, axis=-1)
-    gaudin = (params.eta_tilde / 1j) * _log_bethe_jacobian(
-        np.array([family[pos].x for pos in todo]), first.config, params)
+    gaudin = (params.eta_tilde / 1j) * _bethe_system(
+        np.array([family[pos].x for pos in todo]),
+        [family[pos].k for pos in todo], [family[pos].ell for pos in todo],
+        first.config, params)[1]
     d.flags.writeable = gaudin.flags.writeable = False
     off = ~np.eye(n, dtype=bool)
     for pos, bp, bm, d_row, mat, det in zip(todo, plus, minus, d, gaudin,
@@ -365,29 +357,31 @@ def _newton(x, labels, config, params):
     iterates and per row the step count, the log residual and the
     SolverError of a singular Jacobian (else None).
 
-    Every step makes one _log_ratio_odd pass for the Jacobians of all rows
-    still iterating, one batched linear solve, and one pass per halving of
-    the line search for the rows still searching.  Each row keeps its own
-    step scale and stop rule, as if solved alone: it stops at log residual
-    1e-13, after 200 steps, or at the round-off floor, where no halving of
-    its step lowers the residual; then it leaves the stack.
+    Each trial point, the start included, takes one _bethe_system pass for
+    all rows tried at once, which gives its residual and its Jacobian; an
+    accepted trial carries its Jacobian into the row's next step, so a
+    step makes one batched linear solve and no other theta pass.  Each row
+    keeps its own step scale and stop rule, as if solved alone: it stops
+    at log residual 1e-13, after 200 steps, or at the round-off floor,
+    where no halving of its step lowers the residual; then it leaves the
+    stack.
     """
     x = np.array(x, dtype=float)
     k, ell = np.array(labels).T
-    res = log_bethe_residual(x, k, ell, config, params)
+    res, jac = _bethe_system(x, k, ell, config, params)
+    jac = jac.real
     rnorm = np.max(np.abs(res), axis=-1)
     iters = np.zeros(len(labels), dtype=int)
     errors = [None] * len(labels)
     live = np.flatnonzero(rnorm > 1e-13)
     while live.size:
-        jac = _log_bethe_jacobian(x[live], config, params).real
         try:
-            step = np.linalg.solve(jac, res[live][..., None])[..., 0]
+            step = np.linalg.solve(jac[live], res[live][..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = np.zeros(x[live].shape)
             for pos, row in enumerate(live):
                 try:
-                    step[pos] = np.linalg.solve(jac[pos], res[row])
+                    step[pos] = np.linalg.solve(jac[row], res[row])
                 except np.linalg.LinAlgError:
                     errors[row] = SolverError(
                         f"singular Jacobian at iteration {iters[row]}",
@@ -401,13 +395,13 @@ def _newton(x, labels, config, params):
             pos = np.flatnonzero(searching)
             rows = live[pos]
             trial = x[rows] - scale[pos, None] * step[pos]
-            tres = log_bethe_residual(trial, k[rows], ell[rows], config,
-                                      params)
+            tres, tjac = _bethe_system(trial, k[rows], ell[rows], config,
+                                       params)
             tnorm = np.max(np.abs(tres), axis=-1)
             better = tnorm < rnorm[rows]
             done = rows[better]
-            x[done], res[done], rnorm[done] = \
-                trial[better], tres[better], tnorm[better]
+            x[done], res[done], rnorm[done], jac[done] = \
+                trial[better], tres[better], tnorm[better], tjac.real[better]
             iters[done] += 1
             searching[pos[better]] = False
             scale[pos[~better]] *= 0.5

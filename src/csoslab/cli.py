@@ -104,6 +104,8 @@ def _emit_csv(rows, header, out_path):
 # ---------------------------------------------------------------------------
 
 def cmd_identities(args):
+    if args.draws < 1:
+        raise ValueError(f"draws must be positive, got {args.draws}")
     rng = np.random.default_rng(args.seed)
     tol = contract.rows(args.suite, args.tolerance)
     residuals = contract.SUITES[args.suite](rng, args.draws)

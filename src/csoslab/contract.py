@@ -473,14 +473,14 @@ def appendixB_identity_residual(u, v, zetas, gamma, alup, bet, mcols, params):
 
 def bare_momentum(z, params, order=0):
     """p0(z) (continuous odd branch) or p0'(z)."""
-    return _log_ratio_odd([(z, params.eta_tilde / 2.0)], params.tau_tilde,
-                          order)[0]
+    return _log_ratio_odd([(z, params.eta_tilde / 2.0)],
+                          params.tau_tilde)[0][order]
 
 
 def bare_phase(z, params, order=0):
     """theta(z) = i log(theta1(eta~+z)/theta1(eta~-z)), or its derivative."""
-    return _log_ratio_odd([(z, params.eta_tilde)], params.tau_tilde,
-                          order)[0]
+    return _log_ratio_odd([(z, params.eta_tilde)],
+                          params.tau_tilde)[0][order]
 
 
 def kernel_direct(kernel_id, z, params, **kw):

@@ -405,10 +405,10 @@ class ModelParams:
                     self.tau, order=order)
         return val * self.eta ** order
 
-    def brackets(self, *args, order=0):
-        """[a], [b], ... (or their u-derivatives) from one bracket call on
-        the stacked arguments; see `stacked`."""
-        return stacked(lambda u: self.bracket(u, order=order), *args)
+    def brackets(self, *args):
+        """[a], [b], ... from one bracket call on the stacked arguments;
+        see `stacked`."""
+        return stacked(self.bracket, *args)
 
     def height(self, a):
         """Height value s0 + a for an integer class label a."""

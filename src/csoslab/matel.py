@@ -762,9 +762,10 @@ def _pair_table(path, lefts, rights, method):
                              [rights[j] for j in cols])
         for i, j in refused:
             table[i][j] = dense[rows.index(i)][cols.index(j)]
-    return [[val * _anchor_factor(path, u_set, v_set)
-             for val, v_set in zip(row, rights)]
-            for row, u_set in zip(table, lefts)]
+    left, right = ([_anchor_weight(path, roots) for roots in states]
+                   for states in (lefts, rights))
+    return [[val * (fu / fv) for val, fv in zip(row, right)]
+            for row, fu in zip(table, left)]
 
 
 def finite_lhp(path, basis, ground_states, method="det"):
@@ -784,15 +785,13 @@ def finite_lhp(path, basis, ground_states, method="det"):
     return flat_matrix_element(path, ground_states, method)[row, row]
 
 
-def _anchor_factor(path, u_set, v_set):
-    """Transfer-eigenvalue ratios for paths not anchored at (1, 1)."""
+def _anchor_weight(path, roots):
+    """F(s) = prod_k tau_s(w_k) prod_l tau_s(xi_l) over the columns and
+    rows before the path's anchor (1 at (1, 1)); a pair's anchor factor,
+    for paths not anchored at (1, 1), is F(u)/F(v)."""
     i1, j1 = path.anchor
-    config = u_set.config
+    config = roots.config
     fac = 1.0 + 0.0j
-    for kk in range(j1 - 1):
-        fac *= eigenvalue_tau(config.w[kk], u_set) / eigenvalue_tau(
-            config.w[kk], v_set)
-    for ll in range(i1 - 1):
-        fac *= eigenvalue_tau(config.xi[ll], u_set) / eigenvalue_tau(
-            config.xi[ll], v_set)
+    for s in config.w[:j1 - 1] + config.xi[:i1 - 1]:
+        fac *= eigenvalue_tau(s, roots)
     return fac

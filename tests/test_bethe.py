@@ -13,6 +13,7 @@ from csoslab.lattice import (LatticeConfig, StateVector, homogeneous_config,
                              monodromy_entry_apply, transfer_apply)
 from csoslab import bethe as B
 from csoslab import contract as C
+from csoslab import elliptic as E
 from csoslab import scalar as S
 
 
@@ -291,9 +292,9 @@ class TestFamilyNewton:
             assert sorted({r_.newton_iters for r_ in gs.values()}) == [4, 5]
 
     def test_passes_do_not_grow_with_labels(self, monkeypatch):
-        # one _log_ratio_odd pass per Newton step and line-search halving
-        # serves the whole family: K = 4, 6 and 8 labels at N = 8 make as
-        # many passes as the slowest label alone
+        # one _log_ratio_odd pass per Newton trial serves the whole family:
+        # K = 4, 6 and 8 labels at N = 8 make as many passes as the slowest
+        # label alone
         ratio = B._log_ratio_odd
         calls = []
 
@@ -320,15 +321,11 @@ class TestFamilyNewton:
         labels = [(k, ell) for k in (0, 1) for ell in range(2)]
         x = B._initial_guess(4, labels, config, params)
         k, ell = np.array(labels).T
-        res = B.log_bethe_residual(x, k, ell, config, params)
-        jac = B._log_bethe_jacobian(x, config, params)
+        res, jac = B._bethe_system(x, k, ell, config, params)
         for row, (kk, ll) in enumerate(labels):
-            assert np.array_equal(
-                res[row], B.log_bethe_residual(x[row], kk, ll, config,
-                                               params))
-            assert np.array_equal(jac[row],
-                                  B._log_bethe_jacobian(x[row], config,
-                                                        params))
+            own = B._bethe_system(x[row], kk, ll, config, params)
+            assert np.array_equal(res[row], own[0])
+            assert np.array_equal(jac[row], own[1])
 
     @pytest.mark.parametrize("L, r, tau, iters, first", [
         (6, 1, 0.8j, 11, (0, 4)), (5, 1, 1j, 15, (0, 3))])
@@ -375,15 +372,15 @@ class TestFamilyNewton:
         labels = [(0, 0), (1, 1)]
         x0 = B._initial_guess(2, labels, config, params)
         alone = B._newton(x0[1:], labels[1:], config, params)
-        jacobian = B._log_bethe_jacobian
+        system = B._bethe_system
 
-        def singular_first(x, cfg, prm):
-            out = jacobian(x, cfg, prm)
+        def singular_first(x, *args):
+            res, jac = system(x, *args)
             if len(x) == 2:     # while both labels iterate
-                out[0] = 0.0
-            return out
+                jac[0] = 0.0
+            return res, jac
 
-        monkeypatch.setattr(B, "_log_bethe_jacobian", singular_first)
+        monkeypatch.setattr(B, "_bethe_system", singular_first)
         x, iters, rnorm, errors = B._newton(x0, labels, config, params)
         assert str(errors[0]) == "singular Jacobian at iteration 0"
         assert np.array_equal(errors[0].best, x0[0]) and iters[0] == 0
@@ -417,64 +414,96 @@ class TestFamilyNewton:
 
 class TestNewtonStep:
     def test_phase_minus_half_is_the_transpose(self, monkeypatch):
-        # the order-0 phase term evaluates theta1(eta~ + d) only: a residual
+        # the phase term evaluates theta1 and theta1' at eta~ + d only: a
         # pass of the N = 16 family takes 320 theta points, not 576, and
-        # the roots, step counts and residuals are those of both halves
+        # its residuals and Jacobians, and the roots, step counts and
+        # residuals of the solve, are those of both halves, bit for bit
         params = _physical(3, 1)
         config = homogeneous_config(16)
         labels = [(k, ell) for k in (0, 1) for ell in range(2)]
         x = B._initial_guess(8, labels, config, params)
         k, ell = np.array(labels).T
-        theta, ratio = B.theta, B._log_ratio_odd
+        rows, ratio = B._theta_rows, B._log_ratio_odd
         points = []
 
-        def counted(kind, z, *args, **kwargs):
+        def counted(kind, z, tau, order):
             points.append(np.size(z))
-            return theta(kind, z, *args, **kwargs)
+            return rows(kind, z, tau, order)
 
-        monkeypatch.setattr(B, "theta", counted)
-        one = B.log_bethe_residual(x, k, ell, config, params)
-        monkeypatch.setattr(B, "theta", theta)
+        monkeypatch.setattr(B, "_theta_rows", counted)
+        one = B._bethe_system(x, k, ell, config, params)
+        monkeypatch.setattr(B, "_theta_rows", rows)
         gs = B.all_ground_states(config, params)
         # both halves of every term
         monkeypatch.setattr(B, "_log_ratio_odd",
-                            lambda terms, tau_t, order, antisymmetric=():
-                            ratio(terms, tau_t, order))
+                            lambda terms, tau_t, antisymmetric=():
+                            ratio(terms, tau_t))
         assert points == [320]
-        assert np.array_equal(one, B.log_bethe_residual(x, k, ell, config,
-                                                        params))
+        both = B._bethe_system(x, k, ell, config, params)
+        for half, other in zip(one, both):
+            assert half.tobytes() == other.tobytes()
         for key, roots in B.all_ground_states(config, params).items():
             assert np.array_equal(gs[key].x, roots.x)
             assert gs[key].newton_iters == roots.newton_iters
             assert gs[key].residual == roots.residual
 
     def test_theta_calls_do_not_grow_with_N(self, params, monkeypatch):
-        # the log residual evaluates all its theta values in one call and
-        # the Jacobian theta1 and theta1' in one series sum, at any N
-        theta, rows = B.theta, B._theta_rows
+        # the log residual and its Jacobian take theta1 and theta1' from
+        # one series sum at any N; bethe sums theta series only there
+        assert not hasattr(B, "theta")
+        rows = B._theta_rows
         calls = []
 
-        def counted(fun):
-            def wrapper(*args, **kwargs):
-                calls.append(1)
-                return fun(*args, **kwargs)
-            return wrapper
+        def counted(*args):
+            calls.append(1)
+            return rows(*args)
 
+        monkeypatch.setattr(B, "_theta_rows", counted)
         counts = {}
         for N in (8, 16):
             config = homogeneous_config(N)
             x = B._initial_guess(N // 2, [(0, 0)], config, params)[0]
-            monkeypatch.setattr(B, "theta", counted(theta))
-            monkeypatch.setattr(B, "_theta_rows", counted(rows))
             calls.clear()
-            B.log_bethe_residual(x, 0, 0, config, params)
-            res = len(calls)
-            calls.clear()
-            B._log_bethe_jacobian(x, config, params)
-            counts[N] = (res, len(calls))
-            monkeypatch.setattr(B, "theta", theta)
-            monkeypatch.setattr(B, "_theta_rows", rows)
-        assert counts[8] == counts[16] == (1, 1), counts
+            B._bethe_system(x, 0, 0, config, params)
+            counts[N] = len(calls)
+        assert counts[8] == counts[16] == 1, counts
+
+    @pytest.mark.parametrize("N", [8, 12, 16])
+    def test_theta_series_per_fresh_family(self, N, monkeypatch):
+        # a fresh family solve of the converge model: one series sum at
+        # the start, one per Newton trial (the slowest label takes 5 steps
+        # and no halving), one in _measure for the Jacobian and one for its
+        # brackets; a step takes no Jacobian pass of its own
+        params = _physical(3, 1)
+        calls = []
+
+        def counted(fun):
+            def wrapper(*args):
+                calls.append(1)
+                return fun(*args)
+            return wrapper
+
+        monkeypatch.setattr(B, "_theta_rows", counted(B._theta_rows))
+        monkeypatch.setattr(E, "_theta_rows", counted(E._theta_rows))
+        gs = B.all_ground_states(homogeneous_config(N), params)
+        assert len(calls) == 8
+        assert [roots.newton_iters for roots in gs.values()] == [4, 5, 5, 5]
+
+    def test_derivative_on_complex_typed_real_nodes(self, params):
+        # kernel_direct passes real nodes typed as complex: they are
+        # reduced by their real part, with no cast to float, and the
+        # derivative rows match a central difference of the values
+        z, h = np.array([-0.73, -0.21, 0.0, 0.34, 1.62]), 1e-6
+        for kernel, fun in (("K", C.bare_phase), ("p0prime",
+                                                  C.bare_momentum)):
+            got = C.kernel_direct(kernel, z.astype(complex), params)
+            fd = (fun(z + h, params) - fun(z - h, params)) / (2 * h)
+            if kernel == "K":
+                fd = fd / (2 * math.pi)
+            assert got.dtype == complex
+            assert np.max(np.abs(got - fd)) < 1e-7
+            assert np.array_equal(got, fun(z, params, order=1) / (
+                2 * math.pi if kernel == "K" else 1))
 
     @pytest.mark.parametrize("ys", [(0.0,) * 8, (0.02, -0.03) * 4])
     def test_p0_one_column_per_distinct_shift(self, params, ys,
@@ -491,25 +520,36 @@ class TestNewtonStep:
             points.append(np.size(z))
             return rows(kind, z, tau, order)
 
+        (got,) = B._log_ratio_odd([(sites, params.eta_tilde / 2.0)],
+                                  params.tau_tilde)
         for order in (0, 1):
-            vals, = B._log_ratio_odd([(sites, params.eta_tilde / 2.0)],
-                                     params.tau_tilde, order)
-            ref = (np.real(vals) if order == 0 else vals).mean(axis=-1)
+            ref = got[order].mean(axis=-1)
             assert np.array_equal(B.p0_tot(x, config, params, order), ref)
         monkeypatch.setattr(B, "_theta_rows", counted)
         B.p0_tot(x, config, params, 1)
         assert points == [2 * x.size * len(set(ys))]
 
     def test_stacked_terms_equal_single_terms(self, params, config4):
-        # the residual's momentum and phase terms share one theta call;
-        # each equals its own bare_momentum / bare_phase evaluation
+        # the momentum and phase terms of the residual and the Jacobian
+        # share one theta call; each equals its own p0_tot / bare_phase
+        # evaluation, bit for bit
         x = B._initial_guess(2, [(1, 0)], config4, params)[0]
-        for order in (0, 1):
-            p0, phase = B._bethe_terms(x, config4, params, order)
-            assert np.array_equal(p0, B.p0_tot(x, config4, params, order))
-            assert np.array_equal(
-                phase, C.bare_phase(x[:, None] - x[None, :], params,
-                                    order=order))
+        n, N, eta = len(x), config4.N, params.eta
+        res, jac = B._bethe_system(x, 1, 0, config4, params)
+        phase, dphase = (C.bare_phase(x[:, None] - x[None, :], params,
+                                      order=order) for order in (0, 1))
+        rhs = 2.0 * math.pi * (np.arange(1, n + 1) + 1 - (n + 1) / 2.0
+                               + params.r * n / params.L
+                               + 2.0 * eta * np.sum(x)
+                               + eta * B.xibar(config4, params))
+        assert np.array_equal(
+            res, N * B.p0_tot(x, config4, params) - phase.sum(axis=-1) - rhs)
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(jac[off], dphase[off] - 4.0 * math.pi * eta)
+        rows = dphase.real.sum(axis=-1) + 1j * dphase.imag.sum(axis=-1)
+        assert np.array_equal(
+            np.diag(jac), N * B.p0_tot(x, config4, params, 1) - rows
+            + np.diag(dphase) - 4.0 * math.pi * eta)
 
 
 class TestEigenstates:
@@ -716,7 +756,7 @@ class TestMeasure:
         # accepted: its norms cost no further bracket call or Jacobian
         config, params = homogeneous_config(6), _physical(5, 2)
         B.all_ground_states(config, params, cache_dir=str(tmp_path))
-        bracket, jacobian = ModelParams.bracket, B._log_bethe_jacobian
+        bracket, system = ModelParams.bracket, B._bethe_system
         brackets, jacobians = [], []
 
         def counted_bracket(self, u, order=0):
@@ -725,10 +765,10 @@ class TestMeasure:
 
         def counted_jacobian(*args):
             jacobians.append(1)
-            return jacobian(*args)
+            return system(*args)
 
         monkeypatch.setattr(ModelParams, "bracket", counted_bracket)
-        monkeypatch.setattr(B, "_log_bethe_jacobian", counted_jacobian)
+        monkeypatch.setattr(B, "_bethe_system", counted_jacobian)
         family = B.all_ground_states(config, params, cache_dir=str(tmp_path))
         norms = [S.norm_det(roots) for roots in family.values()]
         assert len(family) == 6 and all(np.isfinite(norms))

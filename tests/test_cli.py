@@ -84,6 +84,19 @@ class TestIdentities:
                   "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    @pytest.mark.parametrize("suite", sorted(contract.SUITES))
+    def test_draws_below_one_exit_config(self, suite, draws, tmp_path,
+                                         capsys):
+        # a suite of no draws would report residuals of 0 and pass
+        out = tmp_path / "report.json"
+        code = cli.main(["identities", suite, "--draws", draws,
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"draws must be positive, got {draws}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_suite_exit_config(self):
         assert cli.main(["identities", "nonsense"]) == cli.EXIT_CONFIG
 
@@ -399,8 +412,8 @@ class TestConverge:
         assert cli.main(argv + [str(tmp_path / "one.json")]) == 0
         ratio = cli.bethe._log_ratio_odd
         monkeypatch.setattr(cli.bethe, "_log_ratio_odd",
-                            lambda terms, tau_t, order, antisymmetric=():
-                            ratio(terms, tau_t, order))
+                            lambda terms, tau_t, antisymmetric=():
+                            ratio(terms, tau_t))
         assert cli.main(argv + [str(tmp_path / "both.json")]) == 0
         assert ((tmp_path / "one.json").read_bytes()
                 == (tmp_path / "both.json").read_bytes())

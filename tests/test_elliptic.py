@@ -12,8 +12,8 @@ from csoslab.contract import (frobenius_residual, id_sum1_residual,
                               schroter_residual)
 from csoslab.elliptic import (DUAL_MODULUS_IM, SERIES_BLOCK, SERIES_RTOL,
                               EllipticDomainError, ModelParams, PoleError,
-                              _cdiv, _term_table, theta, theta3_log_outer,
-                              theta_log)
+                              _cdiv, _term_table, stacked, theta,
+                              theta3_log_outer, theta_log)
 from csoslab.lattice import LatticeConfig
 from csoslab import matel as M
 from csoslab import thermo as T
@@ -402,7 +402,8 @@ class TestBracket:
                 rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)),
                 rng.uniform(-3, 3, (2, 5)), np.array([[-0.0, 0.0, 3.0]]),
                 np.array([1.5, -2.5])]
-        got = params.brackets(*args, order=order)
+        got = (params.brackets(*args) if order == 0 else
+               stacked(lambda u: params.bracket(u, order=1), *args))
         assert len(got) == len(args)
         for arg, val in zip(args, got):
             ref = params.bracket(arg, order=order)

@@ -508,13 +508,13 @@ class TestNormMemo:
         for st in states:
             st.memo.clear()
         calls = []
-        jacobian = B._log_bethe_jacobian
+        system = B._bethe_system
 
         def counted(*args):
             calls.append(1)
-            return jacobian(*args)
+            return system(*args)
 
-        monkeypatch.setattr(B, "_log_bethe_jacobian", counted)
+        monkeypatch.setattr(B, "_bethe_system", counted)
         M._dense_table(PATH1, 1, states, states)
         assert len(calls) == 1
 
@@ -892,7 +892,8 @@ class TestFlatBasis:
         assert abs(det - bf) / abs(bf) < 1e-8
 
     def test_anchor_factor(self, ground4, config4):
-        # shifting the anchor down one row multiplies by an eigenvalue ratio
+        # shifting the anchor down one row multiplies by an eigenvalue
+        # ratio, on every pair of the K x K table
         shifted = M.AdjacentPath(vertices=((2, 1),), heights=(1,))
         us, vs = ground4[(0, 0)], ground4[(1, 1)]
         base = M.finite_lhp(shifted, ("bethe", 0, 0, 1, 1), ground4)
@@ -900,6 +901,17 @@ class TestFlatBasis:
         ratio = (B.eigenvalue_tau(config4.xi[0], us)
                  / B.eigenvalue_tau(config4.xi[0], vs))
         assert abs(base - plain * ratio) < 1e-12
+        states = list(ground4.values())
+        table = M._pair_table(shifted, states, states, "det")
+        for row, u_set in zip(table, states):
+            for val, v_set in zip(row, states):
+                ratio = (B.eigenvalue_tau(config4.xi[0], u_set)
+                         / B.eigenvalue_tau(config4.xi[0], v_set))
+                ref = _per_pair_element(u_set, v_set, shifted)
+                assert abs(val - ref) < 1e-12 * max(1.0, abs(ref))
+                plain = (M.mpme_bruteforce(u_set, v_set, shifted, 1)
+                         * ratio)
+                assert abs(val - plain) < 1e-10 * max(1.0, abs(plain))
 
 
 
@@ -920,7 +932,8 @@ def _per_pair_element(u_set, v_set, path):
         val = M.mpme_det(u_set, v_set, path, path.heights[0])
     except DegenerateConfigError:
         val = M.mpme_bruteforce(u_set, v_set, path, path.heights[0])
-    return val * M._anchor_factor(path, u_set, v_set)
+    return val * (M._anchor_weight(path, u_set)
+                  / M._anchor_weight(path, v_set))
 
 
 def _per_pair_table(path, states):
