@@ -24,9 +24,9 @@ rows tried (_bethe_system): theta1 and theta1' at eta~/2 +- d and eta~ +
 d, d the roots or their differences reduced modulo the period, give the
 log residual and its Jacobian together.
 
-What depends on a root set alone (the acceptance residual, d at the
-roots, the Gaudin matrix and the norm) is measured once per family, as
-the family is accepted, by _measure, the one writer of a root set's memo.
+What depends on a root set alone (its label's log residual and the
+multiplicative one, which _accept reads, d, the Gaudin matrix and the
+norm) is measured once per family by _measure, the one memo writer.
 """
 
 import cmath
@@ -47,7 +47,7 @@ from .lattice import LatticeConfig, StateVector, _entries_apply, \
 CACHE_ENV = "CSOSLAB_CACHE_DIR"
 COND_WARN = 1e12
 # the entries _measure keeps in a root set's memo
-MEASURES = {"residual", "d", "gaudin", "kappa", "det", "norm"}
+MEASURES = {"log_residual", "residual", "d", "gaudin", "kappa", "det", "norm"}
 
 
 def _log_ratio_odd(terms, tau_t, antisymmetric=()):
@@ -190,14 +190,12 @@ def _bethe_system(x, k, ell, config, params):
     x = np.asarray(x, dtype=float)
     k, ell = np.asarray(k)[..., None], np.asarray(ell)[..., None]
     n = x.shape[-1]
-    N = config.N
     term, site = _p0_term(x, config, params)
     (p0, dp0), (phase, dphase) = _log_ratio_odd(
         [term, (x[..., :, None] - x[..., None, :], params.eta_tilde)],
         params.tau_tilde, (1,))
     nj = np.arange(1, n + 1) + k
-    lhs = N * _site_mean(p0, site)
-    lhs = lhs - np.sum(phase, axis=-1)
+    lhs = config.N * _site_mean(p0, site) - np.sum(phase, axis=-1)
     rhs = 2.0 * math.pi * (nj - (n + 1) / 2.0
                            + (params.r * n + 2.0 * ell) / params.L
                            + 2.0 * params.eta * np.sum(x, axis=-1,
@@ -206,7 +204,7 @@ def _bethe_system(x, k, ell, config, params):
     rows = np.sum(dphase.real, axis=-1) + 1j * np.sum(dphase.imag, axis=-1)
     diag = np.zeros_like(dphase)
     idx = np.arange(n)
-    diag[..., idx, idx] = N * _site_mean(dp0, site) - rows
+    diag[..., idx, idx] = config.N * _site_mean(dp0, site) - rows
     return lhs - rhs, diag + dphase - 4.0 * math.pi * params.eta
 
 
@@ -245,20 +243,19 @@ def _check_kappa(mat, label):
 
 def _measure(family):
     """What depends on the roots alone, a dict per root set of one family
-    (one config and params): bethe_residual's defect (None where roots
-    coincide), d at the roots, the Gaudin matrix, (eta~/i) times the
-    complex Jacobian of the logarithmic Bethe equations (the Gaudin-Korepin
-    theorem; Korepin, Commun. Math. Phys. 86 (1982) 391), with its
-    condition number and determinant, and the squared norm, not finite
-    where the bracket products leave the double range (near n = 22 at
-    tau = 0.45i).
+    (one config and params): the max |log residual| of its own (k, ell),
+    bethe_residual's defect (None where roots coincide), d at the roots,
+    the Gaudin matrix, (eta~/i) times the complex Jacobian of the
+    logarithmic Bethe equations (the Gaudin-Korepin theorem; Korepin,
+    Commun. Math. Phys. 86 (1982) 391), with its condition number and
+    determinant, and the squared norm, not finite where the bracket
+    products leave the double range (near n = 22 at tau = 0.45i).
 
     A set whose memo holds them is read from it.  The others are measured
     together from one bracket call ([v_i - v_j + 1] and [v_i - v_j] on the
-    n x n grid, d's [v - xi_k] and [v - xi_k + 1]) and the Jacobian half
-    of one _bethe_system pass, each value read-only and that of the set
-    measured alone, bit for bit, and kept in its memo, which no other
-    function writes.
+    n x n grid, d's [v - xi_k] and [v - xi_k + 1]) and one _bethe_system
+    pass, each value read-only and that of the set measured alone, bit for
+    bit, and kept in its memo, which no other function writes.
     """
     out = [roots.memo for roots in family]
     todo = [pos for pos, got in enumerate(out) if not MEASURES <= got.keys()]
@@ -270,14 +267,15 @@ def _measure(family):
     dv = v[:, :, None] - v[:, None, :]
     plus, minus, num, den = params.brackets(dv + 1, dv, *first._d_args(v))
     d = np.prod(num / den, axis=-1)
-    gaudin = (params.eta_tilde / 1j) * _bethe_system(
+    logres, jac = _bethe_system(
         np.array([family[pos].x for pos in todo]),
         [family[pos].k for pos in todo], [family[pos].ell for pos in todo],
-        first.config, params)[1]
+        first.config, params)
+    gaudin = (params.eta_tilde / 1j) * jac
     d.flags.writeable = gaudin.flags.writeable = False
     off = ~np.eye(n, dtype=bool)
-    for pos, bp, bm, d_row, mat, det in zip(todo, plus, minus, d, gaudin,
-                                            np.linalg.det(gaudin)):
+    for pos, bp, bm, d_row, mat, det, lres in zip(
+            todo, plus, minus, d, gaudin, np.linalg.det(gaudin), logres):
         roots, res = family[pos], None
         if not _coinciding(roots.x):
             # [v_j - v_i + 1] and [v_j - v_i] are the transposes, bit for
@@ -293,7 +291,8 @@ def _measure(family):
             norm = ((-1.0) ** (n * params.r * roots.aleph)   # a(u_j) = 1
                     / (-params.bracket_prime0) ** n * np.prod(d_row)
                     * np.prod(bp) / np.prod(bm[off]) * det)
-        out[pos] = {"residual": res, "d": d_row, "gaudin": mat,
+        out[pos] = {"log_residual": float(np.max(np.abs(lres))),
+                    "residual": res, "d": d_row, "gaudin": mat,
                     "kappa": _check_kappa(mat, "Gaudin matrix"), "det": det,
                     "norm": norm}
         for key, val in out[pos].items():
@@ -412,30 +411,33 @@ def _newton(x, labels, config, params):
 
 
 def _accept(family):
-    """Set the multiplicative residual of each root set of one family from
-    its measures (_measure, one pass for the family); returns per set the
-    SolverError that refuses it (coinciding roots, or a residual above
-    1e-10), else None."""
+    """The one gate of every root set, cached or solved: per set of one
+    family (measured in one _measure pass) the SolverError that refuses it,
+    else None.  It refuses a log residual of the set's own label above
+    1e-10, coinciding roots, and a multiplicative residual above 1e-10 (kept
+    in roots.residual), which alone cannot tell k = 0 from k = 1."""
     errors = []
     for roots, got in zip(family, _measure(family)):
-        if got["residual"] is None:
+        if not got["log_residual"] <= 1e-10:
+            errors.append(SolverError(
+                f"no convergence after {roots.newton_iters} iterations",
+                best=roots.x, residual=got["log_residual"]))
+        elif got["residual"] is None:
             errors.append(SolverError("coinciding Bethe roots"))
-            continue
-        roots.residual = float(np.max(np.abs(got["residual"])))
-        errors.append(None if roots.residual <= 1e-10 else SolverError(
-            f"multiplicative residual {roots.residual:.2e} above 1e-10",
-            best=roots.x, residual=roots.residual))
+        else:
+            roots.residual = float(np.max(np.abs(got["residual"])))
+            errors.append(None if roots.residual <= 1e-10 else SolverError(
+                f"multiplicative residual {roots.residual:.2e} above 1e-10",
+                best=roots.x, residual=roots.residual))
     return errors
 
 
 def _solve_family(labels, config, params, cache_dir):
     """The root sets of labels of one family (one config and params), keyed
-    by label.  The root cache serves what it holds and _accept accepts; the
-    other labels are seeded together and solved in one Newton loop.
-    A solved label is refused when its log residual stays above 1e-10 or
-    _accept refuses it; the first refused label (in the order given) raises
-    its SolverError, after the labels before it are stored in the cache.
-    """
+    by label.  The labels the cache does not serve (see _accept) are seeded
+    together and solved in one Newton loop; the first refused label, in
+    the order given, raises its SolverError, _newton's or _accept's, after
+    the labels before it are cached."""
     cached = [_cache_load(*label, config, params, cache_dir) for label in labels]
     cached = [roots for roots in cached if roots is not None]
     out = {(roots.k, roots.ell): roots
@@ -443,21 +445,14 @@ def _solve_family(labels, config, params, cache_dir):
     todo = [label for label in labels if label not in out]
     if todo:
         x = _initial_guess(config.N // 2, todo, config, params)
-        x, iters, rnorm, errors = _newton(x, todo, config, params)
+        x, iters, _, errors = _newton(x, todo, config, params)
         found = [BetheRootSet(x=np.sort(row), k=k, ell=ell, params=params,
                               config=config, newton_iters=int(it))
                  for row, (k, ell), it in zip(x, todo, iters)]
-        for pos, row in enumerate(x):
-            if errors[pos] is None and not rnorm[pos] <= 1e-10:
-                errors[pos] = SolverError(
-                    f"no convergence after {iters[pos]} iterations",
-                    best=row, residual=float(rnorm[pos]))
-        fine = [pos for pos, err in enumerate(errors) if err is None]
-        for pos, err in zip(fine, _accept([found[pos] for pos in fine])):
-            errors[pos] = err
-        for label, roots, err in zip(todo, found, errors):
-            if err is not None:
-                raise err
+        for label, roots, singular, refused in zip(todo, found, errors,
+                                                   _accept(found)):
+            if singular or refused:
+                raise singular or refused
             _cache_store(roots, cache_dir)
             out[label] = roots
     return {label: out[label] for label in labels}
@@ -468,9 +463,9 @@ def solve_ground_state(k, ell, config, params, cache_dir=None):
     label, the one-label case of the family solve of all_ground_states.
 
     Iterates until the log residual is at most 1e-13, for at most 200
-    steps.  Returns a BetheRootSet with multiplicative residual below 1e-10;
-    raises SolverError (carrying the best iterate) on failure.  The root
-    cache, when it holds the state, serves it without a solve.
+    steps.  Returns a BetheRootSet that _accept accepts (log and
+    multiplicative residuals at most 1e-10), from the root cache when it
+    holds one; raises SolverError (carrying the best iterate) on failure.
     """
     config.validate(params)
     if k not in (0, 1):
@@ -627,8 +622,8 @@ def _cache_dir(cache_dir):
 def _cache_load(k, ell, config, params, cache_dir):
     """Cached roots of the right shape, or None when absent or unreadable.
 
-    The roots are not trusted: _solve_family checks the Bethe equations
-    again (_accept), so a stale or edited file is solved afresh.
+    The roots are not trusted: _accept checks them against the equations
+    of this label, so a stale, edited or mislabelled file is solved afresh.
     """
     root = _cache_dir(cache_dir)
     if not root:

@@ -29,8 +29,8 @@ CONFIG_KEYS = frozenset(("tau_re", "tau_im", "r", "L", "s0", "s0_re", "s0_im",
 
 
 def parse_config(path):
-    """Flat key = value file; '#' starts a comment.  An unknown key is a
-    configuration error."""
+    """Flat key = value file; '#' starts a comment.  An unknown or repeated
+    key is a configuration error."""
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -43,8 +43,16 @@ def parse_config(path):
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
+            if key in out:
+                raise ValueError(f"repeated config key {key!r}")
             out[key] = val.strip()
     return out
+
+
+def _tolerance(text):
+    if 0 <= float(text) < math.inf:
+        return float(text)
+    raise argparse.ArgumentTypeError(f"not a finite tolerance >= 0: {text}")
 
 
 def build_params(cfg):
@@ -92,9 +100,7 @@ def _emit_csv(rows, header, out_path):
            for row in rows for v in row):
         raise AccuracyError("non-finite value in the table")
     fh = open(out_path, "w", newline="") if out_path else sys.stdout
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(fh).writerows([header, *rows])
     if out_path:
         fh.close()
 
@@ -254,7 +260,7 @@ def main(argv=None):
     p_id.add_argument("suite", choices=sorted(contract.SUITES))
     p_id.add_argument("--seed", type=int, default=7)
     p_id.add_argument("--draws", type=int, default=100)
-    p_id.add_argument("--tolerance", type=float, default=None)
+    p_id.add_argument("--tolerance", type=_tolerance, default=None)
     p_id.add_argument("--out", default=None)
     p_id.set_defaults(func=cmd_identities)
 
@@ -264,7 +270,7 @@ def main(argv=None):
     p_lhp.add_argument("--config", required=True)
     p_lhp.add_argument("--path", required=True)
     p_lhp.add_argument("--resolution", type=int, default=None)
-    p_lhp.add_argument("--tolerance", type=float, default=None,
+    p_lhp.add_argument("--tolerance", type=_tolerance, default=None,
                        help="raise on quadrature estimates above this")
     p_lhp.add_argument("--out", default=None)
     p_lhp.set_defaults(func=cmd_lhp)

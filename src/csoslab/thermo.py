@@ -27,8 +27,8 @@ from .elliptic import (AccuracyError, DegenerateConfigError, stacked, theta,
                        theta3_log_outer, theta_log)
 from .matel import slot_positions
 
-# an m = 3 quadrature grid is summed in slabs of the leading axis holding
-# at most this many points
+# a quadrature grid is summed in slabs of its leading axis holding at most
+# this many points, or one row of it where a row holds more
 SLAB_POINTS = 1 << 21
 
 
@@ -356,9 +356,8 @@ def _lhp_contour_sum(path, records, zt, fam, params, resolution):
         if len(pts) != len(set(pts)):
             continue
 
-        # slab the leading axis of a 3-d grid so it stays in memory
-        slab = (resolution if len(free) <= 2 else
-                max(1, SLAB_POINTS // resolution ** (len(free) - 1)))
+        # rows per slab; a grid of no free axis is one slab
+        slab = max(1, SLAB_POINTS * resolution // resolution ** len(free))
         blocks = [0.0j] * len(records)
         for first in range(0, resolution, slab):
             # each free lambda on its own grid axis, a frozen one a value;

@@ -871,6 +871,35 @@ class TestCache:
         assert np.max(np.abs(again.x - first.x)) < 1e-12
         assert again.residual <= 1e-10
 
+    def test_swapped_k_partner_files_are_resolved(self, tmp_path):
+        # the (0, ell) and (1, ell) files hold each other's roots, which
+        # pass the multiplicative form but not their label's log equations
+        config, params = homogeneous_config(8), _physical(3, 1)
+        fresh = B.all_ground_states(config, params)
+        B.all_ground_states(config, params, cache_dir=str(tmp_path))
+        for ell in range(params.L - params.r):
+            paths = [tmp_path / (B._cache_key(k, ell, config, params)
+                                 + ".json") for k in (0, 1)]
+            texts = [path.read_text() for path in paths]
+            for path, text in zip(paths, texts[::-1]):
+                path.write_text(text)
+            partner = B._cache_load(0, ell, config, params, str(tmp_path))
+            assert np.max(np.abs(B.bethe_residual(partner))) <= 1e-10
+            err, = B._accept([partner])
+            assert str(err) == (f"no convergence after "
+                                f"{partner.newton_iters} iterations")
+            assert err.residual > 1.0
+        again = B.all_ground_states(config, params, cache_dir=str(tmp_path))
+        assert list(again) == list(fresh)
+        for label, roots in again.items():
+            assert roots.x.tobytes() == fresh[label].x.tobytes(), label
+            assert roots.newton_iters == fresh[label].newton_iters
+            assert roots.residual == fresh[label].residual
+        # the re-solved roots replace the swapped files
+        served = B.all_ground_states(config, params, cache_dir=str(tmp_path))
+        for label, roots in served.items():
+            assert roots.x.tobytes() == fresh[label].x.tobytes(), label
+
     def test_truncated_file_is_resolved(self, params, tmp_path):
         config, first, path = self._cached_file(params, tmp_path)
         path.write_text(path.read_text()[:20])

@@ -372,6 +372,32 @@ class TestLhpTables:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_config_key_exit_2(self, tmp_path, point_path, capsys):
+        # the second N would silently win and be the one hashed
+        bad = tmp_path / "twice.cfg"
+        bad.write_text("tau_im = 0.45\nr = 1\nL = 3\ns0 = physical\n"
+                       "N = 4\nN = 6\n")
+        out = tmp_path / "report.json"
+        assert cli.main(["lhp", "--config", str(bad), "--path", point_path,
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "repeated config key 'N'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["lhp", "identities"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-0.5"])
+    def test_bad_tolerance_exit_2(self, command, value, thermo_config,
+                                  point_path, tmp_path, capsys):
+        # a tolerance no estimate can meet, or that every estimate meets,
+        # is a configuration error, not a numerical failure
+        out = tmp_path / "report.json"
+        argv = (["lhp", "--config", thermo_config, "--path", point_path]
+                if command == "lhp" else ["identities", "elliptic"])
+        assert cli.main(argv + [f"--tolerance={value}", "--out",
+                                str(out)]) == cli.EXIT_CONFIG
+        assert f"not a finite tolerance >= 0: {value}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("s0, extra", [("0.41", ""),
                                            ("0.41", "s0_im = 0.13\n"),
                                            ("physical", "s0_re = 0.3\n")])

@@ -119,6 +119,16 @@ def test_only_bethe_writes_root_set_memos(name):
         assert not stores, f"{name}.py stores into a memo at lines {stores}"
 
 
+def test_one_acceptance_rule_for_root_sets():
+    # a root set is refused in one place, cached or solved: inside bethe a
+    # SolverError is built only by the Newton loop, the acceptance gate
+    # and bethe_residual, its read-only reader
+    builders = {getattr(top, "name", "<module>") for top in _tree("bethe").body
+                for node in ast.walk(top) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "SolverError"}
+    assert builders == {"_newton", "_accept", "bethe_residual"}
+
+
 # the benchmark harness, read here and never changed
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

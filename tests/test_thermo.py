@@ -553,6 +553,7 @@ class TestMultiPoint:
                                      tuple(h + c for h in path.heights))
             assert got == T.multipoint_lhp(shifted, eps, t, config, params,
                                            resolution=resolution, **kw)
+        return table
 
     @pytest.mark.parametrize("heights", [(0, 1), (0, -1), (0, 1, 2),
                                          (0, 1, 0), (0, 1, 2, 3)])
@@ -570,10 +571,18 @@ class TestMultiPoint:
 
     def test_slabbed_table_matches_single_calls(self, setup, monkeypatch):
         params, config = setup
-        # slabs of 5 rows, the last one short
-        monkeypatch.setattr(T, "SLAB_POINTS", 5 * 16 * 16)
-        self._table_vs_single_calls(M.vertical_path((0, 1, 2, 3)), config,
-                                    params, 16)
+        R = 16
+        for path in (M.vertical_path((0, 1, 2)),
+                     M.vertical_path((0, 1, 2, 3))):
+            whole = self._table_vs_single_calls(path, config, params, R)
+            # slabs of 5 rows, the last one short, on an m = 2 and an m = 3
+            # grid
+            with monkeypatch.context() as patch:
+                patch.setattr(T, "SLAB_POINTS", 5 * R ** (path.m - 1))
+                slabbed = self._table_vs_single_calls(path, config, params, R)
+            for rec, (val, est) in whole.items():
+                assert abs(slabbed[rec][0] - val) < 1e-15, (path.m, rec)
+                assert abs(slabbed[rec][1] - est) < 1e-15, (path.m, rec)
 
     def test_even_L_table_is_zero_for_odd_parity(self, setup):
         # L = 4, r = 1: a record whose eps + t - a is odd is exactly 0.0
