@@ -42,7 +42,7 @@ import numpy as np
 
 from .elliptic import ModelParams, SolverError, _cmul, _theta_rows, stacked
 from .lattice import LatticeConfig, StateVector, _entries_apply, \
-    monodromy_entry_apply, transfer_apply
+    monodromy_product_apply, transfer_apply
 
 CACHE_ENV = "CSOSLAB_CACHE_DIR"
 COND_WARN = 1e12
@@ -512,23 +512,21 @@ def _phi_weights(roots, dual=False):
 
 
 def bethe_vector(roots, side="right"):
-    """|{v}, omega> = phi_omega prod_j B_hat(v_j) |0>> (or the dual covector).
+    """|{v}, omega> = phi_omega prod_j B_hat(v_j) |0>> (or the dual covector
+    through the transposed C), from two bracket calls for any n: one for
+    the face weights of all n applications, one for phi.
 
     The left vector is returned as a StateVector holding covector
     components r with r . psi = <{v}, omega | psi>.
     """
-    config, params = roots.config, roots.params
-    if side == "right":
-        st = StateVector.reference(config, params)
-        for vj in roots.v:
-            st = monodromy_entry_apply("B", vj, st)
-        return st.scale_heights(_phi_weights(roots))
-    if side != "left":
+    if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    row = StateVector.reference(config, params)
-    for vj in roots.v[::-1]:
-        row = monodromy_entry_apply("C", vj, row, dual=True)
-    return row.scale_heights(_phi_weights(roots, dual=True))
+    ref = StateVector.reference(roots.config, roots.params)
+    if side == "right":
+        st = monodromy_product_apply("B", roots.v, ref)
+    else:
+        st = monodromy_product_apply("C", roots.v[::-1], ref, dual=True)
+    return st.scale_heights(_phi_weights(roots, dual=side == "left"))
 
 
 def lambda_pm(zeta, roots):

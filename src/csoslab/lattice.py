@@ -22,8 +22,10 @@ The dynamical argument of the k-th factor counts the spins of sites < k
 on the incoming configuration (the column of heights the faces lean on).
 Since [x + L] = (-1)^r [x] cancels in each ratio, the weights are
 L-periodic in s: at s = s0 + a + p they depend on the class (a + p) mod L
-only, and an application evaluates them on the (site, class) grid at
-s = s0 + c, c = 0..L-1, in one bracket call.
+only.  They are evaluated on the (u, site, class) grid at s = s0 + c,
+c = 0..L-1, in one pass per product of applications: one bracket call for
+every u of the product (a Bethe vector's B_hat(v_1) ... B_hat(v_n), or a
+single entry, or t = A + D at one u), then one gather per application.
 """
 
 from dataclasses import dataclass
@@ -159,35 +161,41 @@ def _prefix_table(i, config):
     return pref
 
 
-def _column_weights(u, config, params, scaled):
-    """Face weights of all R-factors (k = 0..N-1), once per application.
+def _column_weights(us, config, params, scaled):
+    """Face weights of all R-factors (k = 0..N-1) for each spectral
+    parameter of the 1-d stack us, from one bracket call.
 
     The k-th factor's argument s = (s0 + a) + p (height class a, spin sum
     p of the sites before k) enters the L-periodic weights only through
     the class c = (a + p) mod L, so the brackets are evaluated on the
-    (k, c) grid at s = s0 + c, N L cells per sign, in one bracket call,
-    and one gather by (a + p) mod L fills every site's cells.  Returns
-    corner[k] and weights[k] = (b_plus, b_minus, c_plus, c_minus), each
-    of shape (L, 2^k, 1, 1): height, spins of the sites before k,
-    broadcast over the sites after k and the batch.
+    (u, k, c) grid at s = s0 + c, P N L cells per sign, in one bracket
+    call, the u-free height brackets once.  Returns an iterator over us,
+    in order, of (corner, weights): corner[k] and weights[k] = (b_plus,
+    b_minus, c_plus, c_minus), each of shape (L, 2^k, 1, 1) (height,
+    spins of the sites before k, broadcast over the sites after k and the
+    batch), each u's filled by one gather by (a + p) mod L when it is
+    reached, so that one u's cells are alive at a time.
 
     With scaled=True every R-factor is multiplied by [u - xi_k + 1], which
     removes the poles of the face weights at u = xi_k - 1 (the monodromy
-    then equals T(u) times prod_k [u - xi_k + 1]).
+    then equals T(u) times prod_k [u - xi_k + 1]).  Unscaled, a pole
+    raises before any u is returned, naming the first u of the stack and
+    its first site that hit one.
     """
     N, L = config.N, params.L
-    uk = u - np.array(config.xi)
+    uk = np.asarray(us)[:, None] - np.array(config.xi)
     s = params.s0 + np.arange(L)
     bu, bu1, bsu, bmsu, bs, bms, bs1, bms1, b1 = params.brackets(
-        uk, uk + 1, s + uk[:, None], -s + uk[:, None], s, -s, s + 1, -s + 1,
-        1)
-    poles = np.nonzero(np.abs(bu1) < 1e-13)[0]
+        uk, uk + 1, s + uk[..., None], -s + uk[..., None], s, -s, s + 1,
+        -s + 1, 1)
+    poles = np.argwhere(np.abs(bu1) < 1e-13)
     if not scaled and poles.size:
-        raise PoleError(f"[u - xi_{poles[0] + 1} + 1] vanishes at u={u}; "
+        p, k = poles[0]
+        raise PoleError(f"[u - xi_{k + 1} + 1] vanishes at u={us[p]}; "
                         "use the scaled gauge")
     ones = np.ones_like(bu1)
     corner, denom_u = (bu1, ones) if scaled else (ones, bu1)
-    bu, denom_u = bu[:, None], denom_u[:, None]
+    bu, denom_u = bu[..., None], denom_u[..., None]
     grids = np.stack((bs1 * bu / (bs * denom_u),
                       bms1 * bu / (bms * denom_u),
                       bsu * b1 / (bs * denom_u),
@@ -198,10 +206,13 @@ def _column_weights(u, config, params, scaled):
         prefs.append((prefs[-1][:, None] + np.array([1, -1])).ravel())
     site = np.repeat(np.arange(N), [p.size for p in prefs])
     classes = (np.arange(L)[:, None] + np.concatenate(prefs)) % L
-    cells = grids[:, site, classes]
-    weights = [tuple(cells[:, :, (1 << k) - 1:(2 << k) - 1, None, None])
-               for k in range(N)]
-    return corner, weights
+
+    def gather(p):
+        cells = grids[:, p, site, classes]
+        return corner[p], [tuple(cells[:, :, (1 << k) - 1:(2 << k) - 1,
+                                       None, None]) for k in range(N)]
+
+    return map(gather, range(len(uk)))
 
 
 def _site_step(phi, k, corner, b_plus, b_minus, c_plus, c_minus):
@@ -221,46 +232,71 @@ def _site_step(phi, k, corner, b_plus, b_minus, c_plus, c_minus):
     return new.reshape(phi.shape)
 
 
-def _sweep(entry, psi, corner, weights, dual=False):
-    """The hatted monodromy entry on each column of psi (L, W, B), from the
-    column weights of one application; with dual=True its transpose.
+def _sweep(entry, psi, pairs, dual=False):
+    """The product of the hatted monodromy entry over the applications
+    whose (corner, weights) pairs yields, in order, on each column of psi
+    (L, W, B); with dual=True the product of its transposes.
 
     The height axis supplies the base dynamical parameter of each column
     after the height roll; the k-th factor's dynamical argument adds the
     spins of sites < k as carried by the current partial word.  The
     transpose, (M R)^T = R^T M^T, runs the sites in reverse with the aux
     indices and the c weights swapped, then undoes the height roll.
+    Between two applications the output is rolled back into the two-aux
+    array as a fresh input would be, and each application's weights are
+    released before the next are drawn, so a product holds the arrays of
+    one application.  An empty product returns a copy of psi.
     """
     a_out, a_in = _ENTRY_AUX[entry]
     shift = _ENTRY_SHIFT[entry]
-    sites = range(len(corner))
     if dual:
-        a_out, a_in, sites = a_in, a_out, reversed(sites)
-    phi = np.zeros((2,) + psi.shape, dtype=complex)
-    phi[a_in] = psi if dual else np.roll(psi, shift, axis=0)
-    for k in sites:
-        b_plus, b_minus, c_plus, c_minus = weights[k]
-        if dual:
-            c_plus, c_minus = c_minus, c_plus
-        phi = _site_step(phi, k, corner[k], b_plus, b_minus, c_plus, c_minus)
+        a_out, a_in = a_in, a_out
+    phi = None
+    for corner, weights in pairs:
+        if phi is None:
+            phi = np.zeros((2,) + psi.shape, dtype=complex)
+            phi[a_in] = psi if dual else np.roll(psi, shift, axis=0)
+        else:
+            phi[a_in], phi[1 - a_in] = (
+                np.roll(phi[a_out], -shift if dual else shift, axis=0), 0.0)
+        sites = range(len(corner))
+        for k in sites[::-1] if dual else sites:
+            b_plus, b_minus, c_plus, c_minus = weights[k]
+            if dual:
+                c_plus, c_minus = c_minus, c_plus
+            phi = _site_step(phi, k, corner[k], b_plus, b_minus, c_plus,
+                             c_minus)
+        del corner, weights, b_plus, b_minus, c_plus, c_minus
+    if phi is None:
+        return psi.copy()
     return np.roll(phi[a_out], -shift, axis=0) if dual else phi[a_out]
+
+
+def _sweep_bytes(config, params, batch):
+    """Bytes of a sweep of batch vectors: psi, the running sum, and the
+    two-aux sweep array with its successor, six arrays of psi's size, and
+    one application's column weights, four complex arrays of L (2^N - 1)
+    cells whatever the batch."""
+    W = 1 << config.N
+    return 16 * params.L * (6 * W * batch + 4 * (W - 1))
+
+
+def _guard_sweep(config, params, batch):
+    """Refuses a sweep of batch vectors over DENSE_MAX_BYTES before any of
+    its arrays is allocated."""
+    _guard_bytes(_sweep_bytes(config, params, batch),
+                 f"sweep refused: N={config.N}, {batch} vector(s)")
 
 
 def _entries_batch(entries, u, psi, config, params, dual, scaled):
     """Sum of the hatted monodromy entries (summed in the order given) on
     each column of psi (L, W, B), or of their transposes, from one
-    evaluation of the column weights.
-
-    The live arrays are psi, the running sum, and the two-aux sweep array
-    with its successor: six arrays of psi's size, counted before any is
-    allocated.
-    """
-    _guard_bytes(6 * 16 * psi.size,
-                 f"sweep refused: N={config.N}, {psi.shape[2]} vector(s)")
-    corner, weights = _column_weights(u, config, params, scaled)
-    out = _sweep(entries[0], psi, corner, weights, dual)
+    evaluation of the column weights."""
+    _guard_sweep(config, params, psi.shape[2])
+    pairs = list(_column_weights((u,), config, params, scaled))
+    out = _sweep(entries[0], psi, pairs, dual)
     for entry in entries[1:]:
-        out += _sweep(entry, psi, corner, weights, dual)
+        out += _sweep(entry, psi, pairs, dual)
     return out
 
 
@@ -279,6 +315,18 @@ def monodromy_entry_apply(entry, u, state, dual=False, scaled=False):
     r satisfies r . psi = state . (entry_hat psi) for every psi.
     """
     return _entries_apply((entry,), u, state, dual=dual, scaled=scaled)
+
+
+def monodromy_product_apply(entry, us, state, dual=False):
+    """entry_hat(us[-1]) ... entry_hat(us[0]) on a state, us[0] applied
+    first (with dual=True their transposes, in the same order), from one
+    column-weight pass over the stack us; equal, bit for bit, to
+    monodromy_entry_apply called once per u in that order."""
+    config, params = state.config, state.params
+    _guard_sweep(config, params, 1)
+    out = _sweep(entry, state.amps[:, :, None],
+                 _column_weights(us, config, params, False), dual)
+    return StateVector(config, params, out[:, :, 0])
 
 
 def _dense_from_apply(apply_fun, config, params):

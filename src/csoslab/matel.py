@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import DegenerateConfigError, PoleError, _cdiv, _cmul
-from .lattice import (_guard_bytes, local_operator_apply,
+from .lattice import (_guard_bytes, _sweep_bytes, local_operator_apply,
                       monodromy_entry_apply)
 from .bethe import (_lambda_pm_rows, _measure, bethe_vector,
                     eigenvalue_tau, scaled_eigenvalue)
@@ -593,35 +593,42 @@ def _det_table(path, a1, lefts, rights, gamma=None, reduction="m"):
     return table, refused
 
 
-def _dense_table(path, a1, lefts, rights):
+def _dense_table(paths, a1, lefts, rights):
     """E[i][j] = <lefts[i]| path |rights[j]> / (||u|| ||v||) by dense
-    operator application: each right state's Bethe vector goes through the
-    path operators and the height projector once, and pairs with each left
-    state's covector, built once and counted with a sweep's six arrays
-    before any vector is built.  The gauge scales every R-factor by
-    [u - xi_k + 1], so upward steps (arguments xi_i - 1) stay finite; the
-    matching scaled eigenvalue divides each element.  The table's distinct
-    states are measured in one pass (bethe._measure)."""
+    operator application; for a tuple of paths, one such table per path.
+    Each right state's Bethe vector is built once and goes through each
+    path's operators and the height projector, and pairs with each left
+    state's covector, built once; the covectors, the right vector and a
+    sweep are counted before any vector is built.  The gauge scales every
+    R-factor by [u - xi_k + 1], so upward steps (arguments xi_i - 1) stay
+    finite; the matching scaled eigenvalue divides each element.  The
+    table's distinct states are measured in one pass (bethe._measure)."""
     config, params = rights[0].config, rights[0].params
-    zetas = path.check_zetas(config, params)[0]
-    _guard_bytes(16 * params.L * (len(lefts) + 6) << config.N,
+    many = isinstance(paths, tuple)
+    paths = paths if many else (paths,)
+    zetas = [path.check_zetas(config, params)[0] for path in paths]
+    _guard_bytes((16 * params.L * (len(lefts) + 1) << config.N)
+                 + _sweep_bytes(config, params, 1),
                  f"dense table refused: N={config.N}, {len(lefts)} covectors")
     _measure(list({id(st): st for st in lefts + rights}.values()))
     covectors = [bethe_vector(u_set, side="left") for u_set in lefts]
     norms = [norm_root(u_set) for u_set in lefts]
-    table = [[None] * len(rights) for _ in lefts]
+    tables = [[[None] * len(rights) for _ in lefts] for _ in paths]
     for j, v_set in enumerate(rights):
-        state = bethe_vector(v_set, side="right")
-        denom = 1.0 + 0.0j
-        for k in range(path.m - 1, -1, -1):
-            entry = "A" if path.alphas[k] == 1 else "D"
-            state = monodromy_entry_apply(entry, zetas[k], state, scaled=True)
-            denom *= scaled_eigenvalue(zetas[k], v_set)
-        state = local_operator_apply("delta", state, i=1, a=a1)
+        vector = bethe_vector(v_set, side="right")
         norm_v = norm_root(v_set)
-        for row, covector, norm_u in zip(table, covectors, norms):
-            row[j] = covector.dot(state) / denom / (norm_u * norm_v)
-    return table
+        for path, zs, table in zip(paths, zetas, tables):
+            state = vector
+            denom = 1.0 + 0.0j
+            for k in range(path.m - 1, -1, -1):
+                entry = "A" if path.alphas[k] == 1 else "D"
+                state = monodromy_entry_apply(entry, zs[k], state,
+                                              scaled=True)
+                denom *= scaled_eigenvalue(zs[k], v_set)
+            state = local_operator_apply("delta", state, i=1, a=a1)
+            for row, covector, norm_u in zip(table, covectors, norms):
+                row[j] = covector.dot(state) / denom / (norm_u * norm_v)
+    return tables if many else tables[0]
 
 
 # ---------------------------------------------------------------------------

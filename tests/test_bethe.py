@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -598,7 +599,9 @@ class TestEigenstates:
     def test_phi_weights_one_bracket_call_per_vector(self, params, N,
                                                      monkeypatch):
         # the L height weights of a vector come from one bracket call at
-        # n = 2 and n = 4, each equal to its scalar product, bit for bit
+        # n = 2 and n = 4, each equal to its scalar product, bit for bit;
+        # with the face weights of all n applications from one more, a
+        # vector makes 2 bracket calls
         config = homogeneous_config(N)
         x = B._initial_guess(N // 2, [(0, 1)], config, params)[0]
         roots = B.BetheRootSet(x=x, k=0, ell=1, params=params, config=config)
@@ -619,14 +622,64 @@ class TestEigenstates:
             calls.append(1)
             return bracket(self, u, order=order)
 
-        # the monodromy entries make their own calls: leave them out
-        monkeypatch.setattr(B, "monodromy_entry_apply",
-                            lambda entry, u, state, dual=False: state)
         monkeypatch.setattr(ModelParams, "bracket", counted)
         for side in ("right", "left"):
             calls.clear()
             B.bethe_vector(roots, side=side)
-            assert len(calls) == 1
+            assert len(calls) == 2
+
+    @staticmethod
+    def _loop_vector(roots, side):
+        # one monodromy_entry_apply per root, in the order of the product
+        st = StateVector.reference(roots.config, roots.params)
+        if side == "right":
+            for vj in roots.v:
+                st = monodromy_entry_apply("B", vj, st)
+        else:
+            for vj in roots.v[::-1]:
+                st = monodromy_entry_apply("C", vj, st, dual=True)
+        return st.scale_heights(B._phi_weights(roots, dual=side == "left"))
+
+    @pytest.mark.parametrize("model", ["oracle", (5, 2), (4, 1)],
+                             ids=["oracle", "L5_r2", "L4_r1"])
+    def test_vector_equals_one_application_per_root(self, params, model):
+        # both sides of every ground state equal the vectors built one
+        # application at a time, bit for bit: the N = 8 inhomogeneous
+        # column of the oracle model, and (L, r) = (5, 2), (4, 1) at N = 6
+        if model == "oracle":
+            ys = (0.04, -0.03, 0.02, -0.05, 0.035, -0.02, 0.05, -0.04)
+            config = LatticeConfig(N=8, xi=tuple(0.5 + 1j * y for y in ys))
+        else:
+            L, r = model
+            params = ModelParams(tau=0.45j, r=r, L=L, s0=0.45j * L / (2 * r))
+            config = homogeneous_config(6)
+        for roots in B.all_ground_states(config, params).values():
+            for side in ("right", "left"):
+                got = B.bethe_vector(roots, side=side).amps
+                ref = self._loop_vector(roots, side).amps
+                assert got.tobytes() == ref.tobytes()
+
+    def test_vector_peak_is_one_application(self, params):
+        # the n = 7 applications of an N = 14 vector hold one
+        # application's weights at a time: the vector's traced peak is
+        # within 10% of one application's on a fresh reference state
+        config = homogeneous_config(14)
+        x = B._initial_guess(7, [(0, 1)], config, params)[0]
+        roots = B.BetheRootSet(x=x, k=0, ell=1, params=params, config=config)
+
+        def peak(fun):
+            fun()           # fills the theta term tables outside the trace
+            tracemalloc.start()
+            try:
+                fun()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: monodromy_entry_apply(
+            "B", roots.v[0], StateVector.reference(config, params)))
+        for side in ("right", "left"):
+            assert peak(lambda: B.bethe_vector(roots, side=side)) <= 1.1 * one
 
 
 class TestSiteProducts:

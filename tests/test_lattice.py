@@ -13,7 +13,8 @@ from csoslab.contract import (boltzmann_weight, inverse_problem_residual,
 from csoslab.lattice import (LatticeConfig, StateVector, _column_weights,
                              _entries_apply, guard_dense, homogeneous_config,
                              local_operator_apply, monodromy_entry_apply,
-                             monodromy_entry_dense, transfer_apply)
+                             monodromy_entry_dense, monodromy_product_apply,
+                             transfer_apply)
 
 
 class TestFaceWeights:
@@ -339,7 +340,7 @@ class TestColumnWeights:
         def br(x):
             return mpmath.jtheta(1, mpmath.pi * eta * x, q)
 
-        corner, weights = _column_weights(u, config, model, False)
+        [(corner, weights)] = _column_weights((u,), config, model, False)
         worst = 0.0
         for k in range(N):
             uk = mpmath.mpc(u) - mpmath.mpc(config.xi[k])
@@ -444,6 +445,63 @@ class TestColumnWeights:
         assert np.all(np.isfinite(out.amps))
         assert np.max(np.abs(out.amps)) > 0.0
 
+    @staticmethod
+    def _bits(corner, weights):
+        return [corner.tobytes()] + [w.tobytes() for ws in weights
+                                     for w in ws]
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_stacked_weights_equal_one_u_calls(self, params, config4,
+                                               scaled):
+        # a stack of P = 1..4 spectral parameters gives each u the corner
+        # and weights of its own one-u call, bit for bit; the scaled stack
+        # holds u = xi_3 - 1, a pole of the plain weights
+        us = [0.29 + 0.18j, -0.13 + 0.05j, 0.21 - 0.15j, 0.27 + 0.1j]
+        if scaled:
+            us[2] = config4.xi[2] - 1.0
+        ones = [self._bits(*pair) for u in us
+                for pair in _column_weights((u,), config4, params, scaled)]
+        for P in range(1, 5):
+            got = [self._bits(*pair) for pair in
+                   _column_weights(np.array(us[:P]), config4, params, scaled)]
+            assert got == ones[:P]
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_product_pole_names_first_u_in_order(self, params, config4,
+                                                 dual):
+        # unscaled, the product raises the PoleError of the application
+        # that one call per u, in order, raises first: the first u of the
+        # stack with a pole, at its first site with one
+        state = StateVector.reference(config4, params)
+        us = np.array([0.29 + 0.18j, config4.xi[2] - 1.0,
+                       config4.xi[0] - 1.0])
+        with pytest.raises(PoleError) as ref:
+            for u in us:
+                state = monodromy_entry_apply("C", u, state, dual=dual)
+        with pytest.raises(PoleError, match=r"xi_3 \+ 1\] vanishes") as got:
+            monodromy_product_apply("C", us, StateVector.reference(
+                config4, params), dual=dual)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_product_equals_one_call_per_u(self, params, config4, rng, dual):
+        # the product from one weight pass equals the applications one by
+        # one, bit for bit, for each entry and side
+        amps = (rng.standard_normal((params.L, 16))
+                + 1j * rng.standard_normal((params.L, 16)))
+        state = StateVector(config4, params, amps)
+        us = np.array([0.29 + 0.18j, -0.13 + 0.05j, 0.21 - 0.15j])
+        for entry in "ABCD":
+            ref = state
+            for u in us:
+                ref = monodromy_entry_apply(entry, u, ref, dual=dual)
+            got = monodromy_product_apply(entry, us, state, dual=dual)
+            assert got.amps.tobytes() == ref.amps.tobytes()
+        # the empty product is the identity, on a copy
+        got = monodromy_product_apply("B", us[:0], state, dual=dual)
+        assert got.amps is not state.amps
+        assert got.amps.tobytes() == state.amps.tobytes()
+
 
 class TestLocalOperators:
     def test_delta_site1(self, params, config4):
@@ -542,13 +600,15 @@ class TestInfrastructure:
             guard_dense(homogeneous_config(12), wide)
 
     def test_sweep_guard_counts_bytes(self, params, monkeypatch):
-        # a sweep holds six (L, W) complex arrays per vector: 4608 bytes at
-        # N = 4, L = 3; the budget is patched, nothing large is allocated
+        # a sweep holds six (L, W) complex arrays per vector and one
+        # application's column weights, four complex arrays of L (W - 1)
+        # cells: 4608 + 2880 = 7488 bytes at N = 4, L = 3; the budget is
+        # patched, nothing large is allocated
         import csoslab.lattice as lattice
         state = StateVector.reference(homogeneous_config(4), params)
-        monkeypatch.setattr(lattice, "DENSE_MAX_BYTES", 4608)
+        monkeypatch.setattr(lattice, "DENSE_MAX_BYTES", 7488)
         monodromy_entry_apply("B", 0.3, state)
-        monkeypatch.setattr(lattice, "DENSE_MAX_BYTES", 4607)
+        monkeypatch.setattr(lattice, "DENSE_MAX_BYTES", 7487)
         with pytest.raises(SizeGuardError, match="sweep refused: N=4"):
             monodromy_entry_apply("B", 0.3, state)
         with pytest.raises(SizeGuardError):

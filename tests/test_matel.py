@@ -1208,6 +1208,21 @@ class TestColumnPass:
         assert sorted(built) == ["left"] * K + ["right"] * K
         assert np.all(np.isfinite(table))
 
+    def test_dense_tables_share_vectors_across_paths(self, monkeypatch):
+        # a tuple of paths builds each state's vector and covector once and
+        # gives each path the table of its own call, bit for bit
+        states = _flat_states(B.all_ground_states(homogeneous_config(4),
+                                                  _physical(3, 1)))
+        paths = (PATH0, PATH1)
+        refs = [M._dense_table(path, 1, states, states) for path in paths]
+        built = self._count_vectors(monkeypatch)
+        tables = M._dense_table(paths, 1, states, states)
+        K = len(states)
+        assert sorted(built) == ["left"] * K + ["right"] * K
+        assert len(tables) == 2
+        for got, ref in zip(tables, refs):
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+
     def test_dense_pass_only_over_refused_rows_and_columns(self,
                                                            monkeypatch):
         # at (4, 1) the determinant route refuses the twist partners with
@@ -1226,12 +1241,15 @@ class TestColumnPass:
         assert np.all(np.isfinite(table))
 
     def test_dense_table_counts_its_covectors(self, ground4, monkeypatch):
-        # a budget that admits one covector and a sweep, seven vectors'
-        # bytes, refuses the 4 x 4 table before any vector is built
+        # a budget that admits one covector, the right vector and a sweep
+        # (eight vectors' bytes and one application's column weights, four
+        # arrays of L (W - 1) cells) refuses the 4 x 4 table before any
+        # vector is built
         states = _flat_states(ground4)
         config, params = states[0].config, states[0].params
+        W = 1 << config.N
         monkeypatch.setattr(lattice, "DENSE_MAX_BYTES",
-                            7 * 16 * params.L << config.N)
+                            16 * params.L * (8 * W + 4 * (W - 1)))
         built = self._count_vectors(monkeypatch)
         with pytest.raises(SizeGuardError, match="dense table refused"):
             M._dense_table(PATH1, 1, states, states)
